@@ -19,11 +19,13 @@ race:
 	$(GO) test -race -timeout 60m ./internal/sim/... ./internal/core/... ./internal/lattice/... ./internal/keys/... ./internal/merkle/... ./internal/netsim/...
 
 # Short fuzz smoke mirroring CI: batch settlement vs serial apply under
-# hostile block streams, and link-model delay sanity for any bounds.
+# hostile block streams, link-model delay sanity for any bounds, tangle
+# tip selection, and the UTXO owner index under apply/undo/reorg.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzLatticeProcessBatch$$' -fuzztime 30s ./internal/lattice
 	$(GO) test -run '^$$' -fuzz '^FuzzLinkModelDelay$$' -fuzztime 15s ./internal/sim
 	$(GO) test -run '^$$' -fuzz '^FuzzTangleTipSelection$$' -fuzztime 30s ./internal/tangle
+	$(GO) test -run '^$$' -fuzz '^FuzzSetOwnerIndex$$' -fuzztime 15s ./internal/utxo
 
 # Coverage profile, the artifact CI uploads.
 cover:
@@ -41,13 +43,13 @@ bench:
 
 # The committed perf baseline this branch is gated against; bump when a
 # new trajectory point lands (see PERFORMANCE.md).
-BENCH_BASELINE ?= BENCH_010.json
+BENCH_BASELINE ?= BENCH_014.json
 
 # Regenerate the committed perf trajectory point. Run on a quiet
 # machine; review the diff against the previous baseline before
 # committing (make bench-gate does exactly that comparison).
 bench-commit:
-	$(GO) run ./cmd/dltbench -bench-report -bench-label 010 -bench-out $(BENCH_BASELINE)
+	$(GO) run ./cmd/dltbench -bench-report -bench-label 014 -bench-out $(BENCH_BASELINE)
 
 # The CI regression gate: re-run the suite (shorter measurement time,
 # same workload scale) and fail on >15% ns/op or allocs/op regressions

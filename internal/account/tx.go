@@ -31,6 +31,12 @@ type Tx struct {
 	Data     []byte
 	PubKey   ed25519.PublicKey
 	Sig      []byte
+
+	// verified caches a positive VerifySig outcome under ID(): the
+	// simulation hands one *Tx to every node's mempool, the producer's
+	// BuildBlock and every replica's validateBlock, so one ed25519 check
+	// serves the whole run (see keys.VerifyMemo).
+	verified keys.VerifyMemo
 }
 
 // txWireOverhead is the modeled fixed encoding cost of a transaction.
@@ -88,13 +94,31 @@ func (tx *Tx) Sign(kp *keys.KeyPair) {
 	tx.Sig = kp.Sign(digest[:])
 }
 
-// VerifySig checks the signature and that PubKey matches From.
+// VerifySig checks the signature and that PubKey matches From. A
+// positive outcome is memoized per pointer under ID(), which covers
+// From, the signed payload, PubKey and Sig: every call after the first
+// pays one hash instead of ed25519, and a transaction mutated or
+// re-signed after a successful check re-verifies. The key and signature
+// lengths are checked first because ID() concatenates Data, PubKey and
+// Sig unframed — with the two tails at fixed length the ID pins every
+// field.
 func (tx *Tx) VerifySig() bool {
+	if len(tx.PubKey) != ed25519.PublicKeySize || len(tx.Sig) != ed25519.SignatureSize {
+		return false
+	}
+	id := tx.ID()
+	if tx.verified.Hit(id) {
+		return true
+	}
 	if keys.AddressOf(tx.PubKey) != tx.From {
 		return false
 	}
 	digest := tx.SigHash()
-	return keys.Verify(tx.PubKey, digest[:], tx.Sig)
+	if !keys.Verify(tx.PubKey, digest[:], tx.Sig) {
+		return false
+	}
+	tx.verified.Store(id)
+	return true
 }
 
 // IntrinsicGas is the gas charged before any execution.

@@ -107,6 +107,32 @@ func Verify(pub ed25519.PublicKey, msg, sig []byte) bool {
 	return ed25519.Verify(pub, msg, sig)
 }
 
+// VerifyMemo caches a positive signature verdict inside the signed object
+// it is embedded in (by value, as an unexported field): the content
+// digest that carried a valid signature, honoured only while the memo
+// still lives at the address it was stored from. A simulated broadcast
+// hands one pointer to every node, so one ed25519 check serves them all;
+// a struct copy moves the memo to a new address and re-verifies, and
+// content mutated after a successful check re-verifies because the
+// caller re-derives the digest on every call. Only success is stored —
+// a failing check is repeated each time. The zero value is empty. Not
+// safe for concurrent use.
+type VerifyMemo struct {
+	self   *VerifyMemo
+	digest hashx.Hash
+}
+
+// Hit reports whether digest is the one a valid signature was stored for.
+func (m *VerifyMemo) Hit(digest hashx.Hash) bool {
+	return m.self == m && m.digest == digest
+}
+
+// Store records that digest carried a valid signature.
+func (m *VerifyMemo) Store(digest hashx.Hash) {
+	m.self = m
+	m.digest = digest
+}
+
 // VerifyJob is one signature check submitted to VerifyBatch.
 type VerifyJob struct {
 	Pub ed25519.PublicKey

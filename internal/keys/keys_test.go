@@ -2,6 +2,8 @@ package keys
 
 import (
 	"testing"
+
+	"repro/internal/hashx"
 )
 
 func TestDeterministicStable(t *testing.T) {
@@ -193,5 +195,35 @@ func TestVerifyBatch(t *testing.T) {
 	}
 	if out := VerifyBatch(nil, 4); len(out) != 0 {
 		t.Fatalf("empty batch returned %d verdicts", len(out))
+	}
+}
+
+// The memo answers only for the digest it stored, and only at the
+// address it stored it from: the zero value, another digest and a copy
+// embedded in a copied parent all miss.
+func TestVerifyMemo(t *testing.T) {
+	type signed struct {
+		payload byte
+		memo    VerifyMemo
+	}
+	d1, d2 := hashx.Sum([]byte("one")), hashx.Sum([]byte("two"))
+	a := &signed{payload: 1}
+	if a.memo.Hit(d1) || a.memo.Hit(hashx.Hash{}) {
+		t.Fatal("empty memo hit")
+	}
+	a.memo.Store(d1)
+	if !a.memo.Hit(d1) {
+		t.Fatal("stored digest missed")
+	}
+	if a.memo.Hit(d2) {
+		t.Fatal("memo hit for a digest it never stored")
+	}
+	b := *a
+	if b.memo.Hit(d1) {
+		t.Fatal("copied parent rides the original's memo")
+	}
+	b.memo.Store(d2)
+	if !b.memo.Hit(d2) || !a.memo.Hit(d1) || a.memo.Hit(d2) {
+		t.Fatal("copy and original memos are not independent")
 	}
 }

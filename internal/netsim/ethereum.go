@@ -343,14 +343,14 @@ func (e *EthereumNet) runFFGRound(slot uint64) {
 }
 
 // SubmitPayment schedules a plain transfer; nonces are issued centrally
-// per sender so the stream stays executable.
+// per sender so the stream stays executable. A nonce is consumed only
+// when some node pooled the transaction: burning it on a submission
+// every node rejected would leave a gap no later payment can fill.
 func (e *EthereumNet) SubmitPayment(p workload.TimedPayment, gasPrice uint64) {
 	e.chain.scheduleSubmit(p.At, func() bool {
-		nonce := e.nonces[p.From]
-		e.nonces[p.From]++
 		to := e.ring.Addr(p.To)
 		tx := &account.Tx{
-			Nonce:    nonce,
+			Nonce:    e.nonces[p.From],
 			To:       &to,
 			Value:    p.Amount,
 			GasLimit: account.GasTxBase,
@@ -362,6 +362,9 @@ func (e *EthereumNet) SubmitPayment(p workload.TimedPayment, gasPrice uint64) {
 			if err := l.SubmitTx(tx); err == nil {
 				accepted = true
 			}
+		}
+		if accepted {
+			e.nonces[p.From]++
 		}
 		return accepted
 	})

@@ -153,6 +153,9 @@ func TestEthereumPoWNetwork(t *testing.T) {
 	if m.ConfirmedTxs == 0 || m.TPS <= 0 {
 		t.Fatalf("no throughput: %+v", m)
 	}
+	if m.RejectedTxs != 0 {
+		t.Fatalf("%d of %d funded submissions rejected", m.RejectedTxs, m.SubmittedTxs)
+	}
 	// Replicas converge.
 	tip := net.ledgers[0].Store().Tip()
 	for i, l := range net.ledgers[1:] {
@@ -166,6 +169,42 @@ func TestEthereumPoWNetwork(t *testing.T) {
 		if l.State().Root() != root {
 			t.Fatalf("node %d state root diverged", i+1)
 		}
+	}
+}
+
+// A submission every node rejects must not consume the sender's nonce.
+// Account 0's first payment exceeds its balance and is refused
+// everywhere; account 1 then tops it up, and account 0's later payments
+// must execute. When the rejected submission burned nonce 0 they were
+// pooled at nonces 1 and 2 and waited forever behind the gap.
+func TestEthereumRejectedSubmissionKeepsNonce(t *testing.T) {
+	const balance = 1_000_000
+	net, err := NewEthereum(EthereumConfig{
+		Net:            fastNet(23),
+		Consensus:      PoS,
+		Accounts:       3,
+		InitialBalance: balance,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pay := func(at time.Duration, from, to int, amount uint64) workload.TimedPayment {
+		return workload.TimedPayment{At: at, Payment: workload.Payment{From: from, To: to, Amount: amount}}
+	}
+	m := net.RunWithPayments(time.Minute, []workload.TimedPayment{
+		pay(1*time.Second, 0, 2, balance),    // value + gas > balance: rejected by every node
+		pay(2*time.Second, 1, 0, balance/2),  // top-up
+		pay(20*time.Second, 0, 2, balance),   // affordable once the top-up confirmed
+		pay(21*time.Second, 0, 2, balance/4), // queues behind it
+	}, 1)
+	if m.SubmittedTxs != 4 || m.RejectedTxs != 1 {
+		t.Fatalf("submitted %d rejected %d, want 4 and 1", m.SubmittedTxs, m.RejectedTxs)
+	}
+	if m.ConfirmedTxs != 3 || m.PendingAtEnd != 0 {
+		t.Fatalf("confirmed %d, pending %d: payments after the rejected one never executed", m.ConfirmedTxs, m.PendingAtEnd)
+	}
+	if got := net.Observer().State().Nonce(net.Ring().Addr(0)); got != 2 {
+		t.Fatalf("sender nonce = %d, want 2", got)
 	}
 }
 

@@ -118,15 +118,10 @@ type Vote struct {
 	PubKey ed25519.PublicKey
 	Sig    []byte
 
-	// memoSelf/memoDigest cache a positive Verify outcome: the digest
-	// that carried a valid signature, valid only while memoSelf still
-	// points at this exact Vote value (a copied vote re-verifies). A
+	// verified caches a positive Verify outcome under the vote digest: a
 	// broadcast vote is one shared pointer delivered to every node, so
-	// one ed25519 check serves the whole network; re-deriving the cheap
-	// digest on every call keeps a vote whose content is mutated after a
-	// successful check from riding the memo. Only success is cached.
-	memoSelf   *Vote
-	memoDigest hashx.Hash
+	// one ed25519 check serves the whole network (see keys.VerifyMemo).
+	verified keys.VerifyMemo
 }
 
 // voteWireSize models the network cost of one vote message.
@@ -157,12 +152,12 @@ func NewVote(kp *keys.KeyPair, block hashx.Hash, seq uint64) *Vote {
 
 // Verify checks the vote signature and key/address binding. A positive
 // outcome is memoized per pointer keyed by the content digest (see
-// memoSelf): every node after the first pays only the digest hash, not
+// verified): every node after the first pays only the digest hash, not
 // ed25519 — and a vote mutated after a successful check re-verifies,
 // because its digest no longer matches the memoized one.
 func (v *Vote) Verify() bool {
 	digest := voteDigest(v)
-	if v.memoSelf == v && digest == v.memoDigest {
+	if v.verified.Hit(digest) {
 		return true
 	}
 	if keys.AddressOf(v.PubKey) != v.Rep {
@@ -171,8 +166,7 @@ func (v *Vote) Verify() bool {
 	if !keys.Verify(v.PubKey, digest[:], v.Sig) {
 		return false
 	}
-	v.memoSelf = v
-	v.memoDigest = digest
+	v.verified.Store(digest)
 	return true
 }
 

@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"time"
 
+	"repro/internal/account"
 	"repro/internal/chain"
 	"repro/internal/core"
 	"repro/internal/hashx"
@@ -16,6 +17,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/sim"
+	"repro/internal/utxo"
 	"repro/internal/workload"
 )
 
@@ -60,6 +62,8 @@ func Suite() []Benchmark {
 		{Name: "sim/sharded-loop", Kind: "micro", Op: benchShardedLoop},
 		{Name: "sim/calendar-loop", Kind: "micro", Op: benchCalendarLoop},
 		{Name: "metrics/streaming-quantile", Kind: "micro", Op: benchStreamingQuantile},
+		{Name: "account/submit-replicas", Kind: "micro", Op: benchSubmitReplicas},
+		{Name: "utxo/new-payment", Kind: "micro", Op: benchNewPayment},
 		{Name: "e2e/E1", Kind: "e2e", Op: benchExperiment("E1")},
 		{Name: "e2e/E2", Kind: "e2e", Op: benchExperiment("E2")},
 		{Name: "e2e/E9", Kind: "e2e", Op: benchExperiment("E9")},
@@ -502,6 +506,108 @@ func benchStreamingQuantile(scale float64, n int) float64 {
 		}
 		for _, p := range []float64{0.5, 0.95, 0.99, 0.999} {
 			_ = st.Quantile(p)
+		}
+	}
+	return 0
+}
+
+// submitRing holds the funded identities of benchSubmitReplicas.
+var submitRing *keys.Ring
+
+// benchSubmitReplicas is the account chain's per-transaction path as a
+// network simulation drives it: freshly signed transfers, each the same
+// *account.Tx handed to eight replicas' mempools, then one block built
+// on the first replica and executed by all eight. The transaction's
+// signature is needed 17 times along the way; the row defends paying
+// for it once.
+func benchSubmitReplicas(scale float64, n int) float64 {
+	const replicas, accounts = 8, 16
+	txs := scaled(32, scale)
+	if submitRing == nil {
+		submitRing = keys.NewRing("perf-submit", accounts)
+	}
+	ring := submitRing
+	alloc := make(map[keys.Address]uint64, accounts)
+	for i := 0; i < accounts; i++ {
+		alloc[ring.Addr(i)] = 1 << 40
+	}
+	for op := 0; op < n; op++ {
+		ledgers := make([]*account.Ledger, replicas)
+		for i := range ledgers {
+			l, err := account.NewLedger(alloc, account.DefaultParams())
+			if err != nil {
+				panic(err)
+			}
+			ledgers[i] = l
+		}
+		for i := 0; i < txs; i++ {
+			from := i % accounts
+			to := ring.Addr((from + 1) % accounts)
+			tx := &account.Tx{
+				Nonce: uint64(i / accounts), To: &to, Value: 1,
+				GasLimit: account.GasTxBase, GasPrice: 1,
+			}
+			tx.Sign(ring.Pair(from))
+			for _, l := range ledgers {
+				if err := l.SubmitTx(tx); err != nil {
+					panic(err)
+				}
+			}
+		}
+		blk := ledgers[0].BuildBlock(ring.Addr(0), time.Second)
+		for _, l := range ledgers {
+			if _, err := l.ProcessBlock(blk); err != nil {
+				panic(err)
+			}
+		}
+	}
+	return 0
+}
+
+// paymentWallet is benchNewPayment's fixture: one account's coins, half
+// of them already claimed by pooled payments.
+type paymentWallet struct {
+	ledger *utxo.Ledger
+	ring   *keys.Ring
+}
+
+var paymentWallets = map[int]paymentWallet{}
+
+// benchNewPayment builds (selects coins for and signs) two payments from
+// an account holding 128 equal outputs while half of them are spoken
+// for in the mempool — the wallet step of every simulated Bitcoin
+// submission. The first fits in one coin, the selection's early return;
+// the second needs three, so it takes the full ordering. Nothing is
+// pooled, so every operation sees the same set.
+func benchNewPayment(scale float64, n int) float64 {
+	outputs := scaled(128, scale)
+	w, ok := paymentWallets[outputs]
+	if !ok {
+		ring := keys.NewRing("perf-wallet", 2)
+		params := utxo.DefaultParams()
+		params.GenesisOutputsPerAccount = outputs
+		ledger, err := utxo.NewLedger(map[keys.Address]uint64{ring.Addr(0): uint64(outputs) * 1000}, params)
+		if err != nil {
+			panic(err)
+		}
+		for i := 0; i < outputs/2; i++ {
+			tx, err := utxo.NewPaymentAvoiding(ledger.UTXOSet(), ledger.Pool().Spends, ring.Pair(0), ring.Addr(1), 10, 1)
+			if err != nil {
+				panic(err)
+			}
+			if err := ledger.SubmitTx(tx); err != nil {
+				panic(err)
+			}
+		}
+		w = paymentWallet{ledger: ledger, ring: ring}
+		paymentWallets[outputs] = w
+	}
+	set, spends := w.ledger.UTXOSet(), w.ledger.Pool().Spends
+	for op := 0; op < n; op++ {
+		for _, amount := range [...]uint64{10, 2500} {
+			if _, err := utxo.NewPaymentAvoiding(set, spends, w.ring.Pair(0), w.ring.Addr(1), amount, 1); err != nil {
+				panic(err)
+			}
 		}
 	}
 	return 0

@@ -208,19 +208,47 @@ var (
 
 // Set is the unspent-transaction-output set: the ledger state a Bitcoin
 // node needs to validate new transactions. An owner index keeps
-// per-address coin selection O(own outputs) instead of O(whole set).
+// per-address coin selection O(own outputs) instead of O(whole set), and
+// carries each coin's value so selection never looks a candidate up in
+// outs.
 type Set struct {
-	outs     map[Outpoint]TxOut
-	byOwner  map[keys.Address]map[Outpoint]struct{}
+	outs     map[Outpoint]coin
+	byOwner  map[keys.Address][]ownedCoin
 	balances map[keys.Address]uint64
 	total    uint64
+}
+
+// coin is an unspent output plus its position in its owner's byOwner
+// slice, which makes removal a swap with the last element.
+type coin struct {
+	value uint64
+	owner keys.Address
+	slot  uint32
+}
+
+// ownedCoin is one entry of the owner index.
+type ownedCoin struct {
+	op    Outpoint
+	value uint64
+}
+
+// before is the deterministic coin-selection order: larger value first,
+// ties broken by outpoint identity.
+func (c ownedCoin) before(o ownedCoin) bool {
+	if c.value != o.value {
+		return c.value > o.value
+	}
+	if cmp := c.op.TxID.Cmp(o.op.TxID); cmp != 0 {
+		return cmp < 0
+	}
+	return c.op.Index < o.op.Index
 }
 
 // NewSet returns an empty UTXO set.
 func NewSet() *Set {
 	return &Set{
-		outs:     make(map[Outpoint]TxOut),
-		byOwner:  make(map[keys.Address]map[Outpoint]struct{}),
+		outs:     make(map[Outpoint]coin),
+		byOwner:  make(map[keys.Address][]ownedCoin),
 		balances: make(map[keys.Address]uint64),
 	}
 }
@@ -236,51 +264,60 @@ func (s *Set) Balance(addr keys.Address) uint64 { return s.balances[addr] }
 
 // Get looks up an unspent output.
 func (s *Set) Get(op Outpoint) (TxOut, bool) {
-	out, ok := s.outs[op]
-	return out, ok
+	c, ok := s.outs[op]
+	return TxOut{Value: c.value, Owner: c.owner}, ok
 }
 
-// OutpointsOf returns the unspent outpoints owned by addr. Order is
-// unspecified; callers that need determinism sort by value/ID themselves.
+// coinsOf is addr's slice of the owner index, in slot order, which
+// depends on the history of spends. It aliases the index: read only.
+func (s *Set) coinsOf(addr keys.Address) []ownedCoin { return s.byOwner[addr] }
+
+// OutpointsOf returns a copy of the unspent outpoints owned by addr, in
+// unspecified order. Coin selection reads coinsOf, which also carries the
+// values; this is the read-only view for code outside the package.
 func (s *Set) OutpointsOf(addr keys.Address) []Outpoint {
-	owned := s.byOwner[addr]
-	out := make([]Outpoint, 0, len(owned))
-	for op := range owned {
-		out = append(out, op)
+	owned := s.coinsOf(addr)
+	out := make([]Outpoint, len(owned))
+	for i, c := range owned {
+		out[i] = c.op
 	}
 	return out
 }
 
 func (s *Set) add(op Outpoint, out TxOut) {
-	s.outs[op] = out
-	owned, ok := s.byOwner[out.Owner]
-	if !ok {
-		owned = make(map[Outpoint]struct{})
-		s.byOwner[out.Owner] = owned
-	}
-	owned[op] = struct{}{}
+	owned := s.byOwner[out.Owner]
+	s.outs[op] = coin{value: out.Value, owner: out.Owner, slot: uint32(len(owned))}
+	s.byOwner[out.Owner] = append(owned, ownedCoin{op: op, value: out.Value})
 	s.balances[out.Owner] += out.Value
 	s.total += out.Value
 }
 
 func (s *Set) remove(op Outpoint) (TxOut, bool) {
-	out, ok := s.outs[op]
+	c, ok := s.outs[op]
 	if !ok {
 		return TxOut{}, false
 	}
 	delete(s.outs, op)
-	if owned, ok := s.byOwner[out.Owner]; ok {
-		delete(owned, op)
-		if len(owned) == 0 {
-			delete(s.byOwner, out.Owner)
-		}
+	owned := s.byOwner[c.owner]
+	last := len(owned) - 1
+	if int(c.slot) != last {
+		moved := owned[last]
+		owned[c.slot] = moved
+		m := s.outs[moved.op]
+		m.slot = c.slot
+		s.outs[moved.op] = m
 	}
-	s.balances[out.Owner] -= out.Value
-	if s.balances[out.Owner] == 0 {
-		delete(s.balances, out.Owner)
+	if last == 0 {
+		delete(s.byOwner, c.owner)
+	} else {
+		s.byOwner[c.owner] = owned[:last]
 	}
-	s.total -= out.Value
-	return out, true
+	s.balances[c.owner] -= c.value
+	if s.balances[c.owner] == 0 {
+		delete(s.balances, c.owner)
+	}
+	s.total -= c.value
+	return TxOut{Value: c.value, Owner: c.owner}, true
 }
 
 // CheckTx validates a non-coinbase transaction against the set without
@@ -308,13 +345,13 @@ func (s *Set) CheckTx(tx *Tx) (fee uint64, err error) {
 		if !ok {
 			return 0, fmt.Errorf("%w: %s", ErrMissingOutput, in.Prev)
 		}
-		if keys.AddressOf(in.PubKey) != out.Owner {
+		if keys.AddressOf(in.PubKey) != out.owner {
 			return 0, fmt.Errorf("%w: input %d", ErrWrongOwner, i)
 		}
 		if !sigsMemoed && !keys.Verify(in.PubKey, digest[:], in.Sig) {
 			return 0, fmt.Errorf("%w: input %d", ErrBadSignature, i)
 		}
-		next := inSum + out.Value
+		next := inSum + out.value
 		if next < inSum {
 			return 0, ErrValueOverflow
 		}

@@ -2,7 +2,9 @@ package utxo
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 	"time"
@@ -620,5 +622,139 @@ func TestProcessBlockOutOfOrderAdoption(t *testing.T) {
 	}
 	if dst.Pool().Contains(tx.ID()) {
 		t.Fatal("confirmed tx still pooled after cascade adoption")
+	}
+}
+
+// newPaymentBySort is NewPaymentAvoiding as it stood before coin
+// selection stopped sorting: filter the sender's outpoints through
+// avoid, order all of them (value descending, then TxID, then Index)
+// with a set lookup per comparison, gather until amount+fee is covered.
+// Kept as the reference the selecting implementation must match input
+// for input, error text included.
+func newPaymentBySort(set *Set, avoid func(Outpoint) bool, from *keys.KeyPair, to keys.Address, amount, fee uint64) (*Tx, error) {
+	need := amount + fee
+	if need < amount {
+		return nil, ErrValueOverflow
+	}
+	ops := set.OutpointsOf(from.Address())
+	if avoid != nil {
+		kept := ops[:0]
+		for _, op := range ops {
+			if !avoid(op) {
+				kept = append(kept, op)
+			}
+		}
+		ops = kept
+	}
+	sort.Slice(ops, func(i, j int) bool {
+		oi, _ := set.Get(ops[i])
+		oj, _ := set.Get(ops[j])
+		if oi.Value != oj.Value {
+			return oi.Value > oj.Value
+		}
+		if c := ops[i].TxID.Cmp(ops[j].TxID); c != 0 {
+			return c < 0
+		}
+		return ops[i].Index < ops[j].Index
+	})
+	tx := &Tx{}
+	var gathered uint64
+	for _, op := range ops {
+		out, _ := set.Get(op)
+		tx.Ins = append(tx.Ins, TxIn{Prev: op})
+		gathered += out.Value
+		if gathered >= need {
+			break
+		}
+	}
+	if gathered < need {
+		return nil, fmt.Errorf("%w: have %d, need %d", ErrInsufficient, gathered, need)
+	}
+	tx.Outs = append(tx.Outs, TxOut{Value: amount, Owner: to})
+	if change := gathered - need; change > 0 {
+		tx.Outs = append(tx.Outs, TxOut{Value: change, Owner: from.Address()})
+	}
+	tx.SignAll(from)
+	return tx, nil
+}
+
+// Property: over random sets — few distinct values so ties are common,
+// multi-output transactions so ties fall through to Index, spends in
+// between so the owner index is in swap-remove order — selection picks
+// exactly the inputs the full sort picks, for every shape of request:
+// one coin suffices, the best coin is hidden by avoid, several inputs
+// are needed, funds fall short, nothing is spendable.
+func TestNewPaymentMatchesSortOracle(t *testing.T) {
+	r := ring(4)
+	sender, to := r.Pair(0), r.Addr(3)
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		set := NewSet()
+		for h, mints := 1, 1+rng.Intn(12); h <= mints; h++ {
+			mint := &Tx{CoinbaseHeight: uint64(h)}
+			for i, outs := 0, 1+rng.Intn(4); i < outs; i++ {
+				mint.Outs = append(mint.Outs, TxOut{Value: uint64(rng.Intn(4)) * 10, Owner: r.Addr(rng.Intn(2))})
+			}
+			set.applyTx(mint, &Undo{})
+		}
+		// Spend a few of the sender's coins so slots get swapped around.
+		for _, op := range set.OutpointsOf(sender.Address()) {
+			if rng.Intn(4) == 0 {
+				set.remove(op)
+			}
+		}
+		owned := set.OutpointsOf(sender.Address())
+		var best Outpoint
+		var bestValue, total uint64
+		for _, op := range owned {
+			out, _ := set.Get(op)
+			total += out.Value
+			if out.Value >= bestValue {
+				best, bestValue = op, out.Value
+			}
+		}
+		hidden := make(map[Outpoint]bool)
+		for _, op := range owned {
+			if rng.Intn(3) == 0 {
+				hidden[op] = true
+			}
+		}
+		avoids := []func(Outpoint) bool{
+			nil,
+			func(op Outpoint) bool { return hidden[op] },
+			func(op Outpoint) bool { return op == best },
+			func(Outpoint) bool { return true },
+		}
+		amounts := []uint64{0, 1, bestValue, bestValue + 1, total, total + 1, uint64(rng.Intn(int(total) + 2))}
+		for _, avoid := range avoids {
+			for _, amount := range amounts {
+				for _, fee := range []uint64{0, 3} {
+					want, wantErr := newPaymentBySort(set, avoid, sender, to, amount, fee)
+					got, gotErr := NewPaymentAvoiding(set, avoid, sender, to, amount, fee)
+					if (wantErr == nil) != (gotErr == nil) {
+						t.Logf("seed %d amount %d fee %d: err %v, oracle %v", seed, amount, fee, gotErr, wantErr)
+						return false
+					}
+					if wantErr != nil {
+						if gotErr.Error() != wantErr.Error() || !errors.Is(gotErr, ErrInsufficient) {
+							t.Logf("seed %d amount %d fee %d: err %q, oracle %q", seed, amount, fee, gotErr, wantErr)
+							return false
+						}
+						continue
+					}
+					if got.ID() != want.ID() {
+						t.Logf("seed %d amount %d fee %d: inputs %v, oracle %v", seed, amount, fee, got.Ins, want.Ins)
+						return false
+					}
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewPaymentAvoiding(NewSet(), nil, sender, to, ^uint64(0), 1); !errors.Is(err, ErrValueOverflow) {
+		t.Fatalf("amount+fee overflow: err = %v", err)
 	}
 }
