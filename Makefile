@@ -14,13 +14,16 @@ test:
 
 # Guards the worker-pool concurrency: event engine, experiment scheduler,
 # lattice batch settlement, signature batching, parallel merkle hashing,
-# and the batched live-gossip + adversary paths in netsim.
+# the batched live-gossip + adversary paths in netsim, and the pointer-
+# shared content (genesis, coin catalog, id and root memos) under the
+# chain ledgers, which must never cross networks.
 race:
-	$(GO) test -race -timeout 60m ./internal/sim/... ./internal/core/... ./internal/lattice/... ./internal/keys/... ./internal/merkle/... ./internal/netsim/...
+	$(GO) test -race -timeout 60m ./internal/sim/... ./internal/core/... ./internal/lattice/... ./internal/keys/... ./internal/merkle/... ./internal/netsim/... ./internal/utxo/... ./internal/chain/...
 
 # Short fuzz smoke mirroring CI: batch settlement vs serial apply under
 # hostile block streams, link-model delay sanity for any bounds, tangle
-# tip selection, and the UTXO owner index under apply/undo/reorg.
+# tip selection, and three UTXO sets on one coin catalog under
+# apply/undo/reorg.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzLatticeProcessBatch$$' -fuzztime 30s ./internal/lattice
 	$(GO) test -run '^$$' -fuzz '^FuzzLinkModelDelay$$' -fuzztime 15s ./internal/sim
@@ -43,13 +46,13 @@ bench:
 
 # The committed perf baseline this branch is gated against; bump when a
 # new trajectory point lands (see PERFORMANCE.md).
-BENCH_BASELINE ?= BENCH_014.json
+BENCH_BASELINE ?= BENCH_020.json
 
 # Regenerate the committed perf trajectory point. Run on a quiet
 # machine; review the diff against the previous baseline before
 # committing (make bench-gate does exactly that comparison).
 bench-commit:
-	$(GO) run ./cmd/dltbench -bench-report -bench-label 014 -bench-out $(BENCH_BASELINE)
+	$(GO) run ./cmd/dltbench -bench-report -bench-label 020 -bench-out $(BENCH_BASELINE)
 
 # The CI regression gate: re-run the suite (shorter measurement time,
 # same workload scale) and fail on >15% ns/op or allocs/op regressions

@@ -98,7 +98,7 @@ func BenchmarkAblationMempoolAssembly(b *testing.B) {
 	// spend each at varying fee rates.
 	for i := 0; i < 2000; i++ {
 		cb := utxo.NewCoinbase(uint64(i+1), ring.Addr(0), 1000)
-		if _, err := set.ApplyBlock(&utxo.BlockBody{Txs: []*utxo.Tx{cb}}, 1000); err != nil {
+		if err := set.ApplyBlock(&utxo.BlockBody{Txs: []*utxo.Tx{cb}}, 1000); err != nil {
 			b.Fatal(err)
 		}
 		op := utxo.Outpoint{TxID: cb.ID(), Index: 0}

@@ -113,10 +113,16 @@ func NewBitcoin(cfg BitcoinConfig) (*BitcoinNet, error) {
 	b.difficulty = lottery.DifficultyForInterval(cfg.BlockInterval)
 	b.chain.metrics.Propagation.SetBudget(cfg.Net.SampleBudget)
 
+	// Genesis is built once; every node after the first is a replica of it
+	// (shared genesis block and coin catalog, own state).
+	root, err := utxo.NewLedger(alloc, cfg.Ledger)
+	if err != nil {
+		return nil, fmt.Errorf("netsim: %w", err)
+	}
 	for i := 0; i < cfg.Net.Nodes; i++ {
-		ledger, err := utxo.NewLedger(alloc, cfg.Ledger)
-		if err != nil {
-			return nil, fmt.Errorf("netsim: node %d: %w", i, err)
+		ledger := root
+		if i > 0 {
+			ledger = root.Replica()
 		}
 		b.ledgers = append(b.ledgers, ledger)
 		b.chain.addNode(ledger)

@@ -65,6 +65,36 @@ func TestBitcoinNetworkConverges(t *testing.T) {
 	}
 }
 
+// The nodes of one Bitcoin network share a genesis block and a coin
+// catalog and so must stay on one goroutine; two networks share nothing.
+// Two identical networks driven on two goroutines must therefore report
+// the same run — and, under -race (make race), touch no common memory.
+func TestBitcoinNetworksRunConcurrently(t *testing.T) {
+	run := func() ChainMetrics {
+		net, err := NewBitcoin(BitcoinConfig{Net: fastNet(3), BlockInterval: 30 * time.Second, Accounts: 16})
+		if err != nil {
+			t.Error(err)
+			return ChainMetrics{}
+		}
+		payments := workload.Payments(rand.New(rand.NewSource(4)), workload.Config{
+			Accounts: 16, Rate: 0.5, Duration: 5 * time.Minute, MaxAmount: 100,
+		})
+		return net.RunWithPayments(5*time.Minute, payments, 10)
+	}
+	results := make(chan ChainMetrics, 2) // one send per goroutine
+	for i := 0; i < 2; i++ {
+		go func() { results <- run() }()
+	}
+	a, b := <-results, <-results
+	if a.ConfirmedTxs == 0 || a.BlocksOnMain == 0 {
+		t.Fatalf("nothing happened: %d blocks, %d payments confirmed", a.BlocksOnMain, a.ConfirmedTxs)
+	}
+	if a.ConfirmedTxs != b.ConfirmedTxs || a.BlocksOnMain != b.BlocksOnMain || a.LedgerBytes != b.LedgerBytes ||
+		a.RejectedTxs != b.RejectedTxs || a.BytesSent != b.BytesSent {
+		t.Fatalf("identical networks on two goroutines disagree:\n%+v\n%+v", a, b)
+	}
+}
+
 // Fig. 4's mechanism: short block intervals relative to propagation delay
 // must produce more orphans than long intervals.
 func TestBitcoinOrphanRateGrowsWithShortIntervals(t *testing.T) {

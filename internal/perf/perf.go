@@ -124,8 +124,8 @@ type Result struct {
 
 // measure times op, which must perform exactly n operations per call,
 // growing n until the run lasts at least target. It reports per-op wall
-// time and heap cost. The allocation counters come from MemStats deltas
-// around the timed run, so they are exact for a single-goroutine op and
+// time from that run and per-op heap cost from a second run of the same
+// n (see heapCost), so they are exact for a single-goroutine op and
 // deterministic for a seeded workload.
 func measure(target time.Duration, op func(n int)) Result {
 	if target <= 0 {
@@ -136,20 +136,18 @@ func measure(target time.Duration, op func(n int)) Result {
 	n := 1
 	for {
 		runtime.GC()
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
 		start := time.Now()
 		op(n)
 		elapsed := time.Since(start)
-		runtime.ReadMemStats(&after)
 		if elapsed >= target || n >= 1e9 {
 			if elapsed <= 0 {
 				elapsed = 1
 			}
+			bytes, objects := heapCost(op, n)
 			return Result{
 				NsPerOp:     float64(elapsed.Nanoseconds()) / float64(n),
-				BytesPerOp:  float64(after.TotalAlloc-before.TotalAlloc) / float64(n),
-				AllocsPerOp: float64(after.Mallocs-before.Mallocs) / float64(n),
+				BytesPerOp:  float64(bytes) / float64(n),
+				AllocsPerOp: float64(objects) / float64(n),
 				Iters:       n,
 			}
 		}
@@ -163,4 +161,20 @@ func measure(target time.Duration, op func(n int)) Result {
 		}
 		n = int(grow)
 	}
+}
+
+// heapCost runs op(n) on a single P and returns the bytes and objects it
+// allocated. MemStats is process-wide, so with a second P a runtime
+// background goroutine can add an object or five to the delta; with one P
+// nothing runs beside op, which is how testing.AllocsPerRun gets exact
+// counts. The timed run is left unpinned: one P would put the collector
+// on the mutator's P and move every ns/op.
+func heapCost(op func(n int), n int) (bytes, objects uint64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	op(n)
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc, after.Mallocs - before.Mallocs
 }

@@ -64,6 +64,7 @@ func Suite() []Benchmark {
 		{Name: "metrics/streaming-quantile", Kind: "micro", Op: benchStreamingQuantile},
 		{Name: "account/submit-replicas", Kind: "micro", Op: benchSubmitReplicas},
 		{Name: "utxo/new-payment", Kind: "micro", Op: benchNewPayment},
+		{Name: "netsim/bitcoin-replicas", Kind: "micro", Op: benchBitcoinReplicas},
 		{Name: "e2e/E1", Kind: "e2e", Op: benchExperiment("E1")},
 		{Name: "e2e/E2", Kind: "e2e", Op: benchExperiment("E2")},
 		{Name: "e2e/E9", Kind: "e2e", Op: benchExperiment("E9")},
@@ -611,6 +612,43 @@ func benchNewPayment(scale float64, n int) float64 {
 		}
 	}
 	return 0
+}
+
+// benchBitcoinReplicas is the Bitcoin leg of E19's scaling point in
+// small: build a 512-node network (16 accounts of 8 genesis outputs),
+// submit 20 payments and run 200 simulated seconds, about five blocks.
+// Construction is inside the operation, so ns, allocations and bytes per
+// op are what 512 ledger replicas cost to build and to carry through a
+// few blocks — the row that defends the shared coin catalog and the
+// once-per-network transaction id and Merkle root.
+func benchBitcoinReplicas(scale float64, n int) float64 {
+	nodes := scaled(512, scale)
+	if nodes < 8 {
+		nodes = 8
+	}
+	const payments, span = 20, 200 * time.Second
+	ledger := utxo.DefaultParams()
+	ledger.RetargetWindow = 1 << 30
+	ledger.GenesisOutputsPerAccount = 8
+	var tps float64
+	for op := 0; op < n; op++ {
+		net, err := netsim.NewBitcoin(netsim.BitcoinConfig{
+			Net: netsim.NetParams{
+				Nodes: nodes, PeerDegree: 4, Seed: 37,
+				MinLatency: 20 * time.Millisecond, MaxLatency: 200 * time.Millisecond,
+			},
+			Ledger: ledger, BlockInterval: 30 * time.Second, Accounts: 16, InitialBalance: 1 << 30,
+		})
+		if err != nil {
+			panic(err)
+		}
+		rng := rand.New(rand.NewSource(41))
+		ps := workload.Payments(rng, workload.Config{
+			Accounts: 16, Rate: payments / (span / 2).Seconds(), Duration: span / 2, MaxAmount: 20,
+		})
+		tps = net.RunWithPayments(span, ps, 2).TPS
+	}
+	return tps
 }
 
 // benchExperiment regenerates one registered experiment table at a

@@ -46,14 +46,14 @@ func DefaultParams() Params {
 }
 
 // Ledger is a full Bitcoin-style node state: block store with fork choice,
-// the UTXO set at the main-chain tip, per-block undo journals for reorgs,
-// and a fee-ordered mempool.
+// the UTXO set at the main-chain tip and a fee-ordered mempool. A reorg
+// disconnects a block from its body alone (Set.UndoBlock), so no undo
+// journals are kept.
 type Ledger struct {
 	params  Params
 	store   *chain.Store
 	set     *Set
 	pool    *Mempool
-	undos   map[hashx.Hash]*Undo      // main-chain block -> undo journal
 	txBlock map[hashx.Hash]hashx.Hash // confirmed tx id -> containing block
 	genesis *chain.Block
 }
@@ -99,33 +99,39 @@ func NewLedger(alloc map[keys.Address]uint64, params Params) (*Ledger, error) {
 		},
 		Payload: body,
 	}
+	return newReplica(params, genesis, newCatalog())
+}
+
+// Replica returns a new ledger at genesis for another node of l's network,
+// whatever l has processed since: the two share the genesis block and the
+// coin catalog — content every node of a network agrees on — while the
+// block store, UTXO set and mempool are the replica's own. The ledgers of
+// one network must stay on one goroutine (see catalog).
+func (l *Ledger) Replica() *Ledger {
+	r, err := newReplica(l.params, l.genesis, l.set.cat)
+	if err != nil {
+		panic(fmt.Sprintf("utxo: genesis of a live ledger refused: %v", err))
+	}
+	return r
+}
+
+// newReplica builds a ledger at genesis over the given coin catalog.
+func newReplica(params Params, genesis *chain.Block, cat *catalog) (*Ledger, error) {
 	store, err := chain.NewStore(genesis, params.ForkChoice)
 	if err != nil {
 		return nil, fmt.Errorf("utxo: %w", err)
 	}
-	set := NewSet()
-	undo, err := set.ApplyBlock(body, totalAlloc(alloc))
-	if err != nil {
-		return nil, fmt.Errorf("utxo: apply genesis: %w", err)
-	}
-	l := &Ledger{
+	genesisTx := genesis.Payload.(*BlockBody).Txs[0]
+	set := &Set{cat: cat}
+	set.create(genesisTx)
+	return &Ledger{
 		params:  params,
 		store:   store,
 		set:     set,
-		undos:   map[hashx.Hash]*Undo{genesis.Hash(): undo},
+		pool:    NewMempool(set),
 		txBlock: map[hashx.Hash]hashx.Hash{genesisTx.ID(): genesis.Hash()},
 		genesis: genesis,
-	}
-	l.pool = NewMempool(set)
-	return l, nil
-}
-
-func totalAlloc(alloc map[keys.Address]uint64) uint64 {
-	var t uint64
-	for _, v := range alloc {
-		t += v
-	}
-	return t
+	}, nil
 }
 
 // Store exposes the underlying block store (read-mostly; use ProcessBlock
@@ -296,12 +302,10 @@ func (l *Ledger) connect(b *chain.Block) error {
 		return errors.New("utxo: foreign payload type")
 	}
 	subsidy := Subsidy(b.Header.Height, l.params.InitialSubsidy, l.params.HalvingInterval)
-	undo, err := l.set.ApplyBlock(body, subsidy)
-	if err != nil {
+	if err := l.set.ApplyBlock(body, subsidy); err != nil {
 		return fmt.Errorf("utxo: connect %s: %w", b.Hash(), err)
 	}
 	h := b.Hash()
-	l.undos[h] = undo
 	for _, tx := range body.Txs {
 		l.txBlock[tx.ID()] = h
 	}
@@ -315,13 +319,8 @@ func (l *Ledger) disconnect(h hashx.Hash) error {
 	if !ok {
 		return fmt.Errorf("utxo: disconnect: %w", chain.ErrUnknownBlock)
 	}
-	undo, ok := l.undos[h]
-	if !ok {
-		return fmt.Errorf("utxo: no undo journal for %s", h)
-	}
-	l.set.UndoBlock(undo)
-	delete(l.undos, h)
 	body := b.Payload.(*BlockBody)
+	l.set.UndoBlock(body)
 	for _, tx := range body.Txs {
 		delete(l.txBlock, tx.ID())
 	}
@@ -370,7 +369,7 @@ func NewPayment(set *Set, from *keys.KeyPair, to keys.Address, amount, fee uint6
 // without double-spending its own pooled transactions.
 //
 // Inputs are the first coins of the sender's non-avoided outputs in
-// ownedCoin.before order, gathered until they cover amount+fee. One coin
+// catalog.before order, gathered until they cover amount+fee. One coin
 // nearly always does (counted per workload in PERFORMANCE.md: at worst
 // 99 % of payments), so the head of that order is found by a single
 // pass over the owner index — avoid is asked only about a coin that
@@ -382,29 +381,31 @@ func NewPaymentAvoiding(set *Set, avoid func(Outpoint) bool, from *keys.KeyPair,
 		return nil, ErrValueOverflow
 	}
 	owned := set.coinsOf(from.Address())
-	usable := func(c ownedCoin) bool { return avoid == nil || !avoid(c.op) }
+	cat := set.cat
+	coins := cat.coins
+	usable := func(id uint32) bool { return avoid == nil || !avoid(coins[id].op) }
 	best := -1
-	for i := range owned {
-		if (best < 0 || owned[i].before(owned[best])) && usable(owned[i]) {
+	for i, id := range owned {
+		if (best < 0 || cat.before(id, owned[best])) && usable(id) {
 			best = i
 		}
 	}
 	tx := &Tx{}
 	var gathered uint64
-	if best >= 0 && owned[best].value >= need {
-		tx.Ins = []TxIn{{Prev: owned[best].op}}
-		gathered = owned[best].value
+	if best >= 0 && coins[owned[best]].Value >= need {
+		tx.Ins = []TxIn{{Prev: coins[owned[best]].op}}
+		gathered = coins[owned[best]].Value
 	} else {
-		coins := make([]ownedCoin, 0, len(owned))
-		for _, c := range owned {
-			if usable(c) {
-				coins = append(coins, c)
+		picks := make([]uint32, 0, len(owned))
+		for _, id := range owned {
+			if usable(id) {
+				picks = append(picks, id)
 			}
 		}
-		sort.Slice(coins, func(i, j int) bool { return coins[i].before(coins[j]) })
-		for _, c := range coins {
-			tx.Ins = append(tx.Ins, TxIn{Prev: c.op})
-			gathered += c.value
+		sort.Slice(picks, func(i, j int) bool { return cat.before(picks[i], picks[j]) })
+		for _, id := range picks {
+			tx.Ins = append(tx.Ins, TxIn{Prev: coins[id].op})
+			gathered += coins[id].Value
 			if gathered >= need {
 				break
 			}

@@ -1,0 +1,383 @@
+package utxo
+
+import (
+	"errors"
+	"fmt"
+	"math/bits"
+
+	"repro/internal/hashx"
+	"repro/internal/keys"
+)
+
+// coin is one transaction output ever created: its value and owner, fixed
+// by the transaction that created it, and the outpoint that names it.
+type coin struct {
+	TxOut
+	op Outpoint
+}
+
+// catalog is the append-only table of every coin the transactions of one
+// network have created, each under a dense id. It is content, not state:
+// a coin's entry is a pure function of its creating transaction, so the
+// replicas of a network (Ledger.Replica) share one catalog and keep only
+// which ids are unspent. A transaction's coins take consecutive ids, so
+// one entry per transaction finds them all. Not safe for concurrent use:
+// a catalog never leaves the goroutine that drives its network.
+type catalog struct {
+	byTx  map[hashx.Hash]uint32 // creating tx id -> id of its output 0
+	coins []coin
+}
+
+func newCatalog() *catalog { return &catalog{byTx: make(map[hashx.Hash]uint32)} }
+
+// register returns the id of tx's output 0, entering tx's outputs on
+// first sight.
+func (c *catalog) register(tx *Tx) uint32 {
+	txID := tx.ID()
+	base, known := c.byTx[txID]
+	if !known {
+		base = uint32(len(c.coins))
+		c.byTx[txID] = base
+		for i, out := range tx.Outs {
+			c.coins = append(c.coins, coin{TxOut: out, op: Outpoint{TxID: txID, Index: uint32(i)}})
+		}
+	}
+	return base
+}
+
+// lookup returns the id of the coin op names, if any transaction seen so
+// far created it.
+func (c *catalog) lookup(op Outpoint) (uint32, bool) {
+	base, known := c.byTx[op.TxID]
+	if !known {
+		return 0, false
+	}
+	id := uint64(base) + uint64(op.Index)
+	if id >= uint64(len(c.coins)) || c.coins[id].op != op {
+		return 0, false
+	}
+	return uint32(id), true
+}
+
+// before is the deterministic coin-selection order: larger value first,
+// ties broken by outpoint identity.
+func (c *catalog) before(a, b uint32) bool {
+	ca, cb := &c.coins[a], &c.coins[b]
+	if ca.Value != cb.Value {
+		return ca.Value > cb.Value
+	}
+	if cmp := ca.op.TxID.Cmp(cb.op.TxID); cmp != 0 {
+		return cmp < 0
+	}
+	return ca.op.Index < cb.op.Index
+}
+
+// Set is the unspent-transaction-output set: the ledger state a Bitcoin
+// node needs to validate new transactions. It holds one bit per catalog
+// coin plus the running count and supply; what a coin is worth and whose
+// it is lives in the catalog. The owner index that keeps per-address coin
+// selection O(own outputs) is built on first use — only a node that
+// originates payments needs one — and maintained from then on.
+type Set struct {
+	cat     *catalog
+	unspent []uint64 // bit id: coin id is unspent here
+	n       int
+	total   uint64
+	byOwner map[keys.Address][]uint32 // owner -> unspent coin ids; nil until first use
+}
+
+// NewSet returns an empty UTXO set with a catalog of its own.
+func NewSet() *Set {
+	return &Set{cat: newCatalog()}
+}
+
+// Len returns the number of unspent outputs.
+func (s *Set) Len() int { return s.n }
+
+// TotalValue returns the sum of all unspent outputs: total supply.
+func (s *Set) TotalValue() uint64 { return s.total }
+
+// Balance returns the summed unspent value owned by addr.
+func (s *Set) Balance(addr keys.Address) uint64 {
+	var sum uint64
+	for _, id := range s.coinsOf(addr) {
+		sum += s.cat.coins[id].Value
+	}
+	return sum
+}
+
+// Get looks up an unspent output.
+func (s *Set) Get(op Outpoint) (TxOut, bool) {
+	id, ok := s.find(op)
+	if !ok {
+		return TxOut{}, false
+	}
+	return s.cat.coins[id].TxOut, true
+}
+
+// find returns the id of the coin op names if it is unspent here.
+func (s *Set) find(op Outpoint) (uint32, bool) {
+	id, known := s.cat.lookup(op)
+	return id, known && s.has(id)
+}
+
+// coinsOf is addr's slice of the owner index, in an order that depends on
+// the history of spends. It aliases the index: read only.
+func (s *Set) coinsOf(addr keys.Address) []uint32 {
+	if s.byOwner == nil {
+		s.buildOwnerIndex()
+	}
+	return s.byOwner[addr]
+}
+
+// buildOwnerIndex groups the unspent ids by owner: count first, then fill
+// slices carved out of one array, so that building the index in the
+// middle of a run costs a handful of allocations however many owners
+// there are.
+func (s *Set) buildOwnerIndex() {
+	ids := make([]uint32, 0, s.n)
+	for w, word := range s.unspent {
+		for ; word != 0; word &= word - 1 {
+			ids = append(ids, uint32(w<<6+bits.TrailingZeros64(word)))
+		}
+	}
+	counts := make(map[keys.Address]int)
+	for _, id := range ids {
+		counts[s.cat.coins[id].Owner]++
+	}
+	s.byOwner = make(map[keys.Address][]uint32, len(counts))
+	backing := make([]uint32, len(ids))
+	for _, id := range ids {
+		owner := s.cat.coins[id].Owner
+		owned, started := s.byOwner[owner]
+		if !started {
+			n := counts[owner]
+			owned, backing = backing[:0:n], backing[n:]
+		}
+		s.byOwner[owner] = append(owned, id)
+	}
+}
+
+// OutpointsOf returns a copy of the unspent outpoints owned by addr, in
+// unspecified order. Coin selection reads coinsOf; this is the read-only
+// view for code outside the package.
+func (s *Set) OutpointsOf(addr keys.Address) []Outpoint {
+	owned := s.coinsOf(addr)
+	out := make([]Outpoint, len(owned))
+	for i, id := range owned {
+		out[i] = s.cat.coins[id].op
+	}
+	return out
+}
+
+func (s *Set) has(id uint32) bool {
+	w := int(id >> 6)
+	return w < len(s.unspent) && s.unspent[w]&(1<<(id&63)) != 0
+}
+
+func (s *Set) add(id uint32) {
+	w := int(id >> 6)
+	if w >= len(s.unspent) {
+		s.unspent = append(s.unspent, make([]uint64, w+1-len(s.unspent))...)
+	}
+	s.unspent[w] |= 1 << (id & 63)
+	c := &s.cat.coins[id]
+	s.n++
+	s.total += c.Value
+	if s.byOwner != nil {
+		s.byOwner[c.Owner] = append(s.byOwner[c.Owner], id)
+	}
+}
+
+func (s *Set) remove(id uint32) {
+	s.unspent[id>>6] &^= 1 << (id & 63)
+	c := &s.cat.coins[id]
+	s.n--
+	s.total -= c.Value
+	if s.byOwner == nil {
+		return
+	}
+	// A spend follows a selection pass over the same slice, so finding the
+	// coin by scanning adds nothing to the order of a payment's cost; an
+	// undo removes what was appended last, hence from the end.
+	owned := s.byOwner[c.Owner]
+	last := len(owned) - 1
+	i := last
+	for owned[i] != id {
+		i--
+	}
+	owned[i] = owned[last]
+	if last == 0 {
+		delete(s.byOwner, c.Owner)
+	} else {
+		s.byOwner[c.Owner] = owned[:last]
+	}
+}
+
+// CheckTx validates a non-coinbase transaction against the set without
+// mutating it, returning the fee it pays.
+func (s *Set) CheckTx(tx *Tx) (fee uint64, err error) {
+	var ids [4]uint32
+	fee, _, err = s.check(tx, ids[:0])
+	return fee, err
+}
+
+// check is CheckTx that also appends the ids of tx's inputs to ids, for
+// the caller about to spend them.
+func (s *Set) check(tx *Tx, ids []uint32) (fee uint64, _ []uint32, err error) {
+	if tx.IsCoinbase() {
+		return 0, nil, errors.New("utxo: CheckTx does not accept coinbase transactions")
+	}
+	// Once a transaction's content has checked out at some ledger (see
+	// txMemo), what is left to ask is whether its inputs are unspent here.
+	memo := tx.memoized()
+	if memo.valid {
+		for _, in := range tx.Ins {
+			id, ok := s.find(in.Prev)
+			if !ok {
+				return 0, nil, fmt.Errorf("%w: %s", ErrMissingOutput, in.Prev)
+			}
+			ids = append(ids, id)
+		}
+		return memo.fee, ids, nil
+	}
+	digest := tx.SigHash()
+	var inSum uint64
+	for i, in := range tx.Ins {
+		id, ok := s.find(in.Prev)
+		if !ok {
+			return 0, nil, fmt.Errorf("%w: %s", ErrMissingOutput, in.Prev)
+		}
+		// A repeated input passed every check the first time round, so
+		// it is among the ids gathered so far.
+		for _, earlier := range ids {
+			if earlier == id {
+				return 0, nil, fmt.Errorf("%w: duplicate input %s", ErrMissingOutput, in.Prev)
+			}
+		}
+		ids = append(ids, id)
+		out := &s.cat.coins[id]
+		if keys.AddressOf(in.PubKey) != out.Owner {
+			return 0, nil, fmt.Errorf("%w: input %d", ErrWrongOwner, i)
+		}
+		if !keys.Verify(in.PubKey, digest[:], in.Sig) {
+			return 0, nil, fmt.Errorf("%w: input %d", ErrBadSignature, i)
+		}
+		next := inSum + out.Value
+		if next < inSum {
+			return 0, nil, ErrValueOverflow
+		}
+		inSum = next
+	}
+	var outSum uint64
+	for _, out := range tx.Outs {
+		next := outSum + out.Value
+		if next < outSum {
+			return 0, nil, ErrValueOverflow
+		}
+		outSum = next
+	}
+	if inSum < outSum {
+		return 0, nil, fmt.Errorf("%w: in=%d out=%d", ErrInsufficient, inSum, outSum)
+	}
+	memo.valid, memo.fee = true, inSum-outSum
+	return memo.fee, ids, nil
+}
+
+// applyTx validates and applies one transaction.
+func (s *Set) applyTx(tx *Tx) (fee uint64, err error) {
+	if !tx.IsCoinbase() {
+		var buf [4]uint32
+		var ids []uint32
+		fee, ids, err = s.check(tx, buf[:0])
+		if err != nil {
+			return 0, err
+		}
+		for _, id := range ids {
+			s.remove(id)
+		}
+	}
+	s.create(tx)
+	return fee, nil
+}
+
+// create adds tx's outputs to the set.
+func (s *Set) create(tx *Tx) {
+	base := s.cat.register(tx)
+	for i := range tx.Outs {
+		s.add(base + uint32(i))
+	}
+}
+
+// undoTx reverses an applied transaction: created outputs are removed and
+// spent outputs restored, in reverse order. Which coins those are is
+// content the catalog already holds, so no journal of the apply is kept.
+func (s *Set) undoTx(tx *Tx) {
+	base := s.cat.byTx[tx.ID()]
+	for i := len(tx.Outs) - 1; i >= 0; i-- {
+		s.remove(base + uint32(i))
+	}
+	for i := len(tx.Ins) - 1; i >= 0; i-- {
+		id, _ := s.cat.lookup(tx.Ins[i].Prev)
+		s.add(id)
+	}
+}
+
+// undoPayments reverses the non-coinbase transactions of txs, last first.
+func (s *Set) undoPayments(txs []*Tx) {
+	for i := len(txs) - 1; i >= 0; i-- {
+		if !txs[i].IsCoinbase() {
+			s.undoTx(txs[i])
+		}
+	}
+}
+
+// ApplyBlock validates and applies a block body: non-coinbase transactions
+// first (accumulating fees), then the coinbase, whose outputs may mint at
+// most subsidy+fees. On any failure the set is left unchanged.
+func (s *Set) ApplyBlock(body *BlockBody, subsidy uint64) error {
+	var fees uint64
+	var coinbase *Tx
+	for i, tx := range body.Txs {
+		if tx.IsCoinbase() {
+			if coinbase != nil {
+				s.undoPayments(body.Txs[:i])
+				return errors.New("utxo: multiple coinbase transactions")
+			}
+			if i != 0 {
+				s.undoPayments(body.Txs[:i])
+				return errors.New("utxo: coinbase must be first")
+			}
+			coinbase = tx
+			continue
+		}
+		fee, err := s.applyTx(tx)
+		if err != nil {
+			s.undoPayments(body.Txs[:i])
+			return fmt.Errorf("utxo: tx %d: %w", i, err)
+		}
+		fees += fee
+	}
+	if coinbase != nil {
+		var mint uint64
+		for _, out := range coinbase.Outs {
+			mint += out.Value
+		}
+		if mint > subsidy+fees {
+			s.undoPayments(body.Txs)
+			return fmt.Errorf("%w: mint=%d allowed=%d", ErrCoinbaseValue, mint, subsidy+fees)
+		}
+		s.create(coinbase)
+	}
+	return nil
+}
+
+// UndoBlock reverses an applied block body so a reorg can disconnect it
+// (§IV-A: abandoned blocks' effects must be reverted and their
+// transactions re-included): the coinbase, applied last, goes first.
+func (s *Set) UndoBlock(body *BlockBody) {
+	if len(body.Txs) > 0 && body.Txs[0].IsCoinbase() {
+		s.undoTx(body.Txs[0])
+	}
+	s.undoPayments(body.Txs)
+}

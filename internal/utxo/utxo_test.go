@@ -66,9 +66,11 @@ func TestTxIDCoversSignature(t *testing.T) {
 	if err := tx.Sign(0, r.Pair(0)); err != nil {
 		t.Fatal(err)
 	}
-	id1 := tx.ID()
-	tx.Ins[0].Sig[0] ^= 0xFF
-	if tx.ID() == id1 {
+	// A Tx is immutable after ID(): tamper with a deep copy.
+	tampered := &Tx{Ins: []TxIn{tx.Ins[0]}, Outs: tx.Outs}
+	tampered.Ins[0].Sig = append([]byte(nil), tx.Ins[0].Sig...)
+	tampered.Ins[0].Sig[0] ^= 0xFF
+	if tampered.ID() == tx.ID() {
 		t.Fatal("signature change should change the tx ID")
 	}
 	if err := tx.Sign(5, r.Pair(0)); err == nil {
@@ -90,8 +92,7 @@ func TestSetApplyAndCheck(t *testing.T) {
 	r := ring(3)
 	set := NewSet()
 	fund := NewCoinbase(1, r.Addr(0), 100)
-	undo := &Undo{}
-	if _, err := set.applyTx(fund, undo); err != nil {
+	if _, err := set.applyTx(fund); err != nil {
 		t.Fatal(err)
 	}
 	if set.Balance(r.Addr(0)) != 100 || set.TotalValue() != 100 || set.Len() != 1 {
@@ -120,7 +121,7 @@ func TestCheckTxRejections(t *testing.T) {
 	r := ring(3)
 	set := NewSet()
 	fund := NewCoinbase(1, r.Addr(0), 100)
-	set.applyTx(fund, &Undo{})
+	set.applyTx(fund)
 	op := Outpoint{TxID: fund.ID(), Index: 0}
 
 	t.Run("missing output", func(t *testing.T) {
@@ -172,7 +173,7 @@ func TestApplyBlockAndUndoRoundTrip(t *testing.T) {
 	r := ring(3)
 	set := NewSet()
 	fund := NewCoinbase(1, r.Addr(0), 100)
-	set.applyTx(fund, &Undo{})
+	set.applyTx(fund)
 
 	pay := &Tx{
 		Ins:  []TxIn{{Prev: Outpoint{TxID: fund.ID(), Index: 0}}},
@@ -183,8 +184,7 @@ func TestApplyBlockAndUndoRoundTrip(t *testing.T) {
 	body := &BlockBody{Txs: []*Tx{coinbase, pay}}
 
 	totalBefore := set.TotalValue()
-	undo, err := set.ApplyBlock(body, 50)
-	if err != nil {
+	if err := set.ApplyBlock(body, 50); err != nil {
 		t.Fatal(err)
 	}
 	if set.Balance(r.Addr(1)) != 90 || set.Balance(r.Addr(2)) != 60 || set.Balance(r.Addr(0)) != 0 {
@@ -195,7 +195,7 @@ func TestApplyBlockAndUndoRoundTrip(t *testing.T) {
 	if set.TotalValue() != totalBefore+50 {
 		t.Fatalf("supply = %d, want %d", set.TotalValue(), totalBefore+50)
 	}
-	set.UndoBlock(undo)
+	set.UndoBlock(body)
 	if set.Balance(r.Addr(0)) != 100 || set.TotalValue() != totalBefore || set.Len() != 1 {
 		t.Fatal("undo did not restore the set")
 	}
@@ -205,11 +205,11 @@ func TestApplyBlockCoinbaseRules(t *testing.T) {
 	r := ring(2)
 	set := NewSet()
 	fund := NewCoinbase(1, r.Addr(0), 100)
-	set.applyTx(fund, &Undo{})
+	set.applyTx(fund)
 
 	t.Run("greedy coinbase rejected", func(t *testing.T) {
 		body := &BlockBody{Txs: []*Tx{NewCoinbase(2, r.Addr(1), 51)}}
-		if _, err := set.ApplyBlock(body, 50); !errors.Is(err, ErrCoinbaseValue) {
+		if err := set.ApplyBlock(body, 50); !errors.Is(err, ErrCoinbaseValue) {
 			t.Fatalf("err = %v", err)
 		}
 		if set.Len() != 1 {
@@ -221,7 +221,7 @@ func TestApplyBlockCoinbaseRules(t *testing.T) {
 			Outs: []TxOut{{Value: 100, Owner: r.Addr(1)}}}
 		pay.SignAll(r.Pair(0))
 		body := &BlockBody{Txs: []*Tx{pay, NewCoinbase(2, r.Addr(1), 50)}}
-		if _, err := set.ApplyBlock(body, 50); err == nil {
+		if err := set.ApplyBlock(body, 50); err == nil {
 			t.Fatal("coinbase in position 1 accepted")
 		}
 		if set.Balance(r.Addr(0)) != 100 {
@@ -230,7 +230,7 @@ func TestApplyBlockCoinbaseRules(t *testing.T) {
 	})
 	t.Run("two coinbases rejected", func(t *testing.T) {
 		body := &BlockBody{Txs: []*Tx{NewCoinbase(2, r.Addr(1), 25), NewCoinbase(3, r.Addr(1), 25)}}
-		if _, err := set.ApplyBlock(body, 50); err == nil {
+		if err := set.ApplyBlock(body, 50); err == nil {
 			t.Fatal("two coinbases accepted")
 		}
 	})
@@ -244,10 +244,10 @@ func TestQuickValueConservation(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		set := NewSet()
 		fund := NewCoinbase(1, r.Addr(0), 1_000_000)
-		set.applyTx(fund, &Undo{})
+		set.applyTx(fund)
 		supply := set.TotalValue()
 
-		var undos []*Undo
+		var applied []*BlockBody
 		for round := 0; round < 5; round++ {
 			// Pick a funded sender and pay a random recipient.
 			var sender int
@@ -265,18 +265,18 @@ func TestQuickValueConservation(t *testing.T) {
 				return false
 			}
 			coinbase := NewCoinbase(uint64(round+2), r.Addr(7), 50+fee)
-			undo, err := set.ApplyBlock(&BlockBody{Txs: []*Tx{coinbase, tx}}, 50)
-			if err != nil {
+			body := &BlockBody{Txs: []*Tx{coinbase, tx}}
+			if err := set.ApplyBlock(body, 50); err != nil {
 				return false
 			}
-			undos = append(undos, undo)
+			applied = append(applied, body)
 			supply += 50
 			if set.TotalValue() != supply {
 				return false
 			}
 		}
-		for i := len(undos) - 1; i >= 0; i-- {
-			set.UndoBlock(undos[i])
+		for i := len(applied) - 1; i >= 0; i-- {
+			set.UndoBlock(applied[i])
 		}
 		return set.TotalValue() == 1_000_000 && set.Balance(r.Addr(0)) == 1_000_000
 	}
@@ -290,7 +290,7 @@ func TestMempoolOrderingAndConflicts(t *testing.T) {
 	set := NewSet()
 	// Three outputs for account 0 so we can build three independent txs.
 	for i := 0; i < 3; i++ {
-		set.applyTx(NewCoinbase(uint64(i+1), r.Addr(0), 100), &Undo{})
+		set.applyTx(NewCoinbase(uint64(i+1), r.Addr(0), 100))
 	}
 	pool := NewMempool(set)
 	ops := set.OutpointsOf(r.Addr(0))
@@ -540,7 +540,7 @@ func BenchmarkCheckTx(b *testing.B) {
 	r := keys.NewRing("bench", 2)
 	set := NewSet()
 	fund := NewCoinbase(1, r.Addr(0), 1000)
-	set.applyTx(fund, &Undo{})
+	set.applyTx(fund)
 	tx := &Tx{Ins: []TxIn{{Prev: Outpoint{TxID: fund.ID(), Index: 0}}},
 		Outs: []TxOut{{Value: 999, Owner: r.Addr(1)}}}
 	tx.SignAll(r.Pair(0))
@@ -695,12 +695,13 @@ func TestNewPaymentMatchesSortOracle(t *testing.T) {
 			for i, outs := 0, 1+rng.Intn(4); i < outs; i++ {
 				mint.Outs = append(mint.Outs, TxOut{Value: uint64(rng.Intn(4)) * 10, Owner: r.Addr(rng.Intn(2))})
 			}
-			set.applyTx(mint, &Undo{})
+			set.applyTx(mint)
 		}
 		// Spend a few of the sender's coins so slots get swapped around.
 		for _, op := range set.OutpointsOf(sender.Address()) {
 			if rng.Intn(4) == 0 {
-				set.remove(op)
+				id, _ := set.cat.lookup(op)
+				set.remove(id)
 			}
 		}
 		owned := set.OutpointsOf(sender.Address())
@@ -756,5 +757,127 @@ func TestNewPaymentMatchesSortOracle(t *testing.T) {
 	}
 	if _, err := NewPaymentAvoiding(NewSet(), nil, sender, to, ^uint64(0), 1); !errors.Is(err, ErrValueOverflow) {
 		t.Fatalf("amount+fee overflow: err = %v", err)
+	}
+}
+
+var memoSink hashx.Hash
+
+// The id and Merkle-root memos follow the repo's self-pointer rule: a
+// repeat call is free, a struct copy re-hashes, and re-signing forgets.
+func TestTxIDAndRootMemo(t *testing.T) {
+	r := ring(2)
+	tx := &Tx{
+		Ins:  []TxIn{{Prev: Outpoint{TxID: hashx.Sum([]byte("prev")), Index: 0}}},
+		Outs: []TxOut{{Value: 10, Owner: r.Addr(1)}},
+	}
+	tx.SignAll(r.Pair(0))
+	id := tx.ID()
+	if n := testing.AllocsPerRun(100, func() { memoSink = tx.ID() }); n != 0 {
+		t.Fatalf("repeat ID() allocates %v times", n)
+	}
+	cp := *tx
+	cp.Outs = []TxOut{{Value: 11, Owner: r.Addr(1)}}
+	if cp.ID() == id {
+		t.Fatal("a copied Tx answered from the original's memo")
+	}
+	tx.SignAll(r.Pair(1))
+	resigned := tx.ID()
+	if resigned == id {
+		t.Fatal("SignAll after ID() left the old id in place")
+	}
+	if err := tx.Sign(0, r.Pair(0)); err != nil {
+		t.Fatal(err)
+	}
+	if tx.ID() == resigned {
+		t.Fatal("Sign after ID() left the old id in place")
+	}
+
+	body := &BlockBody{Txs: []*Tx{NewCoinbase(1, r.Addr(0), 50), tx}}
+	root := body.Root()
+	if n := testing.AllocsPerRun(100, func() { memoSink = body.Root() }); n != 0 {
+		t.Fatalf("repeat Root() allocates %v times", n)
+	}
+	shorter := *body
+	shorter.Txs = body.Txs[:1]
+	if shorter.Root() == root {
+		t.Fatal("a copied BlockBody answered from the original's memo")
+	}
+}
+
+// A transaction whose content checked out at one set (txMemo) is still
+// asked, at every other set, whether its inputs are unspent there.
+func TestCheckTxMemoKeepsStateChecks(t *testing.T) {
+	r := ring(2)
+	fund := NewCoinbase(1, r.Addr(0), 100)
+	holds, lacks := NewSet(), NewSet()
+	holds.create(fund)
+	pay := &Tx{Ins: []TxIn{{Prev: Outpoint{TxID: fund.ID(), Index: 0}}}, Outs: []TxOut{{Value: 90, Owner: r.Addr(1)}}}
+	pay.SignAll(r.Pair(0))
+	if fee, err := holds.CheckTx(pay); err != nil || fee != 10 {
+		t.Fatalf("CheckTx = %d, %v", fee, err)
+	}
+	if _, err := lacks.CheckTx(pay); !errors.Is(err, ErrMissingOutput) {
+		t.Fatalf("set that never saw the coin: err = %v", err)
+	}
+	if _, err := holds.applyTx(pay); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := holds.CheckTx(pay); !errors.Is(err, ErrMissingOutput) {
+		t.Fatalf("set that spent the coin: err = %v", err)
+	}
+	lacks.create(fund)
+	if fee, err := lacks.CheckTx(pay); err != nil || fee != 10 {
+		t.Fatalf("after the coin arrived: CheckTx = %d, %v", fee, err)
+	}
+}
+
+// Replica gives another node of the same network: genesis block and coin
+// catalog shared, state its own — at genesis even when taken from a
+// ledger that has moved on — and a ledger from NewLedger shares nothing.
+func TestLedgerReplica(t *testing.T) {
+	r := ring(4)
+	l := newTestLedger(t, r, 2)
+	early := l.Replica()
+	if early.Genesis() != l.Genesis() || early.set.cat != l.set.cat {
+		t.Fatal("replica does not share the genesis block and catalog")
+	}
+	if other := newTestLedger(t, r, 2); other.set.cat == l.set.cat {
+		t.Fatal("two NewLedger calls share a catalog")
+	}
+
+	tx, err := NewPayment(l.UTXOSet(), r.Pair(0), r.Addr(2), 250, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.SubmitTx(tx); err != nil {
+		t.Fatal(err)
+	}
+	b := l.BuildBlock(r.Addr(3), time.Minute)
+	if _, err := l.ProcessBlock(b); err != nil {
+		t.Fatal(err)
+	}
+	// What l spent is untouched, and still spendable, at a replica.
+	late := l.Replica()
+	for name, rep := range map[string]*Ledger{"early": early, "late": late} {
+		if rep.Height() != 0 || rep.PoolLen() != 0 || rep.Balance(r.Addr(0)) != 1000 || rep.Balance(r.Addr(2)) != 0 {
+			t.Fatalf("%s replica is not at genesis: height %d, pool %d, balances %d/%d",
+				name, rep.Height(), rep.PoolLen(), rep.Balance(r.Addr(0)), rep.Balance(r.Addr(2)))
+		}
+		if rep.UTXOSet().TotalValue() != 2000 || rep.UTXOSet().Len() != 2 {
+			t.Fatalf("%s replica: supply %d in %d coins", name, rep.UTXOSet().TotalValue(), rep.UTXOSet().Len())
+		}
+		if err := rep.SubmitTx(tx); err != nil {
+			t.Fatalf("%s replica refuses a coin another node spent: %v", name, err)
+		}
+		if res, err := rep.ProcessBlock(b); err != nil || res.Status != chain.Accepted {
+			t.Fatalf("%s replica: ProcessBlock: %v %v", name, res.Status, err)
+		}
+		if rep.Store().Tip() != l.Store().Tip() || rep.Balance(r.Addr(2)) != 250 || rep.PoolLen() != 0 ||
+			rep.UTXOSet().TotalValue() != l.UTXOSet().TotalValue() || rep.Confirmations(tx.ID()) != 1 {
+			t.Fatalf("%s replica did not converge on the block", name)
+		}
+	}
+	if l.Balance(r.Addr(0)) != 1000-255 {
+		t.Fatalf("replicas' blocks moved the original: balance %d", l.Balance(r.Addr(0)))
 	}
 }
