@@ -14,21 +14,23 @@ test:
 
 # Guards the worker-pool concurrency: event engine, experiment scheduler,
 # lattice batch settlement, signature batching, parallel merkle hashing,
-# the batched live-gossip + adversary paths in netsim, and the pointer-
+# the batched live-gossip + adversary paths in netsim, the pointer-
 # shared content (genesis, coin catalog, id and root memos) under the
-# chain ledgers, which must never cross networks.
+# chain ledgers, which must never cross networks, and every package whose
+# objects embed a keys.SigMemo.
 race:
-	$(GO) test -race -timeout 60m ./internal/sim/... ./internal/core/... ./internal/lattice/... ./internal/keys/... ./internal/merkle/... ./internal/netsim/... ./internal/utxo/... ./internal/chain/...
+	$(GO) test -race -timeout 60m ./internal/sim/... ./internal/core/... ./internal/lattice/... ./internal/keys/... ./internal/merkle/... ./internal/netsim/... ./internal/utxo/... ./internal/chain/... ./internal/account/... ./internal/orv/... ./internal/tangle/... ./internal/pos/...
 
 # Short fuzz smoke mirroring CI: batch settlement vs serial apply under
 # hostile block streams, link-model delay sanity for any bounds, tangle
-# tip selection, and three UTXO sets on one coin catalog under
-# apply/undo/reorg.
+# tip selection, three UTXO sets on one coin catalog under
+# apply/undo/reorg, and the signature memo against cold verification.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzLatticeProcessBatch$$' -fuzztime 30s ./internal/lattice
 	$(GO) test -run '^$$' -fuzz '^FuzzLinkModelDelay$$' -fuzztime 15s ./internal/sim
 	$(GO) test -run '^$$' -fuzz '^FuzzTangleTipSelection$$' -fuzztime 30s ./internal/tangle
 	$(GO) test -run '^$$' -fuzz '^FuzzSetOwnerIndex$$' -fuzztime 15s ./internal/utxo
+	$(GO) test -run '^$$' -fuzz '^FuzzSigMemo$$' -fuzztime 15s ./internal/keys
 
 # Coverage profile, the artifact CI uploads.
 cover:
@@ -46,13 +48,13 @@ bench:
 
 # The committed perf baseline this branch is gated against; bump when a
 # new trajectory point lands (see PERFORMANCE.md).
-BENCH_BASELINE ?= BENCH_020.json
+BENCH_BASELINE ?= BENCH_021.json
 
 # Regenerate the committed perf trajectory point. Run on a quiet
 # machine; review the diff against the previous baseline before
 # committing (make bench-gate does exactly that comparison).
 bench-commit:
-	$(GO) run ./cmd/dltbench -bench-report -bench-label 020 -bench-out $(BENCH_BASELINE)
+	$(GO) run ./cmd/dltbench -bench-report -bench-label 021 -bench-out $(BENCH_BASELINE)
 
 # The CI regression gate: re-run the suite (shorter measurement time,
 # same workload scale) and fail on >15% ns/op or allocs/op regressions

@@ -32,11 +32,11 @@ type Tx struct {
 	PubKey   ed25519.PublicKey
 	Sig      []byte
 
-	// verified caches a positive VerifySig outcome under ID(): the
+	// verified holds the signature verdict (see keys.SigMemo): the
 	// simulation hands one *Tx to every node's mempool, the producer's
-	// BuildBlock and every replica's validateBlock, so one ed25519 check
-	// serves the whole run (see keys.VerifyMemo).
-	verified keys.VerifyMemo
+	// BuildBlock and every replica's validateBlock, and Sign seeds it, so
+	// an honest run never runs ed25519 on a transaction.
+	verified keys.SigMemo
 }
 
 // txWireOverhead is the modeled fixed encoding cost of a transaction.
@@ -89,36 +89,17 @@ func (tx *Tx) ID() hashx.Hash {
 // Sign fills From, PubKey and Sig from the key pair.
 func (tx *Tx) Sign(kp *keys.KeyPair) {
 	tx.From = kp.Address()
-	digest := tx.SigHash()
 	tx.PubKey = kp.Pub
-	tx.Sig = kp.Sign(digest[:])
+	tx.Sig = kp.SignMemo(&tx.verified, tx.From, tx.SigHash())
 }
 
-// VerifySig checks the signature and that PubKey matches From. A
-// positive outcome is memoized per pointer under ID(), which covers
-// From, the signed payload, PubKey and Sig: every call after the first
-// pays one hash instead of ed25519, and a transaction mutated or
-// re-signed after a successful check re-verifies. The key and signature
-// lengths are checked first because ID() concatenates Data, PubKey and
-// Sig unframed — with the two tails at fixed length the ID pins every
-// field.
+// VerifySig checks the signature and that PubKey matches From. The
+// verdict is memoized per pointer over From, SigHash (recomputed on
+// every call), PubKey and Sig: every call after signing or a first
+// check pays that one hash instead of ed25519, and a transaction mutated
+// or re-signed afterwards re-verifies.
 func (tx *Tx) VerifySig() bool {
-	if len(tx.PubKey) != ed25519.PublicKeySize || len(tx.Sig) != ed25519.SignatureSize {
-		return false
-	}
-	id := tx.ID()
-	if tx.verified.Hit(id) {
-		return true
-	}
-	if keys.AddressOf(tx.PubKey) != tx.From {
-		return false
-	}
-	digest := tx.SigHash()
-	if !keys.Verify(tx.PubKey, digest[:], tx.Sig) {
-		return false
-	}
-	tx.verified.Store(id)
-	return true
+	return tx.verified.Verify(tx.From, tx.SigHash(), tx.PubKey, tx.Sig)
 }
 
 // IntrinsicGas is the gas charged before any execution.

@@ -7,7 +7,12 @@ import (
 	"repro/internal/keys"
 )
 
-// The second check of one pointer is a memo hit: it pays the ID hash on
+// memoHit reports whether tx's memo vouches for tx as it stands.
+func memoHit(tx *Tx) bool {
+	return tx.verified.Hit(tx.From, tx.SigHash(), tx.PubKey, tx.Sig)
+}
+
+// The second check of one pointer is a memo hit: it pays the SigHash on
 // the stack and nothing else, where a cold ed25519 check allocates.
 func TestVerifySigRepeatIsAllocFree(t *testing.T) {
 	r := keys.NewRing("memo-alloc", 2)
@@ -37,14 +42,14 @@ func TestVerifySigRepeatIsAllocFree(t *testing.T) {
 func TestVerifySigCopyReverifies(t *testing.T) {
 	r := keys.NewRing("memo-copy", 2)
 	tx := payTx(r.Pair(0), 0, r.Addr(1), 5, 1)
-	if !tx.VerifySig() || !tx.verified.Hit(tx.ID()) {
+	if !tx.VerifySig() || !memoHit(tx) {
 		t.Fatal("successful check was not memoized")
 	}
 	cp := *tx
-	if cp.verified.Hit(cp.ID()) {
+	if memoHit(&cp) {
 		t.Fatal("a struct copy rides the original's memo")
 	}
-	if !cp.VerifySig() || !cp.verified.Hit(cp.ID()) {
+	if !cp.VerifySig() || !memoHit(&cp) {
 		t.Fatal("copy did not verify and memoize on its own")
 	}
 	// A copy tampered with after the original verified must not pass.
@@ -56,8 +61,8 @@ func TestVerifySigCopyReverifies(t *testing.T) {
 }
 
 // Whatever changes after a successful check — signature, signed payload
-// or claimed sender — changes ID(), so the memo misses and every caller
-// sees the real verdict.
+// or claimed sender — is compared by the memo, so it misses and every
+// caller sees the real verdict.
 func TestVerifySigMutationAfterSuccess(t *testing.T) {
 	r := keys.NewRing("memo-mutate", 3)
 	mutations := []struct {
@@ -69,7 +74,7 @@ func TestVerifySigMutationAfterSuccess(t *testing.T) {
 		{"swap from", func(tx *Tx) { tx.From = r.Addr(1) }},
 		{"swap pubkey", func(tx *Tx) { tx.PubKey = r.Pair(1).Pub }},
 		{"truncate sig", func(tx *Tx) { tx.Sig = tx.Sig[:len(tx.Sig)-1] }},
-		// Same ID() byte stream, different fields.
+		// Same Data|PubKey|Sig byte stream, different fields.
 		{"move a key byte into data", func(tx *Tx) {
 			tx.Data = append(tx.Data, tx.PubKey[0])
 			tx.PubKey = tx.PubKey[1:]
@@ -108,7 +113,7 @@ func TestVerifySigFailureNotCached(t *testing.T) {
 		if tx.VerifySig() {
 			t.Fatal("bad signature accepted")
 		}
-		if tx.verified.Hit(tx.ID()) {
+		if memoHit(tx) {
 			t.Fatal("failed check left a memo")
 		}
 	}
@@ -126,9 +131,10 @@ func TestVerifySigResignReverifies(t *testing.T) {
 	if !tx.VerifySig() {
 		t.Fatal("valid signature rejected")
 	}
+	old := *tx
 	tx.Sign(r.Pair(1))
-	if tx.verified.Hit(tx.ID()) {
-		t.Fatal("memo survived a re-sign")
+	if tx.verified.Hit(old.From, old.SigHash(), old.PubKey, old.Sig) {
+		t.Fatal("memo still vouches for the old signature after a re-sign")
 	}
 	if !tx.VerifySig() || tx.From != r.Addr(1) {
 		t.Fatal("re-signed transaction rejected")

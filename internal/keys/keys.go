@@ -11,6 +11,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"sync/atomic"
 
 	"repro/internal/hashx"
 	"repro/internal/par"
@@ -68,11 +69,18 @@ func AddressOf(pub ed25519.PublicKey) Address {
 	return a
 }
 
+// identity is the public half of a key pair: the key bytes and the
+// address they hash to. It is written once, when the pair is derived.
+type identity struct {
+	pub  [ed25519.PublicKeySize]byte
+	addr Address
+}
+
 // KeyPair is an ed25519 signing identity together with its derived address.
 type KeyPair struct {
 	Pub  ed25519.PublicKey
 	priv ed25519.PrivateKey
-	addr Address
+	id   identity
 }
 
 // Deterministic derives a key pair from an arbitrary string seed. Equal
@@ -82,7 +90,9 @@ func Deterministic(seed string) *KeyPair {
 	digest := hashx.Sum([]byte("keyseed/" + seed))
 	priv := ed25519.NewKeyFromSeed(digest[:])
 	pub := priv.Public().(ed25519.PublicKey)
-	return &KeyPair{Pub: pub, priv: priv, addr: AddressOf(pub)}
+	kp := &KeyPair{Pub: pub, priv: priv, id: identity{addr: AddressOf(pub)}}
+	copy(kp.id.pub[:], pub)
+	return kp
 }
 
 // DeterministicN derives the i-th key pair of a named family, e.g. all
@@ -94,43 +104,111 @@ func DeterministicN(family string, i int) *KeyPair {
 }
 
 // Address returns the key pair's derived address.
-func (kp *KeyPair) Address() Address { return kp.addr }
+func (kp *KeyPair) Address() Address { return kp.id.addr }
 
 // Sign signs msg with the private key.
 func (kp *KeyPair) Sign(msg []byte) []byte { return ed25519.Sign(kp.priv, msg) }
+
+// verifies counts the calls that reached ed25519.Verify.
+var verifies atomic.Uint64
 
 // Verify reports whether sig is a valid signature of msg under pub.
 func Verify(pub ed25519.PublicKey, msg, sig []byte) bool {
 	if len(pub) != ed25519.PublicKeySize || len(sig) != ed25519.SignatureSize {
 		return false
 	}
+	verifies.Add(1)
 	return ed25519.Verify(pub, msg, sig)
 }
 
-// VerifyMemo caches a positive signature verdict inside the signed object
-// it is embedded in (by value, as an unexported field): the content
-// digest that carried a valid signature, honoured only while the memo
-// still lives at the address it was stored from. A simulated broadcast
-// hands one pointer to every node, so one ed25519 check serves them all;
-// a struct copy moves the memo to a new address and re-verifies, and
-// content mutated after a successful check re-verifies because the
-// caller re-derives the digest on every call. Only success is stored —
-// a failing check is repeated each time. The zero value is empty. Not
-// safe for concurrent use.
-type VerifyMemo struct {
-	self   *VerifyMemo
+// Verifies returns how many times this process has run ed25519.Verify:
+// the exact count of signature checks no memo answered. A test takes the
+// difference around a region; an honest network whose objects were all
+// signed by their owners' wallets adds nothing to it.
+func Verifies() uint64 { return verifies.Load() }
+
+// SigMemo caches a positive signature verdict inside the signed object
+// it is embedded in (by value, as an unexported field). The verdict it
+// stands for is "pub hashes to owner, and sig signs digest under pub",
+// and a hit compares all four with what was verified — the owner
+// address, the content digest, the 32 key bytes and the 64 signature
+// bytes — so a byte flipped in place, a replaced slice, a swapped key, a
+// changed owner or a changed digest all miss and verify in full. It is
+// honoured only while it still lives at the address it was stored from:
+// a simulated broadcast hands one pointer to every node, so one verdict
+// serves them all, and a struct copy re-verifies. Only success is stored
+// — a failing check is repeated each time. The zero value is empty.
+// Verify, Store and SignMemo write and are not safe for concurrent use;
+// Hit only reads.
+//
+// A type that recomputes its digest on every call (account.Tx,
+// orv.Vote, pos.Vote) is therefore covered field by field. A type that
+// hands in a pointer-memoized content hash (lattice.Block,
+// tangle.Vertex) inherits that hash's rule: content is not mutated in
+// place after the first Hash().
+//
+// The signature is copied into the memo; the key and its address are
+// not — key points at the signing KeyPair's own immutable identity when
+// signing seeded the memo, so a wallet's many objects share one copy.
+type SigMemo struct {
+	self   *SigMemo
+	key    *identity
 	digest hashx.Hash
+	sig    [ed25519.SignatureSize]byte
 }
 
-// Hit reports whether digest is the one a valid signature was stored for.
-func (m *VerifyMemo) Hit(digest hashx.Hash) bool {
-	return m.self == m && m.digest == digest
+// Hit reports whether the memo holds a positive verdict for exactly
+// these inputs.
+func (m *SigMemo) Hit(owner Address, digest hashx.Hash, pub ed25519.PublicKey, sig []byte) bool {
+	return m.self == m && m.key.addr == owner && m.digest == digest &&
+		bytes.Equal(m.key.pub[:], pub) && bytes.Equal(m.sig[:], sig)
 }
 
-// Store records that digest carried a valid signature.
-func (m *VerifyMemo) Store(digest hashx.Hash) {
-	m.self = m
-	m.digest = digest
+// store binds the memo to its own address and to the verified inputs;
+// key must never be written again.
+func (m *SigMemo) store(key *identity, digest hashx.Hash, sig []byte) {
+	m.self, m.key, m.digest = m, key, digest
+	copy(m.sig[:], sig)
+}
+
+// Store records a positive verdict the caller has established for these
+// inputs: the key/owner binding and the signature both checked out. It
+// allocates its copy of the key, which only an object that arrived
+// without a seed pays.
+func (m *SigMemo) Store(owner Address, digest hashx.Hash, pub ed25519.PublicKey, sig []byte) {
+	key := &identity{addr: owner}
+	copy(key.pub[:], pub)
+	m.store(key, digest, sig)
+}
+
+// Verify reports whether pub hashes to owner and sig is pub's signature
+// of digest, from the memo when it holds that verdict and in full (then
+// storing a success) when it does not.
+func (m *SigMemo) Verify(owner Address, digest hashx.Hash, pub ed25519.PublicKey, sig []byte) bool {
+	if m.Hit(owner, digest, pub, sig) {
+		return true
+	}
+	if AddressOf(pub) != owner || !Verify(pub, digest[:], sig) {
+		return false
+	}
+	m.Store(owner, digest, pub, sig)
+	return true
+}
+
+// SignMemo signs digest and, when this key pair owns owner, seeds m with
+// the verdict a verifier would reach: ed25519 signing is deterministic
+// and complete, so a signature just made verifies under the key it was
+// made with. The seed names the public half of the private key, not the
+// assignable Pub field, and is skipped when the signer is not the owner
+// — the binding check a verifier makes — so an object that then carries
+// another key, another owner or other bytes misses and is checked in
+// full.
+func (kp *KeyPair) SignMemo(m *SigMemo, owner Address, digest hashx.Hash) []byte {
+	sig := ed25519.Sign(kp.priv, digest[:])
+	if kp.id.addr == owner {
+		m.store(&kp.id, digest, sig)
+	}
+	return sig
 }
 
 // VerifyJob is one signature check submitted to VerifyBatch.

@@ -1,6 +1,7 @@
 package keys
 
 import (
+	"crypto/ed25519"
 	"testing"
 
 	"repro/internal/hashx"
@@ -198,32 +199,117 @@ func TestVerifyBatch(t *testing.T) {
 	}
 }
 
-// The memo answers only for the digest it stored, and only at the
-// address it stored it from: the zero value, another digest and a copy
-// embedded in a copied parent all miss.
-func TestVerifyMemo(t *testing.T) {
-	type signed struct {
-		payload byte
-		memo    VerifyMemo
-	}
-	d1, d2 := hashx.Sum([]byte("one")), hashx.Sum([]byte("two"))
-	a := &signed{payload: 1}
-	if a.memo.Hit(d1) || a.memo.Hit(hashx.Hash{}) {
+// signed is the shape every signed object has: an owner, content, a key
+// and a signature, with the memo embedded by value.
+type signed struct {
+	owner   Address
+	content byte
+	pub     ed25519.PublicKey
+	sig     []byte
+	memo    SigMemo
+}
+
+func (s *signed) digest() hashx.Hash { return hashx.Sum([]byte{s.content}) }
+
+func (s *signed) sign(kp *KeyPair) {
+	s.pub = kp.Pub
+	s.sig = kp.SignMemo(&s.memo, s.owner, s.digest())
+}
+
+func (s *signed) verify() bool { return s.memo.Verify(s.owner, s.digest(), s.pub, s.sig) }
+
+func (s *signed) hit() bool { return s.memo.Hit(s.owner, s.digest(), s.pub, s.sig) }
+
+// cold is the verdict with no memo anywhere: the binding check and
+// ed25519 on the fields as they stand.
+func (s *signed) cold() bool {
+	d := s.digest()
+	return AddressOf(s.pub) == s.owner && Verify(s.pub, d[:], s.sig)
+}
+
+// The memo answers only for the owner, digest, key and signature it
+// stored, and only at the address it stored them from: the zero value,
+// any changed input and a copy embedded in a copied parent all miss.
+func TestSigMemo(t *testing.T) {
+	kp, other := Deterministic("memo"), Deterministic("memo-other")
+	a := &signed{owner: kp.Address(), content: 1, pub: kp.Pub}
+	a.sig = kp.Sign([]byte("placeholder"))
+	if a.hit() {
 		t.Fatal("empty memo hit")
 	}
-	a.memo.Store(d1)
-	if !a.memo.Hit(d1) {
-		t.Fatal("stored digest missed")
+	if a.verify() || a.hit() {
+		t.Fatal("a failed check verified or left a memo")
 	}
-	if a.memo.Hit(d2) {
-		t.Fatal("memo hit for a digest it never stored")
+	d := a.digest()
+	a.sig = kp.Sign(d[:])
+	before := Verifies()
+	if !a.verify() || !a.hit() || Verifies() != before+1 {
+		t.Fatalf("cold check: hit %v, %d ed25519 calls, want a stored verdict after 1", a.hit(), Verifies()-before)
 	}
+	if !a.verify() || Verifies() != before+1 {
+		t.Fatal("second check of the same inputs reached ed25519")
+	}
+
 	b := *a
-	if b.memo.Hit(d1) {
+	if b.hit() {
 		t.Fatal("copied parent rides the original's memo")
 	}
-	b.memo.Store(d2)
-	if !b.memo.Hit(d2) || !a.memo.Hit(d1) || a.memo.Hit(d2) {
+	if !b.verify() || !b.hit() || !a.hit() {
 		t.Fatal("copy and original memos are not independent")
+	}
+
+	for name, mutate := range map[string]func(s *signed){
+		"owner":        func(s *signed) { s.owner = other.Address() },
+		"content":      func(s *signed) { s.content++ },
+		"key":          func(s *signed) { s.pub = other.Pub },
+		"short key":    func(s *signed) { s.pub = s.pub[:31] },
+		"sig byte":     func(s *signed) { s.sig[63] ^= 1 },
+		"sig slice":    func(s *signed) { s.sig = other.Sign(d[:]) },
+		"short sig":    func(s *signed) { s.sig = s.sig[:63] },
+		"sig plus one": func(s *signed) { s.sig = append(s.sig[:64:64], 0) },
+	} {
+		c := &signed{owner: kp.Address(), content: 1}
+		c.sign(kp)
+		if !c.hit() {
+			t.Fatalf("%s: signing did not seed the memo", name)
+		}
+		mutate(c)
+		if c.hit() || c.verify() || c.cold() {
+			t.Fatalf("%s: hit %v verify %v cold %v after the change, want all false", name, c.hit(), c.verify(), c.cold())
+		}
+	}
+}
+
+// Signing seeds the verdict a verifier would reach, and only that one: a
+// signer that does not own the account seeds nothing, and the seed names
+// the key the signature was made with, whatever Pub says.
+func TestSignMemoSeedsOnlyTheOwnersVerdict(t *testing.T) {
+	kp, other := Deterministic("seed"), Deterministic("seed-other")
+
+	s := &signed{owner: kp.Address(), content: 7}
+	before := Verifies()
+	s.sign(kp)
+	if !s.verify() || Verifies() != before {
+		t.Fatal("a freshly signed object was verified by ed25519")
+	}
+
+	stranger := &signed{owner: kp.Address(), content: 7}
+	stranger.sign(other)
+	if stranger.hit() || stranger.verify() {
+		t.Fatal("a signature by a key that does not own the account was seeded or accepted")
+	}
+
+	// Pub is an exported field: a caller can point it at another key.
+	fake := *kp
+	fake.Pub = other.Pub
+	swapped := &signed{owner: kp.Address(), content: 7}
+	swapped.sign(&fake)
+	if swapped.hit() || swapped.verify() || swapped.cold() {
+		t.Fatal("an object carrying a key other than the signing one was seeded or accepted")
+	}
+	// With the right key back in place it is the seeded object.
+	swapped.pub = kp.Pub
+	if !swapped.hit() {
+		t.Fatal("the seed does not name the public half of the private key")
 	}
 }

@@ -95,14 +95,12 @@ type Block struct {
 	memoSelf *Block
 	memoHash hashx.Hash
 
-	// memoSigSelf/memoSigOK cache a positive VerifySig outcome under the
-	// same pointer-identity rule as memoSelf. In a network simulation the
-	// same *Block floods every node, and the signature is content-pure —
-	// one ed25519 verification serves all replicas. Only success is
-	// cached: a failed check re-verifies on every call, so the memo can
-	// never launder a block whose Sig was swapped after a rejection.
-	memoSigSelf *Block
-	memoSigOK   bool
+	// verified holds the signature verdict (see keys.SigMemo). In a
+	// network simulation the same *Block floods every node and the
+	// wallet that signed it seeds the verdict, so an honest block never
+	// costs an ed25519 check; a Sig or PubKey changed after acceptance
+	// misses and is checked in full.
+	verified keys.SigMemo
 }
 
 // wireSize is the modeled encoding of a lattice block: near Nano's real
@@ -143,28 +141,15 @@ func (b *Block) Hash() hashx.Hash {
 
 // sign fills PubKey and Sig.
 func (b *Block) sign(kp *keys.KeyPair) {
-	digest := b.Hash()
 	b.PubKey = kp.Pub
-	b.Sig = kp.Sign(digest[:])
+	b.Sig = kp.SignMemo(&b.verified, b.Account, b.Hash())
 }
 
 // VerifySig checks the owner signature and the key/account binding. The
-// outcome is memoized per pointer (see memoSigSelf): every replica after
-// the first reads the cached verdict instead of re-running ed25519.
+// verdict is memoized per pointer (see verified): every replica reads it
+// instead of running ed25519.
 func (b *Block) VerifySig() bool {
-	if b.memoSigSelf == b {
-		return b.memoSigOK
-	}
-	if keys.AddressOf(b.PubKey) != b.Account {
-		return false
-	}
-	digest := b.Hash()
-	if !keys.Verify(b.PubKey, digest[:], b.Sig) {
-		return false
-	}
-	b.memoSigSelf = b
-	b.memoSigOK = true
-	return true
+	return b.verified.Verify(b.Account, b.Hash(), b.PubKey, b.Sig)
 }
 
 // SolveWork attaches an anti-spam stamp of the given difficulty (§III-B:

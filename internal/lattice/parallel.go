@@ -72,8 +72,8 @@ func (l *Lattice) ProcessBatch(blocks []*Block, workers int) []Result {
 			pre[i].h = b.Hash()
 			pre[i].workOK = l.workBits <= 0 ||
 				hashx.VerifyStamp(pre[i].h[:], hashx.Stamp{Nonce: b.Work, Bits: l.workBits})
-			if b.memoSigSelf == b {
-				pre[i].sigOK = b.memoSigOK
+			if b.verified.Hit(b.Account, pre[i].h, b.PubKey, b.Sig) {
+				pre[i].sigOK = true
 				pre[i].memoed = true
 				continue // zero-value job; its verdict is ignored below
 			}
@@ -89,11 +89,10 @@ func (l *Lattice) ProcessBatch(blocks []*Block, workers int) []Result {
 	}
 	// Serial memo write-back: successful verdicts feed later batches and
 	// the serial Process path (only success is ever cached — see
-	// Block.VerifySig).
+	// keys.SigMemo).
 	for i, b := range blocks {
-		if pre[i].sigOK && b.memoSigSelf != b {
-			b.memoSigSelf = b
-			b.memoSigOK = true
+		if pre[i].sigOK && !pre[i].memoed {
+			b.verified.Store(b.Account, pre[i].h, b.PubKey, b.Sig)
 		}
 	}
 

@@ -118,10 +118,10 @@ type Vote struct {
 	PubKey ed25519.PublicKey
 	Sig    []byte
 
-	// verified caches a positive Verify outcome under the vote digest: a
-	// broadcast vote is one shared pointer delivered to every node, so
-	// one ed25519 check serves the whole network (see keys.VerifyMemo).
-	verified keys.VerifyMemo
+	// verified holds the signature verdict (see keys.SigMemo): a
+	// broadcast vote is one shared pointer delivered to every node, and
+	// NewVote seeds it, so an honest vote never costs an ed25519 check.
+	verified keys.SigMemo
 }
 
 // voteWireSize models the network cost of one vote message.
@@ -145,29 +145,16 @@ func voteDigest(v *Vote) hashx.Hash {
 // NewVote builds a signed vote by the representative key.
 func NewVote(kp *keys.KeyPair, block hashx.Hash, seq uint64) *Vote {
 	v := &Vote{Rep: kp.Address(), Block: block, Seq: seq, PubKey: kp.Pub}
-	digest := voteDigest(v)
-	v.Sig = kp.Sign(digest[:])
+	v.Sig = kp.SignMemo(&v.verified, v.Rep, voteDigest(v))
 	return v
 }
 
-// Verify checks the vote signature and key/address binding. A positive
-// outcome is memoized per pointer keyed by the content digest (see
-// verified): every node after the first pays only the digest hash, not
-// ed25519 — and a vote mutated after a successful check re-verifies,
-// because its digest no longer matches the memoized one.
+// Verify checks the vote signature and key/address binding. The verdict
+// is memoized per pointer over Rep, the content digest (recomputed on
+// every call), PubKey and Sig: every node pays the digest hash, not
+// ed25519 — and a vote mutated after a successful check re-verifies.
 func (v *Vote) Verify() bool {
-	digest := voteDigest(v)
-	if v.verified.Hit(digest) {
-		return true
-	}
-	if keys.AddressOf(v.PubKey) != v.Rep {
-		return false
-	}
-	if !keys.Verify(v.PubKey, digest[:], v.Sig) {
-		return false
-	}
-	v.verified.Store(digest)
-	return true
+	return v.verified.Verify(v.Rep, voteDigest(v), v.PubKey, v.Sig)
 }
 
 // Config tunes the tracker.

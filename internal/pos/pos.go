@@ -167,6 +167,10 @@ type Vote struct {
 	Target    Checkpoint
 	PubKey    ed25519.PublicKey
 	Sig       []byte
+
+	// verified holds the signature verdict (see keys.SigMemo), seeded by
+	// NewVote.
+	verified keys.SigMemo
 }
 
 // voteDigest is the signed content.
@@ -186,18 +190,13 @@ func voteDigest(v *Vote) hashx.Hash {
 // NewVote builds a signed FFG vote.
 func NewVote(kp *keys.KeyPair, source, target Checkpoint) *Vote {
 	v := &Vote{Validator: kp.Address(), Source: source, Target: target, PubKey: kp.Pub}
-	digest := voteDigest(v)
-	v.Sig = kp.Sign(digest[:])
+	v.Sig = kp.SignMemo(&v.verified, v.Validator, voteDigest(v))
 	return v
 }
 
 // Verify checks the vote signature and address binding.
 func (v *Vote) Verify() bool {
-	if keys.AddressOf(v.PubKey) != v.Validator {
-		return false
-	}
-	digest := voteDigest(v)
-	return keys.Verify(v.PubKey, digest[:], v.Sig)
+	return v.verified.Verify(v.Validator, voteDigest(v), v.PubKey, v.Sig)
 }
 
 // FFG errors and slashing causes.

@@ -1,0 +1,37 @@
+package pos
+
+import (
+	"crypto/ed25519"
+	"testing"
+
+	"repro/internal/hashx"
+	"repro/internal/keys"
+	"repro/internal/keys/sigtest"
+)
+
+func TestVoteSigMemoMatchesColdVerdict(t *testing.T) {
+	source := Checkpoint{Hash: hashx.Sum([]byte("sigtest/source")), Epoch: 1}
+	target := Checkpoint{Hash: hashx.Sum([]byte("sigtest/target")), Epoch: 2}
+	sigtest.Run(t, sigtest.Harness[Vote]{
+		New: func(t *testing.T, owner, signer *keys.KeyPair) *Vote {
+			v := NewVote(signer, source, target)
+			v.Validator = owner.Address() // the digest does not cover it
+			return v
+		},
+		// A vote has no re-sign method: a second signature is written
+		// into the fields.
+		Resign: func(v *Vote, kp *keys.KeyPair) {
+			digest := voteDigest(v)
+			v.PubKey, v.Sig = kp.Pub, kp.Sign(digest[:])
+		},
+		Verify: func(v *Vote) bool { return v.Verify() },
+		Cold: func(v *Vote) bool {
+			digest := voteDigest(v)
+			return keys.AddressOf(v.PubKey) == v.Validator && keys.Verify(v.PubKey, digest[:], v.Sig)
+		},
+		Copy:          func(v *Vote) *Vote { cp := *v; return &cp },
+		PubKey:        func(v *Vote) *ed25519.PublicKey { return &v.PubKey },
+		Sig:           func(v *Vote) *[]byte { return &v.Sig },
+		ChangeContent: func(v *Vote) { v.Target.Epoch++ },
+	})
+}

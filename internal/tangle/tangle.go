@@ -56,10 +56,9 @@ type Vertex struct {
 	memoSelf *Vertex
 	memoHash hashx.Hash
 
-	// memoSigSelf/memoSigOK cache a positive VerifySig outcome; failure
-	// is never cached, so a swapped Sig cannot be laundered.
-	memoSigSelf *Vertex
-	memoSigOK   bool
+	// verified holds the signature verdict (see keys.SigMemo), seeded
+	// by the issuing wallet's signature.
+	verified keys.SigMemo
 }
 
 // wireSize is the modeled encoding of a vertex: issuer + seq + two
@@ -100,28 +99,16 @@ func (v *Vertex) Hash() hashx.Hash {
 
 // sign fills PubKey and Sig.
 func (v *Vertex) sign(kp *keys.KeyPair) {
-	digest := v.Hash()
 	v.PubKey = kp.Pub
-	v.Sig = kp.Sign(digest[:])
+	v.Sig = kp.SignMemo(&v.verified, v.Issuer, v.Hash())
 }
 
 // VerifySig checks the issuer signature and that PubKey matches Issuer.
-// Success is memoized per pointer; the same *Vertex flooding every
-// simulated node costs one ed25519 verification total.
+// The verdict is memoized per pointer (see verified); the same *Vertex
+// flooding every simulated node costs no ed25519 verification when its
+// issuer signed it.
 func (v *Vertex) VerifySig() bool {
-	if v.memoSigSelf == v && v.memoSigOK {
-		return true
-	}
-	if keys.AddressOf(v.PubKey) != v.Issuer {
-		return false
-	}
-	digest := v.Hash()
-	if !keys.Verify(v.PubKey, digest[:], v.Sig) {
-		return false
-	}
-	v.memoSigSelf = v
-	v.memoSigOK = true
-	return true
+	return v.verified.Verify(v.Issuer, v.Hash(), v.PubKey, v.Sig)
 }
 
 // NewVertex builds and signs a payment vertex approving the two parents.

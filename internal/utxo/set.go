@@ -229,13 +229,17 @@ func (s *Set) check(tx *Tx, ids []uint32) (fee uint64, _ []uint32, err error) {
 		return 0, nil, errors.New("utxo: CheckTx does not accept coinbase transactions")
 	}
 	// Once a transaction's content has checked out at some ledger (see
-	// txMemo), what is left to ask is whether its inputs are unspent here.
+	// txMemo), what is left to ask is whether its inputs are unspent here
+	// and still carry the keys and signatures that were checked.
 	memo := tx.memoized()
 	if memo.valid {
-		for _, in := range tx.Ins {
+		for i, in := range tx.Ins {
 			id, ok := s.find(in.Prev)
 			if !ok {
 				return 0, nil, fmt.Errorf("%w: %s", ErrMissingOutput, in.Prev)
+			}
+			if err := memo.checkSig(i, in, s.cat.coins[id].Owner, memo.sigHash); err != nil {
+				return 0, nil, err
 			}
 			ids = append(ids, id)
 		}
@@ -257,11 +261,8 @@ func (s *Set) check(tx *Tx, ids []uint32) (fee uint64, _ []uint32, err error) {
 		}
 		ids = append(ids, id)
 		out := &s.cat.coins[id]
-		if keys.AddressOf(in.PubKey) != out.Owner {
-			return 0, nil, fmt.Errorf("%w: input %d", ErrWrongOwner, i)
-		}
-		if !keys.Verify(in.PubKey, digest[:], in.Sig) {
-			return 0, nil, fmt.Errorf("%w: input %d", ErrBadSignature, i)
+		if err := memo.checkSig(i, in, out.Owner, digest); err != nil {
+			return 0, nil, err
 		}
 		next := inSum + out.Value
 		if next < inSum {
@@ -280,7 +281,7 @@ func (s *Set) check(tx *Tx, ids []uint32) (fee uint64, _ []uint32, err error) {
 	if inSum < outSum {
 		return 0, nil, fmt.Errorf("%w: in=%d out=%d", ErrInsufficient, inSum, outSum)
 	}
-	memo.valid, memo.fee = true, inSum-outSum
+	memo.valid, memo.fee, memo.sigHash = true, inSum-outSum, digest
 	return memo.fee, ids, nil
 }
 

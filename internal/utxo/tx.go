@@ -57,7 +57,9 @@ type TxIn struct {
 // A Tx is immutable after its first ID(): the id and the verdict of
 // CheckTx's content checks are memoized on the pointer every replica of a
 // network shares. Sign and SignAll reset the memo; any other change after
-// ID() must be made on a copy.
+// ID() must be made on a copy. Signatures are the exception: every check
+// compares each input's PubKey and Sig with what was verified, so a
+// signature changed after acceptance is rejected.
 type Tx struct {
 	Ins            []TxIn
 	Outs           []TxOut
@@ -69,19 +71,37 @@ type Tx struct {
 // txMemo caches pure functions of the transaction's content. It is valid
 // only while self still points at the Tx that holds it, so a copied Tx
 // recomputes. valid records that every check of CheckTx that reads only
-// content has passed: no input is repeated, each public key hashes to the
-// owner of the output it spends (an outpoint names its output's value and
-// owner for good), each signature covers SigHash, and the inputs are
-// worth at least the outputs, by fee. That holds at every ledger the same
-// pointer is submitted to; only success is cached — a failing
-// transaction is re-checked in full on every call. What depends on a
-// ledger's state (the inputs exist there, unspent) is never cached.
+// the catalog and the transaction's outpoints and outputs has passed: no
+// input is repeated and the inputs are worth at least the outputs, by
+// fee; sigHash is the digest the inputs signed then. That holds at every
+// ledger the same pointer is submitted to; only success is cached — a
+// failing transaction is re-checked in full on every call. What depends
+// on a ledger's state (the inputs exist there, unspent) is never cached.
+//
+// sig holds the verdict on one (owner, key, signature): SignAll seeds it,
+// and every input signed by that key hits it at every check. A
+// transaction whose inputs carry different keys is sound but slow — each
+// input that is not the one last stored verifies in full.
 type txMemo struct {
-	self  *Tx
-	hasID bool
-	valid bool
-	id    hashx.Hash
-	fee   uint64
+	self    *Tx
+	hasID   bool
+	valid   bool
+	id      hashx.Hash
+	fee     uint64
+	sigHash hashx.Hash
+	sig     keys.SigMemo
+}
+
+// checkSig reports whether input i's key hashes to owner, the owner of
+// the coin it spends, and its signature covers digest.
+func (m *txMemo) checkSig(i int, in TxIn, owner keys.Address, digest hashx.Hash) error {
+	if m.sig.Verify(owner, digest, in.PubKey, in.Sig) {
+		return nil
+	}
+	if keys.AddressOf(in.PubKey) != owner {
+		return fmt.Errorf("%w: input %d", ErrWrongOwner, i)
+	}
+	return fmt.Errorf("%w: input %d", ErrBadSignature, i)
 }
 
 // memoized returns tx's memo, emptied first if it was copied in from
@@ -162,15 +182,15 @@ func (tx *Tx) Sign(i int, kp *keys.KeyPair) error {
 	return nil
 }
 
-// SignAll signs every input with the same key.
+// SignAll signs every input with the same key, and seeds the memo with
+// that signature's verdict for the coins the key owns.
 func (tx *Tx) SignAll(kp *keys.KeyPair) {
-	digest := tx.SigHash()
-	sig := kp.Sign(digest[:])
+	tx.memo = txMemo{self: tx}
+	sig := kp.SignMemo(&tx.memo.sig, kp.Address(), tx.SigHash())
 	for i := range tx.Ins {
 		tx.Ins[i].PubKey = kp.Pub
 		tx.Ins[i].Sig = sig
 	}
-	tx.memo = txMemo{}
 }
 
 // NewCoinbase builds the reward transaction for a block at the given
