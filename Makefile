@@ -22,12 +22,14 @@ race:
 	$(GO) test -race -timeout 60m ./internal/sim/... ./internal/core/... ./internal/lattice/... ./internal/keys/... ./internal/merkle/... ./internal/netsim/... ./internal/utxo/... ./internal/chain/... ./internal/account/... ./internal/orv/... ./internal/tangle/... ./internal/pos/...
 
 # Short fuzz smoke mirroring CI: batch settlement vs serial apply under
-# hostile block streams, link-model delay sanity for any bounds, tangle
-# tip selection, three UTXO sets on one coin catalog under
-# apply/undo/reorg, and the signature memo against cold verification.
+# hostile block streams, link-model delay sanity for any bounds, the
+# event queue against a naive minimum-scan model, tangle tip selection,
+# three UTXO sets on one coin catalog under apply/undo/reorg, and the
+# signature memo against cold verification.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzLatticeProcessBatch$$' -fuzztime 30s ./internal/lattice
 	$(GO) test -run '^$$' -fuzz '^FuzzLinkModelDelay$$' -fuzztime 15s ./internal/sim
+	$(GO) test -run '^$$' -fuzz '^FuzzPopOrder$$' -fuzztime 15s -fuzzminimizetime 2s ./internal/sim
 	$(GO) test -run '^$$' -fuzz '^FuzzTangleTipSelection$$' -fuzztime 30s ./internal/tangle
 	$(GO) test -run '^$$' -fuzz '^FuzzSetOwnerIndex$$' -fuzztime 15s ./internal/utxo
 	$(GO) test -run '^$$' -fuzz '^FuzzSigMemo$$' -fuzztime 15s ./internal/keys
@@ -48,13 +50,13 @@ bench:
 
 # The committed perf baseline this branch is gated against; bump when a
 # new trajectory point lands (see PERFORMANCE.md).
-BENCH_BASELINE ?= BENCH_021.json
+BENCH_BASELINE ?= BENCH_024.json
 
 # Regenerate the committed perf trajectory point. Run on a quiet
 # machine; review the diff against the previous baseline before
 # committing (make bench-gate does exactly that comparison).
 bench-commit:
-	$(GO) run ./cmd/dltbench -bench-report -bench-label 021 -bench-out $(BENCH_BASELINE)
+	$(GO) run ./cmd/dltbench -bench-report -bench-label 024 -bench-out $(BENCH_BASELINE)
 
 # The CI regression gate: re-run the suite (shorter measurement time,
 # same workload scale) and fail on >15% ns/op or allocs/op regressions

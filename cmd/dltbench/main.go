@@ -22,16 +22,14 @@
 //	dltbench -experiment E17 -selfish-gamma 0.5           # Eyal–Sirer connectivity
 //	dltbench -experiment E18 -double-spend-trials 10      # executed attacks
 //	dltbench -experiment E18 -depth-sweep                 # z = 1…6 merchant rules
-//	dltbench -experiment E19 -shards 4                    # sharded event lanes
-//	dltbench -queue calendar                              # calendar-queue scheduler
 //	dltbench -experiment E19 -mega-nodes 1000000          # million-node frontier point
 //	dltbench -experiment E20 -sync-pull-batch 8           # narrow cold-sync windows
 //	dltbench -experiment E20 -backlog-cap 256             # bounded backlog buffers
 //	dltbench -experiment E20 -backlog-ttl 30s             # age-based backlog eviction
 //	dltbench -list               # show the registry
 //	dltbench -timing             # append the wall-clock/speedup table
-//	dltbench -bench-report -bench-out BENCH_021.json      # commit a perf baseline
-//	dltbench -bench-compare BENCH_021.json                # live regression gate
+//	dltbench -bench-report -bench-out BENCH_024.json      # commit a perf baseline
+//	dltbench -bench-compare BENCH_024.json                # live regression gate
 //	dltbench -bench-compare old.json -bench-candidate new.json  # diff two files
 package main
 
@@ -50,7 +48,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/perf"
-	"repro/internal/sim"
 )
 
 func main() {
@@ -87,10 +84,6 @@ func run() int {
 			"extra withheld-weight fraction added to E17's vote-withholding sweep (0 = default sweep only)")
 		depthSweep = flag.Bool("depth-sweep", false,
 			"add E18's confirmation-depth sweep: the executed chain double spend rerun for merchant rules z = 1…6 against two attack-window lengths, with the analytic catch-up odds beside each")
-		shards = flag.Int("shards", 0,
-			"event-queue lanes per simulated network (<= 0 = 1); tables are identical for every value — a pure capacity knob for mega-scale runs")
-		queue = flag.String("queue", "",
-			"event-queue backend: heap (binary heap, default) or calendar (O(1) calendar queue); tables are identical under either — a pure scheduler choice")
 		megaNodes = flag.Int("mega-nodes", 0,
 			"append an unscaled frontier point of this many nodes to E19's sweep when it extends it (0 = default 10^2…10^5 sweep)")
 		syncPullBatch = flag.Int("sync-pull-batch", 0,
@@ -106,7 +99,7 @@ func run() int {
 		benchReport = flag.Bool("bench-report", false,
 			"run the perf trajectory suite and write the canonical BENCH JSON (see PERFORMANCE.md)")
 		benchOut   = flag.String("bench-out", "", "path for the -bench-report output ('' = stdout)")
-		benchLabel = flag.String("bench-label", "021", "baseline label embedded in the -bench-report output")
+		benchLabel = flag.String("bench-label", "024", "baseline label embedded in the -bench-report output")
 		benchScale = flag.Float64("bench-scale", 1, "perf suite workload scale; reports only compare at equal scale")
 		benchTime  = flag.Duration("bench-time", time.Second,
 			"minimum measured duration per perf benchmark (CI turns this down, not -bench-scale)")
@@ -143,7 +136,7 @@ func run() int {
 		withholdWeight: *withholdWeight, partitionFrac: *partitionFrac,
 		churnNodes: *churnNodes, dsTrials: *dsTrials,
 		syncPullBatch: *syncPullBatch, backlogCap: *backlogCap, backlogTTL: *backlogTTL,
-		queue: *queue, megaNodes: *megaNodes, paradigms: parseParadigms(*paradigm),
+		megaNodes: *megaNodes, paradigms: parseParadigms(*paradigm),
 	}); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 1
@@ -177,8 +170,6 @@ func run() int {
 		SelfishGamma:      *selfishGamma,
 		WithholdWeight:    *withholdWeight,
 		DepthSweep:        *depthSweep,
-		Shards:            *shards,
-		Queue:             *queue,
 		MegaNodes:         *megaNodes,
 		SyncPullBatch:     *syncPullBatch,
 		BacklogCap:        *backlogCap,
@@ -216,7 +207,6 @@ type knobRanges struct {
 	eclipseFrac, selfishAlpha, selfishGamma, withholdWeight, partitionFrac float64
 	churnNodes, dsTrials, syncPullBatch, backlogCap, megaNodes             int
 	backlogTTL                                                             time.Duration
-	queue                                                                  string
 	paradigms                                                              []string
 }
 
@@ -269,9 +259,6 @@ func validateKnobs(k knobRanges) error {
 	}
 	if k.backlogTTL < 0 || k.backlogTTL > 24*time.Hour {
 		return fmt.Errorf("-backlog-ttl %v out of range: want an age bound in [0, 24h]", k.backlogTTL)
-	}
-	if _, err := sim.ParseQueue(k.queue); err != nil {
-		return fmt.Errorf("-queue %q unknown: want heap or calendar", k.queue)
 	}
 	if k.megaNodes < 0 || k.megaNodes > 10_000_000 {
 		return fmt.Errorf("-mega-nodes %d out of range: want a node count in [0, 10000000]", k.megaNodes)

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"os"
+	"os/exec"
 	"strings"
 	"testing"
 	"time"
@@ -18,13 +20,10 @@ func TestValidateKnobs(t *testing.T) {
 		eclipseFrac: 1, selfishAlpha: 0.45, selfishGamma: 1,
 		withholdWeight: 1, partitionFrac: 0.5, churnNodes: 3, dsTrials: 10,
 		syncPullBatch: 65536, backlogCap: 1 << 20, backlogTTL: 24 * time.Hour,
-		queue: "calendar", megaNodes: 10_000_000,
+		megaNodes: 10_000_000,
 		paradigms: []string{"bitcoin", "ethereum", "nano", "tangle"},
 	}); err != nil {
 		t.Fatalf("in-range knobs rejected: %v", err)
-	}
-	if err := validateKnobs(knobRanges{queue: "heap"}); err != nil {
-		t.Fatalf("-queue heap rejected: %v", err)
 	}
 	if err := validateKnobs(knobRanges{paradigms: []string{"all"}}); err != nil {
 		t.Fatalf("-paradigm all rejected: %v", err)
@@ -50,7 +49,6 @@ func TestValidateKnobs(t *testing.T) {
 		{"-backlog-cap", knobRanges{backlogCap: 1<<20 + 1}},
 		{"-backlog-ttl", knobRanges{backlogTTL: -time.Second}},
 		{"-backlog-ttl", knobRanges{backlogTTL: 25 * time.Hour}},
-		{"-queue", knobRanges{queue: "fibonacci"}},
 		{"-mega-nodes", knobRanges{megaNodes: -1}},
 		{"-mega-nodes", knobRanges{megaNodes: 10_000_001}},
 		{"-paradigm", knobRanges{paradigms: []string{"iota"}}},
@@ -89,5 +87,30 @@ func TestParseParadigms(t *testing.T) {
 	// (it matches everything in core), not silently collapsed.
 	if got := parseParadigms("all,nano"); len(got) != 2 {
 		t.Fatalf("parseParadigms(all,nano) = %v", got)
+	}
+}
+
+// The event-queue knobs are gone with the backends they selected: a
+// leftover -shards 4 or -queue calendar in a script must fail loudly —
+// non-zero exit, the flag's name on stderr — not be silently ignored.
+// The test re-executes its own binary as dltbench.
+func TestRemovedQueueFlagsRejected(t *testing.T) {
+	if args := os.Getenv("DLTBENCH_TEST_ARGS"); args != "" {
+		os.Args = append([]string{"dltbench"}, strings.Fields(args)...)
+		main()
+		return
+	}
+	for _, args := range []string{"-shards 4 -list", "-queue calendar -list"} {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestRemovedQueueFlagsRejected$")
+		cmd.Env = append(os.Environ(), "DLTBENCH_TEST_ARGS="+args)
+		out, err := cmd.CombinedOutput()
+		exit, ok := err.(*exec.ExitError)
+		if !ok || exit.ExitCode() == 0 {
+			t.Fatalf("dltbench %s: want a non-zero exit, got err=%v\n%s", args, err, out)
+		}
+		name := strings.Fields(args)[0]
+		if !strings.Contains(string(out), "flag provided but not defined: "+name) {
+			t.Fatalf("dltbench %s: output does not name the rejected flag:\n%s", args, out)
+		}
 	}
 }

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"repro/internal/metrics"
-	"repro/internal/sim"
 )
 
 // Paradigm tags which side of the comparison a system belongs to.
@@ -94,19 +93,6 @@ type Config struct {
 	// vote-withholding sweep. Zero — or a value outside (0, 1] — keeps
 	// the default {0, 25%, 55%} sweep.
 	WithholdWeight float64
-	// Shards is the event-queue lane count every simulated network runs
-	// with (sim.NewSharded via netsim.NetParams.Shards). Results are
-	// identical for every value — pinned by test, like Workers — so it is
-	// a pure capacity knob for mega-scale runs. <= 0 means 1.
-	Shards int
-	// Queue selects the event-queue backend every simulated network runs
-	// on: "heap" (the default, also "") or "calendar" (sim.ParseQueue).
-	// Both backends pop in the identical (time, sequence) order — pinned
-	// by invariance and fuzz tests — so every table is byte-identical
-	// under either; the calendar queue keeps per-operation cost flat at
-	// mega-scale pending-event populations. Unknown spellings fall back
-	// to the heap (dltbench validates user input before it gets here).
-	Queue string
 	// MegaNodes appends one extra node-count point to E19's sweep on
 	// both paradigms — the 10⁶-node frontier. The point is time- and
 	// memory-budgeted: it reuses the fixed sweep workload, keeps the
@@ -174,9 +160,6 @@ func (c Config) withDefaults() Config {
 	if c.WithholdWeight <= 0 || c.WithholdWeight > 1 {
 		c.WithholdWeight = 0
 	}
-	if c.Shards < 1 {
-		c.Shards = 1
-	}
 	if c.MegaNodes < 0 {
 		c.MegaNodes = 0
 	}
@@ -184,13 +167,6 @@ func (c Config) withDefaults() Config {
 		c.BacklogTTL = 0
 	}
 	return c
-}
-
-// queue resolves the Queue knob to its sim backend; unknown spellings
-// fall back to the heap default.
-func (c Config) queue() sim.QueueBackend {
-	b, _ := sim.ParseQueue(c.Queue)
-	return b
 }
 
 // dur scales a baseline duration.

@@ -158,7 +158,7 @@ func RunE14Resilience(ctx context.Context, cfg Config) (*metrics.Table, error) {
 // even at large -double-spend-trials values.
 func e15NanoTrial(cfg Config, k int, trial int) (netsim.DoubleSpendOutcome, float64, metrics.Histogram, error) {
 	net, err := netsim.NewNano(netsim.NanoConfig{
-		Net:      cfg.netParams(10, 3, cfg.Seed+int64(100_000*(k+1)+trial), 10*time.Millisecond, 60*time.Millisecond),
+		Net:      netParams(10, 3, cfg.Seed+int64(100_000*(k+1)+trial), 10*time.Millisecond, 60*time.Millisecond),
 		Accounts: 40, Reps: 10, Workers: cfg.Workers,
 		ByzantineNodes: k,
 	})

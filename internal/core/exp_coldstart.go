@@ -10,8 +10,7 @@ package core
 // builds a history for factor × base-span, then the cold node rejoins
 // and the netsim sync manager range-pulls the canonical stream from a
 // live peer. Every cell derives from deterministic sim counters, so the
-// table is identical for any Workers and any Shards value (pinned by
-// test, like E19).
+// table is identical for any Workers (pinned by test, like E19).
 
 import (
 	"context"
@@ -50,7 +49,7 @@ func e20Chain(cfg Config, factor int) ([]string, error) {
 	for i := 0; i < cold; i++ {
 		rates[i] = 1
 	}
-	np := cfg.netParams(nodes, 4, cfg.Seed+int64(100+factor), 20*time.Millisecond, 200*time.Millisecond)
+	np := netParams(nodes, 4, cfg.Seed+int64(100+factor), 20*time.Millisecond, 200*time.Millisecond)
 	np.SampleBudget = e19SampleBudget
 	net, err := netsim.NewBitcoin(netsim.BitcoinConfig{
 		Net:           np,
@@ -86,7 +85,7 @@ func e20Chain(cfg Config, factor int) ([]string, error) {
 // the network never sees.
 func e20Nano(cfg Config, factor int) ([]string, error) {
 	const nodes, cold = 8, 7
-	np := cfg.netParams(nodes, 4, cfg.Seed+int64(200+factor), 20*time.Millisecond, 200*time.Millisecond)
+	np := netParams(nodes, 4, cfg.Seed+int64(200+factor), 20*time.Millisecond, 200*time.Millisecond)
 	np.SampleBudget = e19SampleBudget
 	net, err := netsim.NewNano(netsim.NanoConfig{
 		Net:      np,
@@ -137,6 +136,6 @@ func RunE20ColdStart(ctx context.Context, cfg Config) (*metrics.Table, error) {
 	t.AddNote("the cold node is detached from t=0 and rejoins after the history is built; catch-up is rejoin → final range window (sim time)")
 	t.AddNote("chains pull the main chain in height order; the lattice pulls the account-ordered block stream — both through the netsim sync manager")
 	t.AddNote("pulled counts every block served to pullers (range windows + gap-repair backstop); evicted counts bounded-backlog drops")
-	t.AddNote("cells derive from deterministic counters only — tables are identical for any Workers and any Shards value")
+	t.AddNote("cells derive from deterministic counters only — tables are identical for any Workers")
 	return t, nil
 }

@@ -1,46 +1,18 @@
 package core
 
 // E20 acceptance properties: the cold-start table must be a pure
-// function of (Seed, Scale) — identical for any event-queue shard count
-// and any worker count — and every sweep point must actually complete
-// its catch-up and pull bytes (an "incomplete" row measures nothing).
+// function of (Seed, Scale) — identical for any worker count — and
+// every sweep point must actually complete its catch-up and pull bytes
+// (an "incomplete" row measures nothing).
 
 import (
 	"context"
-	"strings"
 	"testing"
 )
 
-func renderE20(t *testing.T, cfg Config) string {
-	t.Helper()
-	tbl, err := RunE20ColdStart(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sb strings.Builder
-	if err := tbl.Render(&sb); err != nil {
-		t.Fatal(err)
-	}
-	return sb.String()
-}
-
 // The sync manager's pulls ride the same deterministic simulator as the
-// gossip they recover: E20 renders byte-identically for any shard count
-// and any sweep-point fan-out width.
-func TestE20ShardAndWorkerInvariance(t *testing.T) {
-	base := Config{Seed: 11, Scale: 0.02}
-	serial := renderE20(t, Config{Seed: base.Seed, Scale: base.Scale, Shards: 1, Workers: 1})
-	for _, variant := range []Config{
-		{Seed: base.Seed, Scale: base.Scale, Shards: 4, Workers: 1},
-		{Seed: base.Seed, Scale: base.Scale, Shards: 8, Workers: DefaultWorkers()},
-		{Seed: base.Seed, Scale: base.Scale, Shards: 1, Workers: 4},
-	} {
-		if got := renderE20(t, variant); got != serial {
-			t.Fatalf("E20 diverged at shards=%d workers=%d:\n--- got ---\n%s\n--- want ---\n%s",
-				variant.Shards, variant.Workers, got, serial)
-		}
-	}
-}
+// gossip they recover.
+func TestE20WorkerInvariance(t *testing.T) { assertWorkerInvariant(t, "E20") }
 
 // Every point must finish its bootstrap within the horizon and pull a
 // growing history: catch-up complete, bytes pulled, range pulls issued.

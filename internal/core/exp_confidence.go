@@ -27,7 +27,7 @@ func RunE4Forks(ctx context.Context, cfg Config) (*metrics.Table, error) {
 			return nil, err
 		}
 		net, err := netsim.NewBitcoin(netsim.BitcoinConfig{
-			Net:           cfg.netParams(12, 3, cfg.Seed, 200*time.Millisecond, 2*time.Second),
+			Net:           netParams(12, 3, cfg.Seed, 200*time.Millisecond, 2*time.Second),
 			BlockInterval: interval,
 			Accounts:      8,
 		})
@@ -93,7 +93,7 @@ func RunE6VoteConfirmation(ctx context.Context, cfg Config) (*metrics.Table, err
 				return nil, err
 			}
 			net, err := netsim.NewNano(netsim.NanoConfig{
-				Net:            cfg.netParams(10, 3, cfg.Seed, 20*time.Millisecond, 120*time.Millisecond),
+				Net:            netParams(10, 3, cfg.Seed, 20*time.Millisecond, 120*time.Millisecond),
 				Accounts:       24,
 				Reps:           reps,
 				QuorumFraction: quorum,

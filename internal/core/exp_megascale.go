@@ -6,11 +6,10 @@ package core
 // finality latency and per-node message/state cost. The sweep
 // dimensions follow the DAG-systems SoK (throughput, finality, memory
 // growth per node); the mega-scale points are what the struct-of-arrays
-// node state, the sharded event lanes and the memoized signature
-// verification exist for. Every cell is computed from deterministic
-// counters (events, messages, modeled ledger bytes), never from
-// runtime.MemStats, so tables are identical for any worker count and
-// any shard count K — both pinned by test.
+// node state and the memoized signature verification exist for. Every
+// cell is computed from deterministic counters (events, messages,
+// modeled ledger bytes), never from runtime.MemStats, so tables are
+// identical for any worker count — pinned by test.
 
 import (
 	"context"
@@ -105,7 +104,7 @@ func e19Row(system string, nodes int, events uint64, msgs int, traffic int64, tp
 // block interval plus the median full-network propagation delay — the
 // expected wait for one confirmation (§IV-A's weakest merchant rule).
 func e19Chain(cfg Config, nodes int) ([]string, error) {
-	np := cfg.netParams(nodes, 4, cfg.Seed+int64(nodes), 20*time.Millisecond, 200*time.Millisecond)
+	np := netParams(nodes, 4, cfg.Seed+int64(nodes), 20*time.Millisecond, 200*time.Millisecond)
 	np.SampleBudget = e19SampleBudget
 	net, err := netsim.NewBitcoin(netsim.BitcoinConfig{
 		Net:           np,
@@ -134,7 +133,7 @@ func e19Chain(cfg Config, nodes int) ([]string, error) {
 // block-creation→quorum delay at the observer — vote aggregation, not
 // block depth, so it tracks propagation alone as the network grows.
 func e19Nano(cfg Config, nodes int) ([]string, error) {
-	np := cfg.netParams(nodes, 4, cfg.Seed+int64(nodes)+1, 20*time.Millisecond, 200*time.Millisecond)
+	np := netParams(nodes, 4, cfg.Seed+int64(nodes)+1, 20*time.Millisecond, 200*time.Millisecond)
 	np.SampleBudget = e19SampleBudget
 	net, err := netsim.NewNano(netsim.NanoConfig{
 		Net:      np,
@@ -184,6 +183,6 @@ func RunE19ScalingLaw(ctx context.Context, cfg Config) (*metrics.Table, error) {
 	t.AddNote("fixed workload at every size: cost deltas are network-size effects, not load effects")
 	t.AddNote("chain finality = mean block interval + median full-network propagation (1-conf wait); lattice finality = median vote-quorum delay at the observer")
 	t.AddNote("state/node is the modeled ledger size every full node stores (§V); msgs/node and traffic/node are the per-node share of network totals")
-	t.AddNote("cells derive from deterministic counters only — tables are identical for any Workers and any event-queue shard count (sim.NewSharded)")
+	t.AddNote("cells derive from deterministic counters only — tables are identical for any Workers")
 	return t, nil
 }

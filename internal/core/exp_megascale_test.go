@@ -1,10 +1,9 @@
 package core
 
 // E19 acceptance properties: the scaling-law table must be a pure
-// function of (Seed, Scale) — identical for any event-queue shard count
-// K and any worker count — and every sweep row must actually carry
-// traffic (the floored workload guarantees at least one settled
-// transfer even at tiny test scales).
+// function of (Seed, Scale) — identical for any worker count — and
+// every sweep row must actually carry traffic (the floored workload
+// guarantees at least one settled transfer even at tiny test scales).
 
 import (
 	"context"
@@ -16,36 +15,34 @@ import (
 	"repro/internal/metrics"
 )
 
-func renderE19(t *testing.T, cfg Config) string {
+// assertWorkerInvariant renders one registered experiment serially and
+// at wider sweep-point fan-outs: the fan-out must be invisible in the
+// table, byte for byte.
+func assertWorkerInvariant(t *testing.T, id string) {
 	t.Helper()
-	tbl, err := RunE19ScalingLaw(context.Background(), cfg)
+	e, err := ByID(id)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var sb strings.Builder
-	if err := tbl.Render(&sb); err != nil {
-		t.Fatal(err)
-	}
-	return sb.String()
-}
-
-// The sharded event loop must be invisible in the results: E19 renders
-// byte-identically for K = 1, 4, 8 lanes and for any sweep-point
-// fan-out width.
-func TestE19ShardAndWorkerInvariance(t *testing.T) {
-	base := Config{Seed: 11, Scale: 0.02}
-	serial := renderE19(t, Config{Seed: base.Seed, Scale: base.Scale, Shards: 1, Workers: 1})
-	for _, variant := range []Config{
-		{Seed: base.Seed, Scale: base.Scale, Shards: 4, Workers: 1},
-		{Seed: base.Seed, Scale: base.Scale, Shards: 8, Workers: DefaultWorkers()},
-		{Seed: base.Seed, Scale: base.Scale, Shards: 1, Workers: 4},
-	} {
-		if got := renderE19(t, variant); got != serial {
-			t.Fatalf("E19 diverged at shards=%d workers=%d:\n--- got ---\n%s\n--- want ---\n%s",
-				variant.Shards, variant.Workers, got, serial)
+	var serial string
+	for _, workers := range []int{1, 4, DefaultWorkers()} {
+		tbl, err := e.Run(context.Background(), Config{Seed: 11, Scale: 0.02, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sb strings.Builder
+		if err := tbl.Render(&sb); err != nil {
+			t.Fatal(err)
+		}
+		if workers == 1 {
+			serial = sb.String()
+		} else if got := sb.String(); got != serial {
+			t.Fatalf("%s diverged at workers=%d:\n--- got ---\n%s\n--- want ---\n%s", id, workers, got, serial)
 		}
 	}
 }
+
+func TestE19WorkerInvariance(t *testing.T) { assertWorkerInvariant(t, "E19") }
 
 // Every sweep point must settle traffic: a row whose throughput or
 // event count is zero measures nothing (the regression this pins was a

@@ -40,7 +40,7 @@ func e9Bitcoin(cfg Config, faults *netsim.FaultSchedule) (netsim.ChainMetrics, b
 	btcParams.RetargetWindow = 1 << 30
 	btcParams.GenesisOutputsPerAccount = 64
 	btc, err := netsim.NewBitcoin(netsim.BitcoinConfig{
-		Net:    cfg.netParams(8, 3, cfg.Seed, 50*time.Millisecond, 500*time.Millisecond),
+		Net:    netParams(8, 3, cfg.Seed, 50*time.Millisecond, 500*time.Millisecond),
 		Ledger: btcParams, BlockInterval: 30 * time.Second,
 		Accounts: 128, InitialBalance: 1 << 32,
 	})
@@ -69,7 +69,7 @@ func e9Bitcoin(cfg Config, faults *netsim.FaultSchedule) (netsim.ChainMetrics, b
 func e9Nano(cfg Config, batch int, window time.Duration, faults *netsim.FaultSchedule, assess bool) (netsim.NanoMetrics, bool, error) {
 	nanoDur := e9NanoDur(cfg)
 	nano, err := netsim.NewNano(netsim.NanoConfig{
-		Net:      cfg.netParams(8, 3, cfg.Seed+3, 10*time.Millisecond, 80*time.Millisecond),
+		Net:      netParams(8, 3, cfg.Seed+3, 10*time.Millisecond, 80*time.Millisecond),
 		Accounts: 64, Reps: 4, Workers: cfg.Workers,
 		BatchSize: batch, BatchWindow: window,
 		ProcPerBlock: 4 * time.Millisecond, // consumer-grade validation
@@ -135,7 +135,7 @@ func e9BitcoinSystems(cfg Config) []e9System {
 // and PoS consensus variants, two sweep systems from one registration.
 func e9EthereumSystems(cfg Config) []e9System {
 	net8 := func(seed int64) netsim.NetParams {
-		return cfg.netParams(8, 3, seed, 50*time.Millisecond, 500*time.Millisecond)
+		return netParams(8, 3, seed, 50*time.Millisecond, 500*time.Millisecond)
 	}
 	dur := cfg.dur(12 * time.Minute)
 	return []e9System{
@@ -272,7 +272,7 @@ func RunE10BlockSize(ctx context.Context, cfg Config) (*metrics.Table, error) {
 		params.GenesisOutputsPerAccount = 64
 		net, err := netsim.NewBitcoin(netsim.BitcoinConfig{
 			Net: netsim.NetParams{
-				Nodes: 10, PeerDegree: 3, Seed: cfg.Seed, Shards: cfg.Shards, Queue: cfg.queue(),
+				Nodes: 10, PeerDegree: 3, Seed: cfg.Seed,
 				MinLatency:  50 * time.Millisecond,
 				MaxLatency:  300 * time.Millisecond,
 				BytesPerSec: 100_000, // consumer-grade links
@@ -467,7 +467,7 @@ func RunE12Sharding(ctx context.Context, cfg Config) (*metrics.Table, error) {
 	nanoRows, err := fanOut(ctx, cfg, len(points), func(idx int) ([]string, error) {
 		pt := points[idx]
 		net, err := netsim.NewNano(netsim.NanoConfig{
-			Net:      cfg.netParams(8, 3, cfg.Seed, 10*time.Millisecond, 60*time.Millisecond),
+			Net:      netParams(8, 3, cfg.Seed, 10*time.Millisecond, 60*time.Millisecond),
 			Accounts: 64, Reps: 4, Workers: cfg.Workers,
 			BatchSize: pt.batch, BatchWindow: cfg.NanoBatchWindow,
 			ProcPerBlock: pt.proc, ProcPerVote: pt.proc / 10,

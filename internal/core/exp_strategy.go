@@ -22,7 +22,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/pow"
-	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -57,7 +56,7 @@ func e16Fracs(cfg Config) []float64 {
 // zero the pipeline is the untouched honest run.
 func e16Bitcoin(cfg Config, frac float64) ([]string, error) {
 	net, err := netsim.NewBitcoin(netsim.BitcoinConfig{
-		Net:           cfg.netParams(10, 4, cfg.Seed+11, 20*time.Millisecond, 150*time.Millisecond),
+		Net:           netParams(10, 4, cfg.Seed+11, 20*time.Millisecond, 150*time.Millisecond),
 		BlockInterval: 15 * time.Second, Accounts: 64, InitialBalance: 1 << 32,
 	})
 	if err != nil {
@@ -85,7 +84,7 @@ func e16Bitcoin(cfg Config, frac float64) ([]string, error) {
 // unsettled backlog, confirmation latency — are the victim's experience.
 func e16Nano(cfg Config, frac float64) ([]string, error) {
 	net, err := netsim.NewNano(netsim.NanoConfig{
-		Net:      cfg.netParams(10, 4, cfg.Seed+13, 10*time.Millisecond, 60*time.Millisecond),
+		Net:      netParams(10, 4, cfg.Seed+13, 10*time.Millisecond, 60*time.Millisecond),
 		Accounts: 40, Reps: 4, Workers: cfg.Workers,
 	})
 	if err != nil {
@@ -170,7 +169,7 @@ const e17SelfishNodes = 8
 // The threshold test reuses this constructor at longer horizons, so the
 // network the classic-threshold assertions run on is exactly the one the
 // E17 table sweeps.
-func e17SelfishNet(seed int64, alpha float64, shards int, queue sim.QueueBackend) (*netsim.BitcoinNet, error) {
+func e17SelfishNet(seed int64, alpha float64) (*netsim.BitcoinNet, error) {
 	const nodes = e17SelfishNodes
 	rates := make([]float64, nodes)
 	for i := 0; i < nodes-1; i++ {
@@ -181,10 +180,7 @@ func e17SelfishNet(seed int64, alpha float64, shards int, queue sim.QueueBackend
 		rates[nodes-1] = alpha * float64(nodes-1) / (1 - alpha)
 	}
 	return netsim.NewBitcoin(netsim.BitcoinConfig{
-		Net: netsim.NetParams{
-			Nodes: nodes, PeerDegree: 3, Seed: seed, Shards: shards, Queue: queue,
-			MinLatency: 20 * time.Millisecond, MaxLatency: 150 * time.Millisecond,
-		},
+		Net:           netParams(nodes, 3, seed, 20*time.Millisecond, 150*time.Millisecond),
 		BlockInterval: 10 * time.Second, Accounts: 32, InitialBalance: 1 << 32,
 		HashRates: rates,
 	})
@@ -198,7 +194,7 @@ func e17SelfishNet(seed int64, alpha float64, shards int, queue sim.QueueBackend
 // itself.
 func e17Selfish(cfg Config, alpha float64) ([]string, error) {
 	const nodes = e17SelfishNodes
-	net, err := e17SelfishNet(cfg.Seed+17, alpha, cfg.Shards, cfg.queue())
+	net, err := e17SelfishNet(cfg.Seed+17, alpha)
 	if err != nil {
 		return nil, err
 	}
@@ -249,7 +245,7 @@ func e17Selfish(cfg Config, alpha float64) ([]string, error) {
 // quorum margin.
 func e17Withhold(cfg Config, w float64) ([]string, error) {
 	net, err := netsim.NewNano(netsim.NanoConfig{
-		Net:      cfg.netParams(10, 4, cfg.Seed+19, 10*time.Millisecond, 60*time.Millisecond),
+		Net:      netParams(10, 4, cfg.Seed+19, 10*time.Millisecond, 60*time.Millisecond),
 		Accounts: 40, Reps: 8, Workers: cfg.Workers,
 	})
 	if err != nil {

@@ -14,7 +14,6 @@ import (
 
 	"repro/internal/metrics"
 	"repro/internal/pow"
-	"repro/internal/sim"
 )
 
 // E16, E17 and E18 must render byte-identically for any worker count:
@@ -145,7 +144,7 @@ func TestE17GammaBracketsClassicThresholds(t *testing.T) {
 		t.Fatalf("SelfishThreshold(1) = %v, want 0", got)
 	}
 	share := func(alpha, gamma float64) float64 {
-		net, err := e17SelfishNet(7, alpha, 1, sim.QueueHeap)
+		net, err := e17SelfishNet(7, alpha)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -141,7 +141,7 @@ func RunE3Settlement(ctx context.Context, cfg Config) (*metrics.Table, error) {
 	cfg = cfg.withDefaults()
 	run := func(offline map[int]bool) (netsim.NanoMetrics, error) {
 		net, err := netsim.NewNano(netsim.NanoConfig{
-			Net:              cfg.netParams(8, 3, cfg.Seed, 10*time.Millisecond, 60*time.Millisecond),
+			Net:              netParams(8, 3, cfg.Seed, 10*time.Millisecond, 60*time.Millisecond),
 			Accounts:         16,
 			Reps:             4,
 			OfflineReceivers: offline,

@@ -31,7 +31,7 @@ func e9TangleDur(cfg Config) time.Duration { return cfg.dur(40 * time.Second) }
 func e9TangleSystems(cfg Config) []e9System {
 	return []e9System{{key: "tangle", run: func() (e9SysResult, error) {
 		net, err := netsim.NewTangle(netsim.TangleConfig{
-			Net:      cfg.netParams(8, 3, cfg.Seed+4, 20*time.Millisecond, 120*time.Millisecond),
+			Net:      netParams(8, 3, cfg.Seed+4, 20*time.Millisecond, 120*time.Millisecond),
 			Accounts: 64,
 		})
 		if err != nil {
@@ -54,7 +54,7 @@ func e9TangleSystems(cfg Config) []e9System {
 // lattice it tracks propagation, not block depth, but the threshold is
 // met by later traffic instead of votes.
 func e19Tangle(cfg Config, nodes int) ([]string, error) {
-	np := cfg.netParams(nodes, 4, cfg.Seed+int64(nodes)+2, 20*time.Millisecond, 200*time.Millisecond)
+	np := netParams(nodes, 4, cfg.Seed+int64(nodes)+2, 20*time.Millisecond, 200*time.Millisecond)
 	np.SampleBudget = e19SampleBudget
 	// Coverage comes from later traffic alone, so the fixed sweep
 	// workload (a handful of transfers at every size) pairs with the
@@ -90,7 +90,7 @@ func e19Tangle(cfg Config, nodes int) ([]string, error) {
 // detached owner would mint vertices the network never sees.
 func e20Tangle(cfg Config, factor int) ([]string, error) {
 	const nodes, cold = 8, 7
-	np := cfg.netParams(nodes, 4, cfg.Seed+int64(300+factor), 20*time.Millisecond, 200*time.Millisecond)
+	np := netParams(nodes, 4, cfg.Seed+int64(300+factor), 20*time.Millisecond, 200*time.Millisecond)
 	np.SampleBudget = e19SampleBudget
 	net, err := netsim.NewTangle(netsim.TangleConfig{
 		Net: np, Accounts: e19Accounts, BacklogCap: cfg.BacklogCap,
@@ -133,7 +133,7 @@ const e21ParasiteNode = 5
 // seed stride.
 func e21Net(cfg Config, confirmWeight int, seedOff int64) (*netsim.TangleNet, []workload.TimedPayment, time.Duration, error) {
 	net, err := netsim.NewTangle(netsim.TangleConfig{
-		Net:           cfg.netParams(8, 3, cfg.Seed+seedOff, 20*time.Millisecond, 120*time.Millisecond),
+		Net:           netParams(8, 3, cfg.Seed+seedOff, 20*time.Millisecond, 120*time.Millisecond),
 		Accounts:      e19Accounts,
 		ConfirmWeight: confirmWeight,
 	})
@@ -226,6 +226,6 @@ func RunE21TangleConfirmation(ctx context.Context, cfg Config) (*metrics.Table, 
 	t.AddNote("confirm-weight is the cumulative-coverage threshold: the cooperative analogue of §IV-A's depth rules — higher thresholds buy confidence with latency")
 	t.AddNote("the parasite chain withholds vertices into a hidden sub-tangle and floods it at the release depth (tip-selection Behavior seam)")
 	t.AddNote("under pure cumulative weight the released sub-tangle self-certifies (attacker-confirmed > 0) — the known weakness that makes production tangles bias tip selection against side-chains")
-	t.AddNote("cells derive from deterministic counters only — tables are identical for any Workers and any Shards value")
+	t.AddNote("cells derive from deterministic counters only — tables are identical for any Workers")
 	return t, nil
 }

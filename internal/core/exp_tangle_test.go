@@ -1,10 +1,10 @@
 package core
 
 // E21 acceptance properties: the tangle-confirmation table must be a
-// pure function of (Seed, Scale) — identical for any event-queue shard
-// count and any worker count, like E19/E20 — and every sweep point must
-// measure something: honest rows confirm traffic, parasite rows release
-// their hidden sub-tangle and land attacker vertices.
+// pure function of (Seed, Scale) — identical for any worker count,
+// like E19/E20 — and every sweep point must measure something: honest
+// rows confirm traffic, parasite rows release their hidden sub-tangle
+// and land attacker vertices.
 
 import (
 	"context"
@@ -13,36 +13,9 @@ import (
 	"testing"
 )
 
-func renderE21(t *testing.T, cfg Config) string {
-	t.Helper()
-	tbl, err := RunE21TangleConfirmation(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sb strings.Builder
-	if err := tbl.Render(&sb); err != nil {
-		t.Fatal(err)
-	}
-	return sb.String()
-}
-
 // The tangle rides the same deterministic simulator as the other
-// paradigms: E21 renders byte-identically for any shard count and any
-// sweep-point fan-out width.
-func TestE21ShardAndWorkerInvariance(t *testing.T) {
-	base := Config{Seed: 11, Scale: 0.02}
-	serial := renderE21(t, Config{Seed: base.Seed, Scale: base.Scale, Shards: 1, Workers: 1})
-	for _, variant := range []Config{
-		{Seed: base.Seed, Scale: base.Scale, Shards: 4, Workers: 1},
-		{Seed: base.Seed, Scale: base.Scale, Shards: 8, Workers: DefaultWorkers()},
-		{Seed: base.Seed, Scale: base.Scale, Shards: 1, Workers: 4},
-	} {
-		if got := renderE21(t, variant); got != serial {
-			t.Fatalf("E21 diverged at shards=%d workers=%d:\n--- got ---\n%s\n--- want ---\n%s",
-				variant.Shards, variant.Workers, got, serial)
-		}
-	}
-}
+// paradigms.
+func TestE21WorkerInvariance(t *testing.T) { assertWorkerInvariant(t, "E21") }
 
 // Every sweep point must measure something: honest thresholds confirm,
 // the parasite releases and self-certifies.

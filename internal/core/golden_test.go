@@ -59,24 +59,7 @@ func TestGoldenTables(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full registry sweep")
 	}
-	runGoldenSuite(t, goldenCfg(), *updateGolden)
-}
-
-// TestGoldenTablesCalendar re-renders every golden experiment on the
-// calendar-queue backend and compares against the same golden files —
-// the tentpole equivalence claim: the backend is a pure performance
-// choice, invisible to every table byte. Never updates goldens: the
-// heap backend is the reference that captures them.
-func TestGoldenTablesCalendar(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full registry sweep")
-	}
 	cfg := goldenCfg()
-	cfg.Queue = "calendar"
-	runGoldenSuite(t, cfg, false)
-}
-
-func runGoldenSuite(t *testing.T, cfg Config, update bool) {
 	for _, id := range goldenIDs {
 		id := id
 		t.Run(id, func(t *testing.T) {
@@ -96,7 +79,7 @@ func runGoldenSuite(t *testing.T, cfg Config, update bool) {
 			got := sb.String()
 			assertJSONRoundTrip(t, tbl, got)
 			path := filepath.Join("testdata", "golden_"+id+".txt")
-			if update {
+			if *updateGolden {
 				if err := os.MkdirAll("testdata", 0o755); err != nil {
 					t.Fatal(err)
 				}
@@ -110,7 +93,7 @@ func runGoldenSuite(t *testing.T, cfg Config, update bool) {
 				t.Fatalf("golden missing (run with -update-golden to capture): %v", err)
 			}
 			if got != string(want) {
-				t.Fatalf("%s table diverged from the golden (queue=%s):\n--- got ---\n%s--- want ---\n%s", id, cfg.Queue, got, want)
+				t.Fatalf("%s table diverged from the golden:\n--- got ---\n%s--- want ---\n%s", id, got, want)
 			}
 		})
 	}

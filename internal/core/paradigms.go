@@ -19,11 +19,10 @@ import (
 )
 
 // netParams builds the standard simulated-network parameters every
-// experiment shares: explicit topology and latency band, with the
-// config's event-queue shape (Shards, Queue backend) threaded through.
-func (c Config) netParams(nodes, degree int, seed int64, minLat, maxLat time.Duration) netsim.NetParams {
+// experiment shares: explicit topology and latency band.
+func netParams(nodes, degree int, seed int64, minLat, maxLat time.Duration) netsim.NetParams {
 	return netsim.NetParams{
-		Nodes: nodes, PeerDegree: degree, Seed: seed, Shards: c.Shards, Queue: c.queue(),
+		Nodes: nodes, PeerDegree: degree, Seed: seed,
 		MinLatency: minLat, MaxLatency: maxLat,
 	}
 }

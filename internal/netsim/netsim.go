@@ -31,15 +31,6 @@ type NetParams struct {
 	BytesPerSec float64
 	// Seed drives all randomness.
 	Seed int64
-	// Shards is the event-queue lane count (sim.NewSharded). Results are
-	// identical for every value — the lane merge preserves global event
-	// order — so it is a pure capacity knob for mega-scale runs. <= 0
-	// means 1 (the single-heap layout).
-	Shards int
-	// Queue selects the event-queue backend per lane (sim.QueueHeap or
-	// sim.QueueCalendar). Like Shards it is a pure performance knob:
-	// both backends pop in the identical (time, sequence) order.
-	Queue sim.QueueBackend
 	// SampleBudget caps the exact sample storage of the per-run latency
 	// histograms (propagation, confirmation); beyond it they switch to
 	// streaming P² estimation with O(1) memory. <= 0 keeps exact
@@ -85,7 +76,7 @@ func (p NetParams) withDefaults() NetParams {
 
 // buildNetwork constructs the simulator, link model and gossip topology.
 func buildNetwork(p NetParams) (*sim.Simulator, *sim.Network) {
-	s := sim.NewQueued(p.Seed, p.Shards, p.Queue)
+	s := sim.New(p.Seed)
 	links := sim.UniformLinks{
 		MinLatency:  p.MinLatency,
 		MaxLatency:  p.MaxLatency,

@@ -59,8 +59,6 @@ func Suite() []Benchmark {
 		{Name: "netsim/tangle-gossip", Kind: "micro", Op: benchTangleGossip},
 		{Name: "netsim/scale-gossip", Kind: "micro", Op: benchScaleGossip},
 		{Name: "netsim/cold-start", Kind: "micro", Op: benchColdStart},
-		{Name: "sim/sharded-loop", Kind: "micro", Op: benchShardedLoop},
-		{Name: "sim/calendar-loop", Kind: "micro", Op: benchCalendarLoop},
 		{Name: "metrics/streaming-quantile", Kind: "micro", Op: benchStreamingQuantile},
 		{Name: "account/submit-replicas", Kind: "micro", Op: benchSubmitReplicas},
 		{Name: "utxo/new-payment", Kind: "micro", Op: benchNewPayment},
@@ -443,53 +441,6 @@ func benchColdStart(scale float64, n int) float64 {
 		tps = m.TPS
 	}
 	return tps
-}
-
-// benchShardedLoop is benchEventLoop on the K-lane sharded queue: the
-// same seeded timer burst spread round-robin over 4 lanes, paying the
-// deterministic cross-lane merge on every pop.
-func benchShardedLoop(scale float64, n int) float64 {
-	events := scaled(5000, scale)
-	for op := 0; op < n; op++ {
-		s := sim.NewSharded(1, 4)
-		rng := rand.New(rand.NewSource(7))
-		var cancel []sim.EventID
-		for i := 0; i < events; i++ {
-			id := s.At(time.Duration(rng.Intn(1000))*time.Millisecond, func() {})
-			if i%10 == 0 {
-				cancel = append(cancel, id)
-			}
-		}
-		for _, id := range cancel {
-			s.Cancel(id)
-		}
-		s.Run(0)
-	}
-	return 0
-}
-
-// benchCalendarLoop is benchEventLoop on the calendar-queue backend:
-// the same seeded timer burst (cancels included) through the bucketed
-// O(1) scheduler instead of the binary heap — the pop/push cost the
-// mega-scale runs pay per event.
-func benchCalendarLoop(scale float64, n int) float64 {
-	events := scaled(5000, scale)
-	for op := 0; op < n; op++ {
-		s := sim.NewQueued(1, 1, sim.QueueCalendar)
-		rng := rand.New(rand.NewSource(7))
-		var cancel []sim.EventID
-		for i := 0; i < events; i++ {
-			id := s.At(time.Duration(rng.Intn(1000))*time.Millisecond, func() {})
-			if i%10 == 0 {
-				cancel = append(cancel, id)
-			}
-		}
-		for _, id := range cancel {
-			s.Cancel(id)
-		}
-		s.Run(0)
-	}
-	return 0
 }
 
 // benchStreamingQuantile drives the fixed-budget estimator through its

@@ -14,19 +14,6 @@
 // An EventID is a slot index plus a generation counter, so Cancel is an
 // O(1) generation check — no per-event map, and canceling an event that
 // already ran (its slot's generation has moved on) is a safe no-op.
-//
-// The pending queue is sharded into K independent lanes (lane =
-// seq mod K, NewSharded). The dispatcher merges lanes by taking the
-// minimum (time, sequence) head across them — the exact order a single
-// heap yields — so results are bit-identical for every K; the shard
-// count only bounds individual lane depth, which is what keeps sift
-// costs flat at mega-scale event populations.
-//
-// Each lane is either a binary heap (QueueHeap, the default) or a
-// Brown-style calendar queue (QueueCalendar, NewQueued) with amortized
-// O(1) schedule/pop. The backends produce the identical (time,
-// sequence) pop order — selecting one is a pure performance choice,
-// pinned by invariance tests and a fuzz cross-check.
 package sim
 
 import (
@@ -84,8 +71,7 @@ func itemLess(a, b heapItem) bool {
 // random source shared by the whole simulation.
 type Simulator struct {
 	now     time.Duration
-	lanes   [][]heapItem // heap lanes; an event lives in lane seq % len(lanes)
-	cals    []calLane    // calendar lanes; non-nil iff backend is QueueCalendar
+	queue   []heapItem // binary min-heap on (at, seq)
 	nextSeq uint64
 	slots   []slot
 	free    []int32
@@ -95,51 +81,7 @@ type Simulator struct {
 
 // New creates a simulator whose randomness derives entirely from seed.
 func New(seed int64) *Simulator {
-	return NewSharded(seed, 1)
-}
-
-// NewSharded creates a simulator whose pending queue is split across
-// shards independent lane heaps. Execution order — and therefore every
-// result — is identical for any shard count (the merge rule is pinned by
-// test, like worker counts); sharding only caps per-heap depth. Shard
-// counts below 1 are clamped to 1.
-func NewSharded(seed int64, shards int) *Simulator {
-	return NewQueued(seed, shards, QueueHeap)
-}
-
-// NewQueued creates a simulator with an explicit pending-queue backend.
-// Backends pop in the identical (time, sequence) order, so results are
-// byte-for-byte the same under either; only the cost profile differs.
-func NewQueued(seed int64, shards int, backend QueueBackend) *Simulator {
-	if shards < 1 {
-		shards = 1
-	}
-	s := &Simulator{rng: rand.New(rand.NewSource(seed))}
-	if backend == QueueCalendar {
-		s.cals = make([]calLane, shards)
-		for i := range s.cals {
-			s.cals[i] = newCalLane()
-		}
-	} else {
-		s.lanes = make([][]heapItem, shards)
-	}
-	return s
-}
-
-// Shards returns the lane count of the pending queue.
-func (s *Simulator) Shards() int {
-	if s.cals != nil {
-		return len(s.cals)
-	}
-	return len(s.lanes)
-}
-
-// Backend returns the pending-queue backend the simulator runs on.
-func (s *Simulator) Backend() QueueBackend {
-	if s.cals != nil {
-		return QueueCalendar
-	}
-	return QueueHeap
+	return &Simulator{rng: rand.New(rand.NewSource(seed))}
 }
 
 // Now returns the current virtual time (zero at simulation start).
@@ -208,69 +150,21 @@ func (s *Simulator) Cancel(id EventID) {
 	}
 }
 
-// minLane returns the lane whose live head is the global (time, sequence)
-// minimum, popping stale (canceled) entries off every lane head as it
-// scans; -1 means no live events remain. This merge IS the determinism
-// guarantee: any lane assignment yields the single-heap execution order.
-func (s *Simulator) minLane() int {
-	if s.cals != nil {
-		return s.minCalLane()
+// peek drops stale (canceled) entries off the heap's head and reports
+// whether a live event remains; when it does, s.queue[0] is the next
+// event in (time, sequence) order.
+func (s *Simulator) peek() bool {
+	for len(s.queue) > 0 && s.slots[s.queue[0].slot].gen != s.queue[0].gen {
+		s.pop()
 	}
-	best := -1
-	for l := range s.lanes {
-		q := s.lanes[l]
-		for len(q) > 0 && s.slots[q[0].slot].gen != q[0].gen {
-			s.popLane(l)
-			q = s.lanes[l]
-		}
-		if len(q) == 0 {
-			continue
-		}
-		if best < 0 || itemLess(q[0], s.lanes[best][0]) {
-			best = l
-		}
-	}
-	return best
+	return len(s.queue) > 0
 }
 
-// minCalLane is minLane for the calendar backend: each lane's peek
-// drops stale heads and caches the lane minimum at its cursor, and the
-// same cross-lane (time, sequence) merge picks the winner.
-func (s *Simulator) minCalLane() int {
-	best := -1
-	var bestIt heapItem
-	for l := range s.cals {
-		it, ok := s.cals[l].peek(s)
-		if !ok {
-			continue
-		}
-		if best < 0 || itemLess(it, bestIt) {
-			best, bestIt = l, it
-		}
-	}
-	return best
-}
-
-// laneHeadAt returns the timestamp of lane l's head. Call only after
-// minLane returned l: both backends then hold a live head (for the
-// calendar, peek has positioned the cursor on it).
-func (s *Simulator) laneHeadAt(l int) time.Duration {
-	if s.cals != nil {
-		c := &s.cals[l]
-		return c.buckets[c.vcur&c.mask][0].at
-	}
-	return s.lanes[l][0].at
-}
-
-// stepLane executes the head event of lane l, advancing the clock.
-func (s *Simulator) stepLane(l int) {
-	var item heapItem
-	if s.cals != nil {
-		item = s.cals[l].pop()
-	} else {
-		item = s.lanes[l][0]
-		s.popLane(l)
-	}
+// step executes the head event, advancing the clock. Call only after
+// peek reported a live head.
+func (s *Simulator) step() {
+	item := s.queue[0]
+	s.pop()
 	run := s.slots[item.slot]
 	s.release(item.slot)
 	s.now = item.at
@@ -287,24 +181,17 @@ func (s *Simulator) stepLane(l int) {
 
 // Step executes the next event, if any, advancing the clock to its time.
 func (s *Simulator) Step() bool {
-	l := s.minLane()
-	if l < 0 {
+	if !s.peek() {
 		return false
 	}
-	s.stepLane(l)
+	s.step()
 	return true
 }
 
-// push routes an item to its lane and sifts it up; a hand-rolled
-// heap keeps items as values (container/heap would box every Push into
-// an interface).
+// push appends an item and sifts it up; a hand-rolled heap keeps items
+// as values (container/heap would box every Push into an interface).
 func (s *Simulator) push(it heapItem) {
-	if s.cals != nil {
-		s.cals[it.seq%uint64(len(s.cals))].push(it)
-		return
-	}
-	l := int(it.seq % uint64(len(s.lanes)))
-	q := append(s.lanes[l], it)
+	q := append(s.queue, it)
 	i := len(q) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
@@ -314,12 +201,12 @@ func (s *Simulator) push(it heapItem) {
 		q[i], q[parent] = q[parent], q[i]
 		i = parent
 	}
-	s.lanes[l] = q
+	s.queue = q
 }
 
-// popLane removes lane l's head item and restores that heap's order.
-func (s *Simulator) popLane(l int) {
-	q := s.lanes[l]
+// pop removes the head item and restores the heap's order.
+func (s *Simulator) pop() {
+	q := s.queue
 	n := len(q) - 1
 	q[0] = q[n]
 	q = q[:n]
@@ -338,7 +225,7 @@ func (s *Simulator) popLane(l int) {
 		q[i], q[smallest] = q[smallest], q[i]
 		i = smallest
 	}
-	s.lanes[l] = q
+	s.queue = q
 }
 
 // Run executes events until the queue drains or maxEvents have run;
@@ -356,12 +243,8 @@ func (s *Simulator) Run(maxEvents uint64) uint64 {
 // RunUntil executes all events scheduled up to and including t, then sets
 // the clock to t.
 func (s *Simulator) RunUntil(t time.Duration) {
-	for {
-		l := s.minLane()
-		if l < 0 || s.laneHeadAt(l) > t {
-			break
-		}
-		s.stepLane(l)
+	for s.peek() && s.queue[0].at <= t {
+		s.step()
 	}
 	if s.now < t {
 		s.now = t

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -65,6 +67,118 @@ func TestCancel(t *testing.T) {
 	id2 := s.After(time.Second, func() {})
 	s.Run(0)
 	s.Cancel(id2)
+}
+
+// TestPendingCancelStaleIDs pins the Pending/Cancel generation
+// semantics: a cancel from inside a running event leaves the stale heap
+// entry invisible to execution, an EventID goes stale once its event
+// ran or was canceled, and a stale id never cancels the event that
+// later reuses its slot.
+func TestPendingCancelStaleIDs(t *testing.T) {
+	s := New(5)
+	var fired []string
+	fire := func(name string) func() { return func() { fired = append(fired, name) } }
+	var b EventID
+	s.At(10*time.Millisecond, func() {
+		fired = append(fired, "A")
+		s.Cancel(b)
+		if got := s.Pending(); got != 2 {
+			t.Errorf("Pending() inside A = %d, want 2 (B canceled, C and D left)", got)
+		}
+	})
+	b = s.At(20*time.Millisecond, fire("B"))
+	c := s.At(30*time.Millisecond, fire("C"))
+	s.At(40*time.Millisecond, fire("D"))
+	if got := s.Pending(); got != 4 {
+		t.Fatalf("Pending() = %d, want 4", got)
+	}
+	s.Run(0)
+	if got := s.Pending(); got != 0 || fmt.Sprint(fired) != "[A C D]" {
+		t.Fatalf("after drain: fired = %v, Pending() = %d; want [A C D], 0", fired, got)
+	}
+	// Stale ids — one canceled, one run — stay no-ops once new events
+	// have taken over the freed slots.
+	s.After(time.Millisecond, fire("E"))
+	s.After(2*time.Millisecond, fire("F"))
+	s.Cancel(b)
+	s.Cancel(c)
+	// Cancel-then-reuse: G's slot is freed and taken by H; G's id must
+	// not reach H.
+	g := s.After(3*time.Millisecond, fire("G"))
+	s.Cancel(g)
+	h := s.After(3*time.Millisecond, fire("H"))
+	if g>>32 != h>>32 {
+		t.Fatalf("H did not reuse G's slot: ids %#x, %#x", g, h)
+	}
+	s.Cancel(g)
+	if got := s.Pending(); got != 3 {
+		t.Fatalf("Pending() after stale cancels = %d, want 3", got)
+	}
+	s.Run(0)
+	if fmt.Sprint(fired) != "[A C D E F H]" || s.Pending() != 0 || s.EventsRun() != 6 {
+		t.Fatalf("fired = %v, Pending() = %d, EventsRun() = %d; want [A C D E F H], 0, 6", fired, s.Pending(), s.EventsRun())
+	}
+}
+
+// TestPendingCancelUnderDrain cancels random events — already run,
+// already canceled or still pending — from inside running events while
+// the queue drains, with the naive model of fuzz_queue_test.go stepped
+// in lockstep: Pending agrees inside every event and the executed
+// sequence is the model's.
+func TestPendingCancelUnderDrain(t *testing.T) {
+	const n = 4000
+	s, m := New(9), &modelQueue{}
+	rng := rand.New(rand.NewSource(13))
+	ids := make([]EventID, n)
+	var got []string
+	for i := range ids {
+		i := i
+		at := time.Duration(rng.Intn(2000)) * time.Millisecond
+		m.schedule(at)
+		ids[i] = s.At(at, func() {
+			got = append(got, fmt.Sprintf("%d@%v", i, s.Now()))
+			m.drain(1, math.MaxInt64)
+			if i%7 == 0 {
+				victim := rng.Intn(n)
+				s.Cancel(ids[victim])
+				m.live[victim] = false
+			}
+			if s.Pending() != m.pending() {
+				t.Fatalf("Pending() inside event %d = %d, model %d", i, s.Pending(), m.pending())
+			}
+		})
+	}
+	s.Run(0)
+	if s.Pending() != 0 || s.EventsRun() != uint64(len(got)) || len(got) == n {
+		t.Fatalf("after drain: Pending() = %d, EventsRun() = %d, %d of %d callbacks", s.Pending(), s.EventsRun(), len(got), n)
+	}
+	sameTrace(t, got, m.trace)
+}
+
+// TestWideSpreadOrdering drains a schedule whose timestamps span nine
+// orders of magnitude: a microsecond-spaced burst, an hour-spaced tail
+// and 300 same-instant ties.
+func TestWideSpreadOrdering(t *testing.T) {
+	s, m := New(3), &modelQueue{}
+	rng := rand.New(rand.NewSource(11))
+	var got []string
+	add := func(at time.Duration) {
+		i := len(m.at)
+		m.schedule(at)
+		s.At(at, func() { got = append(got, fmt.Sprintf("%d@%v", i, s.Now())) })
+	}
+	for i := 0; i < 2000; i++ {
+		add(time.Duration(rng.Intn(500)) * time.Microsecond)
+	}
+	for i := 0; i < 50; i++ {
+		add(time.Duration(1+rng.Intn(10)) * time.Hour)
+	}
+	for i := 0; i < 300; i++ {
+		add(42 * time.Millisecond)
+	}
+	s.Run(0)
+	m.drain(0, math.MaxInt64)
+	sameTrace(t, got, m.trace)
 }
 
 func TestRunUntil(t *testing.T) {
