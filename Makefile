@@ -24,8 +24,9 @@ race:
 # Short fuzz smoke mirroring CI: batch settlement vs serial apply under
 # hostile block streams, link-model delay sanity for any bounds, the
 # event queue against a naive minimum-scan model, tangle tip selection,
-# three UTXO sets on one coin catalog under apply/undo/reorg, and the
-# signature memo against cold verification.
+# three UTXO sets on one coin catalog under apply/undo/reorg, the
+# signature memo against cold verification, and the bounded backlog
+# against a naive oldest-live-entry scan.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzLatticeProcessBatch$$' -fuzztime 30s ./internal/lattice
 	$(GO) test -run '^$$' -fuzz '^FuzzLinkModelDelay$$' -fuzztime 15s ./internal/sim
@@ -33,6 +34,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzTangleTipSelection$$' -fuzztime 30s ./internal/tangle
 	$(GO) test -run '^$$' -fuzz '^FuzzSetOwnerIndex$$' -fuzztime 15s ./internal/utxo
 	$(GO) test -run '^$$' -fuzz '^FuzzSigMemo$$' -fuzztime 15s ./internal/keys
+	$(GO) test -run '^$$' -fuzz '^FuzzBacklog$$' -fuzztime 15s -fuzzminimizetime 2s ./internal/backlog
 
 # Coverage profile, the artifact CI uploads.
 cover:

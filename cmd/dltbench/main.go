@@ -89,9 +89,9 @@ func run() int {
 		syncPullBatch = flag.Int("sync-pull-batch", 0,
 			"E20 cold-start range-pull window: history blocks per sync request (0 = default 32)")
 		backlogCap = flag.Int("backlog-cap", 0,
-			"bound on E20's per-node backlog buffers — lattice gap buffer, ingest queue, chain orphan pool (0 = package defaults)")
+			"bound on E20's per-node backlog buffers — chain orphan pool, lattice gap buffer and ingest queue, tangle parked vertices (0 = package defaults)")
 		backlogTTL = flag.Duration("backlog-ttl", 0,
-			"age bound on E20's parked backlog blocks in simulation time, e.g. 30s — stale gaps/orphans evict on the next arrival even under -backlog-cap (0 = disabled)")
+			"age bound on E20's parked backlog objects in simulation time, e.g. 30s — stale orphans/gaps/parked vertices evict on the next arrival even under -backlog-cap (0 = disabled)")
 		timing  = flag.Bool("timing", false, "print the sweep wall-clock/speedup table (text format only)")
 		list    = flag.Bool("list", false, "list experiments and exit")
 		summary = flag.Bool("summary", false, "print the §VII five-dimension comparison and exit")

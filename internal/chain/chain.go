@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/backlog"
 	"repro/internal/hashx"
 	"repro/internal/keys"
 )
@@ -267,11 +268,8 @@ type Stats struct {
 	Reorgs        int
 	MaxReorgDepth int
 	OrphanedTotal int // blocks currently off the main chain
-	// OrphansEvicted counts orphan-pool blocks dropped by the backlog
-	// bound (see SetOrphanLimit) before their parent ever arrived.
-	OrphansEvicted int
-	TxsOnMain      int
-	BytesOnMain    int
+	TxsOnMain     int
+	BytesOnMain   int
 }
 
 // Store holds every block a node has seen and maintains the main chain
@@ -283,29 +281,15 @@ type Store struct {
 	blocks   map[hashx.Hash]*Block
 	children map[hashx.Hash][]hashx.Hash
 	cumWork  map[hashx.Hash]float64
-	orphans  map[hashx.Hash][]*Block // parent hash -> waiting blocks
-	// orphanLimit bounds the orphan pool (<= 0 means DefaultOrphanLimit).
-	// orphanOrder is the FIFO arrival order driving eviction; entries go
-	// stale when their block is adopted or evicted, so eviction and
-	// compaction skip entries no longer present in the pool.
-	orphanLimit   int
-	orphanCount   int
-	orphanEvicted int
-	orphanOrder   []orphanEntry
-	onOrphanEvict func(*Block)
-	// orphanTTL evicts orphans by age instead of only by count: a block
-	// parked longer than the TTL is dropped even while the pool is under
-	// its count bound. Zero (or a nil clock) disables it.
-	orphanTTL time.Duration
-	clock     func() time.Duration
-	genesis   hashx.Hash
-	tip       hashx.Hash
-	mainAt    map[uint64]hashx.Hash // height -> main chain hash
-	onMain    map[hashx.Hash]bool
-	reorgs    int
-	maxReorg  int
-	sideSeen  int
-	added     int
+	orphans  backlog.Buffer[hashx.Hash, *Block] // parent hash -> waiting blocks
+	genesis  hashx.Hash
+	tip      hashx.Hash
+	mainAt   map[uint64]hashx.Hash // height -> main chain hash
+	onMain   map[hashx.Hash]bool
+	reorgs   int
+	maxReorg int
+	sideSeen int
+	added    int
 }
 
 // ErrUnknownBlock is returned by queries for hashes the store never saw.
@@ -330,7 +314,7 @@ func NewStore(genesis *Block, choice ForkChoice) (*Store, error) {
 		blocks:   map[hashx.Hash]*Block{g: genesis},
 		children: make(map[hashx.Hash][]hashx.Hash),
 		cumWork:  map[hashx.Hash]float64{g: genesis.Header.Difficulty},
-		orphans:  make(map[hashx.Hash][]*Block),
+		orphans:  backlog.New[hashx.Hash, *Block](DefaultOrphanLimit),
 		genesis:  g,
 		tip:      g,
 		mainAt:   map[uint64]hashx.Hash{0: g},
@@ -384,7 +368,7 @@ func (s *Store) CumulativeWork(h hashx.Hash) (float64, error) {
 // describe the first block, and Adopted lists every orphan the insertion
 // cascaded in so state layers can replay their effects too.
 func (s *Store) Add(b *Block) AddResult {
-	s.expireOrphans()
+	s.orphans.Expire()
 	res := s.addOne(b)
 	if res.Status == Accepted || res.Status == AcceptedSide || res.Status == AcceptedReorg {
 		res.Adopted = s.adoptOrphansOf(b.Hash())
@@ -399,7 +383,7 @@ func (s *Store) addOne(b *Block) AddResult {
 	}
 	parent, haveParent := s.blocks[b.Header.Parent]
 	if !haveParent {
-		s.parkOrphan(b)
+		s.orphans.Park(b.Header.Parent, b)
 		return AddResult{Status: Orphaned}
 	}
 	if b.Header.Height != parent.Header.Height+1 {
@@ -499,13 +483,7 @@ func (s *Store) adoptOrphansOf(h hashx.Hash) []AdoptedOrphan {
 	for len(queue) > 0 {
 		parent := queue[0]
 		queue = queue[1:]
-		waiting := s.orphans[parent]
-		if len(waiting) == 0 {
-			continue
-		}
-		delete(s.orphans, parent)
-		s.orphanCount -= len(waiting)
-		for _, b := range waiting {
+		for _, b := range s.orphans.Take(parent) {
 			res := s.addOne(b)
 			if res.Status == Accepted || res.Status == AcceptedSide || res.Status == AcceptedReorg {
 				adopted = append(adopted, AdoptedOrphan{Block: b, Status: res.Status, Reorg: res.Reorg})
@@ -517,146 +495,17 @@ func (s *Store) adoptOrphansOf(h hashx.Hash) []AdoptedOrphan {
 }
 
 // OrphanPoolSize returns how many blocks are waiting for missing parents.
-func (s *Store) OrphanPoolSize() int {
-	n := 0
-	for _, w := range s.orphans {
-		n += len(w)
-	}
-	return n
-}
+func (s *Store) OrphanPoolSize() int { return s.orphans.Len() }
 
-// DefaultOrphanLimit bounds the orphan pool when SetOrphanLimit was
-// never called. Honest gossip reorder parks a handful of blocks at a
+// DefaultOrphanLimit bounds the orphan pool until Orphans().SetLimit
+// says otherwise. Honest gossip reorder parks a handful of blocks at a
 // time; only a flood of parentless blocks reaches the bound.
 const DefaultOrphanLimit = 512
 
-// orphanEntry pairs a parked block with its arrival time (clock time,
-// meaningful only while a clock is installed).
-type orphanEntry struct {
-	b  *Block
-	at time.Duration
-}
-
-// parkOrphan buffers a parentless block and enforces the backlog bound,
-// evicting oldest-first past the cap.
-func (s *Store) parkOrphan(b *Block) {
-	e := orphanEntry{b: b}
-	if s.clock != nil {
-		e.at = s.clock()
-	}
-	s.orphans[b.Header.Parent] = append(s.orphans[b.Header.Parent], b)
-	s.orphanCount++
-	s.orphanOrder = append(s.orphanOrder, e)
-	limit := s.orphanLimit
-	if limit <= 0 {
-		limit = DefaultOrphanLimit
-	}
-	for s.orphanCount > limit {
-		if !s.evictOldestOrphan() {
-			break
-		}
-	}
-	if len(s.orphanOrder) > 2*limit {
-		s.compactOrphanOrder()
-	}
-}
-
-// orphanLive reports whether an order entry still sits in the pool.
-func (s *Store) orphanLive(b *Block) bool {
-	for _, w := range s.orphans[b.Header.Parent] {
-		if w == b {
-			return true
-		}
-	}
-	return false
-}
-
-// evictOldestOrphan drops the oldest still-parked orphan, invoking the
-// eviction hook so the owner can unmark dedup state and re-pull. Returns
-// false if every order entry was stale.
-func (s *Store) evictOldestOrphan() bool {
-	for len(s.orphanOrder) > 0 {
-		b := s.orphanOrder[0].b
-		s.orphanOrder = s.orphanOrder[1:]
-		if !s.orphanLive(b) {
-			continue
-		}
-		waiting := s.orphans[b.Header.Parent]
-		idx := 0
-		for i, w := range waiting {
-			if w == b {
-				idx = i
-				break
-			}
-		}
-		if len(waiting) == 1 {
-			delete(s.orphans, b.Header.Parent)
-		} else {
-			s.orphans[b.Header.Parent] = append(waiting[:idx:idx], waiting[idx+1:]...)
-		}
-		s.orphanCount--
-		s.orphanEvicted++
-		if s.onOrphanEvict != nil {
-			s.onOrphanEvict(b)
-		}
-		return true
-	}
-	return false
-}
-
-// compactOrphanOrder drops stale order entries so the FIFO slice stays
-// proportional to the live pool.
-func (s *Store) compactOrphanOrder() {
-	live := s.orphanOrder[:0]
-	for _, e := range s.orphanOrder {
-		if s.orphanLive(e.b) {
-			live = append(live, e)
-		}
-	}
-	s.orphanOrder = live
-}
-
-// expireOrphans evicts parked blocks whose age exceeds the TTL. FIFO
-// order is also time order (the clock is monotonic), so only the front
-// is ever inspected — O(1) amortized per call.
-func (s *Store) expireOrphans() {
-	if s.orphanTTL <= 0 || s.clock == nil {
-		return
-	}
-	cutoff := s.clock() - s.orphanTTL
-	for len(s.orphanOrder) > 0 {
-		e := s.orphanOrder[0]
-		if !s.orphanLive(e.b) {
-			s.orphanOrder = s.orphanOrder[1:]
-			continue
-		}
-		if e.at > cutoff {
-			return
-		}
-		s.evictOldestOrphan()
-	}
-}
-
-// SetOrphanLimit overrides the orphan-pool bound (n <= 0 restores
-// DefaultOrphanLimit). The new bound applies from the next parked block.
-func (s *Store) SetOrphanLimit(n int) { s.orphanLimit = n }
-
-// SetOrphanTTL enables age-based orphan eviction: a parked block older
-// than ttl is dropped on the next Add, even while the pool is under its
-// count bound (ttl <= 0 disables). Requires a clock (SetClock).
-func (s *Store) SetOrphanTTL(ttl time.Duration) { s.orphanTTL = ttl }
-
-// SetClock installs the time source TTL eviction stamps and expires
-// against — simulation time in the network layers, so eviction stays
-// deterministic.
-func (s *Store) SetClock(now func() time.Duration) { s.clock = now }
-
-// SetOrphanEvicted installs a hook invoked for each evicted orphan —
-// network layers use it to unmark dedup state and schedule a re-pull.
-func (s *Store) SetOrphanEvicted(fn func(*Block)) { s.onOrphanEvict = fn }
-
-// OrphanEvictions returns how many orphans the bound has evicted.
-func (s *Store) OrphanEvictions() int { return s.orphanEvicted }
+// Orphans exposes the orphan pool: its count and age bounds, eviction
+// hook and eviction count. Network layers bound it and hook evictions to
+// unmark dedup state and schedule a re-pull.
+func (s *Store) Orphans() *backlog.Buffer[hashx.Hash, *Block] { return &s.orphans }
 
 // IsOnMainChain reports whether h is part of the current main chain.
 func (s *Store) IsOnMainChain(h hashx.Hash) bool { return s.onMain[h] }
@@ -693,11 +542,10 @@ func (s *Store) MainChain() []hashx.Hash {
 // Stats summarizes the store's history and current main chain.
 func (s *Store) Stats() Stats {
 	st := Stats{
-		BlocksAdded:    s.added,
-		SideBlocks:     s.sideSeen,
-		Reorgs:         s.reorgs,
-		MaxReorgDepth:  s.maxReorg,
-		OrphansEvicted: s.orphanEvicted,
+		BlocksAdded:   s.added,
+		SideBlocks:    s.sideSeen,
+		Reorgs:        s.reorgs,
+		MaxReorgDepth: s.maxReorg,
 	}
 	for h, b := range s.blocks {
 		if h == s.genesis {

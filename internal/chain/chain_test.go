@@ -270,13 +270,13 @@ func TestOrphanPoolAdoption(t *testing.T) {
 }
 
 // An orphan flood must not grow the pool without bound: the oldest
-// orphan is evicted FIFO, the eviction hook fires, and the counter
-// surfaces in Stats.
+// orphan is evicted FIFO, the eviction hook fires, and the pool counts
+// it.
 func TestOrphanPoolBounded(t *testing.T) {
 	s, g := newStore(t, LongestChain)
-	s.SetOrphanLimit(4)
+	s.Orphans().SetLimit(4)
 	var evicted []*Block
-	s.SetOrphanEvicted(func(b *Block) { evicted = append(evicted, b) })
+	s.Orphans().OnEvict(func(b *Block) { evicted = append(evicted, b) })
 
 	// Ten orphans: each child references a parent the store never sees,
 	// so every block parks in the pool.
@@ -294,11 +294,8 @@ func TestOrphanPoolBounded(t *testing.T) {
 	if got := s.OrphanPoolSize(); got > 4 {
 		t.Fatalf("orphan pool holds %d blocks, cap 4", got)
 	}
-	if s.OrphanEvictions() != 6 {
-		t.Fatalf("OrphanEvictions = %d, want 6", s.OrphanEvictions())
-	}
-	if st := s.Stats(); st.OrphansEvicted != 6 {
-		t.Fatalf("Stats().OrphansEvicted = %d, want 6", st.OrphansEvicted)
+	if got := s.Orphans().Evicted(); got != 6 {
+		t.Fatalf("Orphans().Evicted() = %d, want 6", got)
 	}
 	if len(evicted) != 6 || evicted[0].Hash() != firstOrphan.Hash() {
 		t.Fatalf("eviction hook saw %d blocks; FIFO order broken", len(evicted))
@@ -317,8 +314,8 @@ func TestOrphanPoolBounded(t *testing.T) {
 	if _, ok := s.Get(waiting.Hash()); !ok {
 		t.Fatal("waiting orphan was not adopted with its parent")
 	}
-	if s.OrphanEvictions() != 7 {
-		t.Fatalf("OrphanEvictions after adoption = %d, want 7", s.OrphanEvictions())
+	if got := s.Orphans().Evicted(); got != 7 {
+		t.Fatalf("Orphans().Evicted() after adoption = %d, want 7", got)
 	}
 }
 
@@ -328,10 +325,9 @@ func TestOrphanPoolBounded(t *testing.T) {
 func TestOrphanTTLEviction(t *testing.T) {
 	s, g := newStore(t, LongestChain)
 	now := time.Duration(0)
-	s.SetClock(func() time.Duration { return now })
-	s.SetOrphanTTL(10 * time.Second)
+	s.Orphans().SetTTL(10*time.Second, func() time.Duration { return now })
 	var evicted []*Block
-	s.SetOrphanEvicted(func(b *Block) { evicted = append(evicted, b) })
+	s.Orphans().OnEvict(func(b *Block) { evicted = append(evicted, b) })
 
 	// child arrives without its parent and parks at t=0.
 	parent := mkBlock(g, 1, 1)
@@ -359,8 +355,8 @@ func TestOrphanTTLEviction(t *testing.T) {
 	if s.OrphanPoolSize() != 0 {
 		t.Fatalf("orphan pool = %d after the TTL elapsed", s.OrphanPoolSize())
 	}
-	if s.OrphanEvictions() != 1 {
-		t.Fatalf("OrphanEvictions = %d, want 1", s.OrphanEvictions())
+	if got := s.Orphans().Evicted(); got != 1 {
+		t.Fatalf("Orphans().Evicted() = %d, want 1", got)
 	}
 	if len(evicted) != 1 || evicted[0].Hash() != child.Hash() {
 		t.Fatalf("eviction hook saw %d blocks", len(evicted))

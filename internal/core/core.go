@@ -119,15 +119,15 @@ type Config struct {
 	// sync manager's default (32).
 	SyncPullBatch int
 	// BacklogCap bounds the per-node backlog buffers in E20's networks —
-	// the lattice gap buffer, the gossip ingest queue and the chain
-	// orphan pool (netsim's BacklogCap knobs). <= 0 keeps the package
-	// defaults.
+	// the chain orphan pool, the lattice gap buffer and gossip ingest
+	// queue, the tangle's parked vertices (netsim.NetParams.BacklogCap).
+	// <= 0 keeps the package defaults.
 	BacklogCap int
-	// BacklogTTL evicts E20's parked backlog blocks by age (simulation
-	// time): a gap or orphan older than the TTL is dropped on the next
-	// arrival even while its buffer is under BacklogCap. <= 0 (the
-	// default) disables age-based eviction and keeps tables
-	// byte-identical.
+	// BacklogTTL evicts E20's parked backlog objects by age (simulation
+	// time): an orphan, gap or parked vertex older than the TTL is
+	// dropped on the next arrival even while its buffer is under
+	// BacklogCap (netsim.NetParams.BacklogTTL). <= 0 (the default)
+	// disables age-based eviction and keeps tables byte-identical.
 	BacklogTTL time.Duration
 }
 

@@ -39,6 +39,16 @@ func e20Row(system string, factor, history, ledgerBytes int, took time.Duration,
 	}
 }
 
+// e20Net is the network every E20 point runs on: nodes full nodes of
+// degree 4 on the 20–200 ms band, budgeted histograms, and the config's
+// backlog bound on every node's buffers.
+func e20Net(cfg Config, nodes int, seed int64) netsim.NetParams {
+	np := netParams(nodes, 4, seed, 20*time.Millisecond, 200*time.Millisecond)
+	np.SampleBudget = e19SampleBudget
+	np.BacklogCap, np.BacklogTTL = cfg.BacklogCap, cfg.BacklogTTL
+	return np
+}
+
 // e20Chain runs one chain-side point: a 10-node PoW network mines for
 // factor × the base span while the cold node (relay-only, node 9) sits
 // detached; on rejoin it range-pulls the main chain. The payment stream
@@ -49,16 +59,13 @@ func e20Chain(cfg Config, factor int) ([]string, error) {
 	for i := 0; i < cold; i++ {
 		rates[i] = 1
 	}
-	np := netParams(nodes, 4, cfg.Seed+int64(100+factor), 20*time.Millisecond, 200*time.Millisecond)
-	np.SampleBudget = e19SampleBudget
 	net, err := netsim.NewBitcoin(netsim.BitcoinConfig{
-		Net:           np,
+		Net:           e20Net(cfg, nodes, cfg.Seed+int64(100+factor)),
 		HashRates:     rates,
 		BlockInterval: cfg.dur(10 * time.Second),
 		// Accounts stop short of the cold node's index: every home ledger
 		// building payments is a live one.
 		Accounts: 8, InitialBalance: 1 << 30,
-		BacklogCap: cfg.BacklogCap, BacklogTTL: cfg.BacklogTTL,
 	})
 	if err != nil {
 		return nil, err
@@ -85,12 +92,9 @@ func e20Chain(cfg Config, factor int) ([]string, error) {
 // the network never sees.
 func e20Nano(cfg Config, factor int) ([]string, error) {
 	const nodes, cold = 8, 7
-	np := netParams(nodes, 4, cfg.Seed+int64(200+factor), 20*time.Millisecond, 200*time.Millisecond)
-	np.SampleBudget = e19SampleBudget
 	net, err := netsim.NewNano(netsim.NanoConfig{
-		Net:      np,
+		Net:      e20Net(cfg, nodes, cfg.Seed+int64(200+factor)),
 		Accounts: e19Accounts, Reps: 4, Workers: cfg.Workers,
-		BacklogCap: cfg.BacklogCap, BacklogTTL: cfg.BacklogTTL,
 	})
 	if err != nil {
 		return nil, err

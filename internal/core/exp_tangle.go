@@ -90,10 +90,8 @@ func e19Tangle(cfg Config, nodes int) ([]string, error) {
 // detached owner would mint vertices the network never sees.
 func e20Tangle(cfg Config, factor int) ([]string, error) {
 	const nodes, cold = 8, 7
-	np := netParams(nodes, 4, cfg.Seed+int64(300+factor), 20*time.Millisecond, 200*time.Millisecond)
-	np.SampleBudget = e19SampleBudget
 	net, err := netsim.NewTangle(netsim.TangleConfig{
-		Net: np, Accounts: e19Accounts, BacklogCap: cfg.BacklogCap,
+		Net: e20Net(cfg, nodes, cfg.Seed+int64(300+factor)), Accounts: e19Accounts,
 	})
 	if err != nil {
 		return nil, err

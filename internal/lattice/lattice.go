@@ -26,8 +26,8 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"time"
 
+	"repro/internal/backlog"
 	"repro/internal/hashx"
 	"repro/internal/keys"
 )
@@ -265,36 +265,17 @@ type Lattice struct {
 	forks map[hashx.Hash][]*Block
 	// successor maps an attached block to its attached successor.
 	successor map[hashx.Hash]hashx.Hash
-	// gapPrev buffers blocks whose predecessor is missing.
-	gapPrev map[hashx.Hash][]*Block
-	// gapSource buffers receives whose source send is missing.
-	gapSource map[hashx.Hash][]*Block
-	// gapLimit bounds the total number of parked blocks across both gap
-	// buffers (<= 0 means DefaultGapLimit). gapOrder is the FIFO parking
-	// order driving eviction; entries go stale when their block drains or
-	// is evicted, so eviction and compaction skip entries that are no
-	// longer present in their buffer (same staleness-tolerant scheme as
-	// netsim's pendingOrder).
-	gapLimit   int
-	gapParked  int
-	gapEvicted int
-	gapOrder   []gapEntry
-	onGapEvict func(*Block)
-	// gapTTL evicts parked blocks by age instead of only by count: a
-	// block parked longer than the TTL is dropped even while the buffer
-	// is under its count bound. Zero (or a nil clock) disables it.
-	gapTTL  time.Duration
-	clock   func() time.Duration
+	// gaps buffers blocks whose predecessor (keyed by Prev) or source send
+	// (keyed by Source) is missing, under one bound.
+	gaps    backlog.Buffer[gapKey, *Block]
 	supply  uint64
 	genesis hashx.Hash
 }
 
-// gapEntry remembers where a parked block went — the gapSource buffer
-// (src) or the gapPrev buffer — and when it was parked (clock time,
-// meaningful only while a clock is installed).
-type gapEntry struct {
-	b   *Block
-	at  time.Duration
+// gapKey names what a parked block waits for: its predecessor, or with
+// src set its source send.
+type gapKey struct {
+	h   hashx.Hash
 	src bool
 }
 
@@ -317,8 +298,7 @@ func New(genesisOwner *keys.KeyPair, supply uint64, workBits int) (*Lattice, *Bl
 		settled:   make(map[hashx.Hash]bool),
 		forks:     make(map[hashx.Hash][]*Block),
 		successor: make(map[hashx.Hash]hashx.Hash),
-		gapPrev:   make(map[hashx.Hash][]*Block),
-		gapSource: make(map[hashx.Hash][]*Block),
+		gaps:      backlog.New[gapKey, *Block](DefaultGapLimit),
 		supply:    supply,
 	}
 	genesis := &Block{
@@ -479,7 +459,7 @@ func (l *Lattice) PendingTotal() uint64 {
 // expired first, so TTL eviction advances with every processed block
 // even when nothing new parks.
 func (l *Lattice) Process(b *Block) Result {
-	l.expireGaps()
+	l.gaps.Expire()
 	res := l.processOne(b)
 	if res.Status == Accepted {
 		res.Drained = l.drainGaps(b, nil)
@@ -648,162 +628,28 @@ func (l *Lattice) attach(b *Block, h hashx.Hash, c *accountChain) Result {
 }
 
 // parkPrev buffers a block whose predecessor is missing.
-func (l *Lattice) parkPrev(b *Block) {
-	l.gapPrev[b.Prev] = append(l.gapPrev[b.Prev], b)
-	l.parked(gapEntry{b: b})
-}
+func (l *Lattice) parkPrev(b *Block) { l.gaps.Park(gapKey{h: b.Prev}, b) }
 
 // parkSource buffers a receive/open whose source send is missing.
-func (l *Lattice) parkSource(b *Block) {
-	l.gapSource[b.Source] = append(l.gapSource[b.Source], b)
-	l.parked(gapEntry{b: b, src: true})
-}
-
-// parked records the FIFO position of a freshly buffered gap block and
-// enforces the backlog bound, evicting oldest-first past the cap.
-func (l *Lattice) parked(e gapEntry) {
-	if l.clock != nil {
-		e.at = l.clock()
-	}
-	l.gapParked++
-	l.gapOrder = append(l.gapOrder, e)
-	limit := l.gapLimit
-	if limit <= 0 {
-		limit = DefaultGapLimit
-	}
-	for l.gapParked > limit {
-		if !l.evictOldestGap() {
-			break
-		}
-	}
-	if len(l.gapOrder) > 2*limit {
-		l.compactGapOrder()
-	}
-}
-
-// gapEntryLive reports whether an order entry still points at a parked
-// block (drained and evicted blocks leave stale order entries behind).
-func (l *Lattice) gapEntryLive(e gapEntry) bool {
-	m, key := l.gapPrev, e.b.Prev
-	if e.src {
-		m, key = l.gapSource, e.b.Source
-	}
-	for _, w := range m[key] {
-		if w == e.b {
-			return true
-		}
-	}
-	return false
-}
-
-// evictOldestGap drops the oldest still-parked gap block, invoking the
-// eviction hook so the owner can unmark dedup state and re-pull. Returns
-// false if every order entry was stale.
-func (l *Lattice) evictOldestGap() bool {
-	for len(l.gapOrder) > 0 {
-		e := l.gapOrder[0]
-		l.gapOrder = l.gapOrder[1:]
-		if !l.gapEntryLive(e) {
-			continue
-		}
-		m, key := l.gapPrev, e.b.Prev
-		if e.src {
-			m, key = l.gapSource, e.b.Source
-		}
-		waiting := m[key]
-		idx := 0
-		for i, w := range waiting {
-			if w == e.b {
-				idx = i
-				break
-			}
-		}
-		if len(waiting) == 1 {
-			delete(m, key)
-		} else {
-			m[key] = append(waiting[:idx:idx], waiting[idx+1:]...)
-		}
-		l.gapParked--
-		l.gapEvicted++
-		if l.onGapEvict != nil {
-			l.onGapEvict(e.b)
-		}
-		return true
-	}
-	return false
-}
-
-// compactGapOrder drops stale order entries so the FIFO slice stays
-// proportional to the live parked population.
-func (l *Lattice) compactGapOrder() {
-	live := l.gapOrder[:0]
-	for _, e := range l.gapOrder {
-		if l.gapEntryLive(e) {
-			live = append(live, e)
-		}
-	}
-	l.gapOrder = live
-}
-
-// expireGaps evicts parked blocks whose age exceeds the TTL. The FIFO
-// order is also time order (the clock is monotonic), so expiry only
-// ever inspects the front — O(1) amortized per call.
-func (l *Lattice) expireGaps() {
-	if l.gapTTL <= 0 || l.clock == nil {
-		return
-	}
-	cutoff := l.clock() - l.gapTTL
-	for len(l.gapOrder) > 0 {
-		e := l.gapOrder[0]
-		if !l.gapEntryLive(e) {
-			l.gapOrder = l.gapOrder[1:]
-			continue
-		}
-		if e.at > cutoff {
-			return
-		}
-		l.evictOldestGap()
-	}
-}
+func (l *Lattice) parkSource(b *Block) { l.gaps.Park(gapKey{h: b.Source, src: true}, b) }
 
 // SetGapLimit overrides the gap-buffer bound (n <= 0 restores
 // DefaultGapLimit). The new bound applies from the next parked block.
-func (l *Lattice) SetGapLimit(n int) { l.gapLimit = n }
+func (l *Lattice) SetGapLimit(n int) { l.gaps.SetLimit(n) }
 
-// SetGapTTL enables age-based gap eviction: a parked block older than
-// ttl is dropped on the next Process or park, even while the buffer is
-// under its count bound (ttl <= 0 disables). Requires a clock
-// (SetClock); count-triggered eviction keeps working either way.
-func (l *Lattice) SetGapTTL(ttl time.Duration) { l.gapTTL = ttl }
+// Gaps exposes the gap buffer: its age bound, eviction hook and eviction
+// count. Network layers bound it and hook evictions to unmark dedup
+// state and schedule a re-pull.
+func (l *Lattice) Gaps() *backlog.Buffer[gapKey, *Block] { return &l.gaps }
 
-// SetClock installs the time source TTL eviction stamps and expires
-// against — simulation time in the network layers, so eviction stays
-// deterministic.
-func (l *Lattice) SetClock(now func() time.Duration) { l.clock = now }
-
-// SetGapEvicted installs a hook invoked for each evicted gap block —
-// network layers use it to unmark dedup state and schedule a re-pull.
-func (l *Lattice) SetGapEvicted(fn func(*Block)) { l.onGapEvict = fn }
-
-// GapEvictions returns how many parked blocks the bound has evicted.
-func (l *Lattice) GapEvictions() int { return l.gapEvicted }
-
-// drainGaps retries blocks that were waiting on the newly attached block,
-// appending every block that attaches to drained (in attachment order).
+// drainGaps retries blocks that were waiting on the newly attached block
+// — predecessor waiters first, then a send's source waiters — appending
+// every block that attaches to drained (in attachment order).
 func (l *Lattice) drainGaps(b *Block, drained []*Block) []*Block {
 	h := b.Hash()
-	queue := []*Block{}
-	if waiting, ok := l.gapPrev[h]; ok {
-		delete(l.gapPrev, h)
-		l.gapParked -= len(waiting)
-		queue = append(queue, waiting...)
-	}
+	queue := l.gaps.Take(gapKey{h: h})
 	if b.Type == Send {
-		if waiting, ok := l.gapSource[h]; ok {
-			delete(l.gapSource, h)
-			l.gapParked -= len(waiting)
-			queue = append(queue, waiting...)
-		}
+		queue = append(queue, l.gaps.Take(gapKey{h: h, src: true})...)
 	}
 	for _, w := range queue {
 		res := l.processOne(w)
@@ -817,16 +663,7 @@ func (l *Lattice) drainGaps(b *Block, drained []*Block) []*Block {
 
 // GapCount returns how many blocks are buffered waiting for predecessors
 // or sources.
-func (l *Lattice) GapCount() int {
-	n := 0
-	for _, ws := range l.gapPrev {
-		n += len(ws)
-	}
-	for _, ws := range l.gapSource {
-		n += len(ws)
-	}
-	return n
-}
+func (l *Lattice) GapCount() int { return l.gaps.Len() }
 
 // Forks returns the contested predecessors with at least one detached
 // rival.
@@ -914,27 +751,20 @@ func (l *Lattice) ResolveFork(prev, winner hashx.Hash) error {
 // replayed template instead of re-validating the same setup stream N
 // times — at mega-scale node counts that replay is the entire setup
 // cost. The clone and the original evolve independently afterwards. The
-// eviction hook (SetGapEvicted) is per-replica state and is not carried
+// gap buffer's eviction hook is per-replica state and is not carried
 // over — each owner installs its own.
 func (l *Lattice) Clone() *Lattice {
 	c := &Lattice{
-		workBits:   l.workBits,
-		chains:     make(map[keys.Address]*accountChain, len(l.chains)),
-		byHash:     make(map[hashx.Hash]*Block, len(l.byHash)),
-		pending:    make(map[hashx.Hash]Pending, len(l.pending)),
-		settled:    make(map[hashx.Hash]bool, len(l.settled)),
-		forks:      make(map[hashx.Hash][]*Block, len(l.forks)),
-		successor:  make(map[hashx.Hash]hashx.Hash, len(l.successor)),
-		gapPrev:    make(map[hashx.Hash][]*Block, len(l.gapPrev)),
-		gapSource:  make(map[hashx.Hash][]*Block, len(l.gapSource)),
-		gapLimit:   l.gapLimit,
-		gapParked:  l.gapParked,
-		gapEvicted: l.gapEvicted,
-		gapOrder:   append([]gapEntry(nil), l.gapOrder...),
-		gapTTL:     l.gapTTL,
-		clock:      l.clock,
-		supply:     l.supply,
-		genesis:    l.genesis,
+		workBits:  l.workBits,
+		chains:    make(map[keys.Address]*accountChain, len(l.chains)),
+		byHash:    make(map[hashx.Hash]*Block, len(l.byHash)),
+		pending:   make(map[hashx.Hash]Pending, len(l.pending)),
+		settled:   make(map[hashx.Hash]bool, len(l.settled)),
+		forks:     make(map[hashx.Hash][]*Block, len(l.forks)),
+		successor: make(map[hashx.Hash]hashx.Hash, len(l.successor)),
+		gaps:      l.gaps.Clone(),
+		supply:    l.supply,
+		genesis:   l.genesis,
 	}
 	for addr, ch := range l.chains {
 		blocks := make([]*Block, len(ch.blocks))
@@ -955,12 +785,6 @@ func (l *Lattice) Clone() *Lattice {
 	}
 	for h, s := range l.successor {
 		c.successor[h] = s
-	}
-	for h, ws := range l.gapPrev {
-		c.gapPrev[h] = append([]*Block(nil), ws...)
-	}
-	for h, ws := range l.gapSource {
-		c.gapSource[h] = append([]*Block(nil), ws...)
 	}
 	return c
 }

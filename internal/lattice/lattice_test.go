@@ -296,12 +296,73 @@ func TestGapPreviousRecovery(t *testing.T) {
 func TestGapTTLEviction(t *testing.T) {
 	e := newEnv(t, 0)
 	now := time.Duration(0)
-	e.l.SetClock(func() time.Duration { return now })
-	e.l.SetGapTTL(10 * time.Second)
+	e.l.Gaps().SetTTL(10*time.Second, func() time.Duration { return now })
 	var evicted []*Block
-	e.l.SetGapEvicted(func(b *Block) { evicted = append(evicted, b) })
+	e.l.Gaps().OnEvict(func(b *Block) { evicted = append(evicted, b) })
 
-	// send2 arrives without its parent send1 and parks at t=0.
+	// send2 arrives without its parent and parks at t=0.
+	send2 := e.parkOrphanSend(t)
+
+	// Under the TTL, unrelated traffic leaves the parked block alone.
+	now = 9 * time.Second
+	e.transfer(t, 0, 1, 50)
+	if e.l.GapCount() != 1 {
+		t.Fatalf("GapCount = %d before the TTL elapsed", e.l.GapCount())
+	}
+	if e.l.Gaps().Evicted() != 0 {
+		t.Fatal("premature eviction")
+	}
+
+	// Past the TTL, the next processed block expires it.
+	now = 20 * time.Second
+	e.transfer(t, 0, 1, 50)
+	if e.l.GapCount() != 0 {
+		t.Fatalf("GapCount = %d after the TTL elapsed", e.l.GapCount())
+	}
+	if got := e.l.Gaps().Evicted(); got != 1 {
+		t.Fatalf("Gaps().Evicted() = %d, want 1", got)
+	}
+	if len(evicted) != 1 || evicted[0].Hash() != send2.Hash() {
+		t.Fatalf("eviction hook saw %d blocks", len(evicted))
+	}
+	if err := e.l.CheckInvariant(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// ProcessBatch ages gaps out exactly as serial Process does: a gap block
+// past its TTL is evicted before the next batch's first block, even when
+// nothing in the batch touches it.
+func TestProcessBatchExpiresGaps(t *testing.T) {
+	e := newEnv(t, 0)
+	now := time.Duration(0)
+	e.l.Gaps().SetTTL(10*time.Second, func() time.Duration { return now })
+	e.parkOrphanSend(t)
+	unrelated, err := e.l.NewSend(e.r.Pair(0), e.r.Addr(3), 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	serial, batched := e.l, e.l.Clone()
+
+	now = 20 * time.Second
+	if res := serial.Process(unrelated); res.Status != Accepted {
+		t.Fatalf("serial: %v", res.Status)
+	}
+	if res := batched.ProcessBatch([]*Block{unrelated}, 1); res[0].Status != Accepted {
+		t.Fatalf("batched: %v", res[0].Status)
+	}
+	for _, l := range []*Lattice{serial, batched} {
+		if l.GapCount() != 0 || l.Gaps().Evicted() != 1 {
+			t.Fatalf("serial GapCount %d evicted %d, batched GapCount %d evicted %d; want 0 and 1 on both",
+				serial.GapCount(), serial.Gaps().Evicted(), batched.GapCount(), batched.Gaps().Evicted())
+		}
+	}
+}
+
+// parkOrphanSend processes a send whose predecessor (a send the lattice
+// never sees) is missing, so it parks as a gap, and returns it.
+func (e *env) parkOrphanSend(t *testing.T) *Block {
+	t.Helper()
 	send1, _ := e.l.NewSend(e.r.Pair(0), e.r.Addr(1), 100)
 	send2 := &Block{
 		Type:           Send,
@@ -315,32 +376,7 @@ func TestGapTTLEviction(t *testing.T) {
 	if res := e.l.Process(send2); res.Status != GapPrevious {
 		t.Fatalf("out-of-order block status = %v", res.Status)
 	}
-
-	// Under the TTL, unrelated traffic leaves the parked block alone.
-	now = 9 * time.Second
-	e.transfer(t, 0, 1, 50)
-	if e.l.GapCount() != 1 {
-		t.Fatalf("GapCount = %d before the TTL elapsed", e.l.GapCount())
-	}
-	if e.l.GapEvictions() != 0 {
-		t.Fatal("premature eviction")
-	}
-
-	// Past the TTL, the next processed block expires it.
-	now = 20 * time.Second
-	e.transfer(t, 0, 1, 50)
-	if e.l.GapCount() != 0 {
-		t.Fatalf("GapCount = %d after the TTL elapsed", e.l.GapCount())
-	}
-	if e.l.GapEvictions() != 1 {
-		t.Fatalf("GapEvictions = %d, want 1", e.l.GapEvictions())
-	}
-	if len(evicted) != 1 || evicted[0].Hash() != send2.Hash() {
-		t.Fatalf("eviction hook saw %d blocks", len(evicted))
-	}
-	if err := e.l.CheckInvariant(); err != nil {
-		t.Fatal(err)
-	}
+	return send2
 }
 
 func TestGapSourceRecovery(t *testing.T) {

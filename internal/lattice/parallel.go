@@ -99,7 +99,9 @@ func (l *Lattice) ProcessBatch(blocks []*Block, workers int) []Result {
 	// Stage 2: apply in input order. Fork incumbency, gap draining and
 	// pending settlement all depend on attachment order, so the serial
 	// schedule is the specification — and it is already the cheap part.
+	// Aged-out gap blocks expire before each block, as Process does.
 	for i, b := range blocks {
+		l.gaps.Expire()
 		res := l.processVerified(b, pre[i].h, pre[i].sigOK, pre[i].workOK)
 		if res.Status == Accepted {
 			res.Drained = l.drainGaps(b, nil)

@@ -28,15 +28,6 @@ type BitcoinConfig struct {
 	Accounts int
 	// InitialBalance funds each account at genesis.
 	InitialBalance uint64
-	// BacklogCap bounds each node's orphan pool; oldest orphans are
-	// evicted FIFO (and re-pulled when the sync manager is armed).
-	// <= 0 keeps the chain package default.
-	BacklogCap int
-	// BacklogTTL evicts parked orphans by age (simulation time) rather
-	// than count: any orphan older than the TTL is dropped on the next
-	// block arrival, even while the pool is under BacklogCap. <= 0
-	// disables age-based eviction.
-	BacklogTTL time.Duration
 }
 
 func (c BitcoinConfig) withDefaults() BitcoinConfig {
@@ -125,14 +116,7 @@ func NewBitcoin(cfg BitcoinConfig) (*BitcoinNet, error) {
 			ledger = root.Replica()
 		}
 		b.ledgers = append(b.ledgers, ledger)
-		b.chain.addNode(ledger)
-		if cfg.BacklogCap > 0 {
-			ledger.Store().SetOrphanLimit(cfg.BacklogCap)
-		}
-		if cfg.BacklogTTL > 0 {
-			ledger.Store().SetClock(s.Now)
-			ledger.Store().SetOrphanTTL(cfg.BacklogTTL)
-		}
+		b.chain.addNode(ledger, cfg.Net)
 	}
 	net.SetPeers(sim.RandomPeers(s.Rand(), cfg.Net.Nodes, cfg.Net.PeerDegree))
 	return b, nil
@@ -242,8 +226,7 @@ func init() {
 		Name: "bitcoin", Family: "blockchain", Order: 0,
 		Build: func(np NetParams, o BuildOptions) (ParadigmNet, error) {
 			net, err := NewBitcoin(BitcoinConfig{
-				Net: np, BlockInterval: 30 * time.Second,
-				Accounts: o.Accounts, BacklogCap: o.BacklogCap, BacklogTTL: o.BacklogTTL,
+				Net: np, BlockInterval: 30 * time.Second, Accounts: o.Accounts,
 			})
 			if err != nil {
 				return nil, err

@@ -56,15 +56,6 @@ type EthereumConfig struct {
 	// Accounts and InitialBalance shape the funded user population.
 	Accounts       int
 	InitialBalance uint64
-	// BacklogCap bounds each node's orphan pool; oldest orphans are
-	// evicted FIFO (and re-pulled when the sync manager is armed).
-	// <= 0 keeps the chain package default.
-	BacklogCap int
-	// BacklogTTL evicts parked orphans by age (simulation time) rather
-	// than count: any orphan older than the TTL is dropped on the next
-	// block arrival, even while the pool is under BacklogCap. <= 0
-	// disables age-based eviction.
-	BacklogTTL time.Duration
 }
 
 func (c EthereumConfig) withDefaults() EthereumConfig {
@@ -166,14 +157,7 @@ func NewEthereum(cfg EthereumConfig) (*EthereumNet, error) {
 			return nil, fmt.Errorf("netsim: node %d: %w", i, err)
 		}
 		e.ledgers = append(e.ledgers, ledger)
-		e.chain.addNode(ledger)
-		if cfg.BacklogCap > 0 {
-			ledger.Store().SetOrphanLimit(cfg.BacklogCap)
-		}
-		if cfg.BacklogTTL > 0 {
-			ledger.Store().SetClock(s.Now)
-			ledger.Store().SetOrphanTTL(cfg.BacklogTTL)
-		}
+		e.chain.addNode(ledger, cfg.Net)
 	}
 	net.SetPeers(sim.RandomPeers(s.Rand(), cfg.Net.Nodes, cfg.Net.PeerDegree))
 
@@ -417,8 +401,7 @@ func init() {
 		Name: "ethereum", Family: "blockchain", Order: 1,
 		Build: func(np NetParams, o BuildOptions) (ParadigmNet, error) {
 			net, err := NewEthereum(EthereumConfig{
-				Net: np, Consensus: PoW,
-				Accounts: o.Accounts, BacklogCap: o.BacklogCap, BacklogTTL: o.BacklogTTL,
+				Net: np, Consensus: PoW, Accounts: o.Accounts,
 			})
 			if err != nil {
 				return nil, err

@@ -74,17 +74,6 @@ type NanoConfig struct {
 	// unfaulted pipeline byte for byte. Node 0 (the observer) is always
 	// honest, so the cap is Nodes-1.
 	ByzantineNodes int
-	// BacklogCap bounds the per-node backlog buffers — the lattice gap
-	// buffer and the gossip ingest queue (<= 0 keeps the defaults:
-	// lattice.DefaultGapLimit and maxIngestBacklog). Evicted blocks
-	// unmark their dedup bit and, when the sync manager is armed,
-	// schedule a re-pull.
-	BacklogCap int
-	// BacklogTTL evicts parked gap blocks by age (simulation time)
-	// rather than count: any parked block older than the TTL is dropped
-	// on the node's next Process call, even while the buffer is under
-	// BacklogCap. <= 0 disables age-based eviction.
-	BacklogTTL time.Duration
 }
 
 func (c NanoConfig) withDefaults() NanoConfig {
@@ -139,7 +128,7 @@ const (
 )
 
 // maxIngestBacklog bounds the gossip ingest queue when
-// NanoConfig.BacklogCap is unset. The count-triggered flush already
+// NetParams.BacklogCap is unset. The count-triggered flush already
 // empties the queue at BatchSize, so the default bound only matters if a
 // cap below BatchSize is configured — then eviction, not the count
 // flush, holds the line (the window timer still settles the remainder).
@@ -384,14 +373,7 @@ func NewNano(cfg NanoConfig) (*NanoNet, error) {
 		}
 		node.id = n.rt.AddNode(n.handlerFor(node))
 		n.nodes = append(n.nodes, node)
-		if cfg.BacklogCap > 0 {
-			node.lat.SetGapLimit(cfg.BacklogCap)
-		}
-		if cfg.BacklogTTL > 0 {
-			node.lat.SetClock(s.Now)
-			node.lat.SetGapTTL(cfg.BacklogTTL)
-		}
-		node.lat.SetGapEvicted(n.gapEvictedHook(node))
+		bindBacklog(node.lat.Gaps(), cfg.Net, n.sync, node.id, n.seenBlocks, n.blockIDs)
 	}
 	net.SetPeers(sim.RandomPeers(s.Rand(), cfg.Net.Nodes, cfg.Net.PeerDegree))
 
@@ -517,26 +499,6 @@ func (n *NanoNet) onRangeRequest(node *nanoNode, from sim.NodeID, req *rangeRequ
 	})
 }
 
-// gapEvictedHook wires one node's lattice gap-buffer eviction into the
-// sync manager: the evicted block's dedup bit is cleared so gossip (or a
-// served pull) can re-deliver it, and when the manager is armed a
-// deferred re-pull fetches the block back from a live peer.
-func (n *NanoNet) gapEvictedHook(node *nanoNode) func(*lattice.Block) {
-	return func(b *lattice.Block) {
-		n.sync.stats.BacklogEvicted++
-		h := b.Hash()
-		n.seenBlocks.clear(node.row(), n.blockIDs.id(h))
-		if !n.sync.armed {
-			return
-		}
-		n.rt.sim.After(gapRepairDelay, func() {
-			if tgt := n.sync.rotateTarget(node.id, node.id); tgt != node.id {
-				n.sync.Pull(node.id, h, tgt)
-			}
-		})
-	}
-}
-
 // reactToResult applies the post-attach handling for one processed
 // block — election start, receive scheduling and observer settlement
 // counting for the block and every gap it drained, fork-election starts
@@ -578,22 +540,18 @@ func (n *NanoNet) enqueueIngest(node *nanoNode, b *lattice.Block, from sim.NodeI
 		n.flushIngest(node)
 		return
 	}
-	cap := n.cfg.BacklogCap
+	cap := n.cfg.Net.BacklogCap
 	if cap <= 0 {
 		cap = maxIngestBacklog
 	}
 	if len(node.ingest) > cap {
 		// Bounded ingest: drop the oldest queued block, unmark its dedup
-		// bit so it can be re-delivered, and re-pull it when armed.
+		// bit so it can be re-delivered, and re-pull it from its sender.
 		evicted := node.ingest[0]
 		node.ingest = node.ingest[1:]
-		n.sync.stats.BacklogEvicted++
 		h := evicted.b.Hash()
 		n.seenBlocks.clear(node.row(), n.blockIDs.id(h))
-		if n.sync.armed {
-			from := evicted.from
-			n.rt.sim.After(gapRepairDelay, func() { n.sync.Pull(node.id, h, from) })
-		}
+		n.sync.evicted(node.id, h, evicted.from)
 	}
 	if !node.flushArmed {
 		node.flushArmed = true
@@ -1042,10 +1000,7 @@ func init() {
 	registerParadigm(ParadigmSpec{
 		Name: "nano", Family: "dag", Order: 2,
 		Build: func(np NetParams, o BuildOptions) (ParadigmNet, error) {
-			net, err := NewNano(NanoConfig{
-				Net: np, Accounts: o.Accounts,
-				BacklogCap: o.BacklogCap, BacklogTTL: o.BacklogTTL,
-			})
+			net, err := NewNano(NanoConfig{Net: np, Accounts: o.Accounts})
 			if err != nil {
 				return nil, err
 			}

@@ -37,6 +37,19 @@ type NetParams struct {
 	// histograms, the default — golden-scale runs stay below any
 	// reasonable budget, so budgeted runs render identical tables.
 	SampleBudget int
+	// BacklogCap bounds every node's backlog buffers — the chain orphan
+	// pool, the lattice gap buffer and gossip ingest queue, the tangle's
+	// parked vertices. <= 0 keeps each owner's default
+	// (chain.DefaultOrphanLimit, lattice.DefaultGapLimit,
+	// maxIngestBacklog, tangle.DefaultGapLimit). Oldest objects are
+	// evicted first; an evicted object's dedup bit is cleared and, when
+	// the sync manager is armed, it is re-pulled.
+	BacklogCap int
+	// BacklogTTL evicts a parked object by age (simulation time) rather
+	// than count: one older than the TTL is dropped on the node's next
+	// arrival, even while its buffer is under BacklogCap. <= 0 disables
+	// age-based eviction.
+	BacklogTTL time.Duration
 }
 
 // withDefaults fills unset values. Only fields that are actually zero

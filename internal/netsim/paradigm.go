@@ -22,16 +22,13 @@ import (
 )
 
 // BuildOptions carries the cross-paradigm construction knobs a
-// comparison experiment sweeps; each Build maps them onto its network's
-// native config and fills paradigm-specific settings with defaults.
+// comparison experiment sweeps beyond NetParams; each Build maps them
+// onto its network's native config and fills paradigm-specific settings
+// with defaults.
 type BuildOptions struct {
 	// Accounts is the funded user population (<= 0 keeps the paradigm
 	// default).
 	Accounts int
-	// BacklogCap and BacklogTTL bound the per-node backlog buffers,
-	// exactly as the per-network configs define them.
-	BacklogCap int
-	BacklogTTL time.Duration
 }
 
 // ParadigmMetrics is the cross-paradigm summary of one run — the

@@ -283,28 +283,12 @@ func (c *chainRuntime) blockSlot(h hashx.Hash) int32 {
 
 // addNode registers one chain full node: first-seen blocks are counted
 // toward propagation, processed into the ledger, and re-flooded to the
-// node's (behavior-filtered) peers. The returned id equals the node's
-// index.
-func (c *chainRuntime) addNode(l chainLedger) sim.NodeID {
+// node's (behavior-filtered) peers; its orphan pool takes np's backlog
+// bound. The returned id equals the node's index.
+func (c *chainRuntime) addNode(l chainLedger, np NetParams) sim.NodeID {
 	idx := len(c.ledgers)
 	c.ledgers = append(c.ledgers, l)
-	l.Store().SetOrphanEvicted(func(b *chain.Block) {
-		// Bounded orphan pool: the evicted block's dedup bit is cleared
-		// so gossip (or a served pull) can re-deliver it, and when the
-		// sync manager is armed a deferred re-pull fetches it back from
-		// a live peer that adopted it.
-		c.sync.stats.BacklogEvicted++
-		h := b.Hash()
-		c.seen.clear(idx, c.blockSlot(h))
-		if !c.sync.armed {
-			return
-		}
-		c.rt.sim.After(gapRepairDelay, func() {
-			if tgt := c.sync.rotateTarget(sim.NodeID(idx), sim.NodeID(idx)); tgt != sim.NodeID(idx) {
-				c.sync.Pull(sim.NodeID(idx), h, tgt)
-			}
-		})
-	})
+	bindBacklog(l.Store().Orphans(), np, c.sync, sim.NodeID(idx), c.seen, c.blockIDs)
 	return c.rt.AddNode(func(from sim.NodeID, payload any, size int) {
 		switch msg := payload.(type) {
 		case *chain.Block:

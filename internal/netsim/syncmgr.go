@@ -31,6 +31,7 @@ package netsim
 import (
 	"time"
 
+	"repro/internal/backlog"
 	"repro/internal/hashx"
 	"repro/internal/sim"
 )
@@ -110,8 +111,9 @@ type SyncStats struct {
 	// pulled-bytes measure E20 reports.
 	BlocksServed int
 	BytesServed  int64
-	// BacklogEvicted counts blocks dropped from bounded backlog buffers
-	// (lattice gap buffer, chain orphan pool, ingest queue).
+	// BacklogEvicted counts objects dropped from bounded backlog buffers
+	// (chain orphan pool, lattice gap buffer and ingest queue, tangle
+	// parked vertices).
 	BacklogEvicted int
 }
 
@@ -179,6 +181,42 @@ func (m *syncManager) arm() { m.armed = true }
 func (m *syncManager) armRecovery() {
 	m.armed = true
 	m.recover = true
+}
+
+// evicted is the one reaction to an object dropped from a bounded
+// backlog: count it and, when the manager is armed, re-pull it after
+// gapRepairDelay — from target, or, when target is the node itself, from
+// a live peer chosen when the re-pull fires. The caller clears the
+// object's dedup bit, so gossip or the pull can deliver it again.
+func (m *syncManager) evicted(node sim.NodeID, h hashx.Hash, target sim.NodeID) {
+	m.stats.BacklogEvicted++
+	if !m.armed {
+		return
+	}
+	m.rt.sim.After(gapRepairDelay, func() {
+		if target == node {
+			if target = m.rotateTarget(node, node); target == node {
+				return
+			}
+		}
+		m.Pull(node, h, target)
+	})
+}
+
+// bindBacklog is the one place a node's backlog buffer is wired: bounded
+// by the network's BacklogCap/BacklogTTL, and each evicted object's dedup
+// bit (seen, under its ids id) cleared before the manager's reaction.
+func bindBacklog[K comparable, V interface {
+	comparable
+	Hash() hashx.Hash
+}](buf *backlog.Buffer[K, V], np NetParams, m *syncManager, node sim.NodeID, seen *bitRows, ids *dex[hashx.Hash]) {
+	buf.SetLimit(np.BacklogCap)
+	buf.SetTTL(np.BacklogTTL, m.rt.sim.Now)
+	buf.OnEvict(func(v V) {
+		h := v.Hash()
+		seen.clear(int(node), ids.id(h))
+		m.evicted(node, h, node)
+	})
 }
 
 // rotateTarget picks a live pull target for node, preferring its own

@@ -2,17 +2,20 @@ package netsim
 
 // Tests for the sync manager: the two legacy gap-repair failure modes
 // (pin-to-dead-target, no re-arm after budget exhaustion) demonstrated
-// in legacy mode and repaired in recovery mode, the bounded lattice gap
-// buffer under a parentless flood, and the cold-start range-pull
-// bootstrap on both paradigms.
+// in legacy mode and repaired in recovery mode, every paradigm's bounded
+// backlog under a parentless flood and under its age bound, and the
+// cold-start range-pull bootstrap on both paradigms.
 
 import (
 	"math/rand"
 	"testing"
 	"time"
 
+	"repro/internal/chain"
+	"repro/internal/hashx"
 	"repro/internal/lattice"
 	"repro/internal/sim"
+	"repro/internal/tangle"
 	"repro/internal/workload"
 )
 
@@ -178,56 +181,161 @@ func TestSyncPullRearmsAfterExhaustion(t *testing.T) {
 	}
 }
 
-// A flood of parentless blocks must not grow the lattice gap buffer
-// without bound; evicted blocks unmark their dedup bit so they can be
-// re-delivered (mirrors the pendingOrder flood test in nano_batch_test).
-func TestNanoGapBufferFloodBounded(t *testing.T) {
-	cfg := syncGapCfg(521)
-	cfg.BacklogCap = 8
-	net, err := NewNano(cfg)
+// backlogCase builds one paradigm's network through the registry and
+// names its victim's (node 0's) backlog buffer and a stream of objects
+// whose dependency never arrives, so each one parks.
+type backlogCase struct {
+	name string
+	// buffer reports the victim's parked count and eviction count.
+	buffer func(ParadigmNet) (parked, evicted int)
+	// orphans returns n objects that park at the victim, oldest first.
+	orphans func(t *testing.T, net ParadigmNet, n int) []any
+}
+
+// parentlessBlocks makes chain blocks whose parents no node ever sees.
+func parentlessBlocks(_ *testing.T, _ ParadigmNet, n int) []any {
+	out := make([]any, n)
+	for i := range out {
+		parent := hashx.Sum([]byte{'p', byte(i), byte(i >> 8)})
+		out[i] = &chain.Block{Header: chain.Header{Parent: parent, Height: uint64(i + 1)}, Payload: chain.OpaquePayload{ID: parent}}
+	}
+	return out
+}
+
+func chainBacklog(s *chain.Store) (int, int) { return s.OrphanPoolSize(), s.Orphans().Evicted() }
+
+var backlogCases = []backlogCase{
+	{
+		name:    "bitcoin",
+		buffer:  func(n ParadigmNet) (int, int) { return chainBacklog(n.(bitcoinParadigm).Observer().Store()) },
+		orphans: parentlessBlocks,
+	},
+	{
+		name:    "ethereum",
+		buffer:  func(n ParadigmNet) (int, int) { return chainBacklog(n.(ethereumParadigm).Observer().Store()) },
+		orphans: parentlessBlocks,
+	},
+	{
+		name: "nano",
+		buffer: func(n ParadigmNet) (int, int) {
+			l := n.(nanoParadigm).Observer()
+			return l.GapCount(), l.Gaps().Evicted()
+		},
+		// A chain crafted on a detached clone, delivered without its root:
+		// every block waits on its predecessor.
+		orphans: func(t *testing.T, net ParadigmNet, n int) []any {
+			nn := net.(nanoParadigm).NanoNet
+			donor := nn.nodes[1].lat.Clone()
+			out := make([]any, 0, n)
+			for i := 0; i <= n; i++ {
+				b, err := donor.NewSend(nn.ring.Pair(1), nn.ring.Addr(2+i%3), 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res := donor.Process(b); res.Status != lattice.Accepted {
+					t.Fatalf("craft block %d: %v", i, res.Status)
+				}
+				if i > 0 {
+					out = append(out, b)
+				}
+			}
+			return out
+		},
+	},
+	{
+		name: "tangle",
+		buffer: func(n ParadigmNet) (int, int) {
+			tg := n.(tangleParadigm).Observer()
+			return tg.ParkedCount(), tg.Parked().Evicted()
+		},
+		orphans: func(_ *testing.T, net ParadigmNet, n int) []any {
+			tn := net.(tangleParadigm).TangleNet
+			out := make([]any, n)
+			for i := range out {
+				missing := hashx.Sum([]byte{'v', byte(i), byte(i >> 8)})
+				out[i] = tangle.NewVertex(tn.ring.Pair(1), uint64(i+1), missing, missing, tn.ring.Addr(2), 1)
+			}
+			return out
+		},
+	},
+}
+
+// buildVictim builds the case's 4-node network with node 0 cut off from
+// relaying, so everything it parks arrives by deliver alone.
+func buildVictim(t *testing.T, c backlogCase, np NetParams) ParadigmNet {
+	t.Helper()
+	spec, err := ParadigmByName(c.name)
 	if err != nil {
 		t.Fatal(err)
 	}
-	isolateRelays(net)
-	victim := net.nodes[0]
+	np.Nodes, np.PeerDegree, np.Seed = 4, 2, 521
+	np.MinLatency, np.MaxLatency = 5*time.Millisecond, 20*time.Millisecond
+	net, err := spec.Build(np, BuildOptions{Accounts: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	net.Net().SetPeersOf(0, nil)
+	return net
+}
 
-	// Craft a long chain on a detached clone and deliver everything but
-	// the root: every delivered block parks as a gap.
-	donor := net.nodes[1].lat.Clone()
-	blocks := make([]*lattice.Block, 0, 30)
-	for i := 0; i < 30; i++ {
-		b, err := donor.NewSend(net.ring.Pair(1), net.ring.Addr(2+i%3), 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res := donor.Process(b); res.Status != lattice.Accepted {
-			t.Fatalf("craft block %d: %v", i, res.Status)
-		}
-		blocks = append(blocks, b)
-	}
-	for _, b := range blocks[1:] {
-		net.onBlock(victim, net.nodes[1].id, b)
-	}
+// deliver hands one object from node 1 to node 0 and lets it land.
+func deliver(net ParadigmNet, obj any) {
+	net.Runtime().Unicast(1, 0, obj, 100)
+	net.Sim().RunUntil(net.Sim().Now() + 100*time.Millisecond)
+}
 
-	if got := victim.lat.GapCount(); got > cfg.BacklogCap {
-		t.Fatalf("gap buffer holds %d blocks, cap %d", got, cfg.BacklogCap)
+// A flood of objects whose dependency never arrives must not grow any
+// paradigm's backlog past BacklogCap; evictions surface in SyncStats, and
+// an evicted object's dedup bit is cleared, so a re-delivery parks it
+// again instead of vanishing.
+func TestBacklogFloodBounded(t *testing.T) {
+	const limit = 8
+	for _, c := range backlogCases {
+		t.Run(c.name, func(t *testing.T) {
+			net := buildVictim(t, c, NetParams{BacklogCap: limit})
+			flood := c.orphans(t, net, 3*limit)
+			for _, obj := range flood {
+				deliver(net, obj)
+			}
+			parked, evicted := c.buffer(net)
+			if parked > limit {
+				t.Fatalf("buffer holds %d objects, cap %d", parked, limit)
+			}
+			if evicted != len(flood)-limit {
+				t.Fatalf("evicted %d of %d objects, want %d", evicted, len(flood), len(flood)-limit)
+			}
+			if got := net.SyncStats().BacklogEvicted; got != evicted {
+				t.Fatalf("SyncStats().BacklogEvicted = %d, buffer evicted %d", got, evicted)
+			}
+			// The oldest object went first; re-delivered, it parks again
+			// and pushes out the next oldest.
+			deliver(net, flood[0])
+			if p, e := c.buffer(net); e != evicted+1 || p > limit {
+				t.Fatalf("re-delivered evicted object did not re-park (parked %d, evictions %d -> %d); dedup bit still set", p, evicted, e)
+			}
+		})
 	}
-	if victim.lat.GapEvictions() == 0 {
-		t.Fatal("flood past the cap evicted nothing")
-	}
-	if st := net.SyncStats(); st.BacklogEvicted == 0 {
-		t.Fatalf("evictions not surfaced in SyncStats: %+v", st)
-	}
+}
 
-	// The oldest delivered block was evicted FIFO; its dedup bit must be
-	// clear so a re-delivery parks it again instead of vanishing.
-	evictions := victim.lat.GapEvictions()
-	net.onBlock(victim, net.nodes[1].id, blocks[1])
-	if got := victim.lat.GapEvictions(); got != evictions+1 {
-		t.Fatalf("re-delivered evicted block did not re-park (evictions %d -> %d); dedup bit still set", evictions, got)
-	}
-	if got := victim.lat.GapCount(); got > cfg.BacklogCap {
-		t.Fatalf("re-park overflowed the cap: %d > %d", got, cfg.BacklogCap)
+// BacklogTTL ages parked objects out on every paradigm — the tangle
+// included, whose seam build used to drop it: an object older than the
+// TTL is evicted by the next arrival while the buffer is far under cap.
+func TestBacklogTTLEvicts(t *testing.T) {
+	const ttl = 5 * time.Second
+	for _, c := range backlogCases {
+		t.Run(c.name, func(t *testing.T) {
+			net := buildVictim(t, c, NetParams{BacklogTTL: ttl})
+			objs := c.orphans(t, net, 2)
+			deliver(net, objs[0])
+			net.Sim().RunUntil(2 * ttl)
+			deliver(net, objs[1])
+			if parked, evicted := c.buffer(net); parked != 1 || evicted != 1 {
+				t.Fatalf("after the TTL: parked %d, evicted %d; want the stale object gone and the new one parked", parked, evicted)
+			}
+			if got := net.SyncStats().BacklogEvicted; got != 1 {
+				t.Fatalf("SyncStats().BacklogEvicted = %d, want 1", got)
+			}
+		})
 	}
 }
 

@@ -35,10 +35,6 @@ type TangleConfig struct {
 	// confirmed once that many later vertices sit in its future cone
 	// (default 4) — the cooperative analogue of §IV's depth rules.
 	ConfirmWeight int
-	// BacklogCap bounds the per-node parked-vertex buffer (<= 0 keeps
-	// tangle.DefaultGapLimit). Evicted vertices unmark their dedup bit
-	// and, when the sync manager is armed, schedule a re-pull.
-	BacklogCap int
 }
 
 func (c TangleConfig) withDefaults() TangleConfig {
@@ -153,10 +149,7 @@ func NewTangle(cfg TangleConfig) (*TangleNet, error) {
 		node := &tangleNode{tg: tg}
 		node.id = n.rt.AddNode(n.handlerFor(node))
 		n.nodes = append(n.nodes, node)
-		if cfg.BacklogCap > 0 {
-			tg.SetGapLimit(cfg.BacklogCap)
-		}
-		tg.SetGapEvicted(n.gapEvictedHook(node))
+		bindBacklog(tg.Parked(), cfg.Net, n.sync, node.id, n.seen, n.vertexIDs)
 	}
 	net.SetPeers(sim.RandomPeers(s.Rand(), cfg.Net.Nodes, cfg.Net.PeerDegree))
 	return n, nil
@@ -261,26 +254,6 @@ func (n *TangleNet) onRangeRequest(node *tangleNode, from sim.NodeID, req *range
 	n.sync.serveRange(node.id, from, req, len(vertices), func(i int) (any, int) {
 		return vertices[i], vertices[i].EncodedSize()
 	})
-}
-
-// gapEvictedHook wires one node's parked-vertex eviction into the sync
-// manager, mirroring the lattice gap buffer: the evicted vertex's dedup
-// bit is cleared so gossip (or a served pull) can re-deliver it, and
-// when the manager is armed a deferred re-pull fetches it back.
-func (n *TangleNet) gapEvictedHook(node *tangleNode) func(*tangle.Vertex) {
-	return func(v *tangle.Vertex) {
-		n.sync.stats.BacklogEvicted++
-		h := v.Hash()
-		n.seen.clear(node.row(), n.vertexIDs.id(h))
-		if !n.sync.armed {
-			return
-		}
-		n.rt.sim.After(gapRepairDelay, func() {
-			if tgt := n.sync.rotateTarget(node.id, node.id); tgt != node.id {
-				n.sync.Pull(node.id, h, tgt)
-			}
-		})
-	}
 }
 
 // noteConfirmed records observer-side confirmations.
@@ -486,9 +459,7 @@ func init() {
 	registerParadigm(ParadigmSpec{
 		Name: "tangle", Family: "dag", Order: 3,
 		Build: func(np NetParams, o BuildOptions) (ParadigmNet, error) {
-			net, err := NewTangle(TangleConfig{
-				Net: np, Accounts: o.Accounts, BacklogCap: o.BacklogCap,
-			})
+			net, err := NewTangle(TangleConfig{Net: np, Accounts: o.Accounts})
 			if err != nil {
 				return nil, err
 			}

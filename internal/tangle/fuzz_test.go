@@ -81,7 +81,7 @@ func FuzzTangleTipSelection(f *testing.F) {
 		if err != nil {
 			t.Fatalf("New: %v", err)
 		}
-		tg.SetGapLimit(8)
+		tg.Parked().SetLimit(8)
 		// Deliver in a fuzz-chosen order: gossip does not preserve issue
 		// order, and parking must absorb whatever arrives early.
 		order := make([]int, len(stream))

@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"repro/internal/backlog"
 	"repro/internal/hashx"
 	"repro/internal/keys"
 )
@@ -208,22 +209,12 @@ type Tangle struct {
 
 	confirmedCount int
 
-	// parked holds vertices waiting for a missing parent, bounded by
-	// gapLimit with FIFO eviction (arrival order).
-	parked      map[hashx.Hash][]*Vertex
-	parkedOrder []parkedRef
-	gapLimit    int
-	gapEvicted  func(*Vertex)
+	// parked holds vertices waiting for a missing parent, keyed by that
+	// parent, bounded with FIFO eviction (arrival order).
+	parked backlog.Buffer[hashx.Hash, *Vertex]
 }
 
 const confirmedFlag uint8 = 1
-
-// parkedRef remembers where a parked vertex waits so FIFO eviction can
-// find it without scanning the map.
-type parkedRef struct {
-	missing hashx.Hash
-	v       *Vertex
-}
 
 // DefaultGapLimit bounds the parked-vertex backlog.
 const DefaultGapLimit = 1024
@@ -247,8 +238,7 @@ func New(genesis *Vertex, confirmWeight int) (*Tangle, error) {
 	t := &Tangle{
 		confirmWeight: int32(confirmWeight),
 		ids:           map[hashx.Hash]int32{},
-		parked:        map[hashx.Hash][]*Vertex{},
-		gapLimit:      DefaultGapLimit,
+		parked:        backlog.New[hashx.Hash, *Vertex](DefaultGapLimit),
 	}
 	id := t.grow(genesis)
 	t.parents[id] = [2]int32{-1, -1}
@@ -258,17 +248,10 @@ func New(genesis *Vertex, confirmWeight int) (*Tangle, error) {
 	return t, nil
 }
 
-// SetGapLimit bounds the parked-vertex backlog (minimum 1).
-func (t *Tangle) SetGapLimit(n int) {
-	if n < 1 {
-		n = 1
-	}
-	t.gapLimit = n
-}
-
-// SetGapEvicted installs a callback invoked with each vertex dropped
-// from the parked backlog, so callers can clear dedup state and re-pull.
-func (t *Tangle) SetGapEvicted(fn func(*Vertex)) { t.gapEvicted = fn }
+// Parked exposes the parked-vertex backlog: its count and age bounds,
+// eviction hook and eviction count. Network layers bound it and hook
+// evictions to clear dedup state and re-pull.
+func (t *Tangle) Parked() *backlog.Buffer[hashx.Hash, *Vertex] { return &t.parked }
 
 // grow appends one vertex to every column and returns its id.
 func (t *Tangle) grow(v *Vertex) int32 {
@@ -305,8 +288,10 @@ func (t *Tangle) removeTip(id int32) {
 }
 
 // Attach validates and inserts a vertex, draining any parked vertices
-// the arrival unblocks and reporting newly confirmed coverage.
+// the arrival unblocks and reporting newly confirmed coverage. Aged-out
+// parked vertices are expired first.
 func (t *Tangle) Attach(v *Vertex) Result {
+	t.parked.Expire()
 	res := t.attachOne(v)
 	if res.Status != Accepted {
 		return res
@@ -317,13 +302,7 @@ func (t *Tangle) Attach(v *Vertex) Result {
 	for len(queue) > 0 {
 		h := queue[0]
 		queue = queue[1:]
-		waiting := t.parked[h]
-		if len(waiting) == 0 {
-			continue
-		}
-		delete(t.parked, h)
-		for _, w := range waiting {
-			t.unparkRef(h, w)
+		for _, w := range t.parked.Take(h) {
 			sub := t.attachOne(w)
 			if sub.Status != Accepted {
 				continue
@@ -413,50 +392,14 @@ func (t *Tangle) cement(id int32, out *[]hashx.Hash) {
 	*out = append(*out, t.vertices[id].Hash())
 }
 
-// park holds v until missing arrives, evicting the oldest parked vertex
-// when the backlog is full.
+// park holds v until missing arrives, unless it already waits there.
 func (t *Tangle) park(missing hashx.Hash, v *Vertex) {
-	for _, w := range t.parked[missing] {
+	for _, w := range t.parked.Waiting(missing) {
 		if w.Hash() == v.Hash() {
 			return
 		}
 	}
-	if len(t.parkedOrder) >= t.gapLimit {
-		old := t.parkedOrder[0]
-		t.parkedOrder = t.parkedOrder[1:]
-		t.dropParked(old.missing, old.v)
-		if t.gapEvicted != nil {
-			t.gapEvicted(old.v)
-		}
-	}
-	t.parked[missing] = append(t.parked[missing], v)
-	t.parkedOrder = append(t.parkedOrder, parkedRef{missing: missing, v: v})
-}
-
-// dropParked removes v from the parked map bucket for missing.
-func (t *Tangle) dropParked(missing hashx.Hash, v *Vertex) {
-	bucket := t.parked[missing]
-	for i, w := range bucket {
-		if w == v {
-			bucket = append(bucket[:i], bucket[i+1:]...)
-			break
-		}
-	}
-	if len(bucket) == 0 {
-		delete(t.parked, missing)
-	} else {
-		t.parked[missing] = bucket
-	}
-}
-
-// unparkRef removes the FIFO record for a drained vertex.
-func (t *Tangle) unparkRef(missing hashx.Hash, v *Vertex) {
-	for i, ref := range t.parkedOrder {
-		if ref.v == v && ref.missing == missing {
-			t.parkedOrder = append(t.parkedOrder[:i], t.parkedOrder[i+1:]...)
-			return
-		}
-	}
+	t.parked.Park(missing, v)
 }
 
 // SelectTips draws two tips uniformly (they may coincide) — the honest
@@ -516,7 +459,7 @@ func (t *Tangle) ConfirmedCount() int { return t.confirmedCount }
 func (t *Tangle) TipCount() int { return len(t.tips) }
 
 // ParkedCount is the number of vertices waiting on missing parents.
-func (t *Tangle) ParkedCount() int { return len(t.parkedOrder) }
+func (t *Tangle) ParkedCount() int { return t.parked.Len() }
 
 // LedgerBytes is the modeled storage footprint: §V's size axis. One
 // transaction per vertex means the whole graph is payload — there is no

@@ -213,9 +213,9 @@ func TestTipsTrackAttachment(t *testing.T) {
 func TestGapEvictionBound(t *testing.T) {
 	ring := testRing(t, 1)
 	tg, _ := newTestTangle(t, ring, 100)
-	tg.SetGapLimit(2)
+	tg.Parked().SetLimit(2)
 	var evicted []*Vertex
-	tg.SetGapEvicted(func(v *Vertex) { evicted = append(evicted, v) })
+	tg.Parked().OnEvict(func(v *Vertex) { evicted = append(evicted, v) })
 	missing := hashx.Sum([]byte("nowhere"))
 	var orphans []*Vertex
 	for i := 0; i < 4; i++ {
