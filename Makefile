@@ -16,19 +16,23 @@ test:
 # lattice batch settlement, signature batching, parallel merkle hashing,
 # the batched live-gossip + adversary paths in netsim, the pointer-
 # shared content (genesis, coin catalog, id and root memos) under the
-# chain ledgers, which must never cross networks, and every package whose
-# objects embed a keys.SigMemo.
+# chain ledgers and the lattice's block catalog, which must never cross
+# networks, and every package whose objects embed a keys.SigMemo.
 race:
 	$(GO) test -race -timeout 60m ./internal/sim/... ./internal/core/... ./internal/lattice/... ./internal/keys/... ./internal/merkle/... ./internal/netsim/... ./internal/utxo/... ./internal/chain/... ./internal/account/... ./internal/orv/... ./internal/tangle/... ./internal/pos/...
 
 # Short fuzz smoke mirroring CI: batch settlement vs serial apply under
 # hostile block streams, link-model delay sanity for any bounds, the
 # event queue against a naive minimum-scan model, tangle tip selection,
-# three UTXO sets on one coin catalog under apply/undo/reorg, the
-# signature memo against cold verification, and the bounded backlog
-# against a naive oldest-live-entry scan.
+# three UTXO sets on one coin catalog under apply/undo/reorg, three
+# lattice replicas on one block catalog against their map models, the
+# compact ORV tracker against the map tracker, the signature memo
+# against cold verification, and the bounded backlog against a naive
+# oldest-live-entry scan.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzLatticeProcessBatch$$' -fuzztime 30s ./internal/lattice
+	$(GO) test -run '^$$' -fuzz '^FuzzLatticeReplicas$$' -fuzztime 15s -fuzzminimizetime 2s ./internal/lattice
+	$(GO) test -run '^$$' -fuzz '^FuzzTracker$$' -fuzztime 15s -fuzzminimizetime 2s ./internal/orv
 	$(GO) test -run '^$$' -fuzz '^FuzzLinkModelDelay$$' -fuzztime 15s ./internal/sim
 	$(GO) test -run '^$$' -fuzz '^FuzzPopOrder$$' -fuzztime 15s -fuzzminimizetime 2s ./internal/sim
 	$(GO) test -run '^$$' -fuzz '^FuzzTangleTipSelection$$' -fuzztime 30s ./internal/tangle

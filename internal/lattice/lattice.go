@@ -12,11 +12,23 @@
 // detects them and defers resolution to representative voting.
 //
 // Performance invariants (tracked by internal/perf, gated in CI):
-// block content is immutable after the first Hash call, which is what
-// lets Block.Hash memoize its digest; and ProcessBatch produces
-// byte-identical lattice state and results for any worker count, so
-// perf-suite runs pinned at Workers=1 describe the same computation the
-// parallel paths execute.
+//
+//   - Content is separate from state. Every block the replicas of one
+//     network attach enters one append-only catalog (hash → dense id,
+//     id → *Block and predecessor id, account → dense id), written only
+//     by Process, ResolveFork and ProcessBatch's serial stage. A replica
+//     (New, or Clone of another replica) holds only its state over those
+//     ids: a head id per account, bitsets of attached blocks and settled
+//     sends, and a successor id column. A send is pending exactly when it
+//     is attached and not settled, and its destination and amount are
+//     read from the catalog. A block in the catalog that a replica has
+//     not attached does not exist for that replica.
+//   - Block content is immutable after signing: the catalog stores one
+//     pointer per block for every replica, and Block.Hash memoizes its
+//     digest on that pointer.
+//   - ProcessBatch produces byte-identical lattice state and results for
+//     any worker count, so perf-suite runs pinned at Workers=1 describe
+//     the same computation the parallel paths execute.
 package lattice
 
 import (
@@ -25,6 +37,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
+	"slices"
 	"sort"
 
 	"repro/internal/backlog"
@@ -232,12 +246,6 @@ type Pending struct {
 	Amount      uint64
 }
 
-// accountChain is the per-account history.
-type accountChain struct {
-	blocks []*Block
-	head   hashx.Hash
-}
-
 // Result reports what Process did.
 type Result struct {
 	Status Status
@@ -253,18 +261,96 @@ type Result struct {
 	Drained []*Block
 }
 
-// Lattice is the whole DAG: every account chain, the pending (unsettled)
-// send set, fork records awaiting votes, and gap buffers.
+// catalog is the append-only table of every block the replicas of one
+// network have attached, each under a dense id, plus a dense id per
+// account. It is content, not state: a block's entry — the block and the
+// id of the predecessor it names — is a pure function of the block, so
+// the replicas of a network (Clone) share one catalog and keep only which
+// ids they hold. Id 0 means "no block". A block enters on its first
+// attach anywhere in the network and never leaves, so ids stay valid in
+// every replica's columns; a replica that rolls a block back only clears
+// its own bit. Not safe for concurrent use: a catalog never leaves the
+// goroutine that drives its network, and ProcessBatch writes it only in
+// its serial stage.
+type catalog struct {
+	ids    map[hashx.Hash]uint32   // block hash -> id
+	blocks []*Block                // id -> block; blocks[0] is nil
+	prev   []uint32                // id -> predecessor's id, 0 for opens
+	accts  map[keys.Address]uint32 // account -> dense account id
+}
+
+func newCatalog() *catalog {
+	return &catalog{
+		ids:    make(map[hashx.Hash]uint32),
+		blocks: []*Block{nil},
+		prev:   []uint32{0},
+		accts:  make(map[keys.Address]uint32),
+	}
+}
+
+// add enters a block no replica has attached yet and returns its id.
+func (c *catalog) add(b *Block, h hashx.Hash, prev uint32) uint32 {
+	id := uint32(len(c.blocks))
+	c.ids[h] = id
+	c.blocks = append(c.blocks, b)
+	c.prev = append(c.prev, prev)
+	return id
+}
+
+// amount is what the send with this id moves: its predecessor's balance
+// less its own.
+func (c *catalog) amount(id uint32) uint64 {
+	return c.blocks[c.prev[id]].Balance - c.blocks[id].Balance
+}
+
+// hashOf returns the hash of the block with this id, zero for id 0.
+func (c *catalog) hashOf(id uint32) hashx.Hash {
+	if id == 0 {
+		return hashx.Zero
+	}
+	return c.blocks[id].Hash()
+}
+
+// bitset is a growable set of catalog ids.
+type bitset []uint64
+
+func (s bitset) has(id uint32) bool {
+	w := int(id >> 6)
+	return w < len(s) && s[w]&(1<<(id&63)) != 0
+}
+
+func (s *bitset) set(id uint32) {
+	w := int(id >> 6)
+	if w >= len(*s) {
+		*s = append(*s, make([]uint64, w+1-len(*s))...)
+	}
+	(*s)[w] |= 1 << (id & 63)
+}
+
+func (s bitset) clear(id uint32) {
+	if w := int(id >> 6); w < len(s) {
+		s[w] &^= 1 << (id & 63)
+	}
+}
+
+// Lattice is one node's replica of the DAG: which catalog blocks sit on
+// its account chains, which sends it has settled, the fork records
+// awaiting votes, and its gap buffers. A send is pending exactly when it
+// is attached here and not settled here.
 type Lattice struct {
 	workBits int
-	chains   map[keys.Address]*accountChain
-	byHash   map[hashx.Hash]*Block
-	pending  map[hashx.Hash]Pending // send hash -> unsettled amount
-	settled  map[hashx.Hash]bool    // send hash -> settled
-	// forks maps a contested predecessor to the detached rival blocks.
+	cat      *catalog
+	// heads maps a catalog account id to the id of that account's head
+	// block here; 0 (or past the end) means not opened here.
+	heads []uint32
+	// attached holds the ids on this replica's account chains; settled
+	// the send ids an attached open or receive has settled here.
+	attached, settled bitset
+	// succ maps an attached block's id to its attached successor's id.
+	succ []uint32
+	// forks maps a contested predecessor to the detached rival blocks;
+	// nil until the first fork.
 	forks map[hashx.Hash][]*Block
-	// successor maps an attached block to its attached successor.
-	successor map[hashx.Hash]hashx.Hash
 	// gaps buffers blocks whose predecessor (keyed by Prev) or source send
 	// (keyed by Source) is missing, under one bound.
 	gaps    backlog.Buffer[gapKey, *Block]
@@ -288,18 +374,14 @@ const DefaultGapLimit = 4096
 // New creates a lattice whose genesis open block grants the entire supply
 // to the genesis account (§II-B: "The genesis transaction defines the
 // initial state"). workBits is the anti-spam difficulty all blocks must
-// meet (0 disables work checks, useful in unit tests).
+// meet (0 disables work checks, useful in unit tests). The lattice gets a
+// catalog of its own; Clone makes further replicas of the same network.
 func New(genesisOwner *keys.KeyPair, supply uint64, workBits int) (*Lattice, *Block, error) {
 	l := &Lattice{
-		workBits:  workBits,
-		chains:    make(map[keys.Address]*accountChain),
-		byHash:    make(map[hashx.Hash]*Block),
-		pending:   make(map[hashx.Hash]Pending),
-		settled:   make(map[hashx.Hash]bool),
-		forks:     make(map[hashx.Hash][]*Block),
-		successor: make(map[hashx.Hash]hashx.Hash),
-		gaps:      backlog.New[gapKey, *Block](DefaultGapLimit),
-		supply:    supply,
+		workBits: workBits,
+		cat:      newCatalog(),
+		gaps:     backlog.New[gapKey, *Block](DefaultGapLimit),
+		supply:   supply,
 	}
 	genesis := &Block{
 		Type:           Open,
@@ -313,10 +395,8 @@ func New(genesisOwner *keys.KeyPair, supply uint64, workBits int) (*Lattice, *Bl
 			return nil, nil, errors.New("lattice: could not solve genesis work")
 		}
 	}
-	h := genesis.Hash()
-	l.byHash[h] = genesis
-	l.chains[genesis.Account] = &accountChain{blocks: []*Block{genesis}, head: h}
-	l.genesis = h
+	l.genesis = genesis.Hash()
+	l.link(genesis, l.genesis, 0, 0)
 	return l, genesis, nil
 }
 
@@ -329,22 +409,58 @@ func (l *Lattice) Supply() uint64 { return l.supply }
 // WorkBits returns the anti-spam difficulty.
 func (l *Lattice) WorkBits() int { return l.workBits }
 
+// headID returns the id of addr's head block here, 0 if not opened here.
+func (l *Lattice) headID(addr keys.Address) uint32 {
+	a, ok := l.cat.accts[addr]
+	if !ok || int(a) >= len(l.heads) {
+		return 0
+	}
+	return l.heads[a]
+}
+
+// successor returns the id of the block attached after id here, 0 if none.
+func (l *Lattice) successor(id uint32) uint32 {
+	if int(id) >= len(l.succ) {
+		return 0
+	}
+	return l.succ[id]
+}
+
+// lookup returns the id of the block with hash h if it is attached here.
+func (l *Lattice) lookup(h hashx.Hash) (uint32, bool) {
+	id, ok := l.cat.ids[h]
+	return id, ok && l.attached.has(id)
+}
+
+// isPending reports whether id is a send attached and unsettled here.
+func (l *Lattice) isPending(id uint32) bool {
+	return l.attached.has(id) && !l.settled.has(id) && l.cat.blocks[id].Type == Send
+}
+
+// eachPending calls fn for every pending send here, in catalog order.
+func (l *Lattice) eachPending(fn func(id uint32)) {
+	for w, word := range l.attached {
+		if w < len(l.settled) {
+			word &^= l.settled[w]
+		}
+		for ; word != 0; word &= word - 1 {
+			if id := uint32(w<<6 + bits.TrailingZeros64(word)); l.cat.blocks[id].Type == Send {
+				fn(id)
+			}
+		}
+	}
+}
+
 // Head returns an account's chain head hash.
 func (l *Lattice) Head(addr keys.Address) (hashx.Hash, bool) {
-	c, ok := l.chains[addr]
-	if !ok {
-		return hashx.Zero, false
-	}
-	return c.head, true
+	id := l.headID(addr)
+	return l.cat.hashOf(id), id != 0
 }
 
 // HeadBlock returns an account's chain head block.
 func (l *Lattice) HeadBlock(addr keys.Address) (*Block, bool) {
-	c, ok := l.chains[addr]
-	if !ok {
-		return nil, false
-	}
-	return l.byHash[c.head], true
+	id := l.headID(addr)
+	return l.cat.blocks[id], id != 0
 }
 
 // Balance returns an account's settled balance (0 for unopened accounts).
@@ -364,34 +480,50 @@ func (l *Lattice) Representative(addr keys.Address) (keys.Address, bool) {
 	return b.Representative, true
 }
 
-// Get returns a block by hash.
+// Get returns a block by hash. A block other replicas of the network hold
+// but this one has not attached does not exist here.
 func (l *Lattice) Get(h hashx.Hash) (*Block, bool) {
-	b, ok := l.byHash[h]
-	return b, ok
+	id, ok := l.lookup(h)
+	if !ok {
+		return nil, false
+	}
+	return l.cat.blocks[id], true
+}
+
+// appendChain appends the chain that ends at head, oldest first.
+func (l *Lattice) appendChain(out []*Block, head uint32) []*Block {
+	start := len(out)
+	for id := head; id != 0; id = l.cat.prev[id] {
+		out = append(out, l.cat.blocks[id])
+	}
+	slices.Reverse(out[start:])
+	return out
 }
 
 // ChainLen returns the number of blocks on an account's chain.
 func (l *Lattice) ChainLen(addr keys.Address) int {
-	c, ok := l.chains[addr]
-	if !ok {
-		return 0
+	n := 0
+	for id := l.headID(addr); id != 0; id = l.cat.prev[id] {
+		n++
 	}
-	return len(c.blocks)
+	return n
 }
 
 // Chain returns a copy of the account's block sequence, oldest first.
 func (l *Lattice) Chain(addr keys.Address) []*Block {
-	c, ok := l.chains[addr]
-	if !ok {
-		return nil
-	}
-	out := make([]*Block, len(c.blocks))
-	copy(out, c.blocks)
-	return out
+	return l.appendChain(nil, l.headID(addr))
 }
 
 // Accounts returns the number of opened accounts.
-func (l *Lattice) Accounts() int { return len(l.chains) }
+func (l *Lattice) Accounts() int {
+	n := 0
+	for _, head := range l.heads {
+		if head != 0 {
+			n++
+		}
+	}
+	return n
+}
 
 // AllBlocks returns every attached block in a deterministic order:
 // accounts sorted by address, each account's chain oldest-first. Churn
@@ -401,16 +533,22 @@ func (l *Lattice) Accounts() int { return len(l.chains) }
 // settles through the gap buffers), and the fixed account order keeps
 // replay byte-reproducible across runs.
 func (l *Lattice) AllBlocks() []*Block {
-	addrs := make([]keys.Address, 0, len(l.chains))
-	for a := range l.chains {
-		addrs = append(addrs, a)
+	type opened struct {
+		addr keys.Address
+		head uint32
 	}
-	sort.Slice(addrs, func(i, j int) bool {
-		return bytes.Compare(addrs[i][:], addrs[j][:]) < 0
+	var accts []opened
+	for addr, a := range l.cat.accts {
+		if int(a) < len(l.heads) && l.heads[a] != 0 {
+			accts = append(accts, opened{addr, l.heads[a]})
+		}
+	}
+	sort.Slice(accts, func(i, j int) bool {
+		return bytes.Compare(accts[i].addr[:], accts[j].addr[:]) < 0
 	})
 	out := make([]*Block, 0, l.BlockCount())
-	for _, a := range addrs {
-		out = append(out, l.chains[a].blocks...)
+	for _, a := range accts {
+		out = l.appendChain(out, a.head)
 	}
 	return out
 }
@@ -419,8 +557,8 @@ func (l *Lattice) AllBlocks() []*Block {
 // blocks excluded).
 func (l *Lattice) BlockCount() int {
 	n := 0
-	for _, c := range l.chains {
-		n += len(c.blocks)
+	for _, word := range l.attached {
+		n += bits.OnesCount64(word)
 	}
 	return n
 }
@@ -428,29 +566,34 @@ func (l *Lattice) BlockCount() int {
 // PendingFor lists the unsettled send hashes addressed to an account.
 func (l *Lattice) PendingFor(addr keys.Address) []hashx.Hash {
 	var out []hashx.Hash
-	for h, p := range l.pending {
-		if p.Destination == addr {
-			out = append(out, h)
+	l.eachPending(func(id uint32) {
+		if send := l.cat.blocks[id]; send.Destination == addr {
+			out = append(out, send.Hash())
 		}
-	}
+	})
 	return out
 }
 
 // PendingInfo returns the pending record of a send block.
 func (l *Lattice) PendingInfo(send hashx.Hash) (Pending, bool) {
-	p, ok := l.pending[send]
-	return p, ok
+	id, ok := l.cat.ids[send]
+	if !ok || !l.isPending(id) {
+		return Pending{}, false
+	}
+	return Pending{Destination: l.cat.blocks[id].Destination, Amount: l.cat.amount(id)}, true
 }
 
 // PendingCount returns the number of unsettled sends.
-func (l *Lattice) PendingCount() int { return len(l.pending) }
+func (l *Lattice) PendingCount() int {
+	n := 0
+	l.eachPending(func(uint32) { n++ })
+	return n
+}
 
 // PendingTotal returns the total unsettled value.
 func (l *Lattice) PendingTotal() uint64 {
 	var t uint64
-	for _, p := range l.pending {
-		t += p.Amount
-	}
+	l.eachPending(func(id uint32) { t += l.cat.amount(id) })
 	return t
 }
 
@@ -469,7 +612,7 @@ func (l *Lattice) Process(b *Block) Result {
 
 func (l *Lattice) processOne(b *Block) Result {
 	h := b.Hash()
-	if _, dup := l.byHash[h]; dup {
+	if _, dup := l.lookup(h); dup {
 		return Result{Status: Duplicate}
 	}
 	return l.processVerified(b, h, b.VerifySig(), l.workBits <= 0 || b.VerifyWork(l.workBits))
@@ -479,7 +622,8 @@ func (l *Lattice) processOne(b *Block) Result {
 // signature, anti-spam work) were already performed — inline by processOne,
 // or across the ProcessBatch worker pool.
 func (l *Lattice) processVerified(b *Block, h hashx.Hash, sigOK, workOK bool) Result {
-	if _, dup := l.byHash[h]; dup {
+	id, known := l.cat.ids[h]
+	if known && l.attached.has(id) {
 		return Result{Status: Duplicate}
 	}
 	if !sigOK {
@@ -490,141 +634,161 @@ func (l *Lattice) processVerified(b *Block, h hashx.Hash, sigOK, workOK bool) Re
 	}
 	switch b.Type {
 	case Open:
-		return l.processOpen(b, h)
+		return l.processOpen(b, h, id)
 	case Send, Receive, Change:
-		return l.processChained(b, h)
+		return l.processChained(b, h, id)
 	default:
 		return Result{Status: Rejected, Err: fmt.Errorf("lattice: unknown block type %d", b.Type)}
 	}
 }
 
-func (l *Lattice) processOpen(b *Block, h hashx.Hash) Result {
-	if _, opened := l.chains[b.Account]; opened {
+// processOpen attaches an open block; id is its catalog id, 0 if no
+// replica has attached it yet.
+func (l *Lattice) processOpen(b *Block, h hashx.Hash, id uint32) Result {
+	if l.headID(b.Account) != 0 {
 		return Result{Status: Rejected, Err: ErrAlreadyOpened}
 	}
 	if !b.Prev.IsZero() {
 		return Result{Status: Rejected, Err: errors.New("lattice: open block must have zero prev")}
 	}
-	p, ok := l.pending[b.Source]
-	if !ok {
-		if l.settled[b.Source] {
-			return Result{Status: Rejected, Err: errors.New("lattice: source already settled")}
-		}
-		l.parkSource(b)
-		return Result{Status: GapSource}
+	src, amount, err := l.source(b)
+	if err != nil {
+		return l.parkOrReject(b, err)
 	}
-	if p.Destination != b.Account {
-		return Result{Status: Rejected, Err: ErrWrongDest}
+	if b.Balance != amount {
+		return Result{Status: Rejected, Err: fmt.Errorf("%w: open balance %d, pending %d", ErrBadBalance, b.Balance, amount)}
 	}
-	if b.Balance != p.Amount {
-		return Result{Status: Rejected, Err: fmt.Errorf("%w: open balance %d, pending %d", ErrBadBalance, b.Balance, p.Amount)}
-	}
-	delete(l.pending, b.Source)
-	l.settled[b.Source] = true
-	l.byHash[h] = b
-	l.chains[b.Account] = &accountChain{blocks: []*Block{b}, head: h}
+	l.settled.set(src)
+	l.link(b, h, id, 0)
 	return Result{Status: Accepted, Settled: b.Source}
 }
 
-func (l *Lattice) processChained(b *Block, h hashx.Hash) Result {
-	c, opened := l.chains[b.Account]
-	if !opened {
+// processChained attaches or records as a fork rival a send, receive or
+// change block; id as for processOpen.
+func (l *Lattice) processChained(b *Block, h hashx.Hash, id uint32) Result {
+	head := l.headID(b.Account)
+	if head == 0 {
 		l.parkPrev(b)
 		return Result{Status: GapPrevious}
 	}
-	prev, known := l.byHash[b.Prev]
-	if !known || prev.Account != b.Account {
+	pid, known := l.lookup(b.Prev)
+	if !known || l.cat.blocks[pid].Account != b.Account {
 		l.parkPrev(b)
 		return Result{Status: GapPrevious}
 	}
-	if b.Prev != c.head {
+	src, err := l.validateAgainstPrev(b, l.cat.blocks[pid])
+	if err != nil {
+		return l.parkOrReject(b, err)
+	}
+	if pid != head {
 		// The predecessor already has a successor: a fork (§IV-B, "two
 		// transactions may claim the same predecessor causing a fork").
-		if err := l.validateAgainstPrev(b, prev); err != nil {
-			if errors.Is(err, errGapSource) {
-				l.parkSource(b)
-				return Result{Status: GapSource}
-			}
-			return Result{Status: Rejected, Err: err}
-		}
 		for _, r := range l.forks[b.Prev] {
 			if r.Hash() == h {
 				return Result{Status: Duplicate}
 			}
 		}
+		if l.forks == nil {
+			l.forks = make(map[hashx.Hash][]*Block)
+		}
 		l.forks[b.Prev] = append(l.forks[b.Prev], b)
-		rivals := []hashx.Hash{l.successor[b.Prev]}
-		for _, r := range l.forks[b.Prev] {
-			rivals = append(rivals, r.Hash())
-		}
-		return Result{Status: AcceptedFork, ForkRivals: rivals}
+		return Result{Status: AcceptedFork, ForkRivals: l.candidates(b.Prev, pid)}
 	}
-	if err := l.validateAgainstPrev(b, prev); err != nil {
-		if errors.Is(err, errGapSource) {
-			l.parkSource(b)
-			return Result{Status: GapSource}
-		}
-		return Result{Status: Rejected, Err: err}
+	res := Result{Status: Accepted}
+	if b.Type == Receive {
+		l.settled.set(src)
+		res.Settled = b.Source
 	}
-	return l.attach(b, h, c)
+	l.link(b, h, id, pid)
+	return res
+}
+
+// source resolves the send an open or receive settles: its id and amount
+// when it is pending here and addressed to b's account. A send this
+// replica does not hold pending is a gap (errGapSource) unless it already
+// settled here.
+func (l *Lattice) source(b *Block) (uint32, uint64, error) {
+	id, known := l.cat.ids[b.Source]
+	if !known || !l.isPending(id) {
+		if known && l.settled.has(id) {
+			return 0, 0, errors.New("lattice: source already settled")
+		}
+		return 0, 0, errGapSource
+	}
+	if l.cat.blocks[id].Destination != b.Account {
+		return 0, 0, ErrWrongDest
+	}
+	return id, l.cat.amount(id), nil
+}
+
+// parkOrReject turns a validation error into a result: a missing source
+// parks the block, anything else rejects it.
+func (l *Lattice) parkOrReject(b *Block, err error) Result {
+	if errors.Is(err, errGapSource) {
+		l.parkSource(b)
+		return Result{Status: GapSource}
+	}
+	return Result{Status: Rejected, Err: err}
 }
 
 // validateAgainstPrev checks type-specific balance rules relative to the
-// claimed predecessor.
-func (l *Lattice) validateAgainstPrev(b, prev *Block) error {
+// claimed predecessor. For a receive it returns the id of the send it
+// settles.
+func (l *Lattice) validateAgainstPrev(b, prev *Block) (uint32, error) {
 	switch b.Type {
 	case Send:
 		if b.Balance >= prev.Balance {
-			return fmt.Errorf("%w: send must decrease balance (%d -> %d)", ErrBadBalance, prev.Balance, b.Balance)
+			return 0, fmt.Errorf("%w: send must decrease balance (%d -> %d)", ErrBadBalance, prev.Balance, b.Balance)
 		}
 		if b.Destination.IsZero() {
-			return errors.New("lattice: send without destination")
+			return 0, errors.New("lattice: send without destination")
 		}
 	case Receive:
-		p, ok := l.pending[b.Source]
-		if !ok {
-			if l.settled[b.Source] {
-				return errors.New("lattice: source already settled")
-			}
-			return errGapSource
+		src, amount, err := l.source(b)
+		if err != nil {
+			return 0, err
 		}
-		if p.Destination != b.Account {
-			return ErrWrongDest
+		if b.Balance != prev.Balance+amount {
+			return 0, fmt.Errorf("%w: receive balance %d, want %d", ErrBadBalance, b.Balance, prev.Balance+amount)
 		}
-		if b.Balance != prev.Balance+p.Amount {
-			return fmt.Errorf("%w: receive balance %d, want %d", ErrBadBalance, b.Balance, prev.Balance+p.Amount)
-		}
+		return src, nil
 	case Change:
 		if b.Balance != prev.Balance {
-			return fmt.Errorf("%w: change must not move value", ErrBadBalance)
+			return 0, fmt.Errorf("%w: change must not move value", ErrBadBalance)
 		}
 	default:
-		return fmt.Errorf("lattice: type %s cannot chain", b.Type)
+		return 0, fmt.Errorf("lattice: type %s cannot chain", b.Type)
 	}
-	return nil
+	return 0, nil
 }
 
 // errGapSource is an internal sentinel turned into GapSource status.
 var errGapSource = errors.New("lattice: source not yet pending")
 
-// attach links a validated block at the head of its chain.
-func (l *Lattice) attach(b *Block, h hashx.Hash, c *accountChain) Result {
-	res := Result{Status: Accepted}
-	switch b.Type {
-	case Send:
-		prev := l.byHash[b.Prev]
-		amount := prev.Balance - b.Balance
-		l.pending[h] = Pending{Destination: b.Destination, Amount: amount}
-	case Receive:
-		delete(l.pending, b.Source)
-		l.settled[b.Source] = true
-		res.Settled = b.Source
+// link attaches a validated block at the head of its chain, after the
+// block with id pid (0 for an open). id is the block's catalog id, 0 if no
+// replica has attached it yet: the catalog entry is written here, the one
+// place a replica adds content.
+func (l *Lattice) link(b *Block, h hashx.Hash, id, pid uint32) {
+	if id == 0 {
+		id = l.cat.add(b, h, pid)
 	}
-	l.byHash[h] = b
-	l.successor[b.Prev] = h
-	c.blocks = append(c.blocks, b)
-	c.head = h
-	return res
+	l.attached.set(id)
+	a, ok := l.cat.accts[b.Account]
+	if !ok {
+		a = uint32(len(l.cat.accts))
+		l.cat.accts[b.Account] = a
+	}
+	if int(a) >= len(l.heads) {
+		l.heads = append(l.heads, make([]uint32, int(a)+1-len(l.heads))...)
+	}
+	l.heads[a] = id
+	if pid != 0 {
+		if int(pid) >= len(l.succ) {
+			l.succ = append(l.succ, make([]uint32, int(pid)+1-len(l.succ))...)
+		}
+		l.succ[pid] = id
+	}
 }
 
 // parkPrev buffers a block whose predecessor is missing.
@@ -675,18 +839,23 @@ func (l *Lattice) Forks() []hashx.Hash {
 	return out
 }
 
+// candidates lists a contested predecessor's candidates: the attached
+// successor of pid first, then the detached rivals.
+func (l *Lattice) candidates(prev hashx.Hash, pid uint32) []hashx.Hash {
+	out := []hashx.Hash{l.cat.hashOf(l.successor(pid))}
+	for _, r := range l.forks[prev] {
+		out = append(out, r.Hash())
+	}
+	return out
+}
+
 // ForkCandidates returns all candidates for a contested predecessor: the
 // attached incumbent first, then the detached rivals.
 func (l *Lattice) ForkCandidates(prev hashx.Hash) ([]hashx.Hash, bool) {
-	rivals, ok := l.forks[prev]
-	if !ok {
+	if _, ok := l.forks[prev]; !ok {
 		return nil, false
 	}
-	out := []hashx.Hash{l.successor[prev]}
-	for _, r := range rivals {
-		out = append(out, r.Hash())
-	}
-	return out, true
+	return l.candidates(prev, l.cat.ids[prev]), true
 }
 
 // ResolveFork applies a representative-vote outcome (§III-B): the winner
@@ -699,8 +868,9 @@ func (l *Lattice) ResolveFork(prev, winner hashx.Hash) error {
 	if !ok {
 		return ErrUnknownFork
 	}
-	incumbent := l.successor[prev]
-	if winner == incumbent {
+	pid := l.cat.ids[prev]
+	incumbent := l.successor(pid)
+	if winner == l.cat.hashOf(incumbent) {
 		delete(l.forks, prev)
 		return nil
 	}
@@ -714,25 +884,18 @@ func (l *Lattice) ResolveFork(prev, winner hashx.Hash) error {
 	if win == nil {
 		return fmt.Errorf("%w: winner %s not a candidate", ErrUnknownFork, winner)
 	}
-	c := l.chains[win.Account]
-	if c.head != incumbent {
+	a := l.cat.accts[win.Account]
+	if l.heads[a] != incumbent {
 		return ErrNotAtHead
 	}
-	// Roll back the incumbent...
-	loser := l.byHash[incumbent]
-	switch loser.Type {
-	case Send:
-		delete(l.pending, incumbent)
-	case Receive:
-		prevBlk := l.byHash[loser.Prev]
-		amount := loser.Balance - prevBlk.Balance
-		l.pending[loser.Source] = Pending{Destination: loser.Account, Amount: amount}
-		delete(l.settled, loser.Source)
+	// Roll back the incumbent: a send's pending entry goes with its
+	// attached bit, a receive's source becomes pending again...
+	if loser := l.cat.blocks[incumbent]; loser.Type == Receive {
+		l.settled.clear(l.cat.ids[loser.Source])
 	}
-	delete(l.byHash, incumbent)
-	c.blocks = c.blocks[:len(c.blocks)-1]
-	c.head = loser.Prev
-	delete(l.successor, prev)
+	l.attached.clear(incumbent)
+	l.heads[a] = pid
+	l.succ[pid] = 0
 	// ...and attach the winner through the normal path.
 	res := l.processOne(win)
 	if res.Status != Accepted {
@@ -743,60 +906,40 @@ func (l *Lattice) ResolveFork(prev, winner hashx.Hash) error {
 	return nil
 }
 
-// Clone returns an independent replica of the lattice: every map and
-// chain slice is copied, while the immutable *Block values are shared
-// (block content never changes after signing, and the Hash/VerifySig
-// memos only ever move toward the computed-once state). Network
-// simulations use it to stamp out one replica per node from a single
-// replayed template instead of re-validating the same setup stream N
-// times — at mega-scale node counts that replay is the entire setup
-// cost. The clone and the original evolve independently afterwards. The
-// gap buffer's eviction hook is per-replica state and is not carried
-// over — each owner installs its own.
+// Clone returns another replica of the lattice's network, in the same
+// state: it shares the catalog — block content, immutable after signing —
+// and copies only the per-replica columns, bitsets and fork records.
+// Network simulations use it to stamp out one replica per node from a
+// single replayed template instead of re-validating the same setup stream
+// N times — at mega-scale node counts that replay is the entire setup
+// cost. The clone and the original evolve independently afterwards but
+// must stay on one goroutine, as their catalog does. The gap buffer's
+// eviction hook is per-replica state and is not carried over — each owner
+// installs its own.
 func (l *Lattice) Clone() *Lattice {
-	c := &Lattice{
-		workBits:  l.workBits,
-		chains:    make(map[keys.Address]*accountChain, len(l.chains)),
-		byHash:    make(map[hashx.Hash]*Block, len(l.byHash)),
-		pending:   make(map[hashx.Hash]Pending, len(l.pending)),
-		settled:   make(map[hashx.Hash]bool, len(l.settled)),
-		forks:     make(map[hashx.Hash][]*Block, len(l.forks)),
-		successor: make(map[hashx.Hash]hashx.Hash, len(l.successor)),
-		gaps:      l.gaps.Clone(),
-		supply:    l.supply,
-		genesis:   l.genesis,
-	}
-	for addr, ch := range l.chains {
-		blocks := make([]*Block, len(ch.blocks))
-		copy(blocks, ch.blocks)
-		c.chains[addr] = &accountChain{blocks: blocks, head: ch.head}
-	}
-	for h, b := range l.byHash {
-		c.byHash[h] = b
-	}
-	for h, p := range l.pending {
-		c.pending[h] = p
-	}
-	for h := range l.settled {
-		c.settled[h] = true
-	}
+	c := *l
+	c.heads = slices.Clone(l.heads)
+	c.attached = slices.Clone(l.attached)
+	c.settled = slices.Clone(l.settled)
+	c.succ = slices.Clone(l.succ)
+	c.forks = nil
 	for h, rs := range l.forks {
-		c.forks[h] = append([]*Block(nil), rs...)
+		if c.forks == nil {
+			c.forks = make(map[hashx.Hash][]*Block, len(l.forks))
+		}
+		c.forks[h] = slices.Clone(rs)
 	}
-	for h, s := range l.successor {
-		c.successor[h] = s
-	}
-	return c
+	c.gaps = l.gaps.Clone()
+	return &c
 }
 
 // RepWeights computes each representative's voting weight: "the sum of
 // all balances for accounts that chose this representative" (§III-B).
 // Pending (unsettled) amounts back no representative until received.
 func (l *Lattice) RepWeights() map[keys.Address]uint64 {
-	out := make(map[keys.Address]uint64, len(l.chains))
-	for _, c := range l.chains {
-		head := l.byHash[c.head]
-		if head.Balance > 0 {
+	out := make(map[keys.Address]uint64, len(l.heads))
+	for _, id := range l.heads {
+		if head := l.cat.blocks[id]; id != 0 && head.Balance > 0 {
 			out[head.Representative] += head.Balance
 		}
 	}
@@ -807,8 +950,10 @@ func (l *Lattice) RepWeights() map[keys.Address]uint64 {
 // pending amounts equal the issued supply.
 func (l *Lattice) CheckInvariant() error {
 	var total uint64
-	for _, c := range l.chains {
-		total += l.byHash[c.head].Balance
+	for _, id := range l.heads {
+		if id != 0 {
+			total += l.cat.blocks[id].Balance
+		}
 	}
 	total += l.PendingTotal()
 	if total != l.supply {
@@ -855,7 +1000,7 @@ func (l *Lattice) NewSend(kp *keys.KeyPair, dest keys.Address, amount uint64) (*
 
 // NewReceive builds a signed receive block settling the given send.
 func (l *Lattice) NewReceive(kp *keys.KeyPair, source hashx.Hash) (*Block, error) {
-	p, ok := l.pending[source]
+	p, ok := l.PendingInfo(source)
 	if !ok {
 		return nil, fmt.Errorf("lattice: source %s not pending", source)
 	}
@@ -881,7 +1026,7 @@ func (l *Lattice) NewReceive(kp *keys.KeyPair, source hashx.Hash) (*Block, error
 // NewOpen builds a signed open block for an unopened account, settling
 // its first pending send and electing a representative.
 func (l *Lattice) NewOpen(kp *keys.KeyPair, source hashx.Hash, rep keys.Address) (*Block, error) {
-	p, ok := l.pending[source]
+	p, ok := l.PendingInfo(source)
 	if !ok {
 		return nil, fmt.Errorf("lattice: source %s not pending", source)
 	}

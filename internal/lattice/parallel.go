@@ -40,8 +40,9 @@ type prechecked struct {
 // blocks and deliberate forks, where attachment order decides which
 // rival becomes the incumbent (fuzzed by FuzzLatticeProcessBatch).
 //
-// ProcessBatch must not run concurrently with other Lattice calls; the
-// lattice is otherwise a single-goroutine structure.
+// ProcessBatch must not run concurrently with other calls on this
+// lattice or on any replica sharing its catalog: only the crypto stage
+// fans out, and it reads blocks, never the catalog.
 func (l *Lattice) ProcessBatch(blocks []*Block, workers int) []Result {
 	results := make([]Result, len(blocks))
 	if len(blocks) == 0 {

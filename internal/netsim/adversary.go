@@ -422,7 +422,7 @@ func (n *NanoNet) ByzantineWeightFraction() float64 {
 	if n.cfg.ByzantineNodes <= 0 {
 		return 0
 	}
-	weights := n.nodes[0].weights
+	weights := n.weights
 	total := weights.Total()
 	if total == 0 {
 		return 0

@@ -378,7 +378,7 @@ func (n *NanoNet) InstallVoteWithholding(weightFrac float64) float64 {
 	if weightFrac <= 0 || n.cfg.Reps <= 0 {
 		return 0
 	}
-	weights := n.nodes[0].weights
+	weights := n.weights
 	total := weights.Total()
 	if total == 0 {
 		return 0

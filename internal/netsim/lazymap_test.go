@@ -1,22 +1,60 @@
 package netsim
 
-// Measured evidence for the lazy-map layout decision (PERFORMANCE.md):
-// the lattice node's per-node maps fall into hot columns (already dense
-// arrays or pooled bit matrices elsewhere in the struct) and cold maps
-// that stay nil unless a node actually hits their path. Converting the
-// cold ones to dense columns would charge every node for state only
-// fork participants and representatives carry. These tests pin the
-// coldness claim: after a loaded honest run, the fork-election maps are
-// nil on every node and the vote maps are nil on every non-rep node —
-// so the lazy layout's worst case is the measured common case.
+// Measured evidence for the lazy layout decision (PERFORMANCE.md): a
+// lattice node's hot state lives in dense columns — the network's block
+// catalog and SoA seen-state, the replica's head column and bitsets, the
+// tracker's compact elections — and its cold state (forks, vote
+// switching) in maps and lists that stay nil unless a node actually hits
+// their path. Converting the cold ones to dense columns would charge
+// every node for state only fork participants and representatives carry.
+// These tests pin the coldness claim: after a loaded honest run no
+// election holds a map, the fork state of every replica, tracker and node
+// is nil, and the vote maps are nil on every non-rep node — so the lazy
+// layout's worst case is the measured common case. The lattice and orv
+// halves are unexported, so they are read by reflection: a rename fails
+// the test loudly rather than passing it.
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
+	"repro/internal/orv"
 	"repro/internal/workload"
 )
+
+// holdsMap reports whether a value of type t can reach a map through
+// struct fields, arrays, slices and pointers.
+func holdsMap(t reflect.Type, seen map[reflect.Type]bool) bool {
+	if seen[t] {
+		return false
+	}
+	seen[t] = true
+	switch t.Kind() {
+	case reflect.Map:
+		return true
+	case reflect.Pointer, reflect.Slice, reflect.Array:
+		return holdsMap(t.Elem(), seen)
+	case reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			if holdsMap(t.Field(i).Type, seen) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// nilField reports whether the named unexported field of *p is nil.
+func nilField(t *testing.T, p any, name string) bool {
+	t.Helper()
+	f := reflect.ValueOf(p).Elem().FieldByName(name)
+	if !f.IsValid() {
+		t.Fatalf("%T has no field %q: the layout this test guards has changed", p, name)
+	}
+	return f.IsNil()
+}
 
 func TestLatticeColdMapsStayNilOnHonestRuns(t *testing.T) {
 	net, err := NewNano(NanoConfig{
@@ -38,10 +76,20 @@ func TestLatticeColdMapsStayNilOnHonestRuns(t *testing.T) {
 		t.Fatal("run settled nothing; the coldness measurement is vacuous")
 	}
 
+	// An election is slices sized by its ballot and voters: no election,
+	// decided or live, can hold a map.
+	if holdsMap(reflect.TypeOf(orv.Election{}), map[reflect.Type]bool{}) {
+		t.Fatal("orv.Election can hold a map")
+	}
 	reps, votersAllocated := 0, 0
 	for i, node := range net.nodes {
-		// Fork-election state must never allocate without a fork: these
-		// maps are only written by ResolveFork paths and vote races.
+		// Fork state must never allocate without a fork: the replica's
+		// rival records, the tracker's fork-win list and the node's fork
+		// maps are only written by fork detection, ResolveFork paths and
+		// vote races.
+		if !nilField(t, node.lat, "forks") || !nilField(t, node.tracker, "forkWins") {
+			t.Fatalf("node %d allocated replica or tracker fork state on an honest run", i)
+		}
 		if node.forkRoots != nil || node.forkPrev != nil {
 			t.Fatalf("node %d allocated fork maps on an honest run", i)
 		}
@@ -88,13 +136,20 @@ func TestLatticeForkMapsAllocateOnlyUnderForks(t *testing.T) {
 		At: 2 * time.Second, Attacker: 1, VictimA: 2, VictimB: 3, Amount: 50,
 	})
 	net.Run(20 * time.Second)
-	allocated := 0
+	allocated, replicaForks, forkWins := 0, 0, 0
 	for _, node := range net.nodes {
 		if node.forkRoots != nil {
 			allocated++
 		}
+		if !nilField(t, node.lat, "forks") {
+			replicaForks++
+		}
+		if !nilField(t, node.tracker, "forkWins") {
+			forkWins++
+		}
 	}
-	if allocated == 0 {
-		t.Fatal("double spend resolved without any node touching fork maps")
+	if allocated == 0 || replicaForks == 0 || forkWins == 0 {
+		t.Fatalf("double spend resolved with fork maps on %d nodes, replica fork records on %d, tracker fork wins on %d",
+			allocated, replicaForks, forkWins)
 	}
 }

@@ -145,7 +145,6 @@ type nanoNode struct {
 	id      sim.NodeID
 	lat     *lattice.Lattice
 	tracker *orv.Tracker
-	weights *orv.Weights
 	// byzantine nodes vote for adversary-preferred fork candidates and
 	// never switch (NanoConfig.ByzantineNodes).
 	byzantine bool
@@ -250,6 +249,10 @@ type NanoNet struct {
 	voteIDs    *dex[voteKey]
 	seenBlocks *bitRows
 	seenVotes  *genSeen
+	// weights is the representative weight table every node's tracker
+	// tallies against: the setup distribution fixes it and nothing
+	// changes it afterwards.
+	weights *orv.Weights
 
 	created     map[hashx.Hash]time.Duration // block hash -> creation time
 	confirmedAt map[hashx.Hash]bool          // observer confirmations seen
@@ -353,18 +356,17 @@ func NewNano(cfg NanoConfig) (*NanoNet, error) {
 	n.metrics.ConfirmLatency.SetBudget(cfg.Net.SampleBudget)
 	n.metrics.ForkResolveLatency.SetBudget(cfg.Net.SampleBudget)
 
-	repWeightTable := seedLat.RepWeights()
+	n.weights = orv.NewWeights(seedLat.RepWeights())
 	for i := 0; i < cfg.Net.Nodes; i++ {
 		// Clone the verified template instead of re-signing a genesis and
-		// re-verifying the distribution per node: blocks are immutable and
-		// shared, only the bookkeeping is copied — the setup cost no longer
-		// scales with nodes × distribution size at mega-scale (E19).
-		weights := orv.NewWeights(repWeightTable)
+		// re-verifying the distribution per node: every replica shares the
+		// template's block catalog and copies only its own columns — the
+		// setup cost no longer scales with nodes × distribution size at
+		// mega-scale (E19).
 		node := &nanoNode{
 			byzantine: cfg.ByzantineNodes > 0 && i >= cfg.Net.Nodes-cfg.ByzantineNodes,
 			lat:       seedLat.Clone(),
-			tracker:   orv.NewTracker(weights, orv.Config{QuorumFraction: cfg.QuorumFraction}),
-			weights:   weights,
+			tracker:   orv.NewTracker(n.weights, orv.Config{QuorumFraction: cfg.QuorumFraction}),
 		}
 		for rep := 0; rep < cfg.Reps; rep++ {
 			if n.ownerOf(rep) == i {
@@ -768,7 +770,7 @@ func (n *NanoNet) applyVote(node *nanoNode, v *orv.Vote) bool {
 	}
 	myWeight := uint64(0)
 	for _, rep := range node.repAccounts {
-		myWeight += node.weights.WeightOf(n.ring.Addr(rep))
+		myWeight += n.weights.WeightOf(n.ring.Addr(rep))
 	}
 	if tally > myWeight {
 		lazyPut(&node.switches, root, node.switches[root]+1)

@@ -95,6 +95,37 @@ func TestBitcoinNetworksRunConcurrently(t *testing.T) {
 	}
 }
 
+// The nano twin: each network's replicas share one block catalog, which
+// the network's goroutine writes as blocks attach and fork resolutions
+// roll them back. Two identical networks on two goroutines (run under
+// -race) must not share one, and must agree.
+func TestNanoNetworksRunConcurrently(t *testing.T) {
+	run := func() NanoMetrics {
+		net, err := NewNano(NanoConfig{Net: fastNet(5), Accounts: 16, Reps: 4})
+		if err != nil {
+			t.Error(err)
+			return NanoMetrics{}
+		}
+		net.InjectContestedDoubleSpend(DoubleSpendPlan{At: 3 * time.Second, Attacker: 1, VictimA: 2, VictimB: 3, Amount: 50})
+		transfers := workload.Payments(rand.New(rand.NewSource(6)), workload.Config{
+			Accounts: 16, Rate: 4, Duration: 10 * time.Second, MaxAmount: 10,
+		})
+		return net.RunWithTransfers(20*time.Second, transfers)
+	}
+	results := make(chan NanoMetrics, 2) // one send per goroutine
+	for i := 0; i < 2; i++ {
+		go func() { results <- run() }()
+	}
+	a, b := <-results, <-results
+	if a.SettledAtObserver == 0 || a.ConfirmedBlocks == 0 || a.ForksDetected == 0 {
+		t.Fatalf("nothing happened: %d settled, %d confirmed, %d forks", a.SettledAtObserver, a.ConfirmedBlocks, a.ForksDetected)
+	}
+	if a.SettledAtObserver != b.SettledAtObserver || a.ConfirmedBlocks != b.ConfirmedBlocks ||
+		a.ForksResolved != b.ForksResolved || a.LedgerBytes != b.LedgerBytes || a.BytesSent != b.BytesSent {
+		t.Fatalf("identical networks on two goroutines disagree:\n%+v\n%+v", a, b)
+	}
+}
+
 // Fig. 4's mechanism: short block intervals relative to propagation delay
 // must produce more orphans than long intervals.
 func TestBitcoinOrphanRateGrowsWithShortIntervals(t *testing.T) {

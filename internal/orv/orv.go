@@ -28,9 +28,15 @@ import (
 
 // Weights is the representative weight table with online tracking: quorum
 // is measured against the currently online voting weight, as in Nano.
+// Every representative the table ever names keeps one dense slot, which
+// is how elections record its votes. Nothing in a network simulation
+// changes a table after it is built, so one table serves every node of a
+// network.
 type Weights struct {
-	weight      map[keys.Address]uint64
-	online      map[keys.Address]bool
+	slots       map[keys.Address]uint32 // rep -> slot, never reassigned
+	reps        []keys.Address          // slot -> rep
+	weight      []uint64                // slot -> weight; 0: not a representative
+	online      []bool
 	total       uint64
 	onlineTotal uint64
 }
@@ -38,24 +44,28 @@ type Weights struct {
 // NewWeights builds a table from a rep→weight map (see
 // lattice.RepWeights). All representatives start online.
 func NewWeights(byRep map[keys.Address]uint64) *Weights {
-	w := &Weights{
-		weight: make(map[keys.Address]uint64, len(byRep)),
-		online: make(map[keys.Address]bool, len(byRep)),
-	}
+	w := &Weights{slots: make(map[keys.Address]uint32, len(byRep))}
 	for rep, wt := range byRep {
-		if wt == 0 {
-			continue
-		}
-		w.weight[rep] = wt
-		w.online[rep] = true
-		w.total += wt
-		w.onlineTotal += wt
+		w.Update(rep, wt)
 	}
 	return w
 }
 
+// slotOf returns a representative's slot and weight; weight 0 means it
+// holds none (the slot is then meaningless if it never had any).
+func (w *Weights) slotOf(rep keys.Address) (uint32, uint64) {
+	s, ok := w.slots[rep]
+	if !ok {
+		return 0, 0
+	}
+	return s, w.weight[s]
+}
+
 // WeightOf returns a representative's voting weight.
-func (w *Weights) WeightOf(rep keys.Address) uint64 { return w.weight[rep] }
+func (w *Weights) WeightOf(rep keys.Address) uint64 {
+	_, wt := w.slotOf(rep)
+	return wt
+}
 
 // Total returns the total delegated weight.
 func (w *Weights) Total() uint64 { return w.total }
@@ -66,46 +76,53 @@ func (w *Weights) OnlineTotal() uint64 { return w.onlineTotal }
 // SetOnline marks a representative on- or offline, adjusting the quorum
 // base (offline representatives model §IV-B's real-world vote loss).
 func (w *Weights) SetOnline(rep keys.Address, online bool) {
-	cur, known := w.online[rep]
-	if !known || cur == online {
+	s, wt := w.slotOf(rep)
+	if wt == 0 || w.online[s] == online {
 		return
 	}
-	w.online[rep] = online
+	w.online[s] = online
 	if online {
-		w.onlineTotal += w.weight[rep]
+		w.onlineTotal += wt
 	} else {
-		w.onlineTotal -= w.weight[rep]
+		w.onlineTotal -= wt
 	}
 }
 
 // IsOnline reports whether the representative is marked online.
-func (w *Weights) IsOnline(rep keys.Address) bool { return w.online[rep] }
+func (w *Weights) IsOnline(rep keys.Address) bool {
+	s, wt := w.slotOf(rep)
+	return wt > 0 && w.online[s]
+}
 
 // Update replaces a representative's weight (after re-delegation via a
-// Change block) keeping totals consistent.
+// Change block) keeping totals consistent. A representative that gains
+// weight from none starts online; one updated to zero holds none.
 func (w *Weights) Update(rep keys.Address, newWeight uint64) {
-	old := w.weight[rep]
-	wasOnline, known := w.online[rep]
-	if !known {
+	s, old := w.slotOf(rep)
+	if old == 0 {
 		if newWeight == 0 {
 			return
 		}
-		w.weight[rep] = newWeight
-		w.online[rep] = true
+		if _, ok := w.slots[rep]; !ok {
+			s = uint32(len(w.reps))
+			w.slots[rep] = s
+			w.reps = append(w.reps, rep)
+			w.weight = append(w.weight, 0)
+			w.online = append(w.online, false)
+		}
+		w.weight[s], w.online[s] = newWeight, true
 		w.total += newWeight
 		w.onlineTotal += newWeight
 		return
 	}
 	w.total += newWeight - old
-	if wasOnline {
+	if w.online[s] {
 		w.onlineTotal += newWeight - old
 	}
+	w.weight[s] = newWeight
 	if newWeight == 0 {
-		delete(w.weight, rep)
-		delete(w.online, rep)
-		return
+		w.online[s] = false
 	}
-	w.weight[rep] = newWeight
 }
 
 // Vote is a representative's signed statement for one block. Seq lets a
@@ -173,25 +190,49 @@ var (
 	ErrNotCandidate   = errors.New("orv: vote for a non-candidate block")
 	ErrAlreadyDecided = errors.New("orv: election already decided")
 	ErrNotConfirmed   = errors.New("orv: block not confirmed")
-	ErrCementConflict = errors.New("orv: conflicting block already cemented")
 )
-
-// repVote remembers a representative's current choice in an election.
-type repVote struct {
-	block hashx.Hash
-	seq   uint64
-}
 
 // Election tallies weighted votes over a candidate set sharing one root
 // (for forks, the contested predecessor; for plain confirmation, the block
-// itself).
+// itself). It is sized by its candidates and voters — one entry per
+// candidate, one per representative that voted — and carries its own
+// outcome: the winner and whether the winner is cemented.
 type Election struct {
-	root       hashx.Hash
-	candidates map[hashx.Hash]bool
-	votes      map[keys.Address]repVote
-	tallies    map[hashx.Hash]uint64
-	decided    bool
-	winner     hashx.Hash
+	cands []candidate
+	votes []repVote
+	// winner indexes the confirmed candidate; -1 while the election is live.
+	winner int32
+	// cemented marks the winner irreversible. It is read on the block's
+	// record (Tracker.record) only; an election that becomes a block's
+	// record later inherits the mark when it is decided.
+	cemented bool
+}
+
+// candidate is one block on an election's ballot and its tally.
+type candidate struct {
+	block hashx.Hash
+	tally uint64
+}
+
+// repVote is a representative's current choice in an election: its slot
+// in the weight table, the candidate index and the sequence number.
+type repVote struct {
+	rep, cand uint32
+	seq       uint64
+}
+
+func (e *Election) decided() bool { return e.winner >= 0 }
+
+func (e *Election) winnerBlock() hashx.Hash { return e.cands[e.winner].block }
+
+// index returns the ballot position of block, -1 if it is no candidate.
+func (e *Election) index(block hashx.Hash) int {
+	for i := range e.cands {
+		if e.cands[i].block == block {
+			return i
+		}
+	}
+	return -1
 }
 
 // Outcome reports an election's state after a vote.
@@ -206,15 +247,17 @@ type Outcome struct {
 	Quorum uint64
 }
 
-// Tracker runs all live elections against one weight table.
+// Tracker runs all live elections against one weight table. A block is
+// confirmed when it won an election; one that won the election rooted at
+// its own hash is found through that root, and the rest — fork winners —
+// are listed in forkWins, so an honest run keeps no second index.
 type Tracker struct {
 	weights   *Weights
 	cfg       Config
 	elections map[hashx.Hash]*Election
-	confirmed map[hashx.Hash]bool
-	cemented  map[hashx.Hash]bool
-	// rootOf remembers which root a confirmed block belonged to.
-	rootOf map[hashx.Hash]hashx.Hash
+	// forkWins holds, in decision order, the decided elections whose
+	// winner is not their root; nil until the first one.
+	forkWins []*Election
 }
 
 // NewTracker creates a tracker over the weight table.
@@ -226,9 +269,6 @@ func NewTracker(weights *Weights, cfg Config) *Tracker {
 		weights:   weights,
 		cfg:       cfg,
 		elections: make(map[hashx.Hash]*Election),
-		confirmed: make(map[hashx.Hash]bool),
-		cemented:  make(map[hashx.Hash]bool),
-		rootOf:    make(map[hashx.Hash]hashx.Hash),
 	}
 }
 
@@ -245,19 +285,16 @@ func (t *Tracker) QuorumWeight() uint64 {
 func (t *Tracker) StartElection(root hashx.Hash, candidates ...hashx.Hash) error {
 	e, ok := t.elections[root]
 	if !ok {
-		e = &Election{
-			root:       root,
-			candidates: make(map[hashx.Hash]bool),
-			votes:      make(map[keys.Address]repVote),
-			tallies:    make(map[hashx.Hash]uint64),
-		}
+		e = &Election{cands: make([]candidate, 0, len(candidates)), winner: -1}
 		t.elections[root] = e
 	}
-	if e.decided {
+	if e.decided() {
 		return ErrAlreadyDecided
 	}
 	for _, c := range candidates {
-		e.candidates[c] = true
+		if e.index(c) < 0 {
+			e.cands = append(e.cands, candidate{block: c})
+		}
 	}
 	return nil
 }
@@ -285,38 +322,27 @@ func (t *Tracker) AdoptVotes(toRoot, fromRoot, candidate hashx.Hash) (Outcome, e
 	if !ok {
 		return Outcome{}, ErrUnknownRoot
 	}
-	if !to.candidates[candidate] {
+	ci := to.index(candidate)
+	if ci < 0 {
 		return t.outcomeOf(to), fmt.Errorf("%w: %s", ErrNotCandidate, candidate)
 	}
-	reps := make([]keys.Address, 0, len(from.votes))
-	for rep, rv := range from.votes {
-		if rv.block == candidate {
-			reps = append(reps, rep)
+	fi := from.index(candidate)
+	var voters []repVote
+	for _, v := range from.votes {
+		if int(v.cand) == fi {
+			voters = append(voters, v)
 		}
 	}
-	sort.Slice(reps, func(i, j int) bool { return bytes.Compare(reps[i][:], reps[j][:]) < 0 })
-	for _, rep := range reps {
-		if to.decided {
+	reps := t.weights.reps
+	sort.Slice(voters, func(i, j int) bool {
+		return bytes.Compare(reps[voters[i].rep][:], reps[voters[j].rep][:]) < 0
+	})
+	for _, v := range voters {
+		if to.decided() {
 			break
 		}
-		rv := from.votes[rep]
-		weight := t.weights.WeightOf(rep)
-		if weight == 0 {
-			continue
-		}
-		if prior, voted := to.votes[rep]; voted {
-			if rv.seq <= prior.seq {
-				continue
-			}
-			to.tallies[prior.block] -= weight
-		}
-		to.votes[rep] = repVote{block: candidate, seq: rv.seq}
-		to.tallies[candidate] += weight
-		if to.tallies[candidate] > t.QuorumWeight() {
-			to.decided = true
-			to.winner = candidate
-			t.confirmed[candidate] = true
-			t.rootOf[candidate] = toRoot
+		if weight := t.weights.weight[v.rep]; weight > 0 {
+			t.tally(toRoot, to, v.rep, weight, ci, v.seq)
 		}
 	}
 	return t.outcomeOf(to), nil
@@ -334,45 +360,62 @@ func (t *Tracker) ProcessVote(root hashx.Hash, v *Vote) (Outcome, error) {
 	if !v.Verify() {
 		return Outcome{}, ErrBadVoteSig
 	}
-	weight := t.weights.WeightOf(v.Rep)
+	rep, weight := t.weights.slotOf(v.Rep)
 	if weight == 0 {
 		return Outcome{}, fmt.Errorf("%w: %s", ErrNotRep, v.Rep)
 	}
-	if !e.candidates[v.Block] {
+	ci := e.index(v.Block)
+	if ci < 0 {
 		return Outcome{}, fmt.Errorf("%w: %s", ErrNotCandidate, v.Block)
 	}
-	if e.decided {
+	if e.decided() {
 		return t.outcomeOf(e), ErrAlreadyDecided
 	}
-	if prior, voted := e.votes[v.Rep]; voted {
-		if v.Seq <= prior.seq {
-			return t.outcomeOf(e), nil // stale or duplicate vote
-		}
-		e.tallies[prior.block] -= weight
-	}
-	e.votes[v.Rep] = repVote{block: v.Block, seq: v.Seq}
-	e.tallies[v.Block] += weight
-
-	if e.tallies[v.Block] > t.QuorumWeight() {
-		e.decided = true
-		e.winner = v.Block
-		t.confirmed[v.Block] = true
-		t.rootOf[v.Block] = root
-	}
+	t.tally(root, e, rep, weight, ci, v.Seq)
 	return t.outcomeOf(e), nil
 }
 
+// tally records rep's vote for candidate ci of the live election e at
+// root. A vote with a sequence number no higher than the rep's recorded
+// one is stale and ignored; a newer one moves the rep's weight. The
+// election is decided once the candidate's tally exceeds the quorum.
+func (t *Tracker) tally(root hashx.Hash, e *Election, rep uint32, weight uint64, ci int, seq uint64) {
+	i := 0
+	for i < len(e.votes) && e.votes[i].rep != rep {
+		i++
+	}
+	if i < len(e.votes) {
+		prior := &e.votes[i]
+		if seq <= prior.seq {
+			return
+		}
+		e.cands[prior.cand].tally -= weight
+		prior.cand, prior.seq = uint32(ci), seq
+	} else {
+		e.votes = append(e.votes, repVote{rep: rep, cand: uint32(ci), seq: seq})
+	}
+	e.cands[ci].tally += weight
+	if e.cands[ci].tally <= t.QuorumWeight() {
+		return
+	}
+	block := e.cands[ci].block
+	e.cemented = t.IsCemented(block)
+	e.winner = int32(ci)
+	if block != root {
+		t.forkWins = append(t.forkWins, e)
+	}
+}
+
 // leaderOf scans an election's tallies for the heaviest candidate. Ties
-// break on the smaller hash: the map's iteration order must never leak
-// into results (runs are reproducible bit for bit from a seed).
+// break on the smaller hash, so the answer never depends on ballot order
+// (runs are reproducible bit for bit from a seed).
 func leaderOf(e *Election) (hashx.Hash, uint64) {
 	var lead hashx.Hash
 	var best uint64
-	for c, tally := range e.tallies {
-		c := c
-		if tally > best || (tally == best && tally > 0 && bytes.Compare(c[:], lead[:]) < 0) {
-			best = tally
-			lead = c
+	for _, c := range e.cands {
+		if c.tally > best || (c.tally == best && c.tally > 0 && bytes.Compare(c.block[:], lead[:]) < 0) {
+			best = c.tally
+			lead = c.block
 		}
 	}
 	return lead, best
@@ -381,14 +424,13 @@ func leaderOf(e *Election) (hashx.Hash, uint64) {
 // outcomeOf summarizes an election.
 func (t *Tracker) outcomeOf(e *Election) Outcome {
 	o := Outcome{Quorum: t.QuorumWeight()}
-	if e.decided {
+	if e.decided() {
 		o.Confirmed = true
-		o.Winner = e.winner
-		o.Tally = e.tallies[e.winner]
+		o.Winner = e.winnerBlock()
+		o.Tally = e.cands[e.winner].tally
 		return o
 	}
 	_, o.Tally = leaderOf(e)
-	o.Winner = hashx.Zero // no winner until confirmed
 	return o
 }
 
@@ -405,35 +447,49 @@ func (t *Tracker) Leader(root hashx.Hash) (hashx.Hash, uint64, error) {
 	return lead, best, nil
 }
 
+// record returns the election that stands for a confirmed block: the one
+// rooted at the block itself if it won there, else the first fork
+// election it won; nil if the block is not confirmed.
+func (t *Tracker) record(h hashx.Hash) *Election {
+	if e := t.elections[h]; e != nil && e.decided() && e.winnerBlock() == h {
+		return e
+	}
+	for _, e := range t.forkWins {
+		if e.winnerBlock() == h {
+			return e
+		}
+	}
+	return nil
+}
+
 // Confirmed reports whether a block won its election.
-func (t *Tracker) Confirmed(h hashx.Hash) bool { return t.confirmed[h] }
+func (t *Tracker) Confirmed(h hashx.Hash) bool { return t.record(h) != nil }
 
 // Winner returns the decided winner for a root.
 func (t *Tracker) Winner(root hashx.Hash) (hashx.Hash, bool) {
 	e, ok := t.elections[root]
-	if !ok || !e.decided {
+	if !ok || !e.decided() {
 		return hashx.Zero, false
 	}
-	return e.winner, true
+	return e.winnerBlock(), true
 }
 
 // Cement marks a confirmed block irreversible (§IV-B's planned
-// block-cementing). Cementing an unconfirmed block is an error, as is
-// cementing a block whose election another candidate won.
+// block-cementing). Cementing an unconfirmed block is an error.
 func (t *Tracker) Cement(h hashx.Hash) error {
-	if !t.confirmed[h] {
+	e := t.record(h)
+	if e == nil {
 		return ErrNotConfirmed
 	}
-	root := t.rootOf[h]
-	if w, ok := t.Winner(root); ok && w != h {
-		return ErrCementConflict
-	}
-	t.cemented[h] = true
+	e.cemented = true
 	return nil
 }
 
 // IsCemented reports whether a block has been cemented.
-func (t *Tracker) IsCemented(h hashx.Hash) bool { return t.cemented[h] }
+func (t *Tracker) IsCemented(h hashx.Hash) bool {
+	e := t.record(h)
+	return e != nil && e.cemented
+}
 
 // Stats summarizes tracker activity.
 type Stats struct {
@@ -443,14 +499,29 @@ type Stats struct {
 	Cemented      int
 }
 
-// Stats returns a snapshot of tracker activity.
+// Stats returns a snapshot of tracker activity. Confirmed and Cemented
+// count blocks, each once however many elections it won.
 func (t *Tracker) Stats() Stats {
-	s := Stats{Confirmed: len(t.confirmed), Cemented: len(t.cemented)}
-	for _, e := range t.elections {
-		if e.decided {
-			s.Decided++
-		} else {
+	var s Stats
+	count := func(e *Election) {
+		s.Confirmed++
+		if e.cemented {
+			s.Cemented++
+		}
+	}
+	for root, e := range t.elections {
+		if !e.decided() {
 			s.LiveElections++
+			continue
+		}
+		s.Decided++
+		if e.winnerBlock() == root {
+			count(e)
+		}
+	}
+	for _, e := range t.forkWins {
+		if t.record(e.winnerBlock()) == e {
+			count(e)
 		}
 	}
 	return s
