@@ -15,19 +15,22 @@ test:
 # Guards the worker-pool concurrency: event engine, experiment scheduler,
 # lattice batch settlement, signature batching, parallel merkle hashing,
 # the batched live-gossip + adversary paths in netsim, the pointer-
-# shared content (genesis, coin catalog, id and root memos) under the
-# chain ledgers and the lattice's block catalog, which must never cross
-# networks, and every package whose objects embed a keys.SigMemo.
+# shared content (genesis, block catalog, transaction and coin catalog,
+# id and root memos) under the chain ledgers and the lattice's block
+# catalog, which must never cross networks, and every package whose
+# objects embed a keys.SigMemo.
 race:
 	$(GO) test -race -timeout 60m ./internal/sim/... ./internal/core/... ./internal/lattice/... ./internal/keys/... ./internal/merkle/... ./internal/netsim/... ./internal/utxo/... ./internal/chain/... ./internal/account/... ./internal/orv/... ./internal/tangle/... ./internal/pos/...
 
 # Short fuzz smoke mirroring CI: batch settlement vs serial apply under
 # hostile block streams, link-model delay sanity for any bounds, the
 # event queue against a naive minimum-scan model, tangle tip selection,
-# three UTXO sets on one coin catalog under apply/undo/reorg, three
-# lattice replicas on one block catalog against their map models, the
-# compact ORV tracker against the map tracker, the signature memo
-# against cold verification, and the bounded backlog against a naive
+# three chain stores on one block catalog and two mempools on one
+# transaction table against their map models, three UTXO sets on one
+# coin catalog under apply/undo/reorg, three lattice replicas on one
+# block catalog against their map models, the compact ORV tracker
+# against the map tracker, the signature memo against cold
+# verification, and the bounded backlog against a naive
 # oldest-live-entry scan.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzLatticeProcessBatch$$' -fuzztime 30s ./internal/lattice
@@ -36,6 +39,8 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzLinkModelDelay$$' -fuzztime 15s ./internal/sim
 	$(GO) test -run '^$$' -fuzz '^FuzzPopOrder$$' -fuzztime 15s -fuzzminimizetime 2s ./internal/sim
 	$(GO) test -run '^$$' -fuzz '^FuzzTangleTipSelection$$' -fuzztime 30s ./internal/tangle
+	$(GO) test -run '^$$' -fuzz '^FuzzChainReplicas$$' -fuzztime 15s -fuzzminimizetime 2s ./internal/chain
+	$(GO) test -run '^$$' -fuzz '^FuzzMempool$$' -fuzztime 15s -fuzzminimizetime 2s ./internal/utxo
 	$(GO) test -run '^$$' -fuzz '^FuzzSetOwnerIndex$$' -fuzztime 15s ./internal/utxo
 	$(GO) test -run '^$$' -fuzz '^FuzzSigMemo$$' -fuzztime 15s ./internal/keys
 	$(GO) test -run '^$$' -fuzz '^FuzzBacklog$$' -fuzztime 15s -fuzzminimizetime 2s ./internal/backlog

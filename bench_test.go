@@ -113,7 +113,7 @@ func BenchmarkAblationMempoolAssembly(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if txs := pool.Assemble(200_000); len(txs) == 0 {
+		if txs, _ := pool.Assemble(200_000); len(txs) == 0 {
 			b.Fatal("empty assembly")
 		}
 	}

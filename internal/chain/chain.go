@@ -9,12 +9,22 @@
 // (internal/utxo) and Ethereum-style state bodies (internal/account) both
 // plug in through the Payload interface.
 //
-// Performance invariant (tracked by internal/perf, gated in CI):
-// headers are immutable once a block reaches a Store or the network —
-// mining and difficulty stamping happen strictly before the first
-// Block.Hash call — which is what lets Block.Hash memoize the
-// double-SHA-256 digest instead of recomputing it at every gossip hop,
-// dedup check and store insertion.
+// Performance invariants (tracked by internal/perf, gated in CI):
+//
+//   - Content is separate from state. Every block the stores of one
+//     network attach enters one append-only catalog: hash → dense id,
+//     id → *Block, parent id, height and cumulative work, all pure
+//     functions of the block and its ancestry. A store (NewStore, or
+//     Replica of another store) holds only its state over those ids: a
+//     bitset of attached blocks, a height-indexed column of main-chain
+//     ids, its tip's hash and counters, and its orphan pool. A block in the catalog that a store
+//     has not attached does not exist for that store.
+//   - Headers are immutable once a block reaches a Store or the network —
+//     mining and difficulty stamping happen strictly before the first
+//     Block.Hash call — which is what lets Block.Hash memoize the
+//     double-SHA-256 digest instead of recomputing it at every gossip hop,
+//     dedup check and store insertion, and what lets one catalog entry
+//     stand for the block at every store of the network.
 package chain
 
 import (
@@ -24,6 +34,7 @@ import (
 	"time"
 
 	"repro/internal/backlog"
+	"repro/internal/bitset"
 	"repro/internal/hashx"
 	"repro/internal/keys"
 )
@@ -272,20 +283,75 @@ type Stats struct {
 	BytesOnMain   int
 }
 
-// Store holds every block a node has seen and maintains the main chain
-// under a fork-choice rule. It is not safe for concurrent use; in the
+// BlockID is a block's dense id in the catalog the stores of its network
+// share. Ids are handed out in first-attach order across the network; the
+// genesis is 1 and 0 means no block.
+type BlockID uint32
+
+const genesisID BlockID = 1
+
+// catalog is the append-only table of every block the stores of one
+// network have attached, each under a dense id. It is content, not state:
+// a block's entry — the block, its parent's id, its height and the
+// cumulative work from the genesis through it — is a pure function of the
+// block and its ancestry, so the stores of a network (Replica) share one
+// catalog and keep only which ids they hold. A block enters on its first
+// attach anywhere in the network and never leaves. Not safe for
+// concurrent use: a catalog never leaves the goroutine that drives its
+// network.
+type catalog struct {
+	ids     map[hashx.Hash]BlockID
+	entries []catEntry // id -> entry; entries[0] is the zero entry
+}
+
+// catEntry is one catalogued block. Its height is the header's, kept
+// beside the parent link so walks between ancestors stay in the table.
+type catEntry struct {
+	block  *Block
+	parent BlockID // 0 for the genesis
+	height uint32
+	work   float64 // cumulative difficulty, genesis through this block
+}
+
+func newCatalog(genesis *Block) *catalog {
+	c := &catalog{ids: make(map[hashx.Hash]BlockID), entries: make([]catEntry, 1)}
+	c.add(genesis, genesis.Hash(), 0)
+	return c
+}
+
+// add enters a block no store has attached yet and returns its id.
+func (c *catalog) add(b *Block, h hashx.Hash, parent BlockID) BlockID {
+	id := BlockID(len(c.entries))
+	c.ids[h] = id
+	c.entries = append(c.entries, catEntry{
+		block:  b,
+		parent: parent,
+		height: uint32(b.Header.Height),
+		work:   c.entries[parent].work + b.Header.Difficulty,
+	})
+	return id
+}
+
+// hash returns the hash of the block with this id.
+func (c *catalog) hash(id BlockID) hashx.Hash { return c.entries[id].block.Hash() }
+
+// Store is one node's view of its network's blocks: which catalog blocks
+// it has attached and which of them form its main chain under a
+// fork-choice rule. It is not safe for concurrent use; in the
 // discrete-event simulation each node owns one store.
 type Store struct {
+	cat      *catalog
 	choice   ForkChoice
 	validate Validator
-	blocks   map[hashx.Hash]*Block
-	children map[hashx.Hash][]hashx.Hash
-	cumWork  map[hashx.Hash]float64
+	attached bitset.Set
+	main     []BlockID  // height -> main-chain id, genesis through tip
+	tipHash  hashx.Hash // the tip's hash, read on every ledger state query
+	// own holds this store's pointer for a block the catalog knows under
+	// another pointer with the same hash: the block this store validated
+	// is the one it serves and its ledger disconnects. Nil on honest
+	// runs, where every store of a network attaches one pointer.
+	own      map[BlockID]*Block
 	orphans  backlog.Buffer[hashx.Hash, *Block] // parent hash -> waiting blocks
-	genesis  hashx.Hash
-	tip      hashx.Hash
-	mainAt   map[uint64]hashx.Hash // height -> main chain hash
-	onMain   map[hashx.Hash]bool
 	reorgs   int
 	maxReorg int
 	sideSeen int
@@ -297,7 +363,8 @@ var ErrUnknownBlock = errors.New("chain: unknown block")
 
 // NewStore creates a store rooted at the genesis block (paper §II-A: "The
 // initial state is hard-coded in the first block called the genesis
-// block").
+// block"), over a catalog of its own; Replica makes further stores of the
+// same network.
 func NewStore(genesis *Block, choice ForkChoice) (*Store, error) {
 	if genesis == nil {
 		return nil, errors.New("chain: nil genesis")
@@ -308,58 +375,98 @@ func NewStore(genesis *Block, choice ForkChoice) (*Store, error) {
 	if genesis.Header.Height != 0 {
 		return nil, errors.New("chain: genesis height must be 0")
 	}
-	g := genesis.Hash()
-	s := &Store{
-		choice:   choice,
-		blocks:   map[hashx.Hash]*Block{g: genesis},
-		children: make(map[hashx.Hash][]hashx.Hash),
-		cumWork:  map[hashx.Hash]float64{g: genesis.Header.Difficulty},
-		orphans:  backlog.New[hashx.Hash, *Block](DefaultOrphanLimit),
-		genesis:  g,
-		tip:      g,
-		mainAt:   map[uint64]hashx.Hash{0: g},
-		onMain:   map[hashx.Hash]bool{g: true},
-	}
-	return s, nil
+	return storeOn(newCatalog(genesis), choice), nil
 }
+
+func storeOn(cat *catalog, choice ForkChoice) *Store {
+	s := &Store{
+		cat:     cat,
+		choice:  choice,
+		main:    []BlockID{genesisID},
+		tipHash: cat.hash(genesisID),
+		orphans: backlog.New[hashx.Hash, *Block](DefaultOrphanLimit),
+	}
+	s.attached.Add(uint32(genesisID))
+	return s
+}
+
+// Replica returns a new store at genesis for another node of s's network,
+// whatever s has attached since: the two share the block catalog and keep
+// their own state. The validator and the orphan pool's bounds and hook
+// belong to each store and are not carried over. The stores of one
+// network must stay on one goroutine, as their catalog does.
+func (s *Store) Replica() *Store { return storeOn(s.cat, s.choice) }
 
 // SetValidator installs the payload/consensus validation hook.
 func (s *Store) SetValidator(v Validator) { s.validate = v }
 
+// block returns this store's pointer for an attached id.
+func (s *Store) block(id BlockID) *Block {
+	if b, ok := s.own[id]; ok {
+		return b
+	}
+	return s.cat.entries[id].block
+}
+
+// lookup returns the id of the block with hash h if it is attached here.
+func (s *Store) lookup(h hashx.Hash) (BlockID, bool) {
+	id, ok := s.cat.ids[h]
+	return id, ok && s.attached.Has(uint32(id))
+}
+
+// tip returns the main-chain tip's id.
+func (s *Store) tip() BlockID { return s.main[len(s.main)-1] }
+
+func (s *Store) height(id BlockID) uint64 { return uint64(s.cat.entries[id].height) }
+
+// onMain reports whether the attached id is on the main chain here.
+func (s *Store) onMain(id BlockID) bool {
+	h := s.height(id)
+	return h < uint64(len(s.main)) && s.main[h] == id
+}
+
 // Genesis returns the genesis hash.
-func (s *Store) Genesis() hashx.Hash { return s.genesis }
+func (s *Store) Genesis() hashx.Hash { return s.cat.hash(genesisID) }
 
 // Tip returns the current main-chain tip hash.
-func (s *Store) Tip() hashx.Hash { return s.tip }
+func (s *Store) Tip() hashx.Hash { return s.tipHash }
 
 // TipBlock returns the current main-chain tip block.
-func (s *Store) TipBlock() *Block { return s.blocks[s.tip] }
+func (s *Store) TipBlock() *Block { return s.block(s.tip()) }
 
 // Height returns the main-chain height (genesis = 0).
-func (s *Store) Height() uint64 { return s.blocks[s.tip].Header.Height }
+func (s *Store) Height() uint64 { return uint64(len(s.main) - 1) }
 
 // Len returns the number of stored blocks, side chains included.
-func (s *Store) Len() int { return len(s.blocks) }
+func (s *Store) Len() int { return s.added + 1 }
 
-// Get returns a block by hash.
+// Get returns a block by hash. A block other stores of the network hold
+// but this one has not attached does not exist here.
 func (s *Store) Get(h hashx.Hash) (*Block, bool) {
-	b, ok := s.blocks[h]
-	return b, ok
+	id, ok := s.lookup(h)
+	if !ok {
+		return nil, false
+	}
+	return s.block(id), true
 }
 
 // HasBlock reports whether the hash is known (orphan pool excluded).
 func (s *Store) HasBlock(h hashx.Hash) bool {
-	_, ok := s.blocks[h]
+	_, ok := s.lookup(h)
 	return ok
 }
 
+// IDOf returns the catalog id of an attached block, the handle state
+// layers index per-block content by.
+func (s *Store) IDOf(h hashx.Hash) (BlockID, bool) { return s.lookup(h) }
+
 // CumulativeWork returns the total difficulty from genesis through h.
 func (s *Store) CumulativeWork(h hashx.Hash) (float64, error) {
-	w, ok := s.cumWork[h]
+	id, ok := s.lookup(h)
 	if !ok {
 		return 0, fmt.Errorf("%w: %s", ErrUnknownBlock, h)
 	}
-	return w, nil
+	return s.cat.entries[id].work, nil
 }
 
 // Add inserts a block, updating the main chain per the fork-choice rule.
@@ -378,14 +485,16 @@ func (s *Store) Add(b *Block) AddResult {
 
 func (s *Store) addOne(b *Block) AddResult {
 	h := b.Hash()
-	if _, dup := s.blocks[h]; dup {
+	id, known := s.cat.ids[h]
+	if known && s.attached.Has(uint32(id)) {
 		return AddResult{Status: Duplicate}
 	}
-	parent, haveParent := s.blocks[b.Header.Parent]
+	pid, haveParent := s.lookup(b.Header.Parent)
 	if !haveParent {
 		s.orphans.Park(b.Header.Parent, b)
 		return AddResult{Status: Orphaned}
 	}
+	parent := s.block(pid)
 	if b.Header.Height != parent.Header.Height+1 {
 		return AddResult{Status: Rejected, Err: fmt.Errorf(
 			"chain: height %d does not follow parent height %d",
@@ -400,23 +509,31 @@ func (s *Store) addOne(b *Block) AddResult {
 		}
 	}
 
-	s.blocks[h] = b
-	s.children[b.Header.Parent] = append(s.children[b.Header.Parent], h)
-	s.cumWork[h] = s.cumWork[b.Header.Parent] + b.Header.Difficulty
+	// The catalog entry is written here, on the block's first attach in
+	// the network; a later store that validated another pointer under the
+	// same hash keeps that pointer as its own.
+	switch {
+	case !known:
+		id = s.cat.add(b, h, pid)
+	case s.cat.entries[id].block != b:
+		if s.own == nil {
+			s.own = make(map[BlockID]*Block)
+		}
+		s.own[id] = b
+	}
+	s.attached.Add(uint32(id))
 	s.added++
 
-	if b.Header.Parent == s.tip {
+	if pid == s.tip() {
 		// Plain extension of the main chain.
-		s.tip = h
-		s.mainAt[b.Header.Height] = h
-		s.onMain[h] = true
+		s.main, s.tipHash = append(s.main, id), h
 		return AddResult{Status: Accepted}
 	}
-	if !s.better(h) {
+	if !s.better(id) {
 		s.sideSeen++
 		return AddResult{Status: AcceptedSide}
 	}
-	reorg := s.switchTip(h)
+	reorg := s.switchTip(id)
 	s.reorgs++
 	if d := reorg.Depth(); d > s.maxReorg {
 		s.maxReorg = d
@@ -426,51 +543,55 @@ func (s *Store) addOne(b *Block) AddResult {
 
 // better reports whether candidate beats the current tip under the
 // fork-choice rule. Ties keep the incumbent (first-seen rule).
-func (s *Store) better(candidate hashx.Hash) bool {
+func (s *Store) better(candidate BlockID) bool {
 	switch s.choice {
 	case HeaviestChain:
-		return s.cumWork[candidate] > s.cumWork[s.tip]
+		return s.cat.entries[candidate].work > s.cat.entries[s.tip()].work
 	default: // LongestChain
-		return s.blocks[candidate].Header.Height > s.blocks[s.tip].Header.Height
+		return s.height(candidate) > s.Height()
 	}
 }
 
 // switchTip reorganizes the main chain onto newTip and reports the switch.
-func (s *Store) switchTip(newTip hashx.Hash) *Reorg {
-	oldTip := s.tip
-	anc := s.commonAncestor(oldTip, newTip)
+func (s *Store) switchTip(newTip BlockID) *Reorg {
+	anc := s.commonAncestor(s.tip(), newTip)
 
 	reorg := &Reorg{}
-	for h := oldTip; h != anc; h = s.blocks[h].Header.Parent {
-		reorg.Abandoned = append(reorg.Abandoned, h)
-		reorg.AbandonedTxs += s.blocks[h].TxCount()
-		delete(s.onMain, h)
-		delete(s.mainAt, s.blocks[h].Header.Height)
+	for id := s.tip(); id != anc; id = s.cat.entries[id].parent {
+		reorg.Abandoned = append(reorg.Abandoned, s.cat.hash(id))
+		reorg.AbandonedTxs += s.block(id).TxCount()
 	}
-	for h := newTip; h != anc; h = s.blocks[h].Header.Parent {
-		reorg.Adopted = append(reorg.Adopted, h)
-		s.onMain[h] = true
-		s.mainAt[s.blocks[h].Header.Height] = h
+	// The main column now ends at the new tip; every height above the
+	// ancestor is rewritten from the adopted branch.
+	top := int(s.height(newTip))
+	if top < len(s.main) {
+		s.main = s.main[:top+1]
+	}
+	for len(s.main) <= top {
+		s.main = append(s.main, 0)
+	}
+	for id := newTip; id != anc; id = s.cat.entries[id].parent {
+		reorg.Adopted = append(reorg.Adopted, s.cat.hash(id))
+		s.main[s.height(id)] = id
 	}
 	// Adopted was collected tip-first; present it ancestor-first.
 	for i, j := 0, len(reorg.Adopted)-1; i < j; i, j = i+1, j-1 {
 		reorg.Adopted[i], reorg.Adopted[j] = reorg.Adopted[j], reorg.Adopted[i]
 	}
-	s.tip = newTip
+	s.tipHash = s.cat.hash(newTip)
 	return reorg
 }
 
 // commonAncestor finds the deepest block on both branches.
-func (s *Store) commonAncestor(a, b hashx.Hash) hashx.Hash {
-	for s.blocks[a].Header.Height > s.blocks[b].Header.Height {
-		a = s.blocks[a].Header.Parent
+func (s *Store) commonAncestor(a, b BlockID) BlockID {
+	for s.height(a) > s.height(b) {
+		a = s.cat.entries[a].parent
 	}
-	for s.blocks[b].Header.Height > s.blocks[a].Header.Height {
-		b = s.blocks[b].Header.Parent
+	for s.height(b) > s.height(a) {
+		b = s.cat.entries[b].parent
 	}
 	for a != b {
-		a = s.blocks[a].Header.Parent
-		b = s.blocks[b].Header.Parent
+		a, b = s.cat.entries[a].parent, s.cat.entries[b].parent
 	}
 	return a
 }
@@ -508,33 +629,44 @@ const DefaultOrphanLimit = 512
 func (s *Store) Orphans() *backlog.Buffer[hashx.Hash, *Block] { return &s.orphans }
 
 // IsOnMainChain reports whether h is part of the current main chain.
-func (s *Store) IsOnMainChain(h hashx.Hash) bool { return s.onMain[h] }
+func (s *Store) IsOnMainChain(h hashx.Hash) bool {
+	id, ok := s.lookup(h)
+	return ok && s.onMain(id)
+}
 
 // HashAtHeight returns the main-chain hash at a height.
 func (s *Store) HashAtHeight(height uint64) (hashx.Hash, bool) {
-	h, ok := s.mainAt[height]
-	return h, ok
+	if height >= uint64(len(s.main)) {
+		return hashx.Zero, false
+	}
+	return s.cat.hash(s.main[height]), true
 }
 
 // Confirmations returns how many main-chain blocks sit at or above h
 // (1 = h is the tip). It returns 0 when h is not on the main chain — the
 // block is currently orphaned and unconfirmed (§IV-A).
 func (s *Store) Confirmations(h hashx.Hash) int {
-	if !s.onMain[h] {
+	id, ok := s.lookup(h)
+	if !ok {
 		return 0
 	}
-	return int(s.Height()-s.blocks[h].Header.Height) + 1
+	return s.ConfirmationsOf(id)
+}
+
+// ConfirmationsOf is Confirmations by catalog id: 0 unless id is on the
+// main chain here.
+func (s *Store) ConfirmationsOf(id BlockID) int {
+	if id == 0 || int(id) >= len(s.cat.entries) || !s.onMain(id) {
+		return 0
+	}
+	return len(s.main) - int(s.height(id))
 }
 
 // MainChain returns the main-chain hashes from genesis to tip.
 func (s *Store) MainChain() []hashx.Hash {
-	out := make([]hashx.Hash, 0, s.Height()+1)
-	for height := uint64(0); ; height++ {
-		h, ok := s.mainAt[height]
-		if !ok {
-			break
-		}
-		out = append(out, h)
+	out := make([]hashx.Hash, len(s.main))
+	for i, id := range s.main {
+		out[i] = s.cat.hash(id)
 	}
 	return out
 }
@@ -547,17 +679,19 @@ func (s *Store) Stats() Stats {
 		Reorgs:        s.reorgs,
 		MaxReorgDepth: s.maxReorg,
 	}
-	for h, b := range s.blocks {
-		if h == s.genesis {
-			continue
+	s.attached.Each(func(raw uint32) {
+		id := BlockID(raw)
+		if id == genesisID {
+			return
 		}
-		if s.onMain[h] {
+		if s.onMain(id) {
+			b := s.block(id)
 			st.TxsOnMain += b.TxCount()
 			st.BytesOnMain += b.Size()
 		} else {
 			st.OrphanedTotal++
 		}
-	}
+	})
 	return st
 }
 

@@ -42,6 +42,7 @@ import (
 	"sort"
 
 	"repro/internal/backlog"
+	"repro/internal/bitset"
 	"repro/internal/hashx"
 	"repro/internal/keys"
 )
@@ -311,28 +312,6 @@ func (c *catalog) hashOf(id uint32) hashx.Hash {
 	return c.blocks[id].Hash()
 }
 
-// bitset is a growable set of catalog ids.
-type bitset []uint64
-
-func (s bitset) has(id uint32) bool {
-	w := int(id >> 6)
-	return w < len(s) && s[w]&(1<<(id&63)) != 0
-}
-
-func (s *bitset) set(id uint32) {
-	w := int(id >> 6)
-	if w >= len(*s) {
-		*s = append(*s, make([]uint64, w+1-len(*s))...)
-	}
-	(*s)[w] |= 1 << (id & 63)
-}
-
-func (s bitset) clear(id uint32) {
-	if w := int(id >> 6); w < len(s) {
-		s[w] &^= 1 << (id & 63)
-	}
-}
-
 // Lattice is one node's replica of the DAG: which catalog blocks sit on
 // its account chains, which sends it has settled, the fork records
 // awaiting votes, and its gap buffers. A send is pending exactly when it
@@ -345,7 +324,7 @@ type Lattice struct {
 	heads []uint32
 	// attached holds the ids on this replica's account chains; settled
 	// the send ids an attached open or receive has settled here.
-	attached, settled bitset
+	attached, settled bitset.Set
 	// succ maps an attached block's id to its attached successor's id.
 	succ []uint32
 	// forks maps a contested predecessor to the detached rival blocks;
@@ -429,12 +408,12 @@ func (l *Lattice) successor(id uint32) uint32 {
 // lookup returns the id of the block with hash h if it is attached here.
 func (l *Lattice) lookup(h hashx.Hash) (uint32, bool) {
 	id, ok := l.cat.ids[h]
-	return id, ok && l.attached.has(id)
+	return id, ok && l.attached.Has(id)
 }
 
 // isPending reports whether id is a send attached and unsettled here.
 func (l *Lattice) isPending(id uint32) bool {
-	return l.attached.has(id) && !l.settled.has(id) && l.cat.blocks[id].Type == Send
+	return l.attached.Has(id) && !l.settled.Has(id) && l.cat.blocks[id].Type == Send
 }
 
 // eachPending calls fn for every pending send here, in catalog order.
@@ -555,13 +534,7 @@ func (l *Lattice) AllBlocks() []*Block {
 
 // BlockCount returns the number of attached blocks (rivals and buffered
 // blocks excluded).
-func (l *Lattice) BlockCount() int {
-	n := 0
-	for _, word := range l.attached {
-		n += bits.OnesCount64(word)
-	}
-	return n
-}
+func (l *Lattice) BlockCount() int { return l.attached.Count() }
 
 // PendingFor lists the unsettled send hashes addressed to an account.
 func (l *Lattice) PendingFor(addr keys.Address) []hashx.Hash {
@@ -623,7 +596,7 @@ func (l *Lattice) processOne(b *Block) Result {
 // or across the ProcessBatch worker pool.
 func (l *Lattice) processVerified(b *Block, h hashx.Hash, sigOK, workOK bool) Result {
 	id, known := l.cat.ids[h]
-	if known && l.attached.has(id) {
+	if known && l.attached.Has(id) {
 		return Result{Status: Duplicate}
 	}
 	if !sigOK {
@@ -658,7 +631,7 @@ func (l *Lattice) processOpen(b *Block, h hashx.Hash, id uint32) Result {
 	if b.Balance != amount {
 		return Result{Status: Rejected, Err: fmt.Errorf("%w: open balance %d, pending %d", ErrBadBalance, b.Balance, amount)}
 	}
-	l.settled.set(src)
+	l.settled.Add(src)
 	l.link(b, h, id, 0)
 	return Result{Status: Accepted, Settled: b.Source}
 }
@@ -696,7 +669,7 @@ func (l *Lattice) processChained(b *Block, h hashx.Hash, id uint32) Result {
 	}
 	res := Result{Status: Accepted}
 	if b.Type == Receive {
-		l.settled.set(src)
+		l.settled.Add(src)
 		res.Settled = b.Source
 	}
 	l.link(b, h, id, pid)
@@ -710,7 +683,7 @@ func (l *Lattice) processChained(b *Block, h hashx.Hash, id uint32) Result {
 func (l *Lattice) source(b *Block) (uint32, uint64, error) {
 	id, known := l.cat.ids[b.Source]
 	if !known || !l.isPending(id) {
-		if known && l.settled.has(id) {
+		if known && l.settled.Has(id) {
 			return 0, 0, errors.New("lattice: source already settled")
 		}
 		return 0, 0, errGapSource
@@ -773,7 +746,7 @@ func (l *Lattice) link(b *Block, h hashx.Hash, id, pid uint32) {
 	if id == 0 {
 		id = l.cat.add(b, h, pid)
 	}
-	l.attached.set(id)
+	l.attached.Add(id)
 	a, ok := l.cat.accts[b.Account]
 	if !ok {
 		a = uint32(len(l.cat.accts))
@@ -891,9 +864,9 @@ func (l *Lattice) ResolveFork(prev, winner hashx.Hash) error {
 	// Roll back the incumbent: a send's pending entry goes with its
 	// attached bit, a receive's source becomes pending again...
 	if loser := l.cat.blocks[incumbent]; loser.Type == Receive {
-		l.settled.clear(l.cat.ids[loser.Source])
+		l.settled.Remove(l.cat.ids[loser.Source])
 	}
-	l.attached.clear(incumbent)
+	l.attached.Remove(incumbent)
 	l.heads[a] = pid
 	l.succ[pid] = 0
 	// ...and attach the winner through the normal path.

@@ -105,7 +105,8 @@ func NewBitcoin(cfg BitcoinConfig) (*BitcoinNet, error) {
 	b.chain.metrics.Propagation.SetBudget(cfg.Net.SampleBudget)
 
 	// Genesis is built once; every node after the first is a replica of it
-	// (shared genesis block and coin catalog, own state).
+	// (shared genesis block, block catalog and transaction and coin
+	// catalog; own state).
 	root, err := utxo.NewLedger(alloc, cfg.Ledger)
 	if err != nil {
 		return nil, fmt.Errorf("netsim: %w", err)

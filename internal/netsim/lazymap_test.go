@@ -153,3 +153,93 @@ func TestLatticeForkMapsAllocateOnlyUnderForks(t *testing.T) {
 			allocated, replicaForks, forkWins)
 	}
 }
+
+// nilAt reports whether the field at the end of an unexported path from
+// *p — pointers followed — is nil.
+func nilAt(t *testing.T, p any, path ...string) bool {
+	t.Helper()
+	v := reflect.ValueOf(p)
+	for _, name := range path {
+		v = v.Elem().FieldByName(name)
+		if !v.IsValid() {
+			t.Fatalf("%T has no field path %v: the layout this test guards has changed", p, path)
+		}
+	}
+	return v.IsNil()
+}
+
+// The chain twin. A Bitcoin node's hot state is bits over its network's
+// block catalog and transaction table; its cold state is two per-node
+// override maps (a block or transaction handed to it under another
+// pointer than the catalog's) and two per-network overflow maps (a coin
+// with a second spender, a transaction in a second block). An honest run
+// without forks — every payment pooled at every node and mined once —
+// must allocate none of them.
+func TestChainColdMapsStayNilOnHonestRuns(t *testing.T) {
+	net, err := NewBitcoin(BitcoinConfig{
+		Net: NetParams{
+			Nodes: 12, PeerDegree: 3, Seed: 31,
+			MinLatency: 10 * time.Millisecond, MaxLatency: 60 * time.Millisecond,
+		},
+		BlockInterval: 30 * time.Second, Accounts: 16,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	load := workload.Payments(rand.New(rand.NewSource(37)), workload.Config{
+		Accounts: 16, Rate: 0.5, Duration: 5 * time.Minute, MaxAmount: 100,
+	})
+	m := net.RunWithPayments(6*time.Minute, load, 2)
+	if m.ConfirmedTxs == 0 || m.BlocksOnMain < 5 {
+		t.Fatalf("run too short: %d blocks, %d payments confirmed", m.BlocksOnMain, m.ConfirmedTxs)
+	}
+	if m.BlocksTotal != m.BlocksOnMain {
+		t.Fatalf("%d of %d blocks forked off: the shape must be fork-free", m.BlocksTotal-m.BlocksOnMain, m.BlocksTotal)
+	}
+	for i, l := range net.ledgers {
+		if !nilAt(t, l.Store(), "own") || !nilAt(t, l.Pool(), "own") {
+			t.Fatalf("node %d allocated a pointer override on an honest run", i)
+		}
+	}
+	for _, overflow := range []string{"spenders", "carriers"} {
+		if !nilAt(t, net.ledgers[0], "set", "cat", overflow) {
+			t.Fatalf("the network's %s overflow allocated on an honest run", overflow)
+		}
+	}
+}
+
+// The adversarial counterpart, on the executed double-spend shape (the
+// partition-hidden fork E18 runs) under a light payment load: the rival
+// pair gives one coin two spenders, and the payments both sides of the
+// split mine land in two blocks each — exactly the paths the honest test
+// proves cold. Every node still pools and stores the network's one
+// pointer per id, so the per-node overrides stay nil even here.
+func TestChainOverflowMapsFillUnderDoubleSpend(t *testing.T) {
+	cfg, plan, fs, dur := ChainDoubleSpendScenario(443, true)
+	net, err := NewBitcoin(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs.ApplyToBitcoin(net)
+	h := net.ScheduleDoubleSpend(plan)
+	// Background payments among accounts 0–4, outside the attack's.
+	for _, p := range workload.Payments(rand.New(rand.NewSource(41)), workload.Config{
+		Accounts: 5, Rate: 0.2, Duration: 2 * time.Minute, MaxAmount: 100,
+	}) {
+		net.SubmitPayment(p, 2)
+	}
+	net.Run(dur)
+	if out := net.DoubleSpendVerdict(h); !out.Reverted {
+		t.Fatalf("the double spend did not execute: %+v", out)
+	}
+	for _, overflow := range []string{"spenders", "carriers"} {
+		if nilAt(t, net.ledgers[0], "set", "cat", overflow) {
+			t.Fatalf("the network's %s overflow stayed nil under a double spend and a healed fork", overflow)
+		}
+	}
+	for i, l := range net.ledgers {
+		if !nilAt(t, l.Store(), "own") || !nilAt(t, l.Pool(), "own") {
+			t.Fatalf("node %d allocated a pointer override without being handed a second pointer", i)
+		}
+	}
+}

@@ -65,10 +65,12 @@ func TestBitcoinNetworkConverges(t *testing.T) {
 	}
 }
 
-// The nodes of one Bitcoin network share a genesis block and a coin
-// catalog and so must stay on one goroutine; two networks share nothing.
-// Two identical networks driven on two goroutines must therefore report
-// the same run — and, under -race (make race), touch no common memory.
+// The nodes of one Bitcoin network share a genesis block, a block catalog
+// and a transaction and coin catalog, which the network's goroutine writes
+// as blocks attach and payments are pooled, and so must stay on one
+// goroutine; two networks share nothing. Two identical networks driven on
+// two goroutines must therefore report the same run — and, under -race
+// (make race), touch no common memory: a catalog made global fails here.
 func TestBitcoinNetworksRunConcurrently(t *testing.T) {
 	run := func() ChainMetrics {
 		net, err := NewBitcoin(BitcoinConfig{Net: fastNet(3), BlockInterval: 30 * time.Second, Accounts: 16})

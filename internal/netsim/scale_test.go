@@ -75,27 +75,30 @@ func TestNanoMemoryPerNode10k(t *testing.T) {
 	runtime.KeepAlive(net)
 }
 
-// The chain-side budget, on E19's 10⁴-node shape (16 accounts of 8 genesis
-// outputs, 20 payments, five or more blocks): a node is a block store, a
-// mempool and a bitset over the network's one coin catalog, built as a
-// replica of one genesis ledger. Both bounds are the measured cost plus a
-// quarter (PERFORMANCE.md, the BENCH_020 story); a return to per-node
-// copies of the coins, their index or their undo journals is several
-// times either.
+// The chain-side budget, on the benchmark's scale-gossip Bitcoin shape
+// (16 accounts of 8 genesis outputs, 20 payments in the first 10 s, a
+// 200 s horizon, seed 31): a node is a store — a bitset and a main-chain
+// id column over the network's one block catalog — a UTXO bitset and a
+// mempool of two bitsets and an arrival list over the network's one
+// transaction and coin catalog, built as a replica of one genesis ledger.
+// Both bounds are the measured cost plus a quarter (PERFORMANCE.md); a
+// return to per-node block, tx-index or mempool maps is several times
+// either.
 func TestBitcoinMemoryPerNode10k(t *testing.T) {
 	if testing.Short() {
 		t.Skip("10k-node construction")
 	}
 	const nodes = 10_000
-	const builtBudget, ranBudget = 3940, 8480
+	const builtBudget, ranBudget = 1140, 1660
 	ledger := utxo.DefaultParams()
 	ledger.RetargetWindow = 1 << 30
 	ledger.GenesisOutputsPerAccount = 8
 	before := scaleHeapAlloc()
 	net, err := NewBitcoin(BitcoinConfig{
 		Net: NetParams{
-			Nodes: nodes, PeerDegree: 4, Seed: 1,
+			Nodes: nodes, PeerDegree: 4, Seed: 31,
 			MinLatency: 20 * time.Millisecond, MaxLatency: 200 * time.Millisecond,
+			SampleBudget: 1 << 18,
 		},
 		Ledger: ledger, BlockInterval: 30 * time.Second, Accounts: 16, InitialBalance: 1 << 30,
 	})
@@ -108,10 +111,10 @@ func TestBitcoinMemoryPerNode10k(t *testing.T) {
 		t.Fatalf("bitcoin node costs %d bytes of heap once built, budget is %d", perNode, builtBudget)
 	}
 
-	const payments, span = 20, 200 * time.Second
+	const payments, submitSpan, span = 20, 10 * time.Second, 200 * time.Second
 	for i := 0; i < payments; i++ {
 		net.SubmitPayment(workload.TimedPayment{
-			At:      span / 2 * time.Duration(i) / payments,
+			At:      submitSpan * time.Duration(i) / payments,
 			Payment: workload.Payment{From: i % 16, To: (i + 5) % 16, Amount: 10},
 		}, 2)
 	}

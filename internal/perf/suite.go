@@ -570,8 +570,9 @@ func benchNewPayment(scale float64, n int) float64 {
 // submit 20 payments and run 200 simulated seconds, about five blocks.
 // Construction is inside the operation, so ns, allocations and bytes per
 // op are what 512 ledger replicas cost to build and to carry through a
-// few blocks — the row that defends the shared coin catalog and the
-// once-per-network transaction id and Merkle root.
+// few blocks — the row that defends the shared block catalog, the shared
+// transaction and coin catalog and the once-per-network transaction id
+// and Merkle root.
 func benchBitcoinReplicas(scale float64, n int) float64 {
 	nodes := scaled(512, scale)
 	if nodes < 8 {

@@ -48,13 +48,14 @@ func DefaultParams() Params {
 // Ledger is a full Bitcoin-style node state: block store with fork choice,
 // the UTXO set at the main-chain tip and a fee-ordered mempool. A reorg
 // disconnects a block from its body alone (Set.UndoBlock), so no undo
-// journals are kept.
+// journals are kept. Which blocks carry a transaction is content in the
+// network's catalog, so the tx index is a query: the carrier on this
+// ledger's main chain, if any.
 type Ledger struct {
 	params  Params
 	store   *chain.Store
 	set     *Set
 	pool    *Mempool
-	txBlock map[hashx.Hash]hashx.Hash // confirmed tx id -> containing block
 	genesis *chain.Block
 }
 
@@ -99,39 +100,38 @@ func NewLedger(alloc map[keys.Address]uint64, params Params) (*Ledger, error) {
 		},
 		Payload: body,
 	}
-	return newReplica(params, genesis, newCatalog())
-}
-
-// Replica returns a new ledger at genesis for another node of l's network,
-// whatever l has processed since: the two share the genesis block and the
-// coin catalog — content every node of a network agrees on — while the
-// block store, UTXO set and mempool are the replica's own. The ledgers of
-// one network must stay on one goroutine (see catalog).
-func (l *Ledger) Replica() *Ledger {
-	r, err := newReplica(l.params, l.genesis, l.set.cat)
-	if err != nil {
-		panic(fmt.Sprintf("utxo: genesis of a live ledger refused: %v", err))
-	}
-	return r
-}
-
-// newReplica builds a ledger at genesis over the given coin catalog.
-func newReplica(params Params, genesis *chain.Block, cat *catalog) (*Ledger, error) {
 	store, err := chain.NewStore(genesis, params.ForkChoice)
 	if err != nil {
 		return nil, fmt.Errorf("utxo: %w", err)
 	}
+	return newReplica(params, genesis, store, newCatalog()), nil
+}
+
+// Replica returns a new ledger at genesis for another node of l's network,
+// whatever l has processed since: the two share the genesis block, the
+// block catalog and the transaction and coin catalog — content every node
+// of a network agrees on — while the block store, UTXO set and mempool
+// are the replica's own bits over them. The ledgers of one network must
+// stay on one goroutine (see catalog).
+func (l *Ledger) Replica() *Ledger {
+	return newReplica(l.params, l.genesis, l.store.Replica(), l.set.cat)
+}
+
+// newReplica builds a ledger at genesis over a store at genesis and the
+// given catalog.
+func newReplica(params Params, genesis *chain.Block, store *chain.Store, cat *catalog) *Ledger {
 	genesisTx := genesis.Payload.(*BlockBody).Txs[0]
 	set := &Set{cat: cat}
 	set.create(genesisTx)
+	carrier, _ := store.IDOf(genesis.Hash())
+	cat.carriedBy(cat.txIDs[genesisTx.ID()], carrier)
 	return &Ledger{
 		params:  params,
 		store:   store,
 		set:     set,
 		pool:    NewMempool(set),
-		txBlock: map[hashx.Hash]hashx.Hash{genesisTx.ID(): genesis.Hash()},
 		genesis: genesis,
-	}, nil
+	}
 }
 
 // Store exposes the underlying block store (read-mostly; use ProcessBlock
@@ -167,11 +167,20 @@ func (l *Ledger) SubmitTx(tx *Tx) error { return l.pool.Add(tx) }
 // chain: 1 means "in the tip block", 0 means unconfirmed or orphaned —
 // exactly the §IV-A notion merchants count before trusting a payment.
 func (l *Ledger) Confirmations(txID hashx.Hash) int {
-	blockHash, ok := l.txBlock[txID]
+	cat := l.set.cat
+	r, ok := cat.txIDs[txID]
 	if !ok {
 		return 0
 	}
-	return l.store.Confirmations(blockHash)
+	if n := l.store.ConfirmationsOf(cat.txs[r].carrier); n > 0 {
+		return n
+	}
+	for _, block := range cat.carriers[r] {
+		if n := l.store.ConfirmationsOf(block); n > 0 {
+			return n
+		}
+	}
+	return 0
 }
 
 // NextDifficulty computes the difficulty for the next block: unchanged
@@ -210,13 +219,7 @@ func (l *Ledger) BuildBlock(miner keys.Address, now time.Duration) *chain.Block 
 	height := tip.Header.Height + 1
 	coinbaseSize := NewCoinbase(height, miner, 0).EncodedSize()
 	budget := l.params.MaxBlockBytes - tip.Header.EncodedSize() - coinbaseSize
-	txs := l.pool.Assemble(budget)
-	var fees uint64
-	for _, tx := range txs {
-		if fee, err := l.set.CheckTx(tx); err == nil {
-			fees += fee
-		}
-	}
+	txs, fees := l.pool.Assemble(budget)
 	subsidy := Subsidy(height, l.params.InitialSubsidy, l.params.HalvingInterval)
 	coinbase := NewCoinbase(height, miner, subsidy+fees)
 	body := &BlockBody{Txs: append([]*Tx{coinbase}, txs...)}
@@ -305,9 +308,10 @@ func (l *Ledger) connect(b *chain.Block) error {
 	if err := l.set.ApplyBlock(body, subsidy); err != nil {
 		return fmt.Errorf("utxo: connect %s: %w", b.Hash(), err)
 	}
-	h := b.Hash()
+	carrier, _ := l.store.IDOf(b.Hash())
+	cat := l.set.cat
 	for _, tx := range body.Txs {
-		l.txBlock[tx.ID()] = h
+		cat.carriedBy(cat.txIDs[tx.ID()], carrier)
 	}
 	l.pool.RemoveConfirmed(body.Txs)
 	return nil
@@ -321,9 +325,6 @@ func (l *Ledger) disconnect(h hashx.Hash) error {
 	}
 	body := b.Payload.(*BlockBody)
 	l.set.UndoBlock(body)
-	for _, tx := range body.Txs {
-		delete(l.txBlock, tx.ID())
-	}
 	l.pool.Reinject(body.Txs)
 	return nil
 }

@@ -3,8 +3,9 @@ package utxo
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
+	"repro/internal/bitset"
 	"repro/internal/hashx"
 )
 
@@ -14,46 +15,59 @@ var (
 	ErrPoolDup      = errors.New("utxo: transaction already pooled")
 )
 
-// poolEntry is one pending transaction with its cached fee.
-type poolEntry struct {
-	tx      *Tx
-	id      hashx.Hash
-	fee     uint64
-	size    int
-	seq     uint64 // arrival order, tie-breaker
-	feeRate float64
-}
-
 // Mempool holds validated, unconfirmed transactions ordered by fee rate.
 // It is the "pending transactions" backlog of §VI. Transactions must spend
 // confirmed outputs: chains of unconfirmed transactions are rejected, a
 // simplification that keeps validation stateless against the UTXO set.
+//
+// What a pooled transaction is — its pointer, fee, size and fee rate, and
+// which coins it spends — is a row of the set's catalog, shared by the
+// network's replicas. The pool itself is three pieces of state over that
+// table: which rows are pooled, which coins pooled rows claim, and the
+// order rows arrived in, which breaks fee-rate ties.
 type Mempool struct {
 	set     *Set
-	entries map[hashx.Hash]*poolEntry
-	spends  map[Outpoint]hashx.Hash // pooled input -> pooled tx id
-	bytes   int
-	nextSeq uint64
+	pooled  bitset.Set // catalog rows pooled here
+	claimed bitset.Set // coin ids an input of a pooled row spends
+	// order lists pooled rows in arrival order. A removed row stays until
+	// the next Add compacts the list (stale counts them), so a burst of
+	// removals costs one pass.
+	order []uint32
+	stale int
+	// own holds this pool's entry for a transaction the catalog knows
+	// under another pointer with the same id: the pointer this pool
+	// validated is the one it mines. Nil on honest runs, where every
+	// replica of a network pools one pointer.
+	own   map[uint32]*poolEntry
+	bytes int
 }
 
 // NewMempool creates a pool validating against the given UTXO set.
-func NewMempool(set *Set) *Mempool {
-	return &Mempool{
-		set:     set,
-		entries: make(map[hashx.Hash]*poolEntry),
-		spends:  make(map[Outpoint]hashx.Hash),
-	}
-}
+func NewMempool(set *Set) *Mempool { return &Mempool{set: set} }
 
 // Len returns the number of pooled transactions.
-func (m *Mempool) Len() int { return len(m.entries) }
+func (m *Mempool) Len() int { return len(m.order) - m.stale }
 
 // Bytes returns the total modeled size of pooled transactions.
 func (m *Mempool) Bytes() int { return m.bytes }
 
+// entry returns this pool's view of a catalog row.
+func (m *Mempool) entry(r uint32) *poolEntry {
+	if e, ok := m.own[r]; ok {
+		return e
+	}
+	return &m.set.cat.txs[r].poolEntry
+}
+
+// pooledRow returns id's catalog row if that transaction is pooled here.
+func (m *Mempool) pooledRow(id hashx.Hash) (uint32, bool) {
+	r, ok := m.set.cat.txIDs[id]
+	return r, ok && m.pooled.Has(r)
+}
+
 // Contains reports whether a transaction is pooled.
 func (m *Mempool) Contains(id hashx.Hash) bool {
-	_, ok := m.entries[id]
+	_, ok := m.pooledRow(id)
 	return ok
 }
 
@@ -61,8 +75,23 @@ func (m *Mempool) Contains(id hashx.Hash) bool {
 // the wallet-side check that keeps multiple payments in flight without
 // self-conflicts (see NewPaymentAvoiding).
 func (m *Mempool) Spends(op Outpoint) bool {
-	_, ok := m.spends[op]
-	return ok
+	id, ok := m.set.cat.lookup(op)
+	return ok && m.claimed.Has(id)
+}
+
+// claimant returns the row of the pooled transaction that claims coin id:
+// of the coin's spenders in the catalog, the one pooled here.
+func (m *Mempool) claimant(id uint32) uint32 {
+	cat := m.set.cat
+	if r := cat.coins[id].spender; m.pooled.Has(r) {
+		return r
+	}
+	for _, r := range cat.spenders[id] {
+		if m.pooled.Has(r) {
+			return r
+		}
+	}
+	panic("utxo: a claimed coin has no pooled spender")
 }
 
 // Add validates tx against the UTXO set and pools it. Double spends of
@@ -72,54 +101,88 @@ func (m *Mempool) Add(tx *Tx) error {
 	if tx.IsCoinbase() {
 		return errors.New("utxo: coinbase transactions cannot be pooled")
 	}
-	id := tx.ID()
-	if _, dup := m.entries[id]; dup {
+	if m.Contains(tx.ID()) {
 		return ErrPoolDup
 	}
-	fee, err := m.set.CheckTx(tx)
+	var buf [4]uint32
+	fee, ins, err := m.set.check(tx, buf[:0])
 	if err != nil {
 		return err
 	}
-	for _, in := range tx.Ins {
-		if rival, clash := m.spends[in.Prev]; clash {
-			return fmt.Errorf("%w: %s also spent by %s", ErrPoolConflict, in.Prev, rival)
+	cat := m.set.cat
+	for i, id := range ins {
+		if m.claimed.Has(id) {
+			rival := m.entry(m.claimant(id)).tx.ID()
+			return fmt.Errorf("%w: %s also spent by %s", ErrPoolConflict, tx.Ins[i].Prev, rival)
 		}
 	}
-	e := &poolEntry{tx: tx, id: id, fee: fee, size: tx.EncodedSize(), seq: m.nextSeq}
-	m.nextSeq++
-	e.feeRate = float64(fee) / float64(e.size)
-	m.entries[id] = e
-	for _, in := range tx.Ins {
-		m.spends[in.Prev] = id
+	r := cat.row(tx)
+	row := &cat.txs[r]
+	e := &row.poolEntry
+	switch {
+	case row.tx != tx:
+		e = &poolEntry{tx: tx}
+		e.price(fee)
+		if m.own == nil {
+			m.own = make(map[uint32]*poolEntry)
+		}
+		m.own[r] = e
+	case !row.priced:
+		e.price(fee)
+		row.priced = true
 	}
+	for _, id := range ins {
+		m.claimed.Add(id)
+		cat.spentBy(id, r)
+	}
+	if m.stale > 0 {
+		m.compact()
+	}
+	m.order = append(m.order, r)
+	m.pooled.Add(r)
 	m.bytes += e.size
 	return nil
 }
 
-// remove unlinks one entry.
-func (m *Mempool) remove(id hashx.Hash) {
-	e, ok := m.entries[id]
-	if !ok {
-		return
-	}
-	delete(m.entries, id)
-	for _, in := range e.tx.Ins {
-		if m.spends[in.Prev] == id {
-			delete(m.spends, in.Prev)
+// compact drops removed rows from the arrival list.
+func (m *Mempool) compact() {
+	live := m.order[:0]
+	for _, r := range m.order {
+		if m.pooled.Has(r) {
+			live = append(live, r)
 		}
 	}
+	m.order, m.stale = live, 0
+}
+
+// remove unlinks one pooled row.
+func (m *Mempool) remove(r uint32) {
+	e := m.entry(r)
+	m.pooled.Remove(r)
+	for _, in := range e.tx.Ins {
+		id, _ := m.set.cat.lookup(in.Prev)
+		m.claimed.Remove(id)
+	}
 	m.bytes -= e.size
+	delete(m.own, r)
+	m.stale++
 }
 
 // RemoveConfirmed drops transactions that were just mined, plus any pooled
 // transaction that became invalid because one of its inputs is now spent.
 func (m *Mempool) RemoveConfirmed(txs []*Tx) {
+	if m.Len() == 0 {
+		return
+	}
+	cat := m.set.cat
 	for _, tx := range txs {
-		m.remove(tx.ID())
+		if r, ok := m.pooledRow(tx.ID()); ok {
+			m.remove(r)
+		}
 		// Evict pooled rivals spending the same outputs.
 		for _, in := range tx.Ins {
-			if rival, ok := m.spends[in.Prev]; ok {
-				m.remove(rival)
+			if id, ok := cat.lookup(in.Prev); ok && m.claimed.Has(id) {
+				m.remove(m.claimant(id))
 			}
 		}
 	}
@@ -143,47 +206,61 @@ func (m *Mempool) Reinject(txs []*Tx) int {
 	return n
 }
 
-// Assemble selects transactions for a new block greedily by fee rate
-// until maxBytes of body space is used. Entries that no longer validate
-// against the UTXO set are evicted on the way.
-func (m *Mempool) Assemble(maxBytes int) []*Tx {
-	order := make([]*poolEntry, 0, len(m.entries))
-	for _, e := range m.entries {
-		order = append(order, e)
+// Assemble selects transactions for a new block greedily by fee rate,
+// earlier arrivals first among equal rates, until maxBytes of body space
+// is used, and returns them with the fees they pay. Entries that no
+// longer validate against the UTXO set are evicted on the way.
+func (m *Mempool) Assemble(maxBytes int) ([]*Tx, uint64) {
+	type candidate struct {
+		rate float64
+		seq  int // position in arrival order
+		row  uint32
 	}
-	sort.Slice(order, func(i, j int) bool {
-		if order[i].feeRate != order[j].feeRate {
-			return order[i].feeRate > order[j].feeRate
+	cands := make([]candidate, 0, m.Len())
+	for _, r := range m.order {
+		if m.pooled.Has(r) {
+			cands = append(cands, candidate{rate: m.entry(r).feeRate, seq: len(cands), row: r})
 		}
-		return order[i].seq < order[j].seq
+	}
+	slices.SortFunc(cands, func(a, b candidate) int {
+		switch {
+		case a.rate > b.rate:
+			return -1
+		case a.rate < b.rate:
+			return 1
+		}
+		return a.seq - b.seq
 	})
 	var (
 		out   []*Tx
 		used  int
-		stale []hashx.Hash
+		fees  uint64
+		stale []uint32
 	)
-	for _, e := range order {
+	for _, c := range cands {
+		e := m.entry(c.row)
 		if used+e.size > maxBytes {
 			continue
 		}
 		if _, err := m.set.CheckTx(e.tx); err != nil {
-			stale = append(stale, e.id)
+			stale = append(stale, c.row)
 			continue
 		}
 		out = append(out, e.tx)
 		used += e.size
+		fees += e.fee
 	}
-	for _, id := range stale {
-		m.remove(id)
+	for _, r := range stale {
+		m.remove(r)
 	}
-	return out
+	return out, fees
 }
 
 // FeeOf returns the cached fee of a pooled transaction.
 func (m *Mempool) FeeOf(id hashx.Hash) (uint64, bool) {
-	e, ok := m.entries[id]
+	r, ok := m.pooledRow(id)
 	if !ok {
 		return 0, false
 	}
-	return e.fee, true
+	return m.entry(r).fee, true
 }

@@ -3,60 +3,145 @@ package utxo
 import (
 	"errors"
 	"fmt"
-	"math/bits"
+	"slices"
 
+	"repro/internal/bitset"
+	"repro/internal/chain"
 	"repro/internal/hashx"
 	"repro/internal/keys"
 )
 
 // coin is one transaction output ever created: its value and owner, fixed
-// by the transaction that created it, and the outpoint that names it.
+// by the transaction that created it, the outpoint that names it, and the
+// catalog row of the first pooled transaction that spends it (0 for none;
+// catalog.spenders holds any others).
 type coin struct {
 	TxOut
-	op Outpoint
+	op      Outpoint
+	spender uint32
 }
 
-// catalog is the append-only table of every coin the transactions of one
-// network have created, each under a dense id. It is content, not state:
-// a coin's entry is a pure function of its creating transaction, so the
-// replicas of a network (Ledger.Replica) share one catalog and keep only
-// which ids are unspent. A transaction's coins take consecutive ids, so
-// one entry per transaction finds them all. Not safe for concurrent use:
-// a catalog never leaves the goroutine that drives its network.
+// poolEntry is what a mempool reads about one transaction: the pointer it
+// validated, its fee and modeled size, and the fee rate Assemble orders
+// by.
+type poolEntry struct {
+	tx      *Tx
+	fee     uint64
+	size    int
+	feeRate float64
+}
+
+// price fills the entry's fee, size and fee rate for a fee CheckTx
+// returned.
+func (e *poolEntry) price(fee uint64) {
+	e.fee, e.size = fee, e.tx.EncodedSize()
+	e.feeRate = float64(fee) / float64(e.size)
+}
+
+// txEntry is one row of the transaction table.
+type txEntry struct {
+	poolEntry // fee, size and feeRate once priced
+	priced    bool
+	// base is the id of output 0 once the outputs are in the coin table,
+	// noCoins before: a transaction can be pooled before any replica
+	// applies it.
+	base uint32
+	// carrier is the first catalogued block that carries the transaction
+	// (0 for none); further carriers sit in catalog.carriers.
+	carrier chain.BlockID
+}
+
+const noCoins = ^uint32(0)
+
+// catalog is the append-only content of one network's transactions: a
+// table of every transaction its replicas have pooled or applied, and of
+// every coin those transactions created, each under a dense id. It is
+// content, not state — a transaction's fee, its coins, the blocks that
+// carry it and the coins it spends are pure functions of the transactions
+// and blocks themselves — so the replicas of a network (Ledger.Replica)
+// share one catalog and keep only bitsets over it: which coins are
+// unspent (Set), which transactions are pooled and which coins they claim
+// (Mempool). A transaction's coins take consecutive ids, so one row per
+// transaction finds them all. Not safe for concurrent use: a catalog
+// never leaves the goroutine that drives its network.
 type catalog struct {
-	byTx  map[hashx.Hash]uint32 // creating tx id -> id of its output 0
+	txIDs map[hashx.Hash]uint32 // tx id -> row in txs
+	txs   []txEntry             // txs[0] is unused: row 0 means none
 	coins []coin
+	// spenders holds every pooled spender of a coin past the first; nil
+	// until two transactions of the network spend one coin — a double
+	// spend.
+	spenders map[uint32][]uint32
+	// carriers holds every carrier of a transaction past the first; nil
+	// until one transaction is carried by two blocks — a fork.
+	carriers map[uint32][]chain.BlockID
 }
 
-func newCatalog() *catalog { return &catalog{byTx: make(map[hashx.Hash]uint32)} }
+func newCatalog() *catalog {
+	return &catalog{txIDs: make(map[hashx.Hash]uint32), txs: make([]txEntry, 1)}
+}
+
+// row returns tx's row, entering tx on first sight.
+func (c *catalog) row(tx *Tx) uint32 {
+	txID := tx.ID()
+	r, known := c.txIDs[txID]
+	if !known {
+		r = uint32(len(c.txs))
+		c.txIDs[txID] = r
+		c.txs = append(c.txs, txEntry{poolEntry: poolEntry{tx: tx}, base: noCoins})
+	}
+	return r
+}
 
 // register returns the id of tx's output 0, entering tx's outputs on
 // first sight.
 func (c *catalog) register(tx *Tx) uint32 {
-	txID := tx.ID()
-	base, known := c.byTx[txID]
-	if !known {
-		base = uint32(len(c.coins))
-		c.byTx[txID] = base
+	e := &c.txs[c.row(tx)]
+	if e.base == noCoins {
+		e.base = uint32(len(c.coins))
+		txID := tx.ID()
 		for i, out := range tx.Outs {
 			c.coins = append(c.coins, coin{TxOut: out, op: Outpoint{TxID: txID, Index: uint32(i)}})
 		}
 	}
-	return base
+	return e.base
 }
 
-// lookup returns the id of the coin op names, if any transaction seen so
-// far created it.
+// lookup returns the id of the coin op names, if any transaction applied
+// so far created it.
 func (c *catalog) lookup(op Outpoint) (uint32, bool) {
-	base, known := c.byTx[op.TxID]
-	if !known {
+	r, known := c.txIDs[op.TxID]
+	if !known || c.txs[r].base == noCoins {
 		return 0, false
 	}
-	id := uint64(base) + uint64(op.Index)
+	id := uint64(c.txs[r].base) + uint64(op.Index)
 	if id >= uint64(len(c.coins)) || c.coins[id].op != op {
 		return 0, false
 	}
 	return uint32(id), true
+}
+
+// spentBy records that the transaction in row r spends the coin id.
+func (c *catalog) spentBy(id, r uint32) { note(&c.coins[id].spender, &c.spenders, id, r) }
+
+// carriedBy records that block carries the transaction in row r.
+func (c *catalog) carriedBy(r uint32, block chain.BlockID) {
+	note(&c.txs[r].carrier, &c.carriers, r, block)
+}
+
+// note records v for key k once: in *first while that is unset, past it
+// in the overflow map *more, which is allocated on the first overflow.
+func note[V comparable](first *V, more *map[uint32][]V, k uint32, v V) {
+	var none V
+	switch {
+	case *first == none:
+		*first = v
+	case *first != v && !slices.Contains((*more)[k], v):
+		if *more == nil {
+			*more = make(map[uint32][]V)
+		}
+		(*more)[k] = append((*more)[k], v)
+	}
 }
 
 // before is the deterministic coin-selection order: larger value first,
@@ -80,7 +165,7 @@ func (c *catalog) before(a, b uint32) bool {
 // originates payments needs one — and maintained from then on.
 type Set struct {
 	cat     *catalog
-	unspent []uint64 // bit id: coin id is unspent here
+	unspent bitset.Set // coin ids unspent here
 	n       int
 	total   uint64
 	byOwner map[keys.Address][]uint32 // owner -> unspent coin ids; nil until first use
@@ -136,11 +221,7 @@ func (s *Set) coinsOf(addr keys.Address) []uint32 {
 // there are.
 func (s *Set) buildOwnerIndex() {
 	ids := make([]uint32, 0, s.n)
-	for w, word := range s.unspent {
-		for ; word != 0; word &= word - 1 {
-			ids = append(ids, uint32(w<<6+bits.TrailingZeros64(word)))
-		}
-	}
+	s.unspent.Each(func(id uint32) { ids = append(ids, id) })
 	counts := make(map[keys.Address]int)
 	for _, id := range ids {
 		counts[s.cat.coins[id].Owner]++
@@ -170,17 +251,10 @@ func (s *Set) OutpointsOf(addr keys.Address) []Outpoint {
 	return out
 }
 
-func (s *Set) has(id uint32) bool {
-	w := int(id >> 6)
-	return w < len(s.unspent) && s.unspent[w]&(1<<(id&63)) != 0
-}
+func (s *Set) has(id uint32) bool { return s.unspent.Has(id) }
 
 func (s *Set) add(id uint32) {
-	w := int(id >> 6)
-	if w >= len(s.unspent) {
-		s.unspent = append(s.unspent, make([]uint64, w+1-len(s.unspent))...)
-	}
-	s.unspent[w] |= 1 << (id & 63)
+	s.unspent.Add(id)
 	c := &s.cat.coins[id]
 	s.n++
 	s.total += c.Value
@@ -190,7 +264,7 @@ func (s *Set) add(id uint32) {
 }
 
 func (s *Set) remove(id uint32) {
-	s.unspent[id>>6] &^= 1 << (id & 63)
+	s.unspent.Remove(id)
 	c := &s.cat.coins[id]
 	s.n--
 	s.total -= c.Value
@@ -314,7 +388,7 @@ func (s *Set) create(tx *Tx) {
 // spent outputs restored, in reverse order. Which coins those are is
 // content the catalog already holds, so no journal of the apply is kept.
 func (s *Set) undoTx(tx *Tx) {
-	base := s.cat.byTx[tx.ID()]
+	base := s.cat.txs[s.cat.txIDs[tx.ID()]].base
 	for i := len(tx.Outs) - 1; i >= 0; i-- {
 		s.remove(base + uint32(i))
 	}

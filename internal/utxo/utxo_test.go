@@ -4,7 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -321,7 +323,7 @@ func TestMempoolOrderingAndConflicts(t *testing.T) {
 		t.Fatalf("conflict err = %v", err)
 	}
 	// Assembly must order by fee rate.
-	txs := pool.Assemble(1_000_000)
+	txs, _ := pool.Assemble(1_000_000)
 	if len(txs) != 3 {
 		t.Fatalf("assembled %d txs", len(txs))
 	}
@@ -329,7 +331,7 @@ func TestMempoolOrderingAndConflicts(t *testing.T) {
 		t.Fatal("assembly not fee-ordered")
 	}
 	// A tight budget takes only the best-paying tx.
-	small := pool.Assemble(high.EncodedSize())
+	small, _ := pool.Assemble(high.EncodedSize())
 	if len(small) != 1 || small[0].ID() != high.ID() {
 		t.Fatal("size-capped assembly wrong")
 	}
@@ -879,5 +881,153 @@ func TestLedgerReplica(t *testing.T) {
 	}
 	if l.Balance(r.Addr(0)) != 1000-255 {
 		t.Fatalf("replicas' blocks moved the original: balance %d", l.Balance(r.Addr(0)))
+	}
+}
+
+// The replicas of a network share the transaction table and the block
+// catalog, but each validates the pointer it is handed. A same-id copy
+// whose signature was changed after ID() is refused by a replica exactly
+// as by a ledger on a catalog of its own, in the mempool and in a block;
+// an honest same-id copy is pooled, mined and, after a reorg,
+// disconnected and re-pooled as the pointer the replica validated, never
+// as the catalog's.
+func TestReplicaKeepsThePointerItValidated(t *testing.T) {
+	r := ring(4)
+	l := newTestLedger(t, r, 2)
+	tx, err := NewPayment(l.UTXOSet(), r.Pair(0), r.Addr(2), 250, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.SubmitTx(tx); err != nil {
+		t.Fatal(err)
+	}
+	b := l.BuildBlock(r.Addr(3), time.Minute)
+	if _, err := l.ProcessBlock(b); err != nil {
+		t.Fatal(err)
+	}
+
+	// sameID copies tx; with forge, its signature changes after ID().
+	sameID := func(forge bool) *Tx {
+		cp := &Tx{Ins: slices.Clone(tx.Ins), Outs: tx.Outs}
+		if cp.ID() != tx.ID() {
+			t.Fatal("a copy changed the id")
+		}
+		if forge {
+			cp.Ins[0].Sig = slices.Clone(cp.Ins[0].Sig)
+			cp.Ins[0].Sig[3] ^= 0x40
+		}
+		return cp
+	}
+	// withTx is b under another pointer whose body carries pay in place
+	// of tx: same header, same root.
+	withTx := func(pay *Tx) *chain.Block {
+		body := b.Payload.(*BlockBody)
+		return &chain.Block{Header: b.Header, Payload: &BlockBody{Txs: []*Tx{body.Txs[0], pay}}}
+	}
+
+	forged := sameID(true)
+	alone := newTestLedger(t, r, 2) // a catalog of its own: today's verdicts
+	if got, want := fmt.Sprint(l.Replica().SubmitTx(forged)), fmt.Sprint(alone.SubmitTx(forged)); got != want || !strings.Contains(got, ErrBadSignature.Error()) {
+		t.Fatalf("forged copy in the mempool: replica %s, own catalog %s", got, want)
+	}
+	forgedBlock := withTx(forged)
+	rep := l.Replica()
+	gotRes, gotErr := rep.ProcessBlock(forgedBlock)
+	wantRes, wantErr := alone.ProcessBlock(forgedBlock)
+	if gotRes.Status != wantRes.Status || fmt.Sprint(gotErr) != fmt.Sprint(wantErr) || !errors.Is(gotErr, ErrBadSignature) {
+		t.Fatalf("forged copy in a block: replica %v %v, own catalog %v %v", gotRes.Status, gotErr, wantRes.Status, wantErr)
+	}
+	if rep.Balance(r.Addr(2)) != 0 {
+		t.Fatal("the replica applied the forged copy")
+	}
+
+	// An honest copy is the replica's own from submission to reinjection.
+	honest := sameID(false)
+	rep = l.Replica()
+	if err := rep.SubmitTx(honest); err != nil {
+		t.Fatal(err)
+	}
+	if mined := rep.BuildBlock(r.Addr(3), time.Minute).Payload.(*BlockBody).Txs; mined[1] != honest {
+		t.Fatal("the replica mines the catalog's pointer, not the one it pooled")
+	}
+	copyBlock := withTx(honest)
+	if res, err := rep.ProcessBlock(copyBlock); err != nil || res.Status != chain.Accepted {
+		t.Fatalf("honest copy: %v %v", res.Status, err)
+	}
+	if got, _ := rep.Store().Get(b.Hash()); got != copyBlock {
+		t.Fatal("the replica's store serves the catalog's block, not the one it validated")
+	}
+	if rep.Confirmations(tx.ID()) != 1 || l.Confirmations(tx.ID()) != 1 {
+		t.Fatal("the payment is not confirmed at both ledgers")
+	}
+	// A heavier branch from genesis disconnects the copy: the payment
+	// returns to the pool as the replica's pointer.
+	heavy, err := rep.BuildBlockOn(rep.Genesis().Hash(), r.Addr(1), 2*time.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	heavy.Header.Difficulty = 10
+	if res, err := rep.ProcessBlock(heavy); err != nil || res.Status != chain.AcceptedReorg {
+		t.Fatalf("heavy branch: %v %v", res.Status, err)
+	}
+	if rep.Confirmations(tx.ID()) != 0 || !rep.Pool().Contains(tx.ID()) {
+		t.Fatal("the reorg did not return the payment to the pool")
+	}
+	if txs, _ := rep.Pool().Assemble(1 << 20); len(txs) != 1 || txs[0] != honest {
+		t.Fatal("the disconnected payment was re-pooled under the catalog's pointer")
+	}
+	if l.Confirmations(tx.ID()) != 1 {
+		t.Fatal("the replica's reorg moved the original's confirmations")
+	}
+}
+
+// Which blocks carry a transaction is catalog content, and a transaction
+// a reorg disconnects can be carried again: confirmations are read from
+// whichever carrier is on this ledger's main chain, and another ledger of
+// the network on the abandoned branch still reads its own.
+func TestConfirmationsFollowTheMainChainCarrier(t *testing.T) {
+	r := ring(4)
+	l := newTestLedger(t, r, 2)
+	stay := l.Replica()
+	tx, err := NewPayment(l.UTXOSet(), r.Pair(0), r.Addr(2), 250, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, led := range []*Ledger{l, stay} {
+		if err := led.SubmitTx(tx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	first := l.BuildBlock(r.Addr(3), time.Minute)
+	for _, led := range []*Ledger{l, stay} {
+		if _, err := led.ProcessBlock(first); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// A heavier empty block on genesis abandons first; the payment goes
+	// back to l's pool and into a second carrier on the new branch.
+	heavy, err := l.BuildBlockOn(l.Genesis().Hash(), r.Addr(1), 2*time.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	heavy.Header.Difficulty = 10
+	if res, err := l.ProcessBlock(heavy); err != nil || res.Status != chain.AcceptedReorg {
+		t.Fatalf("heavy branch: %v %v", res.Status, err)
+	}
+	if l.Confirmations(tx.ID()) != 0 {
+		t.Fatal("a payment on the abandoned branch still counts confirmations")
+	}
+	second := l.BuildBlock(r.Addr(3), 3*time.Minute)
+	if second.TxCount() != 2 {
+		t.Fatalf("the reinjected payment was not mined again: %d txs", second.TxCount())
+	}
+	if _, err := l.ProcessBlock(second); err != nil {
+		t.Fatal(err)
+	}
+	if got := l.Confirmations(tx.ID()); got != 1 {
+		t.Fatalf("confirmations through the second carrier = %d, want 1", got)
+	}
+	if got := stay.Confirmations(tx.ID()); got != 1 {
+		t.Fatalf("a ledger still on the first carrier reads %d confirmations, want 1", got)
 	}
 }
