@@ -16,15 +16,16 @@ test:
 # lattice batch settlement, signature batching, parallel merkle hashing,
 # the batched live-gossip + adversary paths in netsim, the pointer-
 # shared content (genesis, block catalog, transaction and coin catalog,
-# id and root memos) under the chain ledgers and the lattice's block
-# catalog, which must never cross networks, and every package whose
-# objects embed a keys.SigMemo.
+# id and root memos) under the chain ledgers, the lattice's block
+# catalog and the tangle's vertex catalog, which must never cross
+# networks, and every package whose objects embed a keys.SigMemo.
 race:
 	$(GO) test -race -timeout 60m ./internal/sim/... ./internal/core/... ./internal/lattice/... ./internal/keys/... ./internal/merkle/... ./internal/netsim/... ./internal/utxo/... ./internal/chain/... ./internal/account/... ./internal/orv/... ./internal/tangle/... ./internal/pos/...
 
 # Short fuzz smoke mirroring CI: batch settlement vs serial apply under
 # hostile block streams, link-model delay sanity for any bounds, the
 # event queue against a naive minimum-scan model, tangle tip selection,
+# three tangle replicas on one vertex catalog against their map models,
 # three chain stores on one block catalog and two mempools on one
 # transaction table against their map models, three UTXO sets on one
 # coin catalog under apply/undo/reorg, three lattice replicas on one
@@ -39,6 +40,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzLinkModelDelay$$' -fuzztime 15s ./internal/sim
 	$(GO) test -run '^$$' -fuzz '^FuzzPopOrder$$' -fuzztime 15s -fuzzminimizetime 2s ./internal/sim
 	$(GO) test -run '^$$' -fuzz '^FuzzTangleTipSelection$$' -fuzztime 30s ./internal/tangle
+	$(GO) test -run '^$$' -fuzz '^FuzzTangleReplicas$$' -fuzztime 15s -fuzzminimizetime 2s ./internal/tangle
 	$(GO) test -run '^$$' -fuzz '^FuzzChainReplicas$$' -fuzztime 15s -fuzzminimizetime 2s ./internal/chain
 	$(GO) test -run '^$$' -fuzz '^FuzzMempool$$' -fuzztime 15s -fuzzminimizetime 2s ./internal/utxo
 	$(GO) test -run '^$$' -fuzz '^FuzzSetOwnerIndex$$' -fuzztime 15s ./internal/utxo

@@ -243,3 +243,25 @@ func TestChainOverflowMapsFillUnderDoubleSpend(t *testing.T) {
 		}
 	}
 }
+
+// The tangle twin. A tangle node's state is bits, an id list and a slot
+// column over its network's vertex catalog; its one cold map holds the
+// vertices it was handed under another pointer than the catalog's. An
+// honest run — a cold node range-pulling history included — hands every
+// node the network's one pointer per vertex, so no node may allocate it.
+func TestTangleColdMapsStayNilOnHonestRuns(t *testing.T) {
+	net, load := tangleTestNet(t, 3)
+	net.ScheduleColdStart(7, 0, 15*time.Second, 32)
+	m := net.RunWithTransfers(30*time.Second, load)
+	if m.ConfirmedAtObserver == 0 {
+		t.Fatal("run confirmed nothing; the coldness measurement is vacuous")
+	}
+	if _, ok := net.ColdSyncDone(7); !ok {
+		t.Fatal("the cold node never finished its pull")
+	}
+	for i, node := range net.nodes {
+		if !nilAt(t, node.tg, "own") {
+			t.Fatalf("node %d allocated a pointer override on an honest run", i)
+		}
+	}
+}

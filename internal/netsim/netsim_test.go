@@ -128,6 +128,37 @@ func TestNanoNetworksRunConcurrently(t *testing.T) {
 	}
 }
 
+// The tangle twin: each network's replicas share one vertex catalog,
+// which the network's goroutine writes as vertices first attach. Two
+// identical networks on two goroutines (run under -race) must not share
+// one, and must agree.
+func TestTangleNetworksRunConcurrently(t *testing.T) {
+	run := func() TangleMetrics {
+		net, err := NewTangle(TangleConfig{Net: fastNet(7), Accounts: 16, ConfirmWeight: 3})
+		if err != nil {
+			t.Error(err)
+			return TangleMetrics{}
+		}
+		net.ScheduleColdStart(7, 0, 8*time.Second, 16)
+		transfers := workload.Payments(rand.New(rand.NewSource(8)), workload.Config{
+			Accounts: 16, Rate: 10, Duration: 10 * time.Second, MaxAmount: 10,
+		})
+		return net.RunWithTransfers(20*time.Second, transfers)
+	}
+	results := make(chan TangleMetrics, 2) // one send per goroutine
+	for i := 0; i < 2; i++ {
+		go func() { results <- run() }()
+	}
+	a, b := <-results, <-results
+	if a.VerticesIssued == 0 || a.ConfirmedAtObserver == 0 {
+		t.Fatalf("nothing happened: %d issued, %d confirmed", a.VerticesIssued, a.ConfirmedAtObserver)
+	}
+	if a.VerticesIssued != b.VerticesIssued || a.ConfirmedAtObserver != b.ConfirmedAtObserver || a.TipsAtEnd != b.TipsAtEnd ||
+		a.LedgerBytes != b.LedgerBytes || a.BytesSent != b.BytesSent {
+		t.Fatalf("identical networks on two goroutines disagree:\n%+v\n%+v", a, b)
+	}
+}
+
 // Fig. 4's mechanism: short block intervals relative to propagation delay
 // must produce more orphans than long intervals.
 func TestBitcoinOrphanRateGrowsWithShortIntervals(t *testing.T) {

@@ -129,3 +129,53 @@ func TestBitcoinMemoryPerNode10k(t *testing.T) {
 	}
 	runtime.KeepAlive(net)
 }
+
+// The tangle-side budget, on the benchmark's scale-gossip tangle shape
+// (16 accounts, confirmation weight 2, 26 transfers in the first 10 s, a
+// 30 s run, seed 33): a node is a replica over the network's one vertex
+// catalog — two bitsets, an attach-order id list, a slot column of
+// weight, tip position and walk stamp, and its tip list. Both bounds are
+// the measured cost plus a quarter (PERFORMANCE.md); per-node hash maps
+// and vertex and parent columns (1 065 and 3 365 B) break both.
+func TestTangleMemoryPerNode10k(t *testing.T) {
+	if testing.Short() {
+		t.Skip("10k-node construction")
+	}
+	const nodes = 10_000
+	const builtBudget, ranBudget = 785, 1765
+	before := scaleHeapAlloc()
+	net, err := NewTangle(TangleConfig{
+		Net: NetParams{
+			Nodes: nodes, PeerDegree: 4, Seed: 33,
+			MinLatency: 20 * time.Millisecond, MaxLatency: 200 * time.Millisecond,
+			SampleBudget: 1 << 18,
+		},
+		Accounts: 16, Supply: 1 << 40, ConfirmWeight: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	perNode := (scaleHeapAlloc() - before) / nodes
+	t.Logf("tangle, built: %d bytes/node", perNode)
+	if perNode > builtBudget {
+		t.Fatalf("tangle node costs %d bytes of heap once built, budget is %d", perNode, builtBudget)
+	}
+
+	const transfers, span = 26, 10 * time.Second
+	for i := 0; i < transfers; i++ {
+		net.SubmitTransfer(workload.TimedPayment{
+			At:      span * time.Duration(i) / transfers,
+			Payment: workload.Payment{From: i % 16, To: (i + 5) % 16, Amount: 5},
+		})
+	}
+	m := net.Run(span + 20*time.Second)
+	if m.VerticesIssued < transfers || m.ConfirmedAtObserver < transfers/2 {
+		t.Fatalf("run too short to measure: %d of %d transfers issued, %d vertices confirmed", m.VerticesIssued, transfers, m.ConfirmedAtObserver)
+	}
+	perNode = (scaleHeapAlloc() - before) / nodes
+	t.Logf("tangle, after %d vertices and %d confirmations: %d bytes/node", m.VerticesIssued, m.ConfirmedAtObserver, perNode)
+	if perNode > ranBudget {
+		t.Fatalf("tangle node costs %d bytes of heap after the run, budget is %d", perNode, ranBudget)
+	}
+	runtime.KeepAlive(net)
+}

@@ -118,7 +118,7 @@ type TangleNet struct {
 }
 
 // NewTangle builds the network: every node starts from the identical
-// genesis vertex signed by account 0.
+// genesis vertex signed by account 0, and all share one vertex catalog.
 func NewTangle(cfg TangleConfig) (*TangleNet, error) {
 	cfg = cfg.withDefaults()
 	s, net := buildNetwork(cfg.Net)
@@ -141,10 +141,16 @@ func NewTangle(cfg TangleConfig) (*TangleNet, error) {
 	})
 	n.metrics.ConfirmLatency.SetBudget(cfg.Net.SampleBudget)
 
+	// Node 0 holds the network's one vertex catalog; every other node is
+	// a replica over it and owns only its own state.
+	first, err := tangle.New(genesis, cfg.ConfirmWeight)
+	if err != nil {
+		return nil, fmt.Errorf("netsim: %w", err)
+	}
 	for i := 0; i < cfg.Net.Nodes; i++ {
-		tg, err := tangle.New(genesis, cfg.ConfirmWeight)
-		if err != nil {
-			return nil, fmt.Errorf("netsim: %w", err)
+		tg := first
+		if i > 0 {
+			tg = first.Replica()
 		}
 		node := &tangleNode{tg: tg}
 		node.id = n.rt.AddNode(n.handlerFor(node))
@@ -250,18 +256,20 @@ func (n *TangleNet) onVertexRequest(node *tangleNode, from sim.NodeID, req *bloc
 // the attachment-ordered vertex stream, a topological order by
 // construction — to a cold-syncing puller.
 func (n *TangleNet) onRangeRequest(node *tangleNode, from sim.NodeID, req *rangeRequest) {
-	vertices := node.tg.AllVertices()
-	n.sync.serveRange(node.id, from, req, len(vertices), func(i int) (any, int) {
-		return vertices[i], vertices[i].EncodedSize()
+	n.sync.serveRange(node.id, from, req, node.tg.VertexCount(), func(i int) (any, int) {
+		v := node.tg.VertexAt(i)
+		return v, v.EncodedSize()
 	})
 }
 
-// noteConfirmed records observer-side confirmations.
-func (n *TangleNet) noteConfirmed(node *tangleNode, confirmed []hashx.Hash) {
+// noteConfirmed records observer-side confirmations; only there are the
+// catalog ids resolved to hashes.
+func (n *TangleNet) noteConfirmed(node *tangleNode, confirmed []tangle.VertexID) {
 	if node != n.nodes[0] {
 		return
 	}
-	for _, h := range confirmed {
+	for _, id := range confirmed {
+		h := node.tg.HashOf(id)
 		if n.confirmedAt[h] {
 			continue
 		}

@@ -94,7 +94,8 @@ func FuzzTangleTipSelection(f *testing.F) {
 		confirmed := map[hashx.Hash]bool{gen.Hash(): true}
 		for _, idx := range order {
 			res := tg.Attach(stream[idx])
-			for _, h := range res.Confirmed {
+			for _, id := range res.Confirmed {
+				h := tg.HashOf(id)
 				if confirmed[h] {
 					t.Fatalf("vertex %x reported confirmed twice", h[:4])
 				}

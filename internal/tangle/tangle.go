@@ -10,11 +10,15 @@
 // the cooperative analogue of the paper's §IV confirmation-confidence
 // depth rules.
 //
-// The ledger keeps the same struct-of-arrays shape as the other hot
-// paths in this repo: vertices live in dense attachment-ordered
-// columns, parents/weights/flags are parallel int32 slices, and the
-// per-attach ancestor walk uses an epoch-stamped scratch column instead
-// of an allocate-per-call set.
+// Content is separate from state, as in the chain and lattice packages.
+// Every vertex the replicas of one network attach enters one append-only
+// catalog: hash → dense id, id → *Vertex and its two parent ids, all
+// fixed by the content hash. A replica (New, or Replica of another)
+// holds only its state over those ids: attached and confirmed bitsets,
+// its attach-order id list, one slot column of coverage weight, tip
+// position and walk stamp, its tip list and its parked backlog. The
+// per-attach ancestor walk uses the epoch-stamped slots instead of an
+// allocate-per-call set.
 package tangle
 
 import (
@@ -24,6 +28,7 @@ import (
 	"math/rand"
 
 	"repro/internal/backlog"
+	"repro/internal/bitset"
 	"repro/internal/hashx"
 	"repro/internal/keys"
 )
@@ -179,33 +184,77 @@ type Result struct {
 	// Drained lists parked vertices that attached because this arrival
 	// filled their gap, in attach order.
 	Drained []*Vertex
-	// Confirmed lists vertices newly past the coverage threshold, in
-	// ancestor-before-descendant order (genesis excluded — it is born
-	// confirmed).
-	Confirmed []hashx.Hash
+	// Confirmed lists the catalog ids of vertices newly past the
+	// coverage threshold, in ancestor-before-descendant order (genesis
+	// excluded — it is born confirmed). HashOf resolves them.
+	Confirmed []VertexID
 }
 
-// Tangle is one replica's view of the DAG. All columns are indexed by
-// dense attachment-order ids; the id order is also a topological order,
-// because a vertex only attaches once both parents have.
+// VertexID is a vertex's dense id in the catalog the replicas of its
+// network share. Ids are handed out in first-attach order across the
+// network, which is a topological order: a vertex attaches nowhere
+// before both its parents have. The genesis is 1 and 0 means no vertex.
+type VertexID uint32
+
+const genesisID VertexID = 1
+
+// catalog is the append-only table of every vertex the replicas of one
+// network have attached, each under a dense id. It is content, not
+// state: a vertex and its parents' ids are fixed by its content hash, so
+// the replicas of a network (Replica) share one catalog and keep only
+// their own state over its ids. A vertex enters on its first attach
+// anywhere in the network and never leaves. Not safe for concurrent use:
+// a catalog never leaves the goroutine that drives its network.
+type catalog struct {
+	ids     map[hashx.Hash]VertexID
+	entries []catEntry // id → entry; entries[0] is the zero entry
+}
+
+// catEntry is one catalogued vertex and its parents' ids (0 for the
+// genesis).
+type catEntry struct {
+	vertex  *Vertex
+	parents [2]VertexID
+}
+
+func newCatalog(genesis *Vertex) *catalog {
+	c := &catalog{ids: make(map[hashx.Hash]VertexID), entries: make([]catEntry, 1)}
+	c.add(genesis, genesis.Hash(), 0, 0)
+	return c
+}
+
+// add enters a vertex no replica has attached yet and returns its id.
+func (c *catalog) add(v *Vertex, h hashx.Hash, pa, pb VertexID) VertexID {
+	id := VertexID(len(c.entries))
+	c.ids[h] = id
+	c.entries = append(c.entries, catEntry{vertex: v, parents: [2]VertexID{pa, pb}})
+	return id
+}
+
+// Tangle is one replica's view of its network's DAG: which catalog
+// vertices it has attached, in which order, and the coverage it has
+// counted on them. A vertex in the catalog that this replica has not
+// attached does not exist for it.
 type Tangle struct {
+	cat           *catalog
 	confirmWeight int32
 
-	ids      map[hashx.Hash]int32
-	vertices []*Vertex  // id → vertex, attachment order
-	parents  [][2]int32 // id → parent ids (-1 for genesis)
-	children []int32    // id → direct approver count (0 ⇒ tip)
-	weight   []int32    // id → future-cone size while unconfirmed
-	flags    []uint8    // id → confirmedFlag
+	attached  bitset.Set
+	confirmed bitset.Set
+	order     []VertexID // attach order here: a topological order
+	slots     []slot     // catalog id → this replica's state for it
+	// own holds this replica's pointer for a vertex the catalog knows
+	// under another pointer with the same hash: the vertex this replica
+	// verified is the one it serves. Nil on honest runs, where every
+	// replica of a network attaches one pointer.
+	own map[VertexID]*Vertex
 
-	tips   []int32 // ids with children == 0
-	tipPos []int32 // id → index in tips, -1 when not a tip
+	tips []VertexID // attached ids nothing here approves yet
 
-	// stamp/epoch is the O(1)-reset visited set for the per-attach
-	// ancestor walk; stack is its reused scratch.
-	stamp []uint32
+	// epoch is the O(1)-reset visited mark for the per-attach ancestor
+	// walk (slot.stamp); stack is its reused scratch.
 	epoch uint32
-	stack []int32
+	stack []VertexID
 
 	confirmedCount int
 
@@ -214,14 +263,18 @@ type Tangle struct {
 	parked backlog.Buffer[hashx.Hash, *Vertex]
 }
 
-const confirmedFlag uint8 = 1
+// slot is a replica's state for one attached vertex.
+type slot struct {
+	weight int32  // future-cone size here while unconfirmed, then frozen
+	tipPos int32  // index in tips, -1 when approved
+	stamp  uint32 // last ancestor walk that visited it
+}
 
 // DefaultGapLimit bounds the parked-vertex backlog.
 const DefaultGapLimit = 1024
 
-// New builds a replica seeded with the shared genesis vertex. Every
-// node of a network must be constructed from the identical genesis so
-// the replicas agree on the DAG's root.
+// New builds a replica seeded with the genesis vertex, over a catalog of
+// its own; Replica makes the other nodes of the same network.
 func New(genesis *Vertex, confirmWeight int) (*Tangle, error) {
 	if genesis == nil {
 		return nil, fmt.Errorf("tangle: nil genesis")
@@ -235,56 +288,72 @@ func New(genesis *Vertex, confirmWeight int) (*Tangle, error) {
 	if confirmWeight < 1 {
 		confirmWeight = 1
 	}
+	return replicaOn(newCatalog(genesis), int32(confirmWeight)), nil
+}
+
+func replicaOn(cat *catalog, confirmWeight int32) *Tangle {
 	t := &Tangle{
-		confirmWeight: int32(confirmWeight),
-		ids:           map[hashx.Hash]int32{},
+		cat:           cat,
+		confirmWeight: confirmWeight,
+		order:         []VertexID{genesisID},
+		slots:         make([]slot, genesisID+1),
 		parked:        backlog.New[hashx.Hash, *Vertex](DefaultGapLimit),
 	}
-	id := t.grow(genesis)
-	t.parents[id] = [2]int32{-1, -1}
-	t.flags[id] = confirmedFlag // born confirmed: the coverage base case
+	t.attached.Add(uint32(genesisID))
+	t.confirmed.Add(uint32(genesisID)) // born confirmed: the coverage base case
 	t.confirmedCount = 1
-	t.addTip(id)
-	return t, nil
+	t.addTip(genesisID)
+	return t
 }
+
+// Replica returns a new replica at genesis for another node of t's
+// network, whatever t has attached since: the two share the vertex
+// catalog and keep their own state. The parked backlog's bounds and hook
+// belong to each replica and are not carried over. The replicas of one
+// network must stay on one goroutine, as their catalog does.
+func (t *Tangle) Replica() *Tangle { return replicaOn(t.cat, t.confirmWeight) }
 
 // Parked exposes the parked-vertex backlog: its count and age bounds,
 // eviction hook and eviction count. Network layers bound it and hook
 // evictions to clear dedup state and re-pull.
 func (t *Tangle) Parked() *backlog.Buffer[hashx.Hash, *Vertex] { return &t.parked }
 
-// grow appends one vertex to every column and returns its id.
-func (t *Tangle) grow(v *Vertex) int32 {
-	id := int32(len(t.vertices))
-	t.ids[v.Hash()] = id
-	t.vertices = append(t.vertices, v)
-	t.parents = append(t.parents, [2]int32{-1, -1})
-	t.children = append(t.children, 0)
-	t.weight = append(t.weight, 0)
-	t.flags = append(t.flags, 0)
-	t.tipPos = append(t.tipPos, -1)
-	t.stamp = append(t.stamp, 0)
-	return id
+// vertex returns this replica's pointer for an attached id.
+func (t *Tangle) vertex(id VertexID) *Vertex {
+	if v, ok := t.own[id]; ok {
+		return v
+	}
+	return t.cat.entries[id].vertex
 }
 
+// lookup returns the id of the vertex with hash h if it is attached here.
+func (t *Tangle) lookup(h hashx.Hash) (VertexID, bool) {
+	id, ok := t.cat.ids[h]
+	return id, ok && t.attached.Has(uint32(id))
+}
+
+// HashOf returns the hash of the vertex with a catalog id this replica
+// reported, as in Result.Confirmed.
+func (t *Tangle) HashOf(id VertexID) hashx.Hash { return t.cat.entries[id].vertex.Hash() }
+
 // addTip registers id as a tip.
-func (t *Tangle) addTip(id int32) {
-	t.tipPos[id] = int32(len(t.tips))
+func (t *Tangle) addTip(id VertexID) {
+	t.slots[id].tipPos = int32(len(t.tips))
 	t.tips = append(t.tips, id)
 }
 
 // removeTip unregisters id as a tip (swap-remove; deterministic given
 // deterministic attach order).
-func (t *Tangle) removeTip(id int32) {
-	pos := t.tipPos[id]
+func (t *Tangle) removeTip(id VertexID) {
+	pos := t.slots[id].tipPos
 	if pos < 0 {
 		return
 	}
 	last := t.tips[len(t.tips)-1]
 	t.tips[pos] = last
-	t.tipPos[last] = pos
+	t.slots[last].tipPos = pos
 	t.tips = t.tips[:len(t.tips)-1]
-	t.tipPos[id] = -1
+	t.slots[id].tipPos = -1
 }
 
 // Attach validates and inserts a vertex, draining any parked vertices
@@ -293,7 +362,7 @@ func (t *Tangle) removeTip(id int32) {
 func (t *Tangle) Attach(v *Vertex) Result {
 	t.parked.Expire()
 	res := t.attachOne(v)
-	if res.Status != Accepted {
+	if res.Status != Accepted || t.parked.Len() == 0 {
 		return res
 	}
 	// Drain parked descendants breadth-first: each drained vertex may
@@ -315,10 +384,14 @@ func (t *Tangle) Attach(v *Vertex) Result {
 	return res
 }
 
-// attachOne inserts a single vertex without draining.
+// attachOne inserts a single vertex without draining. Every check runs
+// on the pointer received, never on the catalog's: the content hash does
+// not cover PubKey and Sig, so a same-hash copy must earn its own
+// acceptance.
 func (t *Tangle) attachOne(v *Vertex) Result {
 	h := v.Hash()
-	if _, ok := t.ids[h]; ok {
+	id, known := t.cat.ids[h]
+	if known && t.attached.Has(uint32(id)) {
 		return Result{Status: Duplicate}
 	}
 	if v.ParentA == h || v.ParentB == h {
@@ -327,24 +400,36 @@ func (t *Tangle) attachOne(v *Vertex) Result {
 	if !v.VerifySig() {
 		return Result{Status: Rejected}
 	}
-	pa, okA := t.ids[v.ParentA]
+	pa, okA := t.lookup(v.ParentA)
 	if !okA {
 		t.park(v.ParentA, v)
 		return Result{Status: GapParent, Missing: v.ParentA}
 	}
-	pb, okB := t.ids[v.ParentB]
+	pb, okB := t.lookup(v.ParentB)
 	if !okB {
 		t.park(v.ParentB, v)
 		return Result{Status: GapParent, Missing: v.ParentB}
 	}
-	id := t.grow(v)
-	t.parents[id] = [2]int32{pa, pb}
-	t.children[pa]++
-	t.removeTip(pa)
-	if pb != pa {
-		t.children[pb]++
-		t.removeTip(pb)
+
+	// The catalog entry is written on the vertex's first attach in the
+	// network; a later replica that verified another pointer under the
+	// same hash keeps that pointer as its own.
+	switch {
+	case !known:
+		id = t.cat.add(v, h, pa, pb)
+	case t.cat.entries[id].vertex != v:
+		if t.own == nil {
+			t.own = make(map[VertexID]*Vertex)
+		}
+		t.own[id] = v
 	}
+	t.attached.Add(uint32(id))
+	t.order = append(t.order, id)
+	if n := int(id) + 1; n > len(t.slots) {
+		t.slots = append(t.slots, make([]slot, n-len(t.slots))...)
+	}
+	t.removeTip(pa)
+	t.removeTip(pb)
 	t.addTip(id)
 	return Result{Status: Accepted, Confirmed: t.propagate(id)}
 }
@@ -356,23 +441,26 @@ func (t *Tangle) attachOne(v *Vertex) Result {
 // confirmed no later than its descendants (its future cone strictly
 // contains theirs), so nothing beyond a confirmed vertex still needs
 // weight.
-func (t *Tangle) propagate(id int32) []hashx.Hash {
+func (t *Tangle) propagate(id VertexID) []VertexID {
 	t.epoch++
-	var newly []hashx.Hash
-	t.stack = append(t.stack[:0], t.parents[id][0], t.parents[id][1])
+	var newly []VertexID
+	ps := t.cat.entries[id].parents
+	t.stack = append(t.stack[:0], ps[0], ps[1])
 	for len(t.stack) > 0 {
 		u := t.stack[len(t.stack)-1]
 		t.stack = t.stack[:len(t.stack)-1]
-		if u < 0 || t.flags[u]&confirmedFlag != 0 || t.stamp[u] == t.epoch {
+		if u == 0 || t.confirmed.Has(uint32(u)) || t.slots[u].stamp == t.epoch {
 			continue
 		}
-		t.stamp[u] = t.epoch
-		t.weight[u]++
-		if t.weight[u] >= t.confirmWeight {
+		s := &t.slots[u]
+		s.stamp = t.epoch
+		s.weight++
+		if s.weight >= t.confirmWeight {
 			t.cement(u, &newly)
 			continue
 		}
-		t.stack = append(t.stack, t.parents[u][0], t.parents[u][1])
+		ps := t.cat.entries[u].parents
+		t.stack = append(t.stack, ps[0], ps[1])
 	}
 	return newly
 }
@@ -381,15 +469,15 @@ func (t *Tangle) propagate(id int32) []hashx.Hash {
 // each necessarily at or past the threshold already, since an
 // unconfirmed ancestor's weight is at least its descendant's plus one.
 // Output order is ancestor before descendant, the §IV coverage closure.
-func (t *Tangle) cement(id int32, out *[]hashx.Hash) {
-	t.flags[id] |= confirmedFlag
-	for _, p := range t.parents[id] {
-		if p >= 0 && t.flags[p]&confirmedFlag == 0 {
+func (t *Tangle) cement(id VertexID, out *[]VertexID) {
+	t.confirmed.Add(uint32(id))
+	for _, p := range t.cat.entries[id].parents {
+		if p != 0 && !t.confirmed.Has(uint32(p)) {
 			t.cement(p, out)
 		}
 	}
 	t.confirmedCount++
-	*out = append(*out, t.vertices[id].Hash())
+	*out = append(*out, id)
 }
 
 // park holds v until missing arrives, unless it already waits there.
@@ -409,48 +497,49 @@ func (t *Tangle) SelectTips(rng *rand.Rand) (hashx.Hash, hashx.Hash) {
 	if n == 0 {
 		// Unreachable in practice (genesis starts as a tip and every
 		// attach leaves at least one), but keep the zero-value safe.
-		g := t.vertices[0].Hash()
+		g := t.HashOf(genesisID)
 		return g, g
 	}
 	a := t.tips[rng.Intn(n)]
 	b := t.tips[rng.Intn(n)]
-	return t.vertices[a].Hash(), t.vertices[b].Hash()
+	return t.HashOf(a), t.HashOf(b)
 }
 
 // Has reports whether the vertex is attached.
 func (t *Tangle) Has(h hashx.Hash) bool {
-	_, ok := t.ids[h]
+	_, ok := t.lookup(h)
 	return ok
 }
 
-// Get returns an attached vertex.
+// Get returns an attached vertex. A vertex other replicas of the network
+// hold but this one has not attached does not exist here.
 func (t *Tangle) Get(h hashx.Hash) (*Vertex, bool) {
-	id, ok := t.ids[h]
+	id, ok := t.lookup(h)
 	if !ok {
 		return nil, false
 	}
-	return t.vertices[id], true
+	return t.vertex(id), true
 }
 
 // Confirmed reports whether the vertex is attached and past the
 // coverage threshold.
 func (t *Tangle) Confirmed(h hashx.Hash) bool {
-	id, ok := t.ids[h]
-	return ok && t.flags[id]&confirmedFlag != 0
+	id, ok := t.lookup(h)
+	return ok && t.confirmed.Has(uint32(id))
 }
 
 // Weight returns the accumulated future-cone weight of an attached
 // vertex (frozen once confirmed).
 func (t *Tangle) Weight(h hashx.Hash) int {
-	id, ok := t.ids[h]
+	id, ok := t.lookup(h)
 	if !ok {
 		return 0
 	}
-	return int(t.weight[id])
+	return int(t.slots[id].weight)
 }
 
 // VertexCount is the number of attached vertices, genesis included.
-func (t *Tangle) VertexCount() int { return len(t.vertices) }
+func (t *Tangle) VertexCount() int { return len(t.order) }
 
 // ConfirmedCount is the number of confirmed vertices, genesis included.
 func (t *Tangle) ConfirmedCount() int { return t.confirmedCount }
@@ -464,17 +553,19 @@ func (t *Tangle) ParkedCount() int { return t.parked.Len() }
 // LedgerBytes is the modeled storage footprint: §V's size axis. One
 // transaction per vertex means the whole graph is payload — there is no
 // block header amortization to subtract.
-func (t *Tangle) LedgerBytes() int { return len(t.vertices) * wireSize }
+func (t *Tangle) LedgerBytes() int { return len(t.order) * wireSize }
 
 // AllVertices returns the attachment-ordered vertex stream — a
 // topological order by construction, which is what makes it servable as
 // the cold-start canonical stream: a puller attaching in this order
 // never gaps (modulo network reordering, which parking absorbs).
 func (t *Tangle) AllVertices() []*Vertex {
-	out := make([]*Vertex, len(t.vertices))
-	copy(out, t.vertices)
+	out := make([]*Vertex, len(t.order))
+	for i, id := range t.order {
+		out[i] = t.vertex(id)
+	}
 	return out
 }
 
 // VertexAt returns the i-th vertex in attachment order.
-func (t *Tangle) VertexAt(i int) *Vertex { return t.vertices[i] }
+func (t *Tangle) VertexAt(i int) *Vertex { return t.vertex(t.order[i]) }

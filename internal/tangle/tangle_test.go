@@ -117,7 +117,9 @@ func TestConfirmOrderAncestorsFirst(t *testing.T) {
 		if res.Status != Accepted {
 			t.Fatalf("attach %d: %v", i, res.Status)
 		}
-		confirmed = append(confirmed, res.Confirmed...)
+		for _, id := range res.Confirmed {
+			confirmed = append(confirmed, tg.HashOf(id))
+		}
 		prev = v.Hash()
 		made = append(made, v)
 	}
@@ -275,5 +277,49 @@ func assertCoverageClosure(t *testing.T, tg *Tangle) {
 				t.Fatalf("confirmed vertex %x has unconfirmed parent %x", h[:4], p[:4])
 			}
 		}
+	}
+}
+
+// The content hash does not cover PubKey and Sig, so the catalog's
+// pointer for a hash proves nothing about another pointer under it: a
+// replica checks the vertex it was handed. A forged copy is refused on a
+// replica exactly as on a private catalog, even once the honest original
+// sits in the shared catalog; an honest copy under another pointer is
+// kept and served as that replica's own.
+func TestTangleReplicaKeepsThePointerItValidated(t *testing.T) {
+	ring := testRing(t, 2)
+	base, gen := newTestTangle(t, ring, 100)
+	v := NewVertex(ring.Pair(1), 1, gen.Hash(), gen.Hash(), ring.Addr(0), 5)
+	forged := *v
+	forged.Sig = append([]byte(nil), v.Sig...)
+	forged.Sig[3] ^= 0x10
+	honest := *v
+	honest.Sig = append([]byte(nil), v.Sig...)
+
+	private, _ := newTestTangle(t, ring, 100)
+	if res := private.Attach(&forged); res.Status != Rejected {
+		t.Fatalf("private catalog: forged copy %v, want rejected", res.Status)
+	}
+	if res := base.Attach(v); res.Status != Accepted {
+		t.Fatalf("original: %v", res.Status)
+	}
+	replica := base.Replica()
+	if res := replica.Attach(&forged); res.Status != Rejected {
+		t.Fatalf("replica: forged copy %v, want rejected", res.Status)
+	}
+	if replica.Has(v.Hash()) || replica.VertexCount() != 1 {
+		t.Fatal("the replica holds the vertex after refusing its only copy")
+	}
+	if res := replica.Attach(&honest); res.Status != Accepted {
+		t.Fatalf("replica: honest copy %v, want accepted", res.Status)
+	}
+	if got, _ := replica.Get(v.Hash()); got != &honest {
+		t.Fatalf("replica serves %p, want its own copy %p", got, &honest)
+	}
+	if replica.VertexAt(1) != &honest || replica.AllVertices()[1] != &honest {
+		t.Fatal("the replica's stream does not carry its own copy")
+	}
+	if got, _ := base.Get(v.Hash()); got != v {
+		t.Fatalf("the catalog's first replica serves %p, want the original %p", got, v)
 	}
 }
