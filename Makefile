@@ -18,9 +18,11 @@ test:
 # shared content (genesis, block catalog, transaction and coin catalog,
 # id and root memos) under the chain ledgers, the lattice's block
 # catalog and the tangle's vertex catalog, which must never cross
-# networks, and every package whose objects embed a keys.SigMemo.
+# networks, the trie arenas whose generation counter every account-model
+# block execution writes, and every package whose objects embed a
+# keys.SigMemo.
 race:
-	$(GO) test -race -timeout 60m ./internal/sim/... ./internal/core/... ./internal/lattice/... ./internal/keys/... ./internal/merkle/... ./internal/netsim/... ./internal/utxo/... ./internal/chain/... ./internal/account/... ./internal/orv/... ./internal/tangle/... ./internal/pos/...
+	$(GO) test -race -timeout 60m ./internal/sim/... ./internal/core/... ./internal/lattice/... ./internal/keys/... ./internal/merkle/... ./internal/netsim/... ./internal/utxo/... ./internal/chain/... ./internal/account/... ./internal/orv/... ./internal/tangle/... ./internal/pos/... ./internal/trie/...
 
 # Short fuzz smoke mirroring CI: batch settlement vs serial apply under
 # hostile block streams, link-model delay sanity for any bounds, the
@@ -31,8 +33,9 @@ race:
 # coin catalog under apply/undo/reorg, three lattice replicas on one
 # block catalog against their map models, the compact ORV tracker
 # against the map tracker, the signature memo against cold
-# verification, and the bounded backlog against a naive
-# oldest-live-entry scan.
+# verification, the bounded backlog against a naive
+# oldest-live-entry scan, and the owned world-state trie's snapshots,
+# checkpoints and live root against a map model.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzLatticeProcessBatch$$' -fuzztime 30s ./internal/lattice
 	$(GO) test -run '^$$' -fuzz '^FuzzLatticeReplicas$$' -fuzztime 15s -fuzzminimizetime 2s ./internal/lattice
@@ -46,6 +49,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzSetOwnerIndex$$' -fuzztime 15s ./internal/utxo
 	$(GO) test -run '^$$' -fuzz '^FuzzSigMemo$$' -fuzztime 15s ./internal/keys
 	$(GO) test -run '^$$' -fuzz '^FuzzBacklog$$' -fuzztime 15s -fuzzminimizetime 2s ./internal/backlog
+	$(GO) test -run '^$$' -fuzz '^FuzzStateSnapshots$$' -fuzztime 15s -fuzzminimizetime 2s ./internal/account
 
 # Coverage profile, the artifact CI uploads.
 cover:

@@ -78,10 +78,14 @@ func storageKey(buf *storageKeyBuf, addr keys.Address, slot uint64) []byte {
 	return buf[:]
 }
 
-// State is a mutable view over the persistent state trie. Mutations
-// replace the underlying immutable trie, so snapshots (Copy) are O(1) and
-// historical roots remain readable — the property §V-A's pruning and fast
-// sync discussions rely on.
+// State is a mutable view over the persistent state trie. Snapshots
+// (Copy) are O(1) and historical roots remain readable — the property
+// §V-A's pruning and fast sync discussions rely on. A State owns its trie
+// between freezes: the first write after one thaws the trie under a fresh
+// generation, and every later write rewrites in place the nodes it has
+// already copied, so a block executed in one session copies each trie
+// node once, not once per write. Copy, Trie and restore freeze the trie,
+// so no snapshot, stored post-state or checkpoint sees a later write.
 type State struct {
 	t *trie.Trie
 }
@@ -97,10 +101,11 @@ func NewState() *State { return &State{t: trie.EmptyArena()} }
 func StateAt(t *trie.Trie) *State { return &State{t: t} }
 
 // Copy returns an independent state sharing all structure (O(1)).
-func (s *State) Copy() *State { return &State{t: s.t} }
+func (s *State) Copy() *State { return &State{t: s.Trie()} }
 
-// Trie returns the current underlying snapshot.
-func (s *State) Trie() *trie.Trie { return s.t }
+// Trie returns the current underlying snapshot, frozen: the state's next
+// write thaws a new trie rather than change this one.
+func (s *State) Trie() *trie.Trie { return s.t.Freeze() }
 
 // Root returns the state root committed into block headers.
 func (s *State) Root() hashx.Hash { return s.t.Root() }
@@ -120,11 +125,11 @@ func (s *State) GetAccount(addr keys.Address) Account {
 func (s *State) SetAccount(addr keys.Address, a Account) {
 	var kb accountKeyBuf
 	if a.Nonce == 0 && a.Balance == 0 && len(a.Code) == 0 {
-		s.t = s.t.Delete(accountKey(&kb, addr))
+		s.t = s.t.Thaw().Delete(accountKey(&kb, addr))
 		return
 	}
 	var vb [64]byte
-	s.t = s.t.Put(accountKey(&kb, addr), a.appendEncode(vb[:0]))
+	s.t = s.t.Thaw().Put(accountKey(&kb, addr), a.appendEncode(vb[:0]))
 }
 
 // Balance returns an address's balance.
@@ -169,12 +174,12 @@ func (s *State) SetStorage(addr keys.Address, slot, value uint64) {
 	var kb storageKeyBuf
 	key := storageKey(&kb, addr, slot)
 	if value == 0 {
-		s.t = s.t.Delete(key)
+		s.t = s.t.Thaw().Delete(key)
 		return
 	}
 	var buf [8]byte
 	binary.BigEndian.PutUint64(buf[:], value)
-	s.t = s.t.Put(key, buf[:])
+	s.t = s.t.Thaw().Put(key, buf[:])
 }
 
 // ContractAddress derives the address of a contract created by sender at

@@ -191,18 +191,16 @@ func ApplyTx(state *State, tx *Tx, coinbase keys.Address) (*Receipt, error) {
 	state.BumpNonce(tx.From)
 
 	receipt := &Receipt{TxID: tx.ID(), Status: 1, GasUsed: intrinsic}
-	// Snapshot after nonce/gas so failures keep those effects.
-	checkpoint := state.Copy()
-
 	execGas := tx.GasLimit - intrinsic
 	switch {
 	case tx.To == nil:
-		// Contract creation: Data is the code; charge per byte.
+		// Contract creation: Data is the code; charge per byte. A failure
+		// has nothing to roll back: the state holds only the gas charge
+		// and the nonce bump, which a failure keeps.
 		createGas := uint64(len(tx.Data)) * GasCreateByte
 		if createGas > execGas {
 			receipt.Status = 0
 			receipt.GasUsed = tx.GasLimit
-			state.restore(checkpoint)
 		} else {
 			receipt.GasUsed += createGas
 			addr := ContractAddress(tx.From, tx.Nonce)
@@ -212,6 +210,14 @@ func ApplyTx(state *State, tx *Tx, coinbase keys.Address) (*Receipt, error) {
 		}
 	default:
 		target := state.GetAccount(*tx.To)
+		var checkpoint *State
+		if target.IsContract() {
+			// Checkpoint after nonce/gas, before the value transfer, so a
+			// failed call keeps the former and rolls back the latter. A
+			// plain transfer cannot fail and takes none: each Copy
+			// freezes the trie, and the next write thaws a new one.
+			checkpoint = state.Copy()
+		}
 		// Plain value transfer.
 		state.SubBalance(tx.From, tx.Value)
 		state.AddBalance(*tx.To, tx.Value)
@@ -246,5 +252,7 @@ func ApplyTx(state *State, tx *Tx, coinbase keys.Address) (*Receipt, error) {
 	return receipt, nil
 }
 
-// restore resets the state view to a checkpoint taken with Copy.
-func (s *State) restore(checkpoint *State) { s.t = checkpoint.t }
+// restore resets the state view to a checkpoint taken with Copy. It
+// freezes the checkpoint's trie, so the two states never share one that
+// either could write in place.
+func (s *State) restore(checkpoint *State) { s.t = checkpoint.Trie() }

@@ -3,9 +3,11 @@ package netsim
 import (
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/hashx"
 	"repro/internal/pow"
 	"repro/internal/utxo"
 	"repro/internal/workload"
@@ -156,6 +158,51 @@ func TestTangleNetworksRunConcurrently(t *testing.T) {
 	if a.VerticesIssued != b.VerticesIssued || a.ConfirmedAtObserver != b.ConfirmedAtObserver || a.TipsAtEnd != b.TipsAtEnd ||
 		a.LedgerBytes != b.LedgerBytes || a.BytesSent != b.BytesSent {
 		t.Fatalf("identical networks on two goroutines disagree:\n%+v\n%+v", a, b)
+	}
+}
+
+// The account-model twin: every block a ledger executes thaws its state
+// trie under a generation drawn from that ledger's arena, so the arena is
+// written on every block. Arenas belong to one ledger; PoW and PoS
+// networks, each run twice at once on its own goroutine (under -race),
+// must share none, and each pair of twins must agree.
+func TestEthereumNetworksRunConcurrently(t *testing.T) {
+	type outcome struct {
+		m    ChainMetrics
+		root hashx.Hash
+	}
+	run := func(c Consensus) outcome {
+		net, err := NewEthereum(EthereumConfig{Net: fastNet(9), Consensus: c, Accounts: 16})
+		if err != nil {
+			t.Error(err)
+			return outcome{}
+		}
+		payments := workload.Payments(rand.New(rand.NewSource(10)), workload.Config{
+			Accounts: 16, Rate: 2, Duration: 2 * time.Minute, MaxAmount: 50,
+		})
+		m := net.RunWithPayments(2*time.Minute, payments, 1)
+		return outcome{m: m, root: net.Observer().State().Root()}
+	}
+	consensus := []Consensus{PoW, PoW, PoS, PoS}
+	results := make([]outcome, len(consensus))
+	var wg sync.WaitGroup
+	for i, c := range consensus {
+		wg.Add(1)
+		go func(i int, c Consensus) {
+			defer wg.Done()
+			results[i] = run(c)
+		}(i, c)
+	}
+	wg.Wait()
+	for i := 0; i < len(results); i += 2 {
+		a, b := results[i], results[i+1]
+		if a.m.ConfirmedTxs == 0 || a.m.BlocksOnMain == 0 {
+			t.Fatalf("%v: nothing happened: %d blocks, %d payments confirmed", consensus[i], a.m.BlocksOnMain, a.m.ConfirmedTxs)
+		}
+		if a.m.ConfirmedTxs != b.m.ConfirmedTxs || a.m.BlocksOnMain != b.m.BlocksOnMain || a.m.LedgerBytes != b.m.LedgerBytes ||
+			a.m.RejectedTxs != b.m.RejectedTxs || a.m.BytesSent != b.m.BytesSent || a.root != b.root {
+			t.Fatalf("%v: identical networks on two goroutines disagree:\n%+v\n%+v", consensus[i], a, b)
+		}
 	}
 }
 

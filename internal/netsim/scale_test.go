@@ -4,9 +4,12 @@ package netsim
 // per-network content catalogs exist so a 10⁴-node network is cheap to
 // build and hold. Each bound is the measured cost plus a quarter — it
 // catches a return to per-node copies of shared content, per-node map
-// churn or per-node setup replay, not normal drift.
+// churn or per-node setup replay, not normal drift. The account-model pin
+// at the end is the one small network here: its cost is the world state
+// each ledger keeps, not the node count.
 
 import (
+	"math/rand"
 	"runtime"
 	"testing"
 	"time"
@@ -176,6 +179,43 @@ func TestTangleMemoryPerNode10k(t *testing.T) {
 	t.Logf("tangle, after %d vertices and %d confirmations: %d bytes/node", m.VerticesIssued, m.ConfirmedAtObserver, perNode)
 	if perNode > ranBudget {
 		t.Fatalf("tangle node costs %d bytes of heap after the run, budget is %d", perNode, ranBudget)
+	}
+	runtime.KeepAlive(net)
+}
+
+// The account-model budget, on the eth-pos leg of the benchmark's
+// chain-saturation workload (8 nodes, 128 accounts, PoS with 4 s blocks,
+// 60 payments a second for 24 s): every ledger keeps the post-state of
+// every block it executed, in one trie arena per ledger. Executed on an
+// owned state, a block copies each trie node it touches once. The bound
+// is the measured heap, 5 859 328 B, plus a quarter (PERFORMANCE.md).
+// Copying the root-to-leaf path on every write pins every dead
+// intermediate version in the arena slabs: 109 692 928 B.
+func TestEthereumMemoryChainSaturationShape(t *testing.T) {
+	const budget = 7_330_000
+	before := scaleHeapAlloc()
+	net, err := NewEthereum(EthereumConfig{
+		Net: NetParams{
+			Nodes: 8, PeerDegree: 3, Seed: 14,
+			MinLatency: 50 * time.Millisecond, MaxLatency: 500 * time.Millisecond,
+		},
+		Consensus: PoS, BlockInterval: 4 * time.Second, Accounts: 128, InitialBalance: 1 << 40,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const span = 24 * time.Second
+	payments := workload.Payments(rand.New(rand.NewSource(4)), workload.Config{
+		Accounts: 128, Rate: 60, Duration: span, MaxAmount: 50,
+	})
+	m := net.RunWithPayments(span, payments, 1)
+	if m.BlocksOnMain < 4 || m.ConfirmedTxs < len(payments)/2 {
+		t.Fatalf("run too short to measure: %d blocks, %d of %d payments confirmed", m.BlocksOnMain, m.ConfirmedTxs, len(payments))
+	}
+	heap := scaleHeapAlloc() - before
+	t.Logf("eth-pos, after %d blocks and %d payments: %d bytes of heap", m.BlocksOnMain, m.ConfirmedTxs, heap)
+	if heap > budget {
+		t.Fatalf("the network holds %d bytes of heap after the run, budget is %d", heap, budget)
 	}
 	runtime.KeepAlive(net)
 }

@@ -11,9 +11,15 @@
 // canonical — the root hash depends only on the key/value content, never on
 // the insertion order — which the tests verify by property checking.
 //
-// A Trie value is immutable: Put and Delete return a new Trie that shares
-// all untouched nodes with its parent. Tries are not safe for concurrent
-// mutation but any number of goroutines may read distinct Trie values.
+// A frozen Trie is immutable: Put and Delete return a new Trie that shares
+// all untouched nodes with its parent. Every trie is frozen except one
+// returned by Thaw, which its holder owns: Put and Delete change it in
+// place, copying a node the first time they reach it and rewriting that
+// copy in place after that. The owner rule: a mutable trie never leaves
+// the holder that thawed it. In this module that is the account.State
+// that owns it, which freezes it before any snapshot, stored post-state or
+// checkpoint can see it. Tries are not safe for concurrent mutation but
+// any number of goroutines may read distinct frozen Trie values.
 package trie
 
 import (
@@ -37,6 +43,7 @@ type leafNode struct {
 	value []byte
 	memo  hashx.Hash
 	done  bool
+	owner uint32 // the generation that may rewrite this node in place; 0: none
 }
 
 // branchNode fans out on the next nibble; value is set when a key
@@ -46,6 +53,7 @@ type branchNode struct {
 	value    []byte // nil means no value terminates here
 	memo     hashx.Hash
 	done     bool
+	owner    uint32 // as on leafNode; fits the padding after done
 }
 
 func (l *leafNode) hash() hashx.Hash {
@@ -91,20 +99,24 @@ func (b *branchNode) encodedSize() int {
 	return 1 + 16*hashx.Size + 1 + len(b.value)
 }
 
-// Trie is an immutable key/value map with a Merkle root. The zero value is
-// the empty trie. Tries rooted at EmptyArena carry a shared slab arena
-// (see arena.go) that batches the copy-on-write node churn.
+// Trie is a key/value map with a Merkle root, immutable unless thawed
+// (see the package notes). The zero value is the empty trie. Tries rooted
+// at EmptyArena carry a shared slab arena (see arena.go) that batches
+// node allocation and hands out the generations Thaw stamps.
 type Trie struct {
 	root  node
-	count int
 	arena *arena
+	// count and owner share one word, which keeps the header in the
+	// 32-byte size class every frozen Put allocates from.
+	count uint32
+	owner uint32 // this trie's generation while thawed; 0 when frozen
 }
 
 // Empty returns the empty trie.
 func Empty() *Trie { return &Trie{} }
 
 // Len returns the number of keys stored.
-func (t *Trie) Len() int { return t.count }
+func (t *Trie) Len() int { return int(t.count) }
 
 // Root returns the Merkle root of the trie, or hashx.Zero when empty.
 func (t *Trie) Root() hashx.Hash {
@@ -114,13 +126,9 @@ func (t *Trie) Root() hashx.Hash {
 	return t.root.hash()
 }
 
-// nibbles expands a key into 4-bit digits, high nibble first.
-func nibbles(key []byte) []byte {
-	return appendNibbles(make([]byte, 0, 2*len(key)), key)
-}
-
-// appendNibbles expands key into dst, letting hot paths expand typical
-// (short) keys into a stack buffer instead of a fresh heap slice.
+// appendNibbles expands key into dst as 4-bit digits, high nibble first,
+// letting hot paths expand typical (short) keys into a stack buffer
+// instead of a fresh heap slice.
 func appendNibbles(dst, key []byte) []byte {
 	for _, b := range key {
 		dst = append(dst, b>>4, b&0x0F)
@@ -138,7 +146,7 @@ func (buf *nibbleBuf) expand(key []byte) []byte {
 	if 2*len(key) <= len(buf) {
 		return appendNibbles(buf[:0], key)
 	}
-	return nibbles(key)
+	return appendNibbles(make([]byte, 0, 2*len(key)), key)
 }
 
 // packNibbles reassembles a full nibble path into the original key bytes.
@@ -180,74 +188,100 @@ func (t *Trie) Get(key []byte) (value []byte, ok bool) {
 	}
 }
 
-// Put returns a new trie with key bound to value. The value slice is
-// copied so later caller mutation cannot corrupt shared structure.
+// Thaw returns a trie with t's content that its caller owns, under a
+// fresh generation drawn from the arena; t itself stays as it was. Put and
+// Delete on the result change it in place and return it. A thawed trie
+// thaws to itself, and a heap trie (from Empty) has no arena to draw
+// generations from, so it thaws to itself and stays copy-on-write.
+func (t *Trie) Thaw() *Trie {
+	if t.owner != 0 || t.arena == nil {
+		return t
+	}
+	return &Trie{root: t.root, count: t.count, arena: t.arena, owner: t.arena.nextGeneration()}
+}
+
+// Freeze ends t's ownership and returns t: from here on it is immutable,
+// and a later Put or Delete returns a new trie. Its generation is never
+// drawn again, so no later owner rewrites the nodes it stamped. Freezing
+// a frozen trie writes nothing, so shared frozen tries stay read-only.
+func (t *Trie) Freeze() *Trie {
+	if t.owner != 0 {
+		t.owner = 0
+	}
+	return t
+}
+
+// Put binds key to value. A frozen trie returns a new trie; a thawed one
+// changes in place and returns itself. The value slice is copied so later
+// caller mutation cannot corrupt shared structure.
 func (t *Trie) Put(key, value []byte) *Trie {
-	var v, path []byte
-	if t.arena != nil {
-		// Arena mode: expand the key on the stack, then make the path
-		// and value durable in one slab each — leaves retain subslices
-		// of both, so they must outlive this call.
-		var buf nibbleBuf
-		path = t.arena.copyBytes(buf.expand(key))
-		v = t.arena.copyBytes(value)
-	} else {
-		path = nibbles(key)
-		v = make([]byte, len(value))
-		copy(v, value)
-		if v == nil {
-			v = []byte{}
-		}
+	var buf nibbleBuf
+	root, added := put(t.arena, t.owner, t.root, buf.expand(key), t.arena.copyBytes(value))
+	out := t
+	if t.owner == 0 {
+		out = &Trie{count: t.count, arena: t.arena}
 	}
-	root, added := put(t.arena, t.root, path, v)
-	count := t.count
+	out.root = root
 	if added {
-		count++
+		out.count++
 	}
-	return &Trie{root: root, count: count, arena: t.arena}
+	return out
 }
 
 // put inserts value at path below n, returning the replacement node and
-// whether a brand-new key was created (false when overwriting). path and
-// value must be durable; nodes come from the arena when a is non-nil.
-func put(a *arena, n node, path, value []byte) (node, bool) {
+// whether a brand-new key was created (false when overwriting). value must
+// be durable; path need not be, as a leaf created here copies its part of
+// the path from a (the heap when a is nil). A node stamped with owner is
+// rewritten in place with its memo cleared; any other node on the way is
+// copied once and stamped. Owner 0 stamps nothing and matches nothing, so
+// under it put is plain copy-on-write.
+func put(a *arena, owner uint32, n node, path, value []byte) (node, bool) {
 	switch cur := n.(type) {
 	case nil:
-		return mkLeaf(a, path, value), true
+		return mkLeaf(a, owner, a.copyBytes(path), value), true
 	case *leafNode:
 		if bytes.Equal(cur.path, path) {
-			return mkLeaf(a, path, value), false
+			if owner != 0 && cur.owner == owner {
+				cur.value, cur.done = value, false
+				return cur, false
+			}
+			return mkLeaf(a, owner, cur.path, value), false
 		}
 		// Split: find the common prefix, fan out below it.
 		cp := commonPrefix(cur.path, path)
-		br := mkBranch(a)
+		br := mkBranch(a, owner)
 		if len(cur.path) == cp {
 			br.value = cur.value
 		} else {
-			br.children[cur.path[cp]] = mkLeaf(a, cur.path[cp+1:], cur.value)
+			br.children[cur.path[cp]] = mkLeaf(a, owner, cur.path[cp+1:], cur.value)
 		}
 		if len(path) == cp {
 			br.value = value
 		} else {
-			br.children[path[cp]] = mkLeaf(a, path[cp+1:], value)
+			br.children[path[cp]] = mkLeaf(a, owner, a.copyBytes(path[cp+1:]), value)
 		}
 		// Wrap the shared prefix in a chain of single-child branches.
 		var out node = br
 		for i := cp - 1; i >= 0; i-- {
-			wrap := mkBranch(a)
+			wrap := mkBranch(a, owner)
 			wrap.children[path[i]] = out
 			out = wrap
 		}
 		return out, true
 	case *branchNode:
-		nb := mkBranch(a)
-		nb.children, nb.value = cur.children, cur.value
+		nb := cur
+		if owner != 0 && cur.owner == owner {
+			nb.done = false
+		} else {
+			nb = mkBranch(a, owner)
+			nb.children, nb.value = cur.children, cur.value
+		}
 		if len(path) == 0 {
 			added := cur.value == nil
 			nb.value = value
 			return nb, added
 		}
-		child, added := put(a, cur.children[path[0]], path[1:], value)
+		child, added := put(a, owner, cur.children[path[0]], path[1:], value)
 		nb.children[path[0]] = child
 		return nb, added
 	default:
@@ -263,16 +297,23 @@ func commonPrefix(a, b []byte) int {
 	return n
 }
 
-// Delete returns a new trie without key. If the key was absent the
-// original trie is returned unchanged. Deletions are rare enough that
-// replacement nodes stay on the plain heap even in arena mode.
+// Delete removes key: a frozen trie returns a new trie, a thawed one
+// changes in place and returns itself. If the key was absent the original
+// trie is returned unchanged. Deletions are rare enough that replacement
+// nodes stay on the plain heap, unstamped, even in arena mode: a later Put
+// copies them once like any node it does not own.
 func (t *Trie) Delete(key []byte) *Trie {
 	var buf nibbleBuf
 	root, deleted := del(t.root, buf.expand(key))
 	if !deleted {
 		return t
 	}
-	return &Trie{root: root, count: t.count - 1, arena: t.arena}
+	out := t
+	if t.owner == 0 {
+		out = &Trie{arena: t.arena}
+	}
+	out.root, out.count = root, t.count-1
+	return out
 }
 
 func del(n node, path []byte) (node, bool) {
