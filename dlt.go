@@ -42,22 +42,14 @@ type Experiment = core.Experiment
 // Table is the rendered result of an experiment.
 type Table = metrics.Table
 
-// Paradigm tags blockchain vs DAG.
-type Paradigm = core.Paradigm
-
-// Paradigm values.
-const (
-	Blockchain = core.Blockchain
-	DAG        = core.DAG
-)
-
 // Network simulation configurations and constructors.
 type (
 	// NetParams bundles node count, gossip topology and link model.
 	NetParams = netsim.NetParams
 	// FaultSchedule scripts partitions, churn and lossy periods onto a
-	// running network simulation (ApplyToBitcoin/ApplyToEthereum/
-	// ApplyToNano). The zero value injects nothing.
+	// running chain or block-lattice simulation (ApplyToBitcoin/
+	// ApplyToEthereum/ApplyToNano; the tangle has no fault arm yet).
+	// The zero value injects nothing.
 	FaultSchedule = netsim.FaultSchedule
 	// PartitionWindow, ChurnWindow and LossWindow are FaultSchedule
 	// entries.
@@ -95,6 +87,7 @@ type (
 	// network constructor (NewBitcoin/NewEthereum/NewNano/NewTangle)
 	// registers a uniform Build hook, and the cross-paradigm experiments
 	// (E9, E19, E20) iterate the registry instead of hard-coding systems.
+	// Its Family field tags the paper's side ("blockchain" or "dag").
 	// ParadigmNet is the uniform handle a Build returns; ParadigmMetrics
 	// is its paradigm-neutral run summary; BuildOptions carries the
 	// workload knobs shared across paradigms.

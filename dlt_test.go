@@ -65,8 +65,15 @@ func TestFacadeRunAll(t *testing.T) {
 }
 
 func TestFacadeParadigms(t *testing.T) {
-	if Blockchain.String() != "blockchain" || DAG.String() != "dag" {
-		t.Fatal("paradigm re-export broken")
+	want := map[string]string{"bitcoin": "blockchain", "ethereum": "blockchain", "nano": "dag", "tangle": "dag"}
+	specs := Paradigms()
+	if len(specs) != len(want) {
+		t.Fatalf("registry holds %d paradigms, want %d", len(specs), len(want))
+	}
+	for _, s := range specs {
+		if want[s.Name] != s.Family {
+			t.Fatalf("paradigm %q has family %q, want %q", s.Name, s.Family, want[s.Name])
+		}
 	}
 }
 

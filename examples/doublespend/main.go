@@ -50,8 +50,11 @@ func run() error {
 		return err
 	}
 	// Account 5 signs two conflicting sends from the same predecessor:
-	// one to the merchant (account 2), one back to itself via account 3.
-	net.InjectDoubleSpend(5, 2, 3, 50, time.Second)
+	// one to the merchant (account 2), one back to itself via account 3,
+	// the rival entering at the far side of the network (node 9).
+	net.InjectContestedDoubleSpend(netsim.DoubleSpendPlan{
+		Attacker: 5, VictimA: 2, VictimB: 3, Amount: 50, At: time.Second, Entry: 9,
+	})
 	m := net.Run(20 * time.Second)
 
 	fmt.Printf("forks detected at the observer: %d\n", m.ForksDetected)

@@ -15,29 +15,6 @@ import (
 	"repro/internal/metrics"
 )
 
-// Paradigm tags which side of the comparison a system belongs to.
-type Paradigm int
-
-const (
-	// Blockchain bundles transactions into hash-linked blocks (§II-A).
-	Blockchain Paradigm = iota + 1
-	// DAG stores one transaction per node of a directed acyclic graph
-	// (§II-B).
-	DAG
-)
-
-// String returns the paradigm name.
-func (p Paradigm) String() string {
-	switch p {
-	case Blockchain:
-		return "blockchain"
-	case DAG:
-		return "dag"
-	default:
-		return "unknown"
-	}
-}
-
 // Config tunes experiment runs.
 type Config struct {
 	// Seed drives all randomness; equal seeds reproduce results exactly.

@@ -54,12 +54,6 @@ func TestConfigDefaults(t *testing.T) {
 	}
 }
 
-func TestParadigmString(t *testing.T) {
-	if Blockchain.String() != "blockchain" || DAG.String() != "dag" || Paradigm(9).String() != "unknown" {
-		t.Fatal("paradigm names wrong")
-	}
-}
-
 // Each experiment must run and produce a non-empty table whose title
 // carries its figure/section tag. E9/E10 are heavier and exercised in
 // their own tests below with reduced scale.

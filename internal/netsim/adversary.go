@@ -1,9 +1,12 @@
 // The fault-injection scenario driver: scripted partitions, node churn
-// and lossy periods applied to any of the three network simulations, plus
-// the contested double-spend attack on the block-lattice. The paper's
-// central §IV claim — blockchain forks resolve by depth while Nano
-// settles by vote quorum — is exactly a claim about behavior under these
-// faults, so the E14/E15 experiments build on this file.
+// and lossy periods applied to the two chain networks and the
+// block-lattice (the tangle has no fault arm yet), plus the contested
+// double-spend attack on the block-lattice. The scheduling itself is the
+// network shell's (shell.go); this file holds the scripts and each
+// paradigm's catch-up reaction. The paper's central §IV claim —
+// blockchain forks resolve by depth while Nano settles by vote quorum —
+// is exactly a claim about behavior under these faults, so the E14/E15
+// experiments build on this file.
 //
 // All injection is scheduled on the network's own deterministic
 // simulator: a given schedule and seed reproduce the same adversity
@@ -103,63 +106,23 @@ func groupReps(groups map[sim.NodeID]int, nodes int) []int {
 	return out
 }
 
-// scheduleLoss arms the loss windows on a network.
-func scheduleLoss(s *sim.Simulator, net *sim.Network, windows []LossWindow) {
-	for _, lw := range windows {
-		lw := lw
-		s.At(lw.At, func() { net.SetLossRate(lw.Rate) })
-		if lw.Until > lw.At {
-			s.At(lw.Until, func() { net.SetLossRate(0) })
-		}
-	}
-}
+// ApplyToBitcoin schedules the fault script on a Bitcoin network: healed
+// partitions and rejoining nodes catch up by exchanging main chains.
+func (fs FaultSchedule) ApplyToBitcoin(b *BitcoinNet) { b.scheduleFaults(fs, b.chainRuntime, false) }
 
-// applyToChain schedules the fault script on a chain network's shared
-// runtime core — Bitcoin and Ethereum differ only in ledger type, and
-// the catch-up semantics (main-chain exchange, the IBD stand-in) live
-// once in chainRuntime. Healed partitions and rejoining nodes catch up
-// by exchanging main chains.
-func applyToChain(fs FaultSchedule, c *chainRuntime) {
-	s, net, nodes := c.faultSurface()
-	for _, pw := range fs.Partitions {
-		pw := pw
-		s.At(pw.At, func() { net.Partition(pw.Groups) })
-		if pw.HealAt > pw.At {
-			s.At(pw.HealAt, func() {
-				net.Heal()
-				for _, idx := range groupReps(pw.Groups, nodes) {
-					c.broadcastMainChain(idx)
-				}
-			})
-		}
-	}
-	for _, cw := range fs.Churn {
-		cw := cw
-		if cw.Node < 0 || cw.Node >= nodes {
-			continue
-		}
-		s.At(cw.LeaveAt, func() { net.Detach(sim.NodeID(cw.Node)) })
-		if cw.RejoinAt > cw.LeaveAt {
-			s.At(cw.RejoinAt, func() {
-				net.Attach(sim.NodeID(cw.Node))
-				// Bidirectional catch-up: the rejoined node re-floods its
-				// stale view (its partition-era blocks may still win), and
-				// a live peer serves it the canonical history.
-				c.broadcastMainChain(cw.Node)
-				if live := firstAttachedNode(net, nodes, cw.Node); live >= 0 {
-					c.sendMainChain(live, cw.Node)
-				}
-			})
-		}
-	}
-	scheduleLoss(s, net, fs.Loss)
-}
+// ApplyToEthereum schedules the fault script on an Ethereum network, with
+// the same main-chain catch-up as ApplyToBitcoin.
+func (fs FaultSchedule) ApplyToEthereum(e *EthereumNet) { e.scheduleFaults(fs, e.chainRuntime, false) }
 
-// ApplyToBitcoin schedules the fault script on a Bitcoin network.
-func (fs FaultSchedule) ApplyToBitcoin(b *BitcoinNet) { applyToChain(fs, b.chain) }
-
-// ApplyToEthereum schedules the fault script on an Ethereum network.
-func (fs FaultSchedule) ApplyToEthereum(e *EthereumNet) { applyToChain(fs, e.chain) }
+// ApplyToNano schedules the fault script on a Nano network. A non-empty
+// schedule arms the gap-repair pull (bootstrapping); on heal or rejoin,
+// nodes exchange their full lattices and re-broadcast representative
+// votes for still-open elections — the re-election that lets stalled
+// accounts recover. The exchange is SENT in per-chain order, but link
+// jitter reorders delivery, so recovery leans on the lattice gap buffers
+// and on gap repair — which also pulls blocks that were still queued
+// behind processing budgets at the exchange instant.
+func (fs FaultSchedule) ApplyToNano(n *NanoNet) { n.scheduleFaults(fs, n, true) }
 
 // firstAttachedNode returns the lowest-index attached node other than
 // skip, or -1 when every other node is detached.
@@ -177,64 +140,36 @@ func (fs FaultSchedule) Empty() bool {
 	return len(fs.Partitions) == 0 && len(fs.Churn) == 0 && len(fs.Loss) == 0
 }
 
-// ApplyToNano schedules the fault script on a Nano network. A non-empty
-// schedule arms the gap-repair pull (bootstrapping); on heal or rejoin,
-// nodes exchange their full lattices and re-broadcast representative
-// votes for still-open elections — the re-election that lets stalled
-// accounts recover. The exchange is SENT in per-chain order, but link
-// jitter reorders delivery, so recovery leans on the lattice gap buffers
-// and on gap repair — which also pulls blocks that were still queued
-// behind processing budgets at the exchange instant.
-func (fs FaultSchedule) ApplyToNano(n *NanoNet) {
-	if fs.Empty() {
-		return
-	}
-	n.EnableGapRepair()
-	for _, pw := range fs.Partitions {
-		pw := pw
-		n.rt.sim.At(pw.At, func() { n.rt.net.Partition(pw.Groups) })
-		if pw.HealAt > pw.At {
-			n.rt.sim.At(pw.HealAt, func() {
-				n.rt.net.Heal()
-				reps := groupReps(pw.Groups, len(n.nodes))
-				// Every node serves its lattice to the other sides' reps
-				// (a node whose gossip peers all sat across the split may
-				// hold blocks nobody else has); first-seen relay floods
-				// the novelty from the reps.
-				for i := range n.nodes {
-					gi := pw.Groups[sim.NodeID(i)]
-					for _, r := range reps {
-						if i != r && pw.Groups[sim.NodeID(r)] != gi {
-							n.sendLattice(i, r)
-						}
-					}
-				}
-				for _, node := range n.nodes {
-					n.resendOpenVotes(node)
-				}
-			})
+// healed is the lattice's post-heal catch-up: every node serves its
+// lattice to the other sides' group representatives (a node whose gossip
+// peers all sat across the split may hold blocks nobody else has; first-
+// seen relay floods the novelty from the reps), then every node
+// re-broadcasts its open votes.
+func (n *NanoNet) healed(groups map[sim.NodeID]int) {
+	reps := groupReps(groups, len(n.nodes))
+	for i := range n.nodes {
+		gi := groups[sim.NodeID(i)]
+		for _, r := range reps {
+			if i != r && groups[sim.NodeID(r)] != gi {
+				n.sendLattice(i, r)
+			}
 		}
 	}
-	for _, cw := range fs.Churn {
-		cw := cw
-		if cw.Node < 0 || cw.Node >= len(n.nodes) {
-			continue
-		}
-		n.rt.sim.At(cw.LeaveAt, func() { n.rt.net.Detach(sim.NodeID(cw.Node)) })
-		if cw.RejoinAt > cw.LeaveAt {
-			n.rt.sim.At(cw.RejoinAt, func() {
-				n.rt.net.Attach(sim.NodeID(cw.Node))
-				if live := firstAttachedNode(n.rt.net, len(n.nodes), cw.Node); live >= 0 {
-					n.sendLattice(live, cw.Node)
-					n.sendLattice(cw.Node, live)
-				}
-				for _, node := range n.nodes {
-					n.resendOpenVotes(node)
-				}
-			})
-		}
+	for _, node := range n.nodes {
+		n.resendOpenVotes(node)
 	}
-	scheduleLoss(n.rt.sim, n.rt.net, fs.Loss)
+}
+
+// rejoined exchanges lattices both ways between a node back on the
+// network and a live peer, then every node re-broadcasts its open votes.
+func (n *NanoNet) rejoined(node int) {
+	if live := firstAttachedNode(n.rt.net, len(n.nodes), node); live >= 0 {
+		n.sendLattice(live, node)
+		n.sendLattice(node, live)
+	}
+	for _, nd := range n.nodes {
+		n.resendOpenVotes(nd)
+	}
 }
 
 // sendLattice serves node from's entire lattice to node to; receivers
@@ -329,9 +264,8 @@ type DoubleSpendOutcome struct {
 // InjectContestedDoubleSpend schedules the conflicting sends and registers
 // the rival as the adversary's preferred candidate, so byzantine nodes
 // (NanoConfig.ByzantineNodes) contest the election with their weight.
-// With zero byzantine nodes this is exactly the legacy InjectDoubleSpend
-// fault: honest representatives resolve it by first-seen + leader-follow
-// voting.
+// With zero byzantine nodes honest representatives resolve the fork by
+// first-seen + leader-follow voting.
 func (n *NanoNet) InjectContestedDoubleSpend(p DoubleSpendPlan) *DoubleSpendHandle {
 	h := &DoubleSpendHandle{}
 	n.rt.sim.At(p.At, func() {
@@ -399,21 +333,6 @@ func (n *NanoNet) LatticeConverged() bool {
 	}
 	return true
 }
-
-// TipsConverged reports whether every node agrees on the chain tip.
-func (b *BitcoinNet) TipsConverged() bool { return b.chain.tipsConverged() }
-
-// ConvergedWithin reports whether every node agrees with the observer's
-// main chain at depth back below the observer's tip — tip equality with a
-// tolerance for blocks still propagating at the cutoff instant.
-func (b *BitcoinNet) ConvergedWithin(back int) bool { return b.chain.convergedWithin(back) }
-
-// TipsConverged reports whether every node agrees on the chain tip.
-func (e *EthereumNet) TipsConverged() bool { return e.chain.tipsConverged() }
-
-// ConvergedWithin is the tolerance-based convergence check (see the
-// BitcoinNet variant).
-func (e *EthereumNet) ConvergedWithin(back int) bool { return e.chain.convergedWithin(back) }
 
 // ByzantineWeightFraction reports the share of total voting weight held
 // by representatives hosted on byzantine nodes — the attacker's measured

@@ -249,22 +249,47 @@ func TestForkResolveLatencyRecorded(t *testing.T) {
 }
 
 // The zero-value schedule must leave a run byte-identical to an
-// unscripted one — the "no faults reproduces today's tables" invariant.
+// unscripted one — the "no faults reproduces today's tables" invariant —
+// on every ApplyTo: it schedules no event and leaves the sync manager
+// unarmed.
 func TestEmptyScheduleIsNoOp(t *testing.T) {
-	run := func(apply bool) NanoMetrics {
-		net, err := NewNano(nanoFaultCfg(81, 0))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if apply {
-			FaultSchedule{}.ApplyToNano(net)
-		}
-		return net.RunWithTransfers(8*time.Second, nanoLoad(82, 5*time.Second))
-	}
-	a, b := run(false), run(true)
-	if a.SettledAtObserver != b.SettledAtObserver || a.MessagesSent != b.MessagesSent ||
-		a.BytesSent != b.BytesSent || a.ConfirmedBlocks != b.ConfirmedBlocks {
-		t.Fatalf("empty schedule perturbed the run:\n%+v\nvs\n%+v", a, b)
+	for _, tc := range []struct {
+		name  string
+		apply func(FaultSchedule, ParadigmNet)
+	}{
+		{"bitcoin", func(fs FaultSchedule, n ParadigmNet) { fs.ApplyToBitcoin(n.(bitcoinParadigm).BitcoinNet) }},
+		{"ethereum", func(fs FaultSchedule, n ParadigmNet) { fs.ApplyToEthereum(n.(ethereumParadigm).EthereumNet) }},
+		{"nano", func(fs FaultSchedule, n ParadigmNet) { fs.ApplyToNano(n.(nanoParadigm).NanoNet) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			run := func(apply bool) ParadigmMetrics {
+				spec, err := ParadigmByName(tc.name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				net, err := spec.Build(nanoFaultCfg(81, 0).Net, BuildOptions{Accounts: 24})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, p := range nanoLoad(82, 5*time.Second) {
+					net.Submit(p)
+				}
+				if apply {
+					pending := net.Sim().Pending()
+					tc.apply(FaultSchedule{}, net)
+					if got := net.Sim().Pending(); got != pending {
+						t.Fatalf("empty schedule queued %d events", got-pending)
+					}
+					if shellOf(t, net).sync.armed {
+						t.Fatal("empty schedule armed the sync manager")
+					}
+				}
+				return net.RunSpan(90 * time.Second)
+			}
+			if a, b := run(false), run(true); a != b {
+				t.Fatalf("empty schedule perturbed the run:\n%+v\nvs\n%+v", a, b)
+			}
+		})
 	}
 }
 

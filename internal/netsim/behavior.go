@@ -180,12 +180,26 @@ type SelfishMiningBehavior struct {
 // inbound dedup set; at most 2× this many hashes are held.
 const maxSelfishSeenBlocks = 1 << 16
 
-// installSelfishMiner wires the strategy into a chain runtime and
-// registers it as the runtime's race adversary (the γ production hook).
-// One selfish miner per network: the runtime holds a single race-
-// adversary slot, and a silent overwrite would leave the first miner's
-// races γ-disconnected — misuse panics instead of mismeasuring.
-func (c *chainRuntime) installSelfishMiner(idx int, gamma float64) *SelfishMiningBehavior {
+// InstallSelfishMiner makes node idx mine selfishly (E17; PoW mode on
+// Ethereum). The node's hash share comes from the config's HashRates as
+// usual; only its publication strategy changes. Races resolve by
+// first-seen relay (γ = 0); use InstallSelfishMinerGamma for a connected
+// adversary. At most one selfish miner per network (a second install
+// panics).
+func (c *chainRuntime) InstallSelfishMiner(idx int) *SelfishMiningBehavior {
+	return c.InstallSelfishMinerGamma(idx, 0)
+}
+
+// InstallSelfishMinerGamma is InstallSelfishMiner with Eyal–Sirer's γ:
+// while the 1-1 race is open, each honest block win mines on the
+// adversary's published block with probability gamma instead of the
+// miner's own first-seen tip — the adversary's connectivity advantage
+// that moves the profitability threshold from 1/3 (γ=0) toward 0 (γ=1).
+// The strategy becomes the runtime's race adversary (the γ production
+// hook). The runtime holds a single race-adversary slot, and a silent
+// overwrite would leave the first miner's races γ-disconnected — misuse
+// panics instead of mismeasuring.
+func (c *chainRuntime) InstallSelfishMinerGamma(idx int, gamma float64) *SelfishMiningBehavior {
 	if c.selfish != nil {
 		panic("netsim: only one selfish miner per network")
 	}
@@ -206,48 +220,14 @@ func (c *chainRuntime) installSelfishMiner(idx int, gamma float64) *SelfishMinin
 	return b
 }
 
-// InstallSelfishMiner makes node idx mine selfishly (E17). The node's
-// hash share comes from BitcoinConfig.HashRates as usual; only its
-// publication strategy changes. Races resolve by first-seen relay
-// (γ = 0); use InstallSelfishMinerGamma for a connected adversary.
-// At most one selfish miner per network (a second install panics).
-func (b *BitcoinNet) InstallSelfishMiner(idx int) *SelfishMiningBehavior {
-	return b.chain.installSelfishMiner(idx, 0)
-}
-
-// InstallSelfishMinerGamma is InstallSelfishMiner with Eyal–Sirer's γ:
-// while the 1-1 race is open, each honest block win mines on the
-// adversary's published block with probability gamma instead of the
-// miner's own first-seen tip — the adversary's connectivity advantage
-// that moves the profitability threshold from 1/3 (γ=0) toward 0 (γ=1).
-func (b *BitcoinNet) InstallSelfishMinerGamma(idx int, gamma float64) *SelfishMiningBehavior {
-	return b.chain.installSelfishMiner(idx, gamma)
-}
-
 // EffectiveGamma reports the measured γ-race outcome: taken honest wins
 // that extended the adversary's published race block, out of chances
 // honest wins that occurred while the race was open. taken/chances is
 // the effective connectivity E17 reports next to the configured γ; it
 // falls short of the configuration when the adversary's block had not
 // propagated to the winning miner yet. Both are zero in honest runs.
-func (b *BitcoinNet) EffectiveGamma() (taken, chances int) {
-	return b.chain.effectiveGamma()
-}
-
-// EffectiveGamma is the PoW-mode variant; see the BitcoinNet method.
-func (e *EthereumNet) EffectiveGamma() (taken, chances int) {
-	return e.chain.effectiveGamma()
-}
-
-// InstallSelfishMiner makes node idx produce selfishly (PoW mode, E17).
-func (e *EthereumNet) InstallSelfishMiner(idx int) *SelfishMiningBehavior {
-	return e.chain.installSelfishMiner(idx, 0)
-}
-
-// InstallSelfishMinerGamma is the γ-parameterized variant (PoW mode);
-// see the BitcoinNet method.
-func (e *EthereumNet) InstallSelfishMinerGamma(idx int, gamma float64) *SelfishMiningBehavior {
-	return e.chain.installSelfishMiner(idx, gamma)
+func (c *chainRuntime) EffectiveGamma() (taken, chances int) {
+	return c.raceTaken, c.raceChances
 }
 
 // Gamma returns the strategy's connectivity parameter.
@@ -365,9 +345,6 @@ func (b *VoteWithholdBehavior) OnVote(_ sim.NodeID, vote any) bool {
 	return !b.reps[v.Rep]
 }
 
-// WithheldReps returns how many representatives are silenced.
-func (b *VoteWithholdBehavior) WithheldReps() int { return len(b.reps) }
-
 // InstallVoteWithholding silences representatives holding at least
 // weightFrac of the total voting weight, chosen greedily from the
 // highest representative index downward (the observer's low-index reps
@@ -407,21 +384,6 @@ func (n *NanoNet) InstallVoteWithholding(weightFrac float64) float64 {
 		}
 	}
 	return float64(withheld) / float64(total)
-}
-
-// Eclipse captures frac of a victim node's peer table (E16).
-func (b *BitcoinNet) Eclipse(victim int, frac float64) *EclipseBehavior {
-	return b.chain.rt.InstallEclipse(sim.NodeID(victim), frac)
-}
-
-// Eclipse captures frac of a victim node's peer table (E16).
-func (e *EthereumNet) Eclipse(victim int, frac float64) *EclipseBehavior {
-	return e.chain.rt.InstallEclipse(sim.NodeID(victim), frac)
-}
-
-// Eclipse captures frac of a victim node's peer table (E16).
-func (n *NanoNet) Eclipse(victim int, frac float64) *EclipseBehavior {
-	return n.rt.InstallEclipse(sim.NodeID(victim), frac)
 }
 
 // BlockCountOf reports a node's lattice block count — E16 compares the

@@ -1,7 +1,6 @@
 package netsim
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
@@ -56,12 +55,12 @@ func (c BitcoinConfig) withDefaults() BitcoinConfig {
 }
 
 // BitcoinNet is a running Bitcoin-like network simulation. All gossip,
-// production and measurement plumbing lives in the shared chainRuntime;
+// production and measurement plumbing lives in the embedded chainRuntime;
 // this type owns only what is Bitcoin-specific: the UTXO ledgers, the
 // PoW lottery and the payment-construction path.
 type BitcoinNet struct {
+	*chainRuntime
 	cfg     BitcoinConfig
-	chain   *chainRuntime
 	ledgers []*utxo.Ledger
 	ring    *keys.Ring
 	lottery *pow.Lottery
@@ -94,15 +93,15 @@ func NewBitcoin(cfg BitcoinConfig) (*BitcoinNet, error) {
 	}
 
 	b := &BitcoinNet{
-		cfg: cfg,
 		// Main-chain transactions minus one coinbase per block and minus
 		// the genesis allocation tx.
-		chain:   newChainRuntime(s, net, cfg.Net.Nodes, func(txs, blocks int) int { return txs - blocks - 1 }),
-		ring:    ring,
-		lottery: lottery,
+		chainRuntime: newChainRuntime(s, net, cfg.Net.Nodes, func(txs, blocks int) int { return txs - blocks - 1 }),
+		cfg:          cfg,
+		ring:         ring,
+		lottery:      lottery,
 	}
 	b.difficulty = lottery.DifficultyForInterval(cfg.BlockInterval)
-	b.chain.metrics.Propagation.SetBudget(cfg.Net.SampleBudget)
+	b.metrics.Propagation.SetBudget(cfg.Net.SampleBudget)
 
 	// Genesis is built once; every node after the first is a replica of it
 	// (shared genesis block, block catalog and transaction and coin
@@ -117,7 +116,7 @@ func NewBitcoin(cfg BitcoinConfig) (*BitcoinNet, error) {
 			ledger = root.Replica()
 		}
 		b.ledgers = append(b.ledgers, ledger)
-		b.chain.addNode(ledger, cfg.Net)
+		b.addNode(ledger, cfg.Net)
 	}
 	net.SetPeers(sim.RandomPeers(s.Rand(), cfg.Net.Nodes, cfg.Net.PeerDegree))
 	return b, nil
@@ -130,35 +129,9 @@ func (b *BitcoinNet) Observer() *utxo.Ledger { return b.ledgers[0] }
 // Ring returns the funded account identities.
 func (b *BitcoinNet) Ring() *keys.Ring { return b.ring }
 
-// Sim exposes the simulator (for scheduling custom events in tests).
-func (b *BitcoinNet) Sim() *sim.Simulator { return b.chain.rt.sim }
-
-// Net exposes the underlying network (partitions, stats, loss hooks).
-func (b *BitcoinNet) Net() *sim.Network { return b.chain.rt.net }
-
-// Runtime exposes the node runtime, the seam custom Behaviors install
-// through.
-func (b *BitcoinNet) Runtime() *NodeRuntime { return b.chain.rt }
-
-// ScheduleColdStart detaches node at detachAt and rejoins it at
-// rejoinAt, range-pulling the main chain from a live peer in windows of
-// batch blocks (E20's bootstrap scenario). Arms sync recovery mode.
-func (b *BitcoinNet) ScheduleColdStart(node int, detachAt, rejoinAt time.Duration, batch int) {
-	b.chain.scheduleColdStart(node, detachAt, rejoinAt, batch)
-}
-
-// SyncStats reports the sync manager's pull/serve/eviction counters.
-func (b *BitcoinNet) SyncStats() SyncStats { return b.chain.sync.stats }
-
-// ColdSyncDone reports whether node's cold sync finished, and how long
-// it took from rejoin to the final range window.
-func (b *BitcoinNet) ColdSyncDone(node int) (time.Duration, bool) {
-	return b.chain.sync.coldSyncDone(sim.NodeID(node))
-}
-
 // scheduleMining arms the next global block-discovery event.
 func (b *BitcoinNet) scheduleMining() {
-	s := b.chain.rt.sim
+	s := b.rt.sim
 	interval := b.lottery.SampleInterval(s.Rand(), b.difficulty)
 	s.After(interval, func() {
 		winner := b.lottery.SampleWinner(s.Rand())
@@ -166,7 +139,7 @@ func (b *BitcoinNet) scheduleMining() {
 		// An honest win while a selfish miner's 1-1 race is open mines on
 		// the adversary's published block with probability γ (Eyal–Sirer);
 		// otherwise — and always with γ = 0 — on the winner's own tip.
-		b.chain.produceWithRace(winner, miner, b.difficulty)
+		b.produceWithRace(winner, miner, b.difficulty)
 		b.scheduleMining()
 	})
 }
@@ -174,7 +147,7 @@ func (b *BitcoinNet) scheduleMining() {
 // SubmitPayment schedules a payment: the sender's home node builds the
 // transaction from its current view and every node pools it.
 func (b *BitcoinNet) SubmitPayment(p workload.TimedPayment, fee uint64) {
-	b.chain.scheduleSubmit(p.At, func() bool {
+	b.scheduleSubmit(p.At, func() bool {
 		home := b.ledgers[p.From%len(b.ledgers)]
 		tx, err := utxo.NewPaymentAvoiding(
 			home.UTXOSet(), home.Pool().Spends,
@@ -195,8 +168,8 @@ func (b *BitcoinNet) SubmitPayment(p workload.TimedPayment, fee uint64) {
 // Run drives the simulation for the given span and returns the metrics.
 func (b *BitcoinNet) Run(duration time.Duration) ChainMetrics {
 	b.scheduleMining()
-	b.chain.rt.sim.RunUntil(duration)
-	return b.chain.collect(duration)
+	b.rt.sim.RunUntil(duration)
+	return b.collect(duration)
 }
 
 // RunWithPayments submits the payment stream before running.
@@ -206,18 +179,6 @@ func (b *BitcoinNet) RunWithPayments(duration time.Duration, payments []workload
 	}
 	return b.Run(duration)
 }
-
-// MinerShare reports how many observer main-chain blocks node idx mined,
-// against all attributed main-chain blocks — the selfish miner's revenue
-// accounting (E17).
-func (b *BitcoinNet) MinerShare(idx int) (mined, total int) { return b.chain.minerShare(idx) }
-
-// EclipseReport compares a victim node's chain against the network
-// consensus after a run (E16).
-func (b *BitcoinNet) EclipseReport(victim int) EclipseReport { return b.chain.eclipseReport(victim) }
-
-// ErrNoMiners mirrors §III-A1: with no hash rate there is no throughput.
-var ErrNoMiners = errors.New("netsim: no mining power configured")
 
 // The paradigm-seam registration (paradigm.go): Bitcoin is the paper's
 // reference PoW blockchain. The seam build keeps a 30-second block

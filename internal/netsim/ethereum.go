@@ -108,12 +108,12 @@ type FinalityMetrics struct {
 }
 
 // EthereumNet is a running Ethereum-like network simulation. Gossip,
-// production and measurement plumbing live in the shared chainRuntime;
+// production and measurement plumbing live in the embedded chainRuntime;
 // this type owns the account ledgers, the consensus mode (PoW lottery or
 // PoS slots + FFG) and the payment-construction path.
 type EthereumNet struct {
+	*chainRuntime
 	cfg     EthereumConfig
-	chain   *chainRuntime
 	ledgers []*account.Ledger
 	ring    *keys.Ring
 	lottery *pow.Lottery // PoW mode
@@ -143,13 +143,13 @@ func NewEthereum(cfg EthereumConfig) (*EthereumNet, error) {
 	}
 
 	e := &EthereumNet{
-		cfg:       cfg,
-		chain:     newChainRuntime(s, net, cfg.Net.Nodes, func(txs, _ int) int { return txs }),
-		ring:      ring,
-		nonces:    make(map[int]uint64),
-		cpCreated: make(map[hashx.Hash]time.Duration),
+		chainRuntime: newChainRuntime(s, net, cfg.Net.Nodes, func(txs, _ int) int { return txs }),
+		cfg:          cfg,
+		ring:         ring,
+		nonces:       make(map[int]uint64),
+		cpCreated:    make(map[hashx.Hash]time.Duration),
 	}
-	e.chain.metrics.Propagation.SetBudget(cfg.Net.SampleBudget)
+	e.metrics.Propagation.SetBudget(cfg.Net.SampleBudget)
 
 	for i := 0; i < cfg.Net.Nodes; i++ {
 		ledger, err := account.NewLedger(alloc, cfg.Ledger)
@@ -157,7 +157,7 @@ func NewEthereum(cfg EthereumConfig) (*EthereumNet, error) {
 			return nil, fmt.Errorf("netsim: node %d: %w", i, err)
 		}
 		e.ledgers = append(e.ledgers, ledger)
-		e.chain.addNode(ledger, cfg.Net)
+		e.addNode(ledger, cfg.Net)
 	}
 	net.SetPeers(sim.RandomPeers(s.Rand(), cfg.Net.Nodes, cfg.Net.PeerDegree))
 
@@ -199,16 +199,6 @@ func NewEthereum(cfg EthereumConfig) (*EthereumNet, error) {
 // Observer returns the node-0 ledger.
 func (e *EthereumNet) Observer() *account.Ledger { return e.ledgers[0] }
 
-// Sim exposes the simulator (for scheduling custom events in tests).
-func (e *EthereumNet) Sim() *sim.Simulator { return e.chain.rt.sim }
-
-// Net exposes the underlying network (partitions, stats, loss hooks).
-func (e *EthereumNet) Net() *sim.Network { return e.chain.rt.net }
-
-// Runtime exposes the node runtime, the seam custom Behaviors install
-// through.
-func (e *EthereumNet) Runtime() *NodeRuntime { return e.chain.rt }
-
 // Ring returns the funded identities.
 func (e *EthereumNet) Ring() *keys.Ring { return e.ring }
 
@@ -218,22 +208,6 @@ func (e *EthereumNet) Registry() *pos.Registry { return e.registry }
 // FFG returns the finality gadget (nil in PoW mode).
 func (e *EthereumNet) FFG() *pos.FFG { return e.ffg }
 
-// ScheduleColdStart detaches node at detachAt and rejoins it at
-// rejoinAt, range-pulling the main chain from a live peer in windows of
-// batch blocks (E20's bootstrap scenario). Arms sync recovery mode.
-func (e *EthereumNet) ScheduleColdStart(node int, detachAt, rejoinAt time.Duration, batch int) {
-	e.chain.scheduleColdStart(node, detachAt, rejoinAt, batch)
-}
-
-// SyncStats reports the sync manager's pull/serve/eviction counters.
-func (e *EthereumNet) SyncStats() SyncStats { return e.chain.sync.stats }
-
-// ColdSyncDone reports whether node's cold sync finished, and how long
-// it took from rejoin to the final range window.
-func (e *EthereumNet) ColdSyncDone(node int) (time.Duration, bool) {
-	return e.chain.sync.coldSyncDone(sim.NodeID(node))
-}
-
 // produceAt lets a node extend its view and flood the block. An honest
 // producer racing an installed selfish miner follows the γ rule first
 // (see chainRuntime.raceProduce; a no-op without an adversary).
@@ -242,12 +216,12 @@ func (e *EthereumNet) produceAt(nodeIdx int, proposer keys.Address) {
 	if e.cfg.Consensus != PoW {
 		difficulty = 1 // PoS blocks carry uniform weight
 	}
-	e.chain.produceWithRace(nodeIdx, proposer, difficulty)
+	e.produceWithRace(nodeIdx, proposer, difficulty)
 }
 
 // scheduleMining arms PoW block discovery.
 func (e *EthereumNet) scheduleMining() {
-	s := e.chain.rt.sim
+	s := e.rt.sim
 	interval := e.lottery.SampleInterval(s.Rand(), e.difficulty)
 	s.After(interval, func() {
 		winner := e.lottery.SampleWinner(s.Rand())
@@ -260,7 +234,7 @@ func (e *EthereumNet) scheduleMining() {
 // schedulePoS arms the slot clock: one proposer per slot, FFG votes every
 // epoch boundary.
 func (e *EthereumNet) schedulePoS(slot uint64) {
-	e.chain.rt.sim.After(e.cfg.BlockInterval, func() {
+	e.rt.sim.After(e.cfg.BlockInterval, func() {
 		seed := e.ffg.LastFinalized().Hash
 		proposerAddr, err := e.registry.Proposer(slot, seed)
 		if err == nil {
@@ -302,7 +276,7 @@ func (e *EthereumNet) runFFGRound(slot uint64) {
 		if blk, ok := obs.Store().Get(h); ok {
 			e.cpCreated[h] = blk.Header.Time
 		} else {
-			e.cpCreated[h] = e.chain.rt.sim.Now()
+			e.cpCreated[h] = e.rt.sim.Now()
 		}
 	}
 	source := e.lastJust
@@ -320,7 +294,7 @@ func (e *EthereumNet) runFFGRound(slot uint64) {
 			e.finality.FinalizedCheckpoints++
 			e.finality.LastFinalizedEpoch = source.Epoch
 			if created, ok := e.cpCreated[source.Hash]; ok {
-				e.lagSamples = append(e.lagSamples, e.chain.rt.sim.Now()-created)
+				e.lagSamples = append(e.lagSamples, e.rt.sim.Now()-created)
 			}
 		}
 	}
@@ -331,7 +305,7 @@ func (e *EthereumNet) runFFGRound(slot uint64) {
 // when some node pooled the transaction: burning it on a submission
 // every node rejected would leave a gap no later payment can fill.
 func (e *EthereumNet) SubmitPayment(p workload.TimedPayment, gasPrice uint64) {
-	e.chain.scheduleSubmit(p.At, func() bool {
+	e.scheduleSubmit(p.At, func() bool {
 		to := e.ring.Addr(p.To)
 		tx := &account.Tx{
 			Nonce:    e.nonces[p.From],
@@ -362,8 +336,8 @@ func (e *EthereumNet) Run(duration time.Duration) ChainMetrics {
 	case PoS:
 		e.schedulePoS(1)
 	}
-	e.chain.rt.sim.RunUntil(duration)
-	return e.chain.collect(duration)
+	e.rt.sim.RunUntil(duration)
+	return e.collect(duration)
 }
 
 // RunWithPayments submits the stream then runs.
@@ -385,14 +359,6 @@ func (e *EthereumNet) Finality() FinalityMetrics {
 	}
 	return e.finality
 }
-
-// MinerShare reports how many observer main-chain blocks node idx
-// produced, against all attributed main-chain blocks (E17).
-func (e *EthereumNet) MinerShare(idx int) (mined, total int) { return e.chain.minerShare(idx) }
-
-// EclipseReport compares a victim node's chain against the network
-// consensus after a run (E16).
-func (e *EthereumNet) EclipseReport(victim int) EclipseReport { return e.chain.eclipseReport(victim) }
 
 // The paradigm-seam registration (paradigm.go): Ethereum is the paper's
 // second blockchain, PoW with its native 15-second interval.

@@ -105,7 +105,7 @@ func conflictingTxs(a, b *utxo.Tx) bool {
 // picks the same outputs for both — a guaranteed conflict.
 func (b *BitcoinNet) ScheduleDoubleSpend(p ChainDoubleSpendPlan) *ChainDoubleSpendHandle {
 	h := &ChainDoubleSpendHandle{victim: p.Victim, confirmations: p.Confirmations}
-	s := b.chain.rt.sim
+	s := b.rt.sim
 	var ecl *EclipseBehavior
 	s.At(p.At, func() {
 		view := b.ledgers[p.Victim].UTXOSet()
@@ -120,7 +120,7 @@ func (b *BitcoinNet) ScheduleDoubleSpend(p ChainDoubleSpendPlan) *ChainDoubleSpe
 		h.Injected = true
 		h.HonestTx, h.RivalTx = honest.ID(), rival.ID()
 		if p.EclipseFrac > 0 {
-			ecl = b.chain.rt.InstallEclipse(sim.NodeID(p.Victim), p.EclipseFrac)
+			ecl = b.rt.InstallEclipse(sim.NodeID(p.Victim), p.EclipseFrac)
 		}
 		side := map[int]bool{p.Victim: true}
 		for _, n := range p.HonestSide {
@@ -140,15 +140,12 @@ func (b *BitcoinNet) ScheduleDoubleSpend(p ChainDoubleSpendPlan) *ChainDoubleSpe
 		}
 		h.AcceptedConf = b.ledgers[p.Victim].Confirmations(h.HonestTx)
 		if ecl != nil {
-			b.chain.rt.LiftEclipse(ecl)
+			b.rt.LiftEclipse(ecl)
 			// Release the honest chain on heal: the victim re-floods its
 			// private view (its branch may still win on its own merits)
-			// and a live peer serves the canonical history — the same
-			// bidirectional exchange a rejoining churn node runs.
-			b.chain.broadcastMainChain(p.Victim)
-			if live := firstAttachedNode(b.chain.rt.net, len(b.ledgers), p.Victim); live >= 0 {
-				b.chain.sendMainChain(live, p.Victim)
-			}
+			// and a live peer serves the canonical history — the
+			// exchange a rejoining churn node runs.
+			b.rejoined(p.Victim)
 		}
 	})
 	return h

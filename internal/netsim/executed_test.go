@@ -172,23 +172,23 @@ func TestGammaRaceMinesOnAdversaryBlock(t *testing.T) {
 		t.Fatal(err)
 	}
 	sm := net.InstallSelfishMinerGamma(2, 1)
-	adv := net.chain.produce(2, addrOf(2), net.difficulty) // withheld, private
+	adv := net.produce(2, addrOf(2), net.difficulty) // withheld, private
 	if sm.Withheld() != 1 {
 		t.Fatal("adversary block should be withheld")
 	}
-	rival := net.chain.produce(0, addrOf(0), net.difficulty) // honest rival at the same height
-	net.Sim().RunUntil(time.Second)                          // relay settles; race opens at the adversary
+	rival := net.produce(0, addrOf(0), net.difficulty) // honest rival at the same height
+	net.Sim().RunUntil(time.Second)                    // relay settles; race opens at the adversary
 	if !sm.raceOpen || sm.raceTip != adv.Hash() {
 		t.Fatalf("race should be open on the adversary's block: open=%v", sm.raceOpen)
 	}
-	if _, ok := net.chain.ledgers[1].Store().Get(adv.Hash()); !ok {
+	if _, ok := net.ledgers[1].Store().Get(adv.Hash()); !ok {
 		t.Fatal("published adversary block should have reached node 1")
 	}
 	// γ = 1: the draw always mines on the adversary's block.
-	if !net.chain.raceProduce(1, addrOf(1), net.difficulty) {
+	if !net.raceProduce(1, addrOf(1), net.difficulty) {
 		t.Fatal("γ=1 honest win during an open race must take the γ path")
 	}
-	tip := net.chain.ledgers[1].Store().TipBlock()
+	tip := net.ledgers[1].Store().TipBlock()
 	if tip.Header.Parent != adv.Hash() {
 		t.Fatalf("γ block extends %s, want the adversary block %s (rival %s)",
 			tip.Header.Parent, adv.Hash(), rival.Hash())

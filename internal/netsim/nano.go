@@ -136,11 +136,11 @@ const maxIngestBacklog = 4096
 
 // nanoNode is one full node: lattice replica, vote tracker, dedup state.
 // Hot-path dedup (seen blocks, seen votes) lives in the network-level
-// struct-of-arrays matrices (NanoNet.seenBlocks/seenVotes), addressed by
-// this node's index; the maps that remain below are cold — forks, vote
-// switching, gap repair — and are allocated lazily on first write, so a
-// node that never hits those paths (the overwhelming majority at
-// mega-scale) carries no map at all.
+// struct-of-arrays matrices (the shell's seen, NanoNet.seenVotes),
+// addressed by this node's index; the maps that remain below are cold —
+// forks, vote switching, gap repair — and are allocated lazily on first
+// write, so a node that never hits those paths (the overwhelming majority
+// at mega-scale) carries no map at all.
 type nanoNode struct {
 	id      sim.NodeID
 	lat     *lattice.Lattice
@@ -237,18 +237,16 @@ type NanoMetrics struct {
 // relay and vote dissemination run through the shared NodeRuntime, so
 // per-node Behaviors (eclipse, vote withholding) intercept them.
 type NanoNet struct {
+	netShell
 	cfg   NanoConfig
-	rt    *NodeRuntime
 	nodes []*nanoNode
 	ring  *keys.Ring
 
-	// Struct-of-arrays dedup state: one dense-id dictionary per concern
-	// shared by every node, plus pooled per-node bit matrices sized once
-	// for the whole network (soa.go). Replaces three hash maps per node.
-	blockIDs   *dex[hashx.Hash]
-	voteIDs    *dex[voteKey]
-	seenBlocks *bitRows
-	seenVotes  *genSeen
+	// Vote dedup beside the shell's block dedup: one dense-id dictionary
+	// shared by every node plus a pooled two-generation bit matrix sized
+	// once for the whole network (soa.go).
+	voteIDs   *dex[voteKey]
+	seenVotes *genSeen
 	// weights is the representative weight table every node's tracker
 	// tallies against: the setup distribution fixes it and nothing
 	// changes it afterwards.
@@ -264,10 +262,6 @@ type NanoNet struct {
 	advPreferred map[hashx.Hash]bool
 	advContested map[hashx.Hash]bool
 	forkSeenAt   map[hashx.Hash]time.Duration
-	// sync runs the pull side of catch-up (syncmgr.go): single-block gap
-	// pulls, cold-start range pulls, backlog-eviction accounting. Armed
-	// by FaultSchedule or StartColdSync; disarmed it adds no events.
-	sync *syncManager
 }
 
 // ingestEntry is one queued gossip block plus the node that sent it.
@@ -337,11 +331,8 @@ func NewNano(cfg NanoConfig) (*NanoNet, error) {
 
 	n := &NanoNet{
 		cfg:          cfg,
-		rt:           newNodeRuntime(s, net),
 		ring:         ring,
-		blockIDs:     newDex[hashx.Hash](256),
 		voteIDs:      newDex[voteKey](256),
-		seenBlocks:   newBitRows(cfg.Net.Nodes, 256),
 		seenVotes:    newGenSeen(cfg.Net.Nodes, maxSeenVotes, 256),
 		created:      make(map[hashx.Hash]time.Duration),
 		confirmedAt:  make(map[hashx.Hash]bool),
@@ -349,10 +340,7 @@ func NewNano(cfg NanoConfig) (*NanoNet, error) {
 		advContested: make(map[hashx.Hash]bool),
 		forkSeenAt:   make(map[hashx.Hash]time.Duration),
 	}
-	n.sync = newSyncManager(n.rt, func(id sim.NodeID, h hashx.Hash) bool {
-		_, ok := n.nodes[id].lat.Get(h)
-		return ok
-	})
+	n.netShell = newNetShell(s, net, cfg.Net.Nodes, n)
 	n.metrics.ConfirmLatency.SetBudget(cfg.Net.SampleBudget)
 	n.metrics.ForkResolveLatency.SetBudget(cfg.Net.SampleBudget)
 
@@ -375,7 +363,7 @@ func NewNano(cfg NanoConfig) (*NanoNet, error) {
 		}
 		node.id = n.rt.AddNode(n.handlerFor(node))
 		n.nodes = append(n.nodes, node)
-		bindBacklog(node.lat.Gaps(), cfg.Net, n.sync, node.id, n.seenBlocks, n.blockIDs)
+		bindBacklog(&n.netShell, node.id, node.lat.Gaps(), cfg.Net)
 	}
 	net.SetPeers(sim.RandomPeers(s.Rand(), cfg.Net.Nodes, cfg.Net.PeerDegree))
 
@@ -406,46 +394,27 @@ func (n *NanoNet) ownerOf(account int) int { return account % n.cfg.Net.Nodes }
 // Observer returns node 0's lattice.
 func (n *NanoNet) Observer() *lattice.Lattice { return n.nodes[0].lat }
 
-// ObserverTracker returns node 0's vote tracker.
-func (n *NanoNet) ObserverTracker() *orv.Tracker { return n.nodes[0].tracker }
-
 // Ring returns the account identities.
 func (n *NanoNet) Ring() *keys.Ring { return n.ring }
 
-// Sim exposes the simulator.
-func (n *NanoNet) Sim() *sim.Simulator { return n.rt.sim }
-
-// Net exposes the underlying network (partitions, stats, loss hooks).
-func (n *NanoNet) Net() *sim.Network { return n.rt.net }
-
-// Runtime exposes the node runtime, the seam custom Behaviors install
-// through.
-func (n *NanoNet) Runtime() *NodeRuntime { return n.rt }
-
-// SyncStats returns the sync manager's pull and backlog counters.
-func (n *NanoNet) SyncStats() SyncStats { return n.sync.stats }
-
-// ScheduleColdStart detaches a node at detachAt and rejoins it at
-// rejoinAt through the sync manager: the node pulls the canonical
-// history stream from a live peer in windows of batch blocks (E20's
-// bootstrap scenario). The sync manager arms itself at rejoin.
-func (n *NanoNet) ScheduleColdStart(node int, detachAt, rejoinAt time.Duration, batch int) {
-	id := n.nodes[node].id
-	n.rt.sim.At(detachAt, func() { n.rt.net.Detach(id) })
-	n.rt.sim.At(rejoinAt, func() {
-		n.rt.net.Attach(id)
-		target := n.sync.rotateTarget(id, id)
-		if target == id {
-			return // no live peer to sync from
-		}
-		n.sync.StartColdSync(id, target, batch)
-	})
+// has, object and canonical are the lattice's history view: a node's
+// attached blocks and its deterministic account-ordered block stream.
+func (n *NanoNet) has(node sim.NodeID, h hashx.Hash) bool {
+	_, ok := n.nodes[node].lat.Get(h)
+	return ok
 }
 
-// ColdSyncDone reports how long the node's cold-start catch-up took to
-// drain the server's history stream; ok is false while it is running.
-func (n *NanoNet) ColdSyncDone(node int) (time.Duration, bool) {
-	return n.sync.coldSyncDone(n.nodes[node].id)
+func (n *NanoNet) object(node sim.NodeID, h hashx.Hash) (any, int, bool) {
+	blk, ok := n.nodes[node].lat.Get(h)
+	if !ok {
+		return nil, 0, false
+	}
+	return blk, blk.EncodedSize(), true
+}
+
+func (n *NanoNet) canonical(node sim.NodeID) (int, func(int) (any, int)) {
+	blocks := n.nodes[node].lat.AllBlocks()
+	return len(blocks), func(i int) (any, int) { return blocks[i], blocks[i].EncodedSize() }
 }
 
 // handlerFor dispatches gossip messages.
@@ -456,12 +425,8 @@ func (n *NanoNet) handlerFor(node *nanoNode) sim.Handler {
 			n.onBlock(node, from, msg)
 		case *orv.Vote:
 			n.onVote(node, msg)
-		case *blockRequest:
-			n.onBlockRequest(node, from, msg)
-		case *rangeRequest:
-			n.onRangeRequest(node, from, msg)
-		case *rangeReply:
-			n.sync.onRangeReply(node.id, msg)
+		default:
+			n.serve(node.id, from, payload)
 		}
 	}
 }
@@ -471,7 +436,7 @@ func (n *NanoNet) handlerFor(node *nanoNode) sim.Handler {
 // the per-node ingest queue when batching is enabled.
 func (n *NanoNet) onBlock(node *nanoNode, from sim.NodeID, b *lattice.Block) {
 	h := b.Hash()
-	if n.seenBlocks.testSet(node.row(), n.blockIDs.id(h)) {
+	if n.markSeen(node.id, h) {
 		return
 	}
 	if n.cfg.BatchSize > 1 {
@@ -481,24 +446,6 @@ func (n *NanoNet) onBlock(node *nanoNode, from sim.NodeID, b *lattice.Block) {
 	if n.reactToResult(node, b, h, node.lat.Process(b), from) {
 		n.rt.Relay(node.id, b, b.EncodedSize())
 	}
-}
-
-// onBlockRequest serves a block the requester is missing (gap repair).
-func (n *NanoNet) onBlockRequest(node *nanoNode, from sim.NodeID, req *blockRequest) {
-	if blk, ok := node.lat.Get(req.Hash); ok {
-		n.sync.stats.BlocksServed++
-		n.sync.stats.BytesServed += int64(blk.EncodedSize())
-		n.rt.Unicast(node.id, from, blk, blk.EncodedSize())
-	}
-}
-
-// onRangeRequest serves one window of this node's canonical history — the
-// deterministic account-ordered block stream — to a cold-syncing puller.
-func (n *NanoNet) onRangeRequest(node *nanoNode, from sim.NodeID, req *rangeRequest) {
-	blocks := node.lat.AllBlocks()
-	n.sync.serveRange(node.id, from, req, len(blocks), func(i int) (any, int) {
-		return blocks[i], blocks[i].EncodedSize()
-	})
 }
 
 // reactToResult applies the post-attach handling for one processed
@@ -552,7 +499,7 @@ func (n *NanoNet) enqueueIngest(node *nanoNode, b *lattice.Block, from sim.NodeI
 		evicted := node.ingest[0]
 		node.ingest = node.ingest[1:]
 		h := evicted.b.Hash()
-		n.seenBlocks.clear(node.row(), n.blockIDs.id(h))
+		n.unsee(node.id, h)
 		n.sync.evicted(node.id, h, evicted.from)
 	}
 	if !node.flushArmed {
@@ -567,7 +514,7 @@ func (n *NanoNet) enqueueIngest(node *nanoNode, b *lattice.Block, from sim.NodeI
 // elections open (replaying any votes buffered against the in-flight
 // candidates), receives get scheduled, fork elections start, and every
 // non-rejected block is relayed exactly once (arrival already dedups via
-// seenBlocks).
+// the shell's first-seen bits).
 func (n *NanoNet) flushIngest(node *nanoNode) {
 	if node.flushArmed {
 		n.rt.sim.Cancel(node.flushTimer)
@@ -908,7 +855,7 @@ func (n *NanoNet) maybeScheduleReceive(node *nanoNode, b *lattice.Block, h hashx
 func (n *NanoNet) publish(node *nanoNode, b *lattice.Block) {
 	h := b.Hash()
 	n.created[h] = n.rt.sim.Now()
-	n.seenBlocks.testSet(node.row(), n.blockIDs.id(h))
+	n.markSeen(node.id, h)
 	res := node.lat.Process(b)
 	if res.Status == lattice.Accepted {
 		n.onAttached(node, b, h)
@@ -931,20 +878,6 @@ func (n *NanoNet) SubmitTransfer(p workload.TimedPayment) {
 		}
 		n.metrics.SendsCreated++
 		n.publish(owner, send)
-	})
-}
-
-// InjectDoubleSpend makes the attacker issue two conflicting sends from
-// the same predecessor: the honest one at its owner node, the rival
-// directly at the farthest node — §IV-B's "forks in Nano are only
-// possible as a result of a malicious attack". It is the legacy form of
-// InjectContestedDoubleSpend (adversary.go), which also reports the
-// outcome and lets byzantine nodes contest the election.
-func (n *NanoNet) InjectDoubleSpend(attacker, victimA, victimB int, amount uint64, at time.Duration) {
-	n.InjectContestedDoubleSpend(DoubleSpendPlan{
-		Attacker: attacker, VictimA: victimA, VictimB: victimB,
-		Amount: amount, At: at,
-		Entry: len(n.nodes) - 1, // historical entry point: the far side
 	})
 }
 

@@ -479,7 +479,10 @@ func TestNanoDoubleSpendResolvedByVote(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	net.InjectDoubleSpend(5, 2, 3, 10, time.Second)
+	net.InjectContestedDoubleSpend(DoubleSpendPlan{
+		Attacker: 5, VictimA: 2, VictimB: 3, Amount: 10, At: time.Second,
+		Entry: cfg.Net.Nodes - 1,
+	})
 	m := net.Run(30 * time.Second)
 	if m.ForksDetected == 0 {
 		t.Fatal("observer never detected the fork")

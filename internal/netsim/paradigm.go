@@ -4,12 +4,11 @@
 // construction. A ParadigmSpec names the paradigm, builds its network
 // from shared knobs, and the returned ParadigmNet exposes the common
 // surface every comparison needs: the NodeRuntime/Behavior seam,
-// settlement submission, the sync-manager cold-start machinery, the
-// canonical history stream, and a summary metrics view. Each network
-// file registers its own spec (see the init functions in bitcoin.go,
-// ethereum.go, nano.go and tangle.go); the registry orders specs
-// explicitly so iteration order never depends on file names or init
-// sequencing.
+// settlement submission, the sync counters, the canonical history
+// stream, and a summary metrics view. Each network file registers its
+// own spec (see the init functions in bitcoin.go, ethereum.go, nano.go
+// and tangle.go); the registry orders specs explicitly so iteration
+// order never depends on file names or init sequencing.
 package netsim
 
 import (
@@ -59,7 +58,8 @@ type ParadigmMetrics struct {
 
 // ParadigmNet is the common surface a built network exposes to
 // comparison experiments. All four networks satisfy it through thin
-// adapters (the native Run methods return native metrics).
+// adapters over the network shell (the native Run methods return native
+// metrics).
 type ParadigmNet interface {
 	// Sim, Net and Runtime expose the simulation substrate — Runtime is
 	// the Behavior seam adversarial strategies install into.
@@ -77,9 +77,7 @@ type ParadigmNet interface {
 	// lattice, attachment-ordered vertex stream for the tangle.
 	CanonicalLength() int
 
-	// Cold-start machinery (E20), backed by the shared sync manager.
-	ScheduleColdStart(node int, detachAt, rejoinAt time.Duration, batch int)
-	ColdSyncDone(node int) (time.Duration, bool)
+	// SyncStats reports the shared sync manager's counters.
 	SyncStats() SyncStats
 }
 

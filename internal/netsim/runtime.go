@@ -1,12 +1,12 @@
 // The shared node-runtime layer: every network simulation used to
 // hand-roll node structs, handler dispatch, publish/relay plumbing and
-// metric collection three times over. NodeRuntime owns that lifecycle
+// metric collection once per network. NodeRuntime owns that lifecycle
 // once — node registration, inbound dispatch, peer-filtered relay,
 // unicast and broadcast — and threads every interaction through a
 // per-node Behavior, the seam where adversarial strategies (eclipse,
-// selfish mining, vote withholding) plug in without touching the
-// protocol code. With every node on the honest pass-through the runtime
-// reproduces the historical event sequence byte for byte.
+// selfish mining, vote withholding, parasite chains) plug in without
+// touching the protocol code. With every node on the honest pass-through
+// the runtime reproduces the historical event sequence byte for byte.
 package netsim
 
 import (
@@ -89,12 +89,6 @@ func newNodeRuntime(s *sim.Simulator, net *sim.Network) *NodeRuntime {
 	return &NodeRuntime{sim: s, net: net}
 }
 
-// Sim returns the underlying simulator.
-func (r *NodeRuntime) Sim() *sim.Simulator { return r.sim }
-
-// Net returns the underlying network.
-func (r *NodeRuntime) Net() *sim.Network { return r.net }
-
 // Stats returns a snapshot of the behavior counters.
 func (r *NodeRuntime) Stats() BehaviorStats { return r.stats }
 
@@ -146,7 +140,7 @@ func (r *NodeRuntime) Unicast(from, to sim.NodeID, payload any, size int) {
 }
 
 // Relay fans a message out along the sender's behavior-filtered peer
-// list — the gossip primitive all three networks flood blocks with.
+// list — the gossip primitive every network floods its objects with.
 func (r *NodeRuntime) Relay(from sim.NodeID, payload any, size int) {
 	peers := r.net.Peers(from)
 	if b := r.BehaviorOf(from); b != nil {
@@ -202,22 +196,17 @@ type chainLedger interface {
 	LedgerBytes() int
 }
 
-// chainRuntime is the node-runtime core the two chain networks share:
-// first-seen block gossip with reach/propagation tracking, block
-// production with miner attribution, payment-submission accounting,
-// post-fault catch-up exchange, and metric collection from the observer
-// (node 0).
+// chainRuntime is the node-runtime core the two chain networks share
+// (BitcoinNet and EthereumNet embed it): first-seen block gossip with
+// reach/propagation tracking, block production with miner attribution,
+// payment-submission accounting, post-fault catch-up exchange, and metric
+// collection from the observer (node 0).
 type chainRuntime struct {
-	rt      *NodeRuntime
-	ledgers []chainLedger
+	netShell
+	nodes []chainLedger
 
-	// Struct-of-arrays block state (soa.go): blocks get dense ids in
-	// first-sight order (blockIDs), per-node first-seen gossip dedup is
-	// one pooled bit matrix sized once per network (seen), and the
-	// per-block bookkeeping lives in id-indexed columns — replacing one
-	// hash map per node plus three network-wide hash-keyed maps.
-	blockIDs  *dex[hashx.Hash]
-	seen      *bitRows
+	// Per-block bookkeeping in columns indexed by the shell's dense block
+	// ids (first-sight order).
 	createdAt []time.Duration // block id -> creation time
 	minedBy   []int32         // block id -> producing node, -1 = unattributed
 	reach     []int32         // block id -> nodes reached
@@ -244,35 +233,45 @@ type chainRuntime struct {
 	// value. Both stay zero in honest runs.
 	raceChances, raceTaken int
 
-	// consensusScratch is eclipseReport's reusable membership set.
+	// consensusScratch is EclipseReport's reusable membership set.
 	consensusScratch *epochSet
-
-	// sync runs the pull side of catch-up (syncmgr.go): single-block
-	// pulls for orphan-eviction re-fetch and cold-start range pulls over
-	// the main chain. Armed only by a cold start; disarmed it adds no
-	// events, keeping honest runs byte-identical.
-	sync *syncManager
 }
 
-// newChainRuntime builds the shared chain core over a fresh runtime,
-// with the per-node dedup matrix sized for the network's node count.
+// newChainRuntime builds the shared chain core over a fresh shell.
 func newChainRuntime(s *sim.Simulator, net *sim.Network, nodes int, confirmedTxs func(txsOnMain, blocksOnMain int) int) *chainRuntime {
-	c := &chainRuntime{
-		rt:           newNodeRuntime(s, net),
-		blockIDs:     newDex[hashx.Hash](256),
-		seen:         newBitRows(nodes, 256),
-		confirmedTxs: confirmedTxs,
-	}
-	c.sync = newSyncManager(c.rt, func(node sim.NodeID, h hashx.Hash) bool {
-		return c.ledgers[node].Store().HasBlock(h)
-	})
+	c := &chainRuntime{confirmedTxs: confirmedTxs}
+	c.netShell = newNetShell(s, net, nodes, c)
 	return c
+}
+
+// has, object and canonical are the chains' history view: a node's store
+// (side and orphan-adopted blocks included — anything attached is
+// servable) and its height-ordered main chain.
+func (c *chainRuntime) has(node sim.NodeID, h hashx.Hash) bool {
+	return c.nodes[node].Store().HasBlock(h)
+}
+
+func (c *chainRuntime) object(node sim.NodeID, h hashx.Hash) (any, int, bool) {
+	blk, ok := c.nodes[node].Store().Get(h)
+	if !ok {
+		return nil, 0, false
+	}
+	return blk, blk.Size(), true
+}
+
+func (c *chainRuntime) canonical(node sim.NodeID) (int, func(int) (any, int)) {
+	st := c.nodes[node].Store()
+	return int(st.Height()) + 1, func(i int) (any, int) {
+		h, _ := st.HashAtHeight(uint64(i))
+		blk, _ := st.Get(h)
+		return blk, blk.Size()
+	}
 }
 
 // blockSlot returns h's dense id, growing the id-indexed bookkeeping
 // columns in lockstep so the slot is addressable.
 func (c *chainRuntime) blockSlot(h hashx.Hash) int32 {
-	id := c.blockIDs.id(h)
+	id := c.ids.id(h)
 	for int(id) >= len(c.reach) {
 		c.reach = append(c.reach, 0)
 		c.createdAt = append(c.createdAt, 0)
@@ -286,9 +285,9 @@ func (c *chainRuntime) blockSlot(h hashx.Hash) int32 {
 // node's (behavior-filtered) peers; its orphan pool takes np's backlog
 // bound. The returned id equals the node's index.
 func (c *chainRuntime) addNode(l chainLedger, np NetParams) sim.NodeID {
-	idx := len(c.ledgers)
-	c.ledgers = append(c.ledgers, l)
-	bindBacklog(l.Store().Orphans(), np, c.sync, sim.NodeID(idx), c.seen, c.blockIDs)
+	idx := len(c.nodes)
+	c.nodes = append(c.nodes, l)
+	bindBacklog(&c.netShell, sim.NodeID(idx), l.Store().Orphans(), np)
 	return c.rt.AddNode(func(from sim.NodeID, payload any, size int) {
 		switch msg := payload.(type) {
 		case *chain.Block:
@@ -297,57 +296,16 @@ func (c *chainRuntime) addNode(l chainLedger, np NetParams) sim.NodeID {
 				return
 			}
 			c.reach[id]++
-			if int(c.reach[id]) == len(c.ledgers) {
+			if int(c.reach[id]) == len(c.nodes) {
 				c.metrics.Propagation.AddDuration(c.rt.sim.Now() - c.createdAt[id])
 			}
 			// Processing errors mean a byzantine block; honest sims don't
 			// produce them, and a relay node still floods valid-looking data.
 			_, _ = l.ProcessBlock(msg)
 			c.rt.Relay(sim.NodeID(idx), msg, msg.Size())
-		case *blockRequest:
-			c.serveBlock(idx, from, msg)
-		case *rangeRequest:
-			c.serveMainRange(idx, from, msg)
-		case *rangeReply:
-			c.sync.onRangeReply(sim.NodeID(idx), msg)
+		default:
+			c.serve(sim.NodeID(idx), from, payload)
 		}
-	})
-}
-
-// serveBlock answers a single-block pull from this node's store (side
-// and orphan-adopted blocks included — anything attached is servable).
-func (c *chainRuntime) serveBlock(idx int, to sim.NodeID, req *blockRequest) {
-	if blk, ok := c.ledgers[idx].Store().Get(req.Hash); ok {
-		c.sync.stats.BlocksServed++
-		c.sync.stats.BytesServed += int64(blk.Size())
-		c.rt.Unicast(sim.NodeID(idx), to, blk, blk.Size())
-	}
-}
-
-// serveMainRange streams one window of this node's main chain — the
-// canonical height-ordered history — to a cold-syncing puller.
-func (c *chainRuntime) serveMainRange(idx int, to sim.NodeID, req *rangeRequest) {
-	st := c.ledgers[idx].Store()
-	main := st.MainChain()
-	c.sync.serveRange(sim.NodeID(idx), to, req, len(main), func(i int) (any, int) {
-		blk, _ := st.Get(main[i])
-		return blk, blk.Size()
-	})
-}
-
-// scheduleColdStart detaches a node at detachAt and rejoins it at
-// rejoinAt through the sync manager: the node pulls the main chain from
-// a live peer in windows of batch blocks (E20's bootstrap scenario).
-func (c *chainRuntime) scheduleColdStart(node int, detachAt, rejoinAt time.Duration, batch int) {
-	id := sim.NodeID(node)
-	c.rt.sim.At(detachAt, func() { c.rt.net.Detach(id) })
-	c.rt.sim.At(rejoinAt, func() {
-		c.rt.net.Attach(id)
-		target := c.sync.rotateTarget(id, id)
-		if target == id {
-			return // no live peer to sync from
-		}
-		c.sync.StartColdSync(id, target, batch)
 	})
 }
 
@@ -356,7 +314,7 @@ func (c *chainRuntime) scheduleColdStart(node int, detachAt, rejoinAt time.Durat
 // lags — then floods it, unless the producer's behavior withholds it
 // (selfish mining keeps it on a private chain until release).
 func (c *chainRuntime) produce(idx int, proposer keys.Address, difficulty float64) *chain.Block {
-	blk := c.ledgers[idx].BuildBlock(proposer, c.rt.sim.Now())
+	blk := c.nodes[idx].BuildBlock(proposer, c.rt.sim.Now())
 	blk.Header.Difficulty = difficulty
 	c.publishProduced(idx, blk)
 	return blk
@@ -379,7 +337,7 @@ func (c *chainRuntime) publishProduced(idx int, blk *chain.Block) {
 	c.blockCount++
 	c.seen.testSet(idx, id)
 	c.reach[id] = 1
-	_, _ = c.ledgers[idx].ProcessBlock(blk)
+	_, _ = c.nodes[idx].ProcessBlock(blk)
 	if c.rt.produceAllowed(sim.NodeID(idx), blk) {
 		c.rt.Relay(sim.NodeID(idx), blk, blk.Size())
 	}
@@ -402,7 +360,7 @@ func (c *chainRuntime) raceProduce(idx int, proposer keys.Address, difficulty fl
 	// wins where the adversary's block had not yet propagated to the
 	// winner, which is exactly the gap between configured and effective γ.
 	c.raceChances++
-	node := c.ledgers[idx]
+	node := c.nodes[idx]
 	if _, ok := node.Store().Get(b.raceTip); !ok {
 		return false // the adversary's block has not reached this miner yet
 	}
@@ -449,7 +407,7 @@ func (c *chainRuntime) scheduleSubmit(at time.Duration, attempt func() bool) {
 
 // collect summarizes the run from the observer's (node 0) perspective.
 func (c *chainRuntime) collect(duration time.Duration) ChainMetrics {
-	obs := c.ledgers[0]
+	obs := c.nodes[0]
 	st := obs.Store().Stats()
 	m := &c.metrics
 	m.Duration = duration
@@ -479,16 +437,29 @@ func (c *chainRuntime) collect(duration time.Duration) ChainMetrics {
 	return *m
 }
 
-// faultSurface exposes the pieces the fault driver schedules against.
-func (c *chainRuntime) faultSurface() (*sim.Simulator, *sim.Network, int) {
-	return c.rt.sim, c.rt.net, len(c.ledgers)
+// healed is the chains' post-heal catch-up: one node per former side
+// floods its main chain.
+func (c *chainRuntime) healed(groups map[sim.NodeID]int) {
+	for _, idx := range groupReps(groups, len(c.nodes)) {
+		c.broadcastMainChain(idx)
+	}
+}
+
+// rejoined is the bidirectional catch-up of a node back on the network:
+// it re-floods its stale view (its partition-era blocks may still win),
+// and a live peer serves it the canonical history.
+func (c *chainRuntime) rejoined(node int) {
+	c.broadcastMainChain(node)
+	if live := firstAttachedNode(c.rt.net, len(c.nodes), node); live >= 0 {
+		c.sendMainChain(live, node)
+	}
 }
 
 // broadcastMainChain floods a node's main chain to everyone — the
 // post-heal IBD stand-in; dedup at the receivers keeps the cost one
 // delivery per missing block.
 func (c *chainRuntime) broadcastMainChain(idx int) {
-	l := c.ledgers[idx]
+	l := c.nodes[idx]
 	for _, h := range l.Store().MainChain() {
 		if blk, ok := l.Store().Get(h); ok {
 			c.rt.Broadcast(sim.NodeID(idx), blk, blk.Size())
@@ -499,7 +470,7 @@ func (c *chainRuntime) broadcastMainChain(idx int) {
 // sendMainChain serves one node's main chain directly to another — the
 // catch-up a rejoining churn node receives from a live peer.
 func (c *chainRuntime) sendMainChain(from, to int) {
-	l := c.ledgers[from]
+	l := c.nodes[from]
 	for _, h := range l.Store().MainChain() {
 		if blk, ok := l.Store().Get(h); ok {
 			c.rt.Unicast(sim.NodeID(from), sim.NodeID(to), blk, blk.Size())
@@ -507,10 +478,10 @@ func (c *chainRuntime) sendMainChain(from, to int) {
 	}
 }
 
-// tipsConverged reports whether every node agrees on the chain tip.
-func (c *chainRuntime) tipsConverged() bool {
-	tip := c.ledgers[0].Store().Tip()
-	for _, l := range c.ledgers[1:] {
+// TipsConverged reports whether every node agrees on the chain tip.
+func (c *chainRuntime) TipsConverged() bool {
+	tip := c.nodes[0].Store().Tip()
+	for _, l := range c.nodes[1:] {
 		if l.Store().Tip() != tip {
 			return false
 		}
@@ -518,11 +489,11 @@ func (c *chainRuntime) tipsConverged() bool {
 	return true
 }
 
-// convergedWithin reports whether every node agrees with the observer's
+// ConvergedWithin reports whether every node agrees with the observer's
 // main chain at depth back below the observer's tip — tip equality with
 // a tolerance for blocks still propagating at the cutoff instant.
-func (c *chainRuntime) convergedWithin(back int) bool {
-	obs := c.ledgers[0]
+func (c *chainRuntime) ConvergedWithin(back int) bool {
+	obs := c.nodes[0]
 	target := int(obs.Height()) - back
 	if target < 0 {
 		target = 0
@@ -531,7 +502,7 @@ func (c *chainRuntime) convergedWithin(back int) bool {
 	if !ok {
 		return false
 	}
-	for _, l := range c.ledgers[1:] {
+	for _, l := range c.nodes[1:] {
 		if got, ok := l.Store().HashAtHeight(uint64(target)); !ok || got != want {
 			return false
 		}
@@ -539,13 +510,13 @@ func (c *chainRuntime) convergedWithin(back int) bool {
 	return true
 }
 
-// minerShare reports how many attributed observer main-chain blocks node
-// idx produced, against all attributed main-chain blocks — the revenue
-// accounting selfish-mining experiments sweep (genesis carries no
-// attribution and is excluded).
-func (c *chainRuntime) minerShare(idx int) (mined, total int) {
-	for _, h := range c.ledgers[0].Store().MainChain() {
-		id, ok := c.blockIDs.lookup(h)
+// MinerShare reports how many attributed observer main-chain blocks node
+// idx produced, against all attributed main-chain blocks — the selfish
+// miner's revenue accounting (E17; genesis carries no attribution and is
+// excluded).
+func (c *chainRuntime) MinerShare(idx int) (mined, total int) {
+	for _, h := range c.nodes[0].Store().MainChain() {
+		id, ok := c.ids.lookup(h)
 		if !ok || int(id) >= len(c.minedBy) || c.minedBy[id] < 0 {
 			continue // genesis and injected blocks carry no attribution
 		}
@@ -555,13 +526,6 @@ func (c *chainRuntime) minerShare(idx int) (mined, total int) {
 		}
 	}
 	return mined, total
-}
-
-// effectiveGamma reports the measured γ-race outcome: how many honest
-// wins happened while the adversary's race was open, and how many of
-// them extended the adversary's block.
-func (c *chainRuntime) effectiveGamma() (taken, chances int) {
-	return c.raceTaken, c.raceChances
 }
 
 // EclipseReport summarizes a victim's divergence from the rest of the
@@ -580,39 +544,39 @@ type EclipseReport struct {
 	ExposedBlocks int
 }
 
-// eclipseReport compares the victim's chain against the best chain held
-// by any other node (ties broken toward the lowest index, so the report
-// is deterministic).
-func (c *chainRuntime) eclipseReport(victim int) EclipseReport {
+// EclipseReport compares a victim node's chain against the best chain
+// held by any other node after a run (E16; ties broken toward the lowest
+// index, so the report is deterministic).
+func (c *chainRuntime) EclipseReport(victim int) EclipseReport {
 	var r EclipseReport
 	best := -1
-	for i, l := range c.ledgers {
+	for i, l := range c.nodes {
 		if i == victim {
 			continue
 		}
-		if best < 0 || l.Height() > c.ledgers[best].Height() {
+		if best < 0 || l.Height() > c.nodes[best].Height() {
 			best = i
 		}
 	}
 	if best < 0 {
 		return r
 	}
-	r.VictimHeight = c.ledgers[victim].Height()
-	r.ConsensusHeight = c.ledgers[best].Height()
+	r.VictimHeight = c.nodes[victim].Height()
+	r.ConsensusHeight = c.nodes[best].Height()
 	if r.ConsensusHeight > r.VictimHeight {
 		r.HeightLag = int(r.ConsensusHeight - r.VictimHeight)
 	}
 	// The consensus membership set is epoch-stamped scratch over the dense
 	// block ids — reused across calls, cleared in O(1).
 	if c.consensusScratch == nil {
-		c.consensusScratch = newEpochSet(c.blockIDs.size())
+		c.consensusScratch = newEpochSet(c.ids.size())
 	}
 	onConsensus := c.consensusScratch
 	onConsensus.clear()
-	for _, h := range c.ledgers[best].Store().MainChain() {
+	for _, h := range c.nodes[best].Store().MainChain() {
 		onConsensus.add(c.blockSlot(h))
 	}
-	for i, h := range c.ledgers[victim].Store().MainChain() {
+	for i, h := range c.nodes[victim].Store().MainChain() {
 		if i == 0 {
 			continue // shared genesis
 		}

@@ -1,0 +1,132 @@
+package netsim
+
+// The network shell's contract: every paradigm serves the sync wire
+// protocol from its history view through the one shell handler.
+
+import (
+	"math/rand"
+	"testing"
+	"time"
+
+	"repro/internal/hashx"
+	"repro/internal/orv"
+	"repro/internal/sim"
+	"repro/internal/workload"
+)
+
+// shellOf reaches the shell behind a registry-built network.
+func shellOf(t *testing.T, net ParadigmNet) *netShell {
+	t.Helper()
+	switch p := net.(type) {
+	case bitcoinParadigm:
+		return &p.netShell
+	case ethereumParadigm:
+		return &p.netShell
+	case nanoParadigm:
+		return &p.netShell
+	case tangleParadigm:
+		return &p.netShell
+	}
+	t.Fatalf("no shell behind %T", net)
+	return nil
+}
+
+// recordFrom records and drops what a node receives from one sender.
+// Votes pass: the lattice observer broadcasts them to every node, and
+// they are not part of the sync protocol.
+type recordFrom struct {
+	HonestBehavior
+	from sim.NodeID
+	got  []any
+}
+
+func (r *recordFrom) OnInbound(_, from sim.NodeID, payload any, _ int) bool {
+	if _, vote := payload.(*orv.Vote); vote || from != r.from {
+		return true
+	}
+	r.got = append(r.got, payload)
+	return false
+}
+
+// After a short honest run, node 1 pulls from node 0 the observer's
+// newest canonical object by hash and one range window. Exactly those
+// objects come back, the serve counters count them, and the window's
+// trailing reply reports the observer's canonical length.
+func TestShellServesEveryParadigm(t *testing.T) {
+	np := NetParams{
+		Nodes: 6, PeerDegree: 3, Seed: 67,
+		MinLatency: 5 * time.Millisecond, MaxLatency: 20 * time.Millisecond,
+	}
+	load := workload.Payments(rand.New(rand.NewSource(68)), workload.Config{
+		Accounts: 12, Rate: 2, Duration: time.Minute, MinAmount: 1, MaxAmount: 5,
+	})
+	for _, spec := range Paradigms() {
+		t.Run(spec.Name, func(t *testing.T) {
+			net, err := spec.Build(np, BuildOptions{Accounts: 12})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, p := range load {
+				net.Submit(p)
+			}
+			net.RunSpan(2 * time.Minute)
+
+			sh := shellOf(t, net)
+			n, at := sh.view.canonical(0)
+			if n < 3 || n != net.CanonicalLength() {
+				t.Fatalf("observer's canonical stream holds %d objects, CanonicalLength %d", n, net.CanonicalLength())
+			}
+			// The window [n-3, n-1) stops short of the newest object, so
+			// every requested object is distinct.
+			newest, newestSize := at(n - 1)
+			from, max := n-3, 2
+			want := map[any]int{newest: newestSize}
+			for i := from; i < from+max; i++ {
+				obj, size := at(i)
+				want[obj] = size
+			}
+
+			// Node 0 relays nothing more, so all it sends node 1 is served.
+			net.Net().SetPeersOf(0, nil)
+			rec := &recordFrom{from: 0}
+			net.Runtime().SetBehavior(1, rec)
+			before := net.SyncStats()
+			net.Runtime().Unicast(1, 0, &blockRequest{Hash: newest.(interface{ Hash() hashx.Hash }).Hash()}, blockRequestSize)
+			net.Runtime().Unicast(1, 0, &rangeRequest{From: from, Max: max}, rangeMsgSize)
+			net.Sim().RunUntil(net.Sim().Now() + 200*time.Millisecond)
+
+			var reply *rangeReply
+			served := map[any]bool{}
+			for _, msg := range rec.got {
+				if r, ok := msg.(*rangeReply); ok {
+					if reply != nil {
+						t.Fatal("two range replies for one window")
+					}
+					reply = r
+					continue
+				}
+				if _, ok := want[msg]; !ok {
+					t.Fatalf("served %T that was not requested", msg)
+				}
+				served[msg] = true
+			}
+			if len(served) != len(want) || len(rec.got) != len(want)+1 {
+				t.Fatalf("node 1 got %d messages covering %d of %d requested objects", len(rec.got), len(served), len(want))
+			}
+			var bytes int64
+			for _, size := range want {
+				bytes += int64(size)
+			}
+			after := net.SyncStats()
+			if got := after.BlocksServed - before.BlocksServed; got != 1+max {
+				t.Fatalf("BlocksServed counted %d, want %d", got, 1+max)
+			}
+			if got := after.BytesServed - before.BytesServed; got != bytes {
+				t.Fatalf("BytesServed counted %d, want %d", got, bytes)
+			}
+			if reply == nil || reply.Next != from+max || reply.Total != net.CanonicalLength() {
+				t.Fatalf("range reply %+v, want Next %d and Total %d", reply, from+max, net.CanonicalLength())
+			}
+		})
+	}
+}

@@ -2,8 +2,9 @@
 // nodes run a sync daemon that notices the node is behind — after churn
 // rejoin, a partition heal, or a cold start — and pulls the missing
 // history from live peers, instead of hoping the push-side gossip
-// happens to re-deliver it. This file centralizes that machinery for
-// all three simulators on the NodeRuntime seam:
+// happens to re-deliver it. This file centralizes the pull side of that
+// machinery for all four networks on the NodeRuntime seam; the serving
+// side is the network shell's (shell.go):
 //
 //   - Single-block pulls (Pull) replace nano.go's old
 //     scheduleGapRepair/repairTick chain. The legacy cadence is kept
@@ -31,7 +32,6 @@ package netsim
 import (
 	"time"
 
-	"repro/internal/backlog"
 	"repro/internal/hashx"
 	"repro/internal/sim"
 )
@@ -200,22 +200,6 @@ func (m *syncManager) evicted(node sim.NodeID, h hashx.Hash, target sim.NodeID) 
 			}
 		}
 		m.Pull(node, h, target)
-	})
-}
-
-// bindBacklog is the one place a node's backlog buffer is wired: bounded
-// by the network's BacklogCap/BacklogTTL, and each evicted object's dedup
-// bit (seen, under its ids id) cleared before the manager's reaction.
-func bindBacklog[K comparable, V interface {
-	comparable
-	Hash() hashx.Hash
-}](buf *backlog.Buffer[K, V], np NetParams, m *syncManager, node sim.NodeID, seen *bitRows, ids *dex[hashx.Hash]) {
-	buf.SetLimit(np.BacklogCap)
-	buf.SetTTL(np.BacklogTTL, m.rt.sim.Now)
-	buf.OnEvict(func(v V) {
-		h := v.Hash()
-		seen.clear(int(node), ids.id(h))
-		m.evicted(node, h, node)
 	})
 }
 

@@ -4,9 +4,9 @@
 // tangle has no privileged role at all — every payment is a vertex that
 // approves two earlier vertices, and confirmation is cumulative
 // coverage of later arrivals (internal/tangle). Gossip, cold start and
-// adversarial behaviors run through the same NodeRuntime/Behavior seam
-// and sync manager as the other three networks; tip selection is the
-// tangle's own extension point on that seam (TipSelector), which is
+// adversarial behaviors run through the same network shell, NodeRuntime/
+// Behavior seam and sync manager as the other networks; tip selection is
+// the tangle's own extension point on that seam (TipSelector), which is
 // where the parasite-chain attack plugs in.
 package netsim
 
@@ -93,28 +93,18 @@ type tangleNode struct {
 	tg *tangle.Tangle
 }
 
-// row returns the node's dedup-matrix row.
-func (node *tangleNode) row() int { return int(node.id) }
-
 // TangleNet is a running cooperative-tangle network simulation.
 type TangleNet struct {
+	netShell
 	cfg   TangleConfig
-	rt    *NodeRuntime
 	nodes []*tangleNode
 	ring  *keys.Ring
-
-	// Struct-of-arrays dedup state, shared shape with the other three
-	// networks: dense vertex ids plus one pooled per-node bit matrix.
-	vertexIDs *dex[hashx.Hash]
-	seen      *bitRows
 
 	created     map[hashx.Hash]time.Duration // vertex hash -> creation time
 	confirmedAt map[hashx.Hash]bool          // observer confirmations seen
 	issuedBy    map[hashx.Hash]sim.NodeID    // vertex hash -> issuing node
 	seqs        []uint64                     // per-account issuer counters
 	metrics     TangleMetrics
-
-	sync *syncManager
 }
 
 // NewTangle builds the network: every node starts from the identical
@@ -127,18 +117,13 @@ func NewTangle(cfg TangleConfig) (*TangleNet, error) {
 
 	n := &TangleNet{
 		cfg:         cfg,
-		rt:          newNodeRuntime(s, net),
 		ring:        ring,
-		vertexIDs:   newDex[hashx.Hash](256),
-		seen:        newBitRows(cfg.Net.Nodes, 256),
 		created:     make(map[hashx.Hash]time.Duration),
 		confirmedAt: make(map[hashx.Hash]bool),
 		issuedBy:    make(map[hashx.Hash]sim.NodeID),
 		seqs:        make([]uint64, cfg.Accounts),
 	}
-	n.sync = newSyncManager(n.rt, func(id sim.NodeID, h hashx.Hash) bool {
-		return n.nodes[id].tg.Has(h)
-	})
+	n.netShell = newNetShell(s, net, cfg.Net.Nodes, n)
 	n.metrics.ConfirmLatency.SetBudget(cfg.Net.SampleBudget)
 
 	// Node 0 holds the network's one vertex catalog; every other node is
@@ -155,7 +140,7 @@ func NewTangle(cfg TangleConfig) (*TangleNet, error) {
 		node := &tangleNode{tg: tg}
 		node.id = n.rt.AddNode(n.handlerFor(node))
 		n.nodes = append(n.nodes, node)
-		bindBacklog(tg.Parked(), cfg.Net, n.sync, node.id, n.seen, n.vertexIDs)
+		bindBacklog(&n.netShell, node.id, tg.Parked(), cfg.Net)
 	}
 	net.SetPeers(sim.RandomPeers(s.Rand(), cfg.Net.Nodes, cfg.Net.PeerDegree))
 	return n, nil
@@ -164,46 +149,25 @@ func NewTangle(cfg TangleConfig) (*TangleNet, error) {
 // Observer returns node 0's replica.
 func (n *TangleNet) Observer() *tangle.Tangle { return n.nodes[0].tg }
 
-// Ring returns the account identities.
-func (n *TangleNet) Ring() *keys.Ring { return n.ring }
+// has, object and canonical are the tangle's history view: a node's
+// attached vertices and its attachment-ordered vertex stream, a
+// topological order by construction.
+func (n *TangleNet) has(node sim.NodeID, h hashx.Hash) bool { return n.nodes[node].tg.Has(h) }
 
-// Sim returns the underlying simulator.
-func (n *TangleNet) Sim() *sim.Simulator { return n.rt.sim }
-
-// Net returns the underlying network.
-func (n *TangleNet) Net() *sim.Network { return n.rt.net }
-
-// Runtime returns the node runtime, the behavior-installation surface.
-func (n *TangleNet) Runtime() *NodeRuntime { return n.rt }
-
-// SyncStats returns the sync manager's pull and backlog counters.
-func (n *TangleNet) SyncStats() SyncStats { return n.sync.stats }
-
-// EnableSyncRecovery arms the sync manager with re-targeting and
-// re-arming, so gap pulls actually recover under churn.
-func (n *TangleNet) EnableSyncRecovery() { n.sync.armRecovery() }
-
-// ScheduleColdStart detaches a node at detachAt and rejoins it at
-// rejoinAt through the sync manager: the node pulls the attachment-
-// ordered vertex stream from a live peer in windows of batch vertices
-// (E20's bootstrap scenario).
-func (n *TangleNet) ScheduleColdStart(node int, detachAt, rejoinAt time.Duration, batch int) {
-	id := n.nodes[node].id
-	n.rt.sim.At(detachAt, func() { n.rt.net.Detach(id) })
-	n.rt.sim.At(rejoinAt, func() {
-		n.rt.net.Attach(id)
-		target := n.sync.rotateTarget(id, id)
-		if target == id {
-			return // no live peer to sync from
-		}
-		n.sync.StartColdSync(id, target, batch)
-	})
+func (n *TangleNet) object(node sim.NodeID, h hashx.Hash) (any, int, bool) {
+	v, ok := n.nodes[node].tg.Get(h)
+	if !ok {
+		return nil, 0, false
+	}
+	return v, v.EncodedSize(), true
 }
 
-// ColdSyncDone reports how long the node's cold-start catch-up took to
-// drain the server's history stream; ok is false while it is running.
-func (n *TangleNet) ColdSyncDone(node int) (time.Duration, bool) {
-	return n.sync.coldSyncDone(n.nodes[node].id)
+func (n *TangleNet) canonical(node sim.NodeID) (int, func(int) (any, int)) {
+	tg := n.nodes[node].tg
+	return tg.VertexCount(), func(i int) (any, int) {
+		v := tg.VertexAt(i)
+		return v, v.EncodedSize()
+	}
 }
 
 // handlerFor dispatches gossip messages.
@@ -212,12 +176,8 @@ func (n *TangleNet) handlerFor(node *tangleNode) sim.Handler {
 		switch msg := payload.(type) {
 		case *tangle.Vertex:
 			n.onVertex(node, from, msg)
-		case *blockRequest:
-			n.onVertexRequest(node, from, msg)
-		case *rangeRequest:
-			n.onRangeRequest(node, from, msg)
-		case *rangeReply:
-			n.sync.onRangeReply(node.id, msg)
+		default:
+			n.serve(node.id, from, payload)
 		}
 	}
 }
@@ -227,8 +187,7 @@ func (n *TangleNet) handlerFor(node *tangleNode) sim.Handler {
 // peers ahead of this node catch up; the missing parent is pulled when
 // the sync manager is armed.
 func (n *TangleNet) onVertex(node *tangleNode, from sim.NodeID, v *tangle.Vertex) {
-	h := v.Hash()
-	if n.seen.testSet(node.row(), n.vertexIDs.id(h)) {
+	if n.markSeen(node.id, v.Hash()) {
 		return
 	}
 	res := node.tg.Attach(v)
@@ -241,25 +200,6 @@ func (n *TangleNet) onVertex(node *tangleNode, from sim.NodeID, v *tangle.Vertex
 		n.noteConfirmed(node, res.Confirmed)
 	}
 	n.rt.Relay(node.id, v, v.EncodedSize())
-}
-
-// onVertexRequest serves a vertex the requester is missing (gap repair).
-func (n *TangleNet) onVertexRequest(node *tangleNode, from sim.NodeID, req *blockRequest) {
-	if v, ok := node.tg.Get(req.Hash); ok {
-		n.sync.stats.BlocksServed++
-		n.sync.stats.BytesServed += int64(v.EncodedSize())
-		n.rt.Unicast(node.id, from, v, v.EncodedSize())
-	}
-}
-
-// onRangeRequest serves one window of this node's canonical history —
-// the attachment-ordered vertex stream, a topological order by
-// construction — to a cold-syncing puller.
-func (n *TangleNet) onRangeRequest(node *tangleNode, from sim.NodeID, req *rangeRequest) {
-	n.sync.serveRange(node.id, from, req, node.tg.VertexCount(), func(i int) (any, int) {
-		v := node.tg.VertexAt(i)
-		return v, v.EncodedSize()
-	})
 }
 
 // noteConfirmed records observer-side confirmations; only there are the
@@ -300,7 +240,7 @@ func (n *TangleNet) publish(node *tangleNode, v *tangle.Vertex) {
 	h := v.Hash()
 	n.created[h] = n.rt.sim.Now()
 	n.issuedBy[h] = node.id
-	n.seen.testSet(node.row(), n.vertexIDs.id(h))
+	n.markSeen(node.id, h)
 	res := node.tg.Attach(v)
 	if res.Status == tangle.Accepted {
 		n.noteConfirmed(node, res.Confirmed)
