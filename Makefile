@@ -29,7 +29,8 @@ examples:
 race:
 	$(GO) test -race -timeout 60m ./internal/sim/... ./internal/core/... ./internal/lattice/... ./internal/keys/... ./internal/merkle/... ./internal/netsim/... ./internal/utxo/... ./internal/chain/... ./internal/account/... ./internal/orv/... ./internal/tangle/... ./internal/pos/... ./internal/trie/...
 
-# Short fuzz smoke mirroring CI: batch settlement vs serial apply under
+# Short fuzz smoke mirroring CI: the generic content catalog and pointer
+# override against a map-plus-slice model, batch settlement vs serial apply under
 # hostile block streams, link-model delay sanity for any bounds, the
 # event queue against a naive minimum-scan model, tangle tip selection,
 # three tangle replicas on one vertex catalog against their map models,
@@ -42,6 +43,7 @@ race:
 # oldest-live-entry scan, and the owned world-state trie's snapshots,
 # checkpoints and live root against a map model.
 fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzCatalog$$' -fuzztime 15s -fuzzminimizetime 2s ./internal/catalog
 	$(GO) test -run '^$$' -fuzz '^FuzzLatticeProcessBatch$$' -fuzztime 30s ./internal/lattice
 	$(GO) test -run '^$$' -fuzz '^FuzzLatticeReplicas$$' -fuzztime 15s -fuzzminimizetime 2s ./internal/lattice
 	$(GO) test -run '^$$' -fuzz '^FuzzTracker$$' -fuzztime 15s -fuzzminimizetime 2s ./internal/orv

@@ -158,7 +158,6 @@ var (
 	ErrBadSig       = errors.New("account: bad signature")
 	ErrInsufficient = errors.New("account: insufficient balance")
 	ErrGasTooLow    = errors.New("account: gas limit below intrinsic gas")
-	ErrNotContract  = errors.New("account: call target has no code")
 )
 
 // ApplyTx executes one transaction against state, crediting gas fees to

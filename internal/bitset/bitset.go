@@ -1,7 +1,7 @@
 // Package bitset is the growable set of dense catalog ids every replica
 // keeps its state in: which coins are unspent, which blocks are attached,
-// which transactions are pooled. The content those ids name lives once
-// per network in a catalog; a replica's share of it is one bit per id.
+// which transactions are pooled. The content those ids name lives in
+// internal/catalog; a replica's share of it is one bit per id.
 package bitset
 
 import "math/bits"

@@ -1,0 +1,137 @@
+package catalog
+
+import (
+	"encoding/binary"
+	"testing"
+
+	"repro/internal/hashx"
+)
+
+// id is a named id type, as the ledgers use.
+type id uint32
+
+// entry stands for a ledger's catalog entry.
+type entry struct {
+	n      uint64
+	parent id
+}
+
+// hashN is the content hash of the n-th object the fuzzer makes.
+func hashN(n int) hashx.Hash {
+	var b [8]byte
+	binary.BigEndian.PutUint64(b[:], uint64(n))
+	return hashx.Sum(b[:])
+}
+
+// FuzzCatalog drives a Catalog and an Own override against a map-plus-
+// slice model. Each byte pair is one step: Add a new object, ask ID of a
+// known or an unknown hash, read At, Keep a pointer (the shared one or
+// another), Get, or drop an override as a mempool does on removal. After
+// every step the catalog must hand out ids densely from 1 in Add order,
+// answer ID 0 for an unknown hash, return every earlier entry unchanged
+// from At however many Adds came since, and the override must agree with
+// its model and stay nil until the first Keep of a pointer other than the
+// shared one.
+func FuzzCatalog(f *testing.F) {
+	f.Add([]byte{0, 1, 0, 2, 1, 0, 4, 1, 5, 1, 3, 0})
+	f.Add([]byte{0, 0, 4, 0, 4, 9, 5, 0, 6, 0, 5, 0, 2, 7})
+	f.Add([]byte{0, 0, 4, 16, 5, 0, 0, 3, 4, 1, 6, 1, 5, 1})
+	f.Fuzz(func(t *testing.T, prog []byte) {
+		c := New[id, entry]()
+		var own Own[id, *int]
+		var (
+			hashes  []hashx.Hash    // model: id-1 -> hash
+			entries []entry         // model: id-1 -> entry
+			over    = map[id]*int{} // model of own
+			ptrs    = [3]*int{new(int), new(int), new(int)}
+			alloc   bool      // a differing Keep has happened
+			unknown = 1 << 20 // hashes from here on are never added
+		)
+		// shared is the pointer the catalog's entry would hold for i.
+		shared := func(i id) *int { return ptrs[int(i)%len(ptrs)] }
+		pick := func(arg byte) id {
+			if len(entries) == 0 {
+				return 0
+			}
+			return id(1 + int(arg)%len(entries))
+		}
+		for len(prog) >= 2 {
+			op, arg := prog[0], prog[1]
+			prog = prog[2:]
+			switch op % 7 {
+			case 0: // add a new object
+				h := hashN(len(hashes))
+				if got := c.ID(h); got != 0 {
+					t.Fatalf("ID of a hash never added = %d", got)
+				}
+				e := entry{n: uint64(arg), parent: pick(arg)}
+				if got, want := c.Add(h, e), id(len(entries)+1); got != want {
+					t.Fatalf("Add handed out id %d, want %d", got, want)
+				}
+				hashes, entries = append(hashes, h), append(entries, e)
+			case 1: // ID of a known hash
+				if i := pick(arg); i != 0 {
+					if got := c.ID(hashes[i-1]); got != i {
+						t.Fatalf("ID = %d, want %d", got, i)
+					}
+				}
+			case 2: // ID of an unknown hash
+				unknown++
+				if got := c.ID(hashN(unknown)); got != 0 {
+					t.Fatalf("ID of an unknown hash = %d, want 0", got)
+				}
+			case 3: // At
+				i := pick(arg)
+				want := entry{}
+				if i != 0 {
+					want = entries[i-1]
+				}
+				if got := *c.At(i); got != want {
+					t.Fatalf("At(%d) = %+v, want %+v", i, got, want)
+				}
+			case 4: // Keep the shared pointer or another
+				i := pick(arg)
+				mine := ptrs[int(arg>>4)%len(ptrs)]
+				own.Keep(i, mine, shared(i))
+				if mine != shared(i) {
+					over[i], alloc = mine, true
+				}
+			case 5: // Get
+				i := pick(arg)
+				want, ok := over[i]
+				if !ok {
+					want = shared(i)
+				}
+				if got := own.Get(i, shared(i)); got != want {
+					t.Fatalf("Get(%d) = %p, want %p", i, got, want)
+				}
+			case 6: // drop an override
+				i := pick(arg)
+				delete(own, i)
+				delete(over, i)
+			}
+			if c.Len() != len(entries) {
+				t.Fatalf("Len = %d, model %d", c.Len(), len(entries))
+			}
+			for j, h := range hashes {
+				if got := c.ID(h); got != id(j+1) {
+					t.Fatalf("ID of object %d = %d, want %d", j, got, j+1)
+				}
+				if got := *c.At(id(j + 1)); got != entries[j] {
+					t.Fatalf("At(%d) = %+v, want %+v", j+1, got, entries[j])
+				}
+			}
+			if (own == nil) == alloc {
+				t.Fatalf("override nil = %v after a differing Keep = %v", own == nil, alloc)
+			}
+			if len(own) != len(over) {
+				t.Fatalf("override holds %d ids, model %d", len(own), len(over))
+			}
+			for i, p := range over {
+				if own[i] != p {
+					t.Fatalf("override of %d = %p, want %p", i, own[i], p)
+				}
+			}
+		}
+	})
+}

@@ -11,14 +11,13 @@
 //
 // Performance invariants (tracked by internal/perf, gated in CI):
 //
-//   - Content is separate from state. Every block the stores of one
-//     network attach enters one append-only catalog: hash → dense id,
-//     id → *Block, parent id, height and cumulative work, all pure
-//     functions of the block and its ancestry. A store (NewStore, or
-//     Replica of another store) holds only its state over those ids: a
-//     bitset of attached blocks, a height-indexed column of main-chain
-//     ids, its tip's hash and counters, and its orphan pool. A block in the catalog that a store
-//     has not attached does not exist for that store.
+//   - Content is separate from state (see internal/catalog). Every block
+//     the stores of one network attach enters one catalog, whose entry
+//     holds the *Block, its parent id, height and cumulative work. A
+//     store (NewStore, or Replica of another store) holds only its state
+//     over those ids: a bitset of attached blocks, a height-indexed
+//     column of main-chain ids, its tip's hash and counters, and its
+//     orphan pool.
 //   - Headers are immutable once a block reaches a Store or the network —
 //     mining and difficulty stamping happen strictly before the first
 //     Block.Hash call — which is what lets Block.Hash memoize the
@@ -35,6 +34,7 @@ import (
 
 	"repro/internal/backlog"
 	"repro/internal/bitset"
+	"repro/internal/catalog"
 	"repro/internal/hashx"
 	"repro/internal/keys"
 )
@@ -290,22 +290,9 @@ type BlockID uint32
 
 const genesisID BlockID = 1
 
-// catalog is the append-only table of every block the stores of one
-// network have attached, each under a dense id. It is content, not state:
-// a block's entry — the block, its parent's id, its height and the
-// cumulative work from the genesis through it — is a pure function of the
-// block and its ancestry, so the stores of a network (Replica) share one
-// catalog and keep only which ids they hold. A block enters on its first
-// attach anywhere in the network and never leaves. Not safe for
-// concurrent use: a catalog never leaves the goroutine that drives its
-// network.
-type catalog struct {
-	ids     map[hashx.Hash]BlockID
-	entries []catEntry // id -> entry; entries[0] is the zero entry
-}
-
-// catEntry is one catalogued block. Its height is the header's, kept
-// beside the parent link so walks between ancestors stay in the table.
+// catEntry is one catalogued block: the block, its parent's id, and its
+// height and cumulative work, kept beside the parent link so walks
+// between ancestors and fork choice stay in the table.
 type catEntry struct {
 	block  *Block
 	parent BlockID // 0 for the genesis
@@ -313,44 +300,20 @@ type catEntry struct {
 	work   float64 // cumulative difficulty, genesis through this block
 }
 
-func newCatalog(genesis *Block) *catalog {
-	c := &catalog{ids: make(map[hashx.Hash]BlockID), entries: make([]catEntry, 1)}
-	c.add(genesis, genesis.Hash(), 0)
-	return c
-}
-
-// add enters a block no store has attached yet and returns its id.
-func (c *catalog) add(b *Block, h hashx.Hash, parent BlockID) BlockID {
-	id := BlockID(len(c.entries))
-	c.ids[h] = id
-	c.entries = append(c.entries, catEntry{
-		block:  b,
-		parent: parent,
-		height: uint32(b.Header.Height),
-		work:   c.entries[parent].work + b.Header.Difficulty,
-	})
-	return id
-}
-
-// hash returns the hash of the block with this id.
-func (c *catalog) hash(id BlockID) hashx.Hash { return c.entries[id].block.Hash() }
-
 // Store is one node's view of its network's blocks: which catalog blocks
 // it has attached and which of them form its main chain under a
 // fork-choice rule. It is not safe for concurrent use; in the
 // discrete-event simulation each node owns one store.
 type Store struct {
-	cat      *catalog
+	cat      *catalog.Catalog[BlockID, catEntry]
 	choice   ForkChoice
 	validate Validator
 	attached bitset.Set
 	main     []BlockID  // height -> main-chain id, genesis through tip
 	tipHash  hashx.Hash // the tip's hash, read on every ledger state query
-	// own holds this store's pointer for a block the catalog knows under
-	// another pointer with the same hash: the block this store validated
-	// is the one it serves and its ledger disconnects. Nil on honest
-	// runs, where every store of a network attaches one pointer.
-	own      map[BlockID]*Block
+	// own holds the blocks this store validated under another pointer
+	// than the catalog's: the ones it serves and its ledger disconnects.
+	own      catalog.Own[BlockID, *Block]
 	orphans  backlog.Buffer[hashx.Hash, *Block] // parent hash -> waiting blocks
 	reorgs   int
 	maxReorg int
@@ -375,15 +338,17 @@ func NewStore(genesis *Block, choice ForkChoice) (*Store, error) {
 	if genesis.Header.Height != 0 {
 		return nil, errors.New("chain: genesis height must be 0")
 	}
-	return storeOn(newCatalog(genesis), choice), nil
+	cat := catalog.New[BlockID, catEntry]()
+	cat.Add(genesis.Hash(), catEntry{block: genesis, work: genesis.Header.Difficulty})
+	return storeOn(cat, choice), nil
 }
 
-func storeOn(cat *catalog, choice ForkChoice) *Store {
+func storeOn(cat *catalog.Catalog[BlockID, catEntry], choice ForkChoice) *Store {
 	s := &Store{
 		cat:     cat,
 		choice:  choice,
 		main:    []BlockID{genesisID},
-		tipHash: cat.hash(genesisID),
+		tipHash: cat.At(genesisID).block.Hash(),
 		orphans: backlog.New[hashx.Hash, *Block](DefaultOrphanLimit),
 	}
 	s.attached.Add(uint32(genesisID))
@@ -401,23 +366,21 @@ func (s *Store) Replica() *Store { return storeOn(s.cat, s.choice) }
 func (s *Store) SetValidator(v Validator) { s.validate = v }
 
 // block returns this store's pointer for an attached id.
-func (s *Store) block(id BlockID) *Block {
-	if b, ok := s.own[id]; ok {
-		return b
-	}
-	return s.cat.entries[id].block
-}
+func (s *Store) block(id BlockID) *Block { return s.own.Get(id, s.cat.At(id).block) }
+
+// hash returns the hash of the block with this id.
+func (s *Store) hash(id BlockID) hashx.Hash { return s.cat.At(id).block.Hash() }
 
 // lookup returns the id of the block with hash h if it is attached here.
 func (s *Store) lookup(h hashx.Hash) (BlockID, bool) {
-	id, ok := s.cat.ids[h]
-	return id, ok && s.attached.Has(uint32(id))
+	id := s.cat.ID(h)
+	return id, id != 0 && s.attached.Has(uint32(id))
 }
 
 // tip returns the main-chain tip's id.
 func (s *Store) tip() BlockID { return s.main[len(s.main)-1] }
 
-func (s *Store) height(id BlockID) uint64 { return uint64(s.cat.entries[id].height) }
+func (s *Store) height(id BlockID) uint64 { return uint64(s.cat.At(id).height) }
 
 // onMain reports whether the attached id is on the main chain here.
 func (s *Store) onMain(id BlockID) bool {
@@ -426,7 +389,7 @@ func (s *Store) onMain(id BlockID) bool {
 }
 
 // Genesis returns the genesis hash.
-func (s *Store) Genesis() hashx.Hash { return s.cat.hash(genesisID) }
+func (s *Store) Genesis() hashx.Hash { return s.hash(genesisID) }
 
 // Tip returns the current main-chain tip hash.
 func (s *Store) Tip() hashx.Hash { return s.tipHash }
@@ -466,7 +429,7 @@ func (s *Store) CumulativeWork(h hashx.Hash) (float64, error) {
 	if !ok {
 		return 0, fmt.Errorf("%w: %s", ErrUnknownBlock, h)
 	}
-	return s.cat.entries[id].work, nil
+	return s.cat.At(id).work, nil
 }
 
 // Add inserts a block, updating the main chain per the fork-choice rule.
@@ -485,8 +448,8 @@ func (s *Store) Add(b *Block) AddResult {
 
 func (s *Store) addOne(b *Block) AddResult {
 	h := b.Hash()
-	id, known := s.cat.ids[h]
-	if known && s.attached.Has(uint32(id)) {
+	id := s.cat.ID(h)
+	if s.attached.Has(uint32(id)) {
 		return AddResult{Status: Duplicate}
 	}
 	pid, haveParent := s.lookup(b.Header.Parent)
@@ -512,15 +475,15 @@ func (s *Store) addOne(b *Block) AddResult {
 	// The catalog entry is written here, on the block's first attach in
 	// the network; a later store that validated another pointer under the
 	// same hash keeps that pointer as its own.
-	switch {
-	case !known:
-		id = s.cat.add(b, h, pid)
-	case s.cat.entries[id].block != b:
-		if s.own == nil {
-			s.own = make(map[BlockID]*Block)
-		}
-		s.own[id] = b
+	if id == 0 {
+		id = s.cat.Add(h, catEntry{
+			block:  b,
+			parent: pid,
+			height: uint32(b.Header.Height),
+			work:   s.cat.At(pid).work + b.Header.Difficulty,
+		})
 	}
+	s.own.Keep(id, b, s.cat.At(id).block)
 	s.attached.Add(uint32(id))
 	s.added++
 
@@ -546,7 +509,7 @@ func (s *Store) addOne(b *Block) AddResult {
 func (s *Store) better(candidate BlockID) bool {
 	switch s.choice {
 	case HeaviestChain:
-		return s.cat.entries[candidate].work > s.cat.entries[s.tip()].work
+		return s.cat.At(candidate).work > s.cat.At(s.tip()).work
 	default: // LongestChain
 		return s.height(candidate) > s.Height()
 	}
@@ -557,8 +520,8 @@ func (s *Store) switchTip(newTip BlockID) *Reorg {
 	anc := s.commonAncestor(s.tip(), newTip)
 
 	reorg := &Reorg{}
-	for id := s.tip(); id != anc; id = s.cat.entries[id].parent {
-		reorg.Abandoned = append(reorg.Abandoned, s.cat.hash(id))
+	for id := s.tip(); id != anc; id = s.cat.At(id).parent {
+		reorg.Abandoned = append(reorg.Abandoned, s.hash(id))
 		reorg.AbandonedTxs += s.block(id).TxCount()
 	}
 	// The main column now ends at the new tip; every height above the
@@ -570,28 +533,28 @@ func (s *Store) switchTip(newTip BlockID) *Reorg {
 	for len(s.main) <= top {
 		s.main = append(s.main, 0)
 	}
-	for id := newTip; id != anc; id = s.cat.entries[id].parent {
-		reorg.Adopted = append(reorg.Adopted, s.cat.hash(id))
+	for id := newTip; id != anc; id = s.cat.At(id).parent {
+		reorg.Adopted = append(reorg.Adopted, s.hash(id))
 		s.main[s.height(id)] = id
 	}
 	// Adopted was collected tip-first; present it ancestor-first.
 	for i, j := 0, len(reorg.Adopted)-1; i < j; i, j = i+1, j-1 {
 		reorg.Adopted[i], reorg.Adopted[j] = reorg.Adopted[j], reorg.Adopted[i]
 	}
-	s.tipHash = s.cat.hash(newTip)
+	s.tipHash = s.hash(newTip)
 	return reorg
 }
 
 // commonAncestor finds the deepest block on both branches.
 func (s *Store) commonAncestor(a, b BlockID) BlockID {
 	for s.height(a) > s.height(b) {
-		a = s.cat.entries[a].parent
+		a = s.cat.At(a).parent
 	}
 	for s.height(b) > s.height(a) {
-		b = s.cat.entries[b].parent
+		b = s.cat.At(b).parent
 	}
 	for a != b {
-		a, b = s.cat.entries[a].parent, s.cat.entries[b].parent
+		a, b = s.cat.At(a).parent, s.cat.At(b).parent
 	}
 	return a
 }
@@ -639,7 +602,7 @@ func (s *Store) HashAtHeight(height uint64) (hashx.Hash, bool) {
 	if height >= uint64(len(s.main)) {
 		return hashx.Zero, false
 	}
-	return s.cat.hash(s.main[height]), true
+	return s.hash(s.main[height]), true
 }
 
 // Confirmations returns how many main-chain blocks sit at or above h
@@ -656,7 +619,7 @@ func (s *Store) Confirmations(h hashx.Hash) int {
 // ConfirmationsOf is Confirmations by catalog id: 0 unless id is on the
 // main chain here.
 func (s *Store) ConfirmationsOf(id BlockID) int {
-	if id == 0 || int(id) >= len(s.cat.entries) || !s.onMain(id) {
+	if id == 0 || int(id) > s.cat.Len() || !s.onMain(id) {
 		return 0
 	}
 	return len(s.main) - int(s.height(id))
@@ -666,7 +629,7 @@ func (s *Store) ConfirmationsOf(id BlockID) int {
 func (s *Store) MainChain() []hashx.Hash {
 	out := make([]hashx.Hash, len(s.main))
 	for i, id := range s.main {
-		out[i] = s.cat.hash(id)
+		out[i] = s.hash(id)
 	}
 	return out
 }

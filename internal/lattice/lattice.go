@@ -13,19 +13,21 @@
 //
 // Performance invariants (tracked by internal/perf, gated in CI):
 //
-//   - Content is separate from state. Every block the replicas of one
-//     network attach enters one append-only catalog (hash → dense id,
-//     id → *Block and predecessor id, account → dense id), written only
-//     by Process, ResolveFork and ProcessBatch's serial stage. A replica
-//     (New, or Clone of another replica) holds only its state over those
-//     ids: a head id per account, bitsets of attached blocks and settled
-//     sends, and a successor id column. A send is pending exactly when it
-//     is attached and not settled, and its destination and amount are
-//     read from the catalog. A block in the catalog that a replica has
-//     not attached does not exist for that replica.
+//   - Content is separate from state (see internal/catalog). Every block
+//     the replicas of one network attach enters one catalog, whose entry
+//     holds the *Block and its predecessor's id; beside it sits one
+//     account → dense id map. Both are written only by Process,
+//     ResolveFork and ProcessBatch's serial stage. A replica (New, or
+//     Clone of another replica) holds only its state over those ids: a
+//     head id per account, bitsets of attached blocks and settled sends,
+//     and a successor id column. A send is pending exactly when it is
+//     attached and not settled, and its destination and amount are read
+//     from the catalog.
 //   - Block content is immutable after signing: the catalog stores one
 //     pointer per block for every replica, and Block.Hash memoizes its
-//     digest on that pointer.
+//     digest on that pointer. The lattice keeps no pointer override: a
+//     replica that attaches a same-hash copy reads the catalog's pointer
+//     back.
 //   - ProcessBatch produces byte-identical lattice state and results for
 //     any worker count, so perf-suite runs pinned at Workers=1 describe
 //     the same computation the parallel paths execute.
@@ -43,6 +45,7 @@ import (
 
 	"repro/internal/backlog"
 	"repro/internal/bitset"
+	"repro/internal/catalog"
 	"repro/internal/hashx"
 	"repro/internal/keys"
 )
@@ -262,54 +265,11 @@ type Result struct {
 	Drained []*Block
 }
 
-// catalog is the append-only table of every block the replicas of one
-// network have attached, each under a dense id, plus a dense id per
-// account. It is content, not state: a block's entry — the block and the
-// id of the predecessor it names — is a pure function of the block, so
-// the replicas of a network (Clone) share one catalog and keep only which
-// ids they hold. Id 0 means "no block". A block enters on its first
-// attach anywhere in the network and never leaves, so ids stay valid in
-// every replica's columns; a replica that rolls a block back only clears
-// its own bit. Not safe for concurrent use: a catalog never leaves the
-// goroutine that drives its network, and ProcessBatch writes it only in
-// its serial stage.
-type catalog struct {
-	ids    map[hashx.Hash]uint32   // block hash -> id
-	blocks []*Block                // id -> block; blocks[0] is nil
-	prev   []uint32                // id -> predecessor's id, 0 for opens
-	accts  map[keys.Address]uint32 // account -> dense account id
-}
-
-func newCatalog() *catalog {
-	return &catalog{
-		ids:    make(map[hashx.Hash]uint32),
-		blocks: []*Block{nil},
-		prev:   []uint32{0},
-		accts:  make(map[keys.Address]uint32),
-	}
-}
-
-// add enters a block no replica has attached yet and returns its id.
-func (c *catalog) add(b *Block, h hashx.Hash, prev uint32) uint32 {
-	id := uint32(len(c.blocks))
-	c.ids[h] = id
-	c.blocks = append(c.blocks, b)
-	c.prev = append(c.prev, prev)
-	return id
-}
-
-// amount is what the send with this id moves: its predecessor's balance
-// less its own.
-func (c *catalog) amount(id uint32) uint64 {
-	return c.blocks[c.prev[id]].Balance - c.blocks[id].Balance
-}
-
-// hashOf returns the hash of the block with this id, zero for id 0.
-func (c *catalog) hashOf(id uint32) hashx.Hash {
-	if id == 0 {
-		return hashx.Zero
-	}
-	return c.blocks[id].Hash()
+// catEntry is one catalogued block and its predecessor's id (0 for
+// opens).
+type catEntry struct {
+	block *Block
+	prev  uint32
 }
 
 // Lattice is one node's replica of the DAG: which catalog blocks sit on
@@ -318,7 +278,10 @@ func (c *catalog) hashOf(id uint32) hashx.Hash {
 // is attached here and not settled here.
 type Lattice struct {
 	workBits int
-	cat      *catalog
+	cat      *catalog.Catalog[uint32, catEntry]
+	// accts maps an account to its dense id: content beside the catalog,
+	// shared by every Clone.
+	accts map[keys.Address]uint32
 	// heads maps a catalog account id to the id of that account's head
 	// block here; 0 (or past the end) means not opened here.
 	heads []uint32
@@ -358,7 +321,8 @@ const DefaultGapLimit = 4096
 func New(genesisOwner *keys.KeyPair, supply uint64, workBits int) (*Lattice, *Block, error) {
 	l := &Lattice{
 		workBits: workBits,
-		cat:      newCatalog(),
+		cat:      catalog.New[uint32, catEntry](),
+		accts:    make(map[keys.Address]uint32),
 		gaps:     backlog.New[gapKey, *Block](DefaultGapLimit),
 		supply:   supply,
 	}
@@ -390,7 +354,7 @@ func (l *Lattice) WorkBits() int { return l.workBits }
 
 // headID returns the id of addr's head block here, 0 if not opened here.
 func (l *Lattice) headID(addr keys.Address) uint32 {
-	a, ok := l.cat.accts[addr]
+	a, ok := l.accts[addr]
 	if !ok || int(a) >= len(l.heads) {
 		return 0
 	}
@@ -405,15 +369,33 @@ func (l *Lattice) successor(id uint32) uint32 {
 	return l.succ[id]
 }
 
+// block returns the block with this id, nil for id 0.
+func (l *Lattice) block(id uint32) *Block { return l.cat.At(id).block }
+
+// amount is what the send with this id moves: its predecessor's balance
+// less its own.
+func (l *Lattice) amount(id uint32) uint64 {
+	e := l.cat.At(id)
+	return l.block(e.prev).Balance - e.block.Balance
+}
+
+// hashOf returns the hash of the block with this id, zero for id 0.
+func (l *Lattice) hashOf(id uint32) hashx.Hash {
+	if id == 0 {
+		return hashx.Zero
+	}
+	return l.block(id).Hash()
+}
+
 // lookup returns the id of the block with hash h if it is attached here.
 func (l *Lattice) lookup(h hashx.Hash) (uint32, bool) {
-	id, ok := l.cat.ids[h]
-	return id, ok && l.attached.Has(id)
+	id := l.cat.ID(h)
+	return id, id != 0 && l.attached.Has(id)
 }
 
 // isPending reports whether id is a send attached and unsettled here.
 func (l *Lattice) isPending(id uint32) bool {
-	return l.attached.Has(id) && !l.settled.Has(id) && l.cat.blocks[id].Type == Send
+	return l.attached.Has(id) && !l.settled.Has(id) && l.block(id).Type == Send
 }
 
 // eachPending calls fn for every pending send here, in catalog order.
@@ -423,7 +405,7 @@ func (l *Lattice) eachPending(fn func(id uint32)) {
 			word &^= l.settled[w]
 		}
 		for ; word != 0; word &= word - 1 {
-			if id := uint32(w<<6 + bits.TrailingZeros64(word)); l.cat.blocks[id].Type == Send {
+			if id := uint32(w<<6 + bits.TrailingZeros64(word)); l.block(id).Type == Send {
 				fn(id)
 			}
 		}
@@ -433,13 +415,13 @@ func (l *Lattice) eachPending(fn func(id uint32)) {
 // Head returns an account's chain head hash.
 func (l *Lattice) Head(addr keys.Address) (hashx.Hash, bool) {
 	id := l.headID(addr)
-	return l.cat.hashOf(id), id != 0
+	return l.hashOf(id), id != 0
 }
 
 // HeadBlock returns an account's chain head block.
 func (l *Lattice) HeadBlock(addr keys.Address) (*Block, bool) {
 	id := l.headID(addr)
-	return l.cat.blocks[id], id != 0
+	return l.block(id), id != 0
 }
 
 // Balance returns an account's settled balance (0 for unopened accounts).
@@ -466,14 +448,14 @@ func (l *Lattice) Get(h hashx.Hash) (*Block, bool) {
 	if !ok {
 		return nil, false
 	}
-	return l.cat.blocks[id], true
+	return l.block(id), true
 }
 
 // appendChain appends the chain that ends at head, oldest first.
 func (l *Lattice) appendChain(out []*Block, head uint32) []*Block {
 	start := len(out)
-	for id := head; id != 0; id = l.cat.prev[id] {
-		out = append(out, l.cat.blocks[id])
+	for id := head; id != 0; id = l.cat.At(id).prev {
+		out = append(out, l.block(id))
 	}
 	slices.Reverse(out[start:])
 	return out
@@ -482,7 +464,7 @@ func (l *Lattice) appendChain(out []*Block, head uint32) []*Block {
 // ChainLen returns the number of blocks on an account's chain.
 func (l *Lattice) ChainLen(addr keys.Address) int {
 	n := 0
-	for id := l.headID(addr); id != 0; id = l.cat.prev[id] {
+	for id := l.headID(addr); id != 0; id = l.cat.At(id).prev {
 		n++
 	}
 	return n
@@ -517,7 +499,7 @@ func (l *Lattice) AllBlocks() []*Block {
 		head uint32
 	}
 	var accts []opened
-	for addr, a := range l.cat.accts {
+	for addr, a := range l.accts {
 		if int(a) < len(l.heads) && l.heads[a] != 0 {
 			accts = append(accts, opened{addr, l.heads[a]})
 		}
@@ -540,7 +522,7 @@ func (l *Lattice) BlockCount() int { return l.attached.Count() }
 func (l *Lattice) PendingFor(addr keys.Address) []hashx.Hash {
 	var out []hashx.Hash
 	l.eachPending(func(id uint32) {
-		if send := l.cat.blocks[id]; send.Destination == addr {
+		if send := l.block(id); send.Destination == addr {
 			out = append(out, send.Hash())
 		}
 	})
@@ -549,11 +531,11 @@ func (l *Lattice) PendingFor(addr keys.Address) []hashx.Hash {
 
 // PendingInfo returns the pending record of a send block.
 func (l *Lattice) PendingInfo(send hashx.Hash) (Pending, bool) {
-	id, ok := l.cat.ids[send]
-	if !ok || !l.isPending(id) {
+	id := l.cat.ID(send)
+	if !l.isPending(id) {
 		return Pending{}, false
 	}
-	return Pending{Destination: l.cat.blocks[id].Destination, Amount: l.cat.amount(id)}, true
+	return Pending{Destination: l.block(id).Destination, Amount: l.amount(id)}, true
 }
 
 // PendingCount returns the number of unsettled sends.
@@ -566,7 +548,7 @@ func (l *Lattice) PendingCount() int {
 // PendingTotal returns the total unsettled value.
 func (l *Lattice) PendingTotal() uint64 {
 	var t uint64
-	l.eachPending(func(id uint32) { t += l.cat.amount(id) })
+	l.eachPending(func(id uint32) { t += l.amount(id) })
 	return t
 }
 
@@ -595,8 +577,8 @@ func (l *Lattice) processOne(b *Block) Result {
 // signature, anti-spam work) were already performed — inline by processOne,
 // or across the ProcessBatch worker pool.
 func (l *Lattice) processVerified(b *Block, h hashx.Hash, sigOK, workOK bool) Result {
-	id, known := l.cat.ids[h]
-	if known && l.attached.Has(id) {
+	id := l.cat.ID(h)
+	if l.attached.Has(id) {
 		return Result{Status: Duplicate}
 	}
 	if !sigOK {
@@ -645,11 +627,11 @@ func (l *Lattice) processChained(b *Block, h hashx.Hash, id uint32) Result {
 		return Result{Status: GapPrevious}
 	}
 	pid, known := l.lookup(b.Prev)
-	if !known || l.cat.blocks[pid].Account != b.Account {
+	if !known || l.block(pid).Account != b.Account {
 		l.parkPrev(b)
 		return Result{Status: GapPrevious}
 	}
-	src, err := l.validateAgainstPrev(b, l.cat.blocks[pid])
+	src, err := l.validateAgainstPrev(b, l.block(pid))
 	if err != nil {
 		return l.parkOrReject(b, err)
 	}
@@ -681,17 +663,17 @@ func (l *Lattice) processChained(b *Block, h hashx.Hash, id uint32) Result {
 // replica does not hold pending is a gap (errGapSource) unless it already
 // settled here.
 func (l *Lattice) source(b *Block) (uint32, uint64, error) {
-	id, known := l.cat.ids[b.Source]
-	if !known || !l.isPending(id) {
-		if known && l.settled.Has(id) {
+	id := l.cat.ID(b.Source)
+	if !l.isPending(id) {
+		if l.settled.Has(id) {
 			return 0, 0, errors.New("lattice: source already settled")
 		}
 		return 0, 0, errGapSource
 	}
-	if l.cat.blocks[id].Destination != b.Account {
+	if l.block(id).Destination != b.Account {
 		return 0, 0, ErrWrongDest
 	}
-	return id, l.cat.amount(id), nil
+	return id, l.amount(id), nil
 }
 
 // parkOrReject turns a validation error into a result: a missing source
@@ -744,13 +726,13 @@ var errGapSource = errors.New("lattice: source not yet pending")
 // place a replica adds content.
 func (l *Lattice) link(b *Block, h hashx.Hash, id, pid uint32) {
 	if id == 0 {
-		id = l.cat.add(b, h, pid)
+		id = l.cat.Add(h, catEntry{block: b, prev: pid})
 	}
 	l.attached.Add(id)
-	a, ok := l.cat.accts[b.Account]
+	a, ok := l.accts[b.Account]
 	if !ok {
-		a = uint32(len(l.cat.accts))
-		l.cat.accts[b.Account] = a
+		a = uint32(len(l.accts))
+		l.accts[b.Account] = a
 	}
 	if int(a) >= len(l.heads) {
 		l.heads = append(l.heads, make([]uint32, int(a)+1-len(l.heads))...)
@@ -815,7 +797,7 @@ func (l *Lattice) Forks() []hashx.Hash {
 // candidates lists a contested predecessor's candidates: the attached
 // successor of pid first, then the detached rivals.
 func (l *Lattice) candidates(prev hashx.Hash, pid uint32) []hashx.Hash {
-	out := []hashx.Hash{l.cat.hashOf(l.successor(pid))}
+	out := []hashx.Hash{l.hashOf(l.successor(pid))}
 	for _, r := range l.forks[prev] {
 		out = append(out, r.Hash())
 	}
@@ -828,7 +810,7 @@ func (l *Lattice) ForkCandidates(prev hashx.Hash) ([]hashx.Hash, bool) {
 	if _, ok := l.forks[prev]; !ok {
 		return nil, false
 	}
-	return l.candidates(prev, l.cat.ids[prev]), true
+	return l.candidates(prev, l.cat.ID(prev)), true
 }
 
 // ResolveFork applies a representative-vote outcome (§III-B): the winner
@@ -841,9 +823,9 @@ func (l *Lattice) ResolveFork(prev, winner hashx.Hash) error {
 	if !ok {
 		return ErrUnknownFork
 	}
-	pid := l.cat.ids[prev]
+	pid := l.cat.ID(prev)
 	incumbent := l.successor(pid)
-	if winner == l.cat.hashOf(incumbent) {
+	if winner == l.hashOf(incumbent) {
 		delete(l.forks, prev)
 		return nil
 	}
@@ -857,14 +839,14 @@ func (l *Lattice) ResolveFork(prev, winner hashx.Hash) error {
 	if win == nil {
 		return fmt.Errorf("%w: winner %s not a candidate", ErrUnknownFork, winner)
 	}
-	a := l.cat.accts[win.Account]
+	a := l.accts[win.Account]
 	if l.heads[a] != incumbent {
 		return ErrNotAtHead
 	}
 	// Roll back the incumbent: a send's pending entry goes with its
 	// attached bit, a receive's source becomes pending again...
-	if loser := l.cat.blocks[incumbent]; loser.Type == Receive {
-		l.settled.Remove(l.cat.ids[loser.Source])
+	if loser := l.block(incumbent); loser.Type == Receive {
+		l.settled.Remove(l.cat.ID(loser.Source))
 	}
 	l.attached.Remove(incumbent)
 	l.heads[a] = pid
@@ -912,7 +894,7 @@ func (l *Lattice) Clone() *Lattice {
 func (l *Lattice) RepWeights() map[keys.Address]uint64 {
 	out := make(map[keys.Address]uint64, len(l.heads))
 	for _, id := range l.heads {
-		if head := l.cat.blocks[id]; id != 0 && head.Balance > 0 {
+		if head := l.block(id); id != 0 && head.Balance > 0 {
 			out[head.Representative] += head.Balance
 		}
 	}
@@ -925,7 +907,7 @@ func (l *Lattice) CheckInvariant() error {
 	var total uint64
 	for _, id := range l.heads {
 		if id != 0 {
-			total += l.cat.blocks[id].Balance
+			total += l.block(id).Balance
 		}
 	}
 	total += l.PendingTotal()

@@ -251,6 +251,49 @@ func TestRejections(t *testing.T) {
 	})
 }
 
+// The content hash does not cover PubKey and Sig, so a replica checks the
+// block it was handed, not the catalog's pointer under that hash: a forged
+// copy is refused even once the honest original sits in the shared
+// catalog. Unlike the chain store and the tangle, the lattice keeps no
+// pointer override, so a replica that accepts an honest copy under
+// another pointer reads the catalog's pointer back. This pins that
+// behaviour; adopting catalog.Own here changes it on purpose.
+func TestLatticeReplicaReadsTheCatalogPointer(t *testing.T) {
+	e := newEnv(t, 0)
+	replica := e.l.Clone()
+	send, err := e.l.NewSend(e.r.Pair(0), e.r.Addr(1), 500)
+	if err != nil {
+		t.Fatal(err)
+	}
+	forged := *send
+	forged.Sig = append([]byte(nil), send.Sig...)
+	forged.Sig[3] ^= 0x10
+	honest := *send
+	honest.Sig = append([]byte(nil), send.Sig...)
+
+	if res := e.l.Process(send); res.Status != Accepted {
+		t.Fatalf("original: %v (%v)", res.Status, res.Err)
+	}
+	if res := replica.Process(&forged); res.Status != Rejected || !errors.Is(res.Err, ErrBadSignature) {
+		t.Fatalf("replica: forged copy %v (%v), want rejected for its signature", res.Status, res.Err)
+	}
+	if _, ok := replica.Get(send.Hash()); ok || replica.BlockCount() != 1 {
+		t.Fatal("the replica holds the block after refusing its only copy")
+	}
+	if res := replica.Process(&honest); res.Status != Accepted {
+		t.Fatalf("replica: honest copy %v (%v), want accepted", res.Status, res.Err)
+	}
+	if got, _ := replica.Get(send.Hash()); got != send {
+		t.Fatalf("replica reads %p, want the catalog's pointer %p", got, send)
+	}
+	if head, _ := replica.HeadBlock(e.r.Addr(0)); head != send {
+		t.Fatalf("replica's head is %p, want the catalog's pointer %p", head, send)
+	}
+	if err := replica.CheckInvariant(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // §IV-B: "a transaction may not have been properly broadcasted, causing
 // the network to ignore all subsequent transactions on top of the missing
 // block" — gap buffering must recover once the missing block arrives.

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -20,57 +21,77 @@ import (
 // The zero value is ready to use and stores every sample exactly;
 // SetBudget caps the exact storage for mega-scale runs.
 type Histogram struct {
-	samples []float64
+	samples []float64 // every sample while exact; nil once collapsed
 	sorted  bool
 	sum     float64
 	budget  int
-	stream  *Streaming
+	// Past the budget: one P² marker set per tracked quantile, and the
+	// count, sum of squares and extremes, which stay exact.
+	est      []p2est
+	n        int
+	sumsq    float64
+	min, max float64
 }
 
 // SetBudget caps exact sample storage at n: past the budget the
-// histogram collapses into a Streaming estimator and runs in O(1)
-// memory, with count/sum/mean/min/max still exact and quantiles P²
-// estimates. Until the budget is crossed every query is exact, so a
+// histogram collapses into P² estimators (Jain & Chlamtac 1985) and runs
+// in O(1) memory, with count/sum/mean/min/max still exact and quantiles
+// P² estimates. Until the budget is crossed every query is exact, so a
 // budgeted histogram renders byte-identically to an unbudgeted one on
 // any run that stays below it — which is how the golden tables survive
 // the mega-scale budget. n <= 0 removes the cap (the default);
 // budgets below 32 are clamped up so the P² markers always have a
-// real distribution to warm-start from.
+// real distribution to warm-start from. Everything stays deterministic —
+// same samples in the same order, same answers — so budgeted tables are
+// shard- and worker-invariant.
 func (h *Histogram) SetBudget(n int) {
 	if n > 0 && n < 32 {
 		n = 32
 	}
 	h.budget = n
-	if n > 0 && len(h.samples) > n && h.stream == nil {
+	if n > 0 && len(h.samples) > n {
 		h.collapse()
 	}
 }
 
-// collapse hands the exact samples to a warm-started Streaming
-// estimator and drops them.
+// collapse warm-starts one P² estimator per tracked quantile from the
+// exact samples and drops them.
 func (h *Histogram) collapse() {
 	h.ensureSorted()
-	st := NewStreaming(len(h.samples))
-	st.exact = h.samples
-	st.sorted = true
-	st.n = int64(len(h.samples))
-	st.sum = h.sum
-	for _, v := range h.samples {
-		st.sumsq += v * v
+	s := h.samples
+	h.n, h.sumsq = len(s), 0
+	for _, v := range s {
+		h.sumsq += v * v
 	}
-	st.min = h.samples[0]
-	st.max = h.samples[len(h.samples)-1]
-	st.collapse()
-	h.samples = nil
-	h.sorted = false
-	h.stream = st
+	h.min, h.max = s[0], s[len(s)-1]
+	h.est = make([]p2est, len(trackedQuantiles))
+	for i, p := range trackedQuantiles {
+		h.est[i] = newP2(p, s)
+	}
+	h.samples, h.sorted = nil, false
+}
+
+// observe records one sample in the collapsed state, leaving the sum to
+// the caller.
+func (h *Histogram) observe(v float64) {
+	if v < h.min {
+		h.min = v
+	}
+	if v > h.max {
+		h.max = v
+	}
+	h.n++
+	h.sumsq += v * v
+	for i := range h.est {
+		h.est[i].add(v)
+	}
 }
 
 // Add records one sample.
 func (h *Histogram) Add(v float64) {
 	h.sum += v
-	if h.stream != nil {
-		h.stream.Add(v)
+	if h.est != nil {
+		h.observe(v)
 		return
 	}
 	h.samples = append(h.samples, v)
@@ -85,47 +106,59 @@ func (h *Histogram) AddDuration(d time.Duration) { h.Add(d.Seconds()) }
 
 // Merge folds another histogram's samples into h — pooling per-trial
 // distributions so quantiles and means are computed over every sample,
-// not averaged over summaries. Merging histograms that have collapsed
-// into streaming estimators keeps counts, sums and extremes exact but
-// merges quantile state approximately (marker feeding); budgeted
-// mega-runs only ever merge at summary accuracy.
+// not averaged over summaries. Merging a collapsed histogram keeps
+// counts, sums, moments and extremes exact but merges quantile state
+// approximately (the other side's marker heights are fed through h's
+// estimators); budgeted mega-runs only ever merge at summary accuracy.
 func (h *Histogram) Merge(other *Histogram) {
 	h.sum += other.sum
 	switch {
-	case h.stream == nil && other.stream == nil:
+	case other.est == nil && h.est != nil:
+		for _, v := range other.samples {
+			h.observe(v)
+		}
+	case other.est == nil:
 		h.samples = append(h.samples, other.samples...)
 		h.sorted = false
 		if h.budget > 0 && len(h.samples) > h.budget {
 			h.collapse()
 		}
-	case h.stream == nil:
-		if len(h.samples) < 32 {
-			// Too few exact samples to warm-start markers from: fold
-			// them into a copy of the other side's estimator instead.
-			st := other.stream.clone()
-			for _, v := range h.samples {
-				st.Add(v)
-			}
-			h.samples = nil
-			h.sorted = false
-			h.stream = st
-		} else {
-			h.collapse()
-			h.stream.absorb(other.stream)
-		}
-	case other.stream == nil:
-		for _, v := range other.samples {
-			h.stream.Add(v)
+	case h.est == nil && len(h.samples) < 32:
+		// Too few exact samples to warm-start markers from: fold them
+		// into a copy of the other side's collapsed state instead.
+		mine := h.samples
+		h.est = slices.Clone(other.est)
+		h.n, h.sumsq, h.min, h.max = other.n, other.sumsq, other.min, other.max
+		h.samples, h.sorted = nil, false
+		for _, v := range mine {
+			h.observe(v)
 		}
 	default:
-		h.stream.absorb(other.stream)
+		if h.est == nil {
+			h.collapse()
+		}
+		for i := range h.est {
+			for _, o := range other.est {
+				for _, q := range o.q {
+					h.est[i].add(q)
+				}
+			}
+		}
+		h.n += other.n
+		h.sumsq += other.sumsq
+		if other.min < h.min {
+			h.min = other.min
+		}
+		if other.max > h.max {
+			h.max = other.max
+		}
 	}
 }
 
 // N returns the number of samples.
 func (h *Histogram) N() int {
-	if h.stream != nil {
-		return int(h.stream.N())
+	if h.est != nil {
+		return h.n
 	}
 	return len(h.samples)
 }
@@ -150,10 +183,12 @@ func (h *Histogram) ensureSorted() {
 }
 
 // Quantile returns the p-quantile (0 ≤ p ≤ 1) by nearest-rank, or 0 with
-// no samples. Past a SetBudget collapse it is the streaming estimate.
+// no samples. Past a SetBudget collapse it is the P² estimate of the
+// nearest tracked quantile (p <= 0 and p >= 1 stay exact via min/max),
+// clamped into [min, max].
 func (h *Histogram) Quantile(p float64) float64 {
-	if h.stream != nil {
-		return h.stream.Quantile(p)
+	if h.est != nil {
+		return h.estimate(p)
 	}
 	if len(h.samples) == 0 {
 		return 0
@@ -182,10 +217,15 @@ func (h *Histogram) Max() float64 { return h.Quantile(1) }
 // workload-realism experiments report next to p50/p99.
 func (h *Histogram) P999() float64 { return h.Quantile(0.999) }
 
-// Stddev returns the population standard deviation.
+// Stddev returns the population standard deviation: two-pass while
+// exact, from the moments once collapsed.
 func (h *Histogram) Stddev() float64 {
-	if h.stream != nil {
-		return h.stream.Stddev()
+	if h.est != nil {
+		mean := h.Mean()
+		if v := h.sumsq/float64(h.n) - mean*mean; v > 0 {
+			return math.Sqrt(v)
+		}
+		return 0
 	}
 	n := len(h.samples)
 	if n == 0 {

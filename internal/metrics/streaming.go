@@ -1,243 +1,34 @@
 package metrics
 
-import (
-	"math"
-	"sort"
-	"time"
-)
+import "math"
 
-// defaultStreamQuantiles are the tracked quantiles of a collapsed
-// histogram — every quantile the experiment tables actually render
-// (p50, p95, p99) plus the p999 tail column.
-var defaultStreamQuantiles = []float64{0.5, 0.95, 0.99, 0.999}
+// trackedQuantiles are the quantiles a collapsed histogram estimates —
+// every quantile the experiment tables actually render (p50, p95, p99)
+// plus the p999 tail column.
+var trackedQuantiles = []float64{0.5, 0.95, 0.99, 0.999}
 
-// Streaming is a fixed-budget quantile estimator: it stores samples
-// exactly (answering nearest-rank quantiles identical to Histogram)
-// until the budget is crossed, then collapses into one P² estimator
-// per tracked quantile (Jain & Chlamtac 1985) and runs in O(1) memory
-// from there on. Count, sum, mean, min, max and standard deviation
-// stay exact in both phases; post-collapse quantiles are P² estimates.
-//
-// Everything is deterministic — same samples in the same order, same
-// answers — so shard/worker invariance of the experiment tables is
-// unaffected by the estimator kicking in.
-type Streaming struct {
-	budget int
-	qs     []float64
-	exact  []float64
-	sorted bool
-	est    []p2est // one per tracked quantile; non-nil once collapsed
-	n      int64
-	sum    float64
-	sumsq  float64
-	min    float64
-	max    float64
-}
-
-// NewStreaming creates an estimator that keeps up to budget exact
-// samples (budgets below 32 are clamped up so the P² markers have a
-// real distribution to warm-start from; <= 0 selects 4096) and tracks
-// the given quantiles after collapse. With no quantiles it tracks the
-// table set: p50, p95, p99, p999.
-func NewStreaming(budget int, quantiles ...float64) *Streaming {
-	switch {
-	case budget <= 0:
-		budget = 4096
-	case budget < 32:
-		budget = 32
-	}
-	if len(quantiles) == 0 {
-		quantiles = defaultStreamQuantiles
-	}
-	return &Streaming{budget: budget, qs: append([]float64(nil), quantiles...)}
-}
-
-// Add records one sample.
-func (s *Streaming) Add(v float64) {
-	if s.n == 0 || v < s.min {
-		s.min = v
-	}
-	if s.n == 0 || v > s.max {
-		s.max = v
-	}
-	s.n++
-	s.sum += v
-	s.sumsq += v * v
-	if s.est != nil {
-		for i := range s.est {
-			s.est[i].add(v)
-		}
-		return
-	}
-	s.exact = append(s.exact, v)
-	s.sorted = false
-	if len(s.exact) > s.budget {
-		s.collapse()
-	}
-}
-
-// AddDuration records a duration sample in seconds.
-func (s *Streaming) AddDuration(d time.Duration) { s.Add(d.Seconds()) }
-
-// collapse warm-starts one P² estimator per tracked quantile from the
-// exact sample set and drops the samples.
-func (s *Streaming) collapse() {
-	s.ensureSorted()
-	s.est = make([]p2est, len(s.qs))
-	for i, p := range s.qs {
-		s.est[i] = newP2(p, s.exact)
-	}
-	s.exact = nil
-	s.sorted = false
-}
-
-func (s *Streaming) ensureSorted() {
-	if !s.sorted {
-		sort.Float64s(s.exact)
-		s.sorted = true
-	}
-}
-
-// N returns the number of samples recorded.
-func (s *Streaming) N() int64 { return s.n }
-
-// Sum returns the exact sample sum.
-func (s *Streaming) Sum() float64 { return s.sum }
-
-// Mean returns the exact sample mean, or 0 with no samples.
-func (s *Streaming) Mean() float64 {
-	if s.n == 0 {
-		return 0
-	}
-	return s.sum / float64(s.n)
-}
-
-// Min returns the smallest sample, or 0 with no samples.
-func (s *Streaming) Min() float64 { return s.min }
-
-// Max returns the largest sample, or 0 with no samples.
-func (s *Streaming) Max() float64 { return s.max }
-
-// Estimating reports whether the budget has been crossed — quantiles
-// are P² estimates from here on.
-func (s *Streaming) Estimating() bool { return s.est != nil }
-
-// Stddev returns the population standard deviation: two-pass exact
-// below the budget (matching Histogram bit for bit), moment-based
-// after collapse.
-func (s *Streaming) Stddev() float64 {
-	if s.n == 0 {
-		return 0
-	}
-	if s.est == nil {
-		mean := s.Mean()
-		var acc float64
-		for _, v := range s.exact {
-			d := v - mean
-			acc += d * d
-		}
-		return math.Sqrt(acc / float64(s.n))
-	}
-	mean := s.Mean()
-	if v := s.sumsq/float64(s.n) - mean*mean; v > 0 {
-		return math.Sqrt(v)
-	}
-	return 0
-}
-
-// Quantile returns the p-quantile. Below the budget it is the exact
-// nearest-rank answer Histogram gives; after collapse it is the P²
-// estimate of the nearest tracked quantile (p <= 0 and p >= 1 stay
-// exact via min/max), clamped into [min, max].
-func (s *Streaming) Quantile(p float64) float64 {
-	if s.n == 0 {
-		return 0
-	}
-	if s.est == nil {
-		s.ensureSorted()
-		if p <= 0 {
-			return s.exact[0]
-		}
-		if p >= 1 {
-			return s.exact[len(s.exact)-1]
-		}
-		idx := int(math.Ceil(p*float64(len(s.exact)))) - 1
-		if idx < 0 {
-			idx = 0
-		}
-		return s.exact[idx]
-	}
+// estimate is Quantile on a collapsed histogram.
+func (h *Histogram) estimate(p float64) float64 {
 	if p <= 0 {
-		return s.min
+		return h.min
 	}
 	if p >= 1 {
-		return s.max
+		return h.max
 	}
 	best := 0
-	for i := range s.qs {
-		if math.Abs(s.qs[i]-p) < math.Abs(s.qs[best]-p) {
+	for i, q := range trackedQuantiles {
+		if math.Abs(q-p) < math.Abs(trackedQuantiles[best]-p) {
 			best = i
 		}
 	}
-	v := s.est[best].value()
-	if v < s.min {
-		v = s.min
+	v := h.est[best].value()
+	if v < h.min {
+		v = h.min
 	}
-	if v > s.max {
-		v = s.max
+	if v > h.max {
+		v = h.max
 	}
 	return v
-}
-
-// clone returns an independent copy of the estimator.
-func (s *Streaming) clone() *Streaming {
-	c := *s
-	c.qs = append([]float64(nil), s.qs...)
-	c.exact = append([]float64(nil), s.exact...)
-	c.est = append([]p2est(nil), s.est...)
-	return &c
-}
-
-// absorb folds another estimator's population into s. Exact counters
-// (count, sum, moments, extremes) merge losslessly; if either side has
-// collapsed, the other's marker heights (or exact samples) are fed
-// through the P² estimators, so merged quantiles are approximations —
-// summary-level accuracy, intended for budgeted mega-runs only.
-func (s *Streaming) absorb(o *Streaming) {
-	if o.n == 0 {
-		return
-	}
-	if s.est == nil && o.est == nil && len(s.exact)+len(o.exact) <= s.budget {
-		for _, v := range o.exact {
-			s.Add(v)
-		}
-		return
-	}
-	if s.est == nil {
-		s.collapse()
-	}
-	feed := o.exact
-	if o.est != nil {
-		for i := range o.est {
-			for _, h := range o.est[i].q {
-				feed = append(feed, h)
-			}
-		}
-	}
-	for i := range s.est {
-		for _, v := range feed {
-			s.est[i].add(v)
-		}
-	}
-	s.n += o.n
-	s.sum += o.sum
-	s.sumsq += o.sumsq
-	if o.min < s.min {
-		s.min = o.min
-	}
-	if o.max > s.max {
-		s.max = o.max
-	}
 }
 
 // p2est is one P² marker set: five heights q tracking the quantile p,

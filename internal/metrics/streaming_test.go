@@ -7,26 +7,26 @@ import (
 )
 
 // TestStreamingExactBelowBudget pins the fixed-budget contract: until
-// the budget is crossed, every Streaming answer equals the exact
+// the budget is crossed, every budgeted answer equals the unbudgeted
 // Histogram's, bit for bit.
 func TestStreamingExactBelowBudget(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	s := NewStreaming(1000)
-	var h Histogram
+	var s, h Histogram
+	s.SetBudget(1000)
 	for i := 0; i < 1000; i++ {
 		v := rng.NormFloat64()*3 + 10
 		s.Add(v)
 		h.Add(v)
 	}
-	if s.Estimating() {
-		t.Fatal("estimator collapsed below its budget")
+	if s.est != nil {
+		t.Fatal("histogram collapsed below its budget")
 	}
 	for _, p := range []float64{0, 0.1, 0.5, 0.95, 0.99, 0.999, 1} {
 		if got, want := s.Quantile(p), h.Quantile(p); got != want {
 			t.Fatalf("Quantile(%v) = %v, want exact %v", p, got, want)
 		}
 	}
-	if s.Mean() != h.Mean() || s.Sum() != h.Sum() || int(s.N()) != h.N() {
+	if s.Mean() != h.Mean() || s.Sum() != h.Sum() || s.N() != h.N() {
 		t.Fatal("exact-phase moments diverged from Histogram")
 	}
 	if s.Stddev() != h.Stddev() {
@@ -39,18 +39,18 @@ func TestStreamingExactBelowBudget(t *testing.T) {
 // quantiles while moments and extremes stay exact.
 func TestStreamingEstimateAccuracy(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	s := NewStreaming(4096)
-	var h Histogram
+	var s, h Histogram
+	s.SetBudget(4096)
 	const n = 200_000
 	for i := 0; i < n; i++ {
 		v := rng.Float64() * 100
 		s.Add(v)
 		h.Add(v)
 	}
-	if !s.Estimating() {
-		t.Fatal("estimator never collapsed")
+	if s.est == nil {
+		t.Fatal("histogram never collapsed")
 	}
-	if int(s.N()) != n || s.Sum() != h.Sum() || s.Min() != h.Min() || s.Max() != h.Max() {
+	if s.N() != n || s.Sum() != h.Sum() || s.Min() != h.Min() || s.Max() != h.Max() {
 		t.Fatal("moments/extremes must stay exact past the budget")
 	}
 	for _, p := range []float64{0.5, 0.95, 0.99, 0.999} {
@@ -70,7 +70,8 @@ func TestStreamingEstimateAccuracy(t *testing.T) {
 func TestStreamingDeterminism(t *testing.T) {
 	run := func() []float64 {
 		rng := rand.New(rand.NewSource(11))
-		s := NewStreaming(64)
+		var s Histogram
+		s.SetBudget(64)
 		for i := 0; i < 10_000; i++ {
 			s.Add(rng.ExpFloat64())
 		}
@@ -80,6 +81,96 @@ func TestStreamingDeterminism(t *testing.T) {
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("run diverged at %d: %v vs %v", i, a[i], b[i])
+		}
+	}
+}
+
+// TestHistogramCollapsePin pins a collapsed histogram's answers to the
+// values the two-type implementation (a Histogram handing its samples to
+// a separate streaming estimator) gave, bit for bit: Add past the budget,
+// a retroactive SetBudget, and every Merge pairing of exact and collapsed
+// sides. Its Stddev must also match an unbudgeted twin fed the same
+// samples: the moments are exact, so only rounding may separate them.
+// The two-type version counted the other side's sum twice when an exact
+// side of 32 or more samples merged a collapsed one, and its Stddev read
+// 0 there.
+func TestHistogramCollapsePin(t *testing.T) {
+	type pin struct {
+		n                   int
+		sum, mean, min, max float64
+		q                   [7]float64 // Quantile(0, .3, .5, .95, .99, .999, 1)
+	}
+	rng := rand.New(rand.NewSource(13))
+	// build returns n uniforms under budget (0: none) and an unbudgeted
+	// twin of the same samples.
+	build := func(n, budget int) (*Histogram, *Histogram) {
+		var h, twin Histogram
+		h.SetBudget(budget)
+		for i := 0; i < n; i++ {
+			v := rng.Float64()
+			h.Add(v)
+			twin.Add(v)
+		}
+		return &h, &twin
+	}
+	merge := func(a, at, b, bt *Histogram) (*Histogram, *Histogram) {
+		a.Merge(b)
+		at.Merge(bt)
+		return a, at
+	}
+	pair := func(an, ab, bn, bb int) (*Histogram, *Histogram) {
+		a, at := build(an, ab)
+		b, bt := build(bn, bb)
+		return merge(a, at, b, bt)
+	}
+	retro := func() (*Histogram, *Histogram) {
+		h, twin := build(5000, 0)
+		h.SetBudget(64)
+		return h, twin
+	}
+	chained := func() (*Histogram, *Histogram) {
+		a, at := pair(500, 0, 900, 64)
+		b, bt := build(700, 64)
+		return merge(a, at, b, bt)
+	}
+	// The cases run in this order: each draws its samples from rng.
+	cases := []struct {
+		name string
+		make func() (*Histogram, *Histogram)
+		want pin
+	}{
+		{"add past budget", func() (*Histogram, *Histogram) { return build(1000, 64) },
+			pin{1000, 484.70021155698583, 0.48470021155698584, 0.0002877755724496751, 0.9971204774243787, [7]float64{0.0002877755724496751, 0.48930836090564644, 0.48930836090564644, 0.9450653025950048, 0.9768527127081915, 0.9923058292673715, 0.9971204774243787}}},
+		{"retroactive budget", retro,
+			pin{5000, 2490.90190656255, 0.49818038131250997, 2.021308662962496e-05, 0.999897431834484, [7]float64{2.021308662962496e-05, 0.5049537487290047, 0.5049537487290047, 0.9504321744707347, 0.9895173396032099, 0.9989844192343869, 0.999897431834484}}},
+		{"exact+exact", func() (*Histogram, *Histogram) { return pair(500, 0, 700, 0) },
+			pin{1200, 585.1529411849585, 0.48762745098746546, 0.0020665301681573717, 0.9983842754891405, [7]float64{0.0020665301681573717, 0.29523226599362723, 0.47228873645511305, 0.9477007888394384, 0.9920202402665033, 0.9983666226518719, 0.9983842754891405}}},
+		{"exact+exact past budget", func() (*Histogram, *Histogram) { return pair(200, 256, 300, 0) },
+			pin{500, 247.45617313750182, 0.49491234627500363, 0.002855469997255431, 0.9990878490332129, [7]float64{0.002855469997255431, 0.4989582062666173, 0.4989582062666173, 0.9401046713381779, 0.991997586673267, 0.996624244773885, 0.9990878490332129}}},
+		{"exact+collapsed", func() (*Histogram, *Histogram) { return pair(500, 0, 900, 64) },
+			pin{1400, 709.8784218717658, 0.5070560156226899, 0.0009244736012847896, 0.9997175619409742, [7]float64{0.0009244736012847896, 0.4931141129209197, 0.4931141129209197, 0.9648928853854063, 0.9977599505749625, 0.9992440495884121, 0.9997175619409742}}},
+		{"small-exact+collapsed", func() (*Histogram, *Histogram) { return pair(40, 0, 900, 64) },
+			pin{940, 485.546774589449, 0.5165391219036691, 0.0011594705289927798, 0.9980160147193212, [7]float64{0.0011594705289927798, 0.563816411847013, 0.563816411847013, 0.9960587547476184, 0.996401201027968, 0.996401201027968, 0.9980160147193212}}},
+		{"tiny-exact+collapsed", func() (*Histogram, *Histogram) { return pair(3, 0, 900, 64) },
+			pin{903, 457.01351347449565, 0.5061057735044249, 0.0006085393661389691, 0.999554784268139, [7]float64{0.0006085393661389691, 0.5037442959875091, 0.5037442959875091, 0.9520575877554265, 0.9885329724647455, 0.9968362074802007, 0.999554784268139}}},
+		{"collapsed+exact", func() (*Histogram, *Histogram) { return pair(900, 64, 500, 0) },
+			pin{1400, 698.1095778354925, 0.4986496984539232, 0.0006822501861408569, 0.9999909757850852, [7]float64{0.0006822501861408569, 0.5026495824003289, 0.5026495824003289, 0.9471979810449123, 0.9917680931915394, 0.9988319463260775, 0.9999909757850852}}},
+		{"collapsed+collapsed", func() (*Histogram, *Histogram) { return pair(900, 64, 900, 64) },
+			pin{1800, 895.2964553813474, 0.4973869196563041, 0.0007137724193945579, 0.999555208714656, [7]float64{0.0007137724193945579, 0.5003735466081036, 0.5003735466081036, 0.9644324322284871, 0.9973490487842661, 0.999184773629846, 0.999555208714656}}},
+		{"merged+collapsed", chained,
+			pin{2100, 1064.7819317363615, 0.5070390151125531, 0.00024148771260224943, 0.9996335773965302, [7]float64{0.00024148771260224943, 0.49626259387096405, 0.49626259387096405, 0.9802651986431822, 0.9992018475740984, 0.9995382839950329, 0.9996335773965302}}},
+	}
+	for _, tc := range cases {
+		h, twin := tc.make()
+		got := pin{n: h.N(), sum: h.Sum(), mean: h.Mean(), min: h.Min(), max: h.Max()}
+		for i, p := range []float64{0, 0.3, 0.5, 0.95, 0.99, 0.999, 1} {
+			got.q[i] = h.Quantile(p)
+		}
+		if got != tc.want {
+			t.Errorf("%s: got %+v, want %+v", tc.name, got, tc.want)
+		}
+		if sd, want := h.Stddev(), twin.Stddev(); math.Abs(sd-want) > 1e-9*want {
+			t.Errorf("%s: Stddev = %v, unbudgeted twin %v", tc.name, sd, want)
 		}
 	}
 }

@@ -443,7 +443,7 @@ func benchColdStart(scale float64, n int) float64 {
 	return tps
 }
 
-// benchStreamingQuantile drives the fixed-budget estimator through its
+// benchStreamingQuantile drives a budgeted histogram through its
 // collapse: a seeded sample stream four times the budget is absorbed
 // and the tracked quantiles read back — the per-sample cost of the
 // mega-scale histograms that no longer store one float64 per node.
@@ -451,7 +451,8 @@ func benchStreamingQuantile(scale float64, n int) float64 {
 	budget := scaled(4096, scale)
 	samples := 4 * budget
 	for op := 0; op < n; op++ {
-		st := metrics.NewStreaming(budget)
+		var st metrics.Histogram
+		st.SetBudget(budget)
 		rng := rand.New(rand.NewSource(31))
 		for i := 0; i < samples; i++ {
 			st.Add(rng.Float64() * 100)

@@ -114,9 +114,6 @@ func NewLottery(miners []Miner) (*Lottery, error) {
 	return l, nil
 }
 
-// TotalHashRate returns the summed hash rate.
-func (l *Lottery) TotalHashRate() float64 { return l.total }
-
 // SampleInterval draws the time until the network finds the next block at
 // the given difficulty: Exp(difficulty / totalHashRate).
 func (l *Lottery) SampleInterval(rng *rand.Rand, difficulty float64) time.Duration {

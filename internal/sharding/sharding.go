@@ -230,9 +230,6 @@ func (s *Shard) ApplyReceipt(sourceBlock *ShardBlock, r Receipt, proof merkle.Pr
 	return nil
 }
 
-// Processed returns how many transaction executions this shard performed.
-func (s *Shard) Processed() int { return s.processed }
-
 // ID returns the shard index.
 func (s *Shard) ID() int { return s.id }
 

@@ -10,11 +10,11 @@
 // the cooperative analogue of the paper's §IV confirmation-confidence
 // depth rules.
 //
-// Content is separate from state, as in the chain and lattice packages.
-// Every vertex the replicas of one network attach enters one append-only
-// catalog: hash → dense id, id → *Vertex and its two parent ids, all
-// fixed by the content hash. A replica (New, or Replica of another)
-// holds only its state over those ids: attached and confirmed bitsets,
+// Content is separate from state (see internal/catalog). Every vertex the
+// replicas of one network attach enters one catalog, whose entry holds
+// the *Vertex and its two parent ids. A replica (New, or Replica of
+// another) holds only its state over those ids: attached and confirmed
+// bitsets,
 // its attach-order id list, one slot column of coverage weight, tip
 // position and walk stamp, its tip list and its parked backlog. The
 // per-attach ancestor walk uses the epoch-stamped slots instead of an
@@ -29,6 +29,7 @@ import (
 
 	"repro/internal/backlog"
 	"repro/internal/bitset"
+	"repro/internal/catalog"
 	"repro/internal/hashx"
 	"repro/internal/keys"
 )
@@ -198,18 +199,6 @@ type VertexID uint32
 
 const genesisID VertexID = 1
 
-// catalog is the append-only table of every vertex the replicas of one
-// network have attached, each under a dense id. It is content, not
-// state: a vertex and its parents' ids are fixed by its content hash, so
-// the replicas of a network (Replica) share one catalog and keep only
-// their own state over its ids. A vertex enters on its first attach
-// anywhere in the network and never leaves. Not safe for concurrent use:
-// a catalog never leaves the goroutine that drives its network.
-type catalog struct {
-	ids     map[hashx.Hash]VertexID
-	entries []catEntry // id → entry; entries[0] is the zero entry
-}
-
 // catEntry is one catalogued vertex and its parents' ids (0 for the
 // genesis).
 type catEntry struct {
@@ -217,37 +206,21 @@ type catEntry struct {
 	parents [2]VertexID
 }
 
-func newCatalog(genesis *Vertex) *catalog {
-	c := &catalog{ids: make(map[hashx.Hash]VertexID), entries: make([]catEntry, 1)}
-	c.add(genesis, genesis.Hash(), 0, 0)
-	return c
-}
-
-// add enters a vertex no replica has attached yet and returns its id.
-func (c *catalog) add(v *Vertex, h hashx.Hash, pa, pb VertexID) VertexID {
-	id := VertexID(len(c.entries))
-	c.ids[h] = id
-	c.entries = append(c.entries, catEntry{vertex: v, parents: [2]VertexID{pa, pb}})
-	return id
-}
-
 // Tangle is one replica's view of its network's DAG: which catalog
 // vertices it has attached, in which order, and the coverage it has
 // counted on them. A vertex in the catalog that this replica has not
 // attached does not exist for it.
 type Tangle struct {
-	cat           *catalog
+	cat           *catalog.Catalog[VertexID, catEntry]
 	confirmWeight int32
 
 	attached  bitset.Set
 	confirmed bitset.Set
 	order     []VertexID // attach order here: a topological order
 	slots     []slot     // catalog id → this replica's state for it
-	// own holds this replica's pointer for a vertex the catalog knows
-	// under another pointer with the same hash: the vertex this replica
-	// verified is the one it serves. Nil on honest runs, where every
-	// replica of a network attaches one pointer.
-	own map[VertexID]*Vertex
+	// own holds the vertices this replica verified under another pointer
+	// than the catalog's: the ones it serves.
+	own catalog.Own[VertexID, *Vertex]
 
 	tips []VertexID // attached ids nothing here approves yet
 
@@ -288,10 +261,12 @@ func New(genesis *Vertex, confirmWeight int) (*Tangle, error) {
 	if confirmWeight < 1 {
 		confirmWeight = 1
 	}
-	return replicaOn(newCatalog(genesis), int32(confirmWeight)), nil
+	cat := catalog.New[VertexID, catEntry]()
+	cat.Add(genesis.Hash(), catEntry{vertex: genesis})
+	return replicaOn(cat, int32(confirmWeight)), nil
 }
 
-func replicaOn(cat *catalog, confirmWeight int32) *Tangle {
+func replicaOn(cat *catalog.Catalog[VertexID, catEntry], confirmWeight int32) *Tangle {
 	t := &Tangle{
 		cat:           cat,
 		confirmWeight: confirmWeight,
@@ -319,22 +294,17 @@ func (t *Tangle) Replica() *Tangle { return replicaOn(t.cat, t.confirmWeight) }
 func (t *Tangle) Parked() *backlog.Buffer[hashx.Hash, *Vertex] { return &t.parked }
 
 // vertex returns this replica's pointer for an attached id.
-func (t *Tangle) vertex(id VertexID) *Vertex {
-	if v, ok := t.own[id]; ok {
-		return v
-	}
-	return t.cat.entries[id].vertex
-}
+func (t *Tangle) vertex(id VertexID) *Vertex { return t.own.Get(id, t.cat.At(id).vertex) }
 
 // lookup returns the id of the vertex with hash h if it is attached here.
 func (t *Tangle) lookup(h hashx.Hash) (VertexID, bool) {
-	id, ok := t.cat.ids[h]
-	return id, ok && t.attached.Has(uint32(id))
+	id := t.cat.ID(h)
+	return id, id != 0 && t.attached.Has(uint32(id))
 }
 
 // HashOf returns the hash of the vertex with a catalog id this replica
 // reported, as in Result.Confirmed.
-func (t *Tangle) HashOf(id VertexID) hashx.Hash { return t.cat.entries[id].vertex.Hash() }
+func (t *Tangle) HashOf(id VertexID) hashx.Hash { return t.cat.At(id).vertex.Hash() }
 
 // addTip registers id as a tip.
 func (t *Tangle) addTip(id VertexID) {
@@ -390,8 +360,8 @@ func (t *Tangle) Attach(v *Vertex) Result {
 // acceptance.
 func (t *Tangle) attachOne(v *Vertex) Result {
 	h := v.Hash()
-	id, known := t.cat.ids[h]
-	if known && t.attached.Has(uint32(id)) {
+	id := t.cat.ID(h)
+	if t.attached.Has(uint32(id)) {
 		return Result{Status: Duplicate}
 	}
 	if v.ParentA == h || v.ParentB == h {
@@ -414,15 +384,10 @@ func (t *Tangle) attachOne(v *Vertex) Result {
 	// The catalog entry is written on the vertex's first attach in the
 	// network; a later replica that verified another pointer under the
 	// same hash keeps that pointer as its own.
-	switch {
-	case !known:
-		id = t.cat.add(v, h, pa, pb)
-	case t.cat.entries[id].vertex != v:
-		if t.own == nil {
-			t.own = make(map[VertexID]*Vertex)
-		}
-		t.own[id] = v
+	if id == 0 {
+		id = t.cat.Add(h, catEntry{vertex: v, parents: [2]VertexID{pa, pb}})
 	}
+	t.own.Keep(id, v, t.cat.At(id).vertex)
 	t.attached.Add(uint32(id))
 	t.order = append(t.order, id)
 	if n := int(id) + 1; n > len(t.slots) {
@@ -444,7 +409,7 @@ func (t *Tangle) attachOne(v *Vertex) Result {
 func (t *Tangle) propagate(id VertexID) []VertexID {
 	t.epoch++
 	var newly []VertexID
-	ps := t.cat.entries[id].parents
+	ps := t.cat.At(id).parents
 	t.stack = append(t.stack[:0], ps[0], ps[1])
 	for len(t.stack) > 0 {
 		u := t.stack[len(t.stack)-1]
@@ -459,7 +424,7 @@ func (t *Tangle) propagate(id VertexID) []VertexID {
 			t.cement(u, &newly)
 			continue
 		}
-		ps := t.cat.entries[u].parents
+		ps := t.cat.At(u).parents
 		t.stack = append(t.stack, ps[0], ps[1])
 	}
 	return newly
@@ -471,7 +436,7 @@ func (t *Tangle) propagate(id VertexID) []VertexID {
 // Output order is ancestor before descendant, the §IV coverage closure.
 func (t *Tangle) cement(id VertexID, out *[]VertexID) {
 	t.confirmed.Add(uint32(id))
-	for _, p := range t.cat.entries[id].parents {
+	for _, p := range t.cat.At(id).parents {
 		if p != 0 && !t.confirmed.Has(uint32(p)) {
 			t.cement(p, out)
 		}

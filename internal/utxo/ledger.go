@@ -112,19 +112,19 @@ func NewLedger(alloc map[keys.Address]uint64, params Params) (*Ledger, error) {
 // block catalog and the transaction and coin catalog — content every node
 // of a network agrees on — while the block store, UTXO set and mempool
 // are the replica's own bits over them. The ledgers of one network must
-// stay on one goroutine (see catalog).
+// stay on one goroutine (see internal/catalog).
 func (l *Ledger) Replica() *Ledger {
 	return newReplica(l.params, l.genesis, l.store.Replica(), l.set.cat)
 }
 
 // newReplica builds a ledger at genesis over a store at genesis and the
 // given catalog.
-func newReplica(params Params, genesis *chain.Block, store *chain.Store, cat *catalog) *Ledger {
+func newReplica(params Params, genesis *chain.Block, store *chain.Store, cat *txCatalog) *Ledger {
 	genesisTx := genesis.Payload.(*BlockBody).Txs[0]
 	set := &Set{cat: cat}
 	set.create(genesisTx)
 	carrier, _ := store.IDOf(genesis.Hash())
-	cat.carriedBy(cat.txIDs[genesisTx.ID()], carrier)
+	cat.carriedBy(cat.txs.ID(genesisTx.ID()), carrier)
 	return &Ledger{
 		params:  params,
 		store:   store,
@@ -168,11 +168,11 @@ func (l *Ledger) SubmitTx(tx *Tx) error { return l.pool.Add(tx) }
 // exactly the §IV-A notion merchants count before trusting a payment.
 func (l *Ledger) Confirmations(txID hashx.Hash) int {
 	cat := l.set.cat
-	r, ok := cat.txIDs[txID]
-	if !ok {
+	r := cat.txs.ID(txID)
+	if r == 0 {
 		return 0
 	}
-	if n := l.store.ConfirmationsOf(cat.txs[r].carrier); n > 0 {
+	if n := l.store.ConfirmationsOf(cat.txs.At(r).carrier); n > 0 {
 		return n
 	}
 	for _, block := range cat.carriers[r] {
@@ -311,7 +311,7 @@ func (l *Ledger) connect(b *chain.Block) error {
 	carrier, _ := l.store.IDOf(b.Hash())
 	cat := l.set.cat
 	for _, tx := range body.Txs {
-		cat.carriedBy(cat.txIDs[tx.ID()], carrier)
+		cat.carriedBy(cat.txs.ID(tx.ID()), carrier)
 	}
 	l.pool.RemoveConfirmed(body.Txs)
 	return nil

@@ -6,6 +6,7 @@ import (
 	"slices"
 
 	"repro/internal/bitset"
+	"repro/internal/catalog"
 	"repro/internal/hashx"
 )
 
@@ -34,11 +35,9 @@ type Mempool struct {
 	// removals costs one pass.
 	order []uint32
 	stale int
-	// own holds this pool's entry for a transaction the catalog knows
-	// under another pointer with the same id: the pointer this pool
-	// validated is the one it mines. Nil on honest runs, where every
-	// replica of a network pools one pointer.
-	own   map[uint32]*poolEntry
+	// own holds this pool's entries for the transactions it validated
+	// under another pointer than the catalog's: the ones it mines.
+	own   catalog.Own[uint32, *poolEntry]
 	bytes int
 }
 
@@ -53,16 +52,13 @@ func (m *Mempool) Bytes() int { return m.bytes }
 
 // entry returns this pool's view of a catalog row.
 func (m *Mempool) entry(r uint32) *poolEntry {
-	if e, ok := m.own[r]; ok {
-		return e
-	}
-	return &m.set.cat.txs[r].poolEntry
+	return m.own.Get(r, &m.set.cat.txs.At(r).poolEntry)
 }
 
 // pooledRow returns id's catalog row if that transaction is pooled here.
 func (m *Mempool) pooledRow(id hashx.Hash) (uint32, bool) {
-	r, ok := m.set.cat.txIDs[id]
-	return r, ok && m.pooled.Has(r)
+	r := m.set.cat.txs.ID(id)
+	return r, r != 0 && m.pooled.Has(r)
 }
 
 // Contains reports whether a transaction is pooled.
@@ -117,20 +113,17 @@ func (m *Mempool) Add(tx *Tx) error {
 		}
 	}
 	r := cat.row(tx)
-	row := &cat.txs[r]
+	row := cat.txs.At(r)
 	e := &row.poolEntry
 	switch {
 	case row.tx != tx:
 		e = &poolEntry{tx: tx}
 		e.price(fee)
-		if m.own == nil {
-			m.own = make(map[uint32]*poolEntry)
-		}
-		m.own[r] = e
 	case !row.priced:
 		e.price(fee)
 		row.priced = true
 	}
+	m.own.Keep(r, e, &row.poolEntry)
 	for _, id := range ins {
 		m.claimed.Add(id)
 		cat.spentBy(id, r)

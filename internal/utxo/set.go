@@ -6,15 +6,15 @@ import (
 	"slices"
 
 	"repro/internal/bitset"
+	"repro/internal/catalog"
 	"repro/internal/chain"
-	"repro/internal/hashx"
 	"repro/internal/keys"
 )
 
 // coin is one transaction output ever created: its value and owner, fixed
 // by the transaction that created it, the outpoint that names it, and the
 // catalog row of the first pooled transaction that spends it (0 for none;
-// catalog.spenders holds any others).
+// txCatalog.spenders holds any others).
 type coin struct {
 	TxOut
 	op      Outpoint
@@ -47,26 +47,24 @@ type txEntry struct {
 	// applies it.
 	base uint32
 	// carrier is the first catalogued block that carries the transaction
-	// (0 for none); further carriers sit in catalog.carriers.
+	// (0 for none); further carriers sit in txCatalog.carriers.
 	carrier chain.BlockID
 }
 
 const noCoins = ^uint32(0)
 
-// catalog is the append-only content of one network's transactions: a
-// table of every transaction its replicas have pooled or applied, and of
-// every coin those transactions created, each under a dense id. It is
-// content, not state — a transaction's fee, its coins, the blocks that
-// carry it and the coins it spends are pure functions of the transactions
-// and blocks themselves — so the replicas of a network (Ledger.Replica)
-// share one catalog and keep only bitsets over it: which coins are
-// unspent (Set), which transactions are pooled and which coins they claim
-// (Mempool). A transaction's coins take consecutive ids, so one row per
-// transaction finds them all. Not safe for concurrent use: a catalog
-// never leaves the goroutine that drives its network.
-type catalog struct {
-	txIDs map[hashx.Hash]uint32 // tx id -> row in txs
-	txs   []txEntry             // txs[0] is unused: row 0 means none
+// txCatalog is the append-only content of one network's transactions
+// (see internal/catalog): a catalog of every transaction its replicas
+// have pooled or applied, and a column of every coin those transactions
+// created, each under a dense id. A transaction's fee, its coins, the
+// blocks that carry it and the coins it spends are pure functions of the
+// transactions and blocks themselves, so the replicas of a network
+// (Ledger.Replica) share one txCatalog and keep only bitsets over it:
+// which coins are unspent (Set), which transactions are pooled and which
+// coins they claim (Mempool). A transaction's coins take consecutive ids,
+// so one row per transaction finds them all.
+type txCatalog struct {
+	txs   *catalog.Catalog[uint32, txEntry] // tx id -> row -> entry
 	coins []coin
 	// spenders holds every pooled spender of a coin past the first; nil
 	// until two transactions of the network spend one coin — a double
@@ -77,26 +75,24 @@ type catalog struct {
 	carriers map[uint32][]chain.BlockID
 }
 
-func newCatalog() *catalog {
-	return &catalog{txIDs: make(map[hashx.Hash]uint32), txs: make([]txEntry, 1)}
+func newCatalog() *txCatalog {
+	return &txCatalog{txs: catalog.New[uint32, txEntry]()}
 }
 
 // row returns tx's row, entering tx on first sight.
-func (c *catalog) row(tx *Tx) uint32 {
+func (c *txCatalog) row(tx *Tx) uint32 {
 	txID := tx.ID()
-	r, known := c.txIDs[txID]
-	if !known {
-		r = uint32(len(c.txs))
-		c.txIDs[txID] = r
-		c.txs = append(c.txs, txEntry{poolEntry: poolEntry{tx: tx}, base: noCoins})
+	r := c.txs.ID(txID)
+	if r == 0 {
+		r = c.txs.Add(txID, txEntry{poolEntry: poolEntry{tx: tx}, base: noCoins})
 	}
 	return r
 }
 
 // register returns the id of tx's output 0, entering tx's outputs on
 // first sight.
-func (c *catalog) register(tx *Tx) uint32 {
-	e := &c.txs[c.row(tx)]
+func (c *txCatalog) register(tx *Tx) uint32 {
+	e := c.txs.At(c.row(tx))
 	if e.base == noCoins {
 		e.base = uint32(len(c.coins))
 		txID := tx.ID()
@@ -109,12 +105,13 @@ func (c *catalog) register(tx *Tx) uint32 {
 
 // lookup returns the id of the coin op names, if any transaction applied
 // so far created it.
-func (c *catalog) lookup(op Outpoint) (uint32, bool) {
-	r, known := c.txIDs[op.TxID]
-	if !known || c.txs[r].base == noCoins {
+func (c *txCatalog) lookup(op Outpoint) (uint32, bool) {
+	r := c.txs.ID(op.TxID)
+	base := c.txs.At(r).base
+	if r == 0 || base == noCoins {
 		return 0, false
 	}
-	id := uint64(c.txs[r].base) + uint64(op.Index)
+	id := uint64(base) + uint64(op.Index)
 	if id >= uint64(len(c.coins)) || c.coins[id].op != op {
 		return 0, false
 	}
@@ -122,11 +119,11 @@ func (c *catalog) lookup(op Outpoint) (uint32, bool) {
 }
 
 // spentBy records that the transaction in row r spends the coin id.
-func (c *catalog) spentBy(id, r uint32) { note(&c.coins[id].spender, &c.spenders, id, r) }
+func (c *txCatalog) spentBy(id, r uint32) { note(&c.coins[id].spender, &c.spenders, id, r) }
 
 // carriedBy records that block carries the transaction in row r.
-func (c *catalog) carriedBy(r uint32, block chain.BlockID) {
-	note(&c.txs[r].carrier, &c.carriers, r, block)
+func (c *txCatalog) carriedBy(r uint32, block chain.BlockID) {
+	note(&c.txs.At(r).carrier, &c.carriers, r, block)
 }
 
 // note records v for key k once: in *first while that is unset, past it
@@ -146,7 +143,7 @@ func note[V comparable](first *V, more *map[uint32][]V, k uint32, v V) {
 
 // before is the deterministic coin-selection order: larger value first,
 // ties broken by outpoint identity.
-func (c *catalog) before(a, b uint32) bool {
+func (c *txCatalog) before(a, b uint32) bool {
 	ca, cb := &c.coins[a], &c.coins[b]
 	if ca.Value != cb.Value {
 		return ca.Value > cb.Value
@@ -164,7 +161,7 @@ func (c *catalog) before(a, b uint32) bool {
 // selection O(own outputs) is built on first use — only a node that
 // originates payments needs one — and maintained from then on.
 type Set struct {
-	cat     *catalog
+	cat     *txCatalog
 	unspent bitset.Set // coin ids unspent here
 	n       int
 	total   uint64
@@ -388,7 +385,7 @@ func (s *Set) create(tx *Tx) {
 // spent outputs restored, in reverse order. Which coins those are is
 // content the catalog already holds, so no journal of the apply is kept.
 func (s *Set) undoTx(tx *Tx) {
-	base := s.cat.txs[s.cat.txIDs[tx.ID()]].base
+	base := s.cat.txs.At(s.cat.txs.ID(tx.ID())).base
 	for i := len(tx.Outs) - 1; i >= 0; i-- {
 		s.remove(base + uint32(i))
 	}

@@ -6,22 +6,23 @@
 // chain.Payload, so the generic fork-choice/reorg machinery of
 // internal/chain drives the ledger's view of history.
 //
-// Content is separate from state. What every node of a network agrees on
-// is held once per network: the genesis block, the block catalog under
-// the chain stores, and one catalog of transactions and coins — each
-// transaction's pointer, fee, size and fee rate, the coins it created,
-// the coins it spends and the blocks that carry it. A node (NewLedger, or
-// Replica of another ledger) holds only bits over those tables: which
-// blocks it attached and which form its main chain (chain.Store), which
-// coins are unspent (Set), which transactions are pooled and which coins
-// they claim, in arrival order (Mempool). A transaction's confirmations
-// are a query, not an index: the carrier on this node's main chain.
+// Content is separate from state (see internal/catalog). What every node
+// of a network agrees on is held once per network: the genesis block, the
+// block catalog under the chain stores, and one catalog of transactions
+// beside a column of coins — each transaction's pointer, fee, size and
+// fee rate, the coins it created, the coins it spends and the blocks that
+// carry it. A node (NewLedger, or Replica of another ledger) holds only
+// bits over those tables: which blocks it attached and which form its
+// main chain (chain.Store), which coins are unspent (Set), which
+// transactions are pooled and which coins they claim, in arrival order
+// (Mempool). A transaction's confirmations are a query, not an index: the
+// carrier on this node's main chain.
 //
 // Content is immutable once a network has seen it (Tx and BlockBody
 // memoize their id and root on the pointer). A node handed another
-// pointer under a known id or hash validates that pointer, and keeps it
-// in a per-node override that stays nil on honest runs, so what it mines,
-// serves and disconnects is what it checked.
+// pointer under a known id or hash validates that pointer and keeps it as
+// its own (catalog.Own), so what it mines, serves and disconnects is what
+// it checked.
 package utxo
 
 import (
