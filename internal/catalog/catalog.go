@@ -28,9 +28,10 @@ type Catalog[ID ~uint32, E any] struct {
 	entries []E // id -> entry; entries[0] is the zero entry
 }
 
-// New returns an empty catalog.
-func New[ID ~uint32, E any]() *Catalog[ID, E] {
-	return &Catalog[ID, E]{ids: make(map[hashx.Hash]ID), entries: make([]E, 1)}
+// New returns an empty catalog, by value so that an owner can hold it
+// inline; replicas that share one hold a pointer to it.
+func New[ID ~uint32, E any]() Catalog[ID, E] {
+	return Catalog[ID, E]{ids: make(map[hashx.Hash]ID), entries: make([]E, 1)}
 }
 
 // ID returns the id of the object with hash h, 0 if it is not in the

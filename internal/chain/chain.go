@@ -340,7 +340,7 @@ func NewStore(genesis *Block, choice ForkChoice) (*Store, error) {
 	}
 	cat := catalog.New[BlockID, catEntry]()
 	cat.Add(genesis.Hash(), catEntry{block: genesis, work: genesis.Header.Difficulty})
-	return storeOn(cat, choice), nil
+	return storeOn(&cat, choice), nil
 }
 
 func storeOn(cat *catalog.Catalog[BlockID, catEntry], choice ForkChoice) *Store {

@@ -319,9 +319,10 @@ const DefaultGapLimit = 4096
 // meet (0 disables work checks, useful in unit tests). The lattice gets a
 // catalog of its own; Clone makes further replicas of the same network.
 func New(genesisOwner *keys.KeyPair, supply uint64, workBits int) (*Lattice, *Block, error) {
+	cat := catalog.New[uint32, catEntry]()
 	l := &Lattice{
 		workBits: workBits,
-		cat:      catalog.New[uint32, catEntry](),
+		cat:      &cat,
 		accts:    make(map[keys.Address]uint32),
 		gaps:     backlog.New[gapKey, *Block](DefaultGapLimit),
 		supply:   supply,

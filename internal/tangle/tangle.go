@@ -14,9 +14,8 @@
 // replicas of one network attach enters one catalog, whose entry holds
 // the *Vertex and its two parent ids. A replica (New, or Replica of
 // another) holds only its state over those ids: attached and confirmed
-// bitsets,
-// its attach-order id list, one slot column of coverage weight, tip
-// position and walk stamp, its tip list and its parked backlog. The
+// bitsets, its attach-order id list, one slot column of coverage weight,
+// tip position and walk stamp, its tip list and its parked backlog. The
 // per-attach ancestor walk uses the epoch-stamped slots instead of an
 // allocate-per-call set.
 package tangle
@@ -263,7 +262,7 @@ func New(genesis *Vertex, confirmWeight int) (*Tangle, error) {
 	}
 	cat := catalog.New[VertexID, catEntry]()
 	cat.Add(genesis.Hash(), catEntry{vertex: genesis})
-	return replicaOn(cat, int32(confirmWeight)), nil
+	return replicaOn(&cat, int32(confirmWeight)), nil
 }
 
 func replicaOn(cat *catalog.Catalog[VertexID, catEntry], confirmWeight int32) *Tangle {

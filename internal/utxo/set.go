@@ -64,7 +64,7 @@ const noCoins = ^uint32(0)
 // coins they claim (Mempool). A transaction's coins take consecutive ids,
 // so one row per transaction finds them all.
 type txCatalog struct {
-	txs   *catalog.Catalog[uint32, txEntry] // tx id -> row -> entry
+	txs   catalog.Catalog[uint32, txEntry] // tx id -> row -> entry
 	coins []coin
 	// spenders holds every pooled spender of a coin past the first; nil
 	// until two transactions of the network spend one coin — a double
