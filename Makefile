@@ -40,8 +40,9 @@ race:
 # block catalog against their map models, the compact ORV tracker
 # against the map tracker, the signature memo against cold
 # verification, the bounded backlog against a naive
-# oldest-live-entry scan, and the owned world-state trie's snapshots,
-# checkpoints and live root against a map model.
+# oldest-live-entry scan, the owned world-state trie's snapshots,
+# checkpoints and live root against a map model, and the network shell's
+# receive under any delivery order of the observer's history.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzCatalog$$' -fuzztime 15s -fuzzminimizetime 2s ./internal/catalog
 	$(GO) test -run '^$$' -fuzz '^FuzzLatticeProcessBatch$$' -fuzztime 30s ./internal/lattice
@@ -57,6 +58,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzSigMemo$$' -fuzztime 15s ./internal/keys
 	$(GO) test -run '^$$' -fuzz '^FuzzBacklog$$' -fuzztime 15s -fuzzminimizetime 2s ./internal/backlog
 	$(GO) test -run '^$$' -fuzz '^FuzzStateSnapshots$$' -fuzztime 15s -fuzzminimizetime 2s ./internal/account
+	$(GO) test -run '^$$' -fuzz '^FuzzDeliveryOrder$$' -fuzztime 15s -fuzzminimizetime 2s ./internal/netsim
 
 # Coverage profile, the artifact CI uploads.
 cover:

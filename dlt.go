@@ -48,8 +48,9 @@ type (
 	NetParams = netsim.NetParams
 	// FaultSchedule scripts partitions, churn and lossy periods onto a
 	// running chain or block-lattice simulation (ApplyToBitcoin/
-	// ApplyToEthereum/ApplyToNano; the tangle has no fault arm yet).
-	// The zero value injects nothing.
+	// ApplyToEthereum/ApplyToNano; the tangle has no fault arm yet). A
+	// non-empty schedule also arms the network's sync manager; the zero
+	// value injects and arms nothing.
 	FaultSchedule = netsim.FaultSchedule
 	// PartitionWindow, ChurnWindow and LossWindow are FaultSchedule
 	// entries.

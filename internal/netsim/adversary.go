@@ -1,9 +1,10 @@
 // The fault-injection scenario driver: scripted partitions, node churn
 // and lossy periods applied to the two chain networks and the
 // block-lattice (the tangle has no fault arm yet), plus the contested
-// double-spend attack on the block-lattice. The scheduling itself is the
-// network shell's (shell.go); this file holds the scripts and each
-// paradigm's catch-up reaction. The paper's central §IV claim —
+// double-spend attack on the block-lattice. The scheduling, the sync
+// arming and the default catch-up exchange are the network shell's
+// (shell.go); this file holds the scripts and the lattice's own
+// catch-up reaction. The paper's central §IV claim —
 // blockchain forks resolve by depth while Nano settles by vote quorum —
 // is exactly a claim about behavior under these faults, so the E14/E15
 // experiments build on this file.
@@ -53,8 +54,9 @@ type LossWindow struct {
 	At, Until time.Duration
 }
 
-// FaultSchedule scripts adversity for one simulation run. The zero value
-// schedules nothing.
+// FaultSchedule scripts adversity for one simulation run. A non-empty
+// schedule also arms the network's sync manager for the run, so gapped
+// objects are pulled; the zero value schedules and arms nothing.
 type FaultSchedule struct {
 	Partitions []PartitionWindow
 	Churn      []ChurnWindow
@@ -108,21 +110,20 @@ func groupReps(groups map[sim.NodeID]int, nodes int) []int {
 
 // ApplyToBitcoin schedules the fault script on a Bitcoin network: healed
 // partitions and rejoining nodes catch up by exchanging main chains.
-func (fs FaultSchedule) ApplyToBitcoin(b *BitcoinNet) { b.scheduleFaults(fs, b.chainRuntime, false) }
+func (fs FaultSchedule) ApplyToBitcoin(b *BitcoinNet) { b.scheduleFaults(fs, b.chainRuntime) }
 
 // ApplyToEthereum schedules the fault script on an Ethereum network, with
 // the same main-chain catch-up as ApplyToBitcoin.
-func (fs FaultSchedule) ApplyToEthereum(e *EthereumNet) { e.scheduleFaults(fs, e.chainRuntime, false) }
+func (fs FaultSchedule) ApplyToEthereum(e *EthereumNet) { e.scheduleFaults(fs, e.chainRuntime) }
 
-// ApplyToNano schedules the fault script on a Nano network. A non-empty
-// schedule arms the gap-repair pull (bootstrapping); on heal or rejoin,
-// nodes exchange their full lattices and re-broadcast representative
-// votes for still-open elections — the re-election that lets stalled
-// accounts recover. The exchange is SENT in per-chain order, but link
-// jitter reorders delivery, so recovery leans on the lattice gap buffers
-// and on gap repair — which also pulls blocks that were still queued
-// behind processing budgets at the exchange instant.
-func (fs FaultSchedule) ApplyToNano(n *NanoNet) { n.scheduleFaults(fs, n, true) }
+// ApplyToNano schedules the fault script on a Nano network: on heal or
+// rejoin, nodes exchange their full lattices and re-broadcast
+// representative votes for still-open elections — the re-election that
+// lets stalled accounts recover. The exchange is SENT in per-chain order,
+// but link jitter reorders delivery, so recovery leans on the lattice gap
+// buffers and on the pulls — which also fetch blocks that were still
+// queued behind processing budgets at the exchange instant.
+func (fs FaultSchedule) ApplyToNano(n *NanoNet) { n.scheduleFaults(fs, n) }
 
 // firstAttachedNode returns the lowest-index attached node other than
 // skip, or -1 when every other node is detached.
@@ -151,7 +152,7 @@ func (n *NanoNet) healed(groups map[sim.NodeID]int) {
 		gi := groups[sim.NodeID(i)]
 		for _, r := range reps {
 			if i != r && groups[sim.NodeID(r)] != gi {
-				n.sendLattice(i, r)
+				n.sendHistory(i, r)
 			}
 		}
 	}
@@ -164,20 +165,11 @@ func (n *NanoNet) healed(groups map[sim.NodeID]int) {
 // network and a live peer, then every node re-broadcasts its open votes.
 func (n *NanoNet) rejoined(node int) {
 	if live := firstAttachedNode(n.rt.net, len(n.nodes), node); live >= 0 {
-		n.sendLattice(live, node)
-		n.sendLattice(node, live)
+		n.sendHistory(live, node)
+		n.sendHistory(node, live)
 	}
 	for _, nd := range n.nodes {
 		n.resendOpenVotes(nd)
-	}
-}
-
-// sendLattice serves node from's entire lattice to node to; receivers
-// dedup seen blocks and relay only novelty.
-func (n *NanoNet) sendLattice(from, to int) {
-	src, dst := n.nodes[from], n.nodes[to]
-	for _, b := range src.lat.AllBlocks() {
-		n.rt.Unicast(src.id, dst.id, b, b.EncodedSize())
 	}
 }
 
@@ -297,7 +289,7 @@ func (n *NanoNet) InjectContestedDoubleSpend(p DoubleSpendPlan) *DoubleSpendHand
 		if entryIdx <= 0 || entryIdx >= len(n.nodes) {
 			entryIdx = (ownerIdx + len(n.nodes)/2) % len(n.nodes)
 		}
-		n.created[h.Rival] = n.rt.sim.Now()
+		n.stamp(h.Rival, owner.id)
 		n.rt.Unicast(owner.id, n.nodes[entryIdx].id, rival, rival.EncodedSize())
 	})
 	return h

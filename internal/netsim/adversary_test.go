@@ -251,7 +251,8 @@ func TestForkResolveLatencyRecorded(t *testing.T) {
 // The zero-value schedule must leave a run byte-identical to an
 // unscripted one — the "no faults reproduces today's tables" invariant —
 // on every ApplyTo: it schedules no event and leaves the sync manager
-// unarmed.
+// unarmed. A non-empty schedule arms the sync manager on every network,
+// the chains included.
 func TestEmptyScheduleIsNoOp(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -288,6 +289,19 @@ func TestEmptyScheduleIsNoOp(t *testing.T) {
 			}
 			if a, b := run(false), run(true); a != b {
 				t.Fatalf("empty schedule perturbed the run:\n%+v\nvs\n%+v", a, b)
+			}
+
+			spec, err := ParadigmByName(tc.name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			net, err := spec.Build(nanoFaultCfg(81, 0).Net, BuildOptions{Accounts: 24})
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.apply(FaultSchedule{Loss: []LossWindow{{Rate: 0.1, At: time.Second, Until: 2 * time.Second}}}, net)
+			if !shellOf(t, net).sync.armed {
+				t.Fatal("a non-empty schedule left the sync manager unarmed")
 			}
 		})
 	}

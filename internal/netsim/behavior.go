@@ -214,7 +214,8 @@ func (c *chainRuntime) InstallSelfishMinerGamma(idx int, gamma float64) *Selfish
 		gamma: gamma,
 		seen:  make(map[hashx.Hash]bool),
 	}
-	b.release = func(blk *chain.Block) { c.releaseBlock(idx, blk) }
+	// Release relays a withheld block; it was minted when produced.
+	b.release = func(blk *chain.Block) { c.rt.Relay(sim.NodeID(idx), blk, blk.Size()) }
 	c.rt.SetBehavior(sim.NodeID(idx), b)
 	c.selfish = b
 	return b

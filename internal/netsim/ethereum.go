@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/account"
-	"repro/internal/hashx"
 	"repro/internal/keys"
 	"repro/internal/pos"
 	"repro/internal/pow"
@@ -125,7 +124,6 @@ type EthereumNet struct {
 	lastJust   pos.Checkpoint
 	finality   FinalityMetrics
 	lagSamples []time.Duration
-	cpCreated  map[hashx.Hash]time.Duration
 
 	difficulty float64
 	nonces     map[int]uint64
@@ -147,7 +145,6 @@ func NewEthereum(cfg EthereumConfig) (*EthereumNet, error) {
 		cfg:          cfg,
 		ring:         ring,
 		nonces:       make(map[int]uint64),
-		cpCreated:    make(map[hashx.Hash]time.Duration),
 	}
 	e.metrics.Propagation.SetBudget(cfg.Net.SampleBudget)
 
@@ -272,13 +269,6 @@ func (e *EthereumNet) runFFGRound(slot uint64) {
 		return
 	}
 	target := pos.Checkpoint{Hash: h, Epoch: epoch}
-	if _, seen := e.cpCreated[h]; !seen {
-		if blk, ok := obs.Store().Get(h); ok {
-			e.cpCreated[h] = blk.Header.Time
-		} else {
-			e.cpCreated[h] = e.rt.sim.Now()
-		}
-	}
 	source := e.lastJust
 	for _, kp := range e.validators {
 		vote := pos.NewVote(kp, source, target)
@@ -293,7 +283,8 @@ func (e *EthereumNet) runFFGRound(slot uint64) {
 		if finalized {
 			e.finality.FinalizedCheckpoints++
 			e.finality.LastFinalizedEpoch = source.Epoch
-			if created, ok := e.cpCreated[source.Hash]; ok {
+			// The genesis checkpoint was never minted and takes no sample.
+			if created, ok := e.bornAt(e.ids.id(source.Hash)); ok {
 				e.lagSamples = append(e.lagSamples, e.rt.sim.Now()-created)
 			}
 		}

@@ -298,8 +298,8 @@ func (n *NanoNet) ScheduleExecutedDoubleSpend(p LatticeDoubleSpendPlan) *Lattice
 		if entryIdx <= 0 || entryIdx >= len(n.nodes) {
 			entryIdx = (feederIdx + len(n.nodes)/2) % len(n.nodes)
 		}
-		n.created[h.Honest] = n.rt.sim.Now()
-		n.created[h.Rival] = n.rt.sim.Now()
+		n.stamp(h.Honest, feeder.id)
+		n.stamp(h.Rival, feeder.id)
 		n.rt.Unicast(honestFrom, victim.id, honest, honest.EncodedSize())
 		n.rt.Unicast(feeder.id, n.nodes[entryIdx].id, rival, rival.EncodedSize())
 	})
@@ -321,8 +321,8 @@ func (n *NanoNet) ScheduleExecutedDoubleSpend(p LatticeDoubleSpendPlan) *Lattice
 			// representative) and a live peer serves the canonical
 			// lattice — the churn-rejoin exchange.
 			if live := firstAttachedNode(n.rt.net, len(n.nodes), p.Victim); live >= 0 {
-				n.sendLattice(p.Victim, live)
-				n.sendLattice(live, p.Victim)
+				n.sendHistory(p.Victim, live)
+				n.sendHistory(live, p.Victim)
 			}
 		}
 		// Representatives answer the now-visible fork with their decided

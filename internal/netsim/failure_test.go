@@ -48,7 +48,7 @@ func TestBitcoinPartitionHealReorg(t *testing.T) {
 		// Cross-gossip both sides' full main chains: a stand-in for the
 		// initial-block-download sync real nodes run after reconnecting.
 		for _, idx := range []int{0, 7} {
-			net.broadcastMainChain(idx)
+			net.broadcastHistory(idx)
 		}
 	})
 	m := net.Run(8 * time.Minute)

@@ -164,7 +164,7 @@ type nanoNode struct {
 	pendingOrder []hashx.Hash
 	// ingest accumulates gossip blocks awaiting a batched ProcessBatch
 	// flush (BatchSize > 1 only); flushTimer is the armed BatchWindow
-	// flush event. Each entry remembers its sender for gap repair.
+	// flush event. Each entry remembers its sender, the pull target.
 	ingest     []ingestEntry
 	flushTimer sim.EventID
 	flushArmed bool
@@ -252,9 +252,7 @@ type NanoNet struct {
 	// changes it afterwards.
 	weights *orv.Weights
 
-	created     map[hashx.Hash]time.Duration // block hash -> creation time
-	confirmedAt map[hashx.Hash]bool          // observer confirmations seen
-	metrics     NanoMetrics
+	metrics NanoMetrics
 
 	// Adversary bookkeeping (InjectContestedDoubleSpend): the attacker's
 	// preferred rival blocks, the honest blocks it contests, and when the
@@ -269,23 +267,6 @@ type ingestEntry struct {
 	b    *lattice.Block
 	from sim.NodeID
 }
-
-// EnableGapRepair arms the sync manager's pull-based bootstrapping that
-// lets nodes recover ancestors they missed (partitions, churn, lossy
-// periods), at the legacy-compatible level: pulls pin to the original
-// sender and give up when the attempt budget is spent, replaying the
-// historical event stream byte for byte (the pinned fault tables depend
-// on it). Off by default: the repair timers would reorder the event
-// sequence of healthy runs and perturb their byte-exact tables.
-func (n *NanoNet) EnableGapRepair() { n.sync.arm() }
-
-// EnableSyncRecovery arms the sync manager with the repaired failure
-// handling on top: pulls whose target churns out re-target to a live
-// peer, and exhausted attempt budgets re-arm with capped backoff
-// instead of abandoning the gap forever. Runs armed this way trade
-// byte-compatibility with the historical fault tables for actually
-// recovering.
-func (n *NanoNet) EnableSyncRecovery() { n.sync.armRecovery() }
 
 // NewNano builds the network: identical genesis on every node, an even
 // initial distribution processed everywhere at setup, and weight tables
@@ -334,8 +315,6 @@ func NewNano(cfg NanoConfig) (*NanoNet, error) {
 		ring:         ring,
 		voteIDs:      newDex[voteKey](256),
 		seenVotes:    newGenSeen(cfg.Net.Nodes, maxSeenVotes, 256),
-		created:      make(map[hashx.Hash]time.Duration),
-		confirmedAt:  make(map[hashx.Hash]bool),
 		advPreferred: make(map[hashx.Hash]bool),
 		advContested: make(map[hashx.Hash]bool),
 		forkSeenAt:   make(map[hashx.Hash]time.Duration),
@@ -422,7 +401,7 @@ func (n *NanoNet) handlerFor(node *nanoNode) sim.Handler {
 	return func(from sim.NodeID, payload any, size int) {
 		switch msg := payload.(type) {
 		case *lattice.Block:
-			n.onBlock(node, from, msg)
+			n.receive(node.id, from, msg.Hash(), msg, size)
 		case *orv.Vote:
 			n.onVote(node, msg)
 		default:
@@ -431,33 +410,28 @@ func (n *NanoNet) handlerFor(node *nanoNode) sim.Handler {
 	}
 }
 
-// onBlock processes a received lattice block: serially per arrival when
-// BatchSize <= 1 (the historical path, reproduced exactly), or through
-// the per-node ingest queue when batching is enabled.
-func (n *NanoNet) onBlock(node *nanoNode, from sim.NodeID, b *lattice.Block) {
-	h := b.Hash()
-	if n.markSeen(node.id, h) {
-		return
-	}
+// apply is the lattice's verdict on a first-seen block: settled serially
+// per arrival when BatchSize <= 1, or queued for the per-node ingest
+// batch (relayed when the batch flushes) when batching is enabled.
+func (n *NanoNet) apply(node, from sim.NodeID, _ int32, obj any) (bool, hashx.Hash) {
+	b, nd := obj.(*lattice.Block), n.nodes[node]
 	if n.cfg.BatchSize > 1 {
-		n.enqueueIngest(node, b, from)
-		return
+		n.enqueueIngest(nd, b, from)
+		return false, hashx.Zero
 	}
-	if n.reactToResult(node, b, h, node.lat.Process(b), from) {
-		n.rt.Relay(node.id, b, b.EncodedSize())
-	}
+	return n.reactToResult(nd, b, nd.lat.Process(b))
 }
 
 // reactToResult applies the post-attach handling for one processed
 // block — election start, receive scheduling and observer settlement
 // counting for the block and every gap it drained, fork-election starts
-// for rivals — and reports whether the block may be relayed. It is the
-// shared reaction of the serial path and of every block in a flushed
-// batch. from is the sender, the gap-repair pull target.
-func (n *NanoNet) reactToResult(node *nanoNode, b *lattice.Block, h hashx.Hash, res lattice.Result, from sim.NodeID) bool {
+// for rivals — and returns the verdict: whether the block may be
+// relayed, and the ancestor a gapped block waits on. It is the shared
+// reaction of the serial path and of every block in a flushed batch.
+func (n *NanoNet) reactToResult(node *nanoNode, b *lattice.Block, res lattice.Result) (relay bool, missing hashx.Hash) {
 	switch res.Status {
 	case lattice.Accepted:
-		n.onAttached(node, b, h)
+		n.onAttached(node, b, b.Hash())
 		for _, d := range res.Drained {
 			n.onAttached(node, d, d.Hash())
 		}
@@ -470,15 +444,14 @@ func (n *NanoNet) reactToResult(node *nanoNode, b *lattice.Block, h hashx.Hash, 
 		}
 		n.startForkElection(node, b, res.ForkRivals)
 	case lattice.GapPrevious:
-		// Buffered inside the lattice; still relay so peers catch up,
-		// and pull the missing ancestor when the sync manager is armed.
-		n.sync.Pull(node.id, b.Prev, from)
+		// Buffered inside the lattice; still relay so peers catch up.
+		return true, b.Prev
 	case lattice.GapSource:
-		n.sync.Pull(node.id, b.Source, from)
+		return true, b.Source
 	case lattice.Rejected:
-		return false // do not relay invalid blocks
+		return false, hashx.Zero // do not relay invalid blocks
 	}
-	return true
+	return true, hashx.Zero
 }
 
 // enqueueIngest queues a gossip block for batched settlement, flushing
@@ -540,9 +513,8 @@ func (n *NanoNet) flushIngest(node *nanoNode) {
 	}
 	for i, res := range node.lat.ProcessBatch(blocks, n.cfg.Workers) {
 		b := blocks[i]
-		if n.reactToResult(node, b, b.Hash(), res, entries[i].from) {
-			n.rt.Relay(node.id, b, b.EncodedSize())
-		}
+		relay, missing := n.reactToResult(node, b, res)
+		n.react(node.id, entries[i].from, b, b.EncodedSize(), relay, missing)
 	}
 }
 
@@ -807,12 +779,8 @@ func (n *NanoNet) onConfirmed(node *nanoNode, root, winner hashx.Hash) {
 		}
 	}
 	_ = node.tracker.Cement(winner)
-	if node == n.nodes[0] && !n.confirmedAt[winner] {
-		n.confirmedAt[winner] = true
+	if node == n.nodes[0] && n.observeConfirmed(winner, &n.metrics.ConfirmLatency) {
 		n.metrics.ConfirmedBlocks++
-		if created, ok := n.created[winner]; ok {
-			n.metrics.ConfirmLatency.AddDuration(n.rt.sim.Now() - created)
-		}
 	}
 }
 
@@ -851,11 +819,11 @@ func (n *NanoNet) maybeScheduleReceive(node *nanoNode, b *lattice.Block, h hashx
 	})
 }
 
-// publish records, self-processes and floods a locally created block.
+// publish mints, self-processes and floods a locally created block —
+// unless the owner's behavior withholds it.
 func (n *NanoNet) publish(node *nanoNode, b *lattice.Block) {
 	h := b.Hash()
-	n.created[h] = n.rt.sim.Now()
-	n.markSeen(node.id, h)
+	n.mint(node.id, h)
 	res := node.lat.Process(b)
 	if res.Status == lattice.Accepted {
 		n.onAttached(node, b, h)
@@ -863,7 +831,7 @@ func (n *NanoNet) publish(node *nanoNode, b *lattice.Block) {
 			n.onAttached(node, d, d.Hash())
 		}
 	}
-	n.rt.Relay(node.id, b, b.EncodedSize())
+	n.flood(node.id, b, b.EncodedSize())
 }
 
 // SubmitTransfer schedules a payment: the sender's owner node issues the

@@ -162,16 +162,6 @@ func (r *NodeRuntime) Broadcast(from sim.NodeID, payload any, size int) {
 	}
 }
 
-// produceAllowed consults the producer's behavior for a locally created
-// block; false means the block is withheld from the network.
-func (r *NodeRuntime) produceAllowed(node sim.NodeID, block any) bool {
-	if b := r.BehaviorOf(node); b != nil && !b.OnProduce(node, block) {
-		r.stats.BlocksWithheld++
-		return false
-	}
-	return true
-}
-
 // voteAllowed consults the voter's behavior for a consensus vote; false
 // means the vote is withheld entirely.
 func (r *NodeRuntime) voteAllowed(node sim.NodeID, vote any) bool {
@@ -197,19 +187,17 @@ type chainLedger interface {
 }
 
 // chainRuntime is the node-runtime core the two chain networks share
-// (BitcoinNet and EthereumNet embed it): first-seen block gossip with
-// reach/propagation tracking, block production with miner attribution,
-// payment-submission accounting, post-fault catch-up exchange, and metric
-// collection from the observer (node 0).
+// (BitcoinNet and EthereumNet embed it): the block apply verdict with
+// reach/propagation tracking, block production, payment-submission
+// accounting, and metric collection from the observer (node 0). Gossip,
+// provenance and post-fault catch-up are the shell's.
 type chainRuntime struct {
 	netShell
 	nodes []chainLedger
 
-	// Per-block bookkeeping in columns indexed by the shell's dense block
-	// ids (first-sight order).
-	createdAt []time.Duration // block id -> creation time
-	minedBy   []int32         // block id -> producing node, -1 = unattributed
-	reach     []int32         // block id -> nodes reached
+	// reach counts the nodes each block has reached, indexed by the
+	// shell's dense block ids.
+	reach []int32
 
 	metrics ChainMetrics
 	// Mean block interval needs only the span of production times, so the
@@ -268,43 +256,41 @@ func (c *chainRuntime) canonical(node sim.NodeID) (int, func(int) (any, int)) {
 	}
 }
 
-// blockSlot returns h's dense id, growing the id-indexed bookkeeping
-// columns in lockstep so the slot is addressable.
-func (c *chainRuntime) blockSlot(h hashx.Hash) int32 {
-	id := c.ids.id(h)
+// reached counts one more node reaching block id and returns the count.
+func (c *chainRuntime) reached(id int32) int {
 	for int(id) >= len(c.reach) {
 		c.reach = append(c.reach, 0)
-		c.createdAt = append(c.createdAt, 0)
-		c.minedBy = append(c.minedBy, -1)
 	}
-	return id
+	c.reach[id]++
+	return int(c.reach[id])
 }
 
-// addNode registers one chain full node: first-seen blocks are counted
-// toward propagation, processed into the ledger, and re-flooded to the
-// node's (behavior-filtered) peers; its orphan pool takes np's backlog
-// bound. The returned id equals the node's index.
+// apply is the chains' verdict on a first-seen block: count it toward
+// propagation and process it into the ledger. Processing errors mean a
+// byzantine block; honest sims don't produce them, and a relay node
+// still floods valid-looking data. A parked orphan asks for no pull.
+func (c *chainRuntime) apply(node, _ sim.NodeID, id int32, obj any) (bool, hashx.Hash) {
+	if c.reached(id) == len(c.nodes) {
+		born, _ := c.bornAt(id)
+		c.metrics.Propagation.AddDuration(c.rt.sim.Now() - born)
+	}
+	_, _ = c.nodes[node].ProcessBlock(obj.(*chain.Block))
+	return true, hashx.Zero
+}
+
+// addNode registers one chain full node, its blocks gossiped through the
+// shell and its orphan pool bounded by np's backlog knobs. The returned
+// id equals the node's index.
 func (c *chainRuntime) addNode(l chainLedger, np NetParams) sim.NodeID {
-	idx := len(c.nodes)
+	idx := sim.NodeID(len(c.nodes))
 	c.nodes = append(c.nodes, l)
-	bindBacklog(&c.netShell, sim.NodeID(idx), l.Store().Orphans(), np)
+	bindBacklog(&c.netShell, idx, l.Store().Orphans(), np)
 	return c.rt.AddNode(func(from sim.NodeID, payload any, size int) {
 		switch msg := payload.(type) {
 		case *chain.Block:
-			id := c.blockSlot(msg.Hash())
-			if c.seen.testSet(idx, id) {
-				return
-			}
-			c.reach[id]++
-			if int(c.reach[id]) == len(c.nodes) {
-				c.metrics.Propagation.AddDuration(c.rt.sim.Now() - c.createdAt[id])
-			}
-			// Processing errors mean a byzantine block; honest sims don't
-			// produce them, and a relay node still floods valid-looking data.
-			_, _ = l.ProcessBlock(msg)
-			c.rt.Relay(sim.NodeID(idx), msg, msg.Size())
+			c.receive(idx, from, msg.Hash(), msg, size)
 		default:
-			c.serve(sim.NodeID(idx), from, payload)
+			c.serve(idx, from, payload)
 		}
 	})
 }
@@ -320,27 +306,21 @@ func (c *chainRuntime) produce(idx int, proposer keys.Address, difficulty float6
 	return blk
 }
 
-// publishProduced runs the shared bookkeeping for a freshly won block —
-// creation time, miner attribution, totals, first-seen state — applies
-// it to the producer's own ledger, and floods it unless the producer's
+// publishProduced mints a freshly won block, counts it, applies it to
+// the producer's own ledger, and floods it unless the producer's
 // behavior withholds it.
 func (c *chainRuntime) publishProduced(idx int, blk *chain.Block) {
-	id := c.blockSlot(blk.Hash())
+	id := c.mint(sim.NodeID(idx), blk.Hash())
 	now := c.rt.sim.Now()
-	c.createdAt[id] = now
-	c.minedBy[id] = int32(idx)
 	c.metrics.BlocksTotal++
 	if c.blockCount == 0 {
 		c.firstBlockAt = now
 	}
 	c.lastBlockAt = now
 	c.blockCount++
-	c.seen.testSet(idx, id)
-	c.reach[id] = 1
+	c.reached(id)
 	_, _ = c.nodes[idx].ProcessBlock(blk)
-	if c.rt.produceAllowed(sim.NodeID(idx), blk) {
-		c.rt.Relay(sim.NodeID(idx), blk, blk.Size())
-	}
+	c.flood(sim.NodeID(idx), blk, blk.Size())
 }
 
 // raceProduce is the γ side of the selfish miner's 1-1 race: while the
@@ -387,12 +367,6 @@ func (c *chainRuntime) produceWithRace(idx int, proposer keys.Address, difficult
 	}
 }
 
-// releaseBlock floods a previously withheld block — the selfish miner's
-// publish action. Creation-time bookkeeping already happened in produce.
-func (c *chainRuntime) releaseBlock(idx int, blk *chain.Block) {
-	c.rt.Relay(sim.NodeID(idx), blk, blk.Size())
-}
-
 // scheduleSubmit arms a payment submission at the given time: attempt
 // builds and pools the transaction and reports acceptance; the runtime
 // owns the submitted/rejected accounting both chains used to duplicate.
@@ -437,47 +411,6 @@ func (c *chainRuntime) collect(duration time.Duration) ChainMetrics {
 	return *m
 }
 
-// healed is the chains' post-heal catch-up: one node per former side
-// floods its main chain.
-func (c *chainRuntime) healed(groups map[sim.NodeID]int) {
-	for _, idx := range groupReps(groups, len(c.nodes)) {
-		c.broadcastMainChain(idx)
-	}
-}
-
-// rejoined is the bidirectional catch-up of a node back on the network:
-// it re-floods its stale view (its partition-era blocks may still win),
-// and a live peer serves it the canonical history.
-func (c *chainRuntime) rejoined(node int) {
-	c.broadcastMainChain(node)
-	if live := firstAttachedNode(c.rt.net, len(c.nodes), node); live >= 0 {
-		c.sendMainChain(live, node)
-	}
-}
-
-// broadcastMainChain floods a node's main chain to everyone — the
-// post-heal IBD stand-in; dedup at the receivers keeps the cost one
-// delivery per missing block.
-func (c *chainRuntime) broadcastMainChain(idx int) {
-	l := c.nodes[idx]
-	for _, h := range l.Store().MainChain() {
-		if blk, ok := l.Store().Get(h); ok {
-			c.rt.Broadcast(sim.NodeID(idx), blk, blk.Size())
-		}
-	}
-}
-
-// sendMainChain serves one node's main chain directly to another — the
-// catch-up a rejoining churn node receives from a live peer.
-func (c *chainRuntime) sendMainChain(from, to int) {
-	l := c.nodes[from]
-	for _, h := range l.Store().MainChain() {
-		if blk, ok := l.Store().Get(h); ok {
-			c.rt.Unicast(sim.NodeID(from), sim.NodeID(to), blk, blk.Size())
-		}
-	}
-}
-
 // TipsConverged reports whether every node agrees on the chain tip.
 func (c *chainRuntime) TipsConverged() bool {
 	tip := c.nodes[0].Store().Tip()
@@ -517,11 +450,11 @@ func (c *chainRuntime) ConvergedWithin(back int) bool {
 func (c *chainRuntime) MinerShare(idx int) (mined, total int) {
 	for _, h := range c.nodes[0].Store().MainChain() {
 		id, ok := c.ids.lookup(h)
-		if !ok || int(id) >= len(c.minedBy) || c.minedBy[id] < 0 {
+		if !ok || c.makerOf(id) < 0 {
 			continue // genesis and injected blocks carry no attribution
 		}
 		total++
-		if c.minedBy[id] == int32(idx) {
+		if c.makerOf(id) == int32(idx) {
 			mined++
 		}
 	}
@@ -574,13 +507,13 @@ func (c *chainRuntime) EclipseReport(victim int) EclipseReport {
 	onConsensus := c.consensusScratch
 	onConsensus.clear()
 	for _, h := range c.nodes[best].Store().MainChain() {
-		onConsensus.add(c.blockSlot(h))
+		onConsensus.add(c.ids.id(h))
 	}
 	for i, h := range c.nodes[victim].Store().MainChain() {
 		if i == 0 {
 			continue // shared genesis
 		}
-		if !onConsensus.has(c.blockSlot(h)) {
+		if !onConsensus.has(c.ids.id(h)) {
 			r.ExposedBlocks++
 		}
 	}

@@ -1,29 +1,37 @@
 // The network shell: the plumbing every simulated network shares, written
 // once. A network embeds netShell and supplies a historyView of its
 // ledgers; in return it inherits the runtime surface (Sim, Net, Runtime,
-// SyncStats, ScheduleColdStart, ColdSyncDone, Eclipse), first-seen dedup,
-// backlog wiring, the serving side of the sync wire protocol, and the one
-// fault scheduler. What is left in each network file is its ledger, its
-// consensus and its reaction to gossip.
+// SyncStats, ScheduleColdStart, ColdSyncDone, Eclipse), backlog wiring,
+// the one fault scheduler and all object movement: receive is the one
+// gossip path (dedup, apply, pull on gap, relay), mint and flood the one
+// publish path, and serve, sendHistory and broadcastHistory move
+// canonical history. Per-object provenance (creation time, maker,
+// observer confirmation) lives in columns over the shell's object ids.
+// What is left in each network file is its apply verdict, its consensus
+// and its reactions.
 package netsim
 
 import (
 	"time"
 
 	"repro/internal/backlog"
+	"repro/internal/bitset"
 	"repro/internal/hashx"
+	"repro/internal/metrics"
 	"repro/internal/sim"
 )
 
 // historyView is what a paradigm tells the shell about one node's ledger:
 // whether it holds an object, the object and its wire size under a hash,
-// and its canonical history stream (main chain, account-ordered block
-// stream, attachment-ordered vertex stream) as a length plus an accessor.
-// Single-block and range pulls are served from it.
+// its canonical history stream (main chain, account-ordered block stream,
+// attachment-ordered vertex stream) as a length plus an accessor, and its
+// verdict on a first-seen object from a peer: whether to relay it, and
+// the dependency it waits on (zero when none).
 type historyView interface {
 	has(node sim.NodeID, h hashx.Hash) bool
 	object(node sim.NodeID, h hashx.Hash) (obj any, size int, ok bool)
 	canonical(node sim.NodeID) (n int, at func(i int) (obj any, size int))
+	apply(node, from sim.NodeID, id int32, obj any) (relay bool, missing hashx.Hash)
 }
 
 // netShell is embedded by chainRuntime, NanoNet and TangleNet.
@@ -35,6 +43,13 @@ type netShell struct {
 	ids  *dex[hashx.Hash]
 	seen *bitRows
 	view historyView
+
+	// Provenance columns over ids: when and where an object was minted
+	// (born < 0 and maker -1 for objects nobody minted, such as genesis),
+	// and which objects the observer has seen confirmed.
+	born      []time.Duration
+	maker     []int32
+	confirmed bitset.Set
 }
 
 // newNetShell builds the shell over a fresh runtime and a disarmed sync
@@ -89,14 +104,95 @@ func (s *netShell) ColdSyncDone(node int) (time.Duration, bool) {
 	return s.sync.coldSyncDone(sim.NodeID(node))
 }
 
-// markSeen records that node has seen h, reporting whether it already had.
-func (s *netShell) markSeen(node sim.NodeID, h hashx.Hash) bool {
-	return s.seen.testSet(int(node), s.ids.id(h))
+// receive is the one gossip path: a first-seen object goes to the
+// paradigm's apply, then through react; size is relayed unchanged. A
+// repeat delivery costs one id probe and one bit test.
+func (s *netShell) receive(node, from sim.NodeID, h hashx.Hash, obj any, size int) {
+	id := s.ids.id(h)
+	if s.seen.testSet(int(node), id) {
+		return
+	}
+	relay, missing := s.view.apply(node, from, id, obj)
+	s.react(node, from, obj, size, relay, missing)
+}
+
+// react is the tail of an apply verdict, shared by receive and Nano's
+// batch flush: pull the missing dependency from the sender, then relay.
+func (s *netShell) react(node, from sim.NodeID, obj any, size int, relay bool, missing hashx.Hash) {
+	if missing != hashx.Zero {
+		s.sync.Pull(node, missing, from)
+	}
+	if relay {
+		s.rt.Relay(node, obj, size)
+	}
 }
 
 // unsee clears node's first-seen bit for h, so a re-delivery is processed.
 func (s *netShell) unsee(node sim.NodeID, h hashx.Hash) {
 	s.seen.clear(int(node), s.ids.id(h))
+}
+
+// stamp records h as made by maker now and returns its id. Injected
+// objects are stamped but not marked seen, so they still apply at their
+// maker when delivered back.
+func (s *netShell) stamp(h hashx.Hash, maker sim.NodeID) int32 {
+	id := s.ids.id(h)
+	for int(id) >= len(s.born) {
+		s.born = append(s.born, -1)
+		s.maker = append(s.maker, -1)
+	}
+	s.born[id] = s.rt.sim.Now()
+	s.maker[id] = int32(maker)
+	return id
+}
+
+// mint stamps a locally made object and marks it seen at its maker; the
+// paradigm then applies it locally and floods it.
+func (s *netShell) mint(node sim.NodeID, h hashx.Hash) int32 {
+	id := s.stamp(h, node)
+	s.seen.testSet(int(node), id)
+	return id
+}
+
+// flood relays a locally made object unless its maker's behavior
+// withholds it (OnProduce).
+func (s *netShell) flood(node sim.NodeID, obj any, size int) {
+	if b := s.rt.BehaviorOf(node); b != nil && !b.OnProduce(node, obj) {
+		s.rt.stats.BlocksWithheld++
+		return
+	}
+	s.rt.Relay(node, obj, size)
+}
+
+// bornAt returns when object id was minted; ok is false if nobody did.
+func (s *netShell) bornAt(id int32) (at time.Duration, ok bool) {
+	if int(id) < len(s.born) && s.born[id] >= 0 {
+		return s.born[id], true
+	}
+	return 0, false
+}
+
+// makerOf returns the node that minted object id, or -1.
+func (s *netShell) makerOf(id int32) int32 {
+	if int(id) < len(s.maker) {
+		return s.maker[id]
+	}
+	return -1
+}
+
+// observeConfirmed records the observer's confirmation of h, reporting
+// whether it is the first; a first one adds h's latency since minting to
+// hist.
+func (s *netShell) observeConfirmed(h hashx.Hash, hist *metrics.Histogram) bool {
+	id := s.ids.id(h)
+	if s.confirmed.Has(uint32(id)) {
+		return false
+	}
+	s.confirmed.Add(uint32(id))
+	if at, ok := s.bornAt(id); ok {
+		hist.AddDuration(s.rt.sim.Now() - at)
+	}
+	return true
 }
 
 // serve answers the sync wire protocol at node: a single-block pull, a
@@ -135,25 +231,63 @@ func bindBacklog[K comparable, V interface {
 	})
 }
 
+// sendHistory serves node from's canonical history stream to node to, in
+// stream order; the receiver's dedup drops what it already holds.
+func (s *netShell) sendHistory(from, to int) {
+	n, at := s.view.canonical(sim.NodeID(from))
+	for i := 0; i < n; i++ {
+		obj, size := at(i)
+		s.rt.Unicast(sim.NodeID(from), sim.NodeID(to), obj, size)
+	}
+}
+
+// broadcastHistory floods node's canonical history stream to every other
+// node, object by object — the post-heal IBD stand-in; dedup at the
+// receivers keeps the cost one delivery per missing object.
+func (s *netShell) broadcastHistory(node int) {
+	n, at := s.view.canonical(sim.NodeID(node))
+	for i := 0; i < n; i++ {
+		obj, size := at(i)
+		s.rt.Broadcast(sim.NodeID(node), obj, size)
+	}
+}
+
 // faultReactor is what a paradigm adds to the fault scheduler: its
 // catch-up exchange once a partition heals and once a churned node is
-// back on the network.
+// back on the network. The shell's own healed and rejoined are the
+// default; Nano overrides both.
 type faultReactor interface {
 	healed(groups map[sim.NodeID]int)
 	rejoined(node int)
 }
 
+// healed is the default post-heal catch-up: one node per former side
+// floods its canonical history.
+func (s *netShell) healed(groups map[sim.NodeID]int) {
+	for _, idx := range groupReps(groups, s.rt.net.NumNodes()) {
+		s.broadcastHistory(idx)
+	}
+}
+
+// rejoined is the default catch-up of a node back on the network: it
+// re-floods its stale history (its partition-era objects may still win),
+// and a live peer serves it the canonical history.
+func (s *netShell) rejoined(node int) {
+	s.broadcastHistory(node)
+	if live := firstAttachedNode(s.rt.net, s.rt.net.NumNodes(), node); live >= 0 {
+		s.sendHistory(live, node)
+	}
+}
+
 // scheduleFaults is the one fault scheduler: partitions and their heal,
-// churn leave and rejoin, loss windows. gapRepair arms the sync manager's
-// legacy-compatible pulls for the run. An empty schedule schedules
-// nothing and arms nothing.
-func (s *netShell) scheduleFaults(fs FaultSchedule, r faultReactor, gapRepair bool) {
+// churn leave and rejoin, loss windows. A non-empty schedule arms the
+// sync manager for the run; an empty one schedules nothing and arms
+// nothing.
+func (s *netShell) scheduleFaults(fs FaultSchedule, r faultReactor) {
 	if fs.Empty() {
 		return
 	}
-	if gapRepair {
-		s.sync.arm()
-	}
+	s.sync.arm()
 	sm, net := s.rt.sim, s.rt.net
 	for _, pw := range fs.Partitions {
 		sm.At(pw.At, func() { net.Partition(pw.Groups) })

@@ -155,7 +155,7 @@ func TestForgedSignaturesReachEd25519AndAreRejected(t *testing.T) {
 		forged.Sig = forgeSig(send.Sig)
 		before := keys.Verifies()
 		for _, node := range net.nodes {
-			net.onBlock(node, node.id, &forged)
+			net.receive(node.id, node.id, forged.Hash(), &forged, forged.EncodedSize())
 			if _, ok := node.lat.Get(forged.Hash()); ok {
 				t.Fatalf("node %d attached a block with a forged signature", node.id)
 			}
@@ -188,7 +188,7 @@ func TestForgedSignaturesReachEd25519AndAreRejected(t *testing.T) {
 		forged.Sig = forgeSig(forged.Sig)
 		before := keys.Verifies()
 		for _, node := range net.nodes {
-			net.onVertex(node, node.id, &forged)
+			net.receive(node.id, node.id, forged.Hash(), &forged, forged.EncodedSize())
 			if node.tg.Has(forged.Hash()) {
 				t.Fatalf("node %d attached a vertex with a forged signature", node.id)
 			}

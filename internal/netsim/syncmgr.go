@@ -2,26 +2,24 @@
 // nodes run a sync daemon that notices the node is behind — after churn
 // rejoin, a partition heal, or a cold start — and pulls the missing
 // history from live peers, instead of hoping the push-side gossip
-// happens to re-deliver it. This file centralizes the pull side of that
-// machinery for all four networks on the NodeRuntime seam; the serving
-// side is the network shell's (shell.go):
+// happens to re-deliver it. This file is the pull side of that
+// machinery for all four networks; the network shell (shell.go) owns the
+// serving side, the gossip path that asks for pulls, and the catch-up
+// exchanges.
 //
-//   - Single-block pulls (Pull) replace nano.go's old
-//     scheduleGapRepair/repairTick chain. The legacy cadence is kept
-//     exactly — immediate first request, one retry every
-//     gapRepairDelay, maxGapRepairAttempts per round — so runs where
-//     the legacy chain succeeded replay byte-identically. Two legacy
-//     failure modes are fixed on top: a pull whose target churns out
-//     re-targets to a live peer (the old code burned the whole budget
-//     into a dead link — the network drops a unicast at a detached
-//     target before any rng draw, so those requests were silent
-//     no-ops), and an exhausted budget re-arms with capped exponential
-//     backoff against a rotated target instead of giving up forever.
+// It has one behaviour:
+//
+//   - Single-block pulls (Pull): when a gossip object arrives before
+//     what it depends on, its node asks the sender for the missing
+//     hash at once and again every gapRepairDelay, up to
+//     maxGapRepairAttempts requests. A pull whose target has detached
+//     re-targets to a live peer, and a spent budget re-arms with capped
+//     exponential backoff against a rotated target, up to maxPullRearms
+//     times.
 //   - Range pulls (StartColdSync) drive bootstrap: the puller walks the
 //     server's canonical history stream window by window until it has
 //     drained it, re-targeting when the server churns out or a window
-//     times out. Chains serve their main chain; the lattice serves its
-//     account-ordered block stream.
+//     times out.
 //
 // The manager stays disarmed until a fault schedule or a cold start
 // arms it: an armed manager adds events only on paths that were
@@ -36,9 +34,8 @@ import (
 	"repro/internal/sim"
 )
 
-// Pull cadence. gapRepairDelay and maxGapRepairAttempts reproduce the
-// historical gap-repair chain exactly; the re-arm knobs bound the new
-// recovery path layered on top of it.
+// Pull cadence: gapRepairDelay between requests, maxGapRepairAttempts
+// per budget, and the re-arm knobs that bound how long one pull lives.
 const (
 	gapRepairDelay       = 150 * time.Millisecond
 	maxGapRepairAttempts = 64
@@ -139,19 +136,12 @@ type coldSync struct {
 
 // syncManager runs the pull side of one network simulation. It is
 // shared by every node (state is keyed by node id) and stays disarmed —
-// contributing zero events — until EnableGapRepair or StartColdSync
+// contributing zero events — until a fault schedule or StartColdSync
 // arms it.
 type syncManager struct {
 	rt    *NodeRuntime
 	stats SyncStats
 	armed bool
-	// recover enables the repaired behavior on top of the legacy
-	// cadence: re-targeting detached pull targets and re-arming
-	// exhausted attempt budgets. Off under plain arm() so fault
-	// schedules replay the historical (buggy) event stream byte for
-	// byte — the golden tables E14/E15/E18 are pinned to; on for cold
-	// syncs and for callers that opt in via armRecovery().
-	recover bool
 	// has reports whether a node already holds a block — the paradigm
 	// supplies it (lattice attachment for Nano, store membership for
 	// the chains).
@@ -171,17 +161,9 @@ func newSyncManager(rt *NodeRuntime, has func(node sim.NodeID, h hashx.Hash) boo
 	}
 }
 
-// arm enables pulls at the legacy-compatible level. Kept separate from
+// arm enables pulls for the rest of the run. Kept separate from
 // construction so honest runs pay no extra events (see package comment).
 func (m *syncManager) arm() { m.armed = true }
-
-// armRecovery enables pulls plus the repaired failure handling
-// (re-target + re-arm). Runs armed this way trade byte-compatibility
-// with the historical fault tables for actually recovering.
-func (m *syncManager) armRecovery() {
-	m.armed = true
-	m.recover = true
-}
 
 // evicted is the one reaction to an object dropped from a bounded
 // backlog: count it and, when the manager is armed, re-pull it after
@@ -247,12 +229,9 @@ func (m *syncManager) pullTick(node sim.NodeID, missing hashx.Hash, target sim.N
 		return
 	}
 	if attempt >= maxGapRepairAttempts {
-		// The legacy repair chain dropped its bookkeeping here and
-		// nothing ever re-armed: the node stayed gapped forever unless
-		// a fresh duplicate happened to arrive. In recovery mode the
-		// pull revives against a rotated target with capped exponential
-		// backoff instead.
-		if !m.recover || rearms >= maxPullRearms {
+		// A spent budget revives against a rotated target with capped
+		// exponential backoff, so a gap outlives a quiet spell.
+		if rearms >= maxPullRearms {
 			delete(m.pulling, pullKey{node: node, h: missing})
 			return
 		}
@@ -269,11 +248,9 @@ func (m *syncManager) pullTick(node sim.NodeID, missing hashx.Hash, target sim.N
 		m.stats.Retries++
 	}
 	// A unicast at a detached target is dropped by the network before
-	// it draws any randomness — the legacy chain burned its whole
-	// budget into that dead link. In recovery mode, redirect to a live
-	// peer; while the original target is alive the legacy cadence is
-	// reproduced as-is.
-	if m.recover && m.rt.net.IsDetached(target) && !m.rt.net.IsDetached(node) {
+	// it draws any randomness, so a pull at a dead link would burn its
+	// budget: redirect it to a live peer.
+	if m.rt.net.IsDetached(target) && !m.rt.net.IsDetached(node) {
 		if alt := m.rotateTarget(node, target); alt != target {
 			target = alt
 			m.stats.Retargets++
@@ -287,13 +264,13 @@ func (m *syncManager) pullTick(node sim.NodeID, missing hashx.Hash, target sim.N
 // StartColdSync begins a range-pull bootstrap: node walks target's
 // canonical history stream window by window (batch blocks per request;
 // <= 0 means defaultPullBatch) until it has drained it. Arms the
-// manager, so gap repair backstops any stream blocks that arrive out of
-// order or are minted while the sync runs.
+// manager, so single-block pulls backstop any stream blocks that arrive
+// out of order or are minted while the sync runs.
 func (m *syncManager) StartColdSync(node, target sim.NodeID, batch int) {
 	if batch <= 0 {
 		batch = defaultPullBatch
 	}
-	m.armRecovery()
+	m.arm()
 	cs := &coldSync{node: node, target: target, batch: batch, started: m.rt.sim.Now()}
 	m.cold[node] = cs
 	m.requestWindow(cs)

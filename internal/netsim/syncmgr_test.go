@@ -1,10 +1,10 @@
 package netsim
 
-// Tests for the sync manager: the two legacy gap-repair failure modes
-// (pin-to-dead-target, no re-arm after budget exhaustion) demonstrated
-// in legacy mode and repaired in recovery mode, every paradigm's bounded
-// backlog under a parentless flood and under its age bound, and the
-// cold-start range-pull bootstrap on both paradigms.
+// Tests for the sync manager: a pull re-targets off a detached sender
+// and re-arms after its attempt budget is spent, every paradigm's
+// bounded backlog holds under a parentless flood and under its age
+// bound, and the cold-start range-pull bootstrap catches up on both
+// paradigms.
 
 import (
 	"math/rand"
@@ -62,12 +62,18 @@ func craftChain(t *testing.T, n *NanoNet, lat *lattice.Lattice) (b1, b2 *lattice
 	return b1, b2
 }
 
-// runDeadTargetScenario reproduces the first legacy bug: node 1 crafts
-// two chained blocks, node 0 receives only the child from node 1, and
-// node 1 churns out before the pull chain can be served — while live
-// nodes 2 and 3 hold the missing parent the whole time. The pull's only
-// hope is re-targeting off the dead sender.
-func runDeadTargetScenario(t *testing.T, recovery bool) *NanoNet {
+// deliverBlock hands node to a lattice block from node from through the
+// shell's gossip path.
+func deliverBlock(n *NanoNet, to, from int, b *lattice.Block) {
+	n.receive(n.nodes[to].id, n.nodes[from].id, b.Hash(), b, b.EncodedSize())
+}
+
+// runDeadTargetScenario: node 1 crafts two chained blocks, node 0
+// receives only the child from node 1, and node 1 churns out before the
+// pull chain can be served — while live nodes 2 and 3 hold the missing
+// parent the whole time. The pull's only hope is re-targeting off the
+// dead sender.
+func runDeadTargetScenario(t *testing.T) *NanoNet {
 	t.Helper()
 	net, err := NewNano(syncGapCfg(501))
 	if err != nil {
@@ -76,17 +82,14 @@ func runDeadTargetScenario(t *testing.T, recovery bool) *NanoNet {
 	isolateRelays(net)
 	b1, b2 := craftChain(t, net, net.nodes[1].lat)
 	// Live nodes 2 and 3 hold the parent; node 0 never sees it by relay.
-	net.onBlock(net.nodes[2], net.nodes[1].id, b1)
-	net.onBlock(net.nodes[3], net.nodes[2].id, b1)
+	deliverBlock(net, 2, 1, b1)
+	deliverBlock(net, 3, 2, b1)
 
-	// The churn schedule arms legacy gap repair and kills the sender.
+	// The churn schedule arms the sync manager and kills the sender.
 	fs := FaultSchedule{Churn: []ChurnWindow{{Node: 1, LeaveAt: 100 * time.Millisecond}}}
 	fs.ApplyToNano(net)
-	if recovery {
-		net.EnableSyncRecovery()
-	}
 	net.rt.sim.At(200*time.Millisecond, func() {
-		net.onBlock(net.nodes[0], net.nodes[1].id, b2)
+		deliverBlock(net, 0, 1, b2)
 	})
 	net.Run(15 * time.Second)
 
@@ -96,22 +99,9 @@ func runDeadTargetScenario(t *testing.T, recovery bool) *NanoNet {
 	return net
 }
 
-// Legacy mode replays the historical bug: every retry burns into the
-// detached sender (a unicast at a detached target is a silent no-op)
-// and the node stays gapped even though two live peers hold the parent.
-func TestSyncPullDeadTargetLegacyStaysGapped(t *testing.T) {
-	net := runDeadTargetScenario(t, false)
-	if net.nodes[0].lat.GapCount() == 0 {
-		t.Fatal("legacy pull recovered off a dead target — the historical bug is gone from legacy mode")
-	}
-	if net.SyncStats().Retargets != 0 {
-		t.Fatalf("legacy pull re-targeted %d times; must pin to the original sender", net.SyncStats().Retargets)
-	}
-}
-
-// Recovery mode re-targets the pull to a live peer and the gap drains.
+// The pull re-targets to a live peer and the gap drains.
 func TestSyncPullRetargetsOffDetachedSender(t *testing.T) {
-	net := runDeadTargetScenario(t, true)
+	net := runDeadTargetScenario(t)
 	if got := net.nodes[0].lat.GapCount(); got != 0 {
 		t.Fatalf("victim still has %d gaps; re-target never recovered the parent", got)
 	}
@@ -120,12 +110,12 @@ func TestSyncPullRetargetsOffDetachedSender(t *testing.T) {
 	}
 }
 
-// runExhaustionScenario reproduces the second legacy bug: the pull
-// target is alive but does not hold the missing parent, so all
-// maxGapRepairAttempts requests go unserved (~9.6 s). The parent only
-// becomes available on live nodes afterwards — recovery requires the
-// exhausted pull to re-arm instead of abandoning the gap forever.
-func runExhaustionScenario(t *testing.T, recovery bool) *NanoNet {
+// runExhaustionScenario: the pull target is alive but does not hold the
+// missing parent, so all maxGapRepairAttempts requests go unserved
+// (~9.6 s). The parent only becomes available on live nodes afterwards —
+// recovery requires the exhausted pull to re-arm instead of abandoning
+// the gap forever.
+func runExhaustionScenario(t *testing.T) *NanoNet {
 	t.Helper()
 	net, err := NewNano(syncGapCfg(511))
 	if err != nil {
@@ -136,42 +126,25 @@ func runExhaustionScenario(t *testing.T, recovery bool) *NanoNet {
 	donor := net.nodes[1].lat.Clone()
 	b1, b2 := craftChain(t, net, donor)
 
-	if recovery {
-		net.EnableSyncRecovery()
-	} else {
-		net.EnableGapRepair()
-	}
+	net.sync.arm()
 	net.rt.sim.At(200*time.Millisecond, func() {
-		net.onBlock(net.nodes[0], net.nodes[1].id, b2)
+		deliverBlock(net, 0, 1, b2)
 	})
 	// Long after the 64-attempt budget is spent, the parent surfaces on
 	// every live node except the victim (relay isolation keeps it away).
 	net.rt.sim.At(12*time.Second, func() {
-		net.onBlock(net.nodes[1], net.nodes[3].id, b1)
-		net.onBlock(net.nodes[2], net.nodes[3].id, b1)
-		net.onBlock(net.nodes[3], net.nodes[2].id, b1)
+		deliverBlock(net, 1, 3, b1)
+		deliverBlock(net, 2, 3, b1)
+		deliverBlock(net, 3, 2, b1)
 	})
 	net.Run(25 * time.Second)
 	return net
 }
 
-// Legacy mode replays the historical bug: the exhausted pull deletes its
-// bookkeeping, nothing re-arms, and the node stays gapped forever even
-// after the whole network has the block.
-func TestSyncPullExhaustionLegacyGapsForever(t *testing.T) {
-	net := runExhaustionScenario(t, false)
-	if net.nodes[0].lat.GapCount() == 0 {
-		t.Fatal("legacy pull recovered after budget exhaustion — the historical bug is gone from legacy mode")
-	}
-	if net.SyncStats().Rearms != 0 {
-		t.Fatalf("legacy pull re-armed %d times; exhaustion must be terminal", net.SyncStats().Rearms)
-	}
-}
-
-// Recovery mode re-arms the exhausted pull with capped backoff against a
-// rotated target and eventually drains the gap.
+// The exhausted pull re-arms with capped backoff against a rotated
+// target and eventually drains the gap.
 func TestSyncPullRearmsAfterExhaustion(t *testing.T) {
-	net := runExhaustionScenario(t, true)
+	net := runExhaustionScenario(t)
 	if got := net.nodes[0].lat.GapCount(); got != 0 {
 		t.Fatalf("victim still has %d gaps; exhausted pull never re-armed", got)
 	}

@@ -100,11 +100,8 @@ type TangleNet struct {
 	nodes []*tangleNode
 	ring  *keys.Ring
 
-	created     map[hashx.Hash]time.Duration // vertex hash -> creation time
-	confirmedAt map[hashx.Hash]bool          // observer confirmations seen
-	issuedBy    map[hashx.Hash]sim.NodeID    // vertex hash -> issuing node
-	seqs        []uint64                     // per-account issuer counters
-	metrics     TangleMetrics
+	seqs    []uint64 // per-account issuer counters
+	metrics TangleMetrics
 }
 
 // NewTangle builds the network: every node starts from the identical
@@ -116,12 +113,9 @@ func NewTangle(cfg TangleConfig) (*TangleNet, error) {
 	genesis := tangle.Genesis(ring.Pair(0), cfg.Supply)
 
 	n := &TangleNet{
-		cfg:         cfg,
-		ring:        ring,
-		created:     make(map[hashx.Hash]time.Duration),
-		confirmedAt: make(map[hashx.Hash]bool),
-		issuedBy:    make(map[hashx.Hash]sim.NodeID),
-		seqs:        make([]uint64, cfg.Accounts),
+		cfg:  cfg,
+		ring: ring,
+		seqs: make([]uint64, cfg.Accounts),
 	}
 	n.netShell = newNetShell(s, net, cfg.Net.Nodes, n)
 	n.metrics.ConfirmLatency.SetBudget(cfg.Net.SampleBudget)
@@ -175,31 +169,29 @@ func (n *TangleNet) handlerFor(node *tangleNode) sim.Handler {
 	return func(from sim.NodeID, payload any, size int) {
 		switch msg := payload.(type) {
 		case *tangle.Vertex:
-			n.onVertex(node, from, msg)
+			n.receive(node.id, from, msg.Hash(), msg, size)
 		default:
 			n.serve(node.id, from, payload)
 		}
 	}
 }
 
-// onVertex processes a received vertex: first-seen dedup, attach, and
-// re-flood. Gapped vertices park inside the replica and still relay so
-// peers ahead of this node catch up; the missing parent is pulled when
-// the sync manager is armed.
-func (n *TangleNet) onVertex(node *tangleNode, from sim.NodeID, v *tangle.Vertex) {
-	if n.markSeen(node.id, v.Hash()) {
-		return
-	}
-	res := node.tg.Attach(v)
+// apply is the tangle's verdict on a first-seen vertex: attach it.
+// Gapped vertices park inside the replica and still relay so peers ahead
+// of this node catch up, naming the missing parent; invalid ones are
+// not relayed.
+func (n *TangleNet) apply(node, _ sim.NodeID, _ int32, obj any) (bool, hashx.Hash) {
+	nd := n.nodes[node]
+	res := nd.tg.Attach(obj.(*tangle.Vertex))
 	switch res.Status {
 	case tangle.Rejected:
-		return // do not relay invalid vertices
+		return false, hashx.Zero
 	case tangle.GapParent:
-		n.sync.Pull(node.id, res.Missing, from)
+		return true, res.Missing
 	case tangle.Accepted:
-		n.noteConfirmed(node, res.Confirmed)
+		n.noteConfirmed(nd, res.Confirmed)
 	}
-	n.rt.Relay(node.id, v, v.EncodedSize())
+	return true, hashx.Zero
 }
 
 // noteConfirmed records observer-side confirmations; only there are the
@@ -209,14 +201,8 @@ func (n *TangleNet) noteConfirmed(node *tangleNode, confirmed []tangle.VertexID)
 		return
 	}
 	for _, id := range confirmed {
-		h := node.tg.HashOf(id)
-		if n.confirmedAt[h] {
-			continue
-		}
-		n.confirmedAt[h] = true
-		n.metrics.ConfirmedAtObserver++
-		if created, ok := n.created[h]; ok {
-			n.metrics.ConfirmLatency.AddDuration(n.rt.sim.Now() - created)
+		if n.observeConfirmed(node.tg.HashOf(id), &n.metrics.ConfirmLatency) {
+			n.metrics.ConfirmedAtObserver++
 		}
 	}
 }
@@ -233,21 +219,16 @@ func (n *TangleNet) selectTips(node *tangleNode) (hashx.Hash, hashx.Hash) {
 	return node.tg.SelectTips(n.rt.sim.Rand())
 }
 
-// publish records, self-attaches and floods a locally created vertex —
+// publish mints, self-attaches and floods a locally created vertex —
 // unless the issuer's behavior withholds it (the parasite chain keeps
 // its sub-tangle private until release).
 func (n *TangleNet) publish(node *tangleNode, v *tangle.Vertex) {
-	h := v.Hash()
-	n.created[h] = n.rt.sim.Now()
-	n.issuedBy[h] = node.id
-	n.markSeen(node.id, h)
+	n.mint(node.id, v.Hash())
 	res := node.tg.Attach(v)
 	if res.Status == tangle.Accepted {
 		n.noteConfirmed(node, res.Confirmed)
 	}
-	if n.rt.produceAllowed(node.id, v) {
-		n.rt.Relay(node.id, v, v.EncodedSize())
-	}
+	n.flood(node.id, v, v.EncodedSize())
 }
 
 // SubmitTransfer schedules a payment: at p.At the sender's owner node
@@ -304,11 +285,11 @@ func (n *TangleNet) collect(duration time.Duration) TangleMetrics {
 // report.
 func (n *TangleNet) ConfirmedIssuedBy(node int) int {
 	count := 0
-	for h := range n.confirmedAt {
-		if issuer, ok := n.issuedBy[h]; ok && issuer == sim.NodeID(node) {
+	n.confirmed.Each(func(id uint32) {
+		if n.makerOf(int32(id)) == int32(node) {
 			count++
 		}
-	}
+	})
 	return count
 }
 
