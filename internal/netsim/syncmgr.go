@@ -15,7 +15,10 @@
 //     maxGapRepairAttempts requests. A pull whose target has detached
 //     re-targets to a live peer, and a spent budget re-arms with capped
 //     exponential backoff against a rotated target, up to maxPullRearms
-//     times.
+//     times. Each live chain is one pull record holding its state, the
+//     request it re-sends and its tick, bound once; a finished record
+//     goes to a free list for the next Pull. A chain allocates only its
+//     request, and a retry nothing.
 //   - Range pulls (StartColdSync) drive bootstrap: the puller walks the
 //     server's canonical history stream window by window until it has
 //     drained it, re-targeting when the server churns out or a window
@@ -120,6 +123,19 @@ type pullKey struct {
 	h    hashx.Hash
 }
 
+// pull is one single-block pull chain: the node missing a block, the
+// target it asks, how far through its attempt budget and re-arms it is,
+// the request it re-sends and its tick, bound once. A record is in
+// syncManager.pulling while its chain runs and on the free list after.
+type pull struct {
+	node    sim.NodeID
+	target  sim.NodeID
+	attempt int
+	rearms  int
+	req     *blockRequest
+	tick    func()
+}
+
 // coldSync is one node's range-pull bootstrap in flight.
 type coldSync struct {
 	node    sim.NodeID
@@ -147,7 +163,8 @@ type syncManager struct {
 	// the chains).
 	has func(node sim.NodeID, h hashx.Hash) bool
 
-	pulling map[pullKey]bool
+	pulling map[pullKey]*pull
+	free    []*pull // finished records, reused by the next Pull
 	cold    map[sim.NodeID]*coldSync
 }
 
@@ -156,7 +173,7 @@ func newSyncManager(rt *NodeRuntime, has func(node sim.NodeID, h hashx.Hash) boo
 	return &syncManager{
 		rt:      rt,
 		has:     has,
-		pulling: make(map[pullKey]bool),
+		pulling: make(map[pullKey]*pull),
 		cold:    make(map[sim.NodeID]*coldSync),
 	}
 }
@@ -216,49 +233,72 @@ func (m *syncManager) Pull(node sim.NodeID, missing hashx.Hash, target sim.NodeI
 		return
 	}
 	k := pullKey{node: node, h: missing}
-	if m.pulling[k] {
+	if m.pulling[k] != nil {
 		return
 	}
-	m.pulling[k] = true
-	m.pullTick(node, missing, target, 0, 0)
+	var p *pull
+	if n := len(m.free); n > 0 {
+		p, m.free = m.free[n-1], m.free[:n-1]
+	} else {
+		p = &pull{}
+		p.tick = func() { m.pullTick(p) }
+	}
+	// The request is the one allocation of a chain: the record's last
+	// one may still be in flight, and its receiver reads the hash on
+	// delivery.
+	p.node, p.target, p.attempt, p.rearms = node, target, 0, 0
+	p.req = &blockRequest{Hash: missing}
+	m.pulling[k] = p
+	m.pullTick(p)
 }
 
-func (m *syncManager) pullTick(node sim.NodeID, missing hashx.Hash, target sim.NodeID, attempt, rearms int) {
-	if m.has(node, missing) {
-		delete(m.pulling, pullKey{node: node, h: missing})
+// pullTick is one step of a pull chain. A chain ends only here, in a tick
+// that schedules nothing, so no pending event holds a freed record.
+func (m *syncManager) pullTick(p *pull) {
+	if m.has(p.node, p.req.Hash) {
+		m.endPull(p)
 		return
 	}
-	if attempt >= maxGapRepairAttempts {
+	if p.attempt >= maxGapRepairAttempts {
 		// A spent budget revives against a rotated target with capped
 		// exponential backoff, so a gap outlives a quiet spell.
-		if rearms >= maxPullRearms {
-			delete(m.pulling, pullKey{node: node, h: missing})
+		if p.rearms >= maxPullRearms {
+			m.endPull(p)
 			return
 		}
-		delay := gapRepairDelay << uint(rearms+1)
+		delay := gapRepairDelay << uint(p.rearms+1)
 		if delay > pullRearmCap {
 			delay = pullRearmCap
 		}
-		next := m.rotateTarget(node, target)
+		p.target = m.rotateTarget(p.node, p.target)
+		p.attempt = 0
+		p.rearms++
 		m.stats.Rearms++
-		m.rt.sim.After(delay, func() { m.pullTick(node, missing, next, 0, rearms+1) })
+		m.rt.sim.After(delay, p.tick)
 		return
 	}
-	if attempt > 0 {
+	if p.attempt > 0 {
 		m.stats.Retries++
 	}
 	// A unicast at a detached target is dropped by the network before
 	// it draws any randomness, so a pull at a dead link would burn its
 	// budget: redirect it to a live peer.
-	if m.rt.net.IsDetached(target) && !m.rt.net.IsDetached(node) {
-		if alt := m.rotateTarget(node, target); alt != target {
-			target = alt
+	if m.rt.net.IsDetached(p.target) && !m.rt.net.IsDetached(p.node) {
+		if alt := m.rotateTarget(p.node, p.target); alt != p.target {
+			p.target = alt
 			m.stats.Retargets++
 		}
 	}
 	m.stats.SyncPulls++
-	m.rt.Unicast(node, target, &blockRequest{Hash: missing}, blockRequestSize)
-	m.rt.sim.After(gapRepairDelay, func() { m.pullTick(node, missing, target, attempt+1, rearms) })
+	m.rt.Unicast(p.node, p.target, p.req, blockRequestSize)
+	p.attempt++
+	m.rt.sim.After(gapRepairDelay, p.tick)
+}
+
+// endPull retires a finished chain's record to the free list.
+func (m *syncManager) endPull(p *pull) {
+	delete(m.pulling, pullKey{node: p.node, h: p.req.Hash})
+	m.free = append(m.free, p)
 }
 
 // StartColdSync begins a range-pull bootstrap: node walks target's

@@ -393,3 +393,67 @@ func TestBitcoinColdStartCatchesUp(t *testing.T) {
 		t.Fatal("cold node's chain diverged after catch-up")
 	}
 }
+
+// pullRig is a bare two-node runtime under an armed sync manager whose
+// node 0 holds exactly the hash in held, and whose node 1 answers no
+// request.
+type pullRig struct {
+	s    *sim.Simulator
+	m    *syncManager
+	held hashx.Hash
+}
+
+func newPullRig() *pullRig {
+	s := sim.New(1)
+	rt := newNodeRuntime(s, sim.NewNetwork(s, sim.UniformLinks{MinLatency: 5 * time.Millisecond, MaxLatency: 300 * time.Millisecond}))
+	for i := 0; i < 2; i++ {
+		rt.AddNode(func(sim.NodeID, any, int) {})
+	}
+	r := &pullRig{s: s}
+	r.m = newSyncManager(rt, func(node sim.NodeID, h hashx.Hash) bool { return node == 0 && h == r.held })
+	r.m.arm()
+	return r
+}
+
+// A retry re-sends the chain's request and re-arms its bound tick: no
+// allocation.
+func TestPullRetryTickAllocatesNothing(t *testing.T) {
+	r := newPullRig()
+	r.m.Pull(0, hashx.Sum([]byte("never served")), 1)
+	const runs = 50 // with the warm-up run, inside one attempt budget
+	if n := testing.AllocsPerRun(runs, func() { r.s.RunFor(gapRepairDelay) }); n != 0 {
+		t.Fatalf("a pull retry tick allocates %v times, want 0", n)
+	}
+	if got := r.m.stats.Retries; got != runs+1 {
+		t.Fatalf("%d retries ran, want %d", got, runs+1)
+	}
+}
+
+// A finished chain's record serves the next Pull: a new chain allocates
+// only the request it sends, since the previous chain's may still be in
+// flight (the link delay here outlasts gapRepairDelay), and every request
+// keeps the hash it was sent with.
+func TestPullReusesFinishedRecords(t *testing.T) {
+	r := newPullRig()
+	const runs = 50
+	hashes := make([]hashx.Hash, 0, runs+1)
+	sent := make([]*blockRequest, 0, runs+1)
+	if n := testing.AllocsPerRun(runs, func() {
+		h := hashx.Sum([]byte{byte(len(hashes))})
+		r.m.Pull(0, h, 1)
+		hashes = append(hashes, h)
+		sent = append(sent, r.m.pulling[pullKey{node: 0, h: h}].req)
+		r.held = h
+		r.s.RunFor(gapRepairDelay)
+	}); n > 1 {
+		t.Fatalf("a pull chain allocates %v times, want at most its request", n)
+	}
+	if len(r.m.pulling) != 0 || len(r.m.free) != 1 {
+		t.Fatalf("%d chains live and %d records free, want 0 and 1", len(r.m.pulling), len(r.m.free))
+	}
+	for i, req := range sent {
+		if req.Hash != hashes[i] {
+			t.Fatalf("chain %d's request was rewritten by a later chain", i)
+		}
+	}
+}

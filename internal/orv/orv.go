@@ -197,6 +197,11 @@ var (
 // itself). It is sized by its candidates and voters — one entry per
 // candidate, one per representative that voted — and carries its own
 // outcome: the winner and whether the winner is cemented.
+//
+// The first candidate and the first inlineVotes votes live inside the
+// struct (cands and votes start as slices of cand0 and vote0), so an
+// uncontested election is one allocation; a fork's second candidate or a
+// vote past inlineVotes moves that slice to the heap.
 type Election struct {
 	cands []candidate
 	votes []repVote
@@ -206,7 +211,16 @@ type Election struct {
 	// record (Tracker.record) only; an election that becomes a block's
 	// record later inherits the mark when it is decided.
 	cemented bool
+
+	cand0 [1]candidate
+	vote0 [inlineVotes]repVote
 }
+
+// inlineVotes is how many votes an Election holds before its votes move
+// to the heap. Four covers every representative of the networks built
+// here, and keeps the struct (160 bytes) no larger than the struct plus
+// the candidate and four-vote arrays it replaces (64 + 48 + 64 bytes).
+const inlineVotes = 4
 
 // candidate is one block on an election's ballot and its tally.
 type candidate struct {
@@ -285,7 +299,8 @@ func (t *Tracker) QuorumWeight() uint64 {
 func (t *Tracker) StartElection(root hashx.Hash, candidates ...hashx.Hash) error {
 	e, ok := t.elections[root]
 	if !ok {
-		e = &Election{cands: make([]candidate, 0, len(candidates)), winner: -1}
+		e = &Election{winner: -1}
+		e.cands, e.votes = e.cand0[:0], e.vote0[:0]
 		t.elections[root] = e
 	}
 	if e.decided() {

@@ -3,6 +3,7 @@ package orv
 import (
 	"errors"
 	"testing"
+	"unsafe"
 
 	"repro/internal/hashx"
 	"repro/internal/keys"
@@ -292,5 +293,45 @@ func BenchmarkProcessVote(b *testing.B) {
 		if _, err := tr.ProcessVote(root, votes[i%63]); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// A vote into a live, uncontested election is tallied in the election's
+// inline storage: no allocation. The inline storage costs no live bytes
+// over the 176 a three-vote election held on the heap before it (a
+// 64-byte struct, 48 for its candidate, 64 for four votes).
+func TestVoteIntoLiveElectionAllocatesNothing(t *testing.T) {
+	if size := unsafe.Sizeof(Election{}); size > 176 {
+		t.Fatalf("Election is %d bytes, over the 176 it replaces", size)
+	}
+	byIdx := map[int]uint64{}
+	for i := 0; i < 8; i++ {
+		byIdx[i] = 10
+	}
+	w, r := weights(t, byIdx)
+	tr := NewTracker(w, Config{QuorumFraction: 0.5})
+	const runs = 50
+	roots := make([]hashx.Hash, runs+1) // AllocsPerRun adds a warm-up run
+	votes := make([][]*Vote, len(roots))
+	for i := range roots {
+		roots[i] = blockHash(string(rune('a' + i)))
+		if err := tr.StartElection(roots[i], roots[i]); err != nil {
+			t.Fatal(err)
+		}
+		// inlineVotes votes, 40 of 80 weight: still short of quorum.
+		for rep := 0; rep < inlineVotes; rep++ {
+			votes[i] = append(votes[i], NewVote(r.Pair(rep), roots[i], 1))
+		}
+	}
+	i := 0
+	if n := testing.AllocsPerRun(runs, func() {
+		for _, v := range votes[i] {
+			if out, err := tr.ProcessVote(roots[i], v); err != nil || out.Confirmed {
+				t.Fatalf("vote: %+v, %v", out, err)
+			}
+		}
+		i++
+	}); n != 0 {
+		t.Fatalf("votes into a live election allocate %v times per election, want 0", n)
 	}
 }

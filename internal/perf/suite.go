@@ -66,6 +66,7 @@ func Suite() []Benchmark {
 		{Name: "e2e/E1", Kind: "e2e", Op: benchExperiment("E1")},
 		{Name: "e2e/E2", Kind: "e2e", Op: benchExperiment("E2")},
 		{Name: "e2e/E9", Kind: "e2e", Op: benchExperiment("E9")},
+		{Name: "e2e/E20", Kind: "e2e", Op: benchExperiment("E20")},
 	}
 }
 

@@ -182,11 +182,15 @@ type Result struct {
 	// Missing is the first unknown parent when Status is GapParent.
 	Missing hashx.Hash
 	// Drained lists parked vertices that attached because this arrival
-	// filled their gap, in attach order.
-	Drained []*Vertex
-	// Confirmed lists the catalog ids of vertices newly past the
-	// coverage threshold, in ancestor-before-descendant order (genesis
-	// excluded — it is born confirmed). HashOf resolves them.
+	// filled their gap, in attach order. Confirmed lists the catalog ids
+	// of vertices newly past the coverage threshold, in
+	// ancestor-before-descendant order (genesis excluded — it is born
+	// confirmed); HashOf resolves them.
+	//
+	// Both are buffers the replica owns and refills: they stay valid
+	// until the next Attach on the same replica, so a caller that keeps
+	// them longer copies them.
+	Drained   []*Vertex
 	Confirmed []VertexID
 }
 
@@ -227,6 +231,12 @@ type Tangle struct {
 	// walk (slot.stamp); stack is its reused scratch.
 	epoch uint32
 	stack []VertexID
+
+	// confirmedBuf, drainedBuf and queue are Attach's reused output
+	// buffers (Result) and its drain's breadth-first queue.
+	confirmedBuf []VertexID
+	drainedBuf   []*Vertex
+	queue        []hashx.Hash
 
 	confirmedCount int
 
@@ -330,33 +340,30 @@ func (t *Tangle) removeTip(id VertexID) {
 // parked vertices are expired first.
 func (t *Tangle) Attach(v *Vertex) Result {
 	t.parked.Expire()
+	t.confirmedBuf, t.drainedBuf = t.confirmedBuf[:0], t.drainedBuf[:0]
 	res := t.attachOne(v)
-	if res.Status != Accepted || t.parked.Len() == 0 {
-		return res
-	}
-	// Drain parked descendants breadth-first: each drained vertex may
-	// itself unblock more.
-	queue := []hashx.Hash{v.Hash()}
-	for len(queue) > 0 {
-		h := queue[0]
-		queue = queue[1:]
-		for _, w := range t.parked.Take(h) {
-			sub := t.attachOne(w)
-			if sub.Status != Accepted {
-				continue
+	if res.Status == Accepted && t.parked.Len() > 0 {
+		// Drain parked descendants breadth-first: each drained vertex
+		// may itself unblock more.
+		queue := append(t.queue[:0], v.Hash())
+		for i := 0; i < len(queue); i++ {
+			for _, w := range t.parked.Take(queue[i]) {
+				if t.attachOne(w).Status == Accepted {
+					t.drainedBuf = append(t.drainedBuf, w)
+					queue = append(queue, w.Hash())
+				}
 			}
-			res.Drained = append(res.Drained, w)
-			res.Confirmed = append(res.Confirmed, sub.Confirmed...)
-			queue = append(queue, w.Hash())
 		}
+		t.queue = queue[:0]
 	}
+	res.Drained, res.Confirmed = t.drainedBuf, t.confirmedBuf
 	return res
 }
 
-// attachOne inserts a single vertex without draining. Every check runs
-// on the pointer received, never on the catalog's: the content hash does
-// not cover PubKey and Sig, so a same-hash copy must earn its own
-// acceptance.
+// attachOne inserts a single vertex without draining, appending what it
+// confirms to confirmedBuf. Every check runs on the pointer received,
+// never on the catalog's: the content hash does not cover PubKey and
+// Sig, so a same-hash copy must earn its own acceptance.
 func (t *Tangle) attachOne(v *Vertex) Result {
 	h := v.Hash()
 	id := t.cat.ID(h)
@@ -389,13 +396,16 @@ func (t *Tangle) attachOne(v *Vertex) Result {
 	t.own.Keep(id, v, t.cat.At(id).vertex)
 	t.attached.Add(uint32(id))
 	t.order = append(t.order, id)
-	if n := int(id) + 1; n > len(t.slots) {
-		t.slots = append(t.slots, make([]slot, n-len(t.slots))...)
+	// Grown a slot at a time: append(s, make(...)...) allocates its
+	// temporary in race builds, and Attach allocates nothing once warm.
+	for int(id) >= len(t.slots) {
+		t.slots = append(t.slots, slot{})
 	}
 	t.removeTip(pa)
 	t.removeTip(pb)
 	t.addTip(id)
-	return Result{Status: Accepted, Confirmed: t.propagate(id)}
+	t.propagate(id)
+	return Result{Status: Accepted}
 }
 
 // propagate walks the new vertex's past cone, incrementing cumulative
@@ -405,9 +415,8 @@ func (t *Tangle) attachOne(v *Vertex) Result {
 // confirmed no later than its descendants (its future cone strictly
 // contains theirs), so nothing beyond a confirmed vertex still needs
 // weight.
-func (t *Tangle) propagate(id VertexID) []VertexID {
+func (t *Tangle) propagate(id VertexID) {
 	t.epoch++
-	var newly []VertexID
 	ps := t.cat.At(id).parents
 	t.stack = append(t.stack[:0], ps[0], ps[1])
 	for len(t.stack) > 0 {
@@ -420,28 +429,28 @@ func (t *Tangle) propagate(id VertexID) []VertexID {
 		s.stamp = t.epoch
 		s.weight++
 		if s.weight >= t.confirmWeight {
-			t.cement(u, &newly)
+			t.cement(u)
 			continue
 		}
 		ps := t.cat.At(u).parents
 		t.stack = append(t.stack, ps[0], ps[1])
 	}
-	return newly
 }
 
 // cement confirms id and, first, every still-unconfirmed ancestor —
 // each necessarily at or past the threshold already, since an
 // unconfirmed ancestor's weight is at least its descendant's plus one.
-// Output order is ancestor before descendant, the §IV coverage closure.
-func (t *Tangle) cement(id VertexID, out *[]VertexID) {
+// Output order (appended to confirmedBuf) is ancestor before
+// descendant, the §IV coverage closure.
+func (t *Tangle) cement(id VertexID) {
 	t.confirmed.Add(uint32(id))
 	for _, p := range t.cat.At(id).parents {
 		if p != 0 && !t.confirmed.Has(uint32(p)) {
-			t.cement(p, out)
+			t.cement(p)
 		}
 	}
 	t.confirmedCount++
-	*out = append(*out, id)
+	t.confirmedBuf = append(t.confirmedBuf, id)
 }
 
 // park holds v until missing arrives, unless it already waits there.

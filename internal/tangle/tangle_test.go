@@ -323,3 +323,88 @@ func TestTangleReplicaKeepsThePointerItValidated(t *testing.T) {
 		t.Fatalf("the catalog's first replica serves %p, want the original %p", got, v)
 	}
 }
+
+// One Attach that drains a parked chain reports every confirmation the
+// arrival and the drained vertices make, each once and ancestor first,
+// exactly as the map model does: the drain appends to the same buffer
+// the arrival's own confirmations went to.
+func TestAttachDrainReportsEveryConfirmation(t *testing.T) {
+	ring := testRing(t, 1)
+	tg, gen := newTestTangle(t, ring, 2)
+	m := newMapTangle(gen, 2)
+	chain := []*Vertex{gen}
+	for i := 1; i <= 8; i++ {
+		p := chain[i-1].Hash()
+		chain = append(chain, NewVertex(ring.Pair(0), uint64(i), p, p, ring.Addr(0), 1))
+	}
+	// v1 and v2 attach; v4..v8 park behind v3, newest first.
+	for _, v := range chain[1:3] {
+		tg.Attach(v)
+		m.Attach(v)
+	}
+	for i := len(chain) - 1; i > 3; i-- {
+		tg.Attach(chain[i])
+		m.Attach(chain[i])
+	}
+	before := tg.ConfirmedCount()
+	res := tg.Attach(chain[3])
+	want := m.Attach(chain[3])
+	if len(res.Drained) != 5 {
+		t.Fatalf("drained %d vertices, want 5", len(res.Drained))
+	}
+	got := make([]hashx.Hash, len(res.Confirmed))
+	for i, id := range res.Confirmed {
+		got[i] = tg.HashOf(id)
+	}
+	if len(got) != tg.ConfirmedCount()-before {
+		t.Fatalf("reported %d confirmations, %d happened", len(got), tg.ConfirmedCount()-before)
+	}
+	if len(got) != len(want.Confirmed) {
+		t.Fatalf("confirmed %d vertices, model %d", len(got), len(want.Confirmed))
+	}
+	for i := range got {
+		if got[i] != want.Confirmed[i] {
+			t.Fatalf("confirmation %d is %x, model %x", i, got[i][:4], want.Confirmed[i][:4])
+		}
+	}
+	// Each of v3..v8 lifts its grandparent to weight 2: v1..v6 confirm,
+	// in chain order, which is ancestor order.
+	if len(got) != 6 {
+		t.Fatalf("confirmed %d vertices, want v1..v6", len(got))
+	}
+	for i, h := range got {
+		if h != chain[i+1].Hash() {
+			t.Fatalf("confirmation %d is %x, want v%d", i, h[:4], i+1)
+		}
+	}
+}
+
+// A cementing Attach on a warmed replica reports its confirmations in
+// the replica's own buffer: no allocation. The vertices are catalogued
+// by another replica first, so the catalog does not grow either.
+func TestCementingAttachAllocatesNothing(t *testing.T) {
+	ring := testRing(t, 1)
+	first, gen := newTestTangle(t, ring, 2)
+	const warm, runs = 64, 50
+	vs := []*Vertex{gen}
+	for i := 1; i <= warm+runs+1; i++ {
+		p := vs[i-1].Hash()
+		v := NewVertex(ring.Pair(0), uint64(i), p, p, ring.Addr(0), 1)
+		first.Attach(v)
+		vs = append(vs, v)
+	}
+	tg := first.Replica()
+	for _, v := range vs[1 : warm+1] {
+		tg.Attach(v)
+	}
+	next := warm + 1
+	if n := testing.AllocsPerRun(runs, func() {
+		res := tg.Attach(vs[next])
+		if res.Status != Accepted || len(res.Confirmed) != 1 {
+			t.Fatalf("attach %d: %v, %d confirmed", next, res.Status, len(res.Confirmed))
+		}
+		next++
+	}); n != 0 {
+		t.Fatalf("a cementing Attach allocates %v times, want 0", n)
+	}
+}

@@ -307,7 +307,7 @@ func (s *Set) check(tx *Tx, ids []uint32) (fee uint64, _ []uint32, err error) {
 		for i, in := range tx.Ins {
 			id, ok := s.find(in.Prev)
 			if !ok {
-				return 0, nil, fmt.Errorf("%w: %s", ErrMissingOutput, in.Prev)
+				return 0, nil, &missingOutputError{prev: in.Prev}
 			}
 			if err := memo.checkSig(i, in, s.cat.coins[id].Owner, memo.sigHash); err != nil {
 				return 0, nil, err
@@ -321,13 +321,13 @@ func (s *Set) check(tx *Tx, ids []uint32) (fee uint64, _ []uint32, err error) {
 	for i, in := range tx.Ins {
 		id, ok := s.find(in.Prev)
 		if !ok {
-			return 0, nil, fmt.Errorf("%w: %s", ErrMissingOutput, in.Prev)
+			return 0, nil, &missingOutputError{prev: in.Prev}
 		}
 		// A repeated input passed every check the first time round, so
 		// it is among the ids gathered so far.
 		for _, earlier := range ids {
 			if earlier == id {
-				return 0, nil, fmt.Errorf("%w: duplicate input %s", ErrMissingOutput, in.Prev)
+				return 0, nil, &missingOutputError{prev: in.Prev, dup: true}
 			}
 		}
 		ids = append(ids, id)

@@ -285,3 +285,20 @@ var (
 	ErrInsufficient  = errors.New("utxo: inputs worth less than outputs")
 	ErrCoinbaseValue = errors.New("utxo: coinbase exceeds subsidy plus fees")
 )
+
+// missingOutputError is ErrMissingOutput for one input: a rejected
+// mempool add is common under load, so the outpoint is formatted only
+// when Error is called.
+type missingOutputError struct {
+	prev Outpoint
+	dup  bool // the input repeats an earlier one of the same transaction
+}
+
+func (e *missingOutputError) Error() string {
+	if e.dup {
+		return ErrMissingOutput.Error() + ": duplicate input " + e.prev.String()
+	}
+	return ErrMissingOutput.Error() + ": " + e.prev.String()
+}
+
+func (e *missingOutputError) Unwrap() error { return ErrMissingOutput }

@@ -1031,3 +1031,54 @@ func TestConfirmationsFollowTheMainChainCarrier(t *testing.T) {
 		t.Fatalf("a ledger still on the first carrier reads %d confirmations, want 1", got)
 	}
 }
+
+// A rejected input names its outpoint with the text fmt.Errorf gave it,
+// unwraps to ErrMissingOutput, and formats nothing until asked: a
+// rejected mempool add costs at most the error value itself.
+func TestMissingOutputErrorFormatsLazily(t *testing.T) {
+	r := ring(2)
+	fund := NewCoinbase(1, r.Addr(0), 100)
+	holds, lacks := NewSet(), NewSet()
+	holds.create(fund)
+	op := Outpoint{TxID: fund.ID(), Index: 0}
+	pay := &Tx{Ins: []TxIn{{Prev: op}}, Outs: []TxOut{{Value: 90, Owner: r.Addr(1)}}}
+	pay.SignAll(r.Pair(0))
+	dup := &Tx{Ins: []TxIn{{Prev: op}, {Prev: op}}, Outs: []TxOut{{Value: 1, Owner: r.Addr(1)}}}
+	dup.SignAll(r.Pair(0))
+
+	_, missing := lacks.CheckTx(pay)
+	_, repeated := holds.CheckTx(dup)
+	for _, tc := range []struct {
+		err  error
+		want string
+	}{
+		{missing, fmt.Errorf("%w: %s", ErrMissingOutput, op).Error()},
+		{repeated, fmt.Errorf("%w: duplicate input %s", ErrMissingOutput, op).Error()},
+	} {
+		if !errors.Is(tc.err, ErrMissingOutput) {
+			t.Fatalf("err = %v, not ErrMissingOutput", tc.err)
+		}
+		if tc.err.Error() != tc.want {
+			t.Fatalf("err text %q, want %q", tc.err.Error(), tc.want)
+		}
+	}
+
+	// Both validation paths: a transaction never checked anywhere, and
+	// one whose content checked out at another set (its memo is valid).
+	fresh := &Tx{Ins: []TxIn{{Prev: Outpoint{TxID: hashx.Sum([]byte("x")), Index: 0}}},
+		Outs: []TxOut{{Value: 1, Owner: r.Addr(1)}}}
+	fresh.SignAll(r.Pair(0))
+	if _, err := holds.CheckTx(pay); err != nil {
+		t.Fatal(err)
+	}
+	pool := NewMempool(lacks)
+	for _, tx := range []*Tx{fresh, pay} {
+		if n := testing.AllocsPerRun(100, func() {
+			if pool.Add(tx) == nil {
+				t.Fatal("unfunded transaction pooled")
+			}
+		}); n > 1 {
+			t.Fatalf("rejected Mempool.Add allocates %v times, want <= 1", n)
+		}
+	}
+}
