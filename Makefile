@@ -76,13 +76,13 @@ bench:
 
 # The committed perf baseline this branch is gated against; bump when a
 # new trajectory point lands (see PERFORMANCE.md).
-BENCH_BASELINE ?= BENCH_036.json
+BENCH_BASELINE ?= BENCH_037.json
 
 # Regenerate the committed perf trajectory point. Run on a quiet
 # machine; review the diff against the previous baseline before
 # committing (make bench-gate does exactly that comparison).
 bench-commit:
-	$(GO) run ./cmd/dltbench -bench-report -bench-label 036 -bench-out $(BENCH_BASELINE)
+	$(GO) run ./cmd/dltbench -bench-report -bench-label 037 -bench-out $(BENCH_BASELINE)
 
 # The CI regression gate: re-run the suite (shorter measurement time,
 # same workload scale) and fail on >15% ns/op or allocs/op regressions

@@ -34,8 +34,8 @@ type Tx struct {
 
 	// verified holds the signature verdict (see keys.SigMemo): the
 	// simulation hands one *Tx to every node's mempool, the producer's
-	// BuildBlock and every replica's validateBlock, and Sign seeds it, so
-	// an honest run never runs ed25519 on a transaction.
+	// BuildBlock and every replica's validateBlock, and Sign binds it, so
+	// an honest run never runs ed25519 verification on a transaction.
 	verified keys.SigMemo
 }
 
@@ -86,11 +86,13 @@ func (tx *Tx) ID() hashx.Hash {
 	return hashx.Sum(buf)
 }
 
-// Sign fills From, PubKey and Sig from the key pair.
+// Sign fills From, PubKey and Sig from the key pair. The ID covers Sig,
+// so the bytes are made at once.
 func (tx *Tx) Sign(kp *keys.KeyPair) {
 	tx.From = kp.Address()
-	tx.PubKey = kp.Pub
-	tx.Sig = kp.SignMemo(&tx.verified, tx.From, tx.SigHash())
+	tx.PubKey, tx.Sig = kp.Pub, nil
+	kp.SignMemo(&tx.verified, tx.From, tx.SigHash())
+	tx.verified.Sig(&tx.Sig)
 }
 
 // VerifySig checks the signature and that PubKey matches From. The
@@ -99,7 +101,7 @@ func (tx *Tx) Sign(kp *keys.KeyPair) {
 // check pays that one hash instead of ed25519, and a transaction mutated
 // or re-signed afterwards re-verifies.
 func (tx *Tx) VerifySig() bool {
-	return tx.verified.Verify(tx.From, tx.SigHash(), tx.PubKey, tx.Sig)
+	return tx.verified.Verify(tx.From, tx.SigHash(), tx.PubKey, &tx.Sig)
 }
 
 // IntrinsicGas is the gas charged before any execution.

@@ -3,16 +3,21 @@ package keys
 import "testing"
 
 // FuzzSigMemo drives one signed object through a random sequence of
-// signings (seeding the memo), checks, in-place and whole-field changes
-// and struct copies. After every step the memo's verdict — asked twice,
-// so a verdict wrongly stored by the first answer shows in the second —
-// must equal binding check plus ed25519 on the fields as they stand, and
-// a memo hit must never outlive a valid signature.
+// signings (seeding the memo), deferred signings and first reads,
+// checks, in-place and whole-field changes and struct copies, of read
+// and unread objects. After every step the memo's verdict — asked
+// twice, so a verdict wrongly stored by the first answer shows in the
+// second — must equal binding check plus ed25519 on the bytes a read
+// returns and the other fields as they stand, and a memo hit must never
+// outlive a valid signature.
 func FuzzSigMemo(f *testing.F) {
-	f.Add([]byte{0, 2, 3, 7, 2, 3, 7, 2}, byte(1))       // sign, check, flip bit, check, flip it back, check
-	f.Add([]byte{0, 5, 2, 4, 2, 4, 2}, byte(2))          // sign, copy, check, swap key and back
-	f.Add([]byte{1, 2, 0, 6, 2, 8, 2, 7, 2}, byte(3))    // stranger signs, owner signs, content, owner, truncate
-	f.Add([]byte{9, 2, 0, 2, 10, 2, 5, 3, 200}, byte(4)) // foreign Pub, re-sign, replace slice, copy, flip
+	f.Add([]byte{0, 2, 3, 7, 2, 3, 7, 2}, byte(1))        // sign, check, flip bit, check, flip it back, check
+	f.Add([]byte{0, 5, 2, 4, 2, 4, 2}, byte(2))           // sign, copy, check, swap key and back
+	f.Add([]byte{1, 2, 0, 6, 2, 8, 2, 7, 2}, byte(3))     // stranger signs, owner signs, content, owner, truncate
+	f.Add([]byte{9, 2, 0, 2, 10, 2, 5, 3, 200}, byte(4))  // foreign Pub, re-sign, replace slice, copy, flip
+	f.Add([]byte{11, 2, 6, 2, 6, 12, 2}, byte(5))         // deferred sign, check, content changed and back, read
+	f.Add([]byte{13, 12, 3, 9, 2, 11, 5, 12, 2}, byte(6)) // copy of an unread object, read, flip; again
+	f.Add([]byte{11, 14, 1, 2, 11, 14, 0, 2}, byte(7))    // deferred sign, stranger's bytes; deferred sign, owner's bytes
 	f.Fuzz(func(t *testing.T, ops []byte, content byte) {
 		owner, other := Deterministic("fuzz-owner"), Deterministic("fuzz-other")
 		foreign := *owner
@@ -20,7 +25,7 @@ func FuzzSigMemo(f *testing.F) {
 
 		s := &signed{owner: owner.Address(), content: content}
 		for i := 0; i < len(ops); i++ {
-			op := ops[i] % 11
+			op := ops[i] % 15
 			switch op {
 			case 0:
 				s.sign(owner)
@@ -58,6 +63,23 @@ func FuzzSigMemo(f *testing.F) {
 				s.sign(&foreign)
 			case 10:
 				s.sig = append([]byte(nil), s.sig...)
+			case 11:
+				s.deferSign(owner)
+			case 12:
+				s.read()
+			case 13: // a struct copy of an object nothing has read
+				s.deferSign(owner)
+				cp := *s
+				s = &cp
+			case 14: // bytes written beside an unread memo, by either key
+				if s.sig == nil && i+1 < len(ops) {
+					i++
+					d, kp := s.digest(), owner
+					if ops[i]%2 == 1 {
+						kp = other
+					}
+					s.sig = kp.Sign(d[:])
+				}
 			}
 			cold := s.cold()
 			if s.hit() && !cold {

@@ -3,6 +3,12 @@
 // representatives. Identities can be generated randomly or derived
 // deterministically from a seed so whole-network simulations are
 // reproducible run to run.
+//
+// A signed object embeds a SigMemo, which holds the signature's verdict
+// and how to make its bytes; the bytes appear on first read. Signing
+// through KeyPair.SignMemo therefore runs no ed25519 until some code
+// reads the signature, and an honest object its owner signed is
+// accepted by every node without ever running it.
 package keys
 
 import (
@@ -106,11 +112,20 @@ func DeterministicN(family string, i int) *KeyPair {
 // Address returns the key pair's derived address.
 func (kp *KeyPair) Address() Address { return kp.id.addr }
 
-// Sign signs msg with the private key.
-func (kp *KeyPair) Sign(msg []byte) []byte { return ed25519.Sign(kp.priv, msg) }
+// signs and verifies count the calls that reached ed25519.Sign and
+// ed25519.Verify.
+var signs, verifies atomic.Uint64
 
-// verifies counts the calls that reached ed25519.Verify.
-var verifies atomic.Uint64
+// Sign signs msg with the private key.
+func (kp *KeyPair) Sign(msg []byte) []byte {
+	signs.Add(1)
+	return ed25519.Sign(kp.priv, msg)
+}
+
+// Signs returns how many times this process has run ed25519.Sign: a
+// test takes the difference around a region, as with Verifies. Objects
+// signed through SignMemo add to it only when their bytes are first read.
+func Signs() uint64 { return signs.Load() }
 
 // Verify reports whether sig is a valid signature of msg under pub.
 func Verify(pub ed25519.PublicKey, msg, sig []byte) bool {
@@ -127,88 +142,116 @@ func Verify(pub ed25519.PublicKey, msg, sig []byte) bool {
 // signed by their owners' wallets adds nothing to it.
 func Verifies() uint64 { return verifies.Load() }
 
-// SigMemo caches a positive signature verdict inside the signed object
-// it is embedded in (by value, as an unexported field). The verdict it
-// stands for is "pub hashes to owner, and sig signs digest under pub",
-// and a hit compares all four with what was verified — the owner
-// address, the content digest, the 32 key bytes and the 64 signature
-// bytes — so a byte flipped in place, a replaced slice, a swapped key, a
-// changed owner or a changed digest all miss and verify in full. It is
-// honoured only while it still lives at the address it was stored from:
-// a simulated broadcast hands one pointer to every node, so one verdict
-// serves them all, and a struct copy re-verifies. Only success is stored
-// — a failing check is repeated each time. The zero value is empty.
-// Verify, Store and SignMemo write and are not safe for concurrent use;
-// Hit only reads.
+// SigMemo lives inside a signed object (by value, as an unexported
+// field) and holds two things about the object's signature: the verdict,
+// and how to make the bytes. The bytes appear on first read, through
+// Sig, and never before.
 //
-// A type that recomputes its digest on every call (account.Tx,
-// orv.Vote, pos.Vote) is therefore covered field by field. A type that
-// hands in a pointer-memoized content hash (lattice.Block,
+// How to make the bytes: SignMemo records the signing key pair and the
+// content digest it was handed. The first Sig on an object that carries
+// no bytes signs that frozen digest — never one re-derived from the
+// content later, so content changed after signing fails — and gives the
+// object its own copy of the result. ed25519 signing is deterministic,
+// so these are the bytes an eager signature would have been.
+//
+// The verdict is "pub hashes to owner, and the bytes sign digest under
+// pub". It is bound by SignMemo when the signer owns the object, or by
+// Store after a full check, and it is honoured only while the memo still
+// lives at the address it was bound at: a simulated broadcast hands one
+// pointer to every node, so one verdict serves them all, and a struct
+// copy re-verifies. A hit compares the owner address, the content
+// digest and the 32 key bytes with the bound ones, and then the bytes:
+// an object not yet read must carry none, and once read its bytes must
+// equal the memo's own copy — a separate array, so a byte flipped in
+// place, a replaced slice, a swapped key, a changed owner or a changed
+// digest all miss and verify in full. Only success is stored. The zero
+// value is empty.
+//
+// Sig, Verify, Store and SignMemo write and are not safe for concurrent
+// use; Hit only reads. A type that recomputes its digest on every call
+// (account.Tx, orv.Vote, pos.Vote) is covered field by field. A type
+// that hands in a pointer-memoized content hash (lattice.Block,
 // tangle.Vertex) inherits that hash's rule: content is not mutated in
 // place after the first Hash().
 //
-// The signature is copied into the memo; the key and its address are
-// not — key points at the signing KeyPair's own immutable identity when
-// signing seeded the memo, so a wallet's many objects share one copy.
+// The key and its address are not copied — key points at the signing
+// KeyPair's own immutable identity when SignMemo bound the verdict, so a
+// wallet's many objects share one copy.
 type SigMemo struct {
 	self   *SigMemo
 	key    *identity
+	signer *KeyPair // non-nil until the bytes are made
 	digest hashx.Hash
 	sig    [ed25519.SignatureSize]byte
 }
 
 // Hit reports whether the memo holds a positive verdict for exactly
-// these inputs.
+// these inputs. sig is the object's bytes as they stand, not read: a
+// memo whose bytes are still to be made hits only an object carrying
+// none.
 func (m *SigMemo) Hit(owner Address, digest hashx.Hash, pub ed25519.PublicKey, sig []byte) bool {
-	return m.self == m && m.key.addr == owner && m.digest == digest &&
-		bytes.Equal(m.key.pub[:], pub) && bytes.Equal(m.sig[:], sig)
+	if m.self != m || m.key.addr != owner || m.digest != digest || !bytes.Equal(m.key.pub[:], pub) {
+		return false
+	}
+	if m.signer != nil {
+		return sig == nil
+	}
+	return bytes.Equal(m.sig[:], sig)
 }
 
-// store binds the memo to its own address and to the verified inputs;
-// key must never be written again.
-func (m *SigMemo) store(key *identity, digest hashx.Hash, sig []byte) {
-	m.self, m.key, m.digest = m, key, digest
-	copy(m.sig[:], sig)
+// Sig returns the object's signature field *sig, first making the
+// bytes into it when it is nil and the memo has a signature to make.
+func (m *SigMemo) Sig(sig *[]byte) []byte {
+	if *sig == nil && m.signer != nil {
+		*sig = m.signer.Sign(m.digest[:])
+		copy(m.sig[:], *sig)
+		m.signer = nil
+	}
+	return *sig
 }
 
 // Store records a positive verdict the caller has established for these
 // inputs: the key/owner binding and the signature both checked out. It
 // allocates its copy of the key, which only an object that arrived
-// without a seed pays.
+// without a binding pays, and binds the memo to its own address.
 func (m *SigMemo) Store(owner Address, digest hashx.Hash, pub ed25519.PublicKey, sig []byte) {
 	key := &identity{addr: owner}
 	copy(key.pub[:], pub)
-	m.store(key, digest, sig)
+	m.self, m.key, m.signer, m.digest = m, key, nil, digest
+	copy(m.sig[:], sig)
 }
 
-// Verify reports whether pub hashes to owner and sig is pub's signature
-// of digest, from the memo when it holds that verdict and in full (then
-// storing a success) when it does not.
-func (m *SigMemo) Verify(owner Address, digest hashx.Hash, pub ed25519.PublicKey, sig []byte) bool {
-	if m.Hit(owner, digest, pub, sig) {
+// Verify reports whether pub hashes to owner and the bytes Sig(sig)
+// returns are pub's signature of digest: from the memo when it holds
+// that verdict, without reading the bytes, and in full (then storing a
+// success) when it does not.
+func (m *SigMemo) Verify(owner Address, digest hashx.Hash, pub ed25519.PublicKey, sig *[]byte) bool {
+	if m.Hit(owner, digest, pub, *sig) {
 		return true
 	}
-	if AddressOf(pub) != owner || !Verify(pub, digest[:], sig) {
+	s := m.Sig(sig)
+	if AddressOf(pub) != owner || !Verify(pub, digest[:], s) {
 		return false
 	}
-	m.Store(owner, digest, pub, sig)
+	m.Store(owner, digest, pub, s)
 	return true
 }
 
-// SignMemo signs digest and, when this key pair owns owner, seeds m with
-// the verdict a verifier would reach: ed25519 signing is deterministic
-// and complete, so a signature just made verifies under the key it was
-// made with. The seed names the public half of the private key, not the
-// assignable Pub field, and is skipped when the signer is not the owner
-// — the binding check a verifier makes — so an object that then carries
-// another key, another owner or other bytes misses and is checked in
-// full.
-func (kp *KeyPair) SignMemo(m *SigMemo, owner Address, digest hashx.Hash) []byte {
-	sig := ed25519.Sign(kp.priv, digest[:])
+// SignMemo makes m this key pair's signature of digest, replacing
+// whatever m held; the bytes are made by the first m.Sig. When this key
+// pair owns owner it also binds the verdict a verifier would reach:
+// ed25519 signing is deterministic and complete, so a signature made
+// with a key verifies under it. The binding names the public half of
+// the private key, not the assignable Pub field, and is skipped when the
+// signer is not the owner — the binding check a verifier makes — so an
+// object that then carries another key, another owner or other bytes
+// misses and is checked in full. The caller clears the object's
+// signature field, or its old bytes stand.
+func (kp *KeyPair) SignMemo(m *SigMemo, owner Address, digest hashx.Hash) {
+	*m = SigMemo{signer: kp, digest: digest}
 	if kp.id.addr == owner {
-		m.store(&kp.id, digest, sig)
+		m.self, m.key = m, &kp.id
 	}
-	return sig
 }
 
 // VerifyJob is one signature check submitted to VerifyBatch.
@@ -224,10 +267,9 @@ const batchInlineLimit = 8
 
 // VerifyBatch checks a batch of signatures across a bounded worker pool
 // (workers <= 0 means one per CPU core) and returns one verdict per job
-// in input order. Signature verification is the dominant cost of ledger
-// validation, and every job is independent, so the batch parallelizes
-// perfectly — this is the primitive behind lattice.ProcessBatch and the
-// netsim validation hot paths.
+// in input order. Every job is independent, so the batch parallelizes
+// perfectly; lattice.ProcessBatch runs the checks its memos do not
+// answer through it.
 func VerifyBatch(jobs []VerifyJob, workers int) []bool {
 	out := make([]bool, len(jobs))
 	par.Each(len(jobs), workers, batchInlineLimit, func(i int) {

@@ -3,6 +3,7 @@ package keys
 import (
 	"crypto/ed25519"
 	"testing"
+	"unsafe"
 
 	"repro/internal/hashx"
 )
@@ -211,20 +212,31 @@ type signed struct {
 
 func (s *signed) digest() hashx.Hash { return hashx.Sum([]byte{s.content}) }
 
-func (s *signed) sign(kp *KeyPair) {
-	s.pub = kp.Pub
-	s.sig = kp.SignMemo(&s.memo, s.owner, s.digest())
+// deferSign signs s with kp, reading nothing: no bytes exist yet.
+func (s *signed) deferSign(kp *KeyPair) {
+	s.pub, s.sig = kp.Pub, nil
+	kp.SignMemo(&s.memo, s.owner, s.digest())
 }
 
-func (s *signed) verify() bool { return s.memo.Verify(s.owner, s.digest(), s.pub, s.sig) }
+// sign signs s with kp and reads the signature at once.
+func (s *signed) sign(kp *KeyPair) {
+	s.deferSign(kp)
+	s.read()
+}
+
+func (s *signed) read() []byte { return s.memo.Sig(&s.sig) }
+
+func (s *signed) verify() bool { return s.memo.Verify(s.owner, s.digest(), s.pub, &s.sig) }
 
 func (s *signed) hit() bool { return s.memo.Hit(s.owner, s.digest(), s.pub, s.sig) }
 
 // cold is the verdict with no memo anywhere: the binding check and
-// ed25519 on the fields as they stand.
+// ed25519 on the bytes a read returns and the other fields as they
+// stand. It reads a copy, so s stays as it is, read or not.
 func (s *signed) cold() bool {
-	d := s.digest()
-	return AddressOf(s.pub) == s.owner && Verify(s.pub, d[:], s.sig)
+	cp := *s
+	d := cp.digest()
+	return AddressOf(cp.pub) == cp.owner && Verify(cp.pub, d[:], cp.read())
 }
 
 // The memo answers only for the owner, digest, key and signature it
@@ -280,6 +292,59 @@ func TestSigMemo(t *testing.T) {
 	}
 }
 
+// SignMemo makes no signature: the bound verdict answers without the
+// bytes, the first read makes them once — over the digest SignMemo was
+// handed — into an array of the object's own, and a struct copy of an
+// unread object makes its own on its own first read.
+func TestSignMemoDefersTheBytes(t *testing.T) {
+	kp, other := Deterministic("defer"), Deterministic("defer-other")
+	signs, verifies := Signs(), Verifies()
+	s := &signed{owner: kp.Address(), content: 3}
+	s.deferSign(kp)
+	if !s.hit() || !s.verify() || s.sig != nil {
+		t.Fatal("an unread object signed by its owner does not ride its memo")
+	}
+	if n, m := Signs()-signs, Verifies()-verifies; n != 0 || m != 0 {
+		t.Fatalf("signing and checking an unread object ran ed25519 %d+%d times, want 0", n, m)
+	}
+
+	cp := *s
+	sig := s.read()
+	d := s.digest()
+	if Signs()-signs != 1 || !Verify(kp.Pub, d[:], sig) || !s.hit() {
+		t.Fatal("the first read did not make the owner's signature once")
+	}
+	if &s.read()[0] != &sig[0] || Signs()-signs != 1 {
+		t.Fatal("a second read made the bytes again")
+	}
+	if &s.memo.sig[0] == &sig[0] {
+		t.Fatal("the object's bytes alias the memo's")
+	}
+	if cp.sig != nil || cp.hit() || !cp.verify() || &cp.sig[0] == &sig[0] || Signs()-signs != 2 {
+		t.Fatal("a copy of the unread object did not make and check its own bytes")
+	}
+
+	// The digest is frozen at signing: content changed before the first
+	// read fails, and the bytes still sign the digest signed.
+	c := &signed{owner: kp.Address(), content: 3}
+	c.deferSign(kp)
+	c.content++
+	if c.hit() || c.verify() || c.cold() {
+		t.Fatal("content changed after signing still verifies")
+	}
+	if !Verify(kp.Pub, d[:], c.sig) {
+		t.Fatal("the bytes do not sign the digest SignMemo was handed")
+	}
+
+	// An unread object's memo vouches for no bytes it did not make.
+	f := &signed{owner: kp.Address(), content: 3}
+	f.deferSign(kp)
+	f.sig = other.Sign(d[:])
+	if f.hit() || f.verify() {
+		t.Fatal("foreign bytes beside an unread memo were accepted")
+	}
+}
+
 // Signing seeds the verdict a verifier would reach, and only that one: a
 // signer that does not own the account seeds nothing, and the seed names
 // the key the signature was made with, whatever Pub says.
@@ -311,5 +376,26 @@ func TestSignMemoSeedsOnlyTheOwnersVerdict(t *testing.T) {
 	swapped.pub = kp.Pub
 	if !swapped.hit() {
 		t.Fatal("the seed does not name the public half of the private key")
+	}
+
+	// A stranger's key pair handing out the owner's key re-signs an
+	// object the owner had signed: the owner's verdict must not survive
+	// into the stranger's bytes.
+	impostor := *other
+	impostor.Pub = kp.Pub
+	resigned := &signed{owner: kp.Address(), content: 7}
+	resigned.deferSign(kp)
+	resigned.deferSign(&impostor)
+	if resigned.hit() || resigned.verify() || resigned.cold() {
+		t.Fatal("the owner's verdict outlived a re-signing by a stranger")
+	}
+}
+
+// SigMemo is embedded in every signed object: deferring the bytes costs
+// it one word, the signer.
+func TestSigMemoSize(t *testing.T) {
+	word := unsafe.Sizeof(uintptr(0))
+	if got, want := unsafe.Sizeof(SigMemo{}), 3*word+hashx.Size+ed25519.SignatureSize; got != want {
+		t.Fatalf("SigMemo is %d bytes, want %d", got, want)
 	}
 }

@@ -2,11 +2,11 @@ package lattice
 
 // FuzzLatticeProcessBatch: the batch pipeline's contract is that any
 // block stream — valid transfers interleaved with malformed signatures,
-// bad balances, duplicates, deliberate forks (double spends) and
-// gap-source orphans — leaves the lattice in a state byte-identical to
-// applying the same stream serially through Process, for any worker
-// count. The fuzzer drives op generation from raw bytes so coverage
-// feedback explores the interleavings.
+// bad balances, duplicates, struct copies of blocks nothing has read,
+// deliberate forks (double spends) and gap-source orphans — leaves the
+// lattice in a state byte-identical to applying the same stream serially
+// through Process, for any worker count. The fuzzer drives op generation
+// from raw bytes so coverage feedback explores the interleavings.
 
 import (
 	"bytes"
@@ -95,11 +95,12 @@ func buildFuzzStream(ring *keys.Ring, data []byte) []*Block {
 			}
 		case 4: // corrupt signature on a copy of an earlier block
 			if len(stream) > 0 {
+				// Read through a struct copy, so orig stays unread.
 				orig := stream[int(arg)%len(stream)]
-				bad := *orig
-				bad.Sig = append([]byte(nil), orig.Sig...)
-				bad.Sig[int(arg)%len(bad.Sig)] ^= 0x40
-				stream = append(stream, &bad)
+				cp := *orig
+				sig := append([]byte(nil), cp.Sig()...)
+				sig[int(arg)%len(sig)] ^= 0x40
+				stream = append(stream, orig.WithSig(sig))
 			}
 		case 5: // balance violation: a "send" that increases the balance
 			if head, opened := builder.HeadBlock(addr); opened {
@@ -114,9 +115,16 @@ func buildFuzzStream(ring *keys.Ring, data []byte) []*Block {
 				bad.sign(pair)
 				stream = append(stream, bad)
 			}
-		case 6: // exact duplicate of an earlier stream block
+		case 6: // exact duplicate of an earlier stream block, or with arg's
+			// top bit a struct copy of it: no op reads a stream block, so
+			// the copy carries a signature still to be made
 			if len(stream) > 0 {
-				stream = append(stream, stream[int(arg)%len(stream)])
+				orig := stream[int(arg)%len(stream)]
+				if arg&0x80 != 0 {
+					cp := *orig
+					orig = &cp
+				}
+				stream = append(stream, orig)
 			}
 		case 7: // receive of a nonexistent source (gap-source orphan)
 			if head, opened := builder.HeadBlock(addr); opened {
@@ -141,11 +149,19 @@ func FuzzLatticeProcessBatch(f *testing.F) {
 	f.Add([]byte{2, 9, 2, 17, 4, 3, 5, 7, 7, 11, 0, 255}, uint8(3))
 	f.Add([]byte{}, uint8(0))
 	f.Add([]byte{6, 0, 6, 1, 6, 2, 1, 0, 1, 1, 1, 2, 0, 8, 2, 200}, uint8(7))
+	f.Add([]byte{0, 1, 6, 0x81, 6, 0x81, 1, 2, 6, 0x83, 4, 3}, uint8(3))
 
 	ring := keys.NewRing("fuzz-lattice", fuzzAccounts)
 
 	f.Fuzz(func(t *testing.T, data []byte, workers uint8) {
 		stream := buildFuzzStream(ring, data)
+
+		// The batch goes first, so it meets the stream's blocks unread.
+		batched, _, err := New(ring.Pair(0), 1_000, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		batched.ProcessBatch(stream, 1+int(workers%8))
 
 		serial, _, err := New(ring.Pair(0), 1_000, 0)
 		if err != nil {
@@ -154,12 +170,6 @@ func FuzzLatticeProcessBatch(f *testing.F) {
 		for _, b := range stream {
 			serial.Process(b)
 		}
-
-		batched, _, err := New(ring.Pair(0), 1_000, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		batched.ProcessBatch(stream, 1+int(workers%8))
 
 		// The two replicas must agree on every piece of attached state.
 		if a, b := serial.BlockCount(), batched.BlockCount(); a != b {

@@ -99,9 +99,9 @@ type Block struct {
 	Source hashx.Hash
 	// Work is the anti-spam Hashcash nonce (§III-B).
 	Work uint64
-	// PubKey and Sig authenticate the account owner.
+	// PubKey and the signature (Sig) authenticate the account owner.
 	PubKey ed25519.PublicKey
-	Sig    []byte
+	sig    []byte
 
 	// memoSelf/memoHash cache the content hash. The cache is valid only
 	// while memoSelf still points at this exact Block value, so a copied
@@ -113,10 +113,11 @@ type Block struct {
 	memoSelf *Block
 	memoHash hashx.Hash
 
-	// verified holds the signature verdict (see keys.SigMemo). In a
-	// network simulation the same *Block floods every node and the
-	// wallet that signed it seeds the verdict, so an honest block never
-	// costs an ed25519 check; a Sig or PubKey changed after acceptance
+	// verified holds the signature verdict and how to make the bytes
+	// (see keys.SigMemo). In a network simulation the same *Block floods
+	// every node and the wallet that signed it bound the verdict, so an
+	// honest block never costs an ed25519 check, nor a signature unless
+	// something reads it; a signature or PubKey changed after acceptance
 	// misses and is checked in full.
 	verified keys.SigMemo
 }
@@ -157,17 +158,31 @@ func (b *Block) Hash() hashx.Hash {
 	return b.memoHash
 }
 
-// sign fills PubKey and Sig.
+// sign fills PubKey and the signature, whose bytes are made on first
+// read.
 func (b *Block) sign(kp *keys.KeyPair) {
-	b.PubKey = kp.Pub
-	b.Sig = kp.SignMemo(&b.verified, b.Account, b.Hash())
+	b.PubKey, b.sig = kp.Pub, nil
+	kp.SignMemo(&b.verified, b.Account, b.Hash())
+}
+
+// Sig returns the owner's signature over Hash(), making it on the first
+// call. Like Hash, not safe for a concurrent FIRST call on the same
+// pointer.
+func (b *Block) Sig() []byte { return b.verified.Sig(&b.sig) }
+
+// WithSig returns a copy of b carrying sig and no verdict, which
+// therefore verifies in full.
+func (b *Block) WithSig(sig []byte) *Block {
+	cp := *b
+	cp.sig, cp.verified = sig, keys.SigMemo{}
+	return &cp
 }
 
 // VerifySig checks the owner signature and the key/account binding. The
 // verdict is memoized per pointer (see verified): every replica reads it
 // instead of running ed25519.
 func (b *Block) VerifySig() bool {
-	return b.verified.Verify(b.Account, b.Hash(), b.PubKey, b.Sig)
+	return b.verified.Verify(b.Account, b.Hash(), b.PubKey, &b.sig)
 }
 
 // SolveWork attaches an anti-spam stamp of the given difficulty (§III-B:

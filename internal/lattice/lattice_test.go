@@ -265,22 +265,21 @@ func TestLatticeReplicaReadsTheCatalogPointer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	forged := *send
-	forged.Sig = append([]byte(nil), send.Sig...)
-	forged.Sig[3] ^= 0x10
-	honest := *send
-	honest.Sig = append([]byte(nil), send.Sig...)
+	sig := append([]byte(nil), send.Sig()...)
+	sig[3] ^= 0x10
+	forged := send.WithSig(sig)
+	honest := send.WithSig(append([]byte(nil), send.Sig()...))
 
 	if res := e.l.Process(send); res.Status != Accepted {
 		t.Fatalf("original: %v (%v)", res.Status, res.Err)
 	}
-	if res := replica.Process(&forged); res.Status != Rejected || !errors.Is(res.Err, ErrBadSignature) {
+	if res := replica.Process(forged); res.Status != Rejected || !errors.Is(res.Err, ErrBadSignature) {
 		t.Fatalf("replica: forged copy %v (%v), want rejected for its signature", res.Status, res.Err)
 	}
 	if _, ok := replica.Get(send.Hash()); ok || replica.BlockCount() != 1 {
 		t.Fatal("the replica holds the block after refusing its only copy")
 	}
-	if res := replica.Process(&honest); res.Status != Accepted {
+	if res := replica.Process(honest); res.Status != Accepted {
 		t.Fatalf("replica: honest copy %v (%v), want accepted", res.Status, res.Err)
 	}
 	if got, _ := replica.Get(send.Hash()); got != send {

@@ -60,29 +60,36 @@ func (l *Lattice) ProcessBatch(blocks []*Block, workers int) []Result {
 
 	// Stage 1: parallel crypto. Work-stamp checks chunk across the pool;
 	// the signature checks ride the keys.VerifyBatch pool using the
-	// memoized hashes. Blocks whose signature already verified (the
-	// VerifySig memo — in a network sim the same pointer reaches every
-	// replica) skip the batch: workers only READ the memo here; writes
-	// happen in the serial pass below, so duplicate pointers in one batch
-	// never race.
+	// memoized hashes. Blocks whose signature verdict is memoized (in a
+	// network sim the same pointer reaches every replica) skip the batch:
+	// workers only READ the memo here, and never read a signature, whose
+	// first read writes the block; reads and memo writes happen in the
+	// serial passes below, so duplicate pointers in one batch never race.
 	pre := make([]prechecked, len(blocks))
-	jobs := make([]keys.VerifyJob, len(blocks))
 	par.For(len(blocks), workers, 1, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			b := blocks[i]
 			pre[i].h = b.Hash()
 			pre[i].workOK = l.workBits <= 0 ||
 				hashx.VerifyStamp(pre[i].h[:], hashx.Stamp{Nonce: b.Work, Bits: l.workBits})
-			if b.verified.Hit(b.Account, pre[i].h, b.PubKey, b.Sig) {
+			if b.verified.Hit(b.Account, pre[i].h, b.PubKey, b.sig) {
 				pre[i].sigOK = true
 				pre[i].memoed = true
-				continue // zero-value job; its verdict is ignored below
+				continue
 			}
 			// The key/account binding is part of signature validity.
 			pre[i].sigOK = keys.AddressOf(b.PubKey) == b.Account
-			jobs[i] = keys.VerifyJob{Pub: b.PubKey, Msg: pre[i].h[:], Sig: b.Sig}
 		}
 	})
+	// Serial signature reads: a memo miss needs the bytes, made here on
+	// the first read of a block nothing had read. A memoed block keeps a
+	// zero-value job, whose verdict is ignored below.
+	jobs := make([]keys.VerifyJob, len(blocks))
+	for i, b := range blocks {
+		if !pre[i].memoed {
+			jobs[i] = keys.VerifyJob{Pub: b.PubKey, Msg: pre[i].h[:], Sig: b.Sig()}
+		}
+	}
 	for i, ok := range keys.VerifyBatch(jobs, workers) {
 		if !pre[i].memoed {
 			pre[i].sigOK = pre[i].sigOK && ok
@@ -93,7 +100,7 @@ func (l *Lattice) ProcessBatch(blocks []*Block, workers int) []Result {
 	// keys.SigMemo).
 	for i, b := range blocks {
 		if pre[i].sigOK && !pre[i].memoed {
-			b.verified.Store(b.Account, pre[i].h, b.PubKey, b.Sig)
+			b.verified.Store(b.Account, pre[i].h, b.PubKey, b.sig)
 		}
 	}
 

@@ -152,9 +152,9 @@ func TestProcessBatchRejectsInvalid(t *testing.T) {
 	stream := buildWorkload(t, ring, 8, 20, 7)
 
 	// Forge three failure modes on copies so the stream stays valid.
-	badSig := *stream[2]
-	badSig.Sig = append([]byte(nil), badSig.Sig...)
-	badSig.Sig[0] ^= 0xff
+	sig := append([]byte(nil), stream[2].Sig()...)
+	sig[0] ^= 0xff
+	badSig := stream[2].WithSig(sig)
 
 	wrongKey := *stream[4]
 	wrongKey.PubKey = ring.Pair(7).Pub // key/account binding broken
@@ -163,7 +163,7 @@ func TestProcessBatchRejectsInvalid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	blocks := append([]*Block{&badSig, &wrongKey}, stream...)
+	blocks := append([]*Block{badSig, &wrongKey}, stream...)
 	results := batch.ProcessBatch(blocks, 4)
 	for i := 0; i < 2; i++ {
 		if results[i].Status != Rejected || !errors.Is(results[i].Err, ErrBadSignature) {
@@ -209,6 +209,38 @@ func TestProcessBatchChecksWork(t *testing.T) {
 	}
 	if results[1].Status != Rejected || !errors.Is(results[1].Err, ErrBadWork) {
 		t.Fatalf("stale-work block: %v (%v), want Rejected/ErrBadWork", results[1].Status, results[1].Err)
+	}
+}
+
+// A block's first signature read writes it, so ProcessBatch reads them
+// only in its serial pass. A batch of struct copies of blocks nothing has
+// read, each copy twice and the two in different workers' chunks, is
+// read once per copy, and the race detector sees any read in a worker.
+func TestProcessBatchReadsSignaturesSerially(t *testing.T) {
+	ring := keys.NewRing("batch-serial-reads", 6)
+	stream := buildWorkload(t, ring, 6, 30, 11)
+	copies := make([]*Block, len(stream))
+	for i, b := range stream {
+		cp := *b
+		copies[i] = &cp
+	}
+	lat, _, err := New(ring.Pair(0), 1<<30, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	signs := keys.Signs()
+	results := lat.ProcessBatch(append(copies, copies...), 4)
+	if n := keys.Signs() - signs; n != uint64(len(copies)) {
+		t.Fatalf("%d signatures made for %d unread copies, want one each", n, len(copies))
+	}
+	for i, res := range results {
+		want := Accepted
+		if i >= len(copies) {
+			want = Duplicate
+		}
+		if res.Status != want {
+			t.Fatalf("block %d: %v (%v), want %v", i, res.Status, res.Err, want)
+		}
 	}
 }
 

@@ -242,10 +242,10 @@ func FuzzLatticeReplicas(f *testing.F) {
 					deliver(r, settle(r, other, s.Hash(), head.Balance-s.Balance))
 				}
 			case 5: // bad signature on a copy of a pooled block
-				bad := *pool[int(arg)%len(pool)]
-				bad.Sig = append([]byte(nil), bad.Sig...)
-				bad.Sig[int(arg)%len(bad.Sig)] ^= 0x20
-				deliver(r, &bad)
+				orig := pool[int(arg)%len(pool)]
+				sig := append([]byte(nil), orig.Sig()...)
+				sig[int(arg)%len(sig)] ^= 0x20
+				deliver(r, orig.WithSig(sig))
 			case 6: // fork rival claiming a non-head block as predecessor
 				if chain := r.m.Chain(ring.Addr(acct)); len(chain) >= 2 {
 					at := chain[int(arg/4)%(len(chain)-1)]

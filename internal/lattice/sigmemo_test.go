@@ -20,13 +20,14 @@ func TestBlockSigMemoMatchesColdVerdict(t *testing.T) {
 		Verify: func(b *Block) bool { return b.VerifySig() },
 		Cold: func(b *Block) bool {
 			digest := hashx.Sum(b.contentBytes())
-			return keys.AddressOf(b.PubKey) == b.Account && keys.Verify(b.PubKey, digest[:], b.Sig)
+			return keys.AddressOf(b.PubKey) == b.Account && keys.Verify(b.PubKey, digest[:], b.Sig())
 		},
 		Copy:          func(b *Block) *Block { cp := *b; return &cp },
 		PubKey:        func(b *Block) *ed25519.PublicKey { return &b.PubKey },
-		Sig:           func(b *Block) *[]byte { return &b.Sig },
+		Sig:           func(b *Block) *[]byte { b.Sig(); return &b.sig },
 		ChangeContent: func(b *Block) { b.Balance-- },
 		ContentMemo:   sigtest.FrozenBySigning,
+		Lazy:          true,
 	})
 }
 

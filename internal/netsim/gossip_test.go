@@ -175,9 +175,7 @@ var gossipCases = []gossipCase{
 			if err != nil {
 				t.Fatal(err)
 			}
-			forged := *b
-			forged.Sig = forgeSig(b.Sig)
-			return &forged
+			return b.WithSig(forgeSig(b.Sig()))
 		},
 		pulls: true,
 	},
@@ -191,9 +189,8 @@ var gossipCases = []gossipCase{
 		forged: func(_ *testing.T, net ParadigmNet) any {
 			tn := net.(tangleParadigm).TangleNet
 			g := tn.Observer().VertexAt(0).Hash()
-			forged := *tangle.NewVertex(tn.ring.Pair(0), 2, g, g, tn.ring.Addr(3), 1)
-			forged.Sig = forgeSig(forged.Sig)
-			return &forged
+			v := tangle.NewVertex(tn.ring.Pair(0), 2, g, g, tn.ring.Addr(3), 1)
+			return v.WithSig(forgeSig(v.Sig()))
 		},
 		pulls: true,
 	},

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/account"
+	"repro/internal/hashx"
 	"repro/internal/keys"
 	"repro/internal/orv"
 	"repro/internal/tangle"
@@ -72,6 +73,76 @@ func TestHonestRunsNeverReachEd25519(t *testing.T) {
 			t.Fatal("no checkpoint finalized: no FFG vote was counted")
 		}
 		check(t, before, m.ConfirmedTxs)
+	})
+}
+
+// The DAG ledgers sign lazily (keys.SigMemo): a block, vote or vertex
+// makes its ed25519 signature only when some code reads the bytes, and
+// an honest run reads none — not one signature or verification over the
+// whole run, although every wallet and representative signs. Reading
+// them afterwards makes each one once, and each verifies cold.
+func TestHonestDAGNetworksSignNothing(t *testing.T) {
+	load := sigCountLoad()
+	// run submits the load, runs it, and checks that the span made no
+	// signature and no verification and that held objects signed
+	// deferred are read once each, into bytes that verify.
+	type signedObject struct {
+		pub  []byte
+		hash hashx.Hash
+		sig  func() []byte
+	}
+	run := func(t *testing.T, net ParadigmNet, held func() []signedObject) {
+		t.Helper()
+		for _, p := range load {
+			net.Submit(p)
+		}
+		signs, verifies := keys.Signs(), keys.Verifies()
+		if net.RunSpan(6*time.Minute).Confirmed == 0 {
+			t.Fatal("the run confirmed nothing")
+		}
+		if n, m := keys.Signs()-signs, keys.Verifies()-verifies; n != 0 || m != 0 {
+			t.Fatalf("an honest run made %d ed25519 signatures and %d verifications, want 0 and 0", n, m)
+		}
+		objs := held()
+		signs = keys.Signs()
+		for i, o := range objs {
+			if !keys.Verify(o.pub, o.hash[:], o.sig()) {
+				t.Fatalf("object %d: its signature does not verify", i)
+			}
+		}
+		if n := keys.Signs() - signs; n != uint64(len(objs)) {
+			t.Fatalf("reading %d signatures made %d, want one each", len(objs), n)
+		}
+	}
+
+	t.Run("nano", func(t *testing.T) {
+		net, err := NewNano(NanoConfig{Net: sigCountNet(95), Accounts: 16, Reps: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		run(t, nanoParadigm{net}, func() []signedObject {
+			if net.metrics.VotesSent == 0 {
+				t.Fatal("no representative voted")
+			}
+			var out []signedObject
+			for _, b := range net.Observer().AllBlocks() {
+				out = append(out, signedObject{b.PubKey, b.Hash(), b.Sig})
+			}
+			return out
+		})
+	})
+	t.Run("tangle", func(t *testing.T) {
+		net, err := NewTangle(TangleConfig{Net: sigCountNet(96), Accounts: 16, ConfirmWeight: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		run(t, tangleParadigm{net}, func() []signedObject {
+			var out []signedObject
+			for _, v := range net.Observer().AllVertices() {
+				out = append(out, signedObject{v.PubKey, v.Hash(), v.Sig})
+			}
+			return out
+		})
 	})
 }
 
@@ -151,11 +222,10 @@ func TestForgedSignaturesReachEd25519AndAreRejected(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		forged := *send
-		forged.Sig = forgeSig(send.Sig)
+		forged := send.WithSig(forgeSig(send.Sig()))
 		before := keys.Verifies()
 		for _, node := range net.nodes {
-			net.receive(node.id, node.id, forged.Hash(), &forged, forged.EncodedSize())
+			net.receive(node.id, node.id, forged.Hash(), forged, forged.EncodedSize())
 			if _, ok := node.lat.Get(forged.Hash()); ok {
 				t.Fatalf("node %d attached a block with a forged signature", node.id)
 			}
@@ -163,14 +233,14 @@ func TestForgedSignaturesReachEd25519AndAreRejected(t *testing.T) {
 		reached(t, before, len(net.nodes))
 
 		// A forged vote in an open election, at every node.
-		vote := *orv.NewVote(net.ring.Pair(0), send.Hash(), 1)
-		vote.Sig = forgeSig(vote.Sig)
+		vote := orv.NewVote(net.ring.Pair(0), send.Hash(), 1)
+		vote = vote.WithSig(forgeSig(vote.Sig()))
 		before = keys.Verifies()
 		for _, node := range net.nodes {
 			if err := node.tracker.StartElection(send.Hash(), send.Hash()); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := node.tracker.ProcessVote(send.Hash(), &vote); !errors.Is(err, orv.ErrBadVoteSig) {
+			if _, err := node.tracker.ProcessVote(send.Hash(), vote); !errors.Is(err, orv.ErrBadVoteSig) {
 				t.Fatalf("node %d: forged vote: %v, want ErrBadVoteSig", node.id, err)
 			}
 		}
@@ -184,11 +254,11 @@ func TestForgedSignaturesReachEd25519AndAreRejected(t *testing.T) {
 		}
 		net.RunWithTransfers(time.Minute, load[:40])
 		a, b := net.nodes[0].tg.SelectTips(rand.New(rand.NewSource(1)))
-		forged := *tangle.NewVertex(net.ring.Pair(5), 1<<20, a, b, net.ring.Addr(6), 1)
-		forged.Sig = forgeSig(forged.Sig)
+		v := tangle.NewVertex(net.ring.Pair(5), 1<<20, a, b, net.ring.Addr(6), 1)
+		forged := v.WithSig(forgeSig(v.Sig()))
 		before := keys.Verifies()
 		for _, node := range net.nodes {
-			net.receive(node.id, node.id, forged.Hash(), &forged, forged.EncodedSize())
+			net.receive(node.id, node.id, forged.Hash(), forged, forged.EncodedSize())
 			if node.tg.Has(forged.Hash()) {
 				t.Fatalf("node %d attached a vertex with a forged signature", node.id)
 			}

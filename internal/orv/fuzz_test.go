@@ -105,10 +105,9 @@ func FuzzTracker(f *testing.F) {
 			case 1: // a vote: rep, block, seq, and with b's top bit a bad signature
 				v := votes[int(a/6)%5][int(b)%5][int(b/5)%4]
 				if b&0x80 != 0 {
-					bad := *v
-					bad.Sig = append([]byte(nil), v.Sig...)
-					bad.Sig[int(b)%len(bad.Sig)] ^= 0x10
-					v = &bad
+					sig := append([]byte(nil), v.Sig()...)
+					sig[int(b)%len(sig)] ^= 0x10
+					v = v.WithSig(sig)
 				}
 				x, xerr := tr.ProcessVote(root, v)
 				y, yerr := m.ProcessVote(root, v)

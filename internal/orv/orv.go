@@ -133,11 +133,13 @@ type Vote struct {
 	Block  hashx.Hash
 	Seq    uint64
 	PubKey ed25519.PublicKey
-	Sig    []byte
+	sig    []byte
 
-	// verified holds the signature verdict (see keys.SigMemo): a
-	// broadcast vote is one shared pointer delivered to every node, and
-	// NewVote seeds it, so an honest vote never costs an ed25519 check.
+	// verified holds the signature verdict and how to make the bytes
+	// (see keys.SigMemo): a broadcast vote is one shared pointer
+	// delivered to every node, and NewVote binds the verdict, so an
+	// honest vote never costs an ed25519 check, nor a signature unless
+	// something reads it.
 	verified keys.SigMemo
 }
 
@@ -162,16 +164,30 @@ func voteDigest(v *Vote) hashx.Hash {
 // NewVote builds a signed vote by the representative key.
 func NewVote(kp *keys.KeyPair, block hashx.Hash, seq uint64) *Vote {
 	v := &Vote{Rep: kp.Address(), Block: block, Seq: seq, PubKey: kp.Pub}
-	v.Sig = kp.SignMemo(&v.verified, v.Rep, voteDigest(v))
+	kp.SignMemo(&v.verified, v.Rep, voteDigest(v))
 	return v
+}
+
+// Sig returns the signature over the content NewVote was given, making
+// it on the first call; not safe for a concurrent first call on the
+// same pointer.
+func (v *Vote) Sig() []byte { return v.verified.Sig(&v.sig) }
+
+// WithSig returns a copy of v carrying sig and no verdict, which
+// therefore verifies in full.
+func (v *Vote) WithSig(sig []byte) *Vote {
+	cp := *v
+	cp.sig, cp.verified = sig, keys.SigMemo{}
+	return &cp
 }
 
 // Verify checks the vote signature and key/address binding. The verdict
 // is memoized per pointer over Rep, the content digest (recomputed on
-// every call), PubKey and Sig: every node pays the digest hash, not
-// ed25519 — and a vote mutated after a successful check re-verifies.
+// every call), PubKey and the signature: every node pays the digest
+// hash, not ed25519 — and a vote mutated after signing or a successful
+// check re-verifies.
 func (v *Vote) Verify() bool {
-	return v.verified.Verify(v.Rep, voteDigest(v), v.PubKey, v.Sig)
+	return v.verified.Verify(v.Rep, voteDigest(v), v.PubKey, &v.sig)
 }
 
 // Config tunes the tracker.

@@ -201,7 +201,7 @@ func TestProcessVoteErrors(t *testing.T) {
 	}
 	// Bad signature.
 	v := NewVote(r.Pair(0), a, 1)
-	v.Sig[0] ^= 0xFF
+	v.Sig()[0] ^= 0xFF
 	if _, err := tr.ProcessVote(root, v); !errors.Is(err, ErrBadVoteSig) {
 		t.Fatalf("err = %v", err)
 	}

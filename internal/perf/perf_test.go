@@ -249,7 +249,7 @@ func TestCompareCalibrationNormalizes(t *testing.T) {
 // inject a 2x ns/op slowdown into every entry, and require the gate to
 // fail — and require the untouched baseline to pass against itself.
 func TestGateFailsOnInjectedSlowdown(t *testing.T) {
-	data, err := os.ReadFile("../../BENCH_036.json")
+	data, err := os.ReadFile("../../BENCH_037.json")
 	if err != nil {
 		t.Fatalf("committed baseline missing: %v", err)
 	}
@@ -287,7 +287,7 @@ func TestGateFailsOnInjectedSlowdown(t *testing.T) {
 // The committed baseline must be in canonical byte form (Encode of its
 // Decode), or diffs against regenerated baselines churn.
 func TestCommittedBaselineIsCanonical(t *testing.T) {
-	data, err := os.ReadFile("../../BENCH_036.json")
+	data, err := os.ReadFile("../../BENCH_037.json")
 	if err != nil {
 		t.Fatalf("committed baseline missing: %v", err)
 	}
@@ -300,7 +300,7 @@ func TestCommittedBaselineIsCanonical(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(data, out) {
-		t.Fatal("BENCH_036.json is not in canonical encoding; regenerate with make bench-commit")
+		t.Fatal("BENCH_037.json is not in canonical encoding; regenerate with make bench-commit")
 	}
 }
 

@@ -166,10 +166,10 @@ type Vote struct {
 	Source    Checkpoint
 	Target    Checkpoint
 	PubKey    ed25519.PublicKey
-	Sig       []byte
+	sig       []byte
 
-	// verified holds the signature verdict (see keys.SigMemo), seeded by
-	// NewVote.
+	// verified holds the signature verdict and how to make the bytes
+	// (see keys.SigMemo), bound by NewVote.
 	verified keys.SigMemo
 }
 
@@ -190,13 +190,26 @@ func voteDigest(v *Vote) hashx.Hash {
 // NewVote builds a signed FFG vote.
 func NewVote(kp *keys.KeyPair, source, target Checkpoint) *Vote {
 	v := &Vote{Validator: kp.Address(), Source: source, Target: target, PubKey: kp.Pub}
-	v.Sig = kp.SignMemo(&v.verified, v.Validator, voteDigest(v))
+	kp.SignMemo(&v.verified, v.Validator, voteDigest(v))
 	return v
+}
+
+// Sig returns the signature over the content NewVote was given, making
+// it on the first call; not safe for a concurrent first call on the
+// same pointer.
+func (v *Vote) Sig() []byte { return v.verified.Sig(&v.sig) }
+
+// WithSig returns a copy of v carrying sig and no verdict, which
+// therefore verifies in full.
+func (v *Vote) WithSig(sig []byte) *Vote {
+	cp := *v
+	cp.sig, cp.verified = sig, keys.SigMemo{}
+	return &cp
 }
 
 // Verify checks the vote signature and address binding.
 func (v *Vote) Verify() bool {
-	return v.verified.Verify(v.Validator, voteDigest(v), v.PubKey, v.Sig)
+	return v.verified.Verify(v.Validator, voteDigest(v), v.PubKey, &v.sig)
 }
 
 // FFG errors and slashing causes.

@@ -227,7 +227,7 @@ func TestFFGRejectsBadVotes(t *testing.T) {
 	}
 	// Tampered signature.
 	v = NewVote(r.Pair(0), genesis, cp("c1", 1))
-	v.Sig[0] ^= 0xFF
+	v.Sig()[0] ^= 0xFF
 	if _, _, err := f.ProcessVote(v); !errors.Is(err, ErrBadVoteSig) {
 		t.Fatalf("err = %v", err)
 	}

@@ -22,16 +22,17 @@ func TestVoteSigMemoMatchesColdVerdict(t *testing.T) {
 		// into the fields.
 		Resign: func(v *Vote, kp *keys.KeyPair) {
 			digest := voteDigest(v)
-			v.PubKey, v.Sig = kp.Pub, kp.Sign(digest[:])
+			v.PubKey, v.sig = kp.Pub, kp.Sign(digest[:])
 		},
 		Verify: func(v *Vote) bool { return v.Verify() },
 		Cold: func(v *Vote) bool {
 			digest := voteDigest(v)
-			return keys.AddressOf(v.PubKey) == v.Validator && keys.Verify(v.PubKey, digest[:], v.Sig)
+			return keys.AddressOf(v.PubKey) == v.Validator && keys.Verify(v.PubKey, digest[:], v.Sig())
 		},
 		Copy:          func(v *Vote) *Vote { cp := *v; return &cp },
 		PubKey:        func(v *Vote) *ed25519.PublicKey { return &v.PubKey },
-		Sig:           func(v *Vote) *[]byte { return &v.Sig },
+		Sig:           func(v *Vote) *[]byte { v.Sig(); return &v.sig },
 		ChangeContent: func(v *Vote) { v.Target.Epoch++ },
+		Lazy:          true,
 	})
 }

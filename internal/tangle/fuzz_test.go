@@ -61,10 +61,9 @@ func buildVertexStream(data []byte) (*Vertex, []*Vertex) {
 			if arg%2 == 0 {
 				stream = append(stream, orig)
 			} else {
-				bad := *orig
-				bad.Sig = append([]byte(nil), orig.Sig...)
-				bad.Sig[int(arg)%len(bad.Sig)] ^= 0x20
-				stream = append(stream, &bad)
+				sig := append([]byte(nil), orig.Sig()...)
+				sig[int(arg)%len(sig)] ^= 0x20
+				stream = append(stream, orig.WithSig(sig))
 			}
 		}
 	}

@@ -180,12 +180,12 @@ func FuzzTangleReplicas(f *testing.F) {
 				missing := hashx.Sum([]byte{arg, byte(ops), 0xfe})
 				deliver(p, mint(int(arg), pool[int(arg)%len(pool)].Hash(), missing))
 			case 4: // a same-hash copy under another pointer, forged or honest
-				cp := *pool[int(arg)%len(pool)]
-				cp.Sig = append([]byte(nil), cp.Sig...)
+				orig := pool[int(arg)%len(pool)]
+				sig := append([]byte(nil), orig.Sig()...)
 				if arg&0x80 != 0 {
-					cp.Sig[int(arg)%len(cp.Sig)] ^= 0x20
+					sig[int(arg)%len(sig)] ^= 0x20
 				}
-				deliver(p, &cp)
+				deliver(p, orig.WithSig(sig))
 			case 5: // a self-reference: a vertex whose hash is its parent's
 				v := NewVertex(fuzzRing.Pair(0), 1<<40+uint64(ops), genesis.Hash(), genesis.Hash(), fuzzRing.Addr(1), 1)
 				target := pool[int(arg)%len(pool)].Hash()

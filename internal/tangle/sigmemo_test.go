@@ -22,12 +22,13 @@ func TestVertexSigMemoMatchesColdVerdict(t *testing.T) {
 		Verify: func(v *Vertex) bool { return v.VerifySig() },
 		Cold: func(v *Vertex) bool {
 			digest := hashx.Sum(v.contentBytes())
-			return keys.AddressOf(v.PubKey) == v.Issuer && keys.Verify(v.PubKey, digest[:], v.Sig)
+			return keys.AddressOf(v.PubKey) == v.Issuer && keys.Verify(v.PubKey, digest[:], v.Sig())
 		},
 		Copy:          func(v *Vertex) *Vertex { cp := *v; return &cp },
 		PubKey:        func(v *Vertex) *ed25519.PublicKey { return &v.PubKey },
-		Sig:           func(v *Vertex) *[]byte { return &v.Sig },
+		Sig:           func(v *Vertex) *[]byte { v.Sig(); return &v.sig },
 		ChangeContent: func(v *Vertex) { v.Amount++ },
 		ContentMemo:   sigtest.FrozenBySigning,
+		Lazy:          true,
 	})
 }

@@ -52,9 +52,9 @@ type Vertex struct {
 	From   keys.Address
 	To     keys.Address
 	Amount uint64
-	// PubKey and Sig authenticate the issuer.
+	// PubKey and the signature (Sig) authenticate the issuer.
 	PubKey ed25519.PublicKey
-	Sig    []byte
+	sig    []byte
 
 	// memoSelf/memoHash cache the content hash under the same
 	// pointer-identity rule as lattice.Block: valid only while memoSelf
@@ -62,8 +62,8 @@ type Vertex struct {
 	memoSelf *Vertex
 	memoHash hashx.Hash
 
-	// verified holds the signature verdict (see keys.SigMemo), seeded
-	// by the issuing wallet's signature.
+	// verified holds the signature verdict and how to make the bytes
+	// (see keys.SigMemo), bound by the issuing wallet's signature.
 	verified keys.SigMemo
 }
 
@@ -103,10 +103,24 @@ func (v *Vertex) Hash() hashx.Hash {
 	return v.memoHash
 }
 
-// sign fills PubKey and Sig.
+// sign fills PubKey and the signature, whose bytes are made on first
+// read.
 func (v *Vertex) sign(kp *keys.KeyPair) {
-	v.PubKey = kp.Pub
-	v.Sig = kp.SignMemo(&v.verified, v.Issuer, v.Hash())
+	v.PubKey, v.sig = kp.Pub, nil
+	kp.SignMemo(&v.verified, v.Issuer, v.Hash())
+}
+
+// Sig returns the issuer's signature over Hash(), making it on the
+// first call. Like Hash, not safe for a concurrent FIRST call on the
+// same pointer.
+func (v *Vertex) Sig() []byte { return v.verified.Sig(&v.sig) }
+
+// WithSig returns a copy of v carrying sig and no verdict, which
+// therefore verifies in full.
+func (v *Vertex) WithSig(sig []byte) *Vertex {
+	cp := *v
+	cp.sig, cp.verified = sig, keys.SigMemo{}
+	return &cp
 }
 
 // VerifySig checks the issuer signature and that PubKey matches Issuer.
@@ -114,7 +128,7 @@ func (v *Vertex) sign(kp *keys.KeyPair) {
 // flooding every simulated node costs no ed25519 verification when its
 // issuer signed it.
 func (v *Vertex) VerifySig() bool {
-	return v.verified.Verify(v.Issuer, v.Hash(), v.PubKey, v.Sig)
+	return v.verified.Verify(v.Issuer, v.Hash(), v.PubKey, &v.sig)
 }
 
 // NewVertex builds and signs a payment vertex approving the two parents.

@@ -42,10 +42,9 @@ func TestVertexHashAndSig(t *testing.T) {
 	if cp.Hash() != v.Hash() {
 		t.Fatal("copy hashes differently")
 	}
-	bad := *v
-	bad.Sig = append([]byte(nil), v.Sig...)
-	bad.Sig[0] ^= 0x40
-	if bad.VerifySig() {
+	sig := append([]byte(nil), v.Sig()...)
+	sig[0] ^= 0x40
+	if bad := v.WithSig(sig); bad.VerifySig() {
 		t.Fatal("tampered signature accepted")
 	}
 	// Wrong issuer for the key.
@@ -178,7 +177,7 @@ func TestDuplicateAndRejected(t *testing.T) {
 		t.Fatalf("second attach: %v, want duplicate", res.Status)
 	}
 	bad := NewVertex(ring.Pair(0), 2, gen.Hash(), gen.Hash(), ring.Addr(0), 1)
-	bad.Sig[0] ^= 1
+	bad.Sig()[0] ^= 1
 	if res := tg.Attach(bad); res.Status != Rejected {
 		t.Fatalf("bad sig: %v, want rejected", res.Status)
 	}
@@ -290,33 +289,32 @@ func TestTangleReplicaKeepsThePointerItValidated(t *testing.T) {
 	ring := testRing(t, 2)
 	base, gen := newTestTangle(t, ring, 100)
 	v := NewVertex(ring.Pair(1), 1, gen.Hash(), gen.Hash(), ring.Addr(0), 5)
-	forged := *v
-	forged.Sig = append([]byte(nil), v.Sig...)
-	forged.Sig[3] ^= 0x10
-	honest := *v
-	honest.Sig = append([]byte(nil), v.Sig...)
+	sig := append([]byte(nil), v.Sig()...)
+	sig[3] ^= 0x10
+	forged := v.WithSig(sig)
+	honest := v.WithSig(append([]byte(nil), v.Sig()...))
 
 	private, _ := newTestTangle(t, ring, 100)
-	if res := private.Attach(&forged); res.Status != Rejected {
+	if res := private.Attach(forged); res.Status != Rejected {
 		t.Fatalf("private catalog: forged copy %v, want rejected", res.Status)
 	}
 	if res := base.Attach(v); res.Status != Accepted {
 		t.Fatalf("original: %v", res.Status)
 	}
 	replica := base.Replica()
-	if res := replica.Attach(&forged); res.Status != Rejected {
+	if res := replica.Attach(forged); res.Status != Rejected {
 		t.Fatalf("replica: forged copy %v, want rejected", res.Status)
 	}
 	if replica.Has(v.Hash()) || replica.VertexCount() != 1 {
 		t.Fatal("the replica holds the vertex after refusing its only copy")
 	}
-	if res := replica.Attach(&honest); res.Status != Accepted {
+	if res := replica.Attach(honest); res.Status != Accepted {
 		t.Fatalf("replica: honest copy %v, want accepted", res.Status)
 	}
-	if got, _ := replica.Get(v.Hash()); got != &honest {
-		t.Fatalf("replica serves %p, want its own copy %p", got, &honest)
+	if got, _ := replica.Get(v.Hash()); got != honest {
+		t.Fatalf("replica serves %p, want its own copy %p", got, honest)
 	}
-	if replica.VertexAt(1) != &honest || replica.AllVertices()[1] != &honest {
+	if replica.VertexAt(1) != honest || replica.AllVertices()[1] != honest {
 		t.Fatal("the replica's stream does not carry its own copy")
 	}
 	if got, _ := base.Get(v.Hash()); got != v {

@@ -96,7 +96,7 @@ type Tx struct {
 // failing transaction is re-checked in full on every call. What depends
 // on a ledger's state (the inputs exist there, unspent) is never cached.
 //
-// sig holds the verdict on one (owner, key, signature): SignAll seeds it,
+// sig holds the verdict on one (owner, key, signature): SignAll binds it,
 // and every input signed by that key hits it at every check. A
 // transaction whose inputs carry different keys is sound but slow — each
 // input that is not the one last stored verifies in full.
@@ -113,7 +113,7 @@ type txMemo struct {
 // checkSig reports whether input i's key hashes to owner, the owner of
 // the coin it spends, and its signature covers digest.
 func (m *txMemo) checkSig(i int, in TxIn, owner keys.Address, digest hashx.Hash) error {
-	if m.sig.Verify(owner, digest, in.PubKey, in.Sig) {
+	if m.sig.Verify(owner, digest, in.PubKey, &in.Sig) {
 		return nil
 	}
 	if keys.AddressOf(in.PubKey) != owner {
@@ -200,11 +200,14 @@ func (tx *Tx) Sign(i int, kp *keys.KeyPair) error {
 	return nil
 }
 
-// SignAll signs every input with the same key, and seeds the memo with
-// that signature's verdict for the coins the key owns.
+// SignAll signs every input with the same key, and binds the memo to
+// that signature's verdict for the coins the key owns. The ID covers the
+// signature, so the bytes are made at once.
 func (tx *Tx) SignAll(kp *keys.KeyPair) {
 	tx.memo = txMemo{self: tx}
-	sig := kp.SignMemo(&tx.memo.sig, kp.Address(), tx.SigHash())
+	kp.SignMemo(&tx.memo.sig, kp.Address(), tx.SigHash())
+	var sig []byte
+	tx.memo.sig.Sig(&sig)
 	for i := range tx.Ins {
 		tx.Ins[i].PubKey = kp.Pub
 		tx.Ins[i].Sig = sig
