@@ -28,8 +28,8 @@
 //	dltbench -experiment E20 -backlog-ttl 30s             # age-based backlog eviction
 //	dltbench -list               # show the registry
 //	dltbench -timing             # append the wall-clock/speedup table
-//	dltbench -bench-report -bench-out BENCH_037.json      # commit a perf baseline
-//	dltbench -bench-compare BENCH_037.json                # live regression gate
+//	dltbench -bench-report -bench-out BENCH_038.json      # commit a perf baseline
+//	dltbench -bench-compare BENCH_038.json                # live regression gate
 //	dltbench -bench-compare old.json -bench-candidate new.json  # diff two files
 package main
 
@@ -99,7 +99,7 @@ func run() int {
 		benchReport = flag.Bool("bench-report", false,
 			"run the perf trajectory suite and write the canonical BENCH JSON (see PERFORMANCE.md)")
 		benchOut   = flag.String("bench-out", "", "path for the -bench-report output ('' = stdout)")
-		benchLabel = flag.String("bench-label", "037", "baseline label embedded in the -bench-report output")
+		benchLabel = flag.String("bench-label", "038", "baseline label embedded in the -bench-report output")
 		benchScale = flag.Float64("bench-scale", 1, "perf suite workload scale; reports only compare at equal scale")
 		benchTime  = flag.Duration("bench-time", time.Second,
 			"minimum measured duration per perf benchmark (CI turns this down, not -bench-scale)")

@@ -4,8 +4,9 @@ package sim
 // Run(n) / RunUntil program runs on the Simulator and on a naive model
 // — a slice of (at, live) entries in schedule order, scanned for the
 // minimum — and pop transcript, EventsRun, Pending and Now must agree
-// after every step. A heap sift bug, a wrong tie-break, a stale entry
-// that executes or a cancel that reaches a reused slot is a divergence.
+// after every step. A heap sift bug, a wrong tie-break, an item filed
+// into the wrong tier or lost moving between tiers, a stale entry that
+// executes or a cancel that reaches a reused slot is a divergence.
 
 import (
 	"fmt"
@@ -14,8 +15,8 @@ import (
 	"time"
 )
 
-// modelQueue is the reference: no heap, no arena, no generations. An
-// event's index is its schedule sequence number.
+// modelQueue is the reference: no heap, no tiers, no arena, no
+// generations. An event's index is its schedule sequence number.
 type modelQueue struct {
 	now   time.Duration
 	at    []time.Duration
@@ -69,57 +70,168 @@ func sameTrace(t *testing.T, got, want []string) {
 	}
 }
 
-func FuzzPopOrder(f *testing.F) {
-	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8})
-	f.Add([]byte{0, 0, 0, 0, 255, 255, 128, 7, 9, 200})
-	f.Add([]byte{250, 250, 251, 252, 1, 1, 1, 90, 90, 90, 90, 13})
+// Program encoding, one op per byte:
+//
+//	0–7     RunUntil(now + untilSpans[op])
+//	8–15    Run(op % 8)
+//	16–19   Cancel(forgedIDs[op-16]): ids no schedule returned
+//	20–63   Cancel an earlier id (Run(op % 8) while there is none)
+//	64–255  At an absolute time on one of four grids (schedOp), from
+//	        the current bucket through minutes ahead
+var (
+	untilSpans = [8]time.Duration{0, time.Millisecond, 5 * time.Millisecond, 40 * time.Millisecond,
+		150 * time.Millisecond, 700 * time.Millisecond, 4 * time.Second, 75 * time.Second}
+	schedGrids = [4]time.Duration{time.Millisecond, 7 * time.Millisecond, 250 * time.Millisecond, 5 * time.Second}
+	forgedIDs  = [4]EventID{0, EventID(math.MaxUint32) << 32, ^EventID(0), EventID(1<<31)<<32 | 1}
+)
 
+// schedOp encodes "schedule at k steps of grid g" (k < 48). The grids
+// overlap (1 ms × 28 = 7 ms × 4; 250 ms × 20 = 5 s), so equal times
+// arise from different bytes as well as repeated ones.
+func schedOp(g, k int) byte { return byte(64 + 48*g + k) }
+
+// tierOf names the tier the simulator files an item scheduled at at
+// into, by the same rule push applies.
+func tierOf(s *Simulator, at time.Duration) int {
+	switch b := bucketOf(max(at, s.now)); {
+	case b <= s.cur:
+		return 0
+	case b < s.cur+ringBuckets:
+		return 1
+	}
+	return 2
+}
+
+// reach records which queue situations a program drove the simulator
+// into, so the seed corpus can be held to covering each of them.
+type reach struct {
+	ring      bool // an item filed into the ring
+	farAhead  bool // an item filed into far, seconds or more past now
+	minutes   bool // an item filed a minute or more past now
+	stopShort bool // RunUntil left cur past now's bucket, then an item was filed below cur
+	crossTie  bool // an item filed with the same time as a live one filed into another tier
+	farToRing bool // a live item filed into far came within the ring's span, a later item behind it
+	zeroID    bool // Cancel(0) with a live event in slot 0
+	forged    bool // Cancel of an id whose slot field was never issued
+}
+
+func (r *reach) or(o reach) {
+	r.ring, r.farAhead, r.minutes = r.ring || o.ring, r.farAhead || o.farAhead, r.minutes || o.minutes
+	r.stopShort, r.crossTie, r.farToRing = r.stopShort || o.stopShort, r.crossTie || o.crossTie, r.farToRing || o.farToRing
+	r.zeroID, r.forged = r.zeroID || o.zeroID, r.forged || o.forged
+}
+
+// runPopProgram runs ops on a Simulator and on the model in lockstep,
+// failing at the first divergence, and reports what the program reached.
+func runPopProgram(t *testing.T, ops []byte) (r reach) {
+	t.Helper()
+	s := New(1)
+	m := &modelQueue{}
+	var trace []string
+	var ids []EventID
+	var filed []int // tier each event was filed into
+	short := false  // the last RunUntil left cur past now's bucket
+	check := func(step int) {
+		t.Helper()
+		if s.EventsRun() != uint64(len(m.trace)) || s.Pending() != m.pending() || s.Now() != m.now {
+			t.Fatalf("after op %d: ran=%d pending=%d now=%v, model ran=%d pending=%d now=%v",
+				step, s.EventsRun(), s.Pending(), s.Now(), len(m.trace), m.pending(), m.now)
+		}
+		sameTrace(t, trace, m.trace)
+	}
+	for i, op := range ops {
+		switch {
+		case op >= 64:
+			v := int(op - 64)
+			at := time.Duration(v%48) * schedGrids[v/48]
+			tier := tierOf(s, at)
+			for j, l := range m.live {
+				r.crossTie = r.crossTie || l && m.at[j] == max(at, s.now) && filed[j] != tier
+			}
+			ahead := at - s.now
+			r.ring = r.ring || tier == 1
+			r.farAhead = r.farAhead || tier == 2 && ahead >= time.Second
+			r.minutes = r.minutes || tier == 2 && ahead >= time.Minute
+			r.stopShort = r.stopShort || short && bucketOf(max(at, s.now)) < s.cur
+			tag := len(ids)
+			ids = append(ids, s.At(at, func() {
+				trace = append(trace, fmt.Sprintf("%d@%v", tag, s.Now()))
+			}))
+			filed = append(filed, tier)
+			m.schedule(at)
+		case op >= 16 && op < 20:
+			r.zeroID = r.zeroID || op == 16 && len(s.slots) > 0 && s.slots[0].kind != kindFree
+			r.forged = r.forged || op > 16
+			s.Cancel(forgedIDs[op-16])
+		case op >= 20 && len(ids) > 0:
+			// Cancel any earlier id: pending, already run (its slot
+			// possibly reused since) or already canceled.
+			victim := int(op) % len(ids)
+			s.Cancel(ids[victim])
+			m.live[victim] = false
+		case op >= 8:
+			s.Run(uint64(op % 8))
+			m.drain(uint64(op%8), math.MaxInt64)
+		default:
+			until := s.Now() + untilSpans[op]
+			s.RunUntil(until)
+			m.drain(0, until)
+			m.now = max(m.now, until)
+			short = s.cur > bucketOf(s.now)
+		}
+		last := int64(-1) // the latest live bucket
+		for j, l := range m.live {
+			if l {
+				last = max(last, bucketOf(m.at[j]))
+			}
+		}
+		for j, l := range m.live {
+			r.farToRing = r.farToRing || l && filed[j] == 2 && tierOf(s, m.at[j]) == 1 && bucketOf(m.at[j]) < last
+		}
+		check(i)
+	}
+	s.Run(0)
+	m.drain(0, math.MaxInt64)
+	check(len(ops))
+	return r
+}
+
+// popSeeds is FuzzPopOrder's corpus; TestPopOrderSeedsReachEveryTier
+// holds it to reaching every situation reach names.
+var popSeeds = [][]byte{
+	{1, 2, 3, 4, 5, 6, 7, 8},
+	{0, 0, 0, 0, 255, 255, 128, 7, 9, 200},
+	{250, 250, 251, 252, 1, 1, 1, 90, 90, 90, 90, 13},
+	// Ring, then a RunUntil short of the ring head and a tie filed into
+	// near against it; zero and forged cancels around a live slot 0.
+	{schedOp(1, 20), 16, 17, 18, 19, schedOp(0, 3), 3, schedOp(1, 20), schedOp(0, 41), 9, 4, 12},
+	// Far: 5 s twice from two grids, a RunUntil that stops 1 s short and
+	// pulls both into near, then 5 s again and 4.25 s below them; then
+	// minutes ahead and a cancel of one far tie.
+	{schedOp(3, 1), schedOp(2, 20), 6, schedOp(2, 20), schedOp(2, 17), schedOp(3, 40), 21, 7, schedOp(3, 45), 15},
+	// Far to ring: 280 ms is past the ring at 0; running 70 ms makes it
+	// fit, and 329 ms then lands in the ring behind it.
+	{schedOp(1, 40), schedOp(1, 10), 9, schedOp(1, 47)},
+}
+
+func TestPopOrderSeedsReachEveryTier(t *testing.T) {
+	var all reach
+	for _, ops := range popSeeds {
+		all.or(runPopProgram(t, ops))
+	}
+	if all != (reach{true, true, true, true, true, true, true, true}) {
+		t.Fatalf("seed corpus reaches %+v; every field must be true", all)
+	}
+}
+
+func FuzzPopOrder(f *testing.F) {
+	for _, ops := range popSeeds {
+		f.Add(ops)
+	}
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		if len(ops) > 512 {
 			t.Skip("longer programs only slow the model's quadratic scan")
 		}
-		s := New(1)
-		m := &modelQueue{}
-		var trace []string
-		var ids []EventID
-		check := func(step int) {
-			t.Helper()
-			if s.EventsRun() != uint64(len(m.trace)) || s.Pending() != m.pending() || s.Now() != m.now {
-				t.Fatalf("after op %d: ran=%d pending=%d now=%v, model ran=%d pending=%d now=%v",
-					step, s.EventsRun(), s.Pending(), s.Now(), len(m.trace), m.pending(), m.now)
-			}
-			sameTrace(t, trace, m.trace)
-		}
-		for i, op := range ops {
-			switch {
-			case op >= 64:
-				// Schedule: the byte picks a time; clustered values
-				// exercise seq tie-breaks, small ones the clamp to now.
-				at := time.Duration(op-64) * time.Duration(op%5+1) * time.Millisecond
-				tag := len(ids)
-				ids = append(ids, s.At(at, func() {
-					trace = append(trace, fmt.Sprintf("%d@%v", tag, s.Now()))
-				}))
-				m.schedule(at)
-			case op >= 16 && len(ids) > 0:
-				// Cancel any earlier id: pending, already run (its slot
-				// possibly reused since) or already canceled.
-				victim := int(op) % len(ids)
-				s.Cancel(ids[victim])
-				m.live[victim] = false
-			case op >= 8:
-				s.Run(uint64(op % 8))
-				m.drain(uint64(op%8), math.MaxInt64)
-			default:
-				until := time.Duration(op) * 40 * time.Millisecond
-				s.RunUntil(until)
-				m.drain(0, until)
-				m.now = max(m.now, until)
-			}
-			check(i)
-		}
-		s.Run(0)
-		m.drain(0, math.MaxInt64)
-		check(len(ops))
+		runPopProgram(t, ops)
 	})
 }

@@ -9,23 +9,31 @@
 // (time, sequence) order, so runs are reproducible bit-for-bit from a seed.
 //
 // The event queue is allocation-free on its hot path: pending events
-// live in a reusable slot arena indexed by a value-typed binary heap,
-// and network deliveries are stored as slot fields rather than closures.
-// An EventID is a slot index plus a generation counter, so Cancel is an
-// O(1) generation check — no per-event map, and canceling an event that
-// already ran (its slot's generation has moved on) is a safe no-op.
+// live in a reusable slot arena, and network deliveries are stored as
+// slot fields rather than closures. The queue's entries are split by
+// 2²⁰-ns bucket (about 1 ms) into three tiers: a small binary heap for
+// the current bucket and any earlier one, a ring of 256 unsorted buckets
+// (about 268 ms, the span of link delays) and a heap for anything later.
+// Only the current bucket is ever ordered, so the heap that every pop
+// walks stays cache-sized however deep the queue is. An EventID is a
+// slot index plus a generation counter, so Cancel is an O(1) generation
+// check — no per-event map, and canceling an event that already ran (its
+// slot's generation has moved on) is a safe no-op.
 package sim
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"time"
 )
 
 // EventID identifies a scheduled event so it can be canceled. It packs
-// the event's arena slot (high 32 bits) and that slot's generation at
-// schedule time (low 32 bits); the generation changes when the event
-// runs or is canceled, which is what makes stale cancels no-ops.
+// the event's arena slot plus one (high 32 bits) and that slot's
+// generation at schedule time (low 32 bits); the generation changes when
+// the event runs or is canceled, which is what makes stale cancels
+// no-ops. The zero EventID names no event, so an unset id cancels
+// nothing.
 type EventID uint64
 
 // slotKind says what an occupied arena slot executes.
@@ -67,21 +75,65 @@ func itemLess(a, b heapItem) bool {
 	return a.seq < b.seq
 }
 
+// Queue geometry. An item's bucket is at >> bucketShift (about 1.05 ms);
+// the ring holds the ringBuckets-1 buckets after the current one (about
+// 268 ms), which covers the link delays the network models draw. Items
+// are never negative-time: schedule clamps to now, and now starts at 0.
+const (
+	bucketShift = 20
+	ringBuckets = 256 // a power of two
+	chunkItems  = 32
+)
+
+func bucketOf(at time.Duration) int64 { return int64(at) >> bucketShift }
+
+// chunk is a fixed block of one ring bucket's unsorted chain. Chunks come
+// from one arena and return to its free list, linked through next; -1
+// ends a chain or the free list.
+type chunk struct {
+	items [chunkItems]heapItem
+	n     int32
+	next  int32
+}
+
+// chain is one ring bucket: the first and last chunk of its list. It is
+// meaningful only while the bucket's occupancy bit is set.
+type chain struct{ head, tail int32 }
+
 // Simulator owns the virtual clock, the pending-event queue and the seeded
 // random source shared by the whole simulation.
+//
+// The queue's tiers, with cur the current bucket:
+//   - near: a binary min-heap on (at, seq) of every item whose bucket is
+//     at or before cur;
+//   - ring: buckets cur+1 … cur+ringBuckets-1, each an unsorted chain
+//     at ring[bucket % ringBuckets], with occ marking the non-empty ones;
+//   - far: a binary min-heap of every later item.
+//
+// Every near item precedes every ring item, and every ring item every far
+// item, so near[0] is the queue's head while near is non-empty. When near
+// runs dry, refill makes the next occupied bucket current.
 type Simulator struct {
 	now     time.Duration
-	queue   []heapItem // binary min-heap on (at, seq)
 	nextSeq uint64
 	slots   []slot
-	free    []int32
+	free    int32 // last freed slot, -1 when none; see release
+	nFree   int
 	rng     *rand.Rand
 	ran     uint64
+
+	cur       int64
+	near      []heapItem
+	ring      [ringBuckets]chain
+	occ       [ringBuckets / 64]uint64
+	chunks    []chunk
+	freeChunk int32
+	far       []heapItem
 }
 
 // New creates a simulator whose randomness derives entirely from seed.
 func New(seed int64) *Simulator {
-	return &Simulator{rng: rand.New(rand.NewSource(seed))}
+	return &Simulator{rng: rand.New(rand.NewSource(seed)), free: -1, freeChunk: -1}
 }
 
 // Now returns the current virtual time (zero at simulation start).
@@ -95,13 +147,13 @@ func (s *Simulator) Rand() *rand.Rand { return s.rng }
 func (s *Simulator) EventsRun() uint64 { return s.ran }
 
 // Pending returns the number of events still scheduled to run.
-func (s *Simulator) Pending() int { return len(s.slots) - len(s.free) }
+func (s *Simulator) Pending() int { return len(s.slots) - s.nFree }
 
 // alloc takes a slot off the free list, growing the arena when empty.
 func (s *Simulator) alloc() int32 {
-	if n := len(s.free); n > 0 {
-		idx := s.free[n-1]
-		s.free = s.free[:n-1]
+	if idx := s.free; idx >= 0 {
+		s.free = int32(s.slots[idx].size)
+		s.nFree--
 		return idx
 	}
 	s.slots = append(s.slots, slot{})
@@ -109,11 +161,14 @@ func (s *Simulator) alloc() int32 {
 }
 
 // release bumps the slot's generation — invalidating its EventID and any
-// stale heap entries — and returns it to the free list. Payload and fn
-// references are dropped so executed events don't pin memory.
+// stale queue entries — and pushes it on the free list. Payload and fn
+// references are dropped so executed events don't pin memory. The list
+// is a stack linked through the free slots' size fields, so it needs no
+// slice of its own to grow.
 func (s *Simulator) release(idx int32) {
-	s.slots[idx] = slot{gen: s.slots[idx].gen + 1}
-	s.free = append(s.free, idx)
+	s.slots[idx] = slot{gen: s.slots[idx].gen + 1, size: int(s.free)}
+	s.free = idx
+	s.nFree++
 }
 
 // schedule places an occupied slot into the queue at time t.
@@ -126,7 +181,7 @@ func (s *Simulator) schedule(t time.Duration, sl slot) EventID {
 	s.slots[idx] = sl
 	s.push(heapItem{at: t, seq: s.nextSeq, slot: idx, gen: sl.gen})
 	s.nextSeq++
-	return EventID(uint64(uint32(idx))<<32 | uint64(sl.gen))
+	return EventID(uint64(uint32(idx)+1)<<32 | uint64(sl.gen))
 }
 
 // At schedules fn to run at absolute virtual time t. Times in the past are
@@ -144,27 +199,130 @@ func (s *Simulator) After(d time.Duration, fn func()) EventID {
 // already ran (or was already canceled) is a no-op: its slot's generation
 // no longer matches the id.
 func (s *Simulator) Cancel(id EventID) {
-	idx := int32(id >> 32)
+	// The zero id's slot field wraps to the largest uint32, out of range
+	// like any forged slot.
+	idx := uint32(id>>32) - 1
 	if int(idx) < len(s.slots) && s.slots[idx].gen == uint32(id) && s.slots[idx].kind != kindFree {
-		s.release(idx)
+		s.release(int32(idx))
 	}
 }
 
-// peek drops stale (canceled) entries off the heap's head and reports
-// whether a live event remains; when it does, s.queue[0] is the next
-// event in (time, sequence) order.
-func (s *Simulator) peek() bool {
-	for len(s.queue) > 0 && s.slots[s.queue[0].slot].gen != s.queue[0].gen {
-		s.pop()
+// push files an item into the tier its bucket belongs to.
+func (s *Simulator) push(it heapItem) {
+	switch b := bucketOf(it.at); {
+	case b <= s.cur:
+		s.near = heapPush(s.near, it)
+	case b < s.cur+ringBuckets:
+		s.ringAppend(b, it)
+	default:
+		s.far = heapPush(s.far, it)
 	}
-	return len(s.queue) > 0
+}
+
+// ringAppend appends an item to ring bucket b's chain, taking a fresh
+// chunk when the bucket is empty or its last chunk is full.
+func (s *Simulator) ringAppend(b int64, it heapItem) {
+	i := int(b & (ringBuckets - 1))
+	bit := uint64(1) << (i & 63)
+	if s.occ[i>>6]&bit == 0 {
+		s.occ[i>>6] |= bit
+		c := s.newChunk()
+		s.ring[i] = chain{head: c, tail: c}
+	} else if s.chunks[s.ring[i].tail].n == chunkItems {
+		c := s.newChunk()
+		s.chunks[s.ring[i].tail].next = c
+		s.ring[i].tail = c
+	}
+	k := &s.chunks[s.ring[i].tail]
+	k.items[k.n] = it
+	k.n++
+}
+
+// newChunk takes an empty chunk off the free list, growing the arena
+// when the list is empty.
+func (s *Simulator) newChunk() int32 {
+	c := s.freeChunk
+	if c < 0 {
+		s.chunks = append(s.chunks, chunk{})
+		c = int32(len(s.chunks) - 1)
+	} else {
+		s.freeChunk = s.chunks[c].next
+	}
+	s.chunks[c].n, s.chunks[c].next = 0, -1
+	return c
+}
+
+// nextOccupied returns how many buckets past cur+1 the first occupied
+// ring bucket lies, scanning the occupancy bitmap a word at a time from
+// cur+1 around the ring.
+func (s *Simulator) nextOccupied() (int64, bool) {
+	start := int((s.cur + 1) & (ringBuckets - 1))
+	for d := 0; d < ringBuckets; {
+		i := (start + d) & (ringBuckets - 1)
+		if w := s.occ[i>>6] >> (i & 63); w != 0 {
+			return int64(d + bits.TrailingZeros64(w)), true
+		}
+		d += 64 - i&63
+	}
+	return 0, false
+}
+
+// refill makes the next occupied bucket current once near has run dry:
+// that bucket's chain and any far items in it become the near heap, and
+// far items that now fit the ring move into it. It reports false when
+// the queue holds nothing at all.
+func (s *Simulator) refill() bool {
+	if d, ok := s.nextOccupied(); ok {
+		s.cur += 1 + d
+		i := int(s.cur & (ringBuckets - 1))
+		s.occ[i>>6] &^= uint64(1) << (i & 63)
+		for c := s.ring[i].head; c >= 0; {
+			k := &s.chunks[c]
+			s.near = append(s.near, k.items[:k.n]...)
+			next := k.next
+			k.next, s.freeChunk = s.freeChunk, c
+			c = next
+		}
+	} else if len(s.far) > 0 {
+		s.cur = bucketOf(s.far[0].at)
+	} else {
+		return false
+	}
+	for len(s.far) > 0 && bucketOf(s.far[0].at) < s.cur+ringBuckets {
+		it := s.far[0]
+		s.far = heapPop(s.far)
+		if b := bucketOf(it.at); b == s.cur {
+			s.near = append(s.near, it)
+		} else {
+			s.ringAppend(b, it)
+		}
+	}
+	heapify(s.near)
+	return true
+}
+
+// peek drops stale (canceled) entries off the near heap's head, refilling
+// it as it runs dry, and reports whether a live event remains; when it
+// does, s.near[0] is the next event in (time, sequence) order.
+func (s *Simulator) peek() bool {
+	for {
+		for len(s.near) > 0 {
+			if h := s.near[0]; s.slots[h.slot].gen == h.gen {
+				return true
+			}
+			s.near = heapPop(s.near)
+		}
+		if !s.refill() {
+			return false
+		}
+	}
 }
 
 // step executes the head event, advancing the clock. Call only after
 // peek reported a live head.
 func (s *Simulator) step() {
-	item := s.queue[0]
-	s.pop()
+	item := s.near[0]
+	s.near = heapPop(s.near)
 	run := s.slots[item.slot]
 	s.release(item.slot)
 	s.now = item.at
@@ -188,10 +346,11 @@ func (s *Simulator) Step() bool {
 	return true
 }
 
-// push appends an item and sifts it up; a hand-rolled heap keeps items
-// as values (container/heap would box every Push into an interface).
-func (s *Simulator) push(it heapItem) {
-	q := append(s.queue, it)
+// heapPush appends an item to the binary min-heap q and sifts it up; a
+// hand-rolled heap keeps items as values (container/heap would box every
+// Push into an interface).
+func heapPush(q []heapItem, it heapItem) []heapItem {
+	q = append(q, it)
 	i := len(q) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
@@ -201,16 +360,27 @@ func (s *Simulator) push(it heapItem) {
 		q[i], q[parent] = q[parent], q[i]
 		i = parent
 	}
-	s.queue = q
+	return q
 }
 
-// pop removes the head item and restores the heap's order.
-func (s *Simulator) pop() {
-	q := s.queue
+// heapPop removes the head of the binary min-heap q.
+func heapPop(q []heapItem) []heapItem {
 	n := len(q) - 1
 	q[0] = q[n]
 	q = q[:n]
-	i := 0
+	siftDown(q, 0)
+	return q
+}
+
+// heapify orders q as a binary min-heap in linear time.
+func heapify(q []heapItem) {
+	for i := len(q)/2 - 1; i >= 0; i-- {
+		siftDown(q, i)
+	}
+}
+
+func siftDown(q []heapItem, i int) {
+	n := len(q)
 	for {
 		smallest := i
 		if l := 2*i + 1; l < n && itemLess(q[l], q[smallest]) {
@@ -220,12 +390,11 @@ func (s *Simulator) pop() {
 			smallest = r
 		}
 		if smallest == i {
-			break
+			return
 		}
 		q[i], q[smallest] = q[smallest], q[i]
 		i = smallest
 	}
-	s.queue = q
 }
 
 // Run executes events until the queue drains or maxEvents have run;
@@ -243,7 +412,7 @@ func (s *Simulator) Run(maxEvents uint64) uint64 {
 // RunUntil executes all events scheduled up to and including t, then sets
 // the clock to t.
 func (s *Simulator) RunUntil(t time.Duration) {
-	for s.peek() && s.queue[0].at <= t {
+	for s.peek() && s.near[0].at <= t {
 		s.step()
 	}
 	if s.now < t {

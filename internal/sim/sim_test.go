@@ -69,6 +69,29 @@ func TestCancel(t *testing.T) {
 	s.Cancel(id2)
 }
 
+// TestCancelZeroAndForgedIDs pins what Cancel does with ids no schedule
+// returned: the zero EventID (an unset timer field) cancels nothing, not
+// even the first event a simulator schedules, and a forged slot field
+// is out of range, never a negative index.
+func TestCancelZeroAndForgedIDs(t *testing.T) {
+	s := New(1)
+	ran := false
+	first := s.After(time.Millisecond, func() { ran = true })
+	if first == 0 {
+		t.Fatal("the first event got the zero EventID")
+	}
+	for _, id := range []EventID{0, EventID(math.MaxUint32) << 32, ^EventID(0), first + 1<<32} {
+		s.Cancel(id)
+	}
+	if s.Pending() != 1 {
+		t.Fatalf("Pending() = %d after zero and forged cancels, want 1", s.Pending())
+	}
+	s.Run(0)
+	if !ran {
+		t.Fatal("a zero or forged id canceled the first event")
+	}
+}
+
 // TestPendingCancelStaleIDs pins the Pending/Cancel generation
 // semantics: a cancel from inside a running event leaves the stale heap
 // entry invisible to execution, an EventID goes stale once its event
@@ -179,6 +202,36 @@ func TestWideSpreadOrdering(t *testing.T) {
 	s.Run(0)
 	m.drain(0, math.MaxInt64)
 	sameTrace(t, got, m.trace)
+}
+
+// TestWarmQueueAllocatesNothing: once the slot arena, the ring's chunk
+// arena and all three tiers have grown to a deep queue's steady state,
+// scheduling an event and running one allocates nothing.
+func TestWarmQueueAllocatesNothing(t *testing.T) {
+	s := New(1)
+	rng := rand.New(rand.NewSource(4))
+	var n int
+	next := func() time.Duration {
+		n++
+		if n%16 == 0 {
+			return Uniform(rng, time.Second, time.Minute) // far tier
+		}
+		return Uniform(rng, 0, 200*time.Millisecond)
+	}
+	noop := func() {}
+	for i := 0; i < 50_000; i++ {
+		s.After(next(), noop)
+	}
+	for i := 0; i < 500_000; i++ {
+		s.After(next(), noop)
+		s.Step()
+	}
+	if allocs := testing.AllocsPerRun(10_000, func() {
+		s.After(next(), noop)
+		s.Step()
+	}); allocs != 0 {
+		t.Fatalf("schedule + step on a warm queue: %v allocs, want 0", allocs)
+	}
 }
 
 func TestRunUntil(t *testing.T) {
@@ -558,4 +611,37 @@ func BenchmarkEventLoop(b *testing.B) {
 	s.After(time.Microsecond, tick)
 	b.ResetTimer()
 	s.Run(uint64(b.N))
+}
+
+// BenchmarkQueueHold is the queue-only hold model: N events pending, and
+// each pop schedules one successor a random delay later, so the depth
+// stays N. One op is one pop plus one push. The 10⁶-deep cells are
+// skipped under -short.
+func BenchmarkQueueHold(b *testing.B) {
+	laws := []struct {
+		name  string
+		delay func(*rand.Rand) time.Duration
+	}{
+		{"exp-100ms", func(r *rand.Rand) time.Duration { return Exp(r, 100*time.Millisecond) }},
+		{"uniform-20-200ms", func(r *rand.Rand) time.Duration { return Uniform(r, 20*time.Millisecond, 200*time.Millisecond) }},
+	}
+	for _, law := range laws {
+		for _, n := range []int{1_000, 50_000, 1_000_000} {
+			b.Run(fmt.Sprintf("%s/N=%d", law.name, n), func(b *testing.B) {
+				if n >= 1_000_000 && testing.Short() {
+					b.Skip("10⁶-deep queue skipped under -short")
+				}
+				s := New(1)
+				rng := rand.New(rand.NewSource(1))
+				var hold func()
+				hold = func() { s.After(law.delay(rng), hold) }
+				for i := 0; i < n; i++ {
+					s.After(law.delay(rng), hold)
+				}
+				s.Run(uint64(n)) // one generation of successors: steady state
+				b.ResetTimer()
+				s.Run(uint64(b.N))
+			})
+		}
+	}
 }
