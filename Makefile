@@ -20,11 +20,13 @@ examples:
 # Guards the worker-pool concurrency: event engine, experiment scheduler,
 # lattice batch settlement, signature batching, parallel merkle hashing,
 # the batched live-gossip + adversary paths in netsim, the pointer-
-# shared content (genesis, block catalog, transaction and coin catalog,
-# id and root memos) under the chain ledgers, the lattice's block
-# catalog and the tangle's vertex catalog, which must never cross
-# networks, the trie arenas whose generation counter every account-model
-# block execution writes, and every package whose objects embed a
+# shared content (genesis, genesis state, block catalog and its id index,
+# transaction and coin catalog, id and root memos) under both chain
+# ledgers — Bitcoin and Ethereum each share one block catalog per
+# network — the lattice's block catalog and the tangle's vertex catalog,
+# which must never cross networks, the trie arenas whose generation
+# counter every account-model block execution writes (an Ethereum
+# network's ledgers share one), and every package whose objects embed a
 # keys.SigMemo.
 race:
 	$(GO) test -race -timeout 60m ./internal/sim/... ./internal/core/... ./internal/lattice/... ./internal/keys/... ./internal/merkle/... ./internal/netsim/... ./internal/utxo/... ./internal/chain/... ./internal/account/... ./internal/orv/... ./internal/tangle/... ./internal/pos/... ./internal/trie/...

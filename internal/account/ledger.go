@@ -236,15 +236,18 @@ func (m *Mempool) Candidates(state *State) []*Tx {
 // Ledger is a full Ethereum-style node: block store with fork choice, a
 // persistent state snapshot per block (so reorgs are O(1) pointer swaps
 // and historical roots remain queryable until pruned), and a gas-price
+// mempool. The ledgers Replica makes share the genesis block, its frozen
+// state trie and the block catalog, and own their store, states map and
 // mempool.
 type Ledger struct {
-	params  Params
-	store   *chain.Store
-	states  map[hashx.Hash]*trie.Trie // block hash -> post-state
-	deltas  map[hashx.Hash]trie.Stats // block hash -> state delta footprint
-	pool    *Mempool
-	txBlock map[hashx.Hash]hashx.Hash
-	genesis *chain.Block
+	params       Params
+	store        *chain.Store
+	states       map[hashx.Hash]*trie.Trie // block hash -> post-state
+	deltas       map[hashx.Hash]trie.Stats // block hash -> state delta footprint
+	pool         *Mempool
+	txBlock      map[hashx.Hash]hashx.Hash
+	genesis      *chain.Block
+	genesisState *trie.Trie // frozen
 }
 
 // NewLedger creates a ledger whose genesis state holds the allocation.
@@ -271,21 +274,36 @@ func NewLedger(alloc map[keys.Address]uint64, params Params) (*Ledger, error) {
 		},
 		Payload: body,
 	}
-	l := &Ledger{
-		params:  params,
-		states:  map[hashx.Hash]*trie.Trie{genesis.Hash(): state.Trie()},
-		deltas:  map[hashx.Hash]trie.Stats{genesis.Hash(): state.Trie().Measure()},
-		pool:    NewMempool(),
-		txBlock: make(map[hashx.Hash]hashx.Hash),
-		genesis: genesis,
-	}
 	store, err := chain.NewStore(genesis, params.ForkChoice)
 	if err != nil {
 		return nil, fmt.Errorf("account: %w", err)
 	}
+	root := state.Trie()
+	return newReplica(params, genesis, root, root.Measure(), store), nil
+}
+
+// Replica returns a new ledger at genesis for another node of l's network,
+// whatever l has processed since (see Ledger). The ledgers of one network
+// must stay on one goroutine, as their catalog and trie arena do.
+func (l *Ledger) Replica() *Ledger {
+	return newReplica(l.params, l.genesis, l.genesisState, l.deltas[l.genesis.Hash()], l.store.Replica())
+}
+
+// newReplica builds a ledger over a store at genesis, the genesis state
+// and its footprint.
+func newReplica(params Params, genesis *chain.Block, root *trie.Trie, delta trie.Stats, store *chain.Store) *Ledger {
+	l := &Ledger{
+		params:       params,
+		store:        store,
+		states:       map[hashx.Hash]*trie.Trie{genesis.Hash(): root},
+		deltas:       map[hashx.Hash]trie.Stats{genesis.Hash(): delta},
+		pool:         NewMempool(),
+		txBlock:      make(map[hashx.Hash]hashx.Hash),
+		genesis:      genesis,
+		genesisState: root,
+	}
 	store.SetValidator(l.validateBlock)
-	l.store = store
-	return l, nil
+	return l
 }
 
 // Store exposes the underlying block store.

@@ -730,3 +730,113 @@ func TestProcessBlockOutOfOrderAdoption(t *testing.T) {
 		t.Fatal("confirmed tx still pooled after cascade adoption")
 	}
 }
+
+// Replica gives another node of the same network: the genesis block, its
+// state trie and the block catalog shared, store, states and mempool its
+// own, at genesis even when taken from a ledger that has moved on. Two
+// replicas of one root then process diverging blocks, one of them through
+// a reorg, and each ends where a ledger from NewLedger fed the same
+// blocks does: same tip, state root, balances, confirmations and pool.
+func TestLedgerReplica(t *testing.T) {
+	r := keys.NewRing("replica", 4)
+	root := newTestLedger(t, r, 2, 10_000_000)
+	early := root.Replica()
+	if early.Genesis() != root.Genesis() || early.genesisState != root.genesisState ||
+		early.Store().Index() != root.Store().Index() {
+		t.Fatal("replica does not share the genesis block, its state and the block catalog")
+	}
+	if other := newTestLedger(t, r, 2, 10_000_000); other.Store().Index() == root.Store().Index() {
+		t.Fatal("two NewLedger calls share a block catalog")
+	}
+
+	// Branch A, built at the root: one block paying addr2.
+	txA := payTx(r.Pair(0), 0, r.Addr(2), 111, 1)
+	if err := root.SubmitTx(txA); err != nil {
+		t.Fatal(err)
+	}
+	a1 := root.BuildBlock(r.Addr(3), 15*time.Second)
+	if _, err := root.ProcessBlock(a1); err != nil {
+		t.Fatal(err)
+	}
+	late := root.Replica()
+	if late.Height() != 0 || late.PoolLen() != 0 || late.Balance(r.Addr(2)) != 0 ||
+		late.State().Root() != root.Genesis().Header.StateRoot {
+		t.Fatalf("late replica is not at genesis: height %d, pool %d, balance %d",
+			late.Height(), late.PoolLen(), late.Balance(r.Addr(2)))
+	}
+
+	// Branch B, built at the late replica: two heavier blocks paying addr2
+	// more, one of them from its own pool.
+	txB := payTx(r.Pair(0), 0, r.Addr(2), 222, 1)
+	if err := late.SubmitTx(txB); err != nil {
+		t.Fatal(err)
+	}
+	b1 := late.BuildBlock(r.Addr(3), 16*time.Second)
+	if _, err := late.ProcessBlock(b1); err != nil {
+		t.Fatal(err)
+	}
+	b2 := late.BuildBlock(r.Addr(3), 31*time.Second)
+	if _, err := late.ProcessBlock(b2); err != nil {
+		t.Fatal(err)
+	}
+
+	// The early replica takes branch A, then reorgs onto branch B.
+	if err := early.SubmitTx(txA); err != nil {
+		t.Fatal(err)
+	}
+	feed := func(name string, l *Ledger, want []chain.AddStatus, blocks ...*chain.Block) {
+		t.Helper()
+		for i, b := range blocks {
+			if res, err := l.ProcessBlock(b); err != nil || res.Status != want[i] {
+				t.Fatalf("%s: block %d: %v %v, want %v", name, i, res.Status, err, want[i])
+			}
+		}
+	}
+	feed("early", early, []chain.AddStatus{chain.Accepted, chain.AcceptedSide, chain.AcceptedReorg}, a1, b1, b2)
+
+	for _, c := range []struct {
+		name   string
+		l      *Ledger
+		blocks []*chain.Block
+		pooled []*Tx
+	}{
+		{"root", root, []*chain.Block{a1}, nil},
+		{"early", early, []*chain.Block{a1, b1, b2}, []*Tx{txA}},
+		{"late", late, []*chain.Block{b1, b2}, []*Tx{txB}},
+	} {
+		alloc := map[keys.Address]uint64{r.Addr(0): 10_000_000, r.Addr(1): 10_000_000}
+		fresh, err := NewLedger(alloc, testParams())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tx := range c.pooled {
+			if err := fresh.SubmitTx(tx); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, b := range c.blocks {
+			if _, err := fresh.ProcessBlock(b); err != nil {
+				t.Fatalf("%s: fresh ledger: %v", c.name, err)
+			}
+		}
+		if c.l.Store().Tip() != fresh.Store().Tip() || c.l.State().Root() != fresh.State().Root() {
+			t.Fatalf("%s: tip or state root differs from a fresh ledger's", c.name)
+		}
+		for i := 0; i < 4; i++ {
+			if got, want := c.l.Balance(r.Addr(i)), fresh.Balance(r.Addr(i)); got != want {
+				t.Fatalf("%s: balance of %d = %d, fresh ledger %d", c.name, i, got, want)
+			}
+		}
+		for _, tx := range []*Tx{txA, txB} {
+			if got, want := c.l.Confirmations(tx.ID()), fresh.Confirmations(tx.ID()); got != want {
+				t.Fatalf("%s: confirmations %d, fresh ledger %d", c.name, got, want)
+			}
+		}
+		if c.l.PoolLen() != fresh.PoolLen() {
+			t.Fatalf("%s: pool %d, fresh ledger %d", c.name, c.l.PoolLen(), fresh.PoolLen())
+		}
+	}
+	if early.Balance(r.Addr(2)) != 222 || root.Balance(r.Addr(2)) != 111 {
+		t.Fatalf("branches crossed: early %d, root %d", early.Balance(r.Addr(2)), root.Balance(r.Addr(2)))
+	}
+}

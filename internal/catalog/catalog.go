@@ -2,11 +2,17 @@
 // ledger in this module makes. A network's replicas agree on what an
 // object is — a block, a vertex, a transaction — so each object is held
 // once per network, in a Catalog, under a dense id; a replica keeps only
-// its own state over those ids (bitsets, id columns, counters). An
-// object enters a catalog on its first attach anywhere in the network
-// and never leaves, so an id stays valid in every replica's columns; a
-// replica that rolls an object back clears only its own bit. An object in
-// the catalog that a replica has not attached does not exist for it.
+// its own state over those ids (bitsets, id columns, counters).
+//
+// An object gets its id at first sight and its entry at first attach. A
+// catalog draws ids from its Index in first-sight order, and a network
+// layer that numbers what it sees through that index shares the id space.
+// The entry is filled on the object's first attach anywhere in the
+// network and never leaves, so an id stays valid in every replica's
+// columns; a replica that rolls an object back clears only its own bit.
+// Until then ID reads 0: a forged or never-attached object holds an id
+// and nothing else. An object a replica has not attached does not exist
+// for it.
 //
 // An entry is a pure function of the object and its ancestry, so the
 // pointer in it stands for the object at every replica of the network. A
@@ -14,44 +20,76 @@
 // pointer, not the catalog's, and keeps it in an Own override, which
 // stays nil on honest runs.
 //
-// Neither type is safe for concurrent use: a catalog and the replicas
-// over it never leave the goroutine that drives their network, and two
-// networks never share one.
+// No type here is safe for concurrent use: an index, its catalog and the
+// replicas over them never leave the goroutine that drives their
+// network, and two networks never share one.
 package catalog
 
-import "repro/internal/hashx"
+import (
+	"repro/internal/bitset"
+	"repro/internal/hashx"
+)
 
-// Catalog is an append-only table from content hash to dense id to entry.
-// Ids are handed out from 1 in Add order; 0 means "none".
-type Catalog[ID ~uint32, E any] struct {
-	ids     map[hashx.Hash]ID
-	entries []E // id -> entry; entries[0] is the zero entry
+// Index is a network's one hash → id map. Ids run from 1 in first-sight
+// order; 0 means "none".
+type Index struct {
+	ids map[hashx.Hash]uint32
 }
 
-// New returns an empty catalog, by value so that an owner can hold it
-// inline; replicas that share one hold a pointer to it.
-func New[ID ~uint32, E any]() Catalog[ID, E] {
-	return Catalog[ID, E]{ids: make(map[hashx.Hash]ID), entries: make([]E, 1)}
-}
-
-// ID returns the id of the object with hash h, 0 if it is not in the
-// catalog.
-func (c *Catalog[ID, E]) ID(h hashx.Hash) ID { return c.ids[h] }
-
-// Add enters an object the catalog does not hold yet and returns its id.
-func (c *Catalog[ID, E]) Add(h hashx.Hash, e E) ID {
-	id := ID(len(c.entries))
-	c.ids[h] = id
-	c.entries = append(c.entries, e)
+// Intern returns h's id, handing out the next one if h is new.
+func (x *Index) Intern(h hashx.Hash) uint32 {
+	if id, ok := x.ids[h]; ok {
+		return id
+	}
+	id := uint32(len(x.ids)) + 1
+	x.ids[h] = id
 	return id
 }
 
-// At returns the entry with this id; At(0) is the zero entry. The pointer
-// is valid until the next Add.
-func (c *Catalog[ID, E]) At(id ID) *E { return &c.entries[id] }
+// Catalog is an append-only table from content hash to dense id to entry,
+// its ids drawn from an Index.
+type Catalog[ID ~uint32, E any] struct {
+	index   *Index
+	filled  bitset.Set // ids whose entry Add has written
+	entries []E        // id -> entry; the zero entry at 0 and unfilled ids
+}
 
-// Len returns the number of objects in the catalog: ids run 1 to Len.
-func (c *Catalog[ID, E]) Len() int { return len(c.entries) - 1 }
+// New returns an empty catalog over an index of its own, by value so that
+// an owner can hold it inline; replicas that share one hold a pointer to
+// it.
+func New[ID ~uint32, E any]() Catalog[ID, E] {
+	return Catalog[ID, E]{index: &Index{ids: make(map[hashx.Hash]uint32)}, entries: make([]E, 1)}
+}
+
+// Index returns the index the catalog draws its ids from.
+func (c *Catalog[ID, E]) Index() *Index { return c.index }
+
+// ID returns the id of the object with hash h, 0 if its entry is not
+// filled.
+func (c *Catalog[ID, E]) ID(h hashx.Hash) ID {
+	id := c.index.ids[h]
+	if !c.filled.Has(id) {
+		return 0
+	}
+	return ID(id)
+}
+
+// Add fills the entry of an object the catalog does not hold yet, under
+// the id its index has handed h or hands it now, and returns that id.
+func (c *Catalog[ID, E]) Add(h hashx.Hash, e E) ID {
+	id := c.index.Intern(h)
+	for int(id) >= len(c.entries) {
+		var zero E
+		c.entries = append(c.entries, zero)
+	}
+	c.entries[id] = e
+	c.filled.Add(id)
+	return ID(id)
+}
+
+// At returns the entry with this id, 0 or one ID or Add returned; At(0)
+// is the zero entry. The pointer is valid until the next Add.
+func (c *Catalog[ID, E]) At(id ID) *E { return &c.entries[id] }
 
 // Own is one replica's pointer overrides over a catalog: for an id whose
 // catalog entry holds another pointer than the one this replica

@@ -23,53 +23,77 @@ func hashN(n int) hashx.Hash {
 	return hashx.Sum(b[:])
 }
 
-// FuzzCatalog drives a Catalog and an Own override against a map-plus-
-// slice model. Each byte pair is one step: Add a new object, ask ID of a
-// known or an unknown hash, read At, Keep a pointer (the shared one or
-// another), Get, or drop an override as a mempool does on removal. After
-// every step the catalog must hand out ids densely from 1 in Add order,
-// answer ID 0 for an unknown hash, return every earlier entry unchanged
-// from At however many Adds came since, and the override must agree with
-// its model and stay nil until the first Keep of a pointer other than the
-// shared one.
+// FuzzCatalog drives a Catalog, its Index and an Own override against a
+// map-plus-slice model. Each byte pair is one step: Intern a new or a
+// known hash, Add a new object or fill one the index has already handed
+// an id, ask ID of a known or an unknown hash, read At, Keep a pointer
+// (the shared one or another), Get, or drop an override as a mempool
+// does on removal. After every step ids must run densely from 1 in first
+// sight order across Intern and Add, with none ever handed out twice;
+// ID must answer 0 for an unknown hash and for an interned id whose
+// entry is not filled, and the id for a filled one; Add must fill an
+// interned id without handing out a new one; At must return every
+// earlier entry unchanged however many steps came since; and the
+// override must agree with its model and stay nil until the first Keep
+// of a pointer other than the shared one.
 func FuzzCatalog(f *testing.F) {
 	f.Add([]byte{0, 1, 0, 2, 1, 0, 4, 1, 5, 1, 3, 0})
 	f.Add([]byte{0, 0, 4, 0, 4, 9, 5, 0, 6, 0, 5, 0, 2, 7})
 	f.Add([]byte{0, 0, 4, 16, 5, 0, 0, 3, 4, 1, 6, 1, 5, 1})
+	f.Add([]byte{7, 0, 7, 2, 0, 1, 7, 0, 0, 3, 1, 0, 7, 5, 0, 1, 3, 1})
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		c := New[id, entry]()
+		x := c.Index()
 		var own Own[id, *int]
 		var (
 			hashes  []hashx.Hash    // model: id-1 -> hash
+			filled  []bool          // model: id-1 -> entry written
 			entries []entry         // model: id-1 -> entry
 			over    = map[id]*int{} // model of own
 			ptrs    = [3]*int{new(int), new(int), new(int)}
 			alloc   bool      // a differing Keep has happened
-			unknown = 1 << 20 // hashes from here on are never added
+			unknown = 1 << 20 // hashes from here on are never seen
 		)
 		// shared is the pointer the catalog's entry would hold for i.
 		shared := func(i id) *int { return ptrs[int(i)%len(ptrs)] }
-		pick := func(arg byte) id {
-			if len(entries) == 0 {
+		// choose returns an interned id chosen by arg whose entry is
+		// filled or not as asked, 0 if there is none.
+		choose := func(arg byte, full bool) id {
+			var ids []id
+			for j, ok := range filled {
+				if ok == full {
+					ids = append(ids, id(j+1))
+				}
+			}
+			if len(ids) == 0 {
 				return 0
 			}
-			return id(1 + int(arg)%len(entries))
+			return ids[int(arg)%len(ids)]
+		}
+		pick := func(arg byte) id { return choose(arg, true) }
+		add := func(i id, arg byte) {
+			e := entry{n: uint64(arg), parent: pick(arg)}
+			if got := c.Add(hashes[i-1], e); got != i {
+				t.Fatalf("Add handed out id %d, want %d", got, i)
+			}
+			filled[i-1], entries[i-1] = true, e
+		}
+		see := func() id { // first sight of a new hash, in the model
+			hashes = append(hashes, hashN(len(hashes)))
+			filled, entries = append(filled, false), append(entries, entry{})
+			return id(len(hashes))
 		}
 		for len(prog) >= 2 {
 			op, arg := prog[0], prog[1]
 			prog = prog[2:]
-			switch op % 7 {
-			case 0: // add a new object
-				h := hashN(len(hashes))
-				if got := c.ID(h); got != 0 {
-					t.Fatalf("ID of a hash never added = %d", got)
+			switch op % 8 {
+			case 0: // add a new object, or fill an interned one
+				i := choose(arg, false)
+				if arg%2 == 0 || i == 0 {
+					i = see()
 				}
-				e := entry{n: uint64(arg), parent: pick(arg)}
-				if got, want := c.Add(h, e), id(len(entries)+1); got != want {
-					t.Fatalf("Add handed out id %d, want %d", got, want)
-				}
-				hashes, entries = append(hashes, h), append(entries, e)
-			case 1: // ID of a known hash
+				add(i, arg)
+			case 1: // ID of a filled hash
 				if i := pick(arg); i != 0 {
 					if got := c.ID(hashes[i-1]); got != i {
 						t.Fatalf("ID = %d, want %d", got, i)
@@ -109,16 +133,32 @@ func FuzzCatalog(f *testing.F) {
 				i := pick(arg)
 				delete(own, i)
 				delete(over, i)
-			}
-			if c.Len() != len(entries) {
-				t.Fatalf("Len = %d, model %d", c.Len(), len(entries))
+			case 7: // Intern a new hash, or a known one again
+				var want id
+				if arg%2 == 0 || len(hashes) == 0 {
+					want = see()
+				} else {
+					want = id(1 + int(arg/2)%len(hashes))
+				}
+				if got := id(x.Intern(hashes[want-1])); got != want {
+					t.Fatalf("Intern handed out id %d, want %d", got, want)
+				}
 			}
 			for j, h := range hashes {
-				if got := c.ID(h); got != id(j+1) {
-					t.Fatalf("ID of object %d = %d, want %d", j, got, j+1)
+				want := id(j + 1)
+				if got := id(x.Intern(h)); got != want {
+					t.Fatalf("Intern of object %d = %d, want %d", j, got, want)
 				}
-				if got := *c.At(id(j + 1)); got != entries[j] {
-					t.Fatalf("At(%d) = %+v, want %+v", j+1, got, entries[j])
+				if !filled[j] {
+					want = 0
+				}
+				if got := c.ID(h); got != want {
+					t.Fatalf("ID of object %d = %d, want %d (filled %v)", j, got, want, filled[j])
+				}
+				if filled[j] {
+					if got := *c.At(id(j + 1)); got != entries[j] {
+						t.Fatalf("At(%d) = %+v, want %+v", j+1, got, entries[j])
+					}
 				}
 			}
 			if (own == nil) == alloc {

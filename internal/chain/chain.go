@@ -284,8 +284,9 @@ type Stats struct {
 }
 
 // BlockID is a block's dense id in the catalog the stores of its network
-// share. Ids are handed out in first-attach order across the network; the
-// genesis is 1 and 0 means no block.
+// share. The catalog's index hands ids out in first-sight order across
+// the network (see internal/catalog); the genesis is 1 and 0 means no
+// block.
 type BlockID uint32
 
 const genesisID BlockID = 1
@@ -361,6 +362,9 @@ func storeOn(cat *catalog.Catalog[BlockID, catEntry], choice ForkChoice) *Store 
 // belong to each store and are not carried over. The stores of one
 // network must stay on one goroutine, as their catalog does.
 func (s *Store) Replica() *Store { return storeOn(s.cat, s.choice) }
+
+// Index returns the id index of the network's block catalog.
+func (s *Store) Index() *catalog.Index { return s.cat.Index() }
 
 // SetValidator installs the payload/consensus validation hook.
 func (s *Store) SetValidator(v Validator) { s.validate = v }
@@ -619,7 +623,7 @@ func (s *Store) Confirmations(h hashx.Hash) int {
 // ConfirmationsOf is Confirmations by catalog id: 0 unless id is on the
 // main chain here.
 func (s *Store) ConfirmationsOf(id BlockID) int {
-	if id == 0 || int(id) > s.cat.Len() || !s.onMain(id) {
+	if !s.attached.Has(uint32(id)) || !s.onMain(id) {
 		return 0
 	}
 	return len(s.main) - int(s.height(id))

@@ -359,6 +359,9 @@ func New(genesisOwner *keys.KeyPair, supply uint64, workBits int) (*Lattice, *Bl
 	return l, genesis, nil
 }
 
+// Index returns the id index of the network's block catalog.
+func (l *Lattice) Index() *catalog.Index { return l.cat.Index() }
+
 // Genesis returns the genesis block hash.
 func (l *Lattice) Genesis() hashx.Hash { return l.genesis }
 
@@ -414,7 +417,7 @@ func (l *Lattice) isPending(id uint32) bool {
 	return l.attached.Has(id) && !l.settled.Has(id) && l.block(id).Type == Send
 }
 
-// eachPending calls fn for every pending send here, in catalog order.
+// eachPending calls fn for every pending send here, in catalog id order.
 func (l *Lattice) eachPending(fn func(id uint32)) {
 	for w, word := range l.attached {
 		if w < len(l.settled) {

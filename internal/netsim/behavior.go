@@ -141,6 +141,15 @@ func (b *EclipseBehavior) OnOutbound(_, to sim.NodeID, _ any, _ int) bool {
 // chain chasing. A block produced while the race is open is published
 // immediately — the race-winning move honest first-seen relay cannot
 // counter.
+//
+// The strategy keeps no record of the blocks it has seen, because a
+// repeat delivery cannot move it. rivalHeight only ever grows. A block's
+// first OnInbound either finds it at or below rivalHeight, or raises
+// rivalHeight to its height; either way every later arrival of it is at
+// or below rivalHeight, and ignored. The miner's own blocks raise
+// rivalHeight as they go out (released or race-published), so they are
+// ignored when gossip brings them back, and a withheld block cannot come
+// back before it is released.
 type SelfishMiningBehavior struct {
 	HonestBehavior
 	node    sim.NodeID
@@ -150,14 +159,7 @@ type SelfishMiningBehavior struct {
 	// 1-1 race is open. The runtime's production path consults it
 	// (chainRuntime.raceProduce); zero reproduces the historical
 	// first-seen races byte for byte.
-	gamma float64
-	// seen and prevSeen are the two generations of the bounded inbound
-	// dedup set (the same scheme as the nano vote buffers): when seen
-	// fills past maxSelfishSeenBlocks it rotates to prevSeen. A block
-	// forgotten after two rotations re-applies harmlessly — it is at or
-	// below rivalHeight by then and the lead policy ignores it.
-	seen     map[hashx.Hash]bool
-	prevSeen map[hashx.Hash]bool
+	gamma    float64
 	withheld []*chain.Block
 	// raceOpen marks the 1-1 race: our lead-1 block was published
 	// against a rival of equal height and the next block decides.
@@ -175,10 +177,6 @@ type SelfishMiningBehavior struct {
 	// produced and released count the strategy's footprint.
 	produced, released int
 }
-
-// maxSelfishSeenBlocks bounds each generation of the selfish miner's
-// inbound dedup set; at most 2× this many hashes are held.
-const maxSelfishSeenBlocks = 1 << 16
 
 // InstallSelfishMiner makes node idx mine selfishly (E17; PoW mode on
 // Ethereum). The node's hash share comes from the config's HashRates as
@@ -209,11 +207,7 @@ func (c *chainRuntime) InstallSelfishMinerGamma(idx int, gamma float64) *Selfish
 	if gamma > 1 {
 		gamma = 1
 	}
-	b := &SelfishMiningBehavior{
-		node:  sim.NodeID(idx),
-		gamma: gamma,
-		seen:  make(map[hashx.Hash]bool),
-	}
+	b := &SelfishMiningBehavior{node: sim.NodeID(idx), gamma: gamma}
 	// Release relays a withheld block; it was minted when produced.
 	b.release = func(blk *chain.Block) { c.rt.Relay(sim.NodeID(idx), blk, blk.Size()) }
 	c.rt.SetBehavior(sim.NodeID(idx), b)
@@ -253,7 +247,6 @@ func (b *SelfishMiningBehavior) OnProduce(_ sim.NodeID, block any) bool {
 	if !ok {
 		return true
 	}
-	b.markSeen(blk.Hash())
 	b.produced++
 	if b.raceOpen {
 		b.raceOpen = false
@@ -278,11 +271,6 @@ func (b *SelfishMiningBehavior) OnInbound(_, _ sim.NodeID, payload any, _ int) b
 	if !ok {
 		return true
 	}
-	h := blk.Hash()
-	if b.seen[h] || b.prevSeen[h] {
-		return true
-	}
-	b.markSeen(h)
 	if blk.Header.Height <= b.rivalHeight {
 		return true // stale block or fork sibling: no honest progress
 	}
@@ -299,17 +287,6 @@ func (b *SelfishMiningBehavior) OnInbound(_, _ sim.NodeID, payload any, _ int) b
 		b.releaseN(1)
 	}
 	return true
-}
-
-// markSeen records a block hash in the bounded two-generation dedup set,
-// rotating generations when the live one fills — long horizons and block
-// floods cannot grow the strategy's memory without limit.
-func (b *SelfishMiningBehavior) markSeen(h hashx.Hash) {
-	if len(b.seen) >= maxSelfishSeenBlocks {
-		b.prevSeen = b.seen
-		b.seen = make(map[hashx.Hash]bool, len(b.seen)/2)
-	}
-	b.seen[h] = true
 }
 
 // releaseN floods the first n withheld blocks in production order and

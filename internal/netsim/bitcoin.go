@@ -92,17 +92,6 @@ func NewBitcoin(cfg BitcoinConfig) (*BitcoinNet, error) {
 		return nil, fmt.Errorf("netsim: %w", err)
 	}
 
-	b := &BitcoinNet{
-		// Main-chain transactions minus one coinbase per block and minus
-		// the genesis allocation tx.
-		chainRuntime: newChainRuntime(s, net, cfg.Net.Nodes, func(txs, blocks int) int { return txs - blocks - 1 }),
-		cfg:          cfg,
-		ring:         ring,
-		lottery:      lottery,
-	}
-	b.difficulty = lottery.DifficultyForInterval(cfg.BlockInterval)
-	b.metrics.Propagation.SetBudget(cfg.Net.SampleBudget)
-
 	// Genesis is built once; every node after the first is a replica of it
 	// (shared genesis block, block catalog and transaction and coin
 	// catalog; own state).
@@ -110,6 +99,16 @@ func NewBitcoin(cfg BitcoinConfig) (*BitcoinNet, error) {
 	if err != nil {
 		return nil, fmt.Errorf("netsim: %w", err)
 	}
+	b := &BitcoinNet{
+		// Main-chain transactions minus one coinbase per block and minus
+		// the genesis allocation tx.
+		chainRuntime: newChainRuntime(s, net, cfg.Net.Nodes, root.Store().Index(), func(txs, blocks int) int { return txs - blocks - 1 }),
+		cfg:          cfg,
+		ring:         ring,
+		lottery:      lottery,
+	}
+	b.difficulty = lottery.DifficultyForInterval(cfg.BlockInterval)
+	b.metrics.Propagation.SetBudget(cfg.Net.SampleBudget)
 	for i := 0; i < cfg.Net.Nodes; i++ {
 		ledger := root
 		if i > 0 {

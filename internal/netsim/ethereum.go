@@ -140,18 +140,23 @@ func NewEthereum(cfg EthereumConfig) (*EthereumNet, error) {
 		alloc[ring.Addr(i)] = cfg.InitialBalance
 	}
 
+	// Genesis is built once; every node after the first is a replica of it
+	// (shared genesis block, genesis state and block catalog; own state).
+	root, err := account.NewLedger(alloc, cfg.Ledger)
+	if err != nil {
+		return nil, fmt.Errorf("netsim: %w", err)
+	}
 	e := &EthereumNet{
-		chainRuntime: newChainRuntime(s, net, cfg.Net.Nodes, func(txs, _ int) int { return txs }),
+		chainRuntime: newChainRuntime(s, net, cfg.Net.Nodes, root.Store().Index(), func(txs, _ int) int { return txs }),
 		cfg:          cfg,
 		ring:         ring,
 		nonces:       make(map[int]uint64),
 	}
 	e.metrics.Propagation.SetBudget(cfg.Net.SampleBudget)
-
 	for i := 0; i < cfg.Net.Nodes; i++ {
-		ledger, err := account.NewLedger(alloc, cfg.Ledger)
-		if err != nil {
-			return nil, fmt.Errorf("netsim: node %d: %w", i, err)
+		ledger := root
+		if i > 0 {
+			ledger = root.Replica()
 		}
 		e.ledgers = append(e.ledgers, ledger)
 		e.addNode(ledger, cfg.Net)
@@ -284,7 +289,7 @@ func (e *EthereumNet) runFFGRound(slot uint64) {
 			e.finality.FinalizedCheckpoints++
 			e.finality.LastFinalizedEpoch = source.Epoch
 			// The genesis checkpoint was never minted and takes no sample.
-			if created, ok := e.bornAt(e.ids.id(source.Hash)); ok {
+			if created, ok := e.bornAt(e.id(source.Hash)); ok {
 				e.lagSamples = append(e.lagSamples, e.rt.sim.Now()-created)
 			}
 		}

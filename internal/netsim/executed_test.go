@@ -1,17 +1,17 @@
 package netsim
 
 // Tests for the executed-attack layer: the γ-parameterized selfish-mining
-// race, the race-win state-machine regression, the bounded adversary
-// memory, eclipse lift/restore, and the E18 executed double-spend
+// race, the race-win state-machine regression, the adversary's
+// indifference to repeat deliveries, eclipse lift/restore, and the E18 executed double-spend
 // scenarios carried through to an actual wrong settlement on both
 // ledgers.
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 
 	"repro/internal/chain"
-	"repro/internal/hashx"
 	"repro/internal/keys"
 	"repro/internal/sim"
 )
@@ -24,7 +24,7 @@ func testBlock(height uint64, nonce uint64) *chain.Block {
 // newTestSelfish builds a bare behavior with a recording release hook.
 func newTestSelfish() (*SelfishMiningBehavior, *[]*chain.Block) {
 	var released []*chain.Block
-	b := &SelfishMiningBehavior{node: 7, seen: make(map[hashx.Hash]bool)}
+	b := &SelfishMiningBehavior{node: 7}
 	b.release = func(blk *chain.Block) { released = append(released, blk) }
 	return b, &released
 }
@@ -99,26 +99,81 @@ func TestSelfishLeadTwoReleaseAdvancesFrontier(t *testing.T) {
 	}
 }
 
-// The selfish miner's inbound dedup memory must stay bounded under a
-// block flood (the same two-generation scheme as the nano vote buffers).
-func TestSelfishSeenBounded(t *testing.T) {
-	b, _ := newTestSelfish()
-	flood := 2*maxSelfishSeenBlocks + maxSelfishSeenBlocks/2
-	for i := 0; i < flood; i++ {
-		// Height 0 blocks never count as progress, so the flood exercises
-		// only the dedup bookkeeping.
-		b.OnInbound(7, 0, testBlock(0, uint64(i)+10), 0)
+// The selfish miner keeps no dedup set, so a repeat delivery must not
+// move it: a scripted run of private production and honest blocks
+// (progress, same-height siblings and stale ones) is played once with
+// every block delivered once, and once with every rival block delivered
+// twice and every block the miner publishes fed back to it, as gossip
+// brings it back. Both must release the same blocks in the same order
+// and agree on withheld, raceOpen and rivalHeight after every step.
+func TestSelfishRedeliveryIsNoOp(t *testing.T) {
+	type state struct {
+		released, withheld int
+		raceOpen           bool
+		rivalHeight        uint64
 	}
-	if held := len(b.seen) + len(b.prevSeen); held > 2*maxSelfishSeenBlocks {
-		t.Fatalf("seen set grew to %d entries, cap is %d", held, 2*maxSelfishSeenBlocks)
+	play := func(redeliver bool) ([]state, []*chain.Block) {
+		b, released := newTestSelfish()
+		rng := rand.New(rand.NewSource(5))
+		var trace []state
+		var public, private, nonce uint64
+		fedBack := 0
+		for step := 0; step < 400; step++ {
+			nonce++
+			var out []*chain.Block // what the miner published this step
+			if rng.Intn(5) < 2 {
+				private = max(public, private) + 1
+				if blk := testBlock(private, nonce); b.OnProduce(7, blk) {
+					out = append(out, blk)
+				}
+			} else {
+				h := public + 1
+				switch rng.Intn(4) {
+				case 0:
+					h = public // a sibling of the public tip
+				case 1:
+					h = max(public, 2) - 1 // a stale block
+				}
+				public = max(public, h)
+				blk := testBlock(h, nonce)
+				b.OnInbound(7, 0, blk, 0)
+				if redeliver {
+					b.OnInbound(7, 0, blk, 0)
+				}
+			}
+			out = append(out, (*released)[fedBack:]...)
+			fedBack = len(*released)
+			for _, blk := range out {
+				public = max(public, blk.Header.Height)
+				if redeliver {
+					b.OnInbound(7, 0, blk, 0)
+				}
+			}
+			trace = append(trace, state{len(*released), b.Withheld(), b.raceOpen, b.rivalHeight})
+		}
+		return trace, *released
 	}
-	// Dedup still works across the rotation boundary for recent blocks.
-	recent := testBlock(0, uint64(flood)+10)
-	b.OnInbound(7, 0, recent, 0)
-	before := len(b.seen) + len(b.prevSeen)
-	b.OnInbound(7, 0, recent, 0)
-	if after := len(b.seen) + len(b.prevSeen); after != before {
-		t.Fatal("duplicate delivery changed the dedup set")
+	once, onceReleased := play(false)
+	twice, twiceReleased := play(true)
+	for i := range once {
+		if once[i] != twice[i] {
+			t.Fatalf("step %d: delivered once %+v, redelivered %+v", i, once[i], twice[i])
+		}
+	}
+	races := 0
+	for _, st := range once {
+		if st.raceOpen {
+			races++
+		}
+	}
+	if races == 0 || len(onceReleased) == 0 || len(onceReleased) != len(twiceReleased) {
+		t.Fatalf("%d steps with a race open, released %d blocks delivered once, %d redelivered",
+			races, len(onceReleased), len(twiceReleased))
+	}
+	for i := range onceReleased {
+		if onceReleased[i].Hash() != twiceReleased[i].Hash() {
+			t.Fatalf("release %d differs", i)
+		}
 	}
 }
 

@@ -319,7 +319,7 @@ func NewNano(cfg NanoConfig) (*NanoNet, error) {
 		advContested: make(map[hashx.Hash]bool),
 		forkSeenAt:   make(map[hashx.Hash]time.Duration),
 	}
-	n.netShell = newNetShell(s, net, cfg.Net.Nodes, n)
+	n.netShell = newNetShell(s, net, cfg.Net.Nodes, seedLat.Index(), n)
 	n.metrics.ConfirmLatency.SetBudget(cfg.Net.SampleBudget)
 	n.metrics.ForkResolveLatency.SetBudget(cfg.Net.SampleBudget)
 
@@ -779,7 +779,7 @@ func (n *NanoNet) onConfirmed(node *nanoNode, root, winner hashx.Hash) {
 		}
 	}
 	_ = node.tracker.Cement(winner)
-	if node == n.nodes[0] && n.observeConfirmed(winner, &n.metrics.ConfirmLatency) {
+	if node == n.nodes[0] && n.observeConfirmed(n.id(winner), &n.metrics.ConfirmLatency) {
 		n.metrics.ConfirmedBlocks++
 	}
 }

@@ -12,6 +12,7 @@ package netsim
 import (
 	"time"
 
+	"repro/internal/catalog"
 	"repro/internal/chain"
 	"repro/internal/hashx"
 	"repro/internal/keys"
@@ -195,8 +196,8 @@ type chainRuntime struct {
 	netShell
 	nodes []chainLedger
 
-	// reach counts the nodes each block has reached, indexed by the
-	// shell's dense block ids.
+	// reach counts the nodes each block has reached, indexed by catalog
+	// block id.
 	reach []int32
 
 	metrics ChainMetrics
@@ -220,15 +221,13 @@ type chainRuntime struct {
 	// is the measured "effective γ" E17 reports next to the configured
 	// value. Both stay zero in honest runs.
 	raceChances, raceTaken int
-
-	// consensusScratch is EclipseReport's reusable membership set.
-	consensusScratch *epochSet
 }
 
-// newChainRuntime builds the shared chain core over a fresh shell.
-func newChainRuntime(s *sim.Simulator, net *sim.Network, nodes int, confirmedTxs func(txsOnMain, blocksOnMain int) int) *chainRuntime {
+// newChainRuntime builds the shared chain core over a fresh shell on ids,
+// the index of the network's block catalog.
+func newChainRuntime(s *sim.Simulator, net *sim.Network, nodes int, ids *catalog.Index, confirmedTxs func(txsOnMain, blocksOnMain int) int) *chainRuntime {
 	c := &chainRuntime{confirmedTxs: confirmedTxs}
-	c.netShell = newNetShell(s, net, nodes, c)
+	c.netShell = newNetShell(s, net, nodes, ids, c)
 	return c
 }
 
@@ -449,12 +448,12 @@ func (c *chainRuntime) ConvergedWithin(back int) bool {
 // excluded).
 func (c *chainRuntime) MinerShare(idx int) (mined, total int) {
 	for _, h := range c.nodes[0].Store().MainChain() {
-		id, ok := c.ids.lookup(h)
-		if !ok || c.makerOf(id) < 0 {
+		maker := c.makerOf(c.id(h))
+		if maker < 0 {
 			continue // genesis and injected blocks carry no attribution
 		}
 		total++
-		if c.makerOf(id) == int32(idx) {
+		if maker == int32(idx) {
 			mined++
 		}
 	}
@@ -499,21 +498,9 @@ func (c *chainRuntime) EclipseReport(victim int) EclipseReport {
 	if r.ConsensusHeight > r.VictimHeight {
 		r.HeightLag = int(r.ConsensusHeight - r.VictimHeight)
 	}
-	// The consensus membership set is epoch-stamped scratch over the dense
-	// block ids — reused across calls, cleared in O(1).
-	if c.consensusScratch == nil {
-		c.consensusScratch = newEpochSet(c.ids.size())
-	}
-	onConsensus := c.consensusScratch
-	onConsensus.clear()
-	for _, h := range c.nodes[best].Store().MainChain() {
-		onConsensus.add(c.ids.id(h))
-	}
+	consensus := c.nodes[best].Store()
 	for i, h := range c.nodes[victim].Store().MainChain() {
-		if i == 0 {
-			continue // shared genesis
-		}
-		if !onConsensus.has(c.ids.id(h)) {
+		if i > 0 && !consensus.IsOnMainChain(h) { // i 0: shared genesis
 			r.ExposedBlocks++
 		}
 	}

@@ -5,10 +5,11 @@
 // the one fault scheduler and all object movement: receive is the one
 // gossip path (dedup, apply, pull on gap, relay), mint and flood the one
 // publish path, and serve, sendHistory and broadcastHistory move
-// canonical history. Per-object provenance (creation time, maker,
-// observer confirmation) lives in columns over the shell's object ids.
-// What is left in each network file is its apply verdict, its consensus
-// and its reactions.
+// canonical history. Objects are numbered by the network catalog's index
+// (internal/catalog), so the dedup bits, the per-object provenance
+// columns (creation time, maker, observer confirmation) and every
+// replica's state share one id per object. What is left in each network
+// file is its apply verdict, its consensus and its reactions.
 package netsim
 
 import (
@@ -16,6 +17,7 @@ import (
 
 	"repro/internal/backlog"
 	"repro/internal/bitset"
+	"repro/internal/catalog"
 	"repro/internal/hashx"
 	"repro/internal/metrics"
 	"repro/internal/sim"
@@ -38,32 +40,37 @@ type historyView interface {
 type netShell struct {
 	rt   *NodeRuntime
 	sync *syncManager
-	// ids and seen are the first-seen gossip dedup: dense object ids in
-	// first-sight order plus one pooled per-node bit matrix (soa.go).
-	ids  *dex[hashx.Hash]
+	// ids is the network catalog's index, which numbers an object at its
+	// first sight here or in a ledger; seen is the first-seen gossip
+	// dedup over those ids, one pooled per-node bit matrix (soa.go).
+	ids  *catalog.Index
 	seen *bitRows
 	view historyView
 
-	// Provenance columns over ids: when and where an object was minted
-	// (born < 0 and maker -1 for objects nobody minted, such as genesis),
-	// and which objects the observer has seen confirmed.
+	// Provenance columns over catalog ids: when and where an object was
+	// minted (born < 0 and maker -1 for objects nobody minted, such as
+	// genesis), and which objects the observer has seen confirmed.
 	born      []time.Duration
 	maker     []int32
 	confirmed bitset.Set
 }
 
-// newNetShell builds the shell over a fresh runtime and a disarmed sync
-// manager, with the dedup matrix sized for the network's node count.
-func newNetShell(s *sim.Simulator, net *sim.Network, nodes int, view historyView) netShell {
+// newNetShell builds the shell over a fresh runtime, a disarmed sync
+// manager and the network catalog's index ids, with the dedup matrix
+// sized for the network's node count.
+func newNetShell(s *sim.Simulator, net *sim.Network, nodes int, ids *catalog.Index, view historyView) netShell {
 	rt := newNodeRuntime(s, net)
 	return netShell{
 		rt:   rt,
 		sync: newSyncManager(rt, view.has),
-		ids:  newDex[hashx.Hash](256),
+		ids:  ids,
 		seen: newBitRows(nodes, 256),
 		view: view,
 	}
 }
+
+// id returns h's catalog id, handing one out at first sight.
+func (s *netShell) id(h hashx.Hash) int32 { return int32(s.ids.Intern(h)) }
 
 // Sim returns the underlying simulator.
 func (s *netShell) Sim() *sim.Simulator { return s.rt.sim }
@@ -108,7 +115,7 @@ func (s *netShell) ColdSyncDone(node int) (time.Duration, bool) {
 // paradigm's apply, then through react; size is relayed unchanged. A
 // repeat delivery costs one id probe and one bit test.
 func (s *netShell) receive(node, from sim.NodeID, h hashx.Hash, obj any, size int) {
-	id := s.ids.id(h)
+	id := s.id(h)
 	if s.seen.testSet(int(node), id) {
 		return
 	}
@@ -129,14 +136,14 @@ func (s *netShell) react(node, from sim.NodeID, obj any, size int, relay bool, m
 
 // unsee clears node's first-seen bit for h, so a re-delivery is processed.
 func (s *netShell) unsee(node sim.NodeID, h hashx.Hash) {
-	s.seen.clear(int(node), s.ids.id(h))
+	s.seen.clear(int(node), s.id(h))
 }
 
 // stamp records h as made by maker now and returns its id. Injected
 // objects are stamped but not marked seen, so they still apply at their
 // maker when delivered back.
 func (s *netShell) stamp(h hashx.Hash, maker sim.NodeID) int32 {
-	id := s.ids.id(h)
+	id := s.id(h)
 	for int(id) >= len(s.born) {
 		s.born = append(s.born, -1)
 		s.maker = append(s.maker, -1)
@@ -180,11 +187,10 @@ func (s *netShell) makerOf(id int32) int32 {
 	return -1
 }
 
-// observeConfirmed records the observer's confirmation of h, reporting
-// whether it is the first; a first one adds h's latency since minting to
-// hist.
-func (s *netShell) observeConfirmed(h hashx.Hash, hist *metrics.Histogram) bool {
-	id := s.ids.id(h)
+// observeConfirmed records the observer's confirmation of object id,
+// reporting whether it is the first; a first one adds its latency since
+// minting to hist.
+func (s *netShell) observeConfirmed(id int32, hist *metrics.Histogram) bool {
 	if s.confirmed.Has(uint32(id)) {
 		return false
 	}

@@ -130,3 +130,108 @@ func TestShellServesEveryParadigm(t *testing.T) {
 		})
 	}
 }
+
+// mintLog records, for every object a node floods as its own, which node
+// made it and when.
+type mintLog struct {
+	HonestBehavior
+	sim  *sim.Simulator
+	made map[hashx.Hash]minted
+}
+
+type minted struct {
+	node sim.NodeID
+	at   time.Duration
+}
+
+func (m *mintLog) OnProduce(node sim.NodeID, obj any) bool {
+	m.made[obj.(interface{ Hash() hashx.Hash }).Hash()] = minted{node, m.sim.Now()}
+	return true
+}
+
+// observerCatalogID returns the id the observer's ledger catalogues h
+// under.
+func observerCatalogID(t *testing.T, net ParadigmNet, h hashx.Hash) int32 {
+	t.Helper()
+	switch p := net.(type) {
+	case bitcoinParadigm:
+		id, _ := p.Observer().Store().IDOf(h)
+		return int32(id)
+	case ethereumParadigm:
+		id, _ := p.Observer().Store().IDOf(h)
+		return int32(id)
+	case nanoParadigm:
+		return int32(p.Observer().Index().Intern(h))
+	case tangleParadigm:
+		return int32(p.Observer().Index().Intern(h))
+	}
+	t.Fatalf("no observer ledger behind %T", net)
+	return 0
+}
+
+// The shell keeps provenance on the ledgers' catalog ids: for every
+// object the observer has attached — its canonical history plus every
+// minted object it holds — makerOf and bornAt of the object's catalog id
+// name the node and the sim time that minted it, and objects nobody
+// minted (genesis, Nano's setup distribution) carry no provenance.
+func TestShellIDsAreCatalogIDs(t *testing.T) {
+	np := NetParams{
+		Nodes: 6, PeerDegree: 3, Seed: 71,
+		MinLatency: 5 * time.Millisecond, MaxLatency: 20 * time.Millisecond,
+	}
+	load := workload.Payments(rand.New(rand.NewSource(72)), workload.Config{
+		Accounts: 12, Rate: 2, Duration: time.Minute, MinAmount: 1, MaxAmount: 5,
+	})
+	for _, spec := range Paradigms() {
+		t.Run(spec.Name, func(t *testing.T) {
+			net, err := spec.Build(np, BuildOptions{Accounts: 12})
+			if err != nil {
+				t.Fatal(err)
+			}
+			log := &mintLog{sim: net.Sim(), made: map[hashx.Hash]minted{}}
+			for i := 0; i < np.Nodes; i++ {
+				net.Runtime().SetBehavior(sim.NodeID(i), log)
+			}
+			for _, p := range load {
+				net.Submit(p)
+			}
+			net.RunSpan(5 * time.Minute)
+
+			sh := shellOf(t, net)
+			attached := map[hashx.Hash]bool{}
+			n, at := sh.view.canonical(0)
+			for i := 0; i < n; i++ {
+				obj, _ := at(i)
+				attached[obj.(interface{ Hash() hashx.Hash }).Hash()] = true
+			}
+			for h := range log.made {
+				if sh.view.has(0, h) {
+					attached[h] = true
+				}
+			}
+			checked := 0
+			for h := range attached {
+				id := observerCatalogID(t, net, h)
+				if id == 0 {
+					t.Fatalf("attached object %x has no catalog id", h[:4])
+				}
+				born, ok := sh.bornAt(id)
+				m, wasMinted := log.made[h]
+				if !wasMinted {
+					if maker := sh.makerOf(id); ok || maker != -1 {
+						t.Fatalf("unminted object %x (id %d): maker %d, born %v %v", h[:4], id, maker, born, ok)
+					}
+					continue
+				}
+				if maker := sh.makerOf(id); maker != int32(m.node) || !ok || born != m.at {
+					t.Fatalf("object %x (id %d) minted by node %d at %v: makerOf %d, bornAt %v %v",
+						h[:4], id, m.node, m.at, maker, born, ok)
+				}
+				checked++
+			}
+			if checked < 5 {
+				t.Fatalf("only %d minted objects attached at the observer", checked)
+			}
+		})
+	}
+}

@@ -2,10 +2,12 @@
 // map[hashx.Hash]bool per node per concern — at mega-scale (E19 sweeps
 // to 10⁵ nodes) that is hundreds of thousands of churning hash maps
 // whose keys each re-hash 32-byte digests. The types below replace them
-// with network-level dense-id dictionaries (one map total, shared by
-// every node) plus pooled per-node bit matrices sized once per network:
-// membership is one bit, marking is one OR, and the per-node cost of a
-// gossiped message stops paying map overhead entirely.
+// with pooled per-node bit matrices sized once per network over dense
+// ids shared by every node: membership is one bit, marking is one OR,
+// and the per-node cost of a gossiped message stops paying map overhead
+// entirely. Ledger objects take their ids from the network catalog's
+// index (internal/catalog); votes, which no catalog holds, take theirs
+// from a dex.
 //
 // Every structure is deterministic: ids are assigned in first-sight
 // order by the (deterministic) event loop, and no iteration order ever
@@ -17,9 +19,9 @@ import (
 	"repro/internal/keys"
 )
 
-// dex assigns dense int32 ids to keys in first-sight order. One dex per
-// network per concern replaces a hash-keyed map per node: nodes address
-// each other's bit rows through the shared id space.
+// dex assigns dense int32 ids to keys in first-sight order. Nano's one
+// dex of votes replaces a vote-keyed map per node: nodes address each
+// other's bit rows through the shared id space.
 type dex[K comparable] struct {
 	ids map[K]int32
 }
@@ -37,15 +39,6 @@ func (d *dex[K]) id(k K) int32 {
 	d.ids[k] = id
 	return id
 }
-
-// lookup returns k's id without assigning one.
-func (d *dex[K]) lookup(k K) (int32, bool) {
-	id, ok := d.ids[k]
-	return id, ok
-}
-
-// size is the number of ids assigned so far.
-func (d *dex[K]) size() int { return len(d.ids) }
 
 // voteKey identifies a vote by content — representative, candidate block
 // and sequence number. Keying dedup state by this tuple replaces the
@@ -191,42 +184,4 @@ func (g *genSeen) rotate(node int) {
 	g.cur.copyRowTo(g.prev, node)
 	g.cur.zeroRow(node)
 	g.count[node] = 0
-}
-
-// epochSet is a reusable membership set over dense ids with O(1) reset:
-// an id is a member iff its stamp equals the current epoch, so clearing
-// is one increment instead of a fresh map per call. Used for per-call
-// scratch sets (e.g. the eclipse report's consensus-prefix walk).
-type epochSet struct {
-	stamps []uint32
-	epoch  uint32
-}
-
-func newEpochSet(hint int) *epochSet {
-	return &epochSet{stamps: make([]uint32, hint), epoch: 1}
-}
-
-// clear empties the set. When the epoch counter wraps, the stamps are
-// hard-zeroed so ids stamped 2³² clears ago cannot alias back in.
-func (s *epochSet) clear() {
-	s.epoch++
-	if s.epoch == 0 {
-		for i := range s.stamps {
-			s.stamps[i] = 0
-		}
-		s.epoch = 1
-	}
-}
-
-func (s *epochSet) add(id int32) {
-	if int(id) >= len(s.stamps) {
-		grown := make([]uint32, 2*int(id)+1)
-		copy(grown, s.stamps)
-		s.stamps = grown
-	}
-	s.stamps[id] = s.epoch
-}
-
-func (s *epochSet) has(id int32) bool {
-	return int(id) < len(s.stamps) && s.stamps[id] == s.epoch
 }

@@ -75,65 +75,6 @@ func FuzzGenSeen(f *testing.F) {
 	})
 }
 
-// FuzzEpochSet checks the stamp set against a plain map across add/clear
-// streams, including epochs forced next to the uint32 wrap point where a
-// stale stamp could alias back in.
-func FuzzEpochSet(f *testing.F) {
-	f.Add([]byte{0, 1, 2, 0xFF, 3}, false)
-	f.Add([]byte{5, 5, 0x80, 9}, true)
-	f.Fuzz(func(t *testing.T, ops []byte, nearWrap bool) {
-		s := newEpochSet(4)
-		if nearWrap {
-			// Park the epoch two clears away from wrapping, with a stale
-			// stamp that must never alias back into membership.
-			s.epoch = ^uint32(0) - 1
-			s.stamps = append(s.stamps, s.epoch+2) // would match epoch 0 pre-fix
-		}
-		ref := make(map[int32]bool)
-		for i, op := range ops {
-			id := int32(op & 0x3F)
-			switch {
-			case op&0x80 != 0:
-				s.clear()
-				ref = make(map[int32]bool)
-			default:
-				s.add(id)
-				ref[id] = true
-			}
-			if got, want := s.has(id), ref[id]; got != want {
-				t.Fatalf("op %d: id %d: epochSet=%v reference=%v (epoch %d)", i, id, got, want, s.epoch)
-			}
-		}
-		for id := int32(0); id < 64; id++ {
-			if got, want := s.has(id), ref[id]; got != want {
-				t.Fatalf("final: id %d: epochSet=%v reference=%v (epoch %d)", id, got, want, s.epoch)
-			}
-		}
-	})
-}
-
-// TestEpochSetWrap pins the wrap behavior deterministically: stamps
-// written before the epoch counter wraps can never read as members after.
-func TestEpochSetWrap(t *testing.T) {
-	s := newEpochSet(8)
-	s.epoch = ^uint32(0) // one clear away from wrapping
-	s.add(3)
-	if !s.has(3) {
-		t.Fatal("freshly added id missing")
-	}
-	s.clear() // wraps: stamps zeroed, epoch restarts at 1
-	if s.epoch != 1 {
-		t.Fatalf("epoch after wrap = %d, want 1", s.epoch)
-	}
-	if s.has(3) {
-		t.Fatal("stale id survived the epoch wrap")
-	}
-	s.add(5)
-	if !s.has(5) || s.has(3) {
-		t.Fatal("membership wrong after post-wrap add")
-	}
-}
-
 // TestBitRowsGrowRepack pins that widening the stride preserves every
 // row's bits at their original in-row offsets.
 func TestBitRowsGrowRepack(t *testing.T) {

@@ -112,20 +112,19 @@ func NewTangle(cfg TangleConfig) (*TangleNet, error) {
 	ring := keys.NewRing("tangle-net", cfg.Accounts)
 	genesis := tangle.Genesis(ring.Pair(0), cfg.Supply)
 
-	n := &TangleNet{
-		cfg:  cfg,
-		ring: ring,
-		seqs: make([]uint64, cfg.Accounts),
-	}
-	n.netShell = newNetShell(s, net, cfg.Net.Nodes, n)
-	n.metrics.ConfirmLatency.SetBudget(cfg.Net.SampleBudget)
-
 	// Node 0 holds the network's one vertex catalog; every other node is
 	// a replica over it and owns only its own state.
 	first, err := tangle.New(genesis, cfg.ConfirmWeight)
 	if err != nil {
 		return nil, fmt.Errorf("netsim: %w", err)
 	}
+	n := &TangleNet{
+		cfg:  cfg,
+		ring: ring,
+		seqs: make([]uint64, cfg.Accounts),
+	}
+	n.netShell = newNetShell(s, net, cfg.Net.Nodes, first.Index(), n)
+	n.metrics.ConfirmLatency.SetBudget(cfg.Net.SampleBudget)
 	for i := 0; i < cfg.Net.Nodes; i++ {
 		tg := first
 		if i > 0 {
@@ -194,14 +193,13 @@ func (n *TangleNet) apply(node, _ sim.NodeID, _ int32, obj any) (bool, hashx.Has
 	return true, hashx.Zero
 }
 
-// noteConfirmed records observer-side confirmations; only there are the
-// catalog ids resolved to hashes.
+// noteConfirmed records observer-side confirmations.
 func (n *TangleNet) noteConfirmed(node *tangleNode, confirmed []tangle.VertexID) {
 	if node != n.nodes[0] {
 		return
 	}
 	for _, id := range confirmed {
-		if n.observeConfirmed(node.tg.HashOf(id), &n.metrics.ConfirmLatency) {
+		if n.observeConfirmed(int32(id), &n.metrics.ConfirmLatency) {
 			n.metrics.ConfirmedAtObserver++
 		}
 	}

@@ -209,9 +209,10 @@ type Result struct {
 }
 
 // VertexID is a vertex's dense id in the catalog the replicas of its
-// network share. Ids are handed out in first-attach order across the
-// network, which is a topological order: a vertex attaches nowhere
-// before both its parents have. The genesis is 1 and 0 means no vertex.
+// network share. The catalog's index hands ids out in first-sight order
+// across the network (see internal/catalog), which need not be
+// topological: a vertex can be seen before its parents. A replica's
+// attach order (order) is. The genesis is 1 and 0 means no vertex.
 type VertexID uint32
 
 const genesisID VertexID = 1
@@ -310,6 +311,9 @@ func replicaOn(cat *catalog.Catalog[VertexID, catEntry], confirmWeight int32) *T
 // belong to each replica and are not carried over. The replicas of one
 // network must stay on one goroutine, as their catalog does.
 func (t *Tangle) Replica() *Tangle { return replicaOn(t.cat, t.confirmWeight) }
+
+// Index returns the id index of the network's vertex catalog.
+func (t *Tangle) Index() *catalog.Index { return t.cat.Index() }
 
 // Parked exposes the parked-vertex backlog: its count and age bounds,
 // eviction hook and eviction count. Network layers bound it and hook
