@@ -43,8 +43,10 @@ race:
 # against the map tracker, the signature memo against cold
 # verification, the bounded backlog against a naive
 # oldest-live-entry scan, the owned world-state trie's snapshots,
-# checkpoints and live root against a map model, and the network shell's
-# receive under any delivery order of the observer's history.
+# checkpoints and live root against a map model, the network shell's
+# receive under any delivery order of the observer's history, and Nano's
+# pending votes under any delivery order of blocks and their votes.
+# Every fuzz target in the tree runs here.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzCatalog$$' -fuzztime 15s -fuzzminimizetime 2s ./internal/catalog
 	$(GO) test -run '^$$' -fuzz '^FuzzLatticeProcessBatch$$' -fuzztime 30s ./internal/lattice
@@ -61,6 +63,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzBacklog$$' -fuzztime 15s -fuzzminimizetime 2s ./internal/backlog
 	$(GO) test -run '^$$' -fuzz '^FuzzStateSnapshots$$' -fuzztime 15s -fuzzminimizetime 2s ./internal/account
 	$(GO) test -run '^$$' -fuzz '^FuzzDeliveryOrder$$' -fuzztime 15s -fuzzminimizetime 2s ./internal/netsim
+	$(GO) test -run '^$$' -fuzz '^FuzzVoteOrder$$' -fuzztime 15s -fuzzminimizetime 2s ./internal/netsim
 
 # Coverage profile, the artifact CI uploads.
 cover:

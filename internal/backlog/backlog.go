@@ -1,16 +1,18 @@
 // Package backlog is the one bounded buffer for objects that arrive
-// before what they depend on: a chain block before its parent (the orphan
-// pool), a lattice block before its predecessor or source send (the gap
-// buffer), a tangle vertex before a parent. Each owner parks a value
-// under the key it waits for and takes every value waiting on a key once
-// that key arrives; the buffer keeps the count bound, the optional age
-// bound and the eviction hook in one place.
+// before what they depend on. It has four owners: a chain block waits for
+// its parent (the orphan pool), a lattice block for its predecessor or
+// source send (the gap buffer), a tangle vertex for a parent, and a Nano
+// vote for its candidate block (netsim's pending votes). Each owner parks
+// a value under the key it waits for and takes every value waiting on a
+// key once that key arrives; the buffer keeps the count bound, the
+// optional age bound and the eviction hook in one place.
 //
 // Eviction is oldest-first by park order. The FIFO is staleness-tolerant:
 // Take leaves the taken values' order entries behind, and eviction,
-// expiry and compaction skip them. Compaction keeps the order slice
-// within twice the bound, and a Take that empties the buffer drops every
-// entry at once.
+// expiry and compaction skip them. A Park that leaves the order slice
+// more than twice as long as the parked count compacts it, so the slice
+// stays proportional to what is parked, not to the bound; a Take that
+// empties the buffer drops every entry at once.
 package backlog
 
 import "time"
@@ -111,7 +113,7 @@ func (b *Buffer[K, V]) Park(k K, v V) {
 			break
 		}
 	}
-	if len(b.order) > 2*limit {
+	if len(b.order) > 2*b.count {
 		live := b.order[:0]
 		for _, e := range b.order {
 			if b.live(e) {

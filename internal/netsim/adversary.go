@@ -189,21 +189,21 @@ func (n *NanoNet) resendOpenVotes(node *nanoNode) { n.resendVotes(node, false) }
 func (n *NanoNet) resendDecidedVotes(node *nanoNode) { n.resendVotes(node, true) }
 
 func (n *NanoNet) resendVotes(node *nanoNode, includeDecided bool) {
-	if len(node.repAccounts) == 0 || len(node.myVote) == 0 {
+	if len(node.repAccounts) == 0 || len(node.myVotes) == 0 {
 		return
 	}
-	roots := make([]hashx.Hash, 0, len(node.myVote))
-	for root, cand := range node.myVote {
-		if cand == hashx.Zero || (!includeDecided && node.tracker.Confirmed(cand)) {
+	roots := make([]hashx.Hash, 0, len(node.myVotes))
+	for root, mine := range node.myVotes {
+		if mine.cand == hashx.Zero || (!includeDecided && node.tracker.Confirmed(mine.cand)) {
 			continue
 		}
 		roots = append(roots, root)
 	}
 	sort.Slice(roots, func(i, j int) bool { return bytes.Compare(roots[i][:], roots[j][:]) < 0 })
 	for _, root := range roots {
-		cand, seq := node.myVote[root], node.mySeq[root]
+		mine := node.myVotes[root]
 		for _, rep := range node.repAccounts {
-			v := orv.NewVote(n.ring.Pair(rep), cand, seq)
+			v := orv.NewVote(n.ring.Pair(rep), mine.cand, mine.seq)
 			if !n.rt.voteAllowed(node.id, v) {
 				continue
 			}

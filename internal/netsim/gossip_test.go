@@ -16,6 +16,7 @@ import (
 	"repro/internal/hashx"
 	"repro/internal/keys"
 	"repro/internal/lattice"
+	"repro/internal/orv"
 	"repro/internal/sim"
 	"repro/internal/tangle"
 	"repro/internal/utxo"
@@ -435,18 +436,21 @@ func deliveryOrder(data []byte, n int) []int {
 	return seq
 }
 
+// deliverySeeds are the delivery-order fuzzers' shared seeds: stream
+// order, a few swaps and a duplicate, and 256 draws of 0.
+func deliverySeeds() [][]byte {
+	rotated := make([]byte, 512)
+	return [][]byte{{}, {0xff, 0xff, 0, 0, 0x80, 0x01, 0, 3, 0, 1, 0, 7}, rotated}
+}
+
 // Any delivery order of the observer's canonical stream, duplicates
 // included, leaves a node that missed the whole run holding every
 // object of it, with a canonical stream as long as the observer's and
 // nothing left parked.
 func FuzzDeliveryOrder(f *testing.F) {
-	f.Add([]byte{})
-	f.Add([]byte{0xff, 0xff, 0, 0, 0x80, 0x01, 0, 3, 0, 1, 0, 7})
-	reversed := make([]byte, 0, 512)
-	for i := 0; i < 256; i++ {
-		reversed = append(reversed, 0, 0)
+	for _, seed := range deliverySeeds() {
+		f.Add(seed)
 	}
-	f.Add(reversed)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, c := range deliveryCases {
 			sh, backlog := c.build(t)
@@ -469,6 +473,98 @@ func FuzzDeliveryOrder(f *testing.F) {
 			if got := backlog(); got != 0 {
 				t.Fatalf("%s: node %d still parks %d objects", c.name, deliveryK, got)
 			}
+		}
+	})
+}
+
+// orderBytes encodes a permutation of 0..len(want)-1 as deliveryOrder
+// input: each Fisher–Yates draw picks the position want's next element
+// currently sits at.
+func orderBytes(want []int) []byte {
+	seq := make([]int, len(want))
+	for i := range seq {
+		seq[i] = i
+	}
+	var data []byte
+	for i := len(seq) - 1; i > 0; i-- {
+		j := slices.Index(seq[:i+1], want[i])
+		seq[i], seq[j] = seq[j], seq[i]
+		data = append(data, byte(j>>8), byte(j))
+	}
+	return data
+}
+
+// Any delivery order of six send/receive pairs and every representative's
+// vote on each block, duplicates included, leaves a node that saw none of
+// them with every block confirmed, no vote parked and no gap: a vote that
+// arrives before its block waits in the pending buffer and is replayed
+// when the block's election opens.
+func FuzzVoteOrder(f *testing.F) {
+	const reps, pairs = 4, 6
+	const nBlocks, nItems = 2 * pairs, 2 * pairs * (reps + 1)
+	for _, seed := range deliverySeeds() {
+		f.Add(seed)
+	}
+	// Every vote before its block: the stream holds the blocks first.
+	votesFirst := make([]int, 0, nItems)
+	for i := nBlocks; i < nItems; i++ {
+		votesFirst = append(votesFirst, i)
+	}
+	for i := 0; i < nBlocks; i++ {
+		votesFirst = append(votesFirst, i)
+	}
+	f.Add(orderBytes(votesFirst))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		net, err := NewNano(NanoConfig{Net: deliveryNet(), Accounts: 8, Reps: reps})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ring := net.Ring()
+		lat := net.nodes[0].lat.Clone()
+		var blocks []*lattice.Block
+		mint := func(b *lattice.Block, err error) hashx.Hash {
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res := lat.Process(b); res.Status != lattice.Accepted {
+				t.Fatalf("minting: %v", res.Status)
+			}
+			blocks = append(blocks, b)
+			return b.Hash()
+		}
+		for _, p := range [pairs][2]int{{1, 2}, {2, 5}, {5, 1}, {3, 6}, {6, 7}, {7, 3}} {
+			send := mint(lat.NewSend(ring.Pair(p[0]), ring.Addr(p[1]), 1000))
+			mint(lat.NewReceive(ring.Pair(p[1]), send))
+		}
+		// The stream: every block, then each rep's seq-1 vote on each.
+		stream := make([]any, 0, nItems)
+		for _, b := range blocks {
+			stream = append(stream, b)
+		}
+		for _, b := range blocks {
+			for rep := 0; rep < reps; rep++ {
+				stream = append(stream, orv.NewVote(ring.Pair(rep), b.Hash(), 1))
+			}
+		}
+		node := net.nodes[deliveryK]
+		for _, i := range deliveryOrder(data, len(stream)) {
+			switch obj := stream[i].(type) {
+			case *lattice.Block:
+				net.receive(node.id, 0, obj.Hash(), obj, obj.EncodedSize())
+			case *orv.Vote:
+				net.onVote(node, obj)
+			}
+		}
+		for i, b := range blocks {
+			if !node.tracker.Confirmed(b.Hash()) {
+				t.Fatalf("node %d did not confirm block %d of %d", deliveryK, i, len(blocks))
+			}
+		}
+		if got := node.pendingVotes.Len(); got != 0 {
+			t.Fatalf("node %d still parks %d votes", deliveryK, got)
+		}
+		if got := node.lat.GapCount(); got != 0 {
+			t.Fatalf("node %d still holds %d gapped blocks", deliveryK, got)
 		}
 	})
 }

@@ -93,18 +93,23 @@ func TestLatticeColdMapsStayNilOnHonestRuns(t *testing.T) {
 		if node.forkRoots != nil || node.forkPrev != nil {
 			t.Fatalf("node %d allocated fork maps on an honest run", i)
 		}
-		if node.resolvedForks != nil || node.switches != nil {
+		if node.resolvedForks != nil {
 			t.Fatalf("node %d allocated fork-resolution maps on an honest run", i)
+		}
+		for root, mine := range node.myVotes {
+			if mine.switches != 0 {
+				t.Fatalf("node %d switched its vote %d times on root %s on an honest run", i, mine.switches, root)
+			}
 		}
 		// Vote state is confined to nodes hosting representatives.
 		if len(node.repAccounts) > 0 {
 			reps++
-			if node.myVote != nil {
+			if node.myVotes != nil {
 				votersAllocated++
 			}
 			continue
 		}
-		if node.myVote != nil || node.mySeq != nil {
+		if node.myVotes != nil {
 			t.Fatalf("non-rep node %d allocated vote maps", i)
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"math"
 	"time"
 
+	"repro/internal/backlog"
 	"repro/internal/hashx"
 	"repro/internal/keys"
 	"repro/internal/lattice"
@@ -111,21 +112,11 @@ func (c NanoConfig) withDefaults() NanoConfig {
 	return c
 }
 
-// Bounds on the per-node vote bookkeeping. Votes buffered for candidates
-// that never materialize (e.g. rejected rivals) and the seen-vote dedup
-// set must not grow without limit under a vote flood.
-const (
-	// maxPendingVoteCandidates caps how many unknown candidates may hold
-	// buffered votes; the oldest buffered candidate is evicted first.
-	maxPendingVoteCandidates = 4096
-	// maxPendingVotesPerCandidate caps the buffer of any one candidate.
-	maxPendingVotesPerCandidate = 64
-	// maxSeenVotes bounds the dedup set per generation; the set rotates
-	// through two generations, so at most 2×maxSeenVotes ids are held.
-	// A vote forgotten after two rotations re-applies harmlessly: the
-	// tracker discards stale sequence numbers.
-	maxSeenVotes = 1 << 16
-)
+// maxPendingVotes bounds the votes one node holds for candidate blocks it
+// has not seen yet, so votes for blocks that never materialize (rejected
+// rivals, spam) cannot pin memory under a vote flood; the oldest vote is
+// evicted first.
+const maxPendingVotes = 1 << 16
 
 // maxIngestBacklog bounds the gossip ingest queue when
 // NetParams.BacklogCap is unset. The count-triggered flush already
@@ -134,13 +125,13 @@ const (
 // flush, holds the line (the window timer still settles the remainder).
 const maxIngestBacklog = 4096
 
-// nanoNode is one full node: lattice replica, vote tracker, dedup state.
+// nanoNode is one full node: lattice replica, vote tracker, pending votes.
 // Hot-path dedup (seen blocks, seen votes) lives in the network-level
 // struct-of-arrays matrices (the shell's seen, NanoNet.seenVotes),
 // addressed by this node's index; the maps that remain below are cold —
-// forks, vote switching, gap repair — and are allocated lazily on first
-// write, so a node that never hits those paths (the overwhelming majority
-// at mega-scale) carries no map at all.
+// forks, this node's own votes, gap repair — and are allocated lazily on
+// first write, so a node that never hits those paths (the overwhelming
+// majority at mega-scale) carries no map at all.
 type nanoNode struct {
 	id      sim.NodeID
 	lat     *lattice.Lattice
@@ -156,26 +147,31 @@ type nanoNode struct {
 	// forkPrev maps a fork election's derived root back to the contested
 	// predecessor block it is about (the ResolveFork argument).
 	forkPrev map[hashx.Hash]hashx.Hash
-	// pendingVotes buffers votes whose candidate block is unknown, capped
-	// at maxPendingVoteCandidates candidates of maxPendingVotesPerCandidate
-	// votes each; pendingOrder records buffering order for FIFO eviction
-	// (entries may be stale once a candidate's votes replay).
-	pendingVotes map[hashx.Hash][]*orv.Vote
-	pendingOrder []hashx.Hash
+	// pendingVotes parks votes whose candidate block is unknown under that
+	// candidate, bounded by maxPendingVotes; an evicted vote's dedup bit is
+	// cleared so a rebroadcast lands again. It stays outside
+	// NetParams.BacklogCap/BacklogTTL: no protocol re-pulls a vote.
+	pendingVotes backlog.Buffer[hashx.Hash, *orv.Vote]
 	// ingest accumulates gossip blocks awaiting a batched ProcessBatch
 	// flush (BatchSize > 1 only); flushTimer is the armed BatchWindow
 	// flush event. Each entry remembers its sender, the pull target.
 	ingest     []ingestEntry
 	flushTimer sim.EventID
 	flushArmed bool
-	// myVote tracks this node's reps' current choice and switch count.
-	myVote   map[hashx.Hash]hashx.Hash
-	mySeq    map[hashx.Hash]uint64
-	switches map[hashx.Hash]int
+	// myVotes is this node's reps' current vote per election root.
+	myVotes map[hashx.Hash]myVote
 	// issuedReceive dedups settle blocks per send.
 	issuedReceive map[hashx.Hash]bool
 	// resolvedForks dedups fork resolutions.
 	resolvedForks map[hashx.Hash]bool
+}
+
+// myVote is the candidate this node's reps back in one election, the
+// sequence number they voted it under, and how often they have switched.
+type myVote struct {
+	cand     hashx.Hash
+	seq      uint64
+	switches int
 }
 
 // row is the node's row index in the network's pooled bit matrices.
@@ -243,10 +239,10 @@ type NanoNet struct {
 	ring  *keys.Ring
 
 	// Vote dedup beside the shell's block dedup: one dense-id dictionary
-	// shared by every node plus a pooled two-generation bit matrix sized
-	// once for the whole network (soa.go).
+	// shared by every node plus a pooled bit matrix over its ids (soa.go).
+	// A vote is seen at a node once it was applied or parked there.
 	voteIDs   *dex[voteKey]
-	seenVotes *genSeen
+	seenVotes *bitRows
 	// weights is the representative weight table every node's tracker
 	// tallies against: the setup distribution fixes it and nothing
 	// changes it afterwards.
@@ -314,7 +310,7 @@ func NewNano(cfg NanoConfig) (*NanoNet, error) {
 		cfg:          cfg,
 		ring:         ring,
 		voteIDs:      newDex[voteKey](256),
-		seenVotes:    newGenSeen(cfg.Net.Nodes, maxSeenVotes, 256),
+		seenVotes:    newBitRows(cfg.Net.Nodes, 256),
 		advPreferred: make(map[hashx.Hash]bool),
 		advContested: make(map[hashx.Hash]bool),
 		forkSeenAt:   make(map[hashx.Hash]time.Duration),
@@ -331,9 +327,10 @@ func NewNano(cfg NanoConfig) (*NanoNet, error) {
 		// setup cost no longer scales with nodes × distribution size at
 		// mega-scale (E19).
 		node := &nanoNode{
-			byzantine: cfg.ByzantineNodes > 0 && i >= cfg.Net.Nodes-cfg.ByzantineNodes,
-			lat:       seedLat.Clone(),
-			tracker:   orv.NewTracker(n.weights, orv.Config{QuorumFraction: cfg.QuorumFraction}),
+			byzantine:    cfg.ByzantineNodes > 0 && i >= cfg.Net.Nodes-cfg.ByzantineNodes,
+			lat:          seedLat.Clone(),
+			tracker:      orv.NewTracker(n.weights, orv.Config{QuorumFraction: cfg.QuorumFraction}),
+			pendingVotes: backlog.New[hashx.Hash, *orv.Vote](maxPendingVotes),
 		}
 		for rep := 0; rep < cfg.Reps; rep++ {
 			if n.ownerOf(rep) == i {
@@ -343,6 +340,9 @@ func NewNano(cfg NanoConfig) (*NanoNet, error) {
 		node.id = n.rt.AddNode(n.handlerFor(node))
 		n.nodes = append(n.nodes, node)
 		bindBacklog(&n.netShell, node.id, node.lat.Gaps(), cfg.Net)
+		node.pendingVotes.OnEvict(func(v *orv.Vote) {
+			n.seenVotes.clear(node.row(), n.voteIDs.id(voteKeyOf(v)))
+		})
 	}
 	net.SetPeers(sim.RandomPeers(s.Rand(), cfg.Net.Nodes, cfg.Net.PeerDegree))
 
@@ -557,7 +557,9 @@ func (n *NanoNet) startPlainElection(node *nanoNode, b *lattice.Block, h hashx.H
 	if !node.byzantine || !n.advContested[h] {
 		n.castVotes(node, h, h, 1)
 	}
-	n.replayPendingVotes(node, h)
+	for _, v := range node.pendingVotes.Take(h) {
+		n.applyVote(node, v)
+	}
 }
 
 // forkRootOf derives the fork election's root from the contested
@@ -591,12 +593,14 @@ func (n *NanoNet) startForkElection(node *nanoNode, b *lattice.Block, rivals []h
 				return
 			}
 		}
-		n.replayPendingVotes(node, c)
+		for _, v := range node.pendingVotes.Take(c) {
+			n.applyVote(node, v)
+		}
 	}
 	// Vote for the incumbent this node's lattice attached (first seen) —
 	// unless the node is byzantine and the attacker's preferred rival is
 	// on the ballot, in which case its weight contests the election.
-	if _, voted := node.myVote[root]; !voted && len(node.repAccounts) > 0 {
+	if _, voted := node.myVotes[root]; !voted && len(node.repAccounts) > 0 {
 		if cands, ok := node.lat.ForkCandidates(b.Prev); ok && len(cands) > 0 {
 			choice := cands[0]
 			if node.byzantine {
@@ -625,8 +629,7 @@ func (n *NanoNet) castVotes(node *nanoNode, root, candidate hashx.Hash, seq uint
 	if len(node.repAccounts) == 0 {
 		return
 	}
-	lazyPut(&node.myVote, root, candidate)
-	lazyPut(&node.mySeq, root, seq)
+	lazyPut(&node.myVotes, root, myVote{cand: candidate, seq: seq, switches: node.myVotes[root].switches})
 	for _, rep := range node.repAccounts {
 		v := orv.NewVote(n.ring.Pair(rep), candidate, seq)
 		if !n.rt.voteAllowed(node.id, v) {
@@ -638,19 +641,15 @@ func (n *NanoNet) castVotes(node *nanoNode, root, candidate hashx.Hash, seq uint
 	}
 }
 
-// onVote processes a received vote. Only votes that were applied or
-// buffered are recorded as seen: a vote the caps dropped stays unseen,
-// so a later rebroadcast can land once the election exists. Votes are
-// identified by their (rep, block, seq) content tuple — no per-message
-// digest (the old voteID SHA-256) is computed on this path.
+// onVote processes a received vote: a first sight at this node is
+// applied or parked, a repeat is dropped. Votes are identified by their
+// (rep, block, seq) content tuple, so no per-message digest is computed
+// on this path.
 func (n *NanoNet) onVote(node *nanoNode, v *orv.Vote) {
-	id := n.voteIDs.id(voteKeyOf(v))
-	if n.seenVotes.seen(node.row(), id) {
+	if n.seenVotes.testSet(node.row(), n.voteIDs.id(voteKeyOf(v))) {
 		return
 	}
-	if n.applyVote(node, v) {
-		n.seenVotes.mark(node.row(), id)
-	}
+	n.applyVote(node, v)
 }
 
 func voteKeyOf(v *orv.Vote) voteKey {
@@ -659,109 +658,43 @@ func voteKeyOf(v *orv.Vote) voteKey {
 
 // applyVote tallies a vote and reacts to the outcome: confirmation,
 // cementing, fork resolution, and §III-B leader-following vote switches.
-// It reports whether the vote was consumed (applied or buffered); false
-// means the pending-buffer caps dropped it.
-func (n *NanoNet) applyVote(node *nanoNode, v *orv.Vote) bool {
+// A vote for a candidate with no election yet is parked until the
+// election starts.
+func (n *NanoNet) applyVote(node *nanoNode, v *orv.Vote) {
 	root, ok := n.electionRootOf(node, v.Block)
 	if !ok {
-		return n.bufferPendingVote(node, v)
+		node.pendingVotes.Park(v.Block, v)
+		return
 	}
 	out, err := node.tracker.ProcessVote(root, v)
 	if err != nil {
-		return true
+		return
 	}
 	if out.Confirmed {
 		n.onConfirmed(node, root, out.Winner)
-		return true
+		return
 	}
 	// Vote switching: follow the leader once it out-tallies our choice.
 	// Byzantine representatives never budge — their vote IS the attack.
-	if node.byzantine || len(node.repAccounts) == 0 || node.switches[root] >= 3 {
-		return true
+	if node.byzantine || len(node.repAccounts) == 0 {
+		return
 	}
-	mine, voted := node.myVote[root]
-	if !voted || mine == hashx.Zero {
-		return true
+	mine, voted := node.myVotes[root]
+	if !voted || mine.cand == hashx.Zero || mine.switches >= 3 {
+		return
 	}
 	leader, tally, err := node.tracker.Leader(root)
-	if err != nil || leader == hashx.Zero || leader == mine {
-		return true
+	if err != nil || leader == hashx.Zero || leader == mine.cand {
+		return
 	}
 	myWeight := uint64(0)
 	for _, rep := range node.repAccounts {
 		myWeight += n.weights.WeightOf(n.ring.Addr(rep))
 	}
 	if tally > myWeight {
-		lazyPut(&node.switches, root, node.switches[root]+1)
-		n.castVotes(node, root, leader, node.mySeq[root]+1)
-	}
-	return true
-}
-
-// bufferPendingVote stores a vote whose candidate block is still unknown,
-// within the pending-buffer caps: a full candidate buffer drops the vote
-// (reported as false, so it is never marked seen and a later rebroadcast
-// lands once the election exists), and a full candidate table evicts the
-// oldest buffered candidate — votes for blocks that never materialize
-// (rejected rivals, spam) cannot pin memory.
-func (n *NanoNet) bufferPendingVote(node *nanoNode, v *orv.Vote) bool {
-	waiting := node.pendingVotes[v.Block]
-	if len(waiting) >= maxPendingVotesPerCandidate {
-		return false
-	}
-	if len(waiting) == 0 {
-		if len(node.pendingVotes) >= maxPendingVoteCandidates {
-			n.evictOldestPendingCandidate(node)
-		}
-		node.pendingOrder = append(node.pendingOrder, v.Block)
-		if len(node.pendingOrder) > 2*maxPendingVoteCandidates {
-			compactPendingOrder(node)
-		}
-	}
-	lazyPut(&node.pendingVotes, v.Block, append(waiting, v))
-	return true
-}
-
-// evictOldestPendingCandidate drops the oldest candidate that still holds
-// buffered votes, skipping order entries already replayed or evicted. The
-// dropped votes are forgotten from the seen set so rebroadcasts of them
-// are not silently ignored.
-func (n *NanoNet) evictOldestPendingCandidate(node *nanoNode) {
-	for len(node.pendingOrder) > 0 {
-		c := node.pendingOrder[0]
-		node.pendingOrder = node.pendingOrder[1:]
-		if waiting, live := node.pendingVotes[c]; live {
-			for _, v := range waiting {
-				n.seenVotes.unmark(node.row(), n.voteIDs.id(voteKeyOf(v)))
-			}
-			delete(node.pendingVotes, c)
-			return
-		}
-	}
-}
-
-// compactPendingOrder rebuilds the eviction queue keeping only candidates
-// that still hold buffered votes, bounding the queue itself.
-func compactPendingOrder(node *nanoNode) {
-	kept := node.pendingOrder[:0]
-	for _, c := range node.pendingOrder {
-		if _, live := node.pendingVotes[c]; live {
-			kept = append(kept, c)
-		}
-	}
-	node.pendingOrder = kept
-}
-
-// replayPendingVotes re-applies buffered votes once their candidate's
-// election exists.
-func (n *NanoNet) replayPendingVotes(node *nanoNode, candidate hashx.Hash) {
-	waiting := node.pendingVotes[candidate]
-	if len(waiting) == 0 {
-		return
-	}
-	delete(node.pendingVotes, candidate)
-	for _, v := range waiting {
-		n.applyVote(node, v)
+		mine.switches++
+		node.myVotes[root] = mine
+		n.castVotes(node, root, leader, mine.seq+1)
 	}
 }
 

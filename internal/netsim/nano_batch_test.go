@@ -156,7 +156,9 @@ func TestNanoBatchedDoubleSpendResolved(t *testing.T) {
 }
 
 // Flooding votes for candidates that never materialize must not grow the
-// pending buffer past its caps.
+// pending buffer past its one bound: the oldest votes go first, an
+// evicted vote's dedup bit is cleared so its rebroadcast parks again, and
+// a vote still parked is not parked twice.
 func TestNanoPendingVoteFloodBounded(t *testing.T) {
 	net, err := NewNano(NanoConfig{Net: fastNet(161), Accounts: 8, Reps: 2})
 	if err != nil {
@@ -164,70 +166,49 @@ func TestNanoPendingVoteFloodBounded(t *testing.T) {
 	}
 	node := net.nodes[1]
 	rep := net.Ring().Pair(0) // a representative with real weight
-	// Overflow the candidate table with single-vote ghosts...
-	for i := 0; i < maxPendingVoteCandidates+64; i++ {
-		ghost := hashx.Sum([]byte(fmt.Sprintf("never-materializes-%d", i)))
-		net.onVote(node, orv.NewVote(rep, ghost, 1))
+	// ghost is the i-th flood vote: four sequence numbers per ghost block.
+	ghost := func(i int) *orv.Vote {
+		block := hashx.Sum([]byte(fmt.Sprintf("never-materializes-%d", i/4)))
+		return orv.NewVote(rep, block, uint64(i%4+1))
 	}
-	// ...and overflow one candidate's per-candidate buffer.
-	crowded := hashx.Sum([]byte("crowded-ghost"))
-	for seq := uint64(1); seq <= maxPendingVotesPerCandidate+8; seq++ {
-		net.onVote(node, orv.NewVote(rep, crowded, seq))
+	// parked counts the copies of vote i waiting on its ghost block.
+	parked := func(i int) (n int) {
+		want := voteKeyOf(ghost(i))
+		for _, v := range node.pendingVotes.Waiting(want.Block) {
+			if voteKeyOf(v) == want {
+				n++
+			}
+		}
+		return n
 	}
-	if got := len(node.pendingVotes); got > maxPendingVoteCandidates {
-		t.Fatalf("pendingVotes candidates = %d, cap %d", got, maxPendingVoteCandidates)
+	const flood = maxPendingVotes + 64
+	for i := 0; i < flood; i++ {
+		net.onVote(node, ghost(i))
 	}
-	for c, waiting := range node.pendingVotes {
-		if len(waiting) > maxPendingVotesPerCandidate {
-			t.Fatalf("candidate %s buffers %d votes, cap %d",
-				c, len(waiting), maxPendingVotesPerCandidate)
+	if got := node.pendingVotes.Len(); got != maxPendingVotes {
+		t.Fatalf("pending votes = %d after a flood of %d, bound %d", got, flood, maxPendingVotes)
+	}
+	for _, i := range []int{0, 1, 63, 64, 65, flood - 1} {
+		want := 1
+		if i < 64 {
+			want = 0
+		}
+		if got := parked(i); got != want {
+			t.Fatalf("vote %d parked %d times after the flood, want %d", i, got, want)
 		}
 	}
-	if got := len(node.pendingOrder); got > 2*maxPendingVoteCandidates+1 {
-		t.Fatalf("pendingOrder grew unbounded: %d", got)
+	// A rebroadcast of an evicted vote parks again, evicting the oldest
+	// still-parked vote in its turn.
+	net.onVote(node, ghost(0))
+	if parked(0) != 1 || parked(64) != 0 || node.pendingVotes.Len() != maxPendingVotes {
+		t.Fatalf("rebroadcast of evicted vote 0: parked %d, vote 64 parked %d, Len %d",
+			parked(0), parked(64), node.pendingVotes.Len())
 	}
-	// Evicted votes must not be poisoned in the dedup set: a rebroadcast
-	// of the oldest (evicted) ghost's vote is buffered again.
-	ghost0 := hashx.Sum([]byte("never-materializes-0"))
-	if _, live := node.pendingVotes[ghost0]; live {
-		t.Fatal("oldest ghost should have been evicted by the flood")
-	}
-	net.onVote(node, orv.NewVote(rep, ghost0, 1))
-	if got := len(node.pendingVotes[ghost0]); got != 1 {
-		t.Fatalf("rebroadcast of an evicted vote not re-buffered (got %d buffered)", got)
-	}
-}
-
-// The seen-vote dedup set rotates generations instead of growing forever,
-// and recent votes still dedup.
-func TestNanoSeenVoteSetBounded(t *testing.T) {
-	net, err := NewNano(NanoConfig{Net: fastNet(171), Accounts: 8, Reps: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	row := net.nodes[1].row()
-	for i := int32(0); i < maxSeenVotes+maxSeenVotes/2; i++ {
-		if net.seenVotes.seen(row, i) {
-			t.Fatalf("fresh vote id %d reported as seen", i)
-		}
-		net.seenVotes.mark(row, i)
-	}
-	// The live generation's population is tracked exactly; the previous
-	// generation held at most one full generation when it rotated out.
-	if live := net.seenVotes.count[row]; live > maxSeenVotes {
-		t.Fatalf("live dedup generation holds %d ids, bound %d", live, maxSeenVotes)
-	}
-	last := int32(maxSeenVotes + maxSeenVotes/2 - 1)
-	if !net.seenVotes.seen(row, last) {
-		t.Fatal("recently seen vote not deduplicated")
-	}
-	net.seenVotes.unmark(row, last)
-	if net.seenVotes.seen(row, last) {
-		t.Fatal("unmark did not forget the id")
-	}
-	// Rotation must be per node: the other rows are untouched.
-	if net.seenVotes.seen(net.nodes[2].row(), 0) {
-		t.Fatal("vote ids leaked across node rows")
+	// A rebroadcast of a still-parked vote is a duplicate.
+	net.onVote(node, ghost(flood-1))
+	if parked(flood-1) != 1 || node.pendingVotes.Len() != maxPendingVotes {
+		t.Fatalf("rebroadcast of parked vote %d: parked %d, Len %d",
+			flood-1, parked(flood-1), node.pendingVotes.Len())
 	}
 }
 

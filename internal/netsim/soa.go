@@ -2,12 +2,15 @@
 // map[hashx.Hash]bool per node per concern — at mega-scale (E19 sweeps
 // to 10⁵ nodes) that is hundreds of thousands of churning hash maps
 // whose keys each re-hash 32-byte digests. The types below replace them
-// with pooled per-node bit matrices sized once per network over dense
-// ids shared by every node: membership is one bit, marking is one OR,
-// and the per-node cost of a gossiped message stops paying map overhead
-// entirely. Ledger objects take their ids from the network catalog's
-// index (internal/catalog); votes, which no catalog holds, take theirs
-// from a dex.
+// with one pooled per-node bit matrix type, bitRows, sized once per
+// network over dense ids shared by every node: membership is one bit,
+// marking is one OR, and the per-node cost of a gossiped message stops
+// paying map overhead entirely. The shell's block dedup and Nano's vote
+// dedup are both bitRows. Ledger objects take their ids from the network
+// catalog's index (internal/catalog); votes, which no catalog holds, take
+// theirs from a dex. Neither matrix rotates or forgets: a row is as wide
+// as the largest id seen, and a bit is cleared only when a bounded
+// backlog or Nano's ingest queue evicts what it marked.
 //
 // Every structure is deterministic: ids are assigned in first-sight
 // order by the (deterministic) event loop, and no iteration order ever
@@ -83,14 +86,6 @@ func (r *bitRows) grow(wantWords int) {
 	r.words, r.stride = words, stride
 }
 
-func (r *bitRows) test(node int, id int32) bool {
-	w := int(id) / 64
-	if w >= r.stride {
-		return false
-	}
-	return r.words[node*r.stride+w]&(1<<(uint(id)%64)) != 0
-}
-
 // testSet reports whether id was already set for node, setting it either
 // way.
 func (r *bitRows) testSet(node int, id int32) bool {
@@ -105,83 +100,9 @@ func (r *bitRows) testSet(node int, id int32) bool {
 	return was
 }
 
-// clear unsets id for node, reporting whether it was set.
-func (r *bitRows) clear(node int, id int32) bool {
-	w := int(id) / 64
-	if w >= r.stride {
-		return false
+// clear unsets id for node.
+func (r *bitRows) clear(node int, id int32) {
+	if w := int(id) / 64; w < r.stride {
+		r.words[node*r.stride+w] &^= 1 << (uint(id) % 64)
 	}
-	bit := uint64(1) << (uint(id) % 64)
-	p := &r.words[node*r.stride+w]
-	was := *p&bit != 0
-	*p &^= bit
-	return was
-}
-
-// zeroRow clears every bit in node's row.
-func (r *bitRows) zeroRow(node int) {
-	row := r.words[node*r.stride : (node+1)*r.stride]
-	for i := range row {
-		row[i] = 0
-	}
-}
-
-// copyRow copies src's row over dst's row (same matrix).
-func (r *bitRows) copyRowTo(dst *bitRows, node int) {
-	copy(dst.words[node*dst.stride:(node+1)*dst.stride], r.words[node*r.stride:(node+1)*r.stride])
-}
-
-// genSeen is the bounded two-generation dedup set in bit-matrix form,
-// mirroring the old per-node seenVotes/prevSeenVotes map pair exactly:
-// an id is seen if it is in the current or previous generation; marking
-// past the per-node limit rotates (current becomes previous, a fresh
-// generation starts), so at most 2×limit ids are held per node and an
-// id forgotten after two rotations re-applies harmlessly downstream.
-type genSeen struct {
-	cur, prev *bitRows
-	count     []int // set bits in cur, per node — the rotation trigger
-	limit     int
-}
-
-func newGenSeen(nodes, limit, idHint int) *genSeen {
-	return &genSeen{
-		cur:   newBitRows(nodes, idHint),
-		prev:  newBitRows(nodes, idHint),
-		count: make([]int, nodes),
-		limit: limit,
-	}
-}
-
-func (g *genSeen) seen(node int, id int32) bool {
-	return g.cur.test(node, id) || g.prev.test(node, id)
-}
-
-// mark records id for node, rotating generations first when the live one
-// is full — the same order as the map code (rotation check precedes the
-// insert), so rotation boundaries land on identical marks.
-func (g *genSeen) mark(node int, id int32) {
-	if g.count[node] >= g.limit {
-		g.rotate(node)
-	}
-	if !g.cur.testSet(node, id) {
-		g.count[node]++
-	}
-}
-
-// unmark forgets id for node in both generations, so a rebroadcast is
-// accepted again.
-func (g *genSeen) unmark(node int, id int32) {
-	if g.cur.clear(node, id) {
-		g.count[node]--
-	}
-	g.prev.clear(node, id)
-}
-
-func (g *genSeen) rotate(node int) {
-	if g.prev.stride < g.cur.stride {
-		g.prev.grow(g.cur.stride)
-	}
-	g.cur.copyRowTo(g.prev, node)
-	g.cur.zeroRow(node)
-	g.count[node] = 0
 }
