@@ -26,8 +26,9 @@ examples:
 # network — the lattice's block catalog and the tangle's vertex catalog,
 # which must never cross networks, the trie arenas whose generation
 # counter every account-model block execution writes (an Ethereum
-# network's ledgers share one), and every package whose objects embed a
-# keys.SigMemo.
+# network's ledgers share one), the execution and transaction-carrier
+# tables an Ethereum network's ledgers share, and every package whose
+# objects embed a keys.SigMemo.
 race:
 	$(GO) test -race -timeout 60m ./internal/sim/... ./internal/core/... ./internal/lattice/... ./internal/keys/... ./internal/merkle/... ./internal/netsim/... ./internal/utxo/... ./internal/chain/... ./internal/account/... ./internal/orv/... ./internal/tangle/... ./internal/pos/... ./internal/trie/...
 
@@ -43,7 +44,9 @@ race:
 # against the map tracker, the signature memo against cold
 # verification, the bounded backlog against a naive
 # oldest-live-entry scan, the owned world-state trie's snapshots,
-# checkpoints and live root against a map model, the network shell's
+# checkpoints and live root against a map model, three Ethereum ledgers
+# on one execution table against ledgers that execute every block
+# themselves, the network shell's
 # receive under any delivery order of the observer's history, and Nano's
 # pending votes under any delivery order of blocks and their votes.
 # Every fuzz target in the tree runs here.
@@ -62,6 +65,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzSigMemo$$' -fuzztime 15s ./internal/keys
 	$(GO) test -run '^$$' -fuzz '^FuzzBacklog$$' -fuzztime 15s -fuzzminimizetime 2s ./internal/backlog
 	$(GO) test -run '^$$' -fuzz '^FuzzStateSnapshots$$' -fuzztime 15s -fuzzminimizetime 2s ./internal/account
+	$(GO) test -run '^$$' -fuzz '^FuzzAccountReplicas$$' -fuzztime 15s -fuzzminimizetime 2s ./internal/account
 	$(GO) test -run '^$$' -fuzz '^FuzzDeliveryOrder$$' -fuzztime 15s -fuzzminimizetime 2s ./internal/netsim
 	$(GO) test -run '^$$' -fuzz '^FuzzVoteOrder$$' -fuzztime 15s -fuzzminimizetime 2s ./internal/netsim
 

@@ -4,9 +4,11 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
+	"repro/internal/bitset"
 	"repro/internal/chain"
 	"repro/internal/hashx"
 	"repro/internal/keys"
@@ -19,11 +21,19 @@ import (
 // and the gas accounting that bounds the block ("a measure called gas
 // limit defines the maximum amount of gas all transactions in the whole
 // block combined are allowed to consume", §VI-A).
+//
+// A body is immutable after its first Root, which is memoized under the
+// self-pointer rule of utxo.BlockBody: the proposer computes the root
+// and every store the block reaches reads it, while a value copy
+// re-derives its own.
 type BlockBody struct {
 	Txs      []*Tx
 	Receipts []*Receipt
 	GasLimit uint64
 	GasUsed  uint64
+
+	memoSelf *BlockBody
+	memoRoot hashx.Hash
 }
 
 var _ chain.Payload = (*BlockBody)(nil)
@@ -41,12 +51,16 @@ func (b *BlockBody) TxRoot() hashx.Hash {
 // Ethereum's three commitments (§II-A: "three different structures to
 // store transactions, receipts and state"; state is in the header).
 func (b *BlockBody) Root() hashx.Hash {
-	tx := b.TxRoot()
-	rc := ReceiptsRoot(b.Receipts)
-	var tail [16]byte
-	binary.BigEndian.PutUint64(tail[:8], b.GasLimit)
-	binary.BigEndian.PutUint64(tail[8:], b.GasUsed)
-	return hashx.Concat(tx[:], rc[:], tail[:])
+	if b.memoSelf != b {
+		tx := b.TxRoot()
+		rc := ReceiptsRoot(b.Receipts)
+		var tail [16]byte
+		binary.BigEndian.PutUint64(tail[:8], b.GasLimit)
+		binary.BigEndian.PutUint64(tail[8:], b.GasUsed)
+		b.memoRoot = hashx.Concat(tx[:], rc[:], tail[:])
+		b.memoSelf = b
+	}
+	return b.memoRoot
 }
 
 // Size returns the modeled wire size of transactions plus receipts.
@@ -234,23 +248,74 @@ func (m *Mempool) Candidates(state *State) []*Tx {
 }
 
 // Ledger is a full Ethereum-style node: block store with fork choice, a
-// persistent state snapshot per block (so reorgs are O(1) pointer swaps
-// and historical roots remain queryable until pruned), and a gas-price
-// mempool. The ledgers Replica makes share the genesis block, its frozen
-// state trie and the block catalog, and own their store, states map and
-// mempool.
+// persistent post-state per retained block (so reorgs are O(1) pointer
+// swaps and historical roots remain queryable until pruned), and a
+// gas-price mempool.
+//
+// What a block does is content of its network (see internal/catalog):
+// its post-state and state delta are functions of the block and its
+// parent's post-state, and the blocks that carry a transaction are
+// functions of the blocks. So the ledgers Replica makes share the genesis
+// block, the block catalog and one execution table, and the first of them
+// to validate a block executes it there for all. A ledger owns its store,
+// its mempool and one bit per block id: whether it retains that block's
+// post-state, which every state query and its own validation of a child
+// check first.
 type Ledger struct {
 	params       Params
 	store        *chain.Store
-	states       map[hashx.Hash]*trie.Trie // block hash -> post-state
-	deltas       map[hashx.Hash]trie.Stats // block hash -> state delta footprint
+	exec         *execTable
+	retained     bitset.Set // block ids whose post-state this ledger keeps
 	pool         *Mempool
-	txBlock      map[hashx.Hash]hashx.Hash
 	genesis      *chain.Block
 	genesisState *trie.Trie // frozen
 }
 
-// NewLedger creates a ledger whose genesis state holds the allocation.
+// execTable is one network's execution results, held once for all its
+// ledgers (see Ledger).
+type execTable struct {
+	blocks []execEntry // catalog block id -> entry
+	// carrier is the first block whose execution carried a transaction;
+	// carriers holds any further ones, nil until one transaction is
+	// carried by two blocks — a fork.
+	carrier  map[hashx.Hash]chain.BlockID
+	carriers map[hashx.Hash][]chain.BlockID
+}
+
+// execEntry is one block's successful execution. A rejection is never
+// entered, so a forged block is executed again wherever it arrives.
+type execEntry struct {
+	post   *trie.Trie // frozen; nil until executed and once no ledger retains it
+	delta  trie.Stats // the footprint of the nodes post adds to the parent's state
+	height uint32
+	refs   uint32 // ledgers retaining post
+}
+
+// at returns id's entry, growing the table to reach it. The pointer is
+// valid until the next at.
+func (x *execTable) at(id chain.BlockID) *execEntry {
+	for int(id) >= len(x.blocks) {
+		x.blocks = append(x.blocks, execEntry{})
+	}
+	return &x.blocks[id]
+}
+
+// carriedBy records that block carries the transaction txID.
+func (x *execTable) carriedBy(txID hashx.Hash, block chain.BlockID) {
+	first, ok := x.carrier[txID]
+	switch {
+	case !ok:
+		x.carrier[txID] = block
+	case first != block && !slices.Contains(x.carriers[txID], block):
+		if x.carriers == nil {
+			x.carriers = make(map[hashx.Hash][]chain.BlockID)
+		}
+		x.carriers[txID] = append(x.carriers[txID], block)
+	}
+}
+
+// NewLedger creates a ledger whose genesis state holds the allocation,
+// with an execution table of its own.
 func NewLedger(alloc map[keys.Address]uint64, params Params) (*Ledger, error) {
 	if params.InitialGasLimit == 0 {
 		return nil, errors.New("account: InitialGasLimit must be positive")
@@ -278,32 +343,61 @@ func NewLedger(alloc map[keys.Address]uint64, params Params) (*Ledger, error) {
 	if err != nil {
 		return nil, fmt.Errorf("account: %w", err)
 	}
-	root := state.Trie()
-	return newReplica(params, genesis, root, root.Measure(), store), nil
+	exec := &execTable{carrier: make(map[hashx.Hash]chain.BlockID)}
+	return newReplica(params, genesis, state.Trie(), store, exec), nil
 }
 
 // Replica returns a new ledger at genesis for another node of l's network,
 // whatever l has processed since (see Ledger). The ledgers of one network
-// must stay on one goroutine, as their catalog and trie arena do.
+// must stay on one goroutine, as their catalog, execution table and trie
+// arena do.
 func (l *Ledger) Replica() *Ledger {
-	return newReplica(l.params, l.genesis, l.genesisState, l.deltas[l.genesis.Hash()], l.store.Replica())
+	return newReplica(l.params, l.genesis, l.genesisState, l.store.Replica(), l.exec)
 }
 
-// newReplica builds a ledger over a store at genesis, the genesis state
-// and its footprint.
-func newReplica(params Params, genesis *chain.Block, root *trie.Trie, delta trie.Stats, store *chain.Store) *Ledger {
+// newReplica builds a ledger over a store at genesis, the frozen genesis
+// state and the network's execution table, retaining the genesis state.
+func newReplica(params Params, genesis *chain.Block, root *trie.Trie, store *chain.Store, exec *execTable) *Ledger {
 	l := &Ledger{
 		params:       params,
 		store:        store,
-		states:       map[hashx.Hash]*trie.Trie{genesis.Hash(): root},
-		deltas:       map[hashx.Hash]trie.Stats{genesis.Hash(): delta},
+		exec:         exec,
 		pool:         NewMempool(),
-		txBlock:      make(map[hashx.Hash]hashx.Hash),
 		genesis:      genesis,
 		genesisState: root,
 	}
+	id, _ := store.IDOf(genesis.Hash())
+	if e := exec.at(id); e.post == nil {
+		*e = execEntry{post: root, delta: root.Measure()}
+	}
+	l.retain(id)
 	store.SetValidator(l.validateBlock)
 	return l
+}
+
+// retain marks id's filled entry as kept by this ledger.
+func (l *Ledger) retain(id chain.BlockID) {
+	l.retained.Add(uint32(id))
+	l.exec.blocks[id].refs++
+}
+
+// retainedEntry returns the entry of the block with hash h if this ledger
+// retains its post-state.
+func (l *Ledger) retainedEntry(h hashx.Hash) (*execEntry, bool) {
+	id, ok := l.store.IDOf(h)
+	if !ok || !l.retained.Has(uint32(id)) {
+		return nil, false
+	}
+	return &l.exec.blocks[id], true
+}
+
+// postState returns the post-state this ledger retains for the block
+// with hash h, nil if none.
+func (l *Ledger) postState(h hashx.Hash) *trie.Trie {
+	if e, ok := l.retainedEntry(h); ok {
+		return e.post
+	}
+	return nil
 }
 
 // Store exposes the underlying block store.
@@ -325,14 +419,15 @@ func (l *Ledger) Params() Params { return l.params }
 // Height returns the main-chain height.
 func (l *Ledger) Height() uint64 { return l.store.Height() }
 
-// State returns a mutable copy of the tip state.
-func (l *Ledger) State() *State { return StateAt(l.states[l.store.Tip()]).Copy() }
+// State returns a mutable copy of the tip state: a State over a frozen
+// post-state thaws a trie of its own at its first write.
+func (l *Ledger) State() *State { return StateAt(l.postState(l.store.Tip())) }
 
 // StateOf returns a copy of the post-state of any known block (nil when
 // the block is unknown or its state was pruned).
 func (l *Ledger) StateOf(blockHash hashx.Hash) *State {
-	t, ok := l.states[blockHash]
-	if !ok {
+	t := l.postState(blockHash)
+	if t == nil {
 		return nil
 	}
 	return StateAt(t).Copy()
@@ -340,19 +435,33 @@ func (l *Ledger) StateOf(blockHash hashx.Hash) *State {
 
 // Balance returns the tip balance of an address.
 func (l *Ledger) Balance(addr keys.Address) uint64 {
-	return StateAt(l.states[l.store.Tip()]).Balance(addr)
+	return StateAt(l.postState(l.store.Tip())).Balance(addr)
 }
 
 // SubmitTx pools a transaction after stationary validation at the tip.
-func (l *Ledger) SubmitTx(tx *Tx) error { return l.pool.Add(tx, l.State()) }
+// The tip state is read in place, so the State over it stays on the
+// stack.
+func (l *Ledger) SubmitTx(tx *Tx) error {
+	return l.pool.Add(tx, StateAt(l.postState(l.store.Tip())))
+}
 
-// Confirmations reports the §IV-A confirmation depth of a transaction.
+// Confirmations reports the §IV-A confirmation depth of a transaction:
+// that of whichever of its carriers is on this ledger's main chain, 0
+// when none is.
 func (l *Ledger) Confirmations(txID hashx.Hash) int {
-	blockHash, ok := l.txBlock[txID]
+	first, ok := l.exec.carrier[txID]
 	if !ok {
 		return 0
 	}
-	return l.store.Confirmations(blockHash)
+	if n := l.store.ConfirmationsOf(first); n > 0 {
+		return n
+	}
+	for _, block := range l.exec.carriers[txID] {
+		if n := l.store.ConfirmationsOf(block); n > 0 {
+			return n
+		}
+	}
+	return 0
 }
 
 // NextGasLimit drifts the block gas limit toward the target by at most
@@ -434,8 +543,8 @@ func (l *Ledger) BuildBlockOn(parent hashx.Hash, proposer keys.Address, now time
 	if !ok {
 		return nil, fmt.Errorf("account: build on %s: %w", parent, chain.ErrUnknownBlock)
 	}
-	parentState, ok := l.states[parent]
-	if !ok {
+	parentState := l.postState(parent)
+	if parentState == nil {
 		return nil, fmt.Errorf("account: no state for parent %s (pruned?)", parent)
 	}
 	body := &BlockBody{GasLimit: l.NextGasLimit(p.Payload.(*BlockBody).GasLimit)}
@@ -457,66 +566,87 @@ func (l *Ledger) BuildBlockOn(parent hashx.Hash, proposer keys.Address, now time
 	}, nil
 }
 
-// validateBlock re-executes a block against its parent's state and checks
-// the declared roots — full validation at acceptance time, side chains
-// included (possible here, unlike the UTXO ledger, because persistent
-// tries give every branch its own cheap state snapshot).
+// validateBlock accepts a block whose parent's post-state this ledger
+// retains and whose execution on it matches every declared commitment —
+// full validation at acceptance time, side chains included (possible
+// here, unlike the UTXO ledger, because persistent tries give every
+// branch its own cheap state snapshot). The store has checked the body
+// against the header's TxRoot, so the block's hash names its whole
+// content: the first ledger of the network to accept it executes it into
+// the execution table, and the others read the entry.
 func (l *Ledger) validateBlock(b, parent *chain.Block) error {
 	body, ok := b.Payload.(*BlockBody)
 	if !ok {
 		return errors.New("account: foreign payload type")
 	}
-	parentState, ok := l.states[parent.Hash()]
-	if !ok {
+	parentState := l.postState(parent.Hash())
+	if parentState == nil {
 		return fmt.Errorf("account: no state for parent %s (pruned?)", parent.Hash())
 	}
+	// The id the network's catalog hands b, which b's attach keeps.
+	id := chain.BlockID(l.store.Index().Intern(b.Hash()))
+	if e := l.exec.at(id); e.post == nil {
+		post, err := l.execute(b, body, parent, parentState)
+		if err != nil {
+			return err
+		}
+		*e = execEntry{
+			post:   post,
+			delta:  trie.DiffStats(parentState, post),
+			height: uint32(b.Header.Height),
+		}
+		for _, tx := range body.Txs {
+			l.exec.carriedBy(tx.ID(), id)
+		}
+	}
+	l.retain(id)
+	return nil
+}
+
+// execute runs a block's transactions on its parent's post-state and
+// checks the declared gas accounting, receipts and state root, returning
+// the frozen post-state.
+func (l *Ledger) execute(b *chain.Block, body *BlockBody, parent *chain.Block, parentState *trie.Trie) (*trie.Trie, error) {
 	parentBody := parent.Payload.(*BlockBody)
 	wantLimit := l.NextGasLimit(parentBody.GasLimit)
 	if body.GasLimit != wantLimit {
-		return fmt.Errorf("account: gas limit %d, want %d", body.GasLimit, wantLimit)
+		return nil, fmt.Errorf("account: gas limit %d, want %d", body.GasLimit, wantLimit)
 	}
 	if len(body.Receipts) != len(body.Txs) {
-		return errors.New("account: receipt count mismatch")
+		return nil, errors.New("account: receipt count mismatch")
 	}
 	state := StateAt(parentState).Copy()
 	var gasUsed uint64
 	for i, tx := range body.Txs {
 		receipt, err := ApplyTx(state, tx, b.Header.Proposer)
 		if err != nil {
-			return fmt.Errorf("account: tx %d invalid: %w", i, err)
+			return nil, fmt.Errorf("account: tx %d invalid: %w", i, err)
 		}
 		gasUsed += receipt.GasUsed
 		if receipt.GasUsed != body.Receipts[i].GasUsed || receipt.Status != body.Receipts[i].Status {
-			return fmt.Errorf("account: receipt %d does not match execution", i)
+			return nil, fmt.Errorf("account: receipt %d does not match execution", i)
 		}
 	}
 	if gasUsed != body.GasUsed {
-		return fmt.Errorf("account: gas used %d, declared %d", gasUsed, body.GasUsed)
+		return nil, fmt.Errorf("account: gas used %d, declared %d", gasUsed, body.GasUsed)
 	}
 	if gasUsed > body.GasLimit {
-		return fmt.Errorf("account: gas used %d exceeds limit %d", gasUsed, body.GasLimit)
+		return nil, fmt.Errorf("account: gas used %d exceeds limit %d", gasUsed, body.GasLimit)
 	}
 	if state.Root() != b.Header.StateRoot {
-		return errors.New("account: state root mismatch")
+		return nil, errors.New("account: state root mismatch")
 	}
-	// Stash the executed state; ProcessBlock links it after Add succeeds.
-	l.states[b.Hash()] = state.Trie()
-	l.deltas[b.Hash()] = trie.DiffStats(StateAt(parentState).Trie(), state.Trie())
-	return nil
+	return state.Trie(), nil
 }
 
 // ProcessBlock adds a received block. Validation (including execution)
 // happens inside the store's validator hook; this method reconciles the
-// mempool and the confirmation index with the outcome — for the block
-// itself and for every orphan-pool block its insertion cascaded in, so
-// out-of-order delivery leaves the index exactly where in-order delivery
-// would.
+// mempool with the outcome — for the block itself and for every
+// orphan-pool block its insertion cascaded in, so out-of-order delivery
+// leaves the pool exactly where in-order delivery would.
 func (l *Ledger) ProcessBlock(b *chain.Block) (chain.AddResult, error) {
 	res := l.store.Add(b)
 	if res.Status == chain.Rejected {
-		// Drop any state the validator stashed for a rejected block.
-		delete(l.states, b.Hash())
-		delete(l.deltas, b.Hash())
 		return res, res.Err
 	}
 	l.applyAddOutcome(b, res.Status, res.Reorg)
@@ -526,36 +656,23 @@ func (l *Ledger) ProcessBlock(b *chain.Block) (chain.AddResult, error) {
 	return res, nil
 }
 
-// applyAddOutcome reconciles the tx index and mempool with one inserted
-// block's outcome.
+// applyAddOutcome reconciles the mempool with one inserted block's
+// outcome.
 func (l *Ledger) applyAddOutcome(b *chain.Block, status chain.AddStatus, reorg *chain.Reorg) {
 	switch status {
 	case chain.Accepted:
-		l.indexBlock(b)
+		l.pool.RemoveConfirmed(b.Payload.(*BlockBody).Txs)
 	case chain.AcceptedReorg:
 		state := l.State()
 		for _, h := range reorg.Abandoned {
 			old, _ := l.store.Get(h)
-			body := old.Payload.(*BlockBody)
-			for _, tx := range body.Txs {
-				delete(l.txBlock, tx.ID())
-			}
-			l.pool.Reinject(body.Txs, state)
+			l.pool.Reinject(old.Payload.(*BlockBody).Txs, state)
 		}
 		for _, h := range reorg.Adopted {
 			nb, _ := l.store.Get(h)
-			l.indexBlock(nb)
+			l.pool.RemoveConfirmed(nb.Payload.(*BlockBody).Txs)
 		}
 	}
-}
-
-func (l *Ledger) indexBlock(b *chain.Block) {
-	body := b.Payload.(*BlockBody)
-	h := b.Hash()
-	for _, tx := range body.Txs {
-		l.txBlock[tx.ID()] = h
-	}
-	l.pool.RemoveConfirmed(body.Txs)
 }
 
 // LedgerBytes returns the modeled size of all main-chain blocks (headers,
@@ -572,48 +689,55 @@ func (l *Ledger) LedgerBytes() int {
 // StateBytes returns the footprint of the tip state alone — what a
 // fast-synced node stores (§V-A).
 func (l *Ledger) StateBytes() trie.Stats {
-	return StateAt(l.states[l.store.Tip()]).Trie().Measure()
+	return l.postState(l.store.Tip()).Measure()
 }
 
 // ArchiveBytes returns the footprint of every retained main-chain state
 // with structural sharing counted once — an archive node before pruning.
 func (l *Ledger) ArchiveBytes() trie.Stats {
-	tries := make([]*trie.Trie, 0, len(l.states))
+	var tries []*trie.Trie
 	for _, h := range l.store.MainChain() {
-		if t, ok := l.states[h]; ok {
+		if t := l.postState(h); t != nil {
 			tries = append(tries, t)
 		}
 	}
 	return trie.MeasureMany(tries)
 }
 
-// DeltaOf returns the state-delta footprint a block introduced.
+// DeltaOf returns the state-delta footprint a block introduced, while
+// this ledger retains the block's post-state.
 func (l *Ledger) DeltaOf(blockHash hashx.Hash) (trie.Stats, bool) {
-	d, ok := l.deltas[blockHash]
-	return d, ok
+	if e, ok := l.retainedEntry(blockHash); ok {
+		return e.delta, true
+	}
+	return trie.Stats{}, false
 }
 
-// PruneStatesBelow discards state snapshots for main-chain blocks deeper
-// than keepDepth below the tip (side-chain snapshots at those heights are
-// dropped too). This is §V-A's delta pruning: "if one is not interested
-// in past states, the deltas can be discarded without harming the chain
-// integrity". It returns the number of snapshots dropped.
+// PruneStatesBelow discards the post-states and deltas this ledger keeps
+// for blocks more than keepDepth below the tip, side chains included.
+// This is §V-A's delta pruning: "if one is not interested in past
+// states, the deltas can be discarded without harming the chain
+// integrity". A state no ledger of the network retains any more leaves
+// the execution table; a ledger that later needs it executes its block
+// again. It returns the number of snapshots dropped.
 func (l *Ledger) PruneStatesBelow(keepDepth uint64) int {
 	tipHeight := l.store.Height()
 	if tipHeight <= keepDepth {
 		return 0
 	}
 	cutoff := tipHeight - keepDepth
-	dropped := 0
-	for h := range l.states {
-		b, ok := l.store.Get(h)
-		if !ok {
-			continue
+	var drop []uint32
+	l.retained.Each(func(id uint32) {
+		if uint64(l.exec.blocks[id].height) < cutoff {
+			drop = append(drop, id)
 		}
-		if b.Header.Height < cutoff {
-			delete(l.states, h)
-			dropped++
+	})
+	for _, id := range drop {
+		l.retained.Remove(id)
+		e := &l.exec.blocks[id]
+		if e.refs--; e.refs == 0 {
+			e.post = nil
 		}
 	}
-	return dropped
+	return len(drop)
 }

@@ -645,6 +645,15 @@ func TestLedgerStatePruning(t *testing.T) {
 	if l.StateOf(old) != nil {
 		t.Fatal("pruned state still accessible")
 	}
+	// Its delta went with it, and with no other ledger retaining the
+	// state the execution table dropped the trie.
+	if _, ok := l.DeltaOf(old); ok {
+		t.Fatal("pruned delta still accessible")
+	}
+	id, _ := l.Store().IDOf(old)
+	if e := l.exec.blocks[id]; e.refs != 0 || e.post != nil {
+		t.Fatalf("pruned entry still held: %d retaining, trie kept %v", e.refs, e.post != nil)
+	}
 	// Delta accounting exists for recent blocks.
 	if _, ok := l.DeltaOf(l.Store().Tip()); !ok {
 		t.Fatal("missing delta for tip")
@@ -732,8 +741,9 @@ func TestProcessBlockOutOfOrderAdoption(t *testing.T) {
 }
 
 // Replica gives another node of the same network: the genesis block, its
-// state trie and the block catalog shared, store, states and mempool its
-// own, at genesis even when taken from a ledger that has moved on. Two
+// state trie, the block catalog and the execution table shared, store,
+// retained states and mempool its own, at genesis even when taken from a
+// ledger that has moved on. Two
 // replicas of one root then process diverging blocks, one of them through
 // a reorg, and each ends where a ledger from NewLedger fed the same
 // blocks does: same tip, state root, balances, confirmations and pool.

@@ -6,6 +6,13 @@
 // rather in gas", §VI-A), contracts run in a small gas-metered VM, and
 // historical state roots share structure in the persistent trie, which is
 // exactly what makes §V-A's state-delta pruning and fast sync work.
+//
+// Like the other ledgers here (see internal/catalog), the ledgers of one
+// network hold content once: the block catalog, each block's execution —
+// its frozen post-state and state delta, computed by the first ledger to
+// accept the block — and the blocks that carry each transaction. A
+// ledger owns only its state over that content: its block store, its
+// mempool and which post-states it retains.
 package account
 
 import (

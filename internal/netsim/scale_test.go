@@ -6,7 +6,7 @@ package netsim
 // catches a return to per-node copies of shared content, per-node map
 // churn or per-node setup replay, not normal drift. The account-model pin
 // at the end is the one small network here: its cost is the world state
-// each ledger keeps, not the node count.
+// the network keeps, not the node count.
 
 import (
 	"math/rand"
@@ -133,6 +133,57 @@ func TestBitcoinMemoryPerNode10k(t *testing.T) {
 	runtime.KeepAlive(net)
 }
 
+// The account-side budget, on the Bitcoin test's shape run as an
+// Ethereum PoW network (16 accounts, 20 payments in the first 10 s, a
+// 200 s horizon, seed 31): a node is a store and a mempool over the
+// network's one block catalog and one execution table, plus a bit per
+// block whose post-state it retains. Both bounds are the measured cost
+// plus a quarter (PERFORMANCE.md); a ledger that executes every block
+// itself and keeps its own post-states, deltas and tx index (22 386 B
+// after the run) breaks the second.
+func TestEthereumMemoryPerNode10k(t *testing.T) {
+	if testing.Short() {
+		t.Skip("10k-node construction")
+	}
+	const nodes = 10_000
+	const builtBudget, ranBudget = 1030, 3320
+	before := scaleHeapAlloc()
+	net, err := NewEthereum(EthereumConfig{
+		Net: NetParams{
+			Nodes: nodes, PeerDegree: 4, Seed: 31,
+			MinLatency: 20 * time.Millisecond, MaxLatency: 200 * time.Millisecond,
+			SampleBudget: 1 << 18,
+		},
+		Consensus: PoW, Accounts: 16, InitialBalance: 1 << 30,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	perNode := (scaleHeapAlloc() - before) / nodes
+	t.Logf("ethereum, built: %d bytes/node", perNode)
+	if perNode > builtBudget {
+		t.Fatalf("ethereum node costs %d bytes of heap once built, budget is %d", perNode, builtBudget)
+	}
+
+	const payments, submitSpan, span = 20, 10 * time.Second, 200 * time.Second
+	for i := 0; i < payments; i++ {
+		net.SubmitPayment(workload.TimedPayment{
+			At:      submitSpan * time.Duration(i) / payments,
+			Payment: workload.Payment{From: i % 16, To: (i + 5) % 16, Amount: 10},
+		}, 2)
+	}
+	m := net.Run(span)
+	if m.BlocksOnMain < 5 || m.ConfirmedTxs < payments*3/4 {
+		t.Fatalf("run too short to measure: %d blocks, %d of %d payments confirmed", m.BlocksOnMain, m.ConfirmedTxs, payments)
+	}
+	perNode = (scaleHeapAlloc() - before) / nodes
+	t.Logf("ethereum, after %d blocks and %d payments: %d bytes/node", m.BlocksOnMain, m.ConfirmedTxs, perNode)
+	if perNode > ranBudget {
+		t.Fatalf("ethereum node costs %d bytes of heap after the run, budget is %d", perNode, ranBudget)
+	}
+	runtime.KeepAlive(net)
+}
+
 // The tangle-side budget, on the benchmark's scale-gossip tangle shape
 // (16 accounts, confirmation weight 2, 26 transfers in the first 10 s, a
 // 30 s run, seed 33): a node is a replica over the network's one vertex
@@ -185,14 +236,16 @@ func TestTangleMemoryPerNode10k(t *testing.T) {
 
 // The account-model budget, on the eth-pos leg of the benchmark's
 // chain-saturation workload (8 nodes, 128 accounts, PoS with 4 s blocks,
-// 60 payments a second for 24 s): every ledger keeps the post-state of
-// every block it executed, in one trie arena per ledger. Executed on an
-// owned state, a block copies each trie node it touches once. The bound
-// is the measured heap, 5 859 328 B, plus a quarter (PERFORMANCE.md).
-// Copying the root-to-leaf path on every write pins every dead
-// intermediate version in the arena slabs: 109 692 928 B.
+// 60 payments a second for 24 s): the network keeps each block's
+// post-state once, in its execution table, and a block is executed once,
+// on an owned state that copies each trie node it touches once. The
+// bound is the measured heap, 2 078 016 B, plus a quarter
+// (PERFORMANCE.md). A post-state per ledger, each ledger executing every
+// block, is 4 896 112 B; copying the root-to-leaf path on every write
+// pins every dead intermediate version in the arena slabs and is larger
+// still.
 func TestEthereumMemoryChainSaturationShape(t *testing.T) {
-	const budget = 7_330_000
+	const budget = 2_600_000
 	before := scaleHeapAlloc()
 	net, err := NewEthereum(EthereumConfig{
 		Net: NetParams{
