@@ -228,42 +228,38 @@ func BenchmarkParallelSpeedup(b *testing.B) {
 	}
 }
 
-// BenchmarkLatticeProcessBatch measures batch settlement of a send storm
-// against worker count: stage 1 (ed25519 + work stamps) is the hot path
-// the pool parallelizes.
+// BenchmarkLatticeProcessBatch measures batch settlement of a 256-send
+// storm into a fresh lattice: hashing, signature-memo reads, work checks
+// and in-order application.
 func BenchmarkLatticeProcessBatch(b *testing.B) {
 	ring := keys.NewRing("bench-batch", 64)
-	for _, workers := range []int{1, runtime.NumCPU()} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				lat, _, err := lattice.New(ring.Pair(0), 1<<40, 0)
-				if err != nil {
-					b.Fatal(err)
-				}
-				blocks := make([]*lattice.Block, 0, 256)
-				for j := 0; j < 256; j++ {
-					send, err := lat.NewSend(ring.Pair(0), ring.Addr(1+j%63), 1)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if res := lat.Process(send); res.Status != lattice.Accepted {
-						b.Fatalf("seed send: %v", res.Status)
-					}
-					blocks = append(blocks, send)
-				}
-				replay, _, err := lattice.New(ring.Pair(0), 1<<40, 0)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.StartTimer()
-				for _, res := range replay.ProcessBatch(blocks, workers) {
-					if res.Status == lattice.Rejected {
-						b.Fatalf("batch: %v", res.Err)
-					}
-				}
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		lat, _, err := lattice.New(ring.Pair(0), 1<<40, 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		blocks := make([]*lattice.Block, 0, 256)
+		for j := 0; j < 256; j++ {
+			send, err := lat.NewSend(ring.Pair(0), ring.Addr(1+j%63), 1)
+			if err != nil {
+				b.Fatal(err)
 			}
-		})
+			if res := lat.Process(send); res.Status != lattice.Accepted {
+				b.Fatalf("seed send: %v", res.Status)
+			}
+			blocks = append(blocks, send)
+		}
+		replay, _, err := lattice.New(ring.Pair(0), 1<<40, 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		for _, res := range replay.ProcessBatch(blocks, 1) {
+			if res.Status == lattice.Rejected {
+				b.Fatalf("batch: %v", res.Err)
+			}
+		}
 	}
 }
 

@@ -159,7 +159,7 @@ func RunE14Resilience(ctx context.Context, cfg Config) (*metrics.Table, error) {
 func e15NanoTrial(cfg Config, k int, trial int) (netsim.DoubleSpendOutcome, float64, metrics.Histogram, error) {
 	net, err := netsim.NewNano(netsim.NanoConfig{
 		Net:      netParams(10, 3, cfg.Seed+int64(100_000*(k+1)+trial), 10*time.Millisecond, 60*time.Millisecond),
-		Accounts: 40, Reps: 10, Workers: cfg.Workers,
+		Accounts: 40, Reps: 10,
 		ByzantineNodes: k,
 	})
 	if err != nil {

@@ -94,7 +94,7 @@ func e20Nano(cfg Config, factor int) ([]string, error) {
 	const nodes, cold = 8, 7
 	net, err := netsim.NewNano(netsim.NanoConfig{
 		Net:      e20Net(cfg, nodes, cfg.Seed+int64(200+factor)),
-		Accounts: e19Accounts, Reps: 4, Workers: cfg.Workers,
+		Accounts: e19Accounts, Reps: 4,
 	})
 	if err != nil {
 		return nil, err

@@ -97,7 +97,6 @@ func RunE6VoteConfirmation(ctx context.Context, cfg Config) (*metrics.Table, err
 				Accounts:       24,
 				Reps:           reps,
 				QuorumFraction: quorum,
-				Workers:        cfg.Workers,
 			})
 			if err != nil {
 				return nil, err

@@ -63,7 +63,6 @@ func e18ChainTrial(cfg Config, stride int64, trial int, partition bool) (netsim.
 // election decides which send survives on the victim's lattice.
 func e18NanoTrial(cfg Config, stride int64, trial int, partition bool) (netsim.LatticeDoubleSpendOutcome, error) {
 	ncfg, plan, fs, dur := netsim.LatticeDoubleSpendScenario(cfg.Seed+stride+int64(trial), partition)
-	ncfg.Workers = cfg.Workers
 	net, err := netsim.NewNano(ncfg)
 	if err != nil {
 		return netsim.LatticeDoubleSpendOutcome{}, err

@@ -137,7 +137,7 @@ func e19Nano(cfg Config, nodes int) ([]string, error) {
 	np.SampleBudget = e19SampleBudget
 	net, err := netsim.NewNano(netsim.NanoConfig{
 		Net:      np,
-		Accounts: e19Accounts, Reps: 4, Workers: cfg.Workers,
+		Accounts: e19Accounts, Reps: 4,
 	})
 	if err != nil {
 		return nil, err

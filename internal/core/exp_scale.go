@@ -70,7 +70,7 @@ func e9Nano(cfg Config, batch int, window time.Duration, faults *netsim.FaultSch
 	nanoDur := e9NanoDur(cfg)
 	nano, err := netsim.NewNano(netsim.NanoConfig{
 		Net:      netParams(8, 3, cfg.Seed+3, 10*time.Millisecond, 80*time.Millisecond),
-		Accounts: 64, Reps: 4, Workers: cfg.Workers,
+		Accounts: 64, Reps: 4,
 		BatchSize: batch, BatchWindow: window,
 		ProcPerBlock: 4 * time.Millisecond, // consumer-grade validation
 		ProcPerVote:  500 * time.Microsecond,
@@ -413,7 +413,6 @@ func RunE12Sharding(ctx context.Context, cfg Config) (*metrics.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		net.SetWorkers(cfg.Workers)
 		for i := 0; i < ring.Len(); i++ {
 			net.Fund(ring.Addr(i), 1_000_000)
 		}
@@ -468,7 +467,7 @@ func RunE12Sharding(ctx context.Context, cfg Config) (*metrics.Table, error) {
 		pt := points[idx]
 		net, err := netsim.NewNano(netsim.NanoConfig{
 			Net:      netParams(8, 3, cfg.Seed, 10*time.Millisecond, 60*time.Millisecond),
-			Accounts: 64, Reps: 4, Workers: cfg.Workers,
+			Accounts: 64, Reps: 4,
 			BatchSize: pt.batch, BatchWindow: cfg.NanoBatchWindow,
 			ProcPerBlock: pt.proc, ProcPerVote: pt.proc / 10,
 		})

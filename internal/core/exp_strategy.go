@@ -85,7 +85,7 @@ func e16Bitcoin(cfg Config, frac float64) ([]string, error) {
 func e16Nano(cfg Config, frac float64) ([]string, error) {
 	net, err := netsim.NewNano(netsim.NanoConfig{
 		Net:      netParams(10, 4, cfg.Seed+13, 10*time.Millisecond, 60*time.Millisecond),
-		Accounts: 40, Reps: 4, Workers: cfg.Workers,
+		Accounts: 40, Reps: 4,
 	})
 	if err != nil {
 		return nil, err
@@ -246,7 +246,7 @@ func e17Selfish(cfg Config, alpha float64) ([]string, error) {
 func e17Withhold(cfg Config, w float64) ([]string, error) {
 	net, err := netsim.NewNano(netsim.NanoConfig{
 		Net:      netParams(10, 4, cfg.Seed+19, 10*time.Millisecond, 60*time.Millisecond),
-		Accounts: 40, Reps: 8, Workers: cfg.Workers,
+		Accounts: 40, Reps: 8,
 	})
 	if err != nil {
 		return nil, err

@@ -145,7 +145,6 @@ func RunE3Settlement(ctx context.Context, cfg Config) (*metrics.Table, error) {
 			Accounts:         16,
 			Reps:             4,
 			OfflineReceivers: offline,
-			Workers:          cfg.Workers,
 		})
 		if err != nil {
 			return netsim.NanoMetrics{}, err

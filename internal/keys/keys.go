@@ -156,7 +156,7 @@ func Verifies() uint64 { return verifies.Load() }
 //
 // The verdict is "pub hashes to owner, and the bytes sign digest under
 // pub". It is bound by SignMemo when the signer owns the object, or by
-// Store after a full check, and it is honoured only while the memo still
+// Verify after a full check, and it is honoured only while the memo still
 // lives at the address it was bound at: a simulated broadcast hands one
 // pointer to every node, so one verdict serves them all, and a struct
 // copy re-verifies. A hit compares the owner address, the content
@@ -167,7 +167,7 @@ func Verifies() uint64 { return verifies.Load() }
 // digest all miss and verify in full. Only success is stored. The zero
 // value is empty.
 //
-// Sig, Verify, Store and SignMemo write and are not safe for concurrent
+// Sig, Verify and SignMemo write and are not safe for concurrent
 // use; Hit only reads. A type that recomputes its digest on every call
 // (account.Tx, orv.Vote, pos.Vote) is covered field by field. A type
 // that hands in a pointer-memoized content hash (lattice.Block,
@@ -210,11 +210,11 @@ func (m *SigMemo) Sig(sig *[]byte) []byte {
 	return *sig
 }
 
-// Store records a positive verdict the caller has established for these
+// store records a positive verdict Verify has established for these
 // inputs: the key/owner binding and the signature both checked out. It
 // allocates its copy of the key, which only an object that arrived
 // without a binding pays, and binds the memo to its own address.
-func (m *SigMemo) Store(owner Address, digest hashx.Hash, pub ed25519.PublicKey, sig []byte) {
+func (m *SigMemo) store(owner Address, digest hashx.Hash, pub ed25519.PublicKey, sig []byte) {
 	key := &identity{addr: owner}
 	copy(key.pub[:], pub)
 	m.self, m.key, m.signer, m.digest = m, key, nil, digest
@@ -233,7 +233,7 @@ func (m *SigMemo) Verify(owner Address, digest hashx.Hash, pub ed25519.PublicKey
 	if AddressOf(pub) != owner || !Verify(pub, digest[:], s) {
 		return false
 	}
-	m.Store(owner, digest, pub, s)
+	m.store(owner, digest, pub, s)
 	return true
 }
 
@@ -268,8 +268,9 @@ const batchInlineLimit = 8
 // VerifyBatch checks a batch of signatures across a bounded worker pool
 // (workers <= 0 means one per CPU core) and returns one verdict per job
 // in input order. Every job is independent, so the batch parallelizes
-// perfectly; lattice.ProcessBatch runs the checks its memos do not
-// answer through it.
+// perfectly. No ledger validates through it: objects verify one at a
+// time through their SigMemo. The benchmark's keys replay row times it
+// at one worker.
 func VerifyBatch(jobs []VerifyJob, workers int) []bool {
 	out := make([]bool, len(jobs))
 	par.Each(len(jobs), workers, batchInlineLimit, func(i int) {

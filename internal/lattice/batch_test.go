@@ -145,8 +145,8 @@ func TestProcessBatchMatchesSerial(t *testing.T) {
 	}
 }
 
-// Tampered blocks must be rejected by the parallel crypto stage without
-// poisoning the valid remainder of the batch.
+// Tampered blocks in a batch must be rejected without poisoning the
+// valid remainder of the batch.
 func TestProcessBatchRejectsInvalid(t *testing.T) {
 	ring := keys.NewRing("batch-reject", 8)
 	stream := buildWorkload(t, ring, 8, 20, 7)
@@ -180,7 +180,7 @@ func TestProcessBatchRejectsInvalid(t *testing.T) {
 	}
 }
 
-// Work stamps are checked in the parallel stage too.
+// Work stamps are checked in a batch too.
 func TestProcessBatchChecksWork(t *testing.T) {
 	const bits = 8
 	ring := keys.NewRing("batch-work", 2)
@@ -212,10 +212,10 @@ func TestProcessBatchChecksWork(t *testing.T) {
 	}
 }
 
-// A block's first signature read writes it, so ProcessBatch reads them
-// only in its serial pass. A batch of struct copies of blocks nothing has
-// read, each copy twice and the two in different workers' chunks, is
-// read once per copy, and the race detector sees any read in a worker.
+// A block's first signature read writes it, so ProcessBatch must read
+// each on the calling goroutine. A batch of struct copies of blocks
+// nothing has read, each copy twice, is read once per copy, and the race
+// detector sees any read on another goroutine.
 func TestProcessBatchReadsSignaturesSerially(t *testing.T) {
 	ring := keys.NewRing("batch-serial-reads", 6)
 	stream := buildWorkload(t, ring, 6, 30, 11)

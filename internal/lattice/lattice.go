@@ -16,21 +16,19 @@
 //   - Content is separate from state (see internal/catalog). Every block
 //     the replicas of one network attach enters one catalog, whose entry
 //     holds the *Block and its predecessor's id; beside it sits one
-//     account → dense id map. Both are written only by Process,
-//     ResolveFork and ProcessBatch's serial stage. A replica (New, or
-//     Clone of another replica) holds only its state over those ids: a
-//     head id per account, bitsets of attached blocks and settled sends,
-//     and a successor id column. A send is pending exactly when it is
-//     attached and not settled, and its destination and amount are read
-//     from the catalog.
+//     account → dense id map. Both are written only by Process and
+//     ResolveFork. A replica (New, or Clone of another replica) holds
+//     only its state over those ids: a head id per account, bitsets of
+//     attached blocks and settled sends, and a successor id column. A
+//     send is pending exactly when it is attached and not settled, and
+//     its destination and amount are read from the catalog.
 //   - Block content is immutable after signing: the catalog stores one
 //     pointer per block for every replica, and Block.Hash memoizes its
 //     digest on that pointer. The lattice keeps no pointer override: a
 //     replica that attaches a same-hash copy reads the catalog's pointer
 //     back.
-//   - ProcessBatch produces byte-identical lattice state and results for
-//     any worker count, so perf-suite runs pinned at Workers=1 describe
-//     the same computation the parallel paths execute.
+//   - There is one validation path: ProcessBatch is an in-order loop
+//     over Process, and nothing validates on more than one goroutine.
 package lattice
 
 import (
@@ -147,8 +145,7 @@ func (b *Block) contentBytes() []byte {
 }
 
 // Hash returns the block identifier, memoized on first use. Not safe
-// for a concurrent FIRST call on the same pointer; ProcessBatch hashes
-// its batch serially before fanning out for exactly this reason.
+// for a concurrent FIRST call on the same pointer.
 func (b *Block) Hash() hashx.Hash {
 	if b.memoSelf == b {
 		return b.memoHash
@@ -584,26 +581,29 @@ func (l *Lattice) Process(b *Block) Result {
 	return res
 }
 
-func (l *Lattice) processOne(b *Block) Result {
-	h := b.Hash()
-	if _, dup := l.lookup(h); dup {
-		return Result{Status: Duplicate}
+// ProcessBatch processes blocks through Process in input order and
+// returns one result per block, so the lattice state and the results are
+// those of the serial calls by construction (fuzzed by
+// FuzzLatticeProcessBatch). workers is ignored: a node's hardware bound
+// is modelled in simulated time, not with host goroutines.
+func (l *Lattice) ProcessBatch(blocks []*Block, workers int) []Result {
+	results := make([]Result, len(blocks))
+	for i, b := range blocks {
+		results[i] = l.Process(b)
 	}
-	return l.processVerified(b, h, b.VerifySig(), l.workBits <= 0 || b.VerifyWork(l.workBits))
+	return results
 }
 
-// processVerified attaches a block whose expensive crypto checks (owner
-// signature, anti-spam work) were already performed — inline by processOne,
-// or across the ProcessBatch worker pool.
-func (l *Lattice) processVerified(b *Block, h hashx.Hash, sigOK, workOK bool) Result {
-	id := l.cat.ID(h)
-	if l.attached.Has(id) {
+func (l *Lattice) processOne(b *Block) Result {
+	h := b.Hash()
+	id, dup := l.lookup(h)
+	if dup {
 		return Result{Status: Duplicate}
 	}
-	if !sigOK {
+	if !b.VerifySig() {
 		return Result{Status: Rejected, Err: ErrBadSignature}
 	}
-	if !workOK {
+	if l.workBits > 0 && !b.VerifyWork(l.workBits) {
 		return Result{Status: Rejected, Err: ErrBadWork}
 	}
 	switch b.Type {

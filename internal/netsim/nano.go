@@ -42,17 +42,19 @@ type NanoConfig struct {
 	// budgets modeling §VI-B's consumer-hardware limit (zero disables).
 	ProcPerBlock time.Duration
 	ProcPerVote  time.Duration
-	// Workers bounds the parallel validation of live gossip batches
-	// (lattice.ProcessBatch): <= 0 means one per CPU core, 1 is fully
-	// serial. Results are identical either way.
+	// Workers is read by nothing: a node validates on one goroutine,
+	// and its hardware bound is modelled in simulated time.
+	//
+	// Deprecated: kept only so callers that set it still compile
+	// (benchmark/legs.go does); it is to be deleted with them.
 	Workers int
 	// BatchSize enables batched live-gossip settlement: blocks arriving
 	// from gossip accumulate in a per-node ingest queue and settle
-	// together through lattice.ProcessBatch once BatchSize blocks are
-	// waiting or BatchWindow elapses, whichever is first — how real
-	// block-lattice nodes keep up with gossip floods (§VI-B). <= 1 (the
-	// default) settles one block per arrival, byte-identical to the
-	// historical serial path.
+	// together, in arrival order, once BatchSize blocks are waiting or
+	// BatchWindow elapses, whichever is first — how real block-lattice
+	// nodes keep up with gossip floods (§VI-B). A flush is cheaper than
+	// its blocks one by one only in simulated time (BatchCores). <= 1
+	// (the default) settles one block per arrival.
 	BatchSize int
 	// BatchWindow bounds how long a partial ingest batch may wait before
 	// it is flushed (default 5ms when BatchSize > 1).
@@ -63,7 +65,7 @@ type NanoConfig struct {
 	// §VI-B's hardware ceiling, lifted by pipelined validation. Default 4
 	// when batching is enabled; only meaningful with ProcPerBlock > 0.
 	// Fixed (never derived from the host CPU count) so tables stay
-	// deterministic across machines and worker counts.
+	// deterministic across machines.
 	BatchCores int
 	// ByzantineNodes makes the LAST k nodes vote adversarially: when a
 	// contested double spend is injected (InjectContestedDoubleSpend),
@@ -152,8 +154,8 @@ type nanoNode struct {
 	// cleared so a rebroadcast lands again. It stays outside
 	// NetParams.BacklogCap/BacklogTTL: no protocol re-pulls a vote.
 	pendingVotes backlog.Buffer[hashx.Hash, *orv.Vote]
-	// ingest accumulates gossip blocks awaiting a batched ProcessBatch
-	// flush (BatchSize > 1 only); flushTimer is the armed BatchWindow
+	// ingest accumulates gossip blocks awaiting a batched flush
+	// (BatchSize > 1 only); flushTimer is the armed BatchWindow
 	// flush event. Each entry remembers its sender, the pull target.
 	ingest     []ingestEntry
 	flushTimer sim.EventID
@@ -216,8 +218,8 @@ type NanoMetrics struct {
 	MessagesSent int
 	BytesSent    int64
 	// GossipBatches and GossipBatchedBlocks count ingest-queue flushes
-	// through lattice.ProcessBatch and the blocks they settled (zero when
-	// BatchSize <= 1, the serial path).
+	// and the blocks they settled (zero when BatchSize <= 1, the serial
+	// path).
 	GossipBatches       int
 	GossipBatchedBlocks int
 	// ForkResolveLatency is the distribution of fork-detection→resolution
@@ -481,13 +483,14 @@ func (n *NanoNet) enqueueIngest(node *nanoNode, b *lattice.Block, from sim.NodeI
 	}
 }
 
-// flushIngest settles the node's queued gossip blocks in one
-// lattice.ProcessBatch call — signature and work checks fan out across
-// cfg.Workers — then runs the per-block reactions in arrival order:
-// elections open (replaying any votes buffered against the in-flight
-// candidates), receives get scheduled, fork elections start, and every
-// non-rejected block is relayed exactly once (arrival already dedups via
-// the shell's first-seen bits).
+// flushIngest settles the node's queued gossip blocks through
+// lattice.Process in arrival order, then runs the per-block reactions in
+// the same order: elections open (replaying any votes buffered against
+// the in-flight candidates), receives get scheduled, fork elections
+// start, and every non-rejected block is relayed exactly once (arrival
+// already dedups via the shell's first-seen bits). Every block settles
+// before any reaction runs, because a reaction can resolve a fork and so
+// change what a later block of the batch meets.
 func (n *NanoNet) flushIngest(node *nanoNode) {
 	if node.flushArmed {
 		n.rt.sim.Cancel(node.flushTimer)
@@ -498,23 +501,22 @@ func (n *NanoNet) flushIngest(node *nanoNode) {
 	if len(entries) == 0 {
 		return
 	}
-	blocks := make([]*lattice.Block, len(entries))
-	for i, e := range entries {
-		blocks[i] = e.b
-	}
 	n.metrics.GossipBatches++
-	n.metrics.GossipBatchedBlocks += len(blocks)
+	n.metrics.GossipBatchedBlocks += len(entries)
 	if n.cfg.ProcPerBlock > 0 {
 		// The §VI-B hardware budget, batch-pipelined: validating k blocks
 		// across BatchCores modeled cores occupies the node for
 		// ceil(k/cores) serial block costs instead of k.
-		rounds := (len(blocks) + n.cfg.BatchCores - 1) / n.cfg.BatchCores
+		rounds := (len(entries) + n.cfg.BatchCores - 1) / n.cfg.BatchCores
 		n.rt.net.Occupy(node.id, time.Duration(rounds)*n.cfg.ProcPerBlock)
 	}
-	for i, res := range node.lat.ProcessBatch(blocks, n.cfg.Workers) {
-		b := blocks[i]
-		relay, missing := n.reactToResult(node, b, res)
-		n.react(node.id, entries[i].from, b, b.EncodedSize(), relay, missing)
+	results := make([]lattice.Result, len(entries))
+	for i, e := range entries {
+		results[i] = node.lat.Process(e.b)
+	}
+	for i, e := range entries {
+		relay, missing := n.reactToResult(node, e.b, results[i])
+		n.react(node.id, e.from, e.b, e.b.EncodedSize(), relay, missing)
 	}
 }
 

@@ -215,10 +215,8 @@ func TestNanoPendingVoteFloodBounded(t *testing.T) {
 // BenchmarkNanoGossipBatch measures live-gossip settlement serially
 // versus with batched ingest under a block flood on consumer-grade
 // hardware budgets (§VI-B: throughput "determined by the quality of
-// consumer grade hardware"). The batched path fans signature and work
-// checks across host cores via lattice.ProcessBatch — the wall-clock
-// ns/op gain on multi-core hosts — and amortizes the modeled per-block
-// budget across BatchCores, so the simulated throughput columns
+// consumer grade hardware"). The batched path amortizes the modeled
+// per-block budget across BatchCores, so the simulated throughput columns
 // (sim-blocks/s, settled-frac) show the lifted hardware ceiling on any
 // host. One representative keeps vote traffic proportional to
 // confirmations, so block validation — the work the ingest queue

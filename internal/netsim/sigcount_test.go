@@ -9,6 +9,7 @@ import (
 	"repro/internal/account"
 	"repro/internal/hashx"
 	"repro/internal/keys"
+	"repro/internal/lattice"
 	"repro/internal/orv"
 	"repro/internal/tangle"
 	"repro/internal/utxo"
@@ -115,22 +116,31 @@ func TestHonestDAGNetworksSignNothing(t *testing.T) {
 		}
 	}
 
-	t.Run("nano", func(t *testing.T) {
-		net, err := NewNano(NanoConfig{Net: sigCountNet(95), Accounts: 16, Reps: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		run(t, nanoParadigm{net}, func() []signedObject {
-			if net.metrics.VotesSent == 0 {
-				t.Fatal("no representative voted")
+	// The batched twin settles gossip through per-node ingest queues.
+	for _, c := range []struct {
+		name  string
+		batch int
+	}{{"nano", 0}, {"nano-batched", 8}} {
+		t.Run(c.name, func(t *testing.T) {
+			net, err := NewNano(NanoConfig{Net: sigCountNet(95), Accounts: 16, Reps: 4, BatchSize: c.batch})
+			if err != nil {
+				t.Fatal(err)
 			}
-			var out []signedObject
-			for _, b := range net.Observer().AllBlocks() {
-				out = append(out, signedObject{b.PubKey, b.Hash(), b.Sig})
-			}
-			return out
+			run(t, nanoParadigm{net}, func() []signedObject {
+				if net.metrics.VotesSent == 0 {
+					t.Fatal("no representative voted")
+				}
+				if c.batch > 1 && net.metrics.GossipBatches == 0 {
+					t.Fatal("no ingest batch was flushed")
+				}
+				var out []signedObject
+				for _, b := range net.Observer().AllBlocks() {
+					out = append(out, signedObject{b.PubKey, b.Hash(), b.Sig})
+				}
+				return out
+			})
 		})
-	})
+	}
 	t.Run("tangle", func(t *testing.T) {
 		net, err := NewTangle(TangleConfig{Net: sigCountNet(96), Accounts: 16, ConfirmWeight: 4})
 		if err != nil {
@@ -212,8 +222,14 @@ func TestForgedSignaturesReachEd25519AndAreRejected(t *testing.T) {
 		reached(t, before, len(net.ledgers))
 	})
 
-	t.Run("nano", func(t *testing.T) {
-		net, err := NewNano(NanoConfig{Net: sigCountNet(93), Accounts: 16, Reps: 4})
+	// forgedSend runs a Nano network built from cfg, then delivers a send
+	// whose signature is forged to every node, flushing the node's
+	// ingest queue when it batches, and checks that no node attached it.
+	// It returns the network and the honest send.
+	forgedSend := func(t *testing.T, cfg NanoConfig) (*NanoNet, *lattice.Block) {
+		t.Helper()
+		cfg.Net, cfg.Accounts, cfg.Reps = sigCountNet(93), 16, 4
+		net, err := NewNano(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -226,16 +242,24 @@ func TestForgedSignaturesReachEd25519AndAreRejected(t *testing.T) {
 		before := keys.Verifies()
 		for _, node := range net.nodes {
 			net.receive(node.id, node.id, forged.Hash(), forged, forged.EncodedSize())
+			if cfg.BatchSize > 1 {
+				net.flushIngest(node)
+			}
 			if _, ok := node.lat.Get(forged.Hash()); ok {
 				t.Fatalf("node %d attached a block with a forged signature", node.id)
 			}
 		}
 		reached(t, before, len(net.nodes))
+		return net, send
+	}
+
+	t.Run("nano", func(t *testing.T) {
+		net, send := forgedSend(t, NanoConfig{})
 
 		// A forged vote in an open election, at every node.
 		vote := orv.NewVote(net.ring.Pair(0), send.Hash(), 1)
 		vote = vote.WithSig(forgeSig(vote.Sig()))
-		before = keys.Verifies()
+		before := keys.Verifies()
 		for _, node := range net.nodes {
 			if err := node.tracker.StartElection(send.Hash(), send.Hash()); err != nil {
 				t.Fatal(err)
@@ -245,6 +269,10 @@ func TestForgedSignaturesReachEd25519AndAreRejected(t *testing.T) {
 			}
 		}
 		reached(t, before, len(net.nodes))
+	})
+
+	t.Run("nano-batched", func(t *testing.T) {
+		forgedSend(t, NanoConfig{BatchSize: 8})
 	})
 
 	t.Run("tangle", func(t *testing.T) {

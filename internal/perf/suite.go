@@ -232,8 +232,8 @@ type latticeBatch struct {
 var latticeBatches = map[int]latticeBatch{}
 
 // benchProcessBatch replays a seeded initial-distribution batch into a
-// fresh lattice through ProcessBatch with Workers=1 — signature and
-// work checks plus serial in-order application.
+// fresh lattice through ProcessBatch — signature and work checks plus
+// in-order application.
 func benchProcessBatch(scale float64, n int) float64 {
 	accounts := scaled(40, scale)
 	if accounts < 4 {
@@ -329,7 +329,7 @@ func benchNanoGossip(scale float64, n int) float64 {
 	for op := 0; op < n; op++ {
 		net, err := netsim.NewNano(netsim.NanoConfig{
 			Net:      netsim.NetParams{Nodes: 8, Seed: 11},
-			Accounts: 24, Reps: 4, Workers: 1,
+			Accounts: 24, Reps: 4,
 		})
 		if err != nil {
 			panic(err)
@@ -388,7 +388,7 @@ func benchScaleGossip(scale float64, n int) float64 {
 				Nodes: nodes, PeerDegree: 4, Seed: 17,
 				MinLatency: 20 * time.Millisecond, MaxLatency: 200 * time.Millisecond,
 			},
-			Accounts: 16, Reps: 4, Workers: 1,
+			Accounts: 16, Reps: 4,
 		})
 		if err != nil {
 			panic(err)
@@ -418,7 +418,7 @@ func benchColdStart(scale float64, n int) float64 {
 				Nodes: 8, PeerDegree: 4, Seed: 23,
 				MinLatency: 20 * time.Millisecond, MaxLatency: 200 * time.Millisecond,
 			},
-			Accounts: 16, Reps: 4, Workers: 1,
+			Accounts: 16, Reps: 4,
 		})
 		if err != nil {
 			panic(err)

@@ -100,7 +100,6 @@ type Shard struct {
 	nextSeq   uint64
 	applied   map[hashx.Hash]bool // inbound receipt leaves already credited
 	processed int                 // transactions this shard executed
-	workers   int                 // parallel leaf hashing bound for Seal
 }
 
 // Network is the K-shard system.
@@ -127,15 +126,6 @@ func NewNetwork(k int) (*Network, error) {
 		}
 	}
 	return n, nil
-}
-
-// SetWorkers bounds the parallel receipt-leaf hashing of every shard's
-// Seal (<= 0 means one per CPU core, 1 is fully serial). Roots are
-// identical either way.
-func (n *Network) SetWorkers(workers int) {
-	for _, s := range n.shards {
-		s.workers = workers
-	}
 }
 
 // K returns the shard count.
@@ -203,7 +193,7 @@ func (s *Shard) Seal() *ShardBlock {
 		Number:      num,
 		LocalTxs:    s.pending.localTxs,
 		Receipts:    receipts,
-		receiptTree: merkle.NewParallel(leaves, s.workers),
+		receiptTree: merkle.New(leaves),
 	}
 	s.blocks[num] = b
 	s.pending.localTxs = 0
