@@ -47,8 +47,10 @@ race:
 # checkpoints and live root against a map model, three Ethereum ledgers
 # on one execution table against ledgers that execute every block
 # themselves, the network shell's
-# receive under any delivery order of the observer's history, and Nano's
-# pending votes under any delivery order of blocks and their votes.
+# receive under any delivery order of the observer's history, Nano's
+# pending votes under any delivery order of blocks and their votes, and
+# every paradigm's runs with duplicate sends elided against the same runs
+# with nothing elided.
 # Every fuzz target in the tree runs here.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzCatalog$$' -fuzztime 15s -fuzzminimizetime 2s ./internal/catalog
@@ -68,6 +70,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzAccountReplicas$$' -fuzztime 15s -fuzzminimizetime 2s ./internal/account
 	$(GO) test -run '^$$' -fuzz '^FuzzDeliveryOrder$$' -fuzztime 15s -fuzzminimizetime 2s ./internal/netsim
 	$(GO) test -run '^$$' -fuzz '^FuzzVoteOrder$$' -fuzztime 15s -fuzzminimizetime 2s ./internal/netsim
+	$(GO) test -run '^$$' -fuzz '^FuzzElision$$' -fuzztime 15s -fuzzminimizetime 2s ./internal/netsim
 
 # Coverage profile, the artifact CI uploads.
 cover:

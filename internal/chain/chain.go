@@ -417,6 +417,11 @@ func (s *Store) Get(h hashx.Hash) (*Block, bool) {
 	return s.block(id), true
 }
 
+// Attached returns the catalog ids of the blocks attached here (orphan
+// pool excluded), the store's own set rather than a copy: read it, do not
+// keep it, since a later attach may grow it into a new array.
+func (s *Store) Attached() bitset.Set { return s.attached }
+
 // HasBlock reports whether the hash is known (orphan pool excluded).
 func (s *Store) HasBlock(h hashx.Hash) bool {
 	_, ok := s.lookup(h)

@@ -231,7 +231,7 @@ func RunE9Throughput(ctx context.Context, cfg Config) (*metrics.Table, error) {
 	t.AddNote("blockchains are capped by block size/gas × interval; Nano has 'no inherent cap in the protocol itself' (§VI-B)")
 	t.AddNote("pending backlogs mirror §VI's queues: 186,951 (Bitcoin) vs 22,473 (Ethereum) pending on 05.01.2018")
 	if cfg.NanoBatch > 1 && cfg.paradigmEnabled("nano") {
-		t.AddNote("the batched nano row settles gossip through lattice.ProcessBatch ingest batches (-nano-batch); batch=1 reproduces the serial row")
+		t.AddNote("the batched nano row queues gossip blocks in a per-node ingest queue and settles each flush through lattice.Process (-nano-batch); batch=1 reproduces the serial row")
 	}
 	// The §VI ordering claims, checked for whichever systems the filter
 	// kept: blockchains under the gas-limited chain, both under the DAGs.
@@ -499,7 +499,7 @@ func RunE12Sharding(ctx context.Context, cfg Config) (*metrics.Table, error) {
 	t.AddNote("sharding: load factor ≈ 1/K — the §VII definition of a scalable DLT")
 	t.AddNote("nano: protocol-uncapped; faster hardware raises the ceiling (306 TPS peak vs 105.75 avg in the 2018 stress test)")
 	if cfg.NanoBatch > 1 {
-		t.AddNote("batch rows: gossip settles through lattice.ProcessBatch ingest batches, amortizing the per-block budget across modeled cores")
+		t.AddNote("batch rows: gossip blocks wait in a per-node ingest queue and each flush settles them through lattice.Process, amortizing the per-block budget across modeled cores")
 	}
 	return t, nil
 }

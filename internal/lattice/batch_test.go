@@ -125,23 +125,20 @@ func TestProcessBatchMatchesSerial(t *testing.T) {
 	}
 	want := fingerprint(serial, ring)
 
-	for _, workers := range []int{1, 2, 4, 8} {
-		batch, _, err := New(ring.Pair(0), 1<<30, 0)
-		if err != nil {
-			t.Fatal(err)
+	batch, _, err := New(ring.Pair(0), 1<<30, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, res := range batch.ProcessBatch(stream, 1) {
+		if res.Status == Rejected {
+			t.Fatalf("block %d rejected: %v", i, res.Err)
 		}
-		results := batch.ProcessBatch(stream, workers)
-		for i, res := range results {
-			if res.Status == Rejected {
-				t.Fatalf("workers=%d block %d rejected: %v", workers, i, res.Err)
-			}
-		}
-		if err := batch.CheckInvariant(); err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if got := fingerprint(batch, ring); !equalFingerprints(got, want) {
-			t.Fatalf("workers=%d state diverged from serial:\ngot  %+v\nwant %+v", workers, got, want)
-		}
+	}
+	if err := batch.CheckInvariant(); err != nil {
+		t.Fatal(err)
+	}
+	if got := fingerprint(batch, ring); !equalFingerprints(got, want) {
+		t.Fatalf("state diverged from serial:\ngot  %+v\nwant %+v", got, want)
 	}
 }
 

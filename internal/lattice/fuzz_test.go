@@ -145,15 +145,15 @@ func buildFuzzStream(ring *keys.Ring, data []byte) []*Block {
 }
 
 func FuzzLatticeProcessBatch(f *testing.F) {
-	f.Add([]byte{0, 1, 0, 2, 1, 1, 2, 3, 6, 0}, uint8(2))
-	f.Add([]byte{2, 9, 2, 17, 4, 3, 5, 7, 7, 11, 0, 255}, uint8(3))
-	f.Add([]byte{}, uint8(0))
-	f.Add([]byte{6, 0, 6, 1, 6, 2, 1, 0, 1, 1, 1, 2, 0, 8, 2, 200}, uint8(7))
-	f.Add([]byte{0, 1, 6, 0x81, 6, 0x81, 1, 2, 6, 0x83, 4, 3}, uint8(3))
+	f.Add([]byte{0, 1, 0, 2, 1, 1, 2, 3, 6, 0})
+	f.Add([]byte{2, 9, 2, 17, 4, 3, 5, 7, 7, 11, 0, 255})
+	f.Add([]byte{})
+	f.Add([]byte{6, 0, 6, 1, 6, 2, 1, 0, 1, 1, 1, 2, 0, 8, 2, 200})
+	f.Add([]byte{0, 1, 6, 0x81, 6, 0x81, 1, 2, 6, 0x83, 4, 3})
 
 	ring := keys.NewRing("fuzz-lattice", fuzzAccounts)
 
-	f.Fuzz(func(t *testing.T, data []byte, workers uint8) {
+	f.Fuzz(func(t *testing.T, data []byte) {
 		stream := buildFuzzStream(ring, data)
 
 		// The batch goes first, so it meets the stream's blocks unread.
@@ -161,7 +161,7 @@ func FuzzLatticeProcessBatch(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		batched.ProcessBatch(stream, 1+int(workers%8))
+		batched.ProcessBatch(stream, 1)
 
 		serial, _, err := New(ring.Pair(0), 1_000, 0)
 		if err != nil {

@@ -530,6 +530,12 @@ func (l *Lattice) AllBlocks() []*Block {
 	return out
 }
 
+// Attached returns the catalog ids of the blocks attached here (rivals
+// and buffered blocks excluded), the replica's own set rather than a
+// copy: read it, do not keep it, since a later attach may grow it into a
+// new array.
+func (l *Lattice) Attached() bitset.Set { return l.attached }
+
 // BlockCount returns the number of attached blocks (rivals and buffered
 // blocks excluded).
 func (l *Lattice) BlockCount() int { return l.attached.Count() }

@@ -107,6 +107,9 @@ func (b *BitcoinNet) ScheduleDoubleSpend(p ChainDoubleSpendPlan) *ChainDoubleSpe
 	h := &ChainDoubleSpendHandle{victim: p.Victim, confirmations: p.Confirmations}
 	s := b.rt.sim
 	var ecl *EclipseBehavior
+	if p.EclipseFrac > 0 {
+		b.rt.reserve(sim.NodeID(p.Victim))
+	}
 	s.At(p.At, func() {
 		view := b.ledgers[p.Victim].UTXOSet()
 		honest, err := utxo.NewPayment(view, b.ring.Pair(p.Attacker), b.ring.Addr(p.Merchant), p.Amount, p.Fee)
@@ -265,6 +268,10 @@ func (n *NanoNet) ScheduleExecutedDoubleSpend(p LatticeDoubleSpendPlan) *Lattice
 		ecl        *EclipseBehavior
 		prevFeeder Behavior
 	)
+	if p.Eclipse {
+		n.rt.reserve(n.nodes[p.Victim].id)
+		n.rt.reserve(n.nodes[feederIdx].id)
+	}
 	n.rt.sim.At(p.At, func() {
 		victim := n.nodes[p.Victim]
 		head, ok := victim.lat.HeadBlock(n.ring.Addr(p.Attacker))

@@ -260,9 +260,11 @@ type NanoNet struct {
 	forkSeenAt   map[hashx.Hash]time.Duration
 }
 
-// ingestEntry is one queued gossip block plus the node that sent it.
+// ingestEntry is one queued gossip block, its catalog id and the node
+// that sent it.
 type ingestEntry struct {
 	b    *lattice.Block
+	id   int32
 	from sim.NodeID
 }
 
@@ -317,7 +319,7 @@ func NewNano(cfg NanoConfig) (*NanoNet, error) {
 		advContested: make(map[hashx.Hash]bool),
 		forkSeenAt:   make(map[hashx.Hash]time.Duration),
 	}
-	n.netShell = newNetShell(s, net, cfg.Net.Nodes, seedLat.Index(), n)
+	n.netShell.init(s, net, cfg.Net.Nodes, seedLat.Index(), n)
 	n.metrics.ConfirmLatency.SetBudget(cfg.Net.SampleBudget)
 	n.metrics.ForkResolveLatency.SetBudget(cfg.Net.SampleBudget)
 
@@ -378,12 +380,15 @@ func (n *NanoNet) Observer() *lattice.Lattice { return n.nodes[0].lat }
 // Ring returns the account identities.
 func (n *NanoNet) Ring() *keys.Ring { return n.ring }
 
-// has, object and canonical are the lattice's history view: a node's
-// attached blocks and its deterministic account-ordered block stream.
+// has, attachedIDs, object and canonical are the lattice's history view:
+// a node's attached blocks and its deterministic account-ordered block
+// stream.
 func (n *NanoNet) has(node sim.NodeID, h hashx.Hash) bool {
 	_, ok := n.nodes[node].lat.Get(h)
 	return ok
 }
+
+func (n *NanoNet) attachedIDs(node sim.NodeID) []uint64 { return n.nodes[node].lat.Attached() }
 
 func (n *NanoNet) object(node sim.NodeID, h hashx.Hash) (any, int, bool) {
 	blk, ok := n.nodes[node].lat.Get(h)
@@ -415,10 +420,10 @@ func (n *NanoNet) handlerFor(node *nanoNode) sim.Handler {
 // apply is the lattice's verdict on a first-seen block: settled serially
 // per arrival when BatchSize <= 1, or queued for the per-node ingest
 // batch (relayed when the batch flushes) when batching is enabled.
-func (n *NanoNet) apply(node, from sim.NodeID, _ int32, obj any) (bool, hashx.Hash) {
+func (n *NanoNet) apply(node, from sim.NodeID, id int32, obj any) (bool, hashx.Hash) {
 	b, nd := obj.(*lattice.Block), n.nodes[node]
 	if n.cfg.BatchSize > 1 {
-		n.enqueueIngest(nd, b, from)
+		n.enqueueIngest(nd, b, id, from)
 		return false, hashx.Zero
 	}
 	return n.reactToResult(nd, b, nd.lat.Process(b))
@@ -458,8 +463,8 @@ func (n *NanoNet) reactToResult(node *nanoNode, b *lattice.Block, res lattice.Re
 
 // enqueueIngest queues a gossip block for batched settlement, flushing
 // when the batch fills and arming the BatchWindow timer otherwise.
-func (n *NanoNet) enqueueIngest(node *nanoNode, b *lattice.Block, from sim.NodeID) {
-	node.ingest = append(node.ingest, ingestEntry{b: b, from: from})
+func (n *NanoNet) enqueueIngest(node *nanoNode, b *lattice.Block, id int32, from sim.NodeID) {
+	node.ingest = append(node.ingest, ingestEntry{b: b, id: id, from: from})
 	if len(node.ingest) >= n.cfg.BatchSize {
 		n.flushIngest(node)
 		return
@@ -516,7 +521,7 @@ func (n *NanoNet) flushIngest(node *nanoNode) {
 	}
 	for i, e := range entries {
 		relay, missing := n.reactToResult(node, e.b, results[i])
-		n.react(node.id, e.from, e.b, e.b.EncodedSize(), relay, missing)
+		n.react(node.id, e.from, e.id, e.b, e.b.EncodedSize(), relay, missing)
 	}
 }
 
@@ -758,7 +763,7 @@ func (n *NanoNet) maybeScheduleReceive(node *nanoNode, b *lattice.Block, h hashx
 // unless the owner's behavior withholds it.
 func (n *NanoNet) publish(node *nanoNode, b *lattice.Block) {
 	h := b.Hash()
-	n.mint(node.id, h)
+	id := n.mint(node.id, h)
 	res := node.lat.Process(b)
 	if res.Status == lattice.Accepted {
 		n.onAttached(node, b, h)
@@ -766,7 +771,7 @@ func (n *NanoNet) publish(node *nanoNode, b *lattice.Block) {
 			n.onAttached(node, d, d.Hash())
 		}
 	}
-	n.flood(node.id, b, b.EncodedSize())
+	n.flood(node.id, id, b, b.EncodedSize())
 }
 
 // SubmitTransfer schedules a payment: the sender's owner node issues the

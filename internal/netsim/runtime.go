@@ -10,6 +10,7 @@
 package netsim
 
 import (
+	"fmt"
 	"time"
 
 	"repro/internal/catalog"
@@ -78,11 +79,28 @@ type BehaviorStats struct {
 // registration and handler dispatch, behavior-mediated relay/unicast/
 // broadcast, and the behavior stat counters. One runtime serves one
 // network simulation.
+//
+// A send of a catalog object to a node with no behavior that already
+// holds it (holder, the network shell) is counted, not scheduled
+// (sim.Network.SendDuplicate): its delivery would end at the receiver's
+// first-seen bit. Each node's latest elided arrival is kept, so that a
+// behavior installed while one is still in flight, which would have seen
+// that delivery, fails loudly instead of silently changing the run.
 type NodeRuntime struct {
-	sim       *sim.Simulator
-	net       *sim.Network
-	behaviors []Behavior // nil entry = honest (zero-overhead fast path)
-	stats     BehaviorStats
+	sim   *sim.Simulator
+	net   *sim.Network
+	nodes []runtimeNode
+	stats BehaviorStats
+	// holder is the network shell, which knows what each node holds.
+	holder interface {
+		holds(to sim.NodeID, id int32) bool
+	}
+}
+
+// runtimeNode is the runtime's state for one node.
+type runtimeNode struct {
+	behavior   Behavior      // nil = honest (zero-overhead fast path)
+	lastElided time.Duration // latest elided arrival, -1 while none
 }
 
 // newNodeRuntime wraps a simulator and network in a runtime.
@@ -98,9 +116,9 @@ func (r *NodeRuntime) Stats() BehaviorStats { return r.stats }
 // registration order.
 func (r *NodeRuntime) AddNode(dispatch sim.Handler) sim.NodeID {
 	id := r.net.AddNode(nil)
-	r.behaviors = append(r.behaviors, nil)
+	r.nodes = append(r.nodes, runtimeNode{lastElided: -1})
 	r.net.SetHandler(id, func(from sim.NodeID, payload any, size int) {
-		if b := r.behaviors[id]; b != nil && !b.OnInbound(id, from, payload, size) {
+		if b := r.nodes[id].behavior; b != nil && !b.OnInbound(id, from, payload, size) {
 			r.stats.InboundDropped++
 			return
 		}
@@ -109,27 +127,50 @@ func (r *NodeRuntime) AddNode(dispatch sim.Handler) sim.NodeID {
 	return id
 }
 
-// SetBehavior installs (or, with nil, removes) a node's behavior.
+// SetBehavior installs (or, with nil, removes) a node's behavior. It
+// panics when b is non-nil and a delivery to the node was elided and may
+// not have arrived yet: the behavior would have seen it. A node that gets
+// a behavior mid-run must carry one from the start (reserve).
 func (r *NodeRuntime) SetBehavior(id sim.NodeID, b Behavior) {
-	if int(id) < len(r.behaviors) {
-		r.behaviors[id] = b
+	if int(id) < len(r.nodes) {
+		if at := r.nodes[id].lastElided; b != nil && at >= r.sim.Now() {
+			panic(fmt.Sprintf("netsim: behavior installed on node %d at %v with an elided delivery arriving at %v", id, r.sim.Now(), at))
+		}
+		r.nodes[id].behavior = b
+	}
+}
+
+// reserve gives a node that will get a behavior mid-run the honest
+// pass-through until then, so no delivery to it is ever elided.
+func (r *NodeRuntime) reserve(id sim.NodeID) {
+	if r.BehaviorOf(id) == nil {
+		r.SetBehavior(id, HonestBehavior{})
 	}
 }
 
 // BehaviorOf returns a node's installed behavior (nil = honest).
 func (r *NodeRuntime) BehaviorOf(id sim.NodeID) Behavior {
-	if int(id) < len(r.behaviors) {
-		return r.behaviors[id]
+	if int(id) < len(r.nodes) {
+		return r.nodes[id].behavior
 	}
 	return nil
 }
 
-// send delivers one message through the sender's outbound hook. The
-// BehaviorOf lookup tolerates nodes registered directly on the network
-// (outside AddNode): they simply have no behavior.
-func (r *NodeRuntime) send(from, to sim.NodeID, payload any, size int) {
+// send delivers one message through the sender's outbound hook. id is
+// the catalog id of the object the payload carries, 0 for any other
+// message; a receiver with no behavior that already holds that object
+// gets the message counted, not scheduled. The BehaviorOf lookup
+// tolerates nodes registered directly on the network (outside AddNode):
+// they simply have no behavior.
+func (r *NodeRuntime) send(from, to sim.NodeID, payload any, size int, id int32) {
 	if b := r.BehaviorOf(from); b != nil && !b.OnOutbound(from, to, payload, size) {
 		r.stats.OutboundDropped++
+		return
+	}
+	if id != 0 && int(to) < len(r.nodes) && r.nodes[to].behavior == nil && r.holder.holds(to, id) {
+		if at, ok := r.net.SendDuplicate(from, to, payload, size); ok {
+			r.nodes[to].lastElided = max(r.nodes[to].lastElided, at)
+		}
 		return
 	}
 	r.net.Send(from, to, payload, size)
@@ -137,18 +178,23 @@ func (r *NodeRuntime) send(from, to sim.NodeID, payload any, size int) {
 
 // Unicast sends one message to one node through the outbound hook.
 func (r *NodeRuntime) Unicast(from, to sim.NodeID, payload any, size int) {
-	r.send(from, to, payload, size)
+	r.send(from, to, payload, size, 0)
 }
 
 // Relay fans a message out along the sender's behavior-filtered peer
 // list — the gossip primitive every network floods its objects with.
 func (r *NodeRuntime) Relay(from sim.NodeID, payload any, size int) {
+	r.relay(from, payload, size, 0)
+}
+
+// relay is Relay for a payload carrying catalog object id (0 for none).
+func (r *NodeRuntime) relay(from sim.NodeID, payload any, size int, id int32) {
 	peers := r.net.Peers(from)
 	if b := r.BehaviorOf(from); b != nil {
 		peers = b.FilterPeers(from, peers)
 	}
 	for _, p := range peers {
-		r.send(from, p, payload, size)
+		r.send(from, p, payload, size, id)
 	}
 }
 
@@ -156,9 +202,15 @@ func (r *NodeRuntime) Relay(from sim.NodeID, payload any, size int) {
 // in index order — the idealized dissemination votes and post-fault
 // catch-up exchanges use.
 func (r *NodeRuntime) Broadcast(from sim.NodeID, payload any, size int) {
+	r.broadcast(from, payload, size, 0)
+}
+
+// broadcast is Broadcast for a payload carrying catalog object id (0 for
+// none).
+func (r *NodeRuntime) broadcast(from sim.NodeID, payload any, size int, id int32) {
 	for i := 0; i < r.net.NumNodes(); i++ {
 		if sim.NodeID(i) != from {
-			r.send(from, sim.NodeID(i), payload, size)
+			r.send(from, sim.NodeID(i), payload, size, id)
 		}
 	}
 }
@@ -227,15 +279,19 @@ type chainRuntime struct {
 // the index of the network's block catalog.
 func newChainRuntime(s *sim.Simulator, net *sim.Network, nodes int, ids *catalog.Index, confirmedTxs func(txsOnMain, blocksOnMain int) int) *chainRuntime {
 	c := &chainRuntime{confirmedTxs: confirmedTxs}
-	c.netShell = newNetShell(s, net, nodes, ids, c)
+	c.netShell.init(s, net, nodes, ids, c)
 	return c
 }
 
-// has, object and canonical are the chains' history view: a node's store
-// (side and orphan-adopted blocks included — anything attached is
-// servable) and its height-ordered main chain.
+// has, attachedIDs, object and canonical are the chains' history view: a
+// node's store (side and orphan-adopted blocks included — anything
+// attached is servable) and its height-ordered main chain.
 func (c *chainRuntime) has(node sim.NodeID, h hashx.Hash) bool {
 	return c.nodes[node].Store().HasBlock(h)
+}
+
+func (c *chainRuntime) attachedIDs(node sim.NodeID) []uint64 {
+	return c.nodes[node].Store().Attached()
 }
 
 func (c *chainRuntime) object(node sim.NodeID, h hashx.Hash) (any, int, bool) {
@@ -319,7 +375,7 @@ func (c *chainRuntime) publishProduced(idx int, blk *chain.Block) {
 	c.blockCount++
 	c.reached(id)
 	_, _ = c.nodes[idx].ProcessBlock(blk)
-	c.flood(sim.NodeID(idx), blk, blk.Size())
+	c.flood(sim.NodeID(idx), id, blk, blk.Size())
 }
 
 // raceProduce is the γ side of the selfish miner's 1-1 race: while the

@@ -25,13 +25,15 @@ import (
 
 // historyView is what a paradigm tells the shell about one node's ledger:
 // whether it holds an object, the object and its wire size under a hash,
-// its canonical history stream (main chain, account-ordered block stream,
-// attachment-ordered vertex stream) as a length plus an accessor, and its
-// verdict on a first-seen object from a peer: whether to relay it, and
-// the dependency it waits on (zero when none).
+// the catalog ids of the objects it has attached as the words of its id
+// set, its canonical history stream (main chain, account-ordered block
+// stream, attachment-ordered vertex stream) as a length plus an accessor,
+// and its verdict on a first-seen object from a peer: whether to relay
+// it, and the dependency it waits on (zero when none).
 type historyView interface {
 	has(node sim.NodeID, h hashx.Hash) bool
 	object(node sim.NodeID, h hashx.Hash) (obj any, size int, ok bool)
+	attachedIDs(node sim.NodeID) []uint64
 	canonical(node sim.NodeID) (n int, at func(i int) (obj any, size int))
 	apply(node, from sim.NodeID, id int32, obj any) (relay bool, missing hashx.Hash)
 }
@@ -41,8 +43,11 @@ type netShell struct {
 	rt   *NodeRuntime
 	sync *syncManager
 	// ids is the network catalog's index, which numbers an object at its
-	// first sight here or in a ledger; seen is the first-seen gossip
-	// dedup over those ids, one pooled per-node bit matrix (soa.go).
+	// first sight here or in a ledger; seen is one pooled per-node bit
+	// matrix over those ids (soa.go) with two bits per id side by side,
+	// so one word answers both of a send's tests: seenBit is the
+	// first-seen gossip dedup, heldBit marks a seen object the node's
+	// ledger was found to have attached (holds).
 	ids  *catalog.Index
 	seen *bitRows
 	view historyView
@@ -55,18 +60,47 @@ type netShell struct {
 	confirmed bitset.Set
 }
 
-// newNetShell builds the shell over a fresh runtime, a disarmed sync
-// manager and the network catalog's index ids, with the dedup matrix
-// sized for the network's node count.
-func newNetShell(s *sim.Simulator, net *sim.Network, nodes int, ids *catalog.Index, view historyView) netShell {
-	rt := newNodeRuntime(s, net)
-	return netShell{
-		rt:   rt,
-		sync: newSyncManager(rt, view.has),
+// init builds the shell in place over a fresh runtime, a disarmed sync
+// manager and the network catalog's index ids, with the seen matrix sized
+// for the network's node count. In place, because the runtime keeps a
+// pointer to the shell for its holds test.
+func (sh *netShell) init(s *sim.Simulator, net *sim.Network, nodes int, ids *catalog.Index, view historyView) {
+	*sh = netShell{
+		rt:   newNodeRuntime(s, net),
 		ids:  ids,
-		seen: newBitRows(nodes, 256),
+		seen: newBitRows(nodes, 2*256),
 		view: view,
 	}
+	sh.sync = newSyncManager(sh.rt, view.has)
+	sh.rt.holder = sh
+}
+
+// seenBit and heldBit place object id's two bits in a row of seen.
+func seenBit(id int32) int32 { return 2 * id }
+func heldBit(id int32) int32 { return 2*id + 1 }
+
+// holds reports whether node already holds object id, so that a delivery
+// of it would end at its first-seen bit whenever it arrived: the bit is
+// set and the node's ledger has the object attached. Only a parked or
+// queued object is seen and not attached, and only such an object ever
+// loses its bit again (unsee); a ledger never parks what it has attached
+// (a lattice fork loser is detached but not parked), so the answer stays
+// true until the delivery arrives. A positive answer is kept as the held
+// bit, so each node's ledger is asked once per object, mostly in mark,
+// right after it attached the object and while its words are in cache.
+func (s *netShell) holds(node sim.NodeID, id int32) bool {
+	return s.seen.has(int(node), heldBit(id)) || s.seen.has(int(node), seenBit(id)) && s.mark(node, id)
+}
+
+// mark sets object id's held bit at node if its ledger has attached the
+// object, and reports whether it did; receive and flood call it once the
+// ledger has taken the object.
+func (s *netShell) mark(node sim.NodeID, id int32) bool {
+	if !hasID(s.view.attachedIDs(node), id) {
+		return false
+	}
+	s.seen.testSet(int(node), heldBit(id))
+	return true
 }
 
 // id returns h's catalog id, handing one out at first sight.
@@ -113,30 +147,37 @@ func (s *netShell) ColdSyncDone(node int) (time.Duration, bool) {
 
 // receive is the one gossip path: a first-seen object goes to the
 // paradigm's apply, then through react; size is relayed unchanged. A
-// repeat delivery costs one id probe and one bit test.
+// repeat delivery costs one id probe and one bit test, and most repeats
+// never get here: a copy sent to a node that already holds the object is
+// counted at send time and not delivered (NodeRuntime.send).
 func (s *netShell) receive(node, from sim.NodeID, h hashx.Hash, obj any, size int) {
 	id := s.id(h)
-	if s.seen.testSet(int(node), id) {
+	if s.seen.testSet(int(node), seenBit(id)) {
 		return
 	}
 	relay, missing := s.view.apply(node, from, id, obj)
-	s.react(node, from, obj, size, relay, missing)
+	s.react(node, from, id, obj, size, relay, missing)
 }
 
-// react is the tail of an apply verdict, shared by receive and Nano's
-// batch flush: pull the missing dependency from the sender, then relay.
-func (s *netShell) react(node, from sim.NodeID, obj any, size int, relay bool, missing hashx.Hash) {
+// react is the tail of an apply verdict on object id, shared by receive
+// and Nano's batch flush: pull the missing dependency from the sender,
+// then relay.
+func (s *netShell) react(node, from sim.NodeID, id int32, obj any, size int, relay bool, missing hashx.Hash) {
+	s.mark(node, id)
 	if missing != hashx.Zero {
 		s.sync.Pull(node, missing, from)
 	}
 	if relay {
-		s.rt.Relay(node, obj, size)
+		s.rt.relay(node, obj, size, id)
 	}
 }
 
-// unsee clears node's first-seen bit for h, so a re-delivery is processed.
+// unsee clears node's first-seen bit for h, so a re-delivery is processed,
+// and with it the held bit, which only a seen object may carry.
 func (s *netShell) unsee(node sim.NodeID, h hashx.Hash) {
-	s.seen.clear(int(node), s.id(h))
+	id := s.id(h)
+	s.seen.clear(int(node), seenBit(id))
+	s.seen.clear(int(node), heldBit(id))
 }
 
 // stamp records h as made by maker now and returns its id. Injected
@@ -157,18 +198,19 @@ func (s *netShell) stamp(h hashx.Hash, maker sim.NodeID) int32 {
 // paradigm then applies it locally and floods it.
 func (s *netShell) mint(node sim.NodeID, h hashx.Hash) int32 {
 	id := s.stamp(h, node)
-	s.seen.testSet(int(node), id)
+	s.seen.testSet(int(node), seenBit(id))
 	return id
 }
 
-// flood relays a locally made object unless its maker's behavior
-// withholds it (OnProduce).
-func (s *netShell) flood(node sim.NodeID, obj any, size int) {
+// flood relays a locally made object, minted as id, unless its maker's
+// behavior withholds it (OnProduce).
+func (s *netShell) flood(node sim.NodeID, id int32, obj any, size int) {
+	s.mark(node, id)
 	if b := s.rt.BehaviorOf(node); b != nil && !b.OnProduce(node, obj) {
 		s.rt.stats.BlocksWithheld++
 		return
 	}
-	s.rt.Relay(node, obj, size)
+	s.rt.relay(node, obj, size, id)
 }
 
 // bornAt returns when object id was minted; ok is false if nobody did.
@@ -211,7 +253,7 @@ func (s *netShell) serve(node, from sim.NodeID, payload any) {
 		if obj, size, ok := s.view.object(node, msg.Hash); ok {
 			s.sync.stats.BlocksServed++
 			s.sync.stats.BytesServed += int64(size)
-			s.rt.Unicast(node, from, obj, size)
+			s.rt.send(node, from, obj, size, s.id(msg.Hash))
 		}
 	case *rangeRequest:
 		n, at := s.view.canonical(node)
@@ -243,7 +285,7 @@ func (s *netShell) sendHistory(from, to int) {
 	n, at := s.view.canonical(sim.NodeID(from))
 	for i := 0; i < n; i++ {
 		obj, size := at(i)
-		s.rt.Unicast(sim.NodeID(from), sim.NodeID(to), obj, size)
+		s.rt.send(sim.NodeID(from), sim.NodeID(to), obj, size, s.objectID(obj))
 	}
 }
 
@@ -254,8 +296,14 @@ func (s *netShell) broadcastHistory(node int) {
 	n, at := s.view.canonical(sim.NodeID(node))
 	for i := 0; i < n; i++ {
 		obj, size := at(i)
-		s.rt.Broadcast(sim.NodeID(node), obj, size)
+		s.rt.broadcast(sim.NodeID(node), obj, size, s.objectID(obj))
 	}
+}
+
+// objectID returns the catalog id of a ledger object from a canonical
+// stream.
+func (s *netShell) objectID(obj any) int32 {
+	return s.id(obj.(interface{ Hash() hashx.Hash }).Hash())
 }
 
 // faultReactor is what a paradigm adds to the fault scheduler: its

@@ -100,6 +100,21 @@ func (r *bitRows) testSet(node int, id int32) bool {
 	return was
 }
 
+// has reports whether id is set for node.
+func (r *bitRows) has(node int, id int32) bool {
+	w := int(id) / 64
+	return w < r.stride && r.words[node*r.stride+w]&(1<<(uint(id)%64)) != 0
+}
+
+// hasID reports whether id's bit is set in words, a ledger's id set as
+// the history view hands it over (attachedIDs). The test is spelled out
+// here, not borrowed from the ledger's set type, so the per-send elision
+// check runs in this package's frames.
+func hasID(words []uint64, id int32) bool {
+	w := int(id) / 64
+	return w < len(words) && words[w]&(1<<(uint(id)%64)) != 0
+}
+
 // clear unsets id for node.
 func (r *bitRows) clear(node int, id int32) {
 	if w := int(id) / 64; w < r.stride {

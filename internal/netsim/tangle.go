@@ -123,7 +123,7 @@ func NewTangle(cfg TangleConfig) (*TangleNet, error) {
 		ring: ring,
 		seqs: make([]uint64, cfg.Accounts),
 	}
-	n.netShell = newNetShell(s, net, cfg.Net.Nodes, first.Index(), n)
+	n.netShell.init(s, net, cfg.Net.Nodes, first.Index(), n)
 	n.metrics.ConfirmLatency.SetBudget(cfg.Net.SampleBudget)
 	for i := 0; i < cfg.Net.Nodes; i++ {
 		tg := first
@@ -142,10 +142,12 @@ func NewTangle(cfg TangleConfig) (*TangleNet, error) {
 // Observer returns node 0's replica.
 func (n *TangleNet) Observer() *tangle.Tangle { return n.nodes[0].tg }
 
-// has, object and canonical are the tangle's history view: a node's
+// has, attachedIDs, object and canonical are the tangle's history view: a node's
 // attached vertices and its attachment-ordered vertex stream, a
 // topological order by construction.
 func (n *TangleNet) has(node sim.NodeID, h hashx.Hash) bool { return n.nodes[node].tg.Has(h) }
+
+func (n *TangleNet) attachedIDs(node sim.NodeID) []uint64 { return n.nodes[node].tg.Attached() }
 
 func (n *TangleNet) object(node sim.NodeID, h hashx.Hash) (any, int, bool) {
 	v, ok := n.nodes[node].tg.Get(h)
@@ -221,12 +223,12 @@ func (n *TangleNet) selectTips(node *tangleNode) (hashx.Hash, hashx.Hash) {
 // unless the issuer's behavior withholds it (the parasite chain keeps
 // its sub-tangle private until release).
 func (n *TangleNet) publish(node *tangleNode, v *tangle.Vertex) {
-	n.mint(node.id, v.Hash())
+	id := n.mint(node.id, v.Hash())
 	res := node.tg.Attach(v)
 	if res.Status == tangle.Accepted {
 		n.noteConfirmed(node, res.Confirmed)
 	}
-	n.flood(node.id, v, v.EncodedSize())
+	n.flood(node.id, id, v, v.EncodedSize())
 }
 
 // SubmitTransfer schedules a payment: at p.At the sender's owner node

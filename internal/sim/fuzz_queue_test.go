@@ -1,33 +1,59 @@
 package sim
 
-// Fuzz oracle for the event queue: a byte-coded schedule / cancel /
-// Run(n) / RunUntil program runs on the Simulator and on a naive model
-// — a slice of (at, live) entries in schedule order, scanned for the
-// minimum — and pop transcript, EventsRun, Pending and Now must agree
-// after every step. A heap sift bug, a wrong tie-break, an item filed
-// into the wrong tier or lost moving between tiers, a stale entry that
-// executes or a cancel that reaches a reused slot is a divergence.
+// Fuzz oracle for the event queue: a byte-coded schedule / elide /
+// cancel / Run(n) / RunUntil program runs on the Simulator and on a naive
+// model — a slice of (at, live, elided) entries in schedule order,
+// scanned for the minimum — and pop transcript, EventsRun, Pending and
+// Now must agree after every step, and EventsRun and Pending also inside
+// every event. A heap sift bug, a wrong tie-break, an item filed into the
+// wrong tier or lost moving between tiers, a stale entry that executes, a
+// cancel that reaches a reused slot, or an elided arrival counted early,
+// late, twice or never is a divergence.
 
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 	"time"
 )
 
 // modelQueue is the reference: no heap, no tiers, no arena, no
-// generations. An event's index is its schedule sequence number.
+// generations, no bag. An entry's index is its schedule sequence number.
+// An elided arrival is an entry that runs before any scheduled event at
+// its instant and counts as executed as soon as the clock reaches it.
 type modelQueue struct {
-	now   time.Duration
-	at    []time.Duration
-	live  []bool
-	trace []string // one "index@time" entry per executed event
+	now    time.Duration
+	at     []time.Duration
+	live   []bool
+	elided []bool
+	ran    uint64   // entries executed
+	trace  []string // one "index@time" entry per executed event
+	inside []string // EventsRun and Pending as "ran/pending" inside each
 }
 
-func (m *modelQueue) schedule(at time.Duration) {
+func (m *modelQueue) schedule(at time.Duration) { m.add(at, false) }
+
+func (m *modelQueue) elide(at time.Duration) { m.add(at, true) }
+
+func (m *modelQueue) add(at time.Duration, elided bool) {
 	m.at = append(m.at, max(at, m.now))
 	m.live = append(m.live, true)
+	m.elided = append(m.elided, elided)
 }
+
+// reached counts the live elided arrivals the clock has reached: already
+// executed as far as EventsRun and Pending are concerned.
+func (m *modelQueue) reached() (n int) {
+	for i, l := range m.live {
+		if l && m.elided[i] && m.at[i] <= m.now {
+			n++
+		}
+	}
+	return n
+}
+
+func (m *modelQueue) eventsRun() uint64 { return m.ran + uint64(m.reached()) }
 
 func (m *modelQueue) pending() (n int) {
 	for _, l := range m.live {
@@ -35,17 +61,29 @@ func (m *modelQueue) pending() (n int) {
 			n++
 		}
 	}
-	return n
+	return n - m.reached()
 }
 
-// drain executes live events in (at, index) order until limit have run
-// (0 = no limit) or the next one lies after until.
+// before orders entries i and j: time, then elided arrivals first, then
+// index.
+func (m *modelQueue) before(i, j int) bool {
+	if m.at[i] != m.at[j] {
+		return m.at[i] < m.at[j]
+	}
+	if m.elided[i] != m.elided[j] {
+		return m.elided[i]
+	}
+	return i < j
+}
+
+// drain executes live entries in order until limit have run (0 = no
+// limit) or the next one lies after until.
 func (m *modelQueue) drain(limit uint64, until time.Duration) {
 	for n := uint64(0); limit == 0 || n < limit; n++ {
 		best := -1
 		for i, l := range m.live {
-			if l && (best < 0 || m.at[i] < m.at[best]) {
-				best = i // equal times keep the earlier index
+			if l && (best < 0 || m.before(i, best)) {
+				best = i
 			}
 		}
 		if best < 0 || m.at[best] > until {
@@ -53,7 +91,11 @@ func (m *modelQueue) drain(limit uint64, until time.Duration) {
 		}
 		m.live[best] = false
 		m.now = m.at[best]
-		m.trace = append(m.trace, fmt.Sprintf("%d@%v", best, m.now))
+		m.ran++
+		if !m.elided[best] {
+			m.trace = append(m.trace, fmt.Sprintf("%d@%v", best, m.now))
+			m.inside = append(m.inside, fmt.Sprintf("%d/%d", m.eventsRun(), m.pending()))
+		}
 	}
 }
 
@@ -75,7 +117,10 @@ func sameTrace(t *testing.T, got, want []string) {
 //	0–7     RunUntil(now + untilSpans[op])
 //	8–15    Run(op % 8)
 //	16–19   Cancel(forgedIDs[op-16]): ids no schedule returned
-//	20–63   Cancel an earlier id (Run(op % 8) while there is none)
+//	20–55   Cancel an earlier id (Run(op % 8) while there is none)
+//	56–59   elide at an absolute time on grid op-56, k steps of it given
+//	        by the next byte mod 48 (elideOp); a last byte does nothing
+//	60–63   as 20–55
 //	64–255  At an absolute time on one of four grids (schedOp), from
 //	        the current bucket through minutes ahead
 var (
@@ -89,6 +134,9 @@ var (
 // overlap (1 ms × 28 = 7 ms × 4; 250 ms × 20 = 5 s), so equal times
 // arise from different bytes as well as repeated ones.
 func schedOp(g, k int) byte { return byte(64 + 48*g + k) }
+
+// elideOp encodes "elide at k steps of grid g", the two bytes 56+g, k.
+func elideOp(g, k int) []byte { return []byte{byte(56 + g), byte(k)} }
 
 // tierOf names the tier the simulator files an item scheduled at at
 // into, by the same rule push applies.
@@ -113,12 +161,20 @@ type reach struct {
 	farToRing bool // a live item filed into far came within the ring's span, a later item behind it
 	zeroID    bool // Cancel(0) with a live event in slot 0
 	forged    bool // Cancel of an id whose slot field was never issued
+	elideBag  bool // an elided arrival filed straight into the current bucket's bag
+	elideRing bool // an elided arrival filed into the ring
+	elideFar  bool // an elided arrival filed into far
+	elideTie  bool // an elided arrival filed with the same time as a live scheduled event
+	elideCut  bool // a RunUntil cut left an elided arrival of its own bucket uncounted
+	elideNow  bool // an elided arrival clamped to now on an empty queue
 }
 
 func (r *reach) or(o reach) {
 	r.ring, r.farAhead, r.minutes = r.ring || o.ring, r.farAhead || o.farAhead, r.minutes || o.minutes
 	r.stopShort, r.crossTie, r.farToRing = r.stopShort || o.stopShort, r.crossTie || o.crossTie, r.farToRing || o.farToRing
 	r.zeroID, r.forged = r.zeroID || o.zeroID, r.forged || o.forged
+	r.elideBag, r.elideRing, r.elideFar = r.elideBag || o.elideBag, r.elideRing || o.elideRing, r.elideFar || o.elideFar
+	r.elideTie, r.elideCut, r.elideNow = r.elideTie || o.elideTie, r.elideCut || o.elideCut, r.elideNow || o.elideNow
 }
 
 // runPopProgram runs ops on a Simulator and on the model in lockstep,
@@ -127,20 +183,41 @@ func runPopProgram(t *testing.T, ops []byte) (r reach) {
 	t.Helper()
 	s := New(1)
 	m := &modelQueue{}
-	var trace []string
+	var trace, inside []string
 	var ids []EventID
 	var filed []int // tier each event was filed into
 	short := false  // the last RunUntil left cur past now's bucket
 	check := func(step int) {
 		t.Helper()
-		if s.EventsRun() != uint64(len(m.trace)) || s.Pending() != m.pending() || s.Now() != m.now {
+		if s.EventsRun() != m.eventsRun() || s.Pending() != m.pending() || s.Now() != m.now {
 			t.Fatalf("after op %d: ran=%d pending=%d now=%v, model ran=%d pending=%d now=%v",
-				step, s.EventsRun(), s.Pending(), s.Now(), len(m.trace), m.pending(), m.now)
+				step, s.EventsRun(), s.Pending(), s.Now(), m.eventsRun(), m.pending(), m.now)
 		}
 		sameTrace(t, trace, m.trace)
+		sameTrace(t, inside, m.inside)
 	}
-	for i, op := range ops {
+	for i := 0; i < len(ops); i++ {
+		op := ops[i]
 		switch {
+		case op >= 56 && op < 60:
+			if i+1 == len(ops) {
+				break
+			}
+			i++
+			g := int(op - 56)
+			at := time.Duration(int(ops[i])%48) * schedGrids[g]
+			tier := tierOf(s, at)
+			for j, l := range m.live {
+				r.elideTie = r.elideTie || l && !m.elided[j] && m.at[j] == max(at, s.now)
+			}
+			r.elideNow = r.elideNow || at < s.now && m.pending() == 0
+			r.elideBag = r.elideBag || tier == 0
+			r.elideRing = r.elideRing || tier == 1
+			r.elideFar = r.elideFar || tier == 2
+			s.elide(at)
+			m.elide(at)
+			filed = append(filed, tier)
+			ids = append(ids, 0) // keeps ids aligned with the model's indices
 		case op >= 64:
 			v := int(op - 64)
 			at := time.Duration(v%48) * schedGrids[v/48]
@@ -156,6 +233,7 @@ func runPopProgram(t *testing.T, ops []byte) (r reach) {
 			tag := len(ids)
 			ids = append(ids, s.At(at, func() {
 				trace = append(trace, fmt.Sprintf("%d@%v", tag, s.Now()))
+				inside = append(inside, fmt.Sprintf("%d/%d", s.EventsRun(), s.Pending()))
 			}))
 			filed = append(filed, tier)
 			m.schedule(at)
@@ -165,8 +243,12 @@ func runPopProgram(t *testing.T, ops []byte) (r reach) {
 			s.Cancel(forgedIDs[op-16])
 		case op >= 20 && len(ids) > 0:
 			// Cancel any earlier id: pending, already run (its slot
-			// possibly reused since) or already canceled.
+			// possibly reused since) or already canceled. An elided
+			// arrival has no id, and canceling it is no op.
 			victim := int(op) % len(ids)
+			if m.elided[victim] {
+				break
+			}
 			s.Cancel(ids[victim])
 			m.live[victim] = false
 		case op >= 8:
@@ -178,6 +260,9 @@ func runPopProgram(t *testing.T, ops []byte) (r reach) {
 			m.drain(0, until)
 			m.now = max(m.now, until)
 			short = s.cur > bucketOf(s.now)
+			for j, l := range m.live {
+				r.elideCut = r.elideCut || l && m.elided[j] && bucketOf(m.at[j]) == bucketOf(until)
+			}
 		}
 		last := int64(-1) // the latest live bucket
 		for j, l := range m.live {
@@ -212,6 +297,14 @@ var popSeeds = [][]byte{
 	// Far to ring: 280 ms is past the ring at 0; running 70 ms makes it
 	// fit, and 329 ms then lands in the ring behind it.
 	{schedOp(1, 40), schedOp(1, 10), 9, schedOp(1, 47)},
+	// Elided arrivals: at 0 into the bag, at 3 ms into the ring tied with
+	// a scheduled event, 10 s into far, and 22 ms past a RunUntil cut at
+	// 21 ms in the same bucket; then Run(1) steps and a full drain.
+	slices.Concat(elideOp(0, 0), []byte{schedOp(0, 3)}, elideOp(0, 3), elideOp(3, 2), elideOp(0, 22),
+		[]byte{2, 2, 2, 2, 1, 9, 9, 8}),
+	// A RunUntil 75 s past an empty queue, then an elided arrival at a
+	// past time: clamped to now, it counts at once.
+	slices.Concat([]byte{schedOp(0, 1), 7}, elideOp(0, 1), []byte{0}),
 }
 
 func TestPopOrderSeedsReachEveryTier(t *testing.T) {
@@ -219,7 +312,7 @@ func TestPopOrderSeedsReachEveryTier(t *testing.T) {
 	for _, ops := range popSeeds {
 		all.or(runPopProgram(t, ops))
 	}
-	if all != (reach{true, true, true, true, true, true, true, true}) {
+	if all != (reach{true, true, true, true, true, true, true, true, true, true, true, true, true, true}) {
 		t.Fatalf("seed corpus reaches %+v; every field must be true", all)
 	}
 }

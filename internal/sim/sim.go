@@ -19,10 +19,20 @@
 // slot index plus a generation counter, so Cancel is an O(1) generation
 // check — no per-event map, and canceling an event that already ran (its
 // slot's generation has moved on) is a safe no-op.
+//
+// A delivery the sender knows the receiver will drop unseen
+// (Network.SendDuplicate) is counted, not scheduled: it draws its loss
+// and delay like any send, but enters the queue as an elided arrival, a
+// bare time with no slot and no sequence number, kept out of the near
+// heap. It runs nothing. It counts as an executed event once the clock
+// reaches its time, before any event scheduled for the same instant, so
+// EventsRun, Pending, Run and Now read as if the delivery had run and
+// done nothing.
 package sim
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"math/rand"
 	"time"
@@ -60,7 +70,8 @@ type slot struct {
 }
 
 // heapItem is one pending-queue entry. Ordering state (time, sequence)
-// lives here by value; the slot holds only what the event executes.
+// lives here by value; the slot holds only what the event executes. In
+// the ring and far tiers an elided arrival is an item with slot -1.
 type heapItem struct {
 	at   time.Duration
 	seq  uint64
@@ -113,6 +124,15 @@ type chain struct{ head, tail int32 }
 // Every near item precedes every ring item, and every ring item every far
 // item, so near[0] is the queue's head while near is non-empty. When near
 // runs dry, refill makes the next occupied bucket current.
+//
+// Elided arrivals ride in the ring and far tiers as items with slot -1,
+// but never enter near. When refill makes a bucket that holds one current
+// (elidedIn), it packs the bucket's elided arrivals at the front of its
+// chain and joins what is left of the chain to bag, an unordered chain of
+// the current and earlier buckets' elided arrivals. There they wait until
+// the refill that leaves their bucket, or a RunUntil cut past them,
+// counts them. While an event runs, EventsRun and Pending count the bag's
+// arrivals at or before now on the fly.
 type Simulator struct {
 	now     time.Duration
 	nextSeq uint64
@@ -121,14 +141,18 @@ type Simulator struct {
 	nFree   int
 	rng     *rand.Rand
 	ran     uint64
+	elided  int // elided arrivals not yet counted
 
 	cur       int64
 	near      []heapItem
 	ring      [ringBuckets]chain
 	occ       [ringBuckets / 64]uint64
+	elidedIn  [ringBuckets / 64]uint64 // ring buckets holding an elided arrival
 	chunks    []chunk
 	freeChunk int32
 	far       []heapItem
+	bag       chain // meaningful only while bagN > 0
+	bagN      int
 }
 
 // New creates a simulator whose randomness derives entirely from seed.
@@ -143,11 +167,37 @@ func (s *Simulator) Now() time.Duration { return s.now }
 func (s *Simulator) Rand() *rand.Rand { return s.rng }
 
 // EventsRun returns how many events have executed, a cheap progress and
-// runaway-loop indicator.
-func (s *Simulator) EventsRun() uint64 { return s.ran }
+// runaway-loop indicator. The count is logical: an elided arrival counts
+// as executed once the clock has reached its time.
+func (s *Simulator) EventsRun() uint64 { return s.ran + uint64(s.reached()) }
 
-// Pending returns the number of events still scheduled to run.
-func (s *Simulator) Pending() int { return len(s.slots) - s.nFree }
+// Pending returns the number of events still scheduled to run. The count
+// is logical: it includes the elided arrivals the clock has not reached.
+func (s *Simulator) Pending() int { return len(s.slots) - s.nFree + s.elided - s.reached() }
+
+// reached returns how many of the bag's elided arrivals lie at or before
+// now.
+func (s *Simulator) reached() (n int) {
+	s.eachBagged(func(it heapItem) {
+		if it.at <= s.now {
+			n++
+		}
+	})
+	return n
+}
+
+// eachBagged calls fn for every elided arrival in the bag.
+func (s *Simulator) eachBagged(fn func(heapItem)) {
+	if s.bagN == 0 {
+		return
+	}
+	for c := s.bag.head; c >= 0; c = s.chunks[c].next {
+		k := &s.chunks[c]
+		for _, it := range k.items[:k.n] {
+			fn(it)
+		}
+	}
+}
 
 // alloc takes a slot off the free list, growing the arena when empty.
 func (s *Simulator) alloc() int32 {
@@ -182,6 +232,80 @@ func (s *Simulator) schedule(t time.Duration, sl slot) EventID {
 	s.push(heapItem{at: t, seq: s.nextSeq, slot: idx, gen: sl.gen})
 	s.nextSeq++
 	return EventID(uint64(uint32(idx)+1)<<32 | uint64(sl.gen))
+}
+
+// elide queues an elided arrival at time t: a logical event with no slot,
+// counted once the clock reaches it.
+func (s *Simulator) elide(t time.Duration) {
+	if t < s.now {
+		t = s.now
+	}
+	s.elided++
+	if it := (heapItem{at: t, slot: -1}); bucketOf(t) > s.cur {
+		s.push(it)
+	} else {
+		s.bagAdd(it)
+	}
+}
+
+// bagAdd appends one elided arrival to the bag.
+func (s *Simulator) bagAdd(it heapItem) {
+	if s.bagN == 0 {
+		c := s.newChunk()
+		s.bag = chain{head: c, tail: c}
+	}
+	s.chainAppend(&s.bag, it)
+	s.bagN++
+}
+
+// count counts at most most of the bag's elided arrivals at or before
+// limit as executed, advancing the clock to the latest. A negative limit
+// counts nothing.
+func (s *Simulator) count(limit time.Duration, most int) {
+	if s.bagN == 0 || limit < 0 {
+		return
+	}
+	n := 0
+	s.bag, s.bagN = s.pack(s.bag, func(it heapItem) bool {
+		if n == most || it.at > limit {
+			return false
+		}
+		n++
+		s.now = max(s.now, it.at)
+		return true
+	})
+	s.ran += uint64(n)
+	s.elided -= n
+}
+
+// pack hands every item of chain ch to take and packs the ones it
+// declines at the front of the chain, freeing the chunks that empties. It
+// returns what is left of the chain and how many items that holds.
+func (s *Simulator) pack(ch chain, take func(heapItem) bool) (chain, int) {
+	kept := 0
+	w, wn := ch.head, int32(0) // where the next kept item goes
+	for c := ch.head; c >= 0; c = s.chunks[c].next {
+		k := &s.chunks[c]
+		for _, it := range k.items[:k.n] {
+			if take(it) {
+				continue
+			}
+			if wn == chunkItems {
+				s.chunks[w].n = chunkItems
+				w, wn = s.chunks[w].next, 0
+			}
+			s.chunks[w].items[wn] = it
+			wn++
+			kept++
+		}
+	}
+	if kept == 0 {
+		s.freeChain(ch.head)
+		return chain{}, 0
+	}
+	s.freeChain(s.chunks[w].next)
+	s.chunks[w].n, s.chunks[w].next = wn, -1
+	return chain{head: ch.head, tail: w}, kept
 }
 
 // At schedules fn to run at absolute virtual time t. Times in the past are
@@ -220,7 +344,7 @@ func (s *Simulator) push(it heapItem) {
 }
 
 // ringAppend appends an item to ring bucket b's chain, taking a fresh
-// chunk when the bucket is empty or its last chunk is full.
+// chunk when the bucket is empty.
 func (s *Simulator) ringAppend(b int64, it heapItem) {
 	i := int(b & (ringBuckets - 1))
 	bit := uint64(1) << (i & 63)
@@ -228,14 +352,34 @@ func (s *Simulator) ringAppend(b int64, it heapItem) {
 		s.occ[i>>6] |= bit
 		c := s.newChunk()
 		s.ring[i] = chain{head: c, tail: c}
-	} else if s.chunks[s.ring[i].tail].n == chunkItems {
-		c := s.newChunk()
-		s.chunks[s.ring[i].tail].next = c
-		s.ring[i].tail = c
 	}
-	k := &s.chunks[s.ring[i].tail]
+	if it.slot < 0 {
+		s.elidedIn[i>>6] |= bit
+	}
+	s.chainAppend(&s.ring[i], it)
+}
+
+// chainAppend appends an item to a chain, taking a fresh chunk when its
+// last one is full.
+func (s *Simulator) chainAppend(ch *chain, it heapItem) {
+	if s.chunks[ch.tail].n == chunkItems {
+		c := s.newChunk()
+		s.chunks[ch.tail].next = c
+		ch.tail = c
+	}
+	k := &s.chunks[ch.tail]
 	k.items[k.n] = it
 	k.n++
+}
+
+// freeChain returns the chunks from c to the end of its chain to the free
+// list.
+func (s *Simulator) freeChain(c int32) {
+	for c >= 0 {
+		next := s.chunks[c].next
+		s.chunks[c].next, s.freeChunk = s.freeChunk, c
+		c = next
+	}
 }
 
 // newChunk takes an empty chunk off the free list, growing the arena
@@ -268,20 +412,34 @@ func (s *Simulator) nextOccupied() (int64, bool) {
 }
 
 // refill makes the next occupied bucket current once near has run dry:
-// that bucket's chain and any far items in it become the near heap, and
-// far items that now fit the ring move into it. It reports false when
-// the queue holds nothing at all.
-func (s *Simulator) refill() bool {
+// that bucket's scheduled items and any far items in it become the near
+// heap, its elided arrivals join the bag, and far items that now fit the
+// ring move into it. First it counts the bag up to limit: the bucket it
+// leaves holds no more events, and everything refill files lies later. It
+// reports false when nothing is left to file.
+func (s *Simulator) refill(limit time.Duration) bool {
+	s.count(limit, math.MaxInt)
 	if d, ok := s.nextOccupied(); ok {
 		s.cur += 1 + d
 		i := int(s.cur & (ringBuckets - 1))
-		s.occ[i>>6] &^= uint64(1) << (i & 63)
-		for c := s.ring[i].head; c >= 0; {
-			k := &s.chunks[c]
-			s.near = append(s.near, k.items[:k.n]...)
-			next := k.next
-			k.next, s.freeChunk = s.freeChunk, c
-			c = next
+		bit := uint64(1) << (i & 63)
+		s.occ[i>>6] &^= bit
+		if s.elidedIn[i>>6]&bit == 0 {
+			for c := s.ring[i].head; c >= 0; c = s.chunks[c].next {
+				k := &s.chunks[c]
+				s.near = append(s.near, k.items[:k.n]...)
+			}
+			s.freeChain(s.ring[i].head)
+		} else {
+			s.elidedIn[i>>6] &^= bit
+			rest, n := s.pack(s.ring[i], func(it heapItem) bool {
+				if it.slot < 0 {
+					return false
+				}
+				s.near = append(s.near, it)
+				return true
+			})
+			s.bagJoin(rest, n)
 		}
 	} else if len(s.far) > 0 {
 		s.cur = bucketOf(s.far[0].at)
@@ -291,20 +449,38 @@ func (s *Simulator) refill() bool {
 	for len(s.far) > 0 && bucketOf(s.far[0].at) < s.cur+ringBuckets {
 		it := s.far[0]
 		s.far = heapPop(s.far)
-		if b := bucketOf(it.at); b == s.cur {
-			s.near = append(s.near, it)
-		} else {
+		switch b := bucketOf(it.at); {
+		case b != s.cur:
 			s.ringAppend(b, it)
+		case it.slot < 0:
+			s.bagAdd(it)
+		default:
+			s.near = append(s.near, it)
 		}
 	}
 	heapify(s.near)
 	return true
 }
 
+// bagJoin joins chain ch of n elided arrivals to the bag.
+func (s *Simulator) bagJoin(ch chain, n int) {
+	switch {
+	case n == 0:
+		return
+	case s.bagN == 0:
+		s.bag = ch
+	default:
+		s.chunks[s.bag.tail].next = ch.head
+		s.bag.tail = ch.tail
+	}
+	s.bagN += n
+}
+
 // peek drops stale (canceled) entries off the near heap's head, refilling
-// it as it runs dry, and reports whether a live event remains; when it
-// does, s.near[0] is the next event in (time, sequence) order.
-func (s *Simulator) peek() bool {
+// it (and counting elided arrivals up to limit) as it runs dry, and
+// reports whether a live scheduled event remains; when it does, s.near[0]
+// is the next one in (time, sequence) order.
+func (s *Simulator) peek(limit time.Duration) bool {
 	for {
 		for len(s.near) > 0 {
 			if h := s.near[0]; s.slots[h.slot].gen == h.gen {
@@ -312,7 +488,7 @@ func (s *Simulator) peek() bool {
 			}
 			s.near = heapPop(s.near)
 		}
-		if !s.refill() {
+		if !s.refill(limit) {
 			return false
 		}
 	}
@@ -338,8 +514,16 @@ func (s *Simulator) step() {
 }
 
 // Step executes the next event, if any, advancing the clock to its time.
+// An elided arrival is one event.
 func (s *Simulator) Step() bool {
-	if !s.peek() {
+	live := s.peek(-1) // counts nothing: the bag may hold the next event
+	first := time.Duration(math.MaxInt64)
+	s.eachBagged(func(it heapItem) { first = min(first, it.at) })
+	if s.bagN > 0 && (!live || first <= s.near[0].at) {
+		s.count(first, 1)
+		return true
+	}
+	if !live {
 		return false
 	}
 	s.step()
@@ -398,13 +582,17 @@ func siftDown(q []heapItem, i int) {
 }
 
 // Run executes events until the queue drains or maxEvents have run;
-// maxEvents <= 0 means no limit. It returns the number of events executed.
+// maxEvents 0 means no limit. It returns the number of events executed.
+// Both counts are logical: an elided arrival is one event.
 func (s *Simulator) Run(maxEvents uint64) uint64 {
 	start := s.ran
-	for maxEvents <= 0 || s.ran-start < maxEvents {
-		if !s.Step() {
-			break
+	if maxEvents == 0 {
+		for s.peek(math.MaxInt64) {
+			s.step()
 		}
+		return s.ran - start
+	}
+	for s.ran-start < maxEvents && s.Step() {
 	}
 	return s.ran - start
 }
@@ -412,11 +600,15 @@ func (s *Simulator) Run(maxEvents uint64) uint64 {
 // RunUntil executes all events scheduled up to and including t, then sets
 // the clock to t.
 func (s *Simulator) RunUntil(t time.Duration) {
-	for s.peek() && s.near[0].at <= t {
+	for s.peek(t) && s.near[0].at <= t {
 		s.step()
 	}
+	s.count(t, math.MaxInt)
 	if s.now < t {
 		s.now = t
+		// With the queue empty, cur may lie before now's bucket; an
+		// elided arrival at now must still land in the bag.
+		s.cur = max(s.cur, bucketOf(t))
 	}
 }
 
@@ -542,6 +734,10 @@ type NetStats struct {
 	// LossDropped counts messages lost to the runtime loss hook
 	// (SetLossRate), on top of the link model's own drops.
 	LossDropped int
+	// Elided counts sent messages that were counted, not scheduled,
+	// because the receiver already held the payload (SendDuplicate).
+	// They are part of MessagesSent and BytesSent.
+	Elided int
 }
 
 // Network connects handlers through a link model on a simulator. Optional
@@ -699,32 +895,63 @@ func (n *Network) Stats() NetStats { return n.stats }
 // Delivery is scheduled on the simulator; the handler runs at arrival time
 // (plus queueing when a processing model is installed).
 func (n *Network) Send(from, to NodeID, payload any, size int) {
+	if arrival, ok := n.route(from, to, size); ok {
+		// Scheduled as a kindDeliver slot, not a closure: this is the
+		// hottest allocation site of every gossip flood.
+		n.sim.schedule(arrival, slot{kind: kindDeliver, net: n, from: from, to: to, payload: payload, size: size})
+	}
+}
+
+// SendDuplicate is Send for a payload the caller knows the receiver will
+// drop unseen on arrival, with no side effect but the event itself. It
+// applies Send's drops and draws the same randomness in the same order,
+// and a message that survives counts in MessagesSent and BytesSent, but
+// its arrival is elided: queued as a bare logical event that runs no
+// handler (see the package doc). It reports the arrival time and
+// whether the arrival was elided. With a processing model installed a
+// duplicate still costs the receiver its processing time, so the message
+// is sent as by Send and false is returned.
+func (n *Network) SendDuplicate(from, to NodeID, payload any, size int) (time.Duration, bool) {
+	if n.procCost != nil {
+		n.Send(from, to, payload, size)
+		return 0, false
+	}
+	arrival, ok := n.route(from, to, size)
+	if ok {
+		n.stats.Elided++
+		n.sim.elide(arrival)
+	}
+	return arrival, ok
+}
+
+// route is the send-time half of every message: the drop checks in
+// precedence order (churn, partition, loss hook, link model), each loss
+// counted once, then the traffic counters. It returns the arrival time
+// of a message that survives.
+func (n *Network) route(from, to NodeID, size int) (time.Duration, bool) {
 	if int(to) >= len(n.handlers) || n.handlers[to] == nil {
-		return
+		return 0, false
 	}
 	if n.detached[from] || n.detached[to] {
 		n.stats.ChurnDropped++
-		return
+		return 0, false
 	}
 	if n.group[from] != n.group[to] {
 		n.stats.Partitioned++
-		return
+		return 0, false
 	}
 	if n.lossRate > 0 && n.sim.rng.Float64() < n.lossRate {
 		n.stats.LossDropped++
-		return
+		return 0, false
 	}
 	delay, ok := n.links.Delay(n.sim.rng, from, to, size)
 	if !ok {
 		n.stats.Dropped++
-		return
+		return 0, false
 	}
 	n.stats.MessagesSent++
 	n.stats.BytesSent += int64(size)
-	arrival := n.sim.Now() + delay
-	// Scheduled as a kindDeliver slot, not a closure: this is the hottest
-	// allocation site of every gossip flood.
-	n.sim.schedule(arrival, slot{kind: kindDeliver, net: n, from: from, to: to, payload: payload, size: size})
+	return n.sim.Now() + delay, true
 }
 
 // deliver runs the destination handler, honoring the processing budget.

@@ -496,6 +496,11 @@ func (t *Tangle) SelectTips(rng *rand.Rand) (hashx.Hash, hashx.Hash) {
 	return t.HashOf(a), t.HashOf(b)
 }
 
+// Attached returns the catalog ids of the vertices attached here (parked
+// vertices excluded), the replica's own set rather than a copy: read it,
+// do not keep it, since a later attach may grow it into a new array.
+func (t *Tangle) Attached() bitset.Set { return t.attached }
+
 // Has reports whether the vertex is attached.
 func (t *Tangle) Has(h hashx.Hash) bool {
 	_, ok := t.lookup(h)
