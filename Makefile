@@ -2,7 +2,7 @@
 # agree on what "green" means.
 GO ?= go
 
-.PHONY: build test examples race fuzz cover bench bench-commit bench-gate lint all
+.PHONY: build test examples race fuzz cover bench bench-commit bench-gate trace-shares lint all
 
 all: lint build test
 
@@ -101,6 +101,24 @@ bench-commit:
 # against the committed baseline.
 bench-gate:
 	$(GO) run ./cmd/dltbench -bench-compare $(BENCH_BASELINE) -bench-time 250ms
+
+# Traced scale-gossip runs at seeds 1-10, one line each: the share of
+# CPU samples the harness attributes to a layer (a run fails below
+# 0.95), the run's exit status and the five heaviest leaf functions no
+# layer claims, with their samples. 80–150 s on 2 vCPUs, so it is
+# neither part of test nor of CI.
+trace-shares:
+	@for s in 1 2 3 4 5 6 7 8 9 10; do \
+		out="$$(bash benchmark/run.sh --workload scale-gossip --trace 1 --seed $$s 2>&1)"; code=$$?; \
+		share="$$(printf '%s\n' "$$out" | awk '$$1 == "trace.attributed_share" { printf "%.3f", $$2 }')"; \
+		leaves=""; \
+		if [ -n "$$share" ]; then \
+			leaves="$$(awk -F '": ' '/"unattributed": \{/ { on = 1; next } on && /^ *\},?$$/ { on = 0 } \
+				on { sub(/^ *"/, "", $$1); sub(/,$$/, "", $$2); print $$2 "\t" $$1 }' benchmark/out/trace-scale-gossip.json | \
+				sort -rn | head -5 | awk -F '\t' '{ printf "%s%s×%s", (NR > 1 ? ", " : ""), $$2, $$1 }')"; \
+		fi; \
+		echo "seed $$s share $${share:-none} exit $$code unclaimed: $$leaves"; \
+	done
 
 lint:
 	$(GO) vet ./...

@@ -9,8 +9,10 @@
 // (time, sequence) order, so runs are reproducible bit-for-bit from a seed.
 //
 // The event queue is allocation-free on its hot path: pending events
-// live in a reusable slot arena, and network deliveries are stored as
-// slot fields rather than closures. The queue's entries are split by
+// live in a reusable slot arena of 40-byte slots, and network deliveries
+// are stored as slot fields rather than closures. The slot arena and the
+// queue's chunk arena grow by fixed pages of about 64 KB, so growth
+// allocates one page and copies nothing. The queue's entries are split by
 // 2²⁰-ns bucket (about 1 ms) into three tiers: a small binary heap for
 // the current bucket and any earlier one, a ring of 256 unsorted buckets
 // (about 268 ms, the span of link delays) and a heap for anything later.
@@ -51,22 +53,23 @@ type slotKind uint8
 
 const (
 	kindFree    slotKind = iota // slot is on the free list
-	kindFn                      // call fn
+	kindFn                      // call the func() in payload
 	kindDeliver                 // network delivery: run net.deliver
 	kindHandler                 // deferred handler run after a busy wait
 )
 
-// slot is one arena entry. Network deliveries carry their operands here
-// instead of capturing them in a closure, which removes the per-message
-// allocation under every gossip flood.
+// slot is one arena entry, 40 bytes. Network deliveries carry their
+// operands here instead of capturing them in a closure, which removes the
+// per-message allocation under every gossip flood. A kindFn slot's
+// function rides in payload: a func value is pointer-shaped, so storing
+// it allocates nothing.
 type slot struct {
-	gen      uint32
-	kind     slotKind
-	fn       func()
-	net      *Network
-	from, to NodeID
 	payload  any
 	size     int
+	from, to int32 // NodeIDs; AddNode keeps them in range
+	gen      uint32
+	kind     slotKind
+	net      uint8 // the delivering network's index in Simulator.nets
 }
 
 // heapItem is one pending-queue entry. Ordering state (time, sequence)
@@ -121,6 +124,10 @@ type chain struct{ head, tail int32 }
 //     at ring[bucket % ringBuckets], with occ marking the non-empty ones;
 //   - far: a binary min-heap of every later item.
 //
+// Slots and ring chunks live in paged arenas. The two heaps stay slices
+// grown by append: a heap over pages would be a second heap
+// implementation, for a few MB of growth on the deepest workloads.
+//
 // Every near item precedes every ring item, and every ring item every far
 // item, so near[0] is the queue's head while near is non-empty. When near
 // runs dry, refill makes the next occupied bucket current.
@@ -136,19 +143,20 @@ type chain struct{ head, tail int32 }
 type Simulator struct {
 	now     time.Duration
 	nextSeq uint64
-	slots   []slot
+	slots   arena[slot]
 	free    int32 // last freed slot, -1 when none; see release
 	nFree   int
 	rng     *rand.Rand
 	ran     uint64
-	elided  int // elided arrivals not yet counted
+	elided  int        // elided arrivals not yet counted
+	nets    []*Network // indexed by slot.net; NewNetwork appends
 
 	cur       int64
 	near      []heapItem
 	ring      [ringBuckets]chain
 	occ       [ringBuckets / 64]uint64
 	elidedIn  [ringBuckets / 64]uint64 // ring buckets holding an elided arrival
-	chunks    []chunk
+	chunks    arena[chunk]
 	freeChunk int32
 	far       []heapItem
 	bag       chain // meaningful only while bagN > 0
@@ -157,7 +165,11 @@ type Simulator struct {
 
 // New creates a simulator whose randomness derives entirely from seed.
 func New(seed int64) *Simulator {
-	return &Simulator{rng: rand.New(rand.NewSource(seed)), free: -1, freeChunk: -1}
+	return &Simulator{
+		rng:   rand.New(rand.NewSource(seed)),
+		slots: newArena[slot](), free: -1,
+		chunks: newArena[chunk](), freeChunk: -1,
+	}
 }
 
 // Now returns the current virtual time (zero at simulation start).
@@ -173,7 +185,7 @@ func (s *Simulator) EventsRun() uint64 { return s.ran + uint64(s.reached()) }
 
 // Pending returns the number of events still scheduled to run. The count
 // is logical: it includes the elided arrivals the clock has not reached.
-func (s *Simulator) Pending() int { return len(s.slots) - s.nFree + s.elided - s.reached() }
+func (s *Simulator) Pending() int { return int(s.slots.n) - s.nFree + s.elided - s.reached() }
 
 // reached returns how many of the bag's elided arrivals lie at or before
 // now.
@@ -191,23 +203,25 @@ func (s *Simulator) eachBagged(fn func(heapItem)) {
 	if s.bagN == 0 {
 		return
 	}
-	for c := s.bag.head; c >= 0; c = s.chunks[c].next {
-		k := &s.chunks[c]
+	for c := s.bag.head; c >= 0; {
+		k := s.chunks.at(c)
 		for _, it := range k.items[:k.n] {
 			fn(it)
 		}
+		c = k.next
 	}
 }
 
-// alloc takes a slot off the free list, growing the arena when empty.
-func (s *Simulator) alloc() int32 {
+// alloc takes a slot off the free list, growing the arena when empty,
+// and returns its index and address.
+func (s *Simulator) alloc() (int32, *slot) {
 	if idx := s.free; idx >= 0 {
-		s.free = int32(s.slots[idx].size)
+		sl := s.slots.at(idx)
+		s.free = int32(sl.size)
 		s.nFree--
-		return idx
+		return idx, sl
 	}
-	s.slots = append(s.slots, slot{})
-	return int32(len(s.slots) - 1)
+	return s.slots.grow()
 }
 
 // release bumps the slot's generation — invalidating its EventID and any
@@ -215,8 +229,8 @@ func (s *Simulator) alloc() int32 {
 // references are dropped so executed events don't pin memory. The list
 // is a stack linked through the free slots' size fields, so it needs no
 // slice of its own to grow.
-func (s *Simulator) release(idx int32) {
-	s.slots[idx] = slot{gen: s.slots[idx].gen + 1, size: int(s.free)}
+func (s *Simulator) release(idx int32, sl *slot) {
+	*sl = slot{gen: sl.gen + 1, size: int(s.free)}
 	s.free = idx
 	s.nFree++
 }
@@ -226,9 +240,9 @@ func (s *Simulator) schedule(t time.Duration, sl slot) EventID {
 	if t < s.now {
 		t = s.now
 	}
-	idx := s.alloc()
-	sl.gen = s.slots[idx].gen
-	s.slots[idx] = sl
+	idx, p := s.alloc()
+	sl.gen = p.gen
+	*p = sl
 	s.push(heapItem{at: t, seq: s.nextSeq, slot: idx, gen: sl.gen})
 	s.nextSeq++
 	return EventID(uint64(uint32(idx)+1)<<32 | uint64(sl.gen))
@@ -284,34 +298,37 @@ func (s *Simulator) count(limit time.Duration, most int) {
 func (s *Simulator) pack(ch chain, take func(heapItem) bool) (chain, int) {
 	kept := 0
 	w, wn := ch.head, int32(0) // where the next kept item goes
-	for c := ch.head; c >= 0; c = s.chunks[c].next {
-		k := &s.chunks[c]
+	wk := s.chunks.at(w)
+	for c := ch.head; c >= 0; {
+		k := s.chunks.at(c)
 		for _, it := range k.items[:k.n] {
 			if take(it) {
 				continue
 			}
 			if wn == chunkItems {
-				s.chunks[w].n = chunkItems
-				w, wn = s.chunks[w].next, 0
+				wk.n = chunkItems
+				w, wn = wk.next, 0
+				wk = s.chunks.at(w)
 			}
-			s.chunks[w].items[wn] = it
+			wk.items[wn] = it
 			wn++
 			kept++
 		}
+		c = k.next
 	}
 	if kept == 0 {
 		s.freeChain(ch.head)
 		return chain{}, 0
 	}
-	s.freeChain(s.chunks[w].next)
-	s.chunks[w].n, s.chunks[w].next = wn, -1
+	s.freeChain(wk.next)
+	wk.n, wk.next = wn, -1
 	return chain{head: ch.head, tail: w}, kept
 }
 
 // At schedules fn to run at absolute virtual time t. Times in the past are
 // clamped to now (the event still runs after the current one finishes).
 func (s *Simulator) At(t time.Duration, fn func()) EventID {
-	return s.schedule(t, slot{kind: kindFn, fn: fn})
+	return s.schedule(t, slot{kind: kindFn, payload: fn})
 }
 
 // After schedules fn to run d from now.
@@ -326,8 +343,11 @@ func (s *Simulator) Cancel(id EventID) {
 	// The zero id's slot field wraps to the largest uint32, out of range
 	// like any forged slot.
 	idx := uint32(id>>32) - 1
-	if int(idx) < len(s.slots) && s.slots[idx].gen == uint32(id) && s.slots[idx].kind != kindFree {
-		s.release(int32(idx))
+	if idx >= uint32(s.slots.n) {
+		return
+	}
+	if sl := s.slots.at(int32(idx)); sl.gen == uint32(id) && sl.kind != kindFree {
+		s.release(int32(idx), sl)
 	}
 }
 
@@ -362,12 +382,13 @@ func (s *Simulator) ringAppend(b int64, it heapItem) {
 // chainAppend appends an item to a chain, taking a fresh chunk when its
 // last one is full.
 func (s *Simulator) chainAppend(ch *chain, it heapItem) {
-	if s.chunks[ch.tail].n == chunkItems {
+	k := s.chunks.at(ch.tail)
+	if k.n == chunkItems {
 		c := s.newChunk()
-		s.chunks[ch.tail].next = c
+		k.next = c
 		ch.tail = c
+		k = s.chunks.at(c)
 	}
-	k := &s.chunks[ch.tail]
 	k.items[k.n] = it
 	k.n++
 }
@@ -376,8 +397,9 @@ func (s *Simulator) chainAppend(ch *chain, it heapItem) {
 // list.
 func (s *Simulator) freeChain(c int32) {
 	for c >= 0 {
-		next := s.chunks[c].next
-		s.chunks[c].next, s.freeChunk = s.freeChunk, c
+		k := s.chunks.at(c)
+		next := k.next
+		k.next, s.freeChunk = s.freeChunk, c
 		c = next
 	}
 }
@@ -386,13 +408,14 @@ func (s *Simulator) freeChain(c int32) {
 // when the list is empty.
 func (s *Simulator) newChunk() int32 {
 	c := s.freeChunk
+	var k *chunk
 	if c < 0 {
-		s.chunks = append(s.chunks, chunk{})
-		c = int32(len(s.chunks) - 1)
+		c, k = s.chunks.grow()
 	} else {
-		s.freeChunk = s.chunks[c].next
+		k = s.chunks.at(c)
+		s.freeChunk = k.next
 	}
-	s.chunks[c].n, s.chunks[c].next = 0, -1
+	k.n, k.next = 0, -1
 	return c
 }
 
@@ -425,9 +448,10 @@ func (s *Simulator) refill(limit time.Duration) bool {
 		bit := uint64(1) << (i & 63)
 		s.occ[i>>6] &^= bit
 		if s.elidedIn[i>>6]&bit == 0 {
-			for c := s.ring[i].head; c >= 0; c = s.chunks[c].next {
-				k := &s.chunks[c]
+			for c := s.ring[i].head; c >= 0; {
+				k := s.chunks.at(c)
 				s.near = append(s.near, k.items[:k.n]...)
+				c = k.next
 			}
 			s.freeChain(s.ring[i].head)
 		} else {
@@ -470,7 +494,7 @@ func (s *Simulator) bagJoin(ch chain, n int) {
 	case s.bagN == 0:
 		s.bag = ch
 	default:
-		s.chunks[s.bag.tail].next = ch.head
+		s.chunks.at(s.bag.tail).next = ch.head
 		s.bag.tail = ch.tail
 	}
 	s.bagN += n
@@ -483,7 +507,7 @@ func (s *Simulator) bagJoin(ch chain, n int) {
 func (s *Simulator) peek(limit time.Duration) bool {
 	for {
 		for len(s.near) > 0 {
-			if h := s.near[0]; s.slots[h.slot].gen == h.gen {
+			if h := s.near[0]; s.slots.at(h.slot).gen == h.gen {
 				return true
 			}
 			s.near = heapPop(s.near)
@@ -499,17 +523,18 @@ func (s *Simulator) peek(limit time.Duration) bool {
 func (s *Simulator) step() {
 	item := s.near[0]
 	s.near = heapPop(s.near)
-	run := s.slots[item.slot]
-	s.release(item.slot)
+	sl := s.slots.at(item.slot)
+	run := *sl
+	s.release(item.slot, sl)
 	s.now = item.at
 	s.ran++
 	switch run.kind {
 	case kindFn:
-		run.fn()
+		run.payload.(func())()
 	case kindDeliver:
-		run.net.deliver(run.from, run.to, run.payload, run.size)
+		s.nets[run.net].deliver(NodeID(run.from), NodeID(run.to), run.payload, run.size)
 	case kindHandler:
-		run.net.handlers[run.to](run.from, run.payload, run.size)
+		s.nets[run.net].handlers[run.to](NodeID(run.from), run.payload, run.size)
 	}
 }
 
@@ -755,24 +780,43 @@ type Network struct {
 	procCost  func(to NodeID, payload any, size int) time.Duration
 	busyUntil []time.Duration
 	stats     NetStats
+	id        uint8 // index in sim.nets, which a delivery slot carries
 }
 
 // NewNetwork creates an empty network over the simulator and link model.
+// A simulator carries at most 256 networks, because a delivery slot names
+// its network by a uint8 index; NewNetwork panics past that.
 func NewNetwork(s *Simulator, links LinkModel) *Network {
-	return &Network{sim: s, links: links}
+	if len(s.nets) > math.MaxUint8 {
+		panic(fmt.Sprintf("sim: a simulator carries at most %d networks", math.MaxUint8+1))
+	}
+	n := &Network{sim: s, links: links, id: uint8(len(s.nets))}
+	s.nets = append(s.nets, n)
+	return n
 }
 
 // Sim returns the underlying simulator.
 func (n *Network) Sim() *Simulator { return n.sim }
 
 // AddNode registers a handler and returns its NodeID. A nil handler can be
-// set later with SetHandler (nodes often need their ID to construct).
+// set later with SetHandler (nodes often need their ID to construct). It
+// panics past math.MaxInt32 nodes, the ids a delivery slot can carry.
 func (n *Network) AddNode(h Handler) NodeID {
+	id := nodeID(len(n.handlers))
 	n.handlers = append(n.handlers, h)
 	n.group = append(n.group, 0)
 	n.detached = append(n.detached, false)
 	n.busyUntil = append(n.busyUntil, 0)
-	return NodeID(len(n.handlers) - 1)
+	return id
+}
+
+// nodeID returns the id of a network's node at index i, which must fit
+// the int32 a delivery slot carries.
+func nodeID(i int) NodeID {
+	if i >= math.MaxInt32 {
+		panic(fmt.Sprintf("sim: a network holds at most %d nodes", math.MaxInt32))
+	}
+	return NodeID(i)
 }
 
 // SetHandler binds the handler for an existing node.
@@ -898,7 +942,7 @@ func (n *Network) Send(from, to NodeID, payload any, size int) {
 	if arrival, ok := n.route(from, to, size); ok {
 		// Scheduled as a kindDeliver slot, not a closure: this is the
 		// hottest allocation site of every gossip flood.
-		n.sim.schedule(arrival, slot{kind: kindDeliver, net: n, from: from, to: to, payload: payload, size: size})
+		n.sim.schedule(arrival, slot{kind: kindDeliver, net: n.id, from: int32(from), to: int32(to), payload: payload, size: size})
 	}
 }
 
@@ -970,7 +1014,7 @@ func (n *Network) deliver(from, to NodeID, payload any, size int) {
 		n.handlers[to](from, payload, size)
 		return
 	}
-	n.sim.schedule(start, slot{kind: kindHandler, net: n, from: from, to: to, payload: payload, size: size})
+	n.sim.schedule(start, slot{kind: kindHandler, net: n.id, from: int32(from), to: int32(to), payload: payload, size: size})
 }
 
 // BroadcastAll sends payload from one node directly to every other node.
