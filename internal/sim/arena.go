@@ -6,9 +6,10 @@ import (
 )
 
 // pageBytes bounds an arena page: about 64 KB, rounded down to a
-// power-of-two item count (1 024 slots, 64 chunks). Small pages keep a
-// small network's queue small; 1 024-chunk pages (776 KB) pushed an
-// 8-node Ethereum network past its heap budget.
+// power-of-two item count (1 024 slots of 40 B, 128 chunks of 512 B).
+// Small pages keep a small network's queue small; 1 024-chunk pages of
+// 776-byte chunks (776 KB) pushed an 8-node Ethereum network past its
+// heap budget.
 const pageBytes = 64 << 10
 
 // arena is a growable array of T held in fixed pages and indexed by

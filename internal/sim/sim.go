@@ -25,8 +25,9 @@
 // A delivery the sender knows the receiver will drop unseen
 // (Network.SendDuplicate) is counted, not scheduled: it draws its loss
 // and delay like any send, but enters the queue as an elided arrival, a
-// bare time with no slot and no sequence number, kept out of the near
-// heap. It runs nothing. It counts as an executed event once the clock
+// bare time with no slot and no sequence number. Once its bucket is
+// current it waits in an unordered slice beside the near heap, never in
+// it. It runs nothing. It counts as an executed event once the clock
 // reaches its time, before any event scheduled for the same instant, so
 // EventsRun, Pending, Run and Now read as if the delivery had run and
 // done nothing.
@@ -96,14 +97,15 @@ func itemLess(a, b heapItem) bool {
 const (
 	bucketShift = 20
 	ringBuckets = 256 // a power of two
-	chunkItems  = 32
+	chunkItems  = 21
 )
 
 func bucketOf(at time.Duration) int64 { return int64(at) >> bucketShift }
 
-// chunk is a fixed block of one ring bucket's unsorted chain. Chunks come
-// from one arena and return to its free list, linked through next; -1
-// ends a chain or the free list.
+// chunk is a fixed block of one ring bucket's unsorted chain, 512 bytes,
+// so an arena page holds 128 of them and no slack. Chunks come from one
+// arena and return to its free list, linked through next; -1 ends a chain
+// or the free list.
 type chunk struct {
 	items [chunkItems]heapItem
 	n     int32
@@ -133,13 +135,11 @@ type chain struct{ head, tail int32 }
 // runs dry, refill makes the next occupied bucket current.
 //
 // Elided arrivals ride in the ring and far tiers as items with slot -1,
-// but never enter near. When refill makes a bucket that holds one current
-// (elidedIn), it packs the bucket's elided arrivals at the front of its
-// chain and joins what is left of the chain to bag, an unordered chain of
-// the current and earlier buckets' elided arrivals. There they wait until
-// the refill that leaves their bucket, or a RunUntil cut past them,
-// counts them. While an event runs, EventsRun and Pending count the bag's
-// arrivals at or before now on the fly.
+// but never enter near. When refill makes their bucket current they go to
+// bag, an unordered slice of the current and earlier buckets' elided
+// arrivals. There they wait until the refill that leaves their bucket, or
+// a RunUntil cut past them, counts them. While an event runs, EventsRun
+// and Pending count the bag's arrivals at or before now on the fly.
 type Simulator struct {
 	now     time.Duration
 	nextSeq uint64
@@ -155,12 +155,10 @@ type Simulator struct {
 	near      []heapItem
 	ring      [ringBuckets]chain
 	occ       [ringBuckets / 64]uint64
-	elidedIn  [ringBuckets / 64]uint64 // ring buckets holding an elided arrival
 	chunks    arena[chunk]
 	freeChunk int32
 	far       []heapItem
-	bag       chain // meaningful only while bagN > 0
-	bagN      int
+	bag       []heapItem
 }
 
 // New creates a simulator whose randomness derives entirely from seed.
@@ -190,26 +188,12 @@ func (s *Simulator) Pending() int { return int(s.slots.n) - s.nFree + s.elided -
 // reached returns how many of the bag's elided arrivals lie at or before
 // now.
 func (s *Simulator) reached() (n int) {
-	s.eachBagged(func(it heapItem) {
+	for _, it := range s.bag {
 		if it.at <= s.now {
 			n++
 		}
-	})
+	}
 	return n
-}
-
-// eachBagged calls fn for every elided arrival in the bag.
-func (s *Simulator) eachBagged(fn func(heapItem)) {
-	if s.bagN == 0 {
-		return
-	}
-	for c := s.bag.head; c >= 0; {
-		k := s.chunks.at(c)
-		for _, it := range k.items[:k.n] {
-			fn(it)
-		}
-		c = k.next
-	}
 }
 
 // alloc takes a slot off the free list, growing the arena when empty,
@@ -258,71 +242,29 @@ func (s *Simulator) elide(t time.Duration) {
 	if it := (heapItem{at: t, slot: -1}); bucketOf(t) > s.cur {
 		s.push(it)
 	} else {
-		s.bagAdd(it)
+		s.bag = append(s.bag, it)
 	}
 }
 
-// bagAdd appends one elided arrival to the bag.
-func (s *Simulator) bagAdd(it heapItem) {
-	if s.bagN == 0 {
-		c := s.newChunk()
-		s.bag = chain{head: c, tail: c}
-	}
-	s.chainAppend(&s.bag, it)
-	s.bagN++
-}
-
-// count counts at most most of the bag's elided arrivals at or before
-// limit as executed, advancing the clock to the latest. A negative limit
-// counts nothing.
+// count removes at most most of the bag's elided arrivals at or before
+// limit in one in-place pass and counts them as executed, advancing the
+// clock to the latest. A negative limit counts nothing.
 func (s *Simulator) count(limit time.Duration, most int) {
-	if s.bagN == 0 || limit < 0 {
+	if limit < 0 {
 		return
 	}
-	n := 0
-	s.bag, s.bagN = s.pack(s.bag, func(it heapItem) bool {
+	kept, n := s.bag[:0], 0
+	for _, it := range s.bag {
 		if n == most || it.at > limit {
-			return false
+			kept = append(kept, it)
+		} else {
+			n++
+			s.now = max(s.now, it.at)
 		}
-		n++
-		s.now = max(s.now, it.at)
-		return true
-	})
+	}
+	s.bag = kept
 	s.ran += uint64(n)
 	s.elided -= n
-}
-
-// pack hands every item of chain ch to take and packs the ones it
-// declines at the front of the chain, freeing the chunks that empties. It
-// returns what is left of the chain and how many items that holds.
-func (s *Simulator) pack(ch chain, take func(heapItem) bool) (chain, int) {
-	kept := 0
-	w, wn := ch.head, int32(0) // where the next kept item goes
-	wk := s.chunks.at(w)
-	for c := ch.head; c >= 0; {
-		k := s.chunks.at(c)
-		for _, it := range k.items[:k.n] {
-			if take(it) {
-				continue
-			}
-			if wn == chunkItems {
-				wk.n = chunkItems
-				w, wn = wk.next, 0
-				wk = s.chunks.at(w)
-			}
-			wk.items[wn] = it
-			wn++
-			kept++
-		}
-		c = k.next
-	}
-	if kept == 0 {
-		s.freeChain(ch.head)
-		return chain{}, 0
-	}
-	s.freeChain(wk.next)
-	wk.n, wk.next = wn, -1
-	return chain{head: ch.head, tail: w}, kept
 }
 
 // At schedules fn to run at absolute virtual time t. Times in the past are
@@ -364,24 +306,15 @@ func (s *Simulator) push(it heapItem) {
 }
 
 // ringAppend appends an item to ring bucket b's chain, taking a fresh
-// chunk when the bucket is empty.
+// chunk when the bucket is empty or its last chunk is full.
 func (s *Simulator) ringAppend(b int64, it heapItem) {
 	i := int(b & (ringBuckets - 1))
-	bit := uint64(1) << (i & 63)
-	if s.occ[i>>6]&bit == 0 {
+	ch := &s.ring[i]
+	if bit := uint64(1) << (i & 63); s.occ[i>>6]&bit == 0 {
 		s.occ[i>>6] |= bit
 		c := s.newChunk()
-		s.ring[i] = chain{head: c, tail: c}
+		*ch = chain{head: c, tail: c}
 	}
-	if it.slot < 0 {
-		s.elidedIn[i>>6] |= bit
-	}
-	s.chainAppend(&s.ring[i], it)
-}
-
-// chainAppend appends an item to a chain, taking a fresh chunk when its
-// last one is full.
-func (s *Simulator) chainAppend(ch *chain, it heapItem) {
 	k := s.chunks.at(ch.tail)
 	if k.n == chunkItems {
 		c := s.newChunk()
@@ -435,36 +368,25 @@ func (s *Simulator) nextOccupied() (int64, bool) {
 }
 
 // refill makes the next occupied bucket current once near has run dry:
-// that bucket's scheduled items and any far items in it become the near
-// heap, its elided arrivals join the bag, and far items that now fit the
-// ring move into it. First it counts the bag up to limit: the bucket it
-// leaves holds no more events, and everything refill files lies later. It
-// reports false when nothing is left to file.
+// each item of that bucket's chain and each far item in it goes to near
+// when scheduled and to the bag when elided, near is heapified, and far
+// items that now fit the ring move into it. First it counts the bag up to
+// limit: the bucket it leaves holds no more events, and everything refill
+// files lies later. It reports false when nothing is left to file.
 func (s *Simulator) refill(limit time.Duration) bool {
 	s.count(limit, math.MaxInt)
 	if d, ok := s.nextOccupied(); ok {
 		s.cur += 1 + d
 		i := int(s.cur & (ringBuckets - 1))
-		bit := uint64(1) << (i & 63)
-		s.occ[i>>6] &^= bit
-		if s.elidedIn[i>>6]&bit == 0 {
-			for c := s.ring[i].head; c >= 0; {
-				k := s.chunks.at(c)
-				s.near = append(s.near, k.items[:k.n]...)
-				c = k.next
+		s.occ[i>>6] &^= 1 << (i & 63)
+		for c := s.ring[i].head; c >= 0; {
+			k := s.chunks.at(c)
+			for _, it := range k.items[:k.n] {
+				s.admit(it)
 			}
-			s.freeChain(s.ring[i].head)
-		} else {
-			s.elidedIn[i>>6] &^= bit
-			rest, n := s.pack(s.ring[i], func(it heapItem) bool {
-				if it.slot < 0 {
-					return false
-				}
-				s.near = append(s.near, it)
-				return true
-			})
-			s.bagJoin(rest, n)
+			c = k.next
 		}
+		s.freeChain(s.ring[i].head)
 	} else if len(s.far) > 0 {
 		s.cur = bucketOf(s.far[0].at)
 	} else {
@@ -473,37 +395,30 @@ func (s *Simulator) refill(limit time.Duration) bool {
 	for len(s.far) > 0 && bucketOf(s.far[0].at) < s.cur+ringBuckets {
 		it := s.far[0]
 		s.far = heapPop(s.far)
-		switch b := bucketOf(it.at); {
-		case b != s.cur:
+		if b := bucketOf(it.at); b != s.cur {
 			s.ringAppend(b, it)
-		case it.slot < 0:
-			s.bagAdd(it)
-		default:
-			s.near = append(s.near, it)
+		} else {
+			s.admit(it)
 		}
 	}
 	heapify(s.near)
 	return true
 }
 
-// bagJoin joins chain ch of n elided arrivals to the bag.
-func (s *Simulator) bagJoin(ch chain, n int) {
-	switch {
-	case n == 0:
-		return
-	case s.bagN == 0:
-		s.bag = ch
-	default:
-		s.chunks.at(s.bag.tail).next = ch.head
-		s.bag.tail = ch.tail
+// admit files an item of the new current bucket: an elided arrival into
+// the bag, a scheduled one onto near, which refill then heapifies.
+func (s *Simulator) admit(it heapItem) {
+	if it.slot < 0 {
+		s.bag = append(s.bag, it)
+	} else {
+		s.near = append(s.near, it)
 	}
-	s.bagN += n
 }
 
 // peek drops stale (canceled) entries off the near heap's head, refilling
-// it (and counting elided arrivals up to limit) as it runs dry, and
-// reports whether a live scheduled event remains; when it does, s.near[0]
-// is the next one in (time, sequence) order.
+// it (and counting the bag's elided arrivals up to limit) as it runs dry,
+// and reports whether a live scheduled event remains; when it does,
+// s.near[0] is the next one in (time, sequence) order.
 func (s *Simulator) peek(limit time.Duration) bool {
 	for {
 		for len(s.near) > 0 {
@@ -543,8 +458,10 @@ func (s *Simulator) step() {
 func (s *Simulator) Step() bool {
 	live := s.peek(-1) // counts nothing: the bag may hold the next event
 	first := time.Duration(math.MaxInt64)
-	s.eachBagged(func(it heapItem) { first = min(first, it.at) })
-	if s.bagN > 0 && (!live || first <= s.near[0].at) {
+	for _, it := range s.bag {
+		first = min(first, it.at)
+	}
+	if len(s.bag) > 0 && (!live || first <= s.near[0].at) {
 		s.count(first, 1)
 		return true
 	}
