@@ -30,10 +30,10 @@ examples:
 # tables an Ethereum network's ledgers share, and every package whose
 # objects embed a keys.SigMemo.
 race:
-	$(GO) test -race -timeout 60m ./internal/sim/... ./internal/core/... ./internal/lattice/... ./internal/keys/... ./internal/merkle/... ./internal/netsim/... ./internal/utxo/... ./internal/chain/... ./internal/account/... ./internal/orv/... ./internal/tangle/... ./internal/pos/... ./internal/trie/...
+	$(GO) test -race -timeout 60m ./internal/sim/... ./internal/core/... ./internal/lattice/... ./internal/keys/... ./internal/merkle/... ./internal/netsim/... ./internal/utxo/... ./internal/chain/... ./internal/account/... ./internal/orv/... ./internal/tangle/... ./internal/pos/... ./internal/trie/... ./internal/catalog/...
 
-# Short fuzz smoke mirroring CI: the generic content catalog and pointer
-# override against a map-plus-slice model, batch settlement vs serial apply under
+# Short fuzz smoke mirroring CI: the generic content catalog, pointer
+# override and id memo against a map-plus-slice model, batch settlement vs serial apply under
 # hostile block streams, link-model delay sanity for any bounds, the
 # event queue against a naive minimum-scan model, tangle tip selection,
 # three tangle replicas on one vertex catalog against their map models,

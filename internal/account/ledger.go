@@ -584,7 +584,7 @@ func (l *Ledger) validateBlock(b, parent *chain.Block) error {
 		return fmt.Errorf("account: no state for parent %s (pruned?)", parent.Hash())
 	}
 	// The id the network's catalog hands b, which b's attach keeps.
-	id := chain.BlockID(l.store.Index().Intern(b.Hash()))
+	id := chain.BlockID(b.IDIn(l.store.Index()))
 	if e := l.exec.at(id); e.post == nil {
 		post, err := l.execute(b, body, parent, parentState)
 		if err != nil {

@@ -20,6 +20,13 @@
 // pointer, not the catalog's, and keeps it in an Own override, which
 // stays nil on honest runs.
 //
+// An object may also carry a Memo of its id in one index, so that a
+// network that hands the same pointer to every node probes its index once
+// per object rather than once per delivery. The memo is a cache, not
+// state: an id is a function of the hash and the index, a memo answers
+// only for the index that wrote it and only at the address it was written
+// at, and a miss costs the probe it saves.
+//
 // No type here is safe for concurrent use: an index, its catalog and the
 // replicas over them never leave the goroutine that drives their
 // network, and two networks never share one.
@@ -43,6 +50,43 @@ func (x *Index) Intern(h hashx.Hash) uint32 {
 	}
 	id := uint32(len(x.ids)) + 1
 	x.ids[h] = id
+	return id
+}
+
+// Memo is one object's id in one index, cached on the object: the object
+// holds it by value, as an unexported field beside its content hash memo,
+// and hands it to InternMemo or Catalog.Lookup with that hash. It follows
+// the hash memo's self-pointer rule: it is honoured only while it still
+// lives at the address it was written at, so a value copy — and so a copy
+// mutated after copying — never reads its original's id, and only for
+// the index that wrote it, so the same object in another network probes
+// that network's index. The zero value is empty.
+type Memo struct {
+	self  *Memo
+	index *Index
+	id    uint32
+}
+
+// in returns the id m holds in x, 0 if it holds none.
+func (m *Memo) in(x *Index) uint32 {
+	if m.self != m || m.index != x {
+		return 0
+	}
+	return m.id
+}
+
+// set binds m, at its own address, to id in x.
+func (m *Memo) set(x *Index, id uint32) { *m = Memo{self: m, index: x, id: id} }
+
+// InternMemo returns Intern(h), reading it from m when m holds h's id in
+// x and writing it there when not. h is the content hash of the object m
+// lives in.
+func (x *Index) InternMemo(m *Memo, h hashx.Hash) uint32 {
+	if id := m.in(x); id != 0 {
+		return id
+	}
+	id := x.Intern(h)
+	m.set(x, id)
 	return id
 }
 
@@ -72,6 +116,26 @@ func (c *Catalog[ID, E]) ID(h hashx.Hash) ID {
 		return 0
 	}
 	return ID(id)
+}
+
+// Lookup returns the index id of the object that carries memo m and
+// hashes to h, 0 if the index has handed it none, and the entry under
+// that id, the zero entry until Add fills it. The id is read from m when
+// m holds one for this catalog's index, and probed otherwise, a found one
+// then written to m. Like ID it hands out no id. It tests no filled bit:
+// a caller whose filled entries are never zero reads fill from the entry
+// it is about to use. The pointer is valid until the next Add.
+func (c *Catalog[ID, E]) Lookup(m *Memo, h hashx.Hash) (ID, *E) {
+	id := m.in(c.index)
+	if id == 0 {
+		if id = c.index.ids[h]; id != 0 {
+			m.set(c.index, id)
+		}
+	}
+	if int(id) >= len(c.entries) {
+		return ID(id), &c.entries[0]
+	}
+	return ID(id), &c.entries[id]
 }
 
 // Add fills the entry of an object the catalog does not hold yet, under

@@ -113,17 +113,22 @@ type Block struct {
 	// stamping both finish before the first Block.Hash call.
 	memoSelf *Block
 	memoHash hashx.Hash
+	// idMemo caches the block's id in its network's catalog index (see
+	// catalog.Memo).
+	idMemo catalog.Memo
 }
+
+// IDIn returns the block's id in the catalog index x, handing one out at
+// first sight, from its memo after the first call with x.
+func (b *Block) IDIn(x *catalog.Index) uint32 { return x.InternMemo(&b.idMemo, b.Hash()) }
 
 // Hash returns the block identifier (the header hash), memoized on
 // first use. A block is hashed at every gossip hop, dedup check and
 // store insertion; the memo makes all but the first free.
 func (b *Block) Hash() hashx.Hash {
-	if b.memoSelf == b {
-		return b.memoHash
+	if b.memoSelf != b {
+		b.memoHash, b.memoSelf = b.Header.Hash(), b
 	}
-	b.memoHash = b.Header.Hash()
-	b.memoSelf = b
 	return b.memoHash
 }
 
@@ -455,14 +460,23 @@ func (s *Store) Add(b *Block) AddResult {
 	return res
 }
 
+// addOne inserts a single block without adopting orphans. The header
+// hash covers the parent, so for a block the catalog holds the parent's
+// id is read from its entry rather than looked up by hash.
 func (s *Store) addOne(b *Block) AddResult {
 	h := b.Hash()
-	id := s.cat.ID(h)
+	id, e := s.cat.Lookup(&b.idMemo, h)
 	if s.attached.Has(uint32(id)) {
 		return AddResult{Status: Duplicate}
 	}
-	pid, haveParent := s.lookup(b.Header.Parent)
-	if !haveParent {
+	held := e.block != nil // the catalog holds b: some store attached it
+	var pid BlockID
+	if held {
+		pid = e.parent
+	} else {
+		pid = s.cat.ID(b.Header.Parent)
+	}
+	if !s.attached.Has(uint32(pid)) {
 		s.orphans.Park(b.Header.Parent, b)
 		return AddResult{Status: Orphaned}
 	}
@@ -484,7 +498,7 @@ func (s *Store) addOne(b *Block) AddResult {
 	// The catalog entry is written here, on the block's first attach in
 	// the network; a later store that validated another pointer under the
 	// same hash keeps that pointer as its own.
-	if id == 0 {
+	if !held {
 		id = s.cat.Add(h, catEntry{
 			block:  b,
 			parent: pid,

@@ -269,6 +269,32 @@ func TestOrphanPoolAdoption(t *testing.T) {
 	}
 }
 
+// A block the catalog holds takes its parent's id from its entry: a
+// store that has not attached that parent keeps the block as an orphan
+// and adopts it once the parent arrives. A block the network numbered
+// before any store attached it attaches as any first-seen block does.
+func TestHeldBlockWaitsForItsParent(t *testing.T) {
+	s, g := newStore(t, LongestChain)
+	r := s.Replica()
+	a1 := mkBlock(g, 1, 1)
+	a2 := mkBlock(a1, 2, 1)
+	a1.IDIn(s.Index()) // numbered at first sight, attached nowhere yet
+	for _, b := range []*Block{a1, a2} {
+		if res := s.Add(b); res.Status != Accepted {
+			t.Fatalf("store: %v", res.Status)
+		}
+	}
+	if res := r.Add(a2); res.Status != Orphaned {
+		t.Fatalf("replica: a2 before a1 %v, want orphaned", res.Status)
+	}
+	if res := r.Add(a1); res.Status != Accepted || len(res.Adopted) != 1 || res.Adopted[0].Block != a2 {
+		t.Fatalf("replica: a1 %v adopted %d, want a2 adopted", res.Status, len(res.Adopted))
+	}
+	if r.Tip() != a2.Hash() || r.Height() != 2 {
+		t.Fatalf("replica: tip at height %d, want a2 at 2", r.Height())
+	}
+}
+
 // An orphan flood must not grow the pool without bound: the oldest
 // orphan is evicted FIFO, the eviction hook fires, and the pool counts
 // it.

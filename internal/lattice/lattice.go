@@ -101,6 +101,14 @@ type Block struct {
 	PubKey ed25519.PublicKey
 	sig    []byte
 
+	// verified holds the signature verdict and how to make the bytes
+	// (see keys.SigMemo). In a network simulation the same *Block floods
+	// every node and the wallet that signed it bound the verdict, so an
+	// honest block never costs an ed25519 check, nor a signature unless
+	// something reads it; a signature or PubKey changed after acceptance
+	// misses and is checked in full.
+	verified keys.SigMemo
+
 	// memoSelf/memoHash cache the content hash. The cache is valid only
 	// while memoSelf still points at this exact Block value, so a copied
 	// or moved block (memoSelf != &copy) silently re-hashes instead of
@@ -110,14 +118,11 @@ type Block struct {
 	// which is the invariant that makes the memo sound.
 	memoSelf *Block
 	memoHash hashx.Hash
-
-	// verified holds the signature verdict and how to make the bytes
-	// (see keys.SigMemo). In a network simulation the same *Block floods
-	// every node and the wallet that signed it bound the verdict, so an
-	// honest block never costs an ed25519 check, nor a signature unless
-	// something reads it; a signature or PubKey changed after acceptance
-	// misses and is checked in full.
-	verified keys.SigMemo
+	// idMemo caches the block's id in its network's catalog index (see
+	// catalog.Memo). With the hash memo it fills the block's last 64
+	// bytes, one cache line of its 384-byte size class, which an id read
+	// after Hash has already loaded.
+	idMemo catalog.Memo
 }
 
 // wireSize is the modeled encoding of a lattice block: near Nano's real
@@ -144,16 +149,22 @@ func (b *Block) contentBytes() []byte {
 	return buf
 }
 
+// contentHash hashes the content, out of line so that Hash's memo read
+// inlines.
+func (b *Block) contentHash() hashx.Hash { return hashx.Sum(b.contentBytes()) }
+
 // Hash returns the block identifier, memoized on first use. Not safe
 // for a concurrent FIRST call on the same pointer.
 func (b *Block) Hash() hashx.Hash {
-	if b.memoSelf == b {
-		return b.memoHash
+	if b.memoSelf != b {
+		b.memoHash, b.memoSelf = b.contentHash(), b
 	}
-	b.memoHash = hashx.Sum(b.contentBytes())
-	b.memoSelf = b
 	return b.memoHash
 }
+
+// IDIn returns the block's id in the catalog index x, handing one out at
+// first sight, from its memo after the first call with x.
+func (b *Block) IDIn(x *catalog.Index) uint32 { return x.InternMemo(&b.idMemo, b.Hash()) }
 
 // sign fills PubKey and the signature, whose bytes are made on first
 // read.
@@ -277,11 +288,12 @@ type Result struct {
 	Drained []*Block
 }
 
-// catEntry is one catalogued block and its predecessor's id (0 for
-// opens).
+// catEntry is one catalogued block, its predecessor's id (0 for opens)
+// and the id of the send it settles (0 unless an open or a receive).
 type catEntry struct {
-	block *Block
-	prev  uint32
+	block  *Block
+	prev   uint32
+	source uint32
 }
 
 // Lattice is one node's replica of the DAG: which catalog blocks sit on
@@ -352,7 +364,7 @@ func New(genesisOwner *keys.KeyPair, supply uint64, workBits int) (*Lattice, *Bl
 		}
 	}
 	l.genesis = genesis.Hash()
-	l.link(genesis, l.genesis, 0, 0)
+	l.link(genesis, l.genesis, 0, 0, 0)
 	return l, genesis, nil
 }
 
@@ -602,9 +614,12 @@ func (l *Lattice) ProcessBatch(blocks []*Block, workers int) []Result {
 
 func (l *Lattice) processOne(b *Block) Result {
 	h := b.Hash()
-	id, dup := l.lookup(h)
-	if dup {
+	id, e := l.cat.Lookup(&b.idMemo, h)
+	if l.attached.Has(id) {
 		return Result{Status: Duplicate}
+	}
+	if e.block == nil {
+		id = 0 // no replica has attached it yet
 	}
 	if !b.VerifySig() {
 		return Result{Status: Rejected, Err: ErrBadSignature}
@@ -631,7 +646,7 @@ func (l *Lattice) processOpen(b *Block, h hashx.Hash, id uint32) Result {
 	if !b.Prev.IsZero() {
 		return Result{Status: Rejected, Err: errors.New("lattice: open block must have zero prev")}
 	}
-	src, amount, err := l.source(b)
+	src, amount, err := l.source(b, id)
 	if err != nil {
 		return l.parkOrReject(b, err)
 	}
@@ -639,24 +654,31 @@ func (l *Lattice) processOpen(b *Block, h hashx.Hash, id uint32) Result {
 		return Result{Status: Rejected, Err: fmt.Errorf("%w: open balance %d, pending %d", ErrBadBalance, b.Balance, amount)}
 	}
 	l.settled.Add(src)
-	l.link(b, h, id, 0)
+	l.link(b, h, id, 0, src)
 	return Result{Status: Accepted, Settled: b.Source}
 }
 
 // processChained attaches or records as a fork rival a send, receive or
-// change block; id as for processOpen.
+// change block; id as for processOpen. The content hash covers Prev and
+// Source, so for a block the catalog holds their ids are read from its
+// entry rather than looked up by hash.
 func (l *Lattice) processChained(b *Block, h hashx.Hash, id uint32) Result {
 	head := l.headID(b.Account)
 	if head == 0 {
 		l.parkPrev(b)
 		return Result{Status: GapPrevious}
 	}
-	pid, known := l.lookup(b.Prev)
-	if !known || l.block(pid).Account != b.Account {
+	var pid uint32
+	if id != 0 {
+		pid = l.cat.At(id).prev
+	} else {
+		pid = l.cat.ID(b.Prev)
+	}
+	if !l.attached.Has(pid) || l.block(pid).Account != b.Account {
 		l.parkPrev(b)
 		return Result{Status: GapPrevious}
 	}
-	src, err := l.validateAgainstPrev(b, l.block(pid))
+	src, err := l.validateAgainstPrev(b, l.block(pid), id)
 	if err != nil {
 		return l.parkOrReject(b, err)
 	}
@@ -679,16 +701,22 @@ func (l *Lattice) processChained(b *Block, h hashx.Hash, id uint32) Result {
 		l.settled.Add(src)
 		res.Settled = b.Source
 	}
-	l.link(b, h, id, pid)
+	l.link(b, h, id, pid, src)
 	return res
 }
 
 // source resolves the send an open or receive settles: its id and amount
 // when it is pending here and addressed to b's account. A send this
 // replica does not hold pending is a gap (errGapSource) unless it already
-// settled here.
-func (l *Lattice) source(b *Block) (uint32, uint64, error) {
-	id := l.cat.ID(b.Source)
+// settled here. self is b's catalog id, 0 if the catalog does not hold b;
+// a held b names its send's id in its entry.
+func (l *Lattice) source(b *Block, self uint32) (uint32, uint64, error) {
+	var id uint32
+	if self != 0 {
+		id = l.cat.At(self).source
+	} else {
+		id = l.cat.ID(b.Source)
+	}
 	if !l.isPending(id) {
 		if l.settled.Has(id) {
 			return 0, 0, errors.New("lattice: source already settled")
@@ -713,8 +741,8 @@ func (l *Lattice) parkOrReject(b *Block, err error) Result {
 
 // validateAgainstPrev checks type-specific balance rules relative to the
 // claimed predecessor. For a receive it returns the id of the send it
-// settles.
-func (l *Lattice) validateAgainstPrev(b, prev *Block) (uint32, error) {
+// settles. self is b's catalog id, as for source.
+func (l *Lattice) validateAgainstPrev(b, prev *Block, self uint32) (uint32, error) {
 	switch b.Type {
 	case Send:
 		if b.Balance >= prev.Balance {
@@ -724,7 +752,7 @@ func (l *Lattice) validateAgainstPrev(b, prev *Block) (uint32, error) {
 			return 0, errors.New("lattice: send without destination")
 		}
 	case Receive:
-		src, amount, err := l.source(b)
+		src, amount, err := l.source(b, self)
 		if err != nil {
 			return 0, err
 		}
@@ -746,12 +774,13 @@ func (l *Lattice) validateAgainstPrev(b, prev *Block) (uint32, error) {
 var errGapSource = errors.New("lattice: source not yet pending")
 
 // link attaches a validated block at the head of its chain, after the
-// block with id pid (0 for an open). id is the block's catalog id, 0 if no
-// replica has attached it yet: the catalog entry is written here, the one
-// place a replica adds content.
-func (l *Lattice) link(b *Block, h hashx.Hash, id, pid uint32) {
+// block with id pid (0 for an open), settling the send with id src (0 for
+// none). id is the block's catalog id, 0 if no replica has attached it
+// yet: the catalog entry is written here, the one place a replica adds
+// content.
+func (l *Lattice) link(b *Block, h hashx.Hash, id, pid, src uint32) {
 	if id == 0 {
-		id = l.cat.Add(h, catEntry{block: b, prev: pid})
+		id = l.cat.Add(h, catEntry{block: b, prev: pid, source: src})
 	}
 	l.attached.Add(id)
 	a, ok := l.accts[b.Account]
@@ -870,8 +899,8 @@ func (l *Lattice) ResolveFork(prev, winner hashx.Hash) error {
 	}
 	// Roll back the incumbent: a send's pending entry goes with its
 	// attached bit, a receive's source becomes pending again...
-	if loser := l.block(incumbent); loser.Type == Receive {
-		l.settled.Remove(l.cat.ID(loser.Source))
+	if e := l.cat.At(incumbent); e.block.Type == Receive {
+		l.settled.Remove(e.source)
 	}
 	l.attached.Remove(incumbent)
 	l.heads[a] = pid

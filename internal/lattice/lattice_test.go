@@ -293,6 +293,77 @@ func TestLatticeReplicaReadsTheCatalogPointer(t *testing.T) {
 	}
 }
 
+// A block's id memo is a cache of its hash's id, never a verdict. A
+// same-hash copy with another signature, taken before or after the honest
+// block's memo is written and processed before or after the honest block
+// attaches, is checked on its own pointer and never attaches, on the
+// replica that holds the honest block or on one that does not; so is a
+// forged copy of the receive settling it.
+func TestForgedCopyNeverAttachesThroughTheMemo(t *testing.T) {
+	e := newEnv(t, 0)
+	replica := e.l.Clone()
+	send, err := e.l.NewSend(e.r.Pair(0), e.r.Addr(1), 500)
+	if err != nil {
+		t.Fatal(err)
+	}
+	forge := func(b *Block) *Block { // a same-hash copy carrying b's memo as it stands
+		sig := append([]byte(nil), b.Sig()...)
+		sig[3] ^= 0x10
+		return b.WithSig(sig)
+	}
+	refuse := func(l *Lattice, name string, f *Block, want Status) {
+		t.Helper()
+		if res := l.Process(f); res.Status != want {
+			t.Fatalf("%s: forged copy %v (%v), want %v", name, res.Status, res.Err, want)
+		}
+		if got, ok := l.Get(f.Hash()); ok && got == f {
+			t.Fatalf("%s holds the forged copy", name)
+		}
+	}
+	early := forge(send)
+	// The network numbers what it sees first: the forged copy's id is
+	// handed out, its entry stays empty.
+	id := early.IDIn(e.l.Index())
+	refuse(e.l, "original", early, Rejected)
+	refuse(replica, "replica", early, Rejected)
+	if got := send.IDIn(e.l.Index()); got != id {
+		t.Fatalf("honest send has id %d, the forged copy %d", got, id)
+	}
+	late := forge(send) // carries the send's written memo
+	if res := e.l.Process(send); res.Status != Accepted {
+		t.Fatalf("original: honest send %v (%v)", res.Status, res.Err)
+	}
+	refuse(e.l, "original", late, Duplicate)
+	refuse(replica, "replica", late, Rejected) // the catalog holds the send
+	refuse(replica, "replica", early, Rejected)
+	if _, ok := replica.Get(send.Hash()); ok {
+		t.Fatal("a forged copy attached through the catalog's entry")
+	}
+	open, err := e.l.NewOpen(e.r.Pair(1), send.Hash(), e.r.Addr(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res := e.l.Process(open); res.Status != Accepted {
+		t.Fatalf("original: open %v (%v)", res.Status, res.Err)
+	}
+	if res := replica.Process(send); res.Status != Accepted {
+		t.Fatalf("replica: honest send %v (%v)", res.Status, res.Err)
+	}
+	// The catalog holds the open and names its send in its entry.
+	refuse(replica, "replica", forge(open), Rejected)
+	if res := replica.Process(open); res.Status != Accepted {
+		t.Fatalf("replica: honest open %v (%v)", res.Status, res.Err)
+	}
+	for _, l := range []*Lattice{e.l, replica} {
+		if got := l.Balance(e.r.Addr(1)); got != 500 {
+			t.Fatalf("balance %d, want 500", got)
+		}
+		if err := l.CheckInvariant(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // §IV-B: "a transaction may not have been properly broadcasted, causing
 // the network to ignore all subsequent transactions on top of the missing
 // block" — gap buffering must recover once the missing block arrives.
@@ -328,6 +399,35 @@ func TestGapPreviousRecovery(t *testing.T) {
 		t.Fatalf("chain length = %d, want 3", e.l.ChainLen(e.r.Addr(0)))
 	}
 	if err := e.l.CheckInvariant(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// A block the catalog holds takes its predecessor's id from its entry,
+// and a replica that has not attached that predecessor parks it, as it
+// would a block it looked up by hash, even though the account's head
+// here would pass the block's balance checks; the predecessor drains it.
+func TestHeldBlockWaitsForItsPredecessor(t *testing.T) {
+	e := newEnv(t, 0)
+	replica := e.l.Clone()
+	send1, _ := e.l.NewSend(e.r.Pair(0), e.r.Addr(1), 100)
+	if res := e.l.Process(send1); res.Status != Accepted {
+		t.Fatalf("send1: %v", res.Status)
+	}
+	send2, _ := e.l.NewSend(e.r.Pair(0), e.r.Addr(2), 200)
+	if res := e.l.Process(send2); res.Status != Accepted {
+		t.Fatalf("send2: %v", res.Status)
+	}
+	if res := replica.Process(send2); res.Status != GapPrevious {
+		t.Fatalf("replica: send2 before send1 %v (%v), want parked", res.Status, res.Err)
+	}
+	if res := replica.Process(send1); res.Status != Accepted || len(res.Drained) != 1 || res.Drained[0] != send2 {
+		t.Fatalf("replica: send1 %v drained %d, want send2 drained", res.Status, len(res.Drained))
+	}
+	if head, _ := replica.Head(e.r.Addr(0)); head != send2.Hash() {
+		t.Fatal("replica's head is not send2")
+	}
+	if err := replica.CheckInvariant(); err != nil {
 		t.Fatal(err)
 	}
 }

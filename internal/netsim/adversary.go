@@ -289,7 +289,7 @@ func (n *NanoNet) InjectContestedDoubleSpend(p DoubleSpendPlan) *DoubleSpendHand
 		if entryIdx <= 0 || entryIdx >= len(n.nodes) {
 			entryIdx = (ownerIdx + len(n.nodes)/2) % len(n.nodes)
 		}
-		n.stamp(h.Rival, owner.id)
+		n.stamp(n.objectID(rival), owner.id)
 		n.rt.Unicast(owner.id, n.nodes[entryIdx].id, rival, rival.EncodedSize())
 	})
 	return h

@@ -305,8 +305,8 @@ func (n *NanoNet) ScheduleExecutedDoubleSpend(p LatticeDoubleSpendPlan) *Lattice
 		if entryIdx <= 0 || entryIdx >= len(n.nodes) {
 			entryIdx = (feederIdx + len(n.nodes)/2) % len(n.nodes)
 		}
-		n.stamp(h.Honest, feeder.id)
-		n.stamp(h.Rival, feeder.id)
+		n.stamp(n.objectID(honest), feeder.id)
+		n.stamp(n.objectID(rival), feeder.id)
 		n.rt.Unicast(honestFrom, victim.id, honest, honest.EncodedSize())
 		n.rt.Unicast(feeder.id, n.nodes[entryIdx].id, rival, rival.EncodedSize())
 	})

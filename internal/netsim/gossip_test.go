@@ -238,7 +238,7 @@ func TestShellGossipContract(t *testing.T) {
 			log := &sendLog{}
 			net.Runtime().SetBehavior(0, log)
 			peers := len(net.Net().Peers(0))
-			deliver := func(obj any) { sh.receive(0, 1, objHash(obj), obj, wireSize(obj)) }
+			deliver := func(obj any) { sh.receive(0, 1, sh.objectID(obj.(object)), obj, wireSize(obj)) }
 
 			valid := c.valid(t, net)
 			deliver(valid)
@@ -460,7 +460,7 @@ func FuzzDeliveryOrder(f *testing.F) {
 			}
 			for _, i := range deliveryOrder(data, n) {
 				obj, size := at(i)
-				sh.receive(deliveryK, 0, objHash(obj), obj, size)
+				sh.receive(deliveryK, 0, sh.objectID(obj.(object)), obj, size)
 			}
 			for i := 0; i < n; i++ {
 				if obj, _ := at(i); !sh.view.has(deliveryK, objHash(obj)) {
@@ -550,7 +550,7 @@ func FuzzVoteOrder(f *testing.F) {
 		for _, i := range deliveryOrder(data, len(stream)) {
 			switch obj := stream[i].(type) {
 			case *lattice.Block:
-				net.receive(node.id, 0, obj.Hash(), obj, obj.EncodedSize())
+				net.receive(node.id, 0, net.objectID(obj), obj, obj.EncodedSize())
 			case *orv.Vote:
 				net.onVote(node, obj)
 			}

@@ -408,7 +408,7 @@ func (n *NanoNet) handlerFor(node *nanoNode) sim.Handler {
 	return func(from sim.NodeID, payload any, size int) {
 		switch msg := payload.(type) {
 		case *lattice.Block:
-			n.receive(node.id, from, msg.Hash(), msg, size)
+			n.receive(node.id, from, n.objectID(msg), msg, size)
 		case *orv.Vote:
 			n.onVote(node, msg)
 		default:
@@ -478,9 +478,8 @@ func (n *NanoNet) enqueueIngest(node *nanoNode, b *lattice.Block, id int32, from
 		// bit so it can be re-delivered, and re-pull it from its sender.
 		evicted := node.ingest[0]
 		node.ingest = node.ingest[1:]
-		h := evicted.b.Hash()
-		n.unsee(node.id, h)
-		n.sync.evicted(node.id, h, evicted.from)
+		n.unsee(node.id, evicted.id)
+		n.sync.evicted(node.id, evicted.b.Hash(), evicted.from)
 	}
 	if !node.flushArmed {
 		node.flushArmed = true
@@ -763,7 +762,7 @@ func (n *NanoNet) maybeScheduleReceive(node *nanoNode, b *lattice.Block, h hashx
 // unless the owner's behavior withholds it.
 func (n *NanoNet) publish(node *nanoNode, b *lattice.Block) {
 	h := b.Hash()
-	id := n.mint(node.id, h)
+	id := n.mint(node.id, b)
 	res := node.lat.Process(b)
 	if res.Status == lattice.Accepted {
 		n.onAttached(node, b, h)

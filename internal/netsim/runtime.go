@@ -343,7 +343,7 @@ func (c *chainRuntime) addNode(l chainLedger, np NetParams) sim.NodeID {
 	return c.rt.AddNode(func(from sim.NodeID, payload any, size int) {
 		switch msg := payload.(type) {
 		case *chain.Block:
-			c.receive(idx, from, msg.Hash(), msg, size)
+			c.receive(idx, from, c.objectID(msg), msg, size)
 		default:
 			c.serve(idx, from, payload)
 		}
@@ -365,7 +365,7 @@ func (c *chainRuntime) produce(idx int, proposer keys.Address, difficulty float6
 // the producer's own ledger, and floods it unless the producer's
 // behavior withholds it.
 func (c *chainRuntime) publishProduced(idx int, blk *chain.Block) {
-	id := c.mint(sim.NodeID(idx), blk.Hash())
+	id := c.mint(sim.NodeID(idx), blk)
 	now := c.rt.sim.Now()
 	c.metrics.BlocksTotal++
 	if c.blockCount == 0 {

@@ -8,7 +8,9 @@
 // canonical history. Objects are numbered by the network catalog's index
 // (internal/catalog), so the dedup bits, the per-object provenance
 // columns (creation time, maker, observer confirmation) and every
-// replica's state share one id per object. What is left in each network
+// replica's state share one id per object. Each object carries its id
+// in a memo (catalog.Memo), so the index is probed once per object, at
+// its first sight, and not once per delivery. What is left in each network
 // file is its apply verdict, its consensus and its reactions.
 package netsim
 
@@ -106,6 +108,16 @@ func (s *netShell) mark(node sim.NodeID, id int32) bool {
 // id returns h's catalog id, handing one out at first sight.
 func (s *netShell) id(h hashx.Hash) int32 { return int32(s.ids.Intern(h)) }
 
+// object is a ledger object as the shell moves it: content that carries
+// its id in the network's catalog index (catalog.Memo).
+type object interface {
+	IDIn(x *catalog.Index) uint32
+}
+
+// objectID returns obj's catalog id, handing one out at first sight; the
+// id is read from obj's memo after the first call.
+func (s *netShell) objectID(obj object) int32 { return int32(obj.IDIn(s.ids)) }
+
 // Sim returns the underlying simulator.
 func (s *netShell) Sim() *sim.Simulator { return s.rt.sim }
 
@@ -145,13 +157,13 @@ func (s *netShell) ColdSyncDone(node int) (time.Duration, bool) {
 	return s.sync.coldSyncDone(sim.NodeID(node))
 }
 
-// receive is the one gossip path: a first-seen object goes to the
-// paradigm's apply, then through react; size is relayed unchanged. A
-// repeat delivery costs one id probe and one bit test, and most repeats
-// never get here: a copy sent to a node that already holds the object is
-// counted at send time and not delivered (NodeRuntime.send).
-func (s *netShell) receive(node, from sim.NodeID, h hashx.Hash, obj any, size int) {
-	id := s.id(h)
+// receive is the one gossip path for object id, which the handler read
+// through objectID: a first-seen object goes to the paradigm's apply,
+// then through react; size is relayed unchanged. A repeat delivery costs
+// one memo read and one bit test, and most repeats never get here: a copy
+// sent to a node that already holds the object is counted at send time
+// and not delivered (NodeRuntime.send).
+func (s *netShell) receive(node, from sim.NodeID, id int32, obj any, size int) {
 	if s.seen.testSet(int(node), seenBit(id)) {
 		return
 	}
@@ -172,32 +184,31 @@ func (s *netShell) react(node, from sim.NodeID, id int32, obj any, size int, rel
 	}
 }
 
-// unsee clears node's first-seen bit for h, so a re-delivery is processed,
-// and with it the held bit, which only a seen object may carry.
-func (s *netShell) unsee(node sim.NodeID, h hashx.Hash) {
-	id := s.id(h)
+// unsee clears node's first-seen bit for object id, so a re-delivery is
+// processed, and with it the held bit, which only a seen object may carry.
+func (s *netShell) unsee(node sim.NodeID, id int32) {
 	s.seen.clear(int(node), seenBit(id))
 	s.seen.clear(int(node), heldBit(id))
 }
 
-// stamp records h as made by maker now and returns its id. Injected
-// objects are stamped but not marked seen, so they still apply at their
-// maker when delivered back.
-func (s *netShell) stamp(h hashx.Hash, maker sim.NodeID) int32 {
-	id := s.id(h)
+// stamp records object id as made by maker now. Injected objects are
+// stamped but not marked seen, so they still apply at their maker when
+// delivered back.
+func (s *netShell) stamp(id int32, maker sim.NodeID) {
 	for int(id) >= len(s.born) {
 		s.born = append(s.born, -1)
 		s.maker = append(s.maker, -1)
 	}
 	s.born[id] = s.rt.sim.Now()
 	s.maker[id] = int32(maker)
-	return id
 }
 
-// mint stamps a locally made object and marks it seen at its maker; the
-// paradigm then applies it locally and floods it.
-func (s *netShell) mint(node sim.NodeID, h hashx.Hash) int32 {
-	id := s.stamp(h, node)
+// mint stamps a locally made object, numbering it, and marks it seen at
+// its maker; the paradigm then applies it locally and floods it under
+// the id returned.
+func (s *netShell) mint(node sim.NodeID, obj object) int32 {
+	id := s.objectID(obj)
+	s.stamp(id, node)
 	s.seen.testSet(int(node), seenBit(id))
 	return id
 }
@@ -253,7 +264,7 @@ func (s *netShell) serve(node, from sim.NodeID, payload any) {
 		if obj, size, ok := s.view.object(node, msg.Hash); ok {
 			s.sync.stats.BlocksServed++
 			s.sync.stats.BytesServed += int64(size)
-			s.rt.send(node, from, obj, size, s.id(msg.Hash))
+			s.rt.send(node, from, obj, size, s.objectID(obj.(object)))
 		}
 	case *rangeRequest:
 		n, at := s.view.canonical(node)
@@ -268,14 +279,14 @@ func (s *netShell) serve(node, from sim.NodeID, payload any) {
 // bit cleared before the sync manager's reaction.
 func bindBacklog[K comparable, V interface {
 	comparable
+	object
 	Hash() hashx.Hash
 }](s *netShell, node sim.NodeID, buf *backlog.Buffer[K, V], np NetParams) {
 	buf.SetLimit(np.BacklogCap)
 	buf.SetTTL(np.BacklogTTL, s.rt.sim.Now)
 	buf.OnEvict(func(v V) {
-		h := v.Hash()
-		s.unsee(node, h)
-		s.sync.evicted(node, h, node)
+		s.unsee(node, s.objectID(v))
+		s.sync.evicted(node, v.Hash(), node)
 	})
 }
 
@@ -285,7 +296,7 @@ func (s *netShell) sendHistory(from, to int) {
 	n, at := s.view.canonical(sim.NodeID(from))
 	for i := 0; i < n; i++ {
 		obj, size := at(i)
-		s.rt.send(sim.NodeID(from), sim.NodeID(to), obj, size, s.objectID(obj))
+		s.rt.send(sim.NodeID(from), sim.NodeID(to), obj, size, s.objectID(obj.(object)))
 	}
 }
 
@@ -296,14 +307,8 @@ func (s *netShell) broadcastHistory(node int) {
 	n, at := s.view.canonical(sim.NodeID(node))
 	for i := 0; i < n; i++ {
 		obj, size := at(i)
-		s.rt.broadcast(sim.NodeID(node), obj, size, s.objectID(obj))
+		s.rt.broadcast(sim.NodeID(node), obj, size, s.objectID(obj.(object)))
 	}
-}
-
-// objectID returns the catalog id of a ledger object from a canonical
-// stream.
-func (s *netShell) objectID(obj any) int32 {
-	return s.id(obj.(interface{ Hash() hashx.Hash }).Hash())
 }
 
 // faultReactor is what a paradigm adds to the fault scheduler: its

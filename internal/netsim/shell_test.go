@@ -7,12 +7,40 @@ import (
 	"math/rand"
 	"testing"
 	"time"
+	"unsafe"
 
+	"repro/internal/chain"
 	"repro/internal/hashx"
+	"repro/internal/lattice"
 	"repro/internal/orv"
 	"repro/internal/sim"
+	"repro/internal/tangle"
 	"repro/internal/workload"
 )
+
+// The objects the shell hands to every node by pointer each carry a
+// content hash memo and an id memo, the DAG ones a signature memo too.
+// One is allocated per object per network, so a field that pushes one
+// into the next size class costs every workload that makes them. This
+// pins their sizes on 64-bit platforms; the comments name the allocator's
+// size class each lands in.
+func TestSharedObjectSizes(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("sizes pinned for 64-bit platforms")
+	}
+	for _, c := range []struct {
+		name      string
+		got, want uintptr
+	}{
+		{"tangle.Vertex", unsafe.Sizeof(tangle.Vertex{}), 376}, // class 384 (352 without the id memo)
+		{"lattice.Block", unsafe.Sizeof(lattice.Block{}), 384}, // class 384, filled
+		{"chain.Block", unsafe.Sizeof(chain.Block{}), 232},     // class 240 (208 without the id memo)
+	} {
+		if c.got != c.want {
+			t.Errorf("%s is %d bytes, want %d", c.name, c.got, c.want)
+		}
+	}
+}
 
 // shellOf reaches the shell behind a registry-built network.
 func shellOf(t *testing.T, net ParadigmNet) *netShell {

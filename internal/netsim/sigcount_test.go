@@ -241,7 +241,7 @@ func TestForgedSignaturesReachEd25519AndAreRejected(t *testing.T) {
 		forged := send.WithSig(forgeSig(send.Sig()))
 		before := keys.Verifies()
 		for _, node := range net.nodes {
-			net.receive(node.id, node.id, forged.Hash(), forged, forged.EncodedSize())
+			net.receive(node.id, node.id, net.objectID(forged), forged, forged.EncodedSize())
 			if cfg.BatchSize > 1 {
 				net.flushIngest(node)
 			}
@@ -286,7 +286,7 @@ func TestForgedSignaturesReachEd25519AndAreRejected(t *testing.T) {
 		forged := v.WithSig(forgeSig(v.Sig()))
 		before := keys.Verifies()
 		for _, node := range net.nodes {
-			net.receive(node.id, node.id, forged.Hash(), forged, forged.EncodedSize())
+			net.receive(node.id, node.id, net.objectID(forged), forged, forged.EncodedSize())
 			if node.tg.Has(forged.Hash()) {
 				t.Fatalf("node %d attached a vertex with a forged signature", node.id)
 			}

@@ -65,7 +65,7 @@ func craftChain(t *testing.T, n *NanoNet, lat *lattice.Lattice) (b1, b2 *lattice
 // deliverBlock hands node to a lattice block from node from through the
 // shell's gossip path.
 func deliverBlock(n *NanoNet, to, from int, b *lattice.Block) {
-	n.receive(n.nodes[to].id, n.nodes[from].id, b.Hash(), b, b.EncodedSize())
+	n.receive(n.nodes[to].id, n.nodes[from].id, n.objectID(b), b, b.EncodedSize())
 }
 
 // runDeadTargetScenario: node 1 crafts two chained blocks, node 0

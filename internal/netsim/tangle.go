@@ -170,7 +170,7 @@ func (n *TangleNet) handlerFor(node *tangleNode) sim.Handler {
 	return func(from sim.NodeID, payload any, size int) {
 		switch msg := payload.(type) {
 		case *tangle.Vertex:
-			n.receive(node.id, from, msg.Hash(), msg, size)
+			n.receive(node.id, from, n.objectID(msg), msg, size)
 		default:
 			n.serve(node.id, from, payload)
 		}
@@ -223,7 +223,7 @@ func (n *TangleNet) selectTips(node *tangleNode) (hashx.Hash, hashx.Hash) {
 // unless the issuer's behavior withholds it (the parasite chain keeps
 // its sub-tangle private until release).
 func (n *TangleNet) publish(node *tangleNode, v *tangle.Vertex) {
-	id := n.mint(node.id, v.Hash())
+	id := n.mint(node.id, v)
 	res := node.tg.Attach(v)
 	if res.Status == tangle.Accepted {
 		n.noteConfirmed(node, res.Confirmed)

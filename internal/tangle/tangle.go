@@ -61,6 +61,10 @@ type Vertex struct {
 	// still points at this exact value, so copies silently re-hash.
 	memoSelf *Vertex
 	memoHash hashx.Hash
+	// idMemo caches the vertex's id in its network's catalog index (see
+	// catalog.Memo); it sits beside the hash memo, whose cache line an id
+	// read has already loaded.
+	idMemo catalog.Memo
 
 	// verified holds the signature verdict and how to make the bytes
 	// (see keys.SigMemo), bound by the issuing wallet's signature.
@@ -92,16 +96,22 @@ func (v *Vertex) contentBytes() []byte {
 	return buf
 }
 
+// contentHash hashes the content, out of line so that Hash's memo read
+// inlines.
+func (v *Vertex) contentHash() hashx.Hash { return hashx.Sum(v.contentBytes()) }
+
 // Hash returns the vertex identifier, memoized on first use. Not safe
 // for a concurrent FIRST call on the same pointer.
 func (v *Vertex) Hash() hashx.Hash {
-	if v.memoSelf == v {
-		return v.memoHash
+	if v.memoSelf != v {
+		v.memoHash, v.memoSelf = v.contentHash(), v
 	}
-	v.memoHash = hashx.Sum(v.contentBytes())
-	v.memoSelf = v
 	return v.memoHash
 }
+
+// IDIn returns the vertex's id in the catalog index x, handing one out at
+// first sight, from its memo after the first call with x.
+func (v *Vertex) IDIn(x *catalog.Index) uint32 { return x.InternMemo(&v.idMemo, v.Hash()) }
 
 // sign fills PubKey and the signature, whose bytes are made on first
 // read.
@@ -381,10 +391,12 @@ func (t *Tangle) Attach(v *Vertex) Result {
 // attachOne inserts a single vertex without draining, appending what it
 // confirms to confirmedBuf. Every check runs on the pointer received,
 // never on the catalog's: the content hash does not cover PubKey and
-// Sig, so a same-hash copy must earn its own acceptance.
+// Sig, so a same-hash copy must earn its own acceptance. It does cover
+// the parents, so for a vertex the catalog holds their ids are read from
+// its entry rather than looked up by hash.
 func (t *Tangle) attachOne(v *Vertex) Result {
 	h := v.Hash()
-	id := t.cat.ID(h)
+	id, e := t.cat.Lookup(&v.idMemo, h)
 	if t.attached.Has(uint32(id)) {
 		return Result{Status: Duplicate}
 	}
@@ -394,13 +406,17 @@ func (t *Tangle) attachOne(v *Vertex) Result {
 	if !v.VerifySig() {
 		return Result{Status: Rejected}
 	}
-	pa, okA := t.lookup(v.ParentA)
-	if !okA {
+	var pa, pb VertexID
+	if e.vertex != nil {
+		pa, pb = e.parents[0], e.parents[1]
+	} else {
+		pa, pb = t.cat.ID(v.ParentA), t.cat.ID(v.ParentB)
+	}
+	if !t.attached.Has(uint32(pa)) {
 		t.park(v.ParentA, v)
 		return Result{Status: GapParent, Missing: v.ParentA}
 	}
-	pb, okB := t.lookup(v.ParentB)
-	if !okB {
+	if !t.attached.Has(uint32(pb)) {
 		t.park(v.ParentB, v)
 		return Result{Status: GapParent, Missing: v.ParentB}
 	}
@@ -408,10 +424,11 @@ func (t *Tangle) attachOne(v *Vertex) Result {
 	// The catalog entry is written on the vertex's first attach in the
 	// network; a later replica that verified another pointer under the
 	// same hash keeps that pointer as its own.
-	if id == 0 {
+	if e.vertex == nil {
 		id = t.cat.Add(h, catEntry{vertex: v, parents: [2]VertexID{pa, pb}})
+		e = t.cat.At(id)
 	}
-	t.own.Keep(id, v, t.cat.At(id).vertex)
+	t.own.Keep(id, v, e.vertex)
 	t.attached.Add(uint32(id))
 	t.order = append(t.order, id)
 	// Grown a slot at a time: append(s, make(...)...) allocates its

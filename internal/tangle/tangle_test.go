@@ -322,6 +322,89 @@ func TestTangleReplicaKeepsThePointerItValidated(t *testing.T) {
 	}
 }
 
+// A vertex's id memo is a cache of its hash's id, never a verdict. A
+// same-hash copy with another signature, taken before or after the honest
+// vertex's memo is written and delivered before or after the honest
+// vertex attaches, is checked on its own pointer and never attaches, on
+// the replica that holds the honest vertex or on one that does not; the
+// honest vertex attaches wherever it is delivered, under one id.
+func TestForgedCopyNeverAttachesThroughTheMemo(t *testing.T) {
+	ring := testRing(t, 2)
+	a, gen := newTestTangle(t, ring, 100)
+	b := a.Replica()
+	v := NewVertex(ring.Pair(1), 1, gen.Hash(), gen.Hash(), ring.Addr(0), 5)
+	forge := func() *Vertex { // a same-hash copy carrying v's memo as it stands
+		sig := append([]byte(nil), v.Sig()...)
+		sig[3] ^= 0x10
+		return v.WithSig(sig)
+	}
+	refuse := func(r *Tangle, name string, f *Vertex, want Status) {
+		t.Helper()
+		if res := r.Attach(f); res.Status != want {
+			t.Fatalf("%s: forged copy %v, want %v", name, res.Status, want)
+		}
+		if got, ok := r.Get(v.Hash()); ok && got != v {
+			t.Fatalf("%s holds %p under the hash, want the honest %p", name, got, v)
+		}
+	}
+	early := forge()
+	// The network numbers what it sees first: the forged copy's id is
+	// handed out, its entry stays empty.
+	id := early.IDIn(a.Index())
+	refuse(a, "a", early, Rejected)
+	refuse(b, "b", early, Rejected)
+	if a.Has(v.Hash()) || b.Has(v.Hash()) {
+		t.Fatal("a forged copy attached")
+	}
+	if got := v.IDIn(a.Index()); got != id {
+		t.Fatalf("honest vertex has id %d, the forged copy %d", got, id)
+	}
+	late := forge() // carries v's written memo
+	if res := a.Attach(v); res.Status != Accepted {
+		t.Fatalf("a: honest vertex %v", res.Status)
+	}
+	refuse(a, "a", late, Duplicate)
+	refuse(a, "a", early, Duplicate)
+	refuse(b, "b", late, Rejected) // the catalog holds v, b has not attached it
+	refuse(b, "b", early, Rejected)
+	if b.Has(v.Hash()) {
+		t.Fatal("a forged copy attached through the catalog's entry")
+	}
+	if res := b.Attach(v); res.Status != Accepted {
+		t.Fatalf("b: honest vertex %v", res.Status)
+	}
+	refuse(b, "b", late, Duplicate)
+	if got := late.IDIn(a.Index()); got != id {
+		t.Fatalf("forged copy has id %d, want %d", got, id)
+	}
+}
+
+// A vertex the catalog holds takes its parents' ids from its entry, and a
+// replica that has attached only one of them parks it on the other, as it
+// would a vertex it looked up by hash, and attaches it once that arrives.
+func TestHeldVertexWaitsForBothParents(t *testing.T) {
+	ring := testRing(t, 2)
+	a, gen := newTestTangle(t, ring, 100)
+	b := a.Replica()
+	p1 := NewVertex(ring.Pair(1), 1, gen.Hash(), gen.Hash(), ring.Addr(0), 1)
+	p2 := NewVertex(ring.Pair(1), 2, gen.Hash(), gen.Hash(), ring.Addr(0), 2)
+	w := NewVertex(ring.Pair(1), 3, p1.Hash(), p2.Hash(), ring.Addr(0), 3)
+	for _, v := range []*Vertex{p1, p2, w} {
+		if res := a.Attach(v); res.Status != Accepted {
+			t.Fatalf("a: %v", res.Status)
+		}
+	}
+	if res := b.Attach(p1); res.Status != Accepted {
+		t.Fatalf("b: first parent %v", res.Status)
+	}
+	if res := b.Attach(w); res.Status != GapParent || res.Missing != p2.Hash() {
+		t.Fatalf("b: vertex %v missing %x, want parked on its second parent", res.Status, res.Missing[:4])
+	}
+	if res := b.Attach(p2); res.Status != Accepted || len(res.Drained) != 1 || res.Drained[0] != w {
+		t.Fatalf("b: second parent %v drained %d, want the vertex drained", res.Status, len(res.Drained))
+	}
+}
+
 // One Attach that drains a parked chain reports every confirmation the
 // arrival and the drained vertices make, each once and ancestor first,
 // exactly as the map model does: the drain appends to the same buffer
