@@ -35,7 +35,8 @@ race:
 # Short fuzz smoke mirroring CI: the generic content catalog, pointer
 # override and id memo against a map-plus-slice model, batch settlement vs serial apply under
 # hostile block streams, link-model delay sanity for any bounds, the
-# event queue against a naive minimum-scan model, tangle tip selection,
+# event queue (deferred handler runs included) against a naive
+# minimum-scan model, tangle tip selection,
 # three tangle replicas on one vertex catalog against their map models,
 # three chain stores on one block catalog and two mempools on one
 # transaction table against their map models, three UTXO sets on one

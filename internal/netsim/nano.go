@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"time"
@@ -144,7 +145,7 @@ type nanoNode struct {
 	// repAccounts are representative indices whose owner is this node.
 	repAccounts []int
 	// forkRoots maps fork-election candidates to their derived roots,
-	// shadowing the identity rule for plain candidates (electionRootOf).
+	// shadowing the identity rule for plain candidates (applyVote).
 	forkRoots map[hashx.Hash]hashx.Hash
 	// forkPrev maps a fork election's derived root back to the contested
 	// predecessor block it is about (the ResolveFork argument).
@@ -534,21 +535,6 @@ func (n *NanoNet) onAttached(node *nanoNode, b *lattice.Block, h hashx.Hash) {
 	}
 }
 
-// electionRootOf resolves the election root a vote candidate tallies
-// under. Fork rivals carry an explicit entry (startForkElection shadows
-// any earlier plain election); every other candidate is its own root
-// exactly when its plain election exists — the identity the old rootOf
-// map spelled out one entry per block.
-func (n *NanoNet) electionRootOf(node *nanoNode, candidate hashx.Hash) (hashx.Hash, bool) {
-	if root, ok := node.forkRoots[candidate]; ok {
-		return root, true
-	}
-	if node.tracker.HasElection(candidate) {
-		return candidate, true
-	}
-	return hashx.Zero, false
-}
-
 // startPlainElection opens the single-candidate election of §IV-B's
 // automatic voting and votes if this node hosts representatives. A
 // byzantine node abstains from elections for the honest blocks its
@@ -666,13 +652,22 @@ func voteKeyOf(v *orv.Vote) voteKey {
 // cementing, fork resolution, and §III-B leader-following vote switches.
 // A vote for a candidate with no election yet is parked until the
 // election starts.
+//
+// The election root is the candidate's fork root when it has one
+// (startForkElection shadows any earlier plain election), else the
+// candidate itself. A fork root is recorded only once its election
+// exists, so ErrUnknownRoot, which ProcessVote returns before any side
+// effect, means the candidate's plain election has not started.
 func (n *NanoNet) applyVote(node *nanoNode, v *orv.Vote) {
-	root, ok := n.electionRootOf(node, v.Block)
+	root, ok := node.forkRoots[v.Block]
 	if !ok {
+		root = v.Block
+	}
+	out, err := node.tracker.ProcessVote(root, v)
+	if errors.Is(err, orv.ErrUnknownRoot) {
 		node.pendingVotes.Park(v.Block, v)
 		return
 	}
-	out, err := node.tracker.ProcessVote(root, v)
 	if err != nil {
 		return
 	}

@@ -22,6 +22,12 @@
 // check — no per-event map, and canceling an event that already ran (its
 // slot's generation has moved on) is a safe no-op.
 //
+// A handler run that a node's processing budget defers (Network.
+// SetProcessing) waits in that node's own held chain, a FIFO in the
+// queue's chunk arena, and only the first run of each busy node's chain
+// is in the queue. The runs keep the slots and sequence numbers they took
+// at delivery, so pop order is exactly as if each were queued alone.
+//
 // A delivery the sender knows the receiver will drop unseen
 // (Network.SendDuplicate) is counted, not scheduled: it draws its loss
 // and delay like any send, but enters the queue as an elided arrival, a
@@ -38,6 +44,7 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
+	"slices"
 	"time"
 )
 
@@ -112,8 +119,9 @@ type chunk struct {
 	next  int32
 }
 
-// chain is one ring bucket: the first and last chunk of its list. It is
-// meaningful only while the bucket's occupancy bit is set.
+// chain is a list of chunks: its first and last chunk. A ring bucket's
+// chain is meaningful only while the bucket's occupancy bit is set; a
+// node's held chain (processor) is empty when its head is -1.
 type chain struct{ head, tail int32 }
 
 // Simulator owns the virtual clock, the pending-event queue and the seeded
@@ -126,7 +134,11 @@ type chain struct{ head, tail int32 }
 //     at ring[bucket % ringBuckets], with occ marking the non-empty ones;
 //   - far: a binary min-heap of every later item.
 //
-// Slots and ring chunks live in paged arenas. The two heaps stay slices
+// A handler run that a node's processing budget defers waits outside the
+// tiers, in that node's held chain (see processor): only the first run of
+// each busy node's chain is in the queue, and popping it pushes the next.
+//
+// Slots and chunks live in paged arenas. The two heaps stay slices
 // grown by append: a heap over pages would be a second heap
 // implementation, for a few MB of growth on the deepest workloads.
 //
@@ -221,15 +233,19 @@ func (s *Simulator) release(idx int32, sl *slot) {
 
 // schedule places an occupied slot into the queue at time t.
 func (s *Simulator) schedule(t time.Duration, sl slot) EventID {
-	if t < s.now {
-		t = s.now
-	}
+	it := s.item(t, sl)
+	s.push(it)
+	return EventID(uint64(uint32(it.slot)+1)<<32 | uint64(it.gen))
+}
+
+// item stores sl in a fresh slot and returns its queue item at time t,
+// clamped to now, with the next sequence number.
+func (s *Simulator) item(t time.Duration, sl slot) heapItem {
 	idx, p := s.alloc()
 	sl.gen = p.gen
 	*p = sl
-	s.push(heapItem{at: t, seq: s.nextSeq, slot: idx, gen: sl.gen})
 	s.nextSeq++
-	return EventID(uint64(uint32(idx)+1)<<32 | uint64(sl.gen))
+	return heapItem{at: max(t, s.now), seq: s.nextSeq - 1, slot: idx, gen: sl.gen}
 }
 
 // elide queues an elided arrival at time t: a logical event with no slot,
@@ -288,7 +304,11 @@ func (s *Simulator) Cancel(id EventID) {
 	if idx >= uint32(s.slots.n) {
 		return
 	}
-	if sl := s.slots.at(int32(idx)); sl.gen == uint32(id) && sl.kind != kindFree {
+	// A deferred handler run is never handed an id, so only a forged one
+	// can name it. It must still run: the next run of its node's held
+	// chain is pushed only when it pops, so releasing it would stall the
+	// whole chain.
+	if sl := s.slots.at(int32(idx)); sl.gen == uint32(id) && (sl.kind == kindFn || sl.kind == kindDeliver) {
 		s.release(int32(idx), sl)
 	}
 }
@@ -305,13 +325,20 @@ func (s *Simulator) push(it heapItem) {
 	}
 }
 
-// ringAppend appends an item to ring bucket b's chain, taking a fresh
-// chunk when the bucket is empty or its last chunk is full.
+// ringAppend appends an item to ring bucket b's chain, starting the chain
+// when the bucket is empty.
 func (s *Simulator) ringAppend(b int64, it heapItem) {
 	i := int(b & (ringBuckets - 1))
-	ch := &s.ring[i]
-	if bit := uint64(1) << (i & 63); s.occ[i>>6]&bit == 0 {
-		s.occ[i>>6] |= bit
+	bit := uint64(1) << (i & 63)
+	s.appendTo(&s.ring[i], s.occ[i>>6]&bit == 0, it)
+	s.occ[i>>6] |= bit
+}
+
+// appendTo appends an item to a chain, starting it on a fresh chunk when
+// fresh and taking another when its last chunk is full. Ring buckets and
+// held chains share it.
+func (s *Simulator) appendTo(ch *chain, fresh bool, it heapItem) {
+	if fresh {
 		c := s.newChunk()
 		*ch = chain{head: c, tail: c}
 	}
@@ -324,6 +351,23 @@ func (s *Simulator) ringAppend(b int64, it heapItem) {
 	}
 	k.items[k.n] = it
 	k.n++
+}
+
+// advance drops the item at *off of a non-empty chain and returns the
+// next one, or false when none is left and the chain is now empty (head
+// -1). A chunk read to its end goes back to the free list.
+func (s *Simulator) advance(ch *chain, off *int32) (heapItem, bool) {
+	k := s.chunks.at(ch.head)
+	if *off++; *off < k.n {
+		return k.items[*off], true
+	}
+	c, next := ch.head, k.next
+	k.next, s.freeChunk = s.freeChunk, c
+	ch.head, *off = next, 0
+	if next < 0 {
+		return heapItem{}, false
+	}
+	return s.chunks.at(next).items[0], true
 }
 
 // freeChain returns the chunks from c to the end of its chain to the free
@@ -449,7 +493,9 @@ func (s *Simulator) step() {
 	case kindDeliver:
 		s.nets[run.net].deliver(NodeID(run.from), NodeID(run.to), run.payload, run.size)
 	case kindHandler:
-		s.nets[run.net].handlers[run.to](NodeID(run.from), run.payload, run.size)
+		n := s.nets[run.net]
+		n.next(NodeID(run.to))
+		n.handlers[run.to](NodeID(run.from), run.payload, run.size)
 	}
 }
 
@@ -687,17 +733,33 @@ type NetStats struct {
 // "quality of consumer grade hardware" bound the paper gives for Nano
 // throughput (§VI-B).
 type Network struct {
-	sim       *Simulator
-	handlers  []Handler
-	links     LinkModel
-	group     []int  // partition group per node; same group = connected
-	detached  []bool // churn: detached nodes neither send nor receive
-	lossRate  float64
-	peers     [][]NodeID
-	procCost  func(to NodeID, payload any, size int) time.Duration
-	busyUntil []time.Duration
-	stats     NetStats
-	id        uint8 // index in sim.nets, which a delivery slot carries
+	sim      *Simulator
+	handlers []Handler
+	links    LinkModel
+	group    []int  // partition group per node; same group = connected
+	detached []bool // churn: detached nodes neither send nor receive
+	lossRate float64
+	peers    [][]NodeID
+	procCost func(to NodeID, payload any, size int) time.Duration
+	procs    []processor // per node, made on first use; see proc
+	stats    NetStats
+	id       uint8 // index in sim.nets, which a delivery slot carries
+}
+
+// processor is one node's state under a processing model: when its
+// current work ends, and the handler runs its budget has deferred.
+//
+// A deferred run starts at busyUntil, which only ever grows, so a node's
+// runs are made in (at, seq) order and wait in held, a FIFO chain in the
+// queue's chunk arena read from off. Each run takes its slot and sequence
+// number at delivery, but only the chain's first run is in the event
+// queue: when it pops, step pushes the next with its own (at, seq),
+// before anything at or after that can pop. A busy node thus keeps one
+// queue item, however deep its backlog.
+type processor struct {
+	busyUntil time.Duration
+	held      chain // empty when head is -1
+	off       int32 // read offset into held's first chunk
 }
 
 // NewNetwork creates an empty network over the simulator and link model.
@@ -723,7 +785,6 @@ func (n *Network) AddNode(h Handler) NodeID {
 	n.handlers = append(n.handlers, h)
 	n.group = append(n.group, 0)
 	n.detached = append(n.detached, false)
-	n.busyUntil = append(n.busyUntil, 0)
 	return id
 }
 
@@ -744,25 +805,58 @@ func (n *Network) NumNodes() int { return len(n.handlers) }
 
 // SetProcessing installs a per-message processing-cost model. When set,
 // each node handles messages serially: a message's handler runs only when
-// the node is free, and occupies it for the returned cost.
+// the node is free, and occupies it for the returned cost. A message that
+// arrives while its node is busy waits in the node's own held chain, not
+// in the event queue, which holds only the first run of each busy node.
+// The per-node state is made at the first delivery or Occupy under a
+// model, so a network without one keeps none.
 func (n *Network) SetProcessing(cost func(to NodeID, payload any, size int) time.Duration) {
 	n.procCost = cost
 }
 
 // Occupy consumes d of a node's processing budget starting now (or when
-// its current work finishes): later message handlers queue behind it.
-// Nodes that aggregate work outside per-message delivery — e.g. batched
-// block validation — use it to charge the aggregate cost. A no-op unless
-// a processing model is installed.
+// its current work finishes): later message handlers queue behind it, in
+// the node's held chain. Nodes that aggregate work outside per-message
+// delivery — e.g. batched block validation — use it to charge the
+// aggregate cost. A no-op unless a processing model is installed.
 func (n *Network) Occupy(id NodeID, d time.Duration) {
-	if n.procCost == nil || d <= 0 || int(id) >= len(n.busyUntil) {
+	if n.procCost == nil || d <= 0 || int(id) >= len(n.handlers) {
 		return
 	}
-	start := n.sim.Now()
-	if b := n.busyUntil[id]; b > start {
-		start = b
+	p := n.proc(id)
+	p.busyUntil = max(n.sim.Now(), p.busyUntil) + d
+}
+
+// proc returns node id's processing state, growing the table to the
+// network's size on first use, so a node added after the first deferral
+// still gets one.
+func (n *Network) proc(id NodeID) *processor {
+	if int(id) >= len(n.procs) {
+		n.procs = slices.Grow(n.procs, len(n.handlers)-len(n.procs))
+		for len(n.procs) < len(n.handlers) {
+			n.procs = append(n.procs, processor{held: chain{head: -1}})
+		}
 	}
-	n.busyUntil[id] = start + d
+	return &n.procs[id]
+}
+
+// put files a deferred handler run at the tail of a node's held chain and
+// pushes it to the queue when it heads the chain.
+func (n *Network) put(p *processor, it heapItem) {
+	empty := p.held.head < 0
+	n.sim.appendTo(&p.held, empty, it)
+	if empty {
+		n.sim.push(it)
+	}
+}
+
+// next drops node id's deferred run that just popped off its held chain
+// and pushes its successor, with the (at, seq) it took at delivery.
+func (n *Network) next(id NodeID) {
+	p := &n.procs[id]
+	if it, ok := n.sim.advance(&p.held, &p.off); ok {
+		n.sim.push(it)
+	}
 }
 
 // Partition assigns nodes to connectivity groups; messages across groups
@@ -921,17 +1015,14 @@ func (n *Network) deliver(from, to NodeID, payload any, size int) {
 		n.handlers[to](from, payload, size)
 		return
 	}
-	start := n.sim.Now()
-	if b := n.busyUntil[to]; b > start {
-		start = b
-	}
-	cost := n.procCost(to, payload, size)
-	n.busyUntil[to] = start + cost
+	p := n.proc(to)
+	start := max(n.sim.Now(), p.busyUntil)
+	p.busyUntil = start + n.procCost(to, payload, size)
 	if start == n.sim.Now() {
 		n.handlers[to](from, payload, size)
 		return
 	}
-	n.sim.schedule(start, slot{kind: kindHandler, net: n.id, from: int32(from), to: int32(to), payload: payload, size: size})
+	n.put(p, n.sim.item(start, slot{kind: kindHandler, net: n.id, from: int32(from), to: int32(to), payload: payload, size: size}))
 }
 
 // BroadcastAll sends payload from one node directly to every other node.

@@ -493,6 +493,69 @@ func TestOccupyDelaysLaterDeliveries(t *testing.T) {
 	}
 }
 
+// A deferred handler run is never handed an EventID, but a forged id can
+// still name its slot. Canceling it must do nothing: releasing a held
+// chain's head would strand every run queued behind it.
+func TestCancelCannotDropDeferredRun(t *testing.T) {
+	s := New(8)
+	n := NewNetwork(s, UniformLinks{})
+	var handled []time.Duration
+	a := n.AddNode(func(NodeID, any, int) {})
+	b := n.AddNode(func(NodeID, any, int) { handled = append(handled, s.Now()) })
+	n.SetProcessing(func(NodeID, any, int) time.Duration { return 100 * time.Millisecond })
+	for i := 0; i < 4; i++ {
+		n.Send(a, b, i, 1)
+	}
+	s.RunUntil(0) // the first runs at once; three wait in b's held chain
+	forged := 0
+	for i := int32(0); i < s.slots.n; i++ {
+		if sl := s.slots.at(i); sl.kind == kindHandler {
+			s.Cancel(EventID(uint64(uint32(i)+1)<<32 | uint64(sl.gen)))
+			forged++
+		}
+	}
+	if forged != 3 || s.Pending() != 3 {
+		t.Fatalf("%d held runs forged, Pending() = %d; want 3, 3", forged, s.Pending())
+	}
+	s.Run(0)
+	want := []time.Duration{0, 100 * time.Millisecond, 200 * time.Millisecond, 300 * time.Millisecond}
+	if fmt.Sprint(handled) != fmt.Sprint(want) {
+		t.Fatalf("handled at %v, want %v", handled, want)
+	}
+}
+
+// The per-node processing state is made only under a processing model,
+// and a node added after the first deferral still queues its own runs.
+func TestProcessingStateIsLazy(t *testing.T) {
+	s := New(9)
+	n := NewNetwork(s, UniformLinks{})
+	var handled []string
+	node := func(name string) Handler {
+		return func(_ NodeID, p any, _ int) { handled = append(handled, fmt.Sprintf("%s%v@%v", name, p, s.Now())) }
+	}
+	a, b := n.AddNode(node("a")), n.AddNode(node("b"))
+	n.Send(a, b, 0, 1)
+	n.Occupy(b, time.Second)
+	s.Run(0)
+	if n.procs != nil {
+		t.Fatalf("%d processors made without a processing model", len(n.procs))
+	}
+	n.SetProcessing(func(NodeID, any, int) time.Duration { return 10 * time.Millisecond })
+	n.Send(a, b, 1, 1)
+	n.Send(a, b, 2, 1)
+	s.RunUntil(0)
+	c := n.AddNode(node("c"))
+	n.Send(a, c, 3, 1)
+	n.Send(a, c, 4, 1)
+	n.Occupy(c, 5*time.Millisecond)
+	n.Send(a, c, 5, 1)
+	s.Run(0)
+	want := "[b0@0s b1@0s c3@5ms b2@10ms c4@15ms c5@25ms]"
+	if got := fmt.Sprint(handled); got != want {
+		t.Fatalf("handled %s, want %s", got, want)
+	}
+}
+
 func TestBroadcastAll(t *testing.T) {
 	s := New(5)
 	n := NewNetwork(s, UniformLinks{MinLatency: time.Millisecond, MaxLatency: time.Millisecond})
