@@ -19,7 +19,7 @@ examples:
 
 # Guards the worker-pool concurrency: event engine, experiment scheduler,
 # lattice batch settlement, signature batching, parallel merkle hashing,
-# the batched live-gossip + adversary paths in netsim, the pointer-
+# the live-gossip, processing-budget and adversary paths in netsim, the pointer-
 # shared content (genesis, genesis state, block catalog and its id index,
 # transaction and coin catalog, id and root memos) under both chain
 # ledgers — Bitcoin and Ethereum each share one block catalog per
@@ -35,8 +35,9 @@ race:
 # Short fuzz smoke mirroring CI: the generic content catalog, pointer
 # override and id memo against a map-plus-slice model, batch settlement vs serial apply under
 # hostile block streams, link-model delay sanity for any bounds, the
-# event queue (deferred handler runs included) against a naive
-# minimum-scan model, tangle tip selection,
+# event queue (handler runs deferred by costed deliveries, the only way
+# a node gets busy, included) against a naive minimum-scan model, tangle
+# tip selection,
 # three tangle replicas on one vertex catalog against their map models,
 # three chain stores on one block catalog and two mempools on one
 # transaction table against their map models, three UTXO sets on one
@@ -89,13 +90,14 @@ bench:
 
 # The committed perf baseline this branch is gated against; bump when a
 # new trajectory point lands (see PERFORMANCE.md).
-BENCH_BASELINE ?= BENCH_038.json
+BENCH_BASELINE ?= BENCH_056.json
 
 # Regenerate the committed perf trajectory point. Run on a quiet
 # machine; review the diff against the previous baseline before
-# committing (make bench-gate does exactly that comparison).
+# committing (make bench-gate does exactly that comparison). The label
+# embedded in the file is its name's: 056 for BENCH_056.json.
 bench-commit:
-	$(GO) run ./cmd/dltbench -bench-report -bench-label 038 -bench-out $(BENCH_BASELINE)
+	$(GO) run ./cmd/dltbench -bench-report -bench-label $(patsubst BENCH_%.json,%,$(notdir $(BENCH_BASELINE))) -bench-out $(BENCH_BASELINE)
 
 # The CI regression gate: re-run the suite (shorter measurement time,
 # same workload scale) and fail on >15% ns/op or allocs/op regressions

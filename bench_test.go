@@ -24,7 +24,7 @@ import (
 )
 
 // benchCfg keeps experiment benchmarks affordable; the full-scale runs
-// recorded in EXPERIMENTS.md use Scale 1.
+// of the experiment registry (Experiments) use Scale 1.
 func benchCfg(seed int64) Config { return Config{Seed: seed, Scale: 0.15} }
 
 func benchExperiment(b *testing.B, id string) {

@@ -14,7 +14,6 @@
 //	dltbench -paradigm bitcoin,nano              # a two-paradigm comparison
 //	dltbench -scale 0.25 -seed 7 # smaller/faster, different randomness
 //	dltbench -format json        # machine-readable tables (also: csv)
-//	dltbench -nano-batch 32      # add batched Nano sweep rows to E9/E12
 //	dltbench -experiment E14 -fault-partition-frac 0.25   # milder split
 //	dltbench -experiment E15 -double-spend-trials 10      # tighter rates
 //	dltbench -experiment E16 -eclipse-frac 0.4            # extra sweep point
@@ -28,8 +27,8 @@
 //	dltbench -experiment E20 -backlog-ttl 30s             # age-based backlog eviction
 //	dltbench -list               # show the registry
 //	dltbench -timing             # append the wall-clock/speedup table
-//	dltbench -bench-report -bench-out BENCH_038.json      # commit a perf baseline
-//	dltbench -bench-compare BENCH_038.json                # live regression gate
+//	dltbench -bench-report -bench-label 056 -bench-out BENCH_056.json   # commit a perf baseline
+//	dltbench -bench-compare BENCH_056.json                # live regression gate
 //	dltbench -bench-compare old.json -bench-candidate new.json  # diff two files
 package main
 
@@ -60,14 +59,10 @@ func run() int {
 		paradigm   = flag.String("paradigm", "all",
 			"ledger paradigms the cross-paradigm experiments (E9/E19/E20) build rows for: a comma-separated subset of "+
 				strings.Join(netsim.ParadigmNames(), ", ")+", or 'all'")
-		seed      = flag.Int64("seed", 42, "random seed; equal seeds reproduce results exactly")
-		scale     = flag.Float64("scale", 1.0, "duration/workload scale factor")
-		workers   = flag.Int("workers", 0, "parallel experiment workers (0 = one per CPU core)")
-		format    = flag.String("format", "text", "table output format: text, csv or json")
-		nanoBatch = flag.Int("nano-batch", 0,
-			"add batched Nano sweep rows to E9/E12 with this gossip ingest batch size (<= 1 = serial tables only)")
-		nanoWindow = flag.Duration("nano-batch-window", 0,
-			"accumulation window for Nano gossip batches (0 = 5ms default)")
+		seed          = flag.Int64("seed", 42, "random seed; equal seeds reproduce results exactly")
+		scale         = flag.Float64("scale", 1.0, "duration/workload scale factor")
+		workers       = flag.Int("workers", 0, "parallel experiment workers (0 = one per CPU core)")
+		format        = flag.String("format", "text", "table output format: text, csv or json")
 		partitionFrac = flag.Float64("fault-partition-frac", 0,
 			"minority share of nodes split away in E14's partition scenarios (0 = default 0.5)")
 		churnNodes = flag.Int("fault-churn-nodes", 0,
@@ -89,7 +84,7 @@ func run() int {
 		syncPullBatch = flag.Int("sync-pull-batch", 0,
 			"E20 cold-start range-pull window: history blocks per sync request (0 = default 32)")
 		backlogCap = flag.Int("backlog-cap", 0,
-			"bound on E20's per-node backlog buffers — chain orphan pool, lattice gap buffer and ingest queue, tangle parked vertices (0 = package defaults)")
+			"bound on E20's per-node backlog buffers — chain orphan pool, lattice gap buffer, tangle parked vertices (0 = package defaults)")
 		backlogTTL = flag.Duration("backlog-ttl", 0,
 			"age bound on E20's parked backlog objects in simulation time, e.g. 30s — stale orphans/gaps/parked vertices evict on the next arrival even under -backlog-cap (0 = disabled)")
 		timing  = flag.Bool("timing", false, "print the sweep wall-clock/speedup table (text format only)")
@@ -99,7 +94,7 @@ func run() int {
 		benchReport = flag.Bool("bench-report", false,
 			"run the perf trajectory suite and write the canonical BENCH JSON (see PERFORMANCE.md)")
 		benchOut   = flag.String("bench-out", "", "path for the -bench-report output ('' = stdout)")
-		benchLabel = flag.String("bench-label", "038", "baseline label embedded in the -bench-report output")
+		benchLabel = flag.String("bench-label", "", "baseline label embedded in the -bench-report output, e.g. 056 for BENCH_056.json")
 		benchScale = flag.Float64("bench-scale", 1, "perf suite workload scale; reports only compare at equal scale")
 		benchTime  = flag.Duration("bench-time", time.Second,
 			"minimum measured duration per perf benchmark (CI turns this down, not -bench-scale)")
@@ -161,8 +156,7 @@ func run() int {
 	// serial schedule; the tables are identical either way.
 	cfg := core.Config{
 		Seed: *seed, Scale: *scale, Workers: *workers,
-		Paradigms: parseParadigms(*paradigm),
-		NanoBatch: *nanoBatch, NanoBatchWindow: *nanoWindow,
+		Paradigms:          parseParadigms(*paradigm),
 		FaultPartitionFrac: *partitionFrac, FaultChurnNodes: *churnNodes,
 		DoubleSpendTrials: *dsTrials,
 		EclipseFrac:       *eclipseFrac,

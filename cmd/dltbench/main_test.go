@@ -90,8 +90,9 @@ func TestParseParadigms(t *testing.T) {
 	}
 }
 
-// The event-queue knobs are gone with the backends they selected: a
-// leftover -shards 4 or -queue calendar in a script must fail loudly —
+// The event-queue knobs are gone with the backends they selected, and the
+// Nano batch knobs with the batched gossip path: a leftover -shards 4,
+// -queue calendar or -nano-batch 32 in a script must fail loudly —
 // non-zero exit, the flag's name on stderr — not be silently ignored.
 // The test re-executes its own binary as dltbench.
 func TestRemovedQueueFlagsRejected(t *testing.T) {
@@ -100,7 +101,7 @@ func TestRemovedQueueFlagsRejected(t *testing.T) {
 		main()
 		return
 	}
-	for _, args := range []string{"-shards 4 -list", "-queue calendar -list"} {
+	for _, args := range []string{"-shards 4 -list", "-queue calendar -list", "-nano-batch 32 -list", "-nano-batch-window 5ms -list"} {
 		cmd := exec.Command(os.Args[0], "-test.run=^TestRemovedQueueFlagsRejected$")
 		cmd.Env = append(os.Environ(), "DLTBENCH_TEST_ARGS="+args)
 		out, err := cmd.CombinedOutput()

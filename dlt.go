@@ -19,8 +19,8 @@
 //	    table.Render(os.Stdout)
 //	}
 //
-// See examples/ for runnable programs and EXPERIMENTS.md for the
-// paper-vs-measured record.
+// See examples/ for runnable programs, and Experiments (printed by
+// dltbench -list) for the section of the paper each table reproduces.
 package dlt
 
 import (

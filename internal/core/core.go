@@ -20,22 +20,14 @@ type Config struct {
 	// Seed drives all randomness; equal seeds reproduce results exactly.
 	Seed int64
 	// Scale stretches or shrinks simulated durations and workload sizes
-	// (1.0 = the defaults used in EXPERIMENTS.md; tests use less).
+	// (1.0 = each experiment's full-size defaults, the registry that
+	// Experiments returns; tests use less).
 	Scale float64
 	// Workers bounds intra-experiment parallelism: experiments whose
 	// sweep points are independent simulations (E9, E10, E12) fan them
 	// out across this many goroutines (<= 0 means one per CPU core).
 	// Results are identical for every value.
 	Workers int
-	// NanoBatch adds batched Nano sweep rows to E9/E12 when > 1: each
-	// batched row reruns the serial row's network with that live-gossip
-	// ingest batch size (netsim.NanoConfig.BatchSize). Unset (or 1)
-	// keeps the serial-only tables, byte-identical to their historical
-	// output.
-	NanoBatch int
-	// NanoBatchWindow is the accumulation window for those rows; 0 keeps
-	// netsim's 5ms default.
-	NanoBatchWindow time.Duration
 	// FaultPartitionFrac is the share of nodes split away into group 1
 	// during E14's partition scenarios (default 0.5; values outside
 	// (0,1) fall back to it). Node 0, the observer, always stays in
@@ -96,8 +88,8 @@ type Config struct {
 	// sync manager's default (32).
 	SyncPullBatch int
 	// BacklogCap bounds the per-node backlog buffers in E20's networks —
-	// the chain orphan pool, the lattice gap buffer and gossip ingest
-	// queue, the tangle's parked vertices (netsim.NetParams.BacklogCap).
+	// the chain orphan pool, the lattice gap buffer, the tangle's parked
+	// vertices (netsim.NetParams.BacklogCap).
 	// <= 0 keeps the package defaults.
 	BacklogCap int
 	// BacklogTTL evicts E20's parked backlog objects by age (simulation

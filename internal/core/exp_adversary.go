@@ -117,7 +117,7 @@ func RunE14Resilience(ctx context.Context, cfg Config) (*metrics.Table, error) {
 			return chainRow("baseline (no faults)", m, conv), err
 		},
 		func() ([]string, error) {
-			m, conv, err := e9Nano(cfg, 1, 0, nil, true)
+			m, conv, err := e9Nano(cfg, nil, true)
 			return nanoRow("baseline (no faults)", m, conv), err
 		},
 		func() ([]string, error) {
@@ -125,7 +125,7 @@ func RunE14Resilience(ctx context.Context, cfg Config) (*metrics.Table, error) {
 			return chainRow(scenario, m, conv), err
 		},
 		func() ([]string, error) {
-			m, conv, err := e9Nano(cfg, 1, 0, e14PartitionFaults(cfg, nanoDur), true)
+			m, conv, err := e9Nano(cfg, e14PartitionFaults(cfg, nanoDur), true)
 			return nanoRow(scenario, m, conv), err
 		},
 		func() ([]string, error) {
@@ -133,7 +133,7 @@ func RunE14Resilience(ctx context.Context, cfg Config) (*metrics.Table, error) {
 			return chainRow(churnLabel, m, conv), err
 		},
 		func() ([]string, error) {
-			m, conv, err := e9Nano(cfg, 1, 0, e14ChurnFaults(cfg, nanoDur), true)
+			m, conv, err := e9Nano(cfg, e14ChurnFaults(cfg, nanoDur), true)
 			return nanoRow(churnLabel, m, conv), err
 		},
 	}

@@ -60,18 +60,17 @@ func e9Bitcoin(cfg Config, faults *netsim.FaultSchedule) (netsim.ChainMetrics, b
 	return m, btc.ConvergedWithin(2), nil
 }
 
-// e9Nano runs the E9 Nano network — consumer-hardware budget, optional
-// gossip batching — optionally under a fault schedule. With faults == nil
-// the run is byte-identical to the historical E9 row. When assess is set
-// the second return reports whether every replica's lattice converged
-// once the network quiesced (E14's recovery verdict); E9's own sweep
-// rows pass false and skip the post-cutoff drain entirely.
-func e9Nano(cfg Config, batch int, window time.Duration, faults *netsim.FaultSchedule, assess bool) (netsim.NanoMetrics, bool, error) {
+// e9Nano runs the E9 Nano network, with its consumer-hardware budget,
+// optionally under a fault schedule. With faults == nil the run is
+// byte-identical to the historical E9 row. When assess is set the second
+// return reports whether every replica's lattice converged once the
+// network quiesced (E14's recovery verdict); E9's own sweep row passes
+// false and skips the post-cutoff drain entirely.
+func e9Nano(cfg Config, faults *netsim.FaultSchedule, assess bool) (netsim.NanoMetrics, bool, error) {
 	nanoDur := e9NanoDur(cfg)
 	nano, err := netsim.NewNano(netsim.NanoConfig{
 		Net:      netParams(8, 3, cfg.Seed+3, 10*time.Millisecond, 80*time.Millisecond),
 		Accounts: 64, Reps: 4,
-		BatchSize: batch, BatchWindow: window,
 		ProcPerBlock: 4 * time.Millisecond, // consumer-grade validation
 		ProcPerVote:  500 * time.Microsecond,
 	})
@@ -94,22 +93,6 @@ func e9Nano(cfg Config, batch int, window time.Duration, faults *netsim.FaultSch
 	// divergence (an unhealed split, a node that never caught up) remains.
 	nano.Sim().Run(0)
 	return m, nano.LatticeConverged(), nil
-}
-
-// e9NanoSystem builds an E9 Nano sweep point. Every batch setting runs
-// the identical network, seed and workload, so the batched row isolates
-// the live-gossip settlement pipeline (§VI-B: throughput bounded by
-// hardware, not protocol).
-func e9NanoSystem(cfg Config, label, capacity string, batch int, window time.Duration) func() (e9SysResult, error) {
-	return func() (e9SysResult, error) {
-		m, _, err := e9Nano(cfg, batch, window, nil, false)
-		if err != nil {
-			return e9SysResult{}, err
-		}
-		return e9SysResult{tps: m.BPS, row: []string{
-			label, "none (per-account)", capacity,
-			metrics.F(m.BPS), "306 peak / 105.75 avg", metrics.I(m.UnsettledAtEnd)}}, nil
-	}
 }
 
 // e9BitcoinSystems is the bitcoin paradigm's E9 contribution: ~1900
@@ -183,19 +166,19 @@ func e9EthereumSystems(cfg Config) []e9System {
 	}
 }
 
-// e9NanoSystems is the nano paradigm's E9 contribution: the serial
-// system plus, when -nano-batch opts in, the batched twin of the same
-// network — the serial-vs-batched sweep column. Unset keeps the
-// historical serial-only table.
+// e9NanoSystems is the nano paradigm's E9 contribution: one network
+// whose throughput is bounded by its nodes' serial validation budget
+// (§VI-B: hardware, not protocol).
 func e9NanoSystems(cfg Config) []e9System {
-	out := []e9System{{key: "nano",
-		run: e9NanoSystem(cfg, "nano (ORV)", "node hardware", 1, 0)}}
-	if cfg.NanoBatch > 1 {
-		out = append(out, e9System{key: "nano-batch", run: e9NanoSystem(cfg,
-			fmt.Sprintf("nano (ORV, batch=%d)", cfg.NanoBatch),
-			"node hardware + gossip batch", cfg.NanoBatch, cfg.NanoBatchWindow)})
-	}
-	return out
+	return []e9System{{key: "nano", run: func() (e9SysResult, error) {
+		m, _, err := e9Nano(cfg, nil, false)
+		if err != nil {
+			return e9SysResult{}, err
+		}
+		return e9SysResult{tps: m.BPS, row: []string{
+			"nano (ORV)", "none (per-account)", "node hardware",
+			metrics.F(m.BPS), "306 peak / 105.75 avg", metrics.I(m.UnsettledAtEnd)}}, nil
+	}}}
 }
 
 // RunE9Throughput reproduces §VI's throughput comparison: Bitcoin 3–7
@@ -230,9 +213,6 @@ func RunE9Throughput(ctx context.Context, cfg Config) (*metrics.Table, error) {
 	t.AddRow("visa (reference)", "—", "central infrastructure", "56000.00", "56,000", "—")
 	t.AddNote("blockchains are capped by block size/gas × interval; Nano has 'no inherent cap in the protocol itself' (§VI-B)")
 	t.AddNote("pending backlogs mirror §VI's queues: 186,951 (Bitcoin) vs 22,473 (Ethereum) pending on 05.01.2018")
-	if cfg.NanoBatch > 1 && cfg.paradigmEnabled("nano") {
-		t.AddNote("the batched nano row queues gossip blocks in a per-node ingest queue and settles each flush through lattice.Process (-nano-batch); batch=1 reproduces the serial row")
-	}
 	// The §VI ordering claims, checked for whichever systems the filter
 	// kept: blockchains under the gas-limited chain, both under the DAGs.
 	if btc, eth, ok := pair(tpsOf, "bitcoin", "eth-pow"); ok && btc >= eth {
@@ -443,33 +423,14 @@ func RunE12Sharding(ctx context.Context, cfg Config) (*metrics.Table, error) {
 		t.AddRow(row...)
 	}
 
-	// Nano under increasing hardware budgets, serial and batched: the
-	// serial points reproduce the historical rows byte for byte; the
-	// batched points rerun the identical network with the live-gossip
-	// ingest queue enabled (Config.NanoBatch) — the batched-vs-serial
-	// sweep column of §VI-B. Opt-in via -nano-batch > 1; unset keeps the
-	// historical serial-only table.
+	// Nano under increasing hardware budgets (§VI-B).
 	procs := []time.Duration{20 * time.Millisecond, 5 * time.Millisecond, 1 * time.Millisecond}
-	type nanoPoint struct {
-		proc  time.Duration
-		batch int
-	}
-	points := make([]nanoPoint, 0, 2*len(procs))
-	for _, proc := range procs {
-		points = append(points, nanoPoint{proc: proc, batch: 1})
-	}
-	if cfg.NanoBatch > 1 {
-		for _, proc := range procs {
-			points = append(points, nanoPoint{proc: proc, batch: cfg.NanoBatch})
-		}
-	}
-	nanoRows, err := fanOut(ctx, cfg, len(points), func(idx int) ([]string, error) {
-		pt := points[idx]
+	nanoRows, err := fanOut(ctx, cfg, len(procs), func(idx int) ([]string, error) {
+		proc := procs[idx]
 		net, err := netsim.NewNano(netsim.NanoConfig{
 			Net:      netParams(8, 3, cfg.Seed, 10*time.Millisecond, 60*time.Millisecond),
 			Accounts: 64, Reps: 4,
-			BatchSize: pt.batch, BatchWindow: cfg.NanoBatchWindow,
-			ProcPerBlock: pt.proc, ProcPerVote: pt.proc / 10,
+			ProcPerBlock: proc, ProcPerVote: proc / 10,
 		})
 		if err != nil {
 			return nil, err
@@ -480,12 +441,8 @@ func RunE12Sharding(ctx context.Context, cfg Config) (*metrics.Table, error) {
 			Accounts: 64, Rate: 150, Duration: dur * 3 / 4, MaxAmount: 5,
 		})
 		m := net.RunWithTransfers(dur, load)
-		label := fmt.Sprintf("nano, %v/block hardware", pt.proc)
-		if pt.batch > 1 {
-			label = fmt.Sprintf("nano, %v/block hardware, batch=%d", pt.proc, pt.batch)
-		}
 		return []string{
-			label,
+			fmt.Sprintf("nano, %v/block hardware", proc),
 			fmt.Sprintf("%.1f blocks/s", m.BPS),
 			"1 (every node processes all)", "2.00",
 		}, nil
@@ -498,8 +455,5 @@ func RunE12Sharding(ctx context.Context, cfg Config) (*metrics.Table, error) {
 	}
 	t.AddNote("sharding: load factor ≈ 1/K — the §VII definition of a scalable DLT")
 	t.AddNote("nano: protocol-uncapped; faster hardware raises the ceiling (306 TPS peak vs 105.75 avg in the 2018 stress test)")
-	if cfg.NanoBatch > 1 {
-		t.AddNote("batch rows: gossip blocks wait in a per-node ingest queue and each flush settles them through lattice.Process, amortizing the per-block budget across modeled cores")
-	}
 	return t, nil
 }

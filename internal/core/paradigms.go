@@ -47,8 +47,8 @@ func (c Config) paradigmEnabled(name string) bool {
 }
 
 // e9System is one E9 sweep system: a stable key derived from the
-// registry name (ethereum contributes two consensus variants, nano an
-// optional batched twin) plus the runner producing its row. The shape
+// registry name (ethereum contributes two consensus variants) plus the
+// runner producing its row. The shape
 // check looks systems up by key, so filtered sweeps skip the
 // comparisons their systems are absent from.
 type e9System struct {

@@ -27,9 +27,10 @@ import (
 type elisionShape struct {
 	name string
 	// faults adds a partition, a loss window, a churned node and a cold
-	// start; evict a BacklogCap and BacklogTTL small enough to evict; proc
-	// Nano's per-block processing model.
-	faults, evict, proc bool
+	// start; evict a BacklogCap and BacklogTTL small enough to evict, and
+	// tight smaller ones still (TestEvictionWorkBounded); proc Nano's
+	// per-block processing model.
+	faults, evict, tight, proc bool
 }
 
 var elisionShapes = []elisionShape{
@@ -49,14 +50,30 @@ const elisionNodes, sampleEvery, maxPending = 12, 100 * time.Millisecond, 50_000
 var errStorm = errors.New("relay storm")
 
 // elisionRun is everything one run reports. events holds EventsRun read
-// inside an event every sampleEvery and once more after the run.
+// inside an event every sampleEvery and once more after the run; peak is
+// the most events pending at one of those samples, and objects counts the
+// payments submitted and the catalog ids the network handed out.
 type elisionRun struct {
 	events   []uint64
+	peak     int
+	objects  int
 	net      sim.NetStats
 	sync     SyncStats
 	behavior BehaviorStats
 	metrics  string
 	streams  [][]hashx.Hash
+}
+
+// elisionAccounts and elisionHorizon size every run: its accounts, and
+// the span its load and the run itself last.
+const elisionAccounts, elisionHorizon = 24, 8 * time.Second
+
+// elisionLoad is a run's payments. They run up to the horizon, so a cut
+// falls inside floods and leaves elided arrivals in flight.
+func elisionLoad(seed int64) []workload.TimedPayment {
+	return workload.Payments(rand.New(rand.NewSource(seed+1)), workload.Config{
+		Accounts: elisionAccounts, Rate: 10, Duration: elisionHorizon, MinAmount: 1, MaxAmount: 3,
+	})
 }
 
 // elisionNet builds one paradigm's network for a shape and returns its
@@ -70,29 +87,27 @@ func elisionNet(t *testing.T, paradigm string, sh elisionShape, seed int64) (*ne
 	if sh.evict {
 		np.BacklogCap, np.BacklogTTL = 4, 500*time.Millisecond
 	}
-	// The load runs up to the horizon, so the cut falls inside floods and
-	// leaves elided arrivals in flight.
-	const accounts, horizon = 24, 8 * time.Second
-	load := workload.Payments(rand.New(rand.NewSource(seed+1)), workload.Config{
-		Accounts: accounts, Rate: 10, Duration: horizon, MinAmount: 1, MaxAmount: 3,
-	})
+	if sh.tight {
+		np.BacklogCap, np.BacklogTTL = 2, 200*time.Millisecond
+	}
+	load := elisionLoad(seed)
 	switch paradigm {
 	case "bitcoin":
-		net, err := NewBitcoin(BitcoinConfig{Net: np, BlockInterval: 700 * time.Millisecond, Accounts: accounts})
+		net, err := NewBitcoin(BitcoinConfig{Net: np, BlockInterval: 700 * time.Millisecond, Accounts: elisionAccounts})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return &net.netShell, func(fs FaultSchedule) { fs.ApplyToBitcoin(net) },
-			func() any { return net.RunWithPayments(horizon, load, 1) }
+			func() any { return net.RunWithPayments(elisionHorizon, load, 1) }
 	case "ethereum":
-		net, err := NewEthereum(EthereumConfig{Net: np, Consensus: PoW, BlockInterval: 700 * time.Millisecond, Accounts: accounts})
+		net, err := NewEthereum(EthereumConfig{Net: np, Consensus: PoW, BlockInterval: 700 * time.Millisecond, Accounts: elisionAccounts})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return &net.netShell, func(fs FaultSchedule) { fs.ApplyToEthereum(net) },
-			func() any { return net.RunWithPayments(horizon, load, 1) }
+			func() any { return net.RunWithPayments(elisionHorizon, load, 1) }
 	case "nano":
-		cfg := NanoConfig{Net: np, Accounts: accounts, Reps: 4}
+		cfg := NanoConfig{Net: np, Accounts: elisionAccounts, Reps: 4}
 		if sh.proc {
 			cfg.ProcPerBlock = 3 * time.Millisecond
 		}
@@ -101,14 +116,14 @@ func elisionNet(t *testing.T, paradigm string, sh elisionShape, seed int64) (*ne
 			t.Fatal(err)
 		}
 		return &net.netShell, func(fs FaultSchedule) { fs.ApplyToNano(net) },
-			func() any { return net.RunWithTransfers(horizon, load) }
+			func() any { return net.RunWithTransfers(elisionHorizon, load) }
 	case "tangle":
-		net, err := NewTangle(TangleConfig{Net: np, Accounts: accounts})
+		net, err := NewTangle(TangleConfig{Net: np, Accounts: elisionAccounts})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return &net.netShell, func(fs FaultSchedule) { net.scheduleFaults(fs, net) },
-			func() any { return net.RunWithTransfers(horizon, load) }
+			func() any { return net.RunWithTransfers(elisionHorizon, load) }
 	}
 	t.Fatalf("unknown paradigm %q", paradigm)
 	return nil, nil, nil
@@ -136,6 +151,7 @@ func runElision(t *testing.T, paradigm string, sh elisionShape, seed int64, hone
 	var sample func()
 	sample = func() {
 		r.events = append(r.events, shell.rt.sim.EventsRun())
+		r.peak = max(r.peak, shell.rt.sim.Pending())
 		if shell.rt.sim.Pending() > maxPending {
 			panic(errStorm)
 		}
@@ -153,6 +169,8 @@ func runElision(t *testing.T, paradigm string, sh elisionShape, seed int64, hone
 	}()
 	r = elisionRun{
 		events:   append(r.events, shell.rt.sim.EventsRun()),
+		peak:     r.peak,
+		objects:  len(elisionLoad(seed)) + len(shell.born),
 		net:      shell.rt.net.Stats(),
 		sync:     shell.SyncStats(),
 		behavior: shell.rt.Stats(),
@@ -232,6 +250,39 @@ func TestElisionIsExact(t *testing.T) {
 			}
 			t.Run(p+"/"+sh.name, func(t *testing.T) { checkElision(t, p, sh, 71) })
 		}
+	}
+}
+
+// Under eviction, work stays bounded by what the network made. The shape
+// is the relay storm's (ROADMAP.md direction 18): 12 nodes of degree 3,
+// BacklogCap 2, BacklogTTL 200 ms, a partition, a loss window and churn,
+// at seed −21 and the seeds around it. Each ledger must reach the horizon
+// with at most nodes × objects events pending at every sample, or be
+// named exempt with the loop that keeps it from doing so.
+func TestEvictionWorkBounded(t *testing.T) {
+	storm := elisionShape{name: "storm", faults: true, evict: true, tight: true}
+	exempt := map[string]string{
+		"tangle": "it relays a parked vertex at every first sight and an evicted vertex is first-seen again, " +
+			"so seed −21 loops until maxPending cuts it (ROADMAP.md direction 18)",
+		"nano": "bounded at seed −21, it loops at seeds −24 and −16 until maxPending cuts it " +
+			"(CHANGES.md FOUND line on this test)",
+	}
+	for _, p := range ParadigmNames() {
+		t.Run(p, func(t *testing.T) {
+			if why, ok := exempt[p]; ok {
+				t.Skip("exempt: " + why)
+			}
+			for seed := int64(-30); seed <= -15; seed++ {
+				r := runElision(t, p, storm, seed, false)
+				if r.metrics == "cut at maxPending" {
+					t.Fatalf("seed %d: cut at %d pending events", seed, maxPending)
+				}
+				if limit := elisionNodes * r.objects; r.peak > limit {
+					t.Fatalf("seed %d: %d events pending at a sample, over %d nodes × %d objects",
+						seed, r.peak, elisionNodes, r.objects)
+				}
+			}
+		})
 	}
 }
 

@@ -44,9 +44,9 @@ type countingView struct {
 	applied map[any]int
 }
 
-func (v *countingView) apply(node, from sim.NodeID, id int32, obj any) (bool, hashx.Hash) {
+func (v *countingView) apply(node sim.NodeID, id int32, obj any) (bool, hashx.Hash) {
 	v.applied[obj]++
-	return v.historyView.apply(node, from, id, obj)
+	return v.historyView.apply(node, id, obj)
 }
 
 // sendLog records every send its node makes and lets it through.
@@ -398,7 +398,7 @@ var deliveryCases = []deliveryCase{
 		net.Net().Detach(deliveryK)
 		net.RunWithTransfers(5*time.Second, awayFromK(8))
 		node := net.nodes[deliveryK]
-		return &net.netShell, func() int { return node.lat.GapCount() + len(node.ingest) }
+		return &net.netShell, func() int { return node.lat.GapCount() }
 	}},
 	{"tangle", func(t *testing.T) (*netShell, func() int) {
 		net, err := NewTangle(TangleConfig{Net: deliveryNet(), Accounts: 8})

@@ -49,25 +49,6 @@ type NanoConfig struct {
 	// Deprecated: kept only so callers that set it still compile
 	// (benchmark/legs.go does); it is to be deleted with them.
 	Workers int
-	// BatchSize enables batched live-gossip settlement: blocks arriving
-	// from gossip accumulate in a per-node ingest queue and settle
-	// together, in arrival order, once BatchSize blocks are waiting or
-	// BatchWindow elapses, whichever is first — how real block-lattice
-	// nodes keep up with gossip floods (§VI-B). A flush is cheaper than
-	// its blocks one by one only in simulated time (BatchCores). <= 1
-	// (the default) settles one block per arrival.
-	BatchSize int
-	// BatchWindow bounds how long a partial ingest batch may wait before
-	// it is flushed (default 5ms when BatchSize > 1).
-	BatchWindow time.Duration
-	// BatchCores models how many consumer-CPU cores a batching node puts
-	// behind one flush: a batch of k blocks occupies the node for
-	// ceil(k/BatchCores) × ProcPerBlock instead of k × ProcPerBlock —
-	// §VI-B's hardware ceiling, lifted by pipelined validation. Default 4
-	// when batching is enabled; only meaningful with ProcPerBlock > 0.
-	// Fixed (never derived from the host CPU count) so tables stay
-	// deterministic across machines.
-	BatchCores int
 	// ByzantineNodes makes the LAST k nodes vote adversarially: when a
 	// contested double spend is injected (InjectContestedDoubleSpend),
 	// their representatives vote for the attacker's preferred rival,
@@ -100,12 +81,6 @@ func (c NanoConfig) withDefaults() NanoConfig {
 	if c.ReceiveDelay <= 0 {
 		c.ReceiveDelay = 50 * time.Millisecond
 	}
-	if c.BatchSize > 1 && c.BatchWindow <= 0 {
-		c.BatchWindow = 5 * time.Millisecond
-	}
-	if c.BatchSize > 1 && c.BatchCores <= 0 {
-		c.BatchCores = 4
-	}
 	if c.ByzantineNodes < 0 {
 		c.ByzantineNodes = 0
 	}
@@ -120,13 +95,6 @@ func (c NanoConfig) withDefaults() NanoConfig {
 // rivals, spam) cannot pin memory under a vote flood; the oldest vote is
 // evicted first.
 const maxPendingVotes = 1 << 16
-
-// maxIngestBacklog bounds the gossip ingest queue when
-// NetParams.BacklogCap is unset. The count-triggered flush already
-// empties the queue at BatchSize, so the default bound only matters if a
-// cap below BatchSize is configured — then eviction, not the count
-// flush, holds the line (the window timer still settles the remainder).
-const maxIngestBacklog = 4096
 
 // nanoNode is one full node: lattice replica, vote tracker, pending votes.
 // Hot-path dedup (seen blocks, seen votes) lives in the network-level
@@ -155,12 +123,6 @@ type nanoNode struct {
 	// cleared so a rebroadcast lands again. It stays outside
 	// NetParams.BacklogCap/BacklogTTL: no protocol re-pulls a vote.
 	pendingVotes backlog.Buffer[hashx.Hash, *orv.Vote]
-	// ingest accumulates gossip blocks awaiting a batched flush
-	// (BatchSize > 1 only); flushTimer is the armed BatchWindow
-	// flush event. Each entry remembers its sender, the pull target.
-	ingest     []ingestEntry
-	flushTimer sim.EventID
-	flushArmed bool
 	// myVotes is this node's reps' current vote per election root.
 	myVotes map[hashx.Hash]myVote
 	// issuedReceive dedups settle blocks per send.
@@ -218,11 +180,6 @@ type NanoMetrics struct {
 	VotesSent    int
 	MessagesSent int
 	BytesSent    int64
-	// GossipBatches and GossipBatchedBlocks count ingest-queue flushes
-	// and the blocks they settled (zero when BatchSize <= 1, the serial
-	// path).
-	GossipBatches       int
-	GossipBatchedBlocks int
 	// ForkResolveLatency is the distribution of fork-detection→resolution
 	// delays at the observer, in seconds — the re-election time §IV-B's
 	// representative voting needs to settle a contested predecessor.
@@ -259,14 +216,6 @@ type NanoNet struct {
 	advPreferred map[hashx.Hash]bool
 	advContested map[hashx.Hash]bool
 	forkSeenAt   map[hashx.Hash]time.Duration
-}
-
-// ingestEntry is one queued gossip block, its catalog id and the node
-// that sent it.
-type ingestEntry struct {
-	b    *lattice.Block
-	id   int32
-	from sim.NodeID
 }
 
 // NewNano builds the network: identical genesis on every node, an even
@@ -355,12 +304,6 @@ func NewNano(cfg NanoConfig) (*NanoNet, error) {
 		net.SetProcessing(func(_ sim.NodeID, payload any, _ int) time.Duration {
 			switch payload.(type) {
 			case *lattice.Block:
-				if cfg.BatchSize > 1 {
-					// Batched nodes enqueue arrivals for free; the
-					// validation budget is charged per flush (Occupy in
-					// flushIngest), amortized across BatchCores.
-					return 0
-				}
 				return cfg.ProcPerBlock
 			case *orv.Vote:
 				return cfg.ProcPerVote
@@ -418,39 +361,27 @@ func (n *NanoNet) handlerFor(node *nanoNode) sim.Handler {
 	}
 }
 
-// apply is the lattice's verdict on a first-seen block: settled serially
-// per arrival when BatchSize <= 1, or queued for the per-node ingest
-// batch (relayed when the batch flushes) when batching is enabled.
-func (n *NanoNet) apply(node, from sim.NodeID, id int32, obj any) (bool, hashx.Hash) {
+// apply is the lattice's verdict on a first-seen block, settled on
+// arrival: election start, receive scheduling and observer settlement
+// counting for the block and every gap it drained, or a fork election
+// for its rivals. It returns whether the block may be relayed and the
+// ancestor a gapped block waits on.
+func (n *NanoNet) apply(node sim.NodeID, _ int32, obj any) (bool, hashx.Hash) {
 	b, nd := obj.(*lattice.Block), n.nodes[node]
-	if n.cfg.BatchSize > 1 {
-		n.enqueueIngest(nd, b, id, from)
-		return false, hashx.Zero
-	}
-	return n.reactToResult(nd, b, nd.lat.Process(b))
-}
-
-// reactToResult applies the post-attach handling for one processed
-// block — election start, receive scheduling and observer settlement
-// counting for the block and every gap it drained, fork-election starts
-// for rivals — and returns the verdict: whether the block may be
-// relayed, and the ancestor a gapped block waits on. It is the shared
-// reaction of the serial path and of every block in a flushed batch.
-func (n *NanoNet) reactToResult(node *nanoNode, b *lattice.Block, res lattice.Result) (relay bool, missing hashx.Hash) {
-	switch res.Status {
+	switch res := nd.lat.Process(b); res.Status {
 	case lattice.Accepted:
-		n.onAttached(node, b, b.Hash())
+		n.onAttached(nd, b, b.Hash())
 		for _, d := range res.Drained {
-			n.onAttached(node, d, d.Hash())
+			n.onAttached(nd, d, d.Hash())
 		}
 	case lattice.AcceptedFork:
-		if node == n.nodes[0] {
+		if nd == n.nodes[0] {
 			n.metrics.ForksDetected++
 			if _, seen := n.forkSeenAt[b.Prev]; !seen {
 				n.forkSeenAt[b.Prev] = n.rt.sim.Now()
 			}
 		}
-		n.startForkElection(node, b, res.ForkRivals)
+		n.startForkElection(nd, b, res.ForkRivals)
 	case lattice.GapPrevious:
 		// Buffered inside the lattice; still relay so peers catch up.
 		return true, b.Prev
@@ -460,69 +391,6 @@ func (n *NanoNet) reactToResult(node *nanoNode, b *lattice.Block, res lattice.Re
 		return false, hashx.Zero // do not relay invalid blocks
 	}
 	return true, hashx.Zero
-}
-
-// enqueueIngest queues a gossip block for batched settlement, flushing
-// when the batch fills and arming the BatchWindow timer otherwise.
-func (n *NanoNet) enqueueIngest(node *nanoNode, b *lattice.Block, id int32, from sim.NodeID) {
-	node.ingest = append(node.ingest, ingestEntry{b: b, id: id, from: from})
-	if len(node.ingest) >= n.cfg.BatchSize {
-		n.flushIngest(node)
-		return
-	}
-	cap := n.cfg.Net.BacklogCap
-	if cap <= 0 {
-		cap = maxIngestBacklog
-	}
-	if len(node.ingest) > cap {
-		// Bounded ingest: drop the oldest queued block, unmark its dedup
-		// bit so it can be re-delivered, and re-pull it from its sender.
-		evicted := node.ingest[0]
-		node.ingest = node.ingest[1:]
-		n.unsee(node.id, evicted.id)
-		n.sync.evicted(node.id, evicted.b.Hash(), evicted.from)
-	}
-	if !node.flushArmed {
-		node.flushArmed = true
-		node.flushTimer = n.rt.sim.After(n.cfg.BatchWindow, func() { n.flushIngest(node) })
-	}
-}
-
-// flushIngest settles the node's queued gossip blocks through
-// lattice.Process in arrival order, then runs the per-block reactions in
-// the same order: elections open (replaying any votes buffered against
-// the in-flight candidates), receives get scheduled, fork elections
-// start, and every non-rejected block is relayed exactly once (arrival
-// already dedups via the shell's first-seen bits). Every block settles
-// before any reaction runs, because a reaction can resolve a fork and so
-// change what a later block of the batch meets.
-func (n *NanoNet) flushIngest(node *nanoNode) {
-	if node.flushArmed {
-		n.rt.sim.Cancel(node.flushTimer)
-		node.flushArmed = false
-	}
-	entries := node.ingest
-	node.ingest = nil
-	if len(entries) == 0 {
-		return
-	}
-	n.metrics.GossipBatches++
-	n.metrics.GossipBatchedBlocks += len(entries)
-	if n.cfg.ProcPerBlock > 0 {
-		// The §VI-B hardware budget, batch-pipelined: validating k blocks
-		// across BatchCores modeled cores occupies the node for
-		// ceil(k/cores) serial block costs instead of k.
-		rounds := (len(entries) + n.cfg.BatchCores - 1) / n.cfg.BatchCores
-		n.rt.net.Occupy(node.id, time.Duration(rounds)*n.cfg.ProcPerBlock)
-	}
-	results := make([]lattice.Result, len(entries))
-	for i, e := range entries {
-		results[i] = node.lat.Process(e.b)
-	}
-	for i, e := range entries {
-		relay, missing := n.reactToResult(node, e.b, results[i])
-		n.react(node.id, e.from, e.id, e.b, e.b.EncodedSize(), relay, missing)
-	}
 }
 
 // onAttached reacts to a block joining the node's lattice: open its

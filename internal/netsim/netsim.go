@@ -38,10 +38,9 @@ type NetParams struct {
 	// reasonable budget, so budgeted runs render identical tables.
 	SampleBudget int
 	// BacklogCap bounds every node's backlog buffers — the chain orphan
-	// pool, the lattice gap buffer and gossip ingest queue, the tangle's
-	// parked vertices. <= 0 keeps each owner's default
-	// (chain.DefaultOrphanLimit, lattice.DefaultGapLimit,
-	// maxIngestBacklog, tangle.DefaultGapLimit). Oldest objects are
+	// pool, the lattice gap buffer, the tangle's parked vertices. <= 0
+	// keeps each owner's default (chain.DefaultOrphanLimit,
+	// lattice.DefaultGapLimit, tangle.DefaultGapLimit). Oldest objects are
 	// evicted first; an evicted object's dedup bit is cleared and, when
 	// the sync manager is armed, it is re-pulled.
 	BacklogCap int

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sync"
@@ -8,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/hashx"
+	"repro/internal/orv"
 	"repro/internal/pow"
 	"repro/internal/utxo"
 	"repro/internal/workload"
@@ -434,6 +436,46 @@ func TestNanoNetworkSettlesTransfers(t *testing.T) {
 	}
 }
 
+// Live gossip must settle the workload, confirm by vote and converge
+// every replica on every account head, conserving value on each.
+func TestNanoGossipConverges(t *testing.T) {
+	net, err := NewNano(NanoConfig{Net: fastNet(141), Accounts: 24, Reps: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(142))
+	transfers := workload.Payments(rng, workload.Config{
+		Accounts: 24, Rate: 6, Duration: 30 * time.Second, MaxAmount: 10,
+	})
+	m := net.RunWithTransfers(time.Minute, transfers)
+	if m.SendsCreated == 0 {
+		t.Fatal("no sends created")
+	}
+	if frac := float64(m.SettledAtObserver) / float64(m.SendsCreated); frac < 0.9 {
+		t.Fatalf("only %.0f%% of sends settled", frac*100)
+	}
+	if m.ConfirmedBlocks == 0 {
+		t.Fatal("no blocks confirmed by vote")
+	}
+	obs := net.nodes[0].lat
+	for i, node := range net.nodes {
+		if err := node.lat.CheckInvariant(); err != nil {
+			t.Fatalf("node %d: %v", i, err)
+		}
+		if i == 0 {
+			continue
+		}
+		for acct := 0; acct < 24; acct++ {
+			addr := net.Ring().Addr(acct)
+			want, _ := obs.Head(addr)
+			got, _ := node.lat.Head(addr)
+			if got != want {
+				t.Fatalf("node %d diverged from observer on account %d", i, acct)
+			}
+		}
+	}
+}
+
 // §II-B: "a node has to be online in order to receive a transaction" —
 // transfers to offline receivers stay unsettled.
 func TestNanoOfflineReceiversLeaveUnsettled(t *testing.T) {
@@ -464,6 +506,63 @@ func TestNanoOfflineReceiversLeaveUnsettled(t *testing.T) {
 	}
 	if net.Observer().Balance(net.Ring().Addr(7)) != net.cfg.Supply/12 {
 		t.Fatal("offline receiver's settled balance should be unchanged")
+	}
+}
+
+// Flooding votes for candidates that never materialize must not grow the
+// pending buffer past its one bound: the oldest votes go first, an
+// evicted vote's dedup bit is cleared so its rebroadcast parks again, and
+// a vote still parked is not parked twice.
+func TestNanoPendingVoteFloodBounded(t *testing.T) {
+	net, err := NewNano(NanoConfig{Net: fastNet(161), Accounts: 8, Reps: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	node := net.nodes[1]
+	rep := net.Ring().Pair(0) // a representative with real weight
+	// ghost is the i-th flood vote: four sequence numbers per ghost block.
+	ghost := func(i int) *orv.Vote {
+		block := hashx.Sum([]byte(fmt.Sprintf("never-materializes-%d", i/4)))
+		return orv.NewVote(rep, block, uint64(i%4+1))
+	}
+	// parked counts the copies of vote i waiting on its ghost block.
+	parked := func(i int) (n int) {
+		want := voteKeyOf(ghost(i))
+		for _, v := range node.pendingVotes.Waiting(want.Block) {
+			if voteKeyOf(v) == want {
+				n++
+			}
+		}
+		return n
+	}
+	const flood = maxPendingVotes + 64
+	for i := 0; i < flood; i++ {
+		net.onVote(node, ghost(i))
+	}
+	if got := node.pendingVotes.Len(); got != maxPendingVotes {
+		t.Fatalf("pending votes = %d after a flood of %d, bound %d", got, flood, maxPendingVotes)
+	}
+	for _, i := range []int{0, 1, 63, 64, 65, flood - 1} {
+		want := 1
+		if i < 64 {
+			want = 0
+		}
+		if got := parked(i); got != want {
+			t.Fatalf("vote %d parked %d times after the flood, want %d", i, got, want)
+		}
+	}
+	// A rebroadcast of an evicted vote parks again, evicting the oldest
+	// still-parked vote in its turn.
+	net.onVote(node, ghost(0))
+	if parked(0) != 1 || parked(64) != 0 || node.pendingVotes.Len() != maxPendingVotes {
+		t.Fatalf("rebroadcast of evicted vote 0: parked %d, vote 64 parked %d, Len %d",
+			parked(0), parked(64), node.pendingVotes.Len())
+	}
+	// A rebroadcast of a still-parked vote is a duplicate.
+	net.onVote(node, ghost(flood-1))
+	if parked(flood-1) != 1 || node.pendingVotes.Len() != maxPendingVotes {
+		t.Fatalf("rebroadcast of parked vote %d: parked %d, Len %d",
+			flood-1, parked(flood-1), node.pendingVotes.Len())
 	}
 }
 

@@ -324,7 +324,7 @@ func (c *chainRuntime) reached(id int32) int {
 // propagation and process it into the ledger. Processing errors mean a
 // byzantine block; honest sims don't produce them, and a relay node
 // still floods valid-looking data. A parked orphan asks for no pull.
-func (c *chainRuntime) apply(node, _ sim.NodeID, id int32, obj any) (bool, hashx.Hash) {
+func (c *chainRuntime) apply(node sim.NodeID, id int32, obj any) (bool, hashx.Hash) {
 	if c.reached(id) == len(c.nodes) {
 		born, _ := c.bornAt(id)
 		c.metrics.Propagation.AddDuration(c.rt.sim.Now() - born)

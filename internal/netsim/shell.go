@@ -37,7 +37,7 @@ type historyView interface {
 	object(node sim.NodeID, h hashx.Hash) (obj any, size int, ok bool)
 	attachedIDs(node sim.NodeID) []uint64
 	canonical(node sim.NodeID) (n int, at func(i int) (obj any, size int))
-	apply(node, from sim.NodeID, id int32, obj any) (relay bool, missing hashx.Hash)
+	apply(node sim.NodeID, id int32, obj any) (relay bool, missing hashx.Hash)
 }
 
 // netShell is embedded by chainRuntime, NanoNet and TangleNet.
@@ -83,11 +83,11 @@ func heldBit(id int32) int32 { return 2*id + 1 }
 
 // holds reports whether node already holds object id, so that a delivery
 // of it would end at its first-seen bit whenever it arrived: the bit is
-// set and the node's ledger has the object attached. Only a parked or
-// queued object is seen and not attached, and only such an object ever
-// loses its bit again (unsee); a ledger never parks what it has attached
-// (a lattice fork loser is detached but not parked), so the answer stays
-// true until the delivery arrives. A positive answer is kept as the held
+// set and the node's ledger has the object attached. Only a parked
+// object, seen and not attached, ever loses its bit again (unsee); a
+// ledger never parks what it has attached (a lattice fork loser is
+// detached but not parked), so the answer stays true until the delivery
+// arrives. A positive answer is kept as the held
 // bit, so each node's ledger is asked once per object, mostly in mark,
 // right after it attached the object and while its words are in cache.
 func (s *netShell) holds(node sim.NodeID, id int32) bool {
@@ -158,23 +158,17 @@ func (s *netShell) ColdSyncDone(node int) (time.Duration, bool) {
 }
 
 // receive is the one gossip path for object id, which the handler read
-// through objectID: a first-seen object goes to the paradigm's apply,
-// then through react; size is relayed unchanged. A repeat delivery costs
-// one memo read and one bit test, and most repeats never get here: a copy
-// sent to a node that already holds the object is counted at send time
-// and not delivered (NodeRuntime.send).
+// through objectID: a first-seen object goes to the paradigm's apply, the
+// dependency it waits on is pulled from the sender, and it is relayed,
+// size unchanged, if apply says so. A repeat delivery costs one memo read
+// and one bit test, and most repeats never get here: a copy sent to a
+// node that already holds the object is counted at send time and not
+// delivered (NodeRuntime.send).
 func (s *netShell) receive(node, from sim.NodeID, id int32, obj any, size int) {
 	if s.seen.testSet(int(node), seenBit(id)) {
 		return
 	}
-	relay, missing := s.view.apply(node, from, id, obj)
-	s.react(node, from, id, obj, size, relay, missing)
-}
-
-// react is the tail of an apply verdict on object id, shared by receive
-// and Nano's batch flush: pull the missing dependency from the sender,
-// then relay.
-func (s *netShell) react(node, from sim.NodeID, id int32, obj any, size int, relay bool, missing hashx.Hash) {
+	relay, missing := s.view.apply(node, id, obj)
 	s.mark(node, id)
 	if missing != hashx.Zero {
 		s.sync.Pull(node, missing, from)
@@ -286,7 +280,7 @@ func bindBacklog[K comparable, V interface {
 	buf.SetTTL(np.BacklogTTL, s.rt.sim.Now)
 	buf.OnEvict(func(v V) {
 		s.unsee(node, s.objectID(v))
-		s.sync.evicted(node, v.Hash(), node)
+		s.sync.evicted(node, v.Hash())
 	})
 }
 

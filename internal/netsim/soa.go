@@ -10,7 +10,7 @@
 // catalog's index (internal/catalog); votes, which no catalog holds, take
 // theirs from a dex. Neither matrix rotates or forgets: a row is as wide
 // as the largest id seen, and a bit is cleared only when a bounded
-// backlog or Nano's ingest queue evicts what it marked.
+// backlog evicts what it marked.
 //
 // Every structure is deterministic: ids are assigned in first-sight
 // order by the (deterministic) event loop, and no iteration order ever

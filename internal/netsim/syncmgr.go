@@ -112,8 +112,7 @@ type SyncStats struct {
 	BlocksServed int
 	BytesServed  int64
 	// BacklogEvicted counts objects dropped from bounded backlog buffers
-	// (chain orphan pool, lattice gap buffer and ingest queue, tangle
-	// parked vertices).
+	// (chain orphan pool, lattice gap buffer, tangle parked vertices).
 	BacklogEvicted int
 }
 
@@ -184,21 +183,18 @@ func (m *syncManager) arm() { m.armed = true }
 
 // evicted is the one reaction to an object dropped from a bounded
 // backlog: count it and, when the manager is armed, re-pull it after
-// gapRepairDelay — from target, or, when target is the node itself, from
-// a live peer chosen when the re-pull fires. The caller clears the
-// object's dedup bit, so gossip or the pull can deliver it again.
-func (m *syncManager) evicted(node sim.NodeID, h hashx.Hash, target sim.NodeID) {
+// gapRepairDelay from a live peer chosen when the re-pull fires. The
+// caller clears the object's dedup bit, so gossip or the pull can
+// deliver it again.
+func (m *syncManager) evicted(node sim.NodeID, h hashx.Hash) {
 	m.stats.BacklogEvicted++
 	if !m.armed {
 		return
 	}
 	m.rt.sim.After(gapRepairDelay, func() {
-		if target == node {
-			if target = m.rotateTarget(node, node); target == node {
-				return
-			}
+		if target := m.rotateTarget(node, node); target != node {
+			m.Pull(node, h, target)
 		}
-		m.Pull(node, h, target)
 	})
 }
 

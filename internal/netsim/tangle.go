@@ -181,7 +181,7 @@ func (n *TangleNet) handlerFor(node *tangleNode) sim.Handler {
 // Gapped vertices park inside the replica and still relay so peers ahead
 // of this node catch up, naming the missing parent; invalid ones are
 // not relayed.
-func (n *TangleNet) apply(node, _ sim.NodeID, _ int32, obj any) (bool, hashx.Hash) {
+func (n *TangleNet) apply(node sim.NodeID, _ int32, obj any) (bool, hashx.Hash) {
 	nd := n.nodes[node]
 	res := nd.tg.Attach(obj.(*tangle.Vertex))
 	switch res.Status {

@@ -245,11 +245,14 @@ func TestCompareCalibrationNormalizes(t *testing.T) {
 	}
 }
 
+// committedBaseline is the file the Makefile's BENCH_BASELINE names.
+const committedBaseline = "../../BENCH_056.json"
+
 // The acceptance demo for the CI gate: take the committed baseline,
 // inject a 2x ns/op slowdown into every entry, and require the gate to
 // fail — and require the untouched baseline to pass against itself.
 func TestGateFailsOnInjectedSlowdown(t *testing.T) {
-	data, err := os.ReadFile("../../BENCH_038.json")
+	data, err := os.ReadFile(committedBaseline)
 	if err != nil {
 		t.Fatalf("committed baseline missing: %v", err)
 	}
@@ -287,7 +290,7 @@ func TestGateFailsOnInjectedSlowdown(t *testing.T) {
 // The committed baseline must be in canonical byte form (Encode of its
 // Decode), or diffs against regenerated baselines churn.
 func TestCommittedBaselineIsCanonical(t *testing.T) {
-	data, err := os.ReadFile("../../BENCH_038.json")
+	data, err := os.ReadFile(committedBaseline)
 	if err != nil {
 		t.Fatalf("committed baseline missing: %v", err)
 	}
@@ -300,7 +303,7 @@ func TestCommittedBaselineIsCanonical(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(data, out) {
-		t.Fatal("BENCH_038.json is not in canonical encoding; regenerate with make bench-commit")
+		t.Fatal(committedBaseline + " is not in canonical encoding; regenerate with make bench-commit")
 	}
 }
 

@@ -1,7 +1,7 @@
 package sim
 
 // Fuzz oracle for the event queue: a byte-coded schedule / elide /
-// deliver / occupy / cancel / Run(n) / RunUntil program runs on the
+// deliver / cancel / Run(n) / RunUntil program runs on the
 // Simulator and on a naive model — a slice of (at, live, elided) entries
 // in schedule order, scanned for the minimum — and pop transcript,
 // EventsRun, Pending and Now must agree after every step, and EventsRun
@@ -65,13 +65,6 @@ func (m *modelQueue) elide(at time.Duration) { m.add(at, true) }
 func (m *modelQueue) deliver(at time.Duration, node int, cost time.Duration) {
 	m.add(at, false)
 	m.msg[len(m.msg)-1] = &modelMsg{node: node, cost: cost, tag: len(m.msg) - 1}
-}
-
-// occupy charges d of node's budget from now or the end of its work.
-func (m *modelQueue) occupy(node int, d time.Duration) {
-	if d > 0 {
-		m.busy[node] = max(m.now, m.busy[node]) + d
-	}
 }
 
 func (m *modelQueue) add(at time.Duration, elided bool) {
@@ -190,10 +183,9 @@ func sameTrace(t *testing.T, got, want []string) {
 //	20–51   Cancel an earlier id (Run(op % 8) while there is none)
 //	52      Send to node b&3 after procSpans[b>>5], costing it
 //	        procSpans[b>>2&7] under the processing model, where b is the
-//	        next byte (deliverOp); a last byte does nothing
-//	53      Occupy node b&3 for procSpans[b>>2&7], b the next byte
-//	        (occupyOp); a last byte does nothing
-//	54–55   as 20–51
+//	        next byte (deliverOp); a last byte does nothing. A costed
+//	        delivery is the only way a node gets busy.
+//	53–55   as 20–51
 //	56–59   elide at an absolute time on grid op-56, k steps of it given
 //	        by the next byte mod 48 (elideOp); a last byte does nothing
 //	60–63   as 20–51
@@ -204,9 +196,9 @@ var (
 		150 * time.Millisecond, 700 * time.Millisecond, 4 * time.Second, 75 * time.Second}
 	schedGrids = [4]time.Duration{time.Millisecond, 7 * time.Millisecond, 250 * time.Millisecond, 5 * time.Second}
 	forgedIDs  = [4]EventID{0, EventID(math.MaxUint32) << 32, ^EventID(0), EventID(1<<31)<<32 | 1}
-	// procSpans are the link delays and processing costs of deliveries
-	// and the spans of Occupy: zero twice, within a bucket, across a few,
-	// across the ring and past it.
+	// procSpans are the link delays and processing costs of deliveries:
+	// zero twice, within a bucket, across a few, across the ring and past
+	// it.
 	procSpans = [8]time.Duration{0, 0, time.Millisecond, 3 * time.Millisecond, 40 * time.Millisecond,
 		150 * time.Millisecond, 300 * time.Millisecond, 6 * time.Second}
 )
@@ -232,9 +224,6 @@ func (sizeDelay) Delay(_ *rand.Rand, _, _ NodeID, size int) (time.Duration, bool
 // deliverOp encodes "send to node k after procSpans[delay], costing
 // procSpans[cost]", the two bytes 52, b.
 func deliverOp(k, cost, delay int) []byte { return []byte{52, byte(k | cost<<2 | delay<<5)} }
-
-// occupyOp encodes "occupy node k for procSpans[d]", the two bytes 53, b.
-func occupyOp(k, d int) []byte { return []byte{53, byte(k | d<<2)} }
 
 // schedOp encodes "schedule at k steps of grid g" (k < 48). The grids
 // overlap (1 ms × 28 = 7 ms × 4; 250 ms × 20 = 5 s), so equal times
@@ -371,18 +360,13 @@ func runPopProgram(t *testing.T, ops []byte) (r reach) {
 			m.elide(at)
 			filed = append(filed, tier)
 			ids = append(ids, 0) // keeps ids aligned with the model's indices
-		case op == 52 || op == 53:
+		case op == 52:
 			if i+1 == len(ops) {
 				break
 			}
 			i++
 			b := ops[i]
 			k, span := int(b&3), procSpans[b>>2&7]
-			if op == 53 {
-				net.Occupy(NodeID(k), span)
-				m.occupy(k, span)
-				break
-			}
 			at := s.Now() + procSpans[b>>5]
 			filed = append(filed, tierOf(s, at))
 			ids = append(ids, 0)
@@ -499,18 +483,20 @@ var popSeeds = [][]byte{
 	// A RunUntil 75 s past an empty queue, then an elided arrival at a
 	// past time: clamped to now, it counts at once.
 	slices.Concat([]byte{schedOp(0, 1), 7}, elideOp(0, 1), []byte{0}),
-	// Deferred runs: nodes 0, 1 and 3 busy to 40, 43 and 40 ms. Node 0
-	// defers a 3 ms run to 40 ms and a zero-cost one behind it to 43 ms,
-	// tied with node 1's later run at 43 ms: it must keep its own
-	// sequence number when pushed. Node 3's delivery sent for 40 ms
-	// runs at once there, past the zero-cost run deferred to 40 ms after
-	// it was sent.
-	slices.Concat(occupyOp(0, 4), occupyOp(1, 4), occupyOp(1, 3), occupyOp(3, 4), deliverOp(3, 0, 4),
+	// Deferred runs: 40 ms deliveries at 0 make nodes 0, 1 and 3 busy to
+	// 40 ms, and node 1 defers a 3 ms run to 40 ms. Node 0 defers a 3 ms
+	// run to 40 ms and a zero-cost one behind it to 43 ms, tied with node
+	// 1's zero-cost run at 43 ms: each is pushed when its node's 40 ms run
+	// ends, node 1's first, so each must keep its own sequence number.
+	// Node 3's delivery sent for 40 ms runs at once there, past the
+	// zero-cost run deferred to 40 ms after it was sent.
+	slices.Concat(deliverOp(0, 4, 0), deliverOp(1, 4, 0), deliverOp(1, 3, 0), deliverOp(3, 4, 0), deliverOp(3, 0, 4),
 		deliverOp(0, 3, 0), deliverOp(0, 0, 0), deliverOp(1, 0, 0), deliverOp(3, 0, 0),
 		[]byte{schedOp(0, 43), 0, 9, 9, 3, 9, 10}),
-	// A 23-run backlog on node 2, two chunks long, cut by a RunUntil
-	// after its first run; node 3's backlog, 6 s out, queued in far.
-	slices.Concat(occupyOp(2, 4), bytes.Repeat(deliverOp(2, 2, 0), 23), occupyOp(3, 7),
+	// A 23-run backlog on node 2, two chunks long, behind a 40 ms
+	// delivery and cut by a RunUntil after its first run; node 3's
+	// backlog, behind a 6 s delivery, queued in far.
+	slices.Concat(deliverOp(2, 4, 0), bytes.Repeat(deliverOp(2, 2, 0), 23), deliverOp(3, 7, 0),
 		deliverOp(3, 0, 0), deliverOp(3, 5, 1), []byte{schedOp(0, 41), 0, 3, 2, 6, 7}),
 }
 

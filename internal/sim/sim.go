@@ -808,23 +808,10 @@ func (n *Network) NumNodes() int { return len(n.handlers) }
 // the node is free, and occupies it for the returned cost. A message that
 // arrives while its node is busy waits in the node's own held chain, not
 // in the event queue, which holds only the first run of each busy node.
-// The per-node state is made at the first delivery or Occupy under a
-// model, so a network without one keeps none.
+// The per-node state is made at the first delivery under a model, so a
+// network without one keeps none.
 func (n *Network) SetProcessing(cost func(to NodeID, payload any, size int) time.Duration) {
 	n.procCost = cost
-}
-
-// Occupy consumes d of a node's processing budget starting now (or when
-// its current work finishes): later message handlers queue behind it, in
-// the node's held chain. Nodes that aggregate work outside per-message
-// delivery — e.g. batched block validation — use it to charge the
-// aggregate cost. A no-op unless a processing model is installed.
-func (n *Network) Occupy(id NodeID, d time.Duration) {
-	if n.procCost == nil || d <= 0 || int(id) >= len(n.handlers) {
-		return
-	}
-	p := n.proc(id)
-	p.busyUntil = max(n.sim.Now(), p.busyUntil) + d
 }
 
 // proc returns node id's processing state, growing the table to the

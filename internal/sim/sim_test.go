@@ -463,36 +463,6 @@ func TestProcessingBudgetSerializes(t *testing.T) {
 	}
 }
 
-// Occupy must push a node's processing budget forward so later arrivals
-// queue behind the aggregate work, and stay a no-op without a model.
-func TestOccupyDelaysLaterDeliveries(t *testing.T) {
-	s := New(6)
-	n := NewNetwork(s, UniformLinks{MinLatency: 0, MaxLatency: 0})
-	var handledAt time.Duration
-	a := n.AddNode(func(NodeID, any, int) {})
-	b := n.AddNode(func(NodeID, any, int) { handledAt = s.Now() })
-	n.SetProcessing(func(NodeID, any, int) time.Duration { return 0 })
-	n.Occupy(b, 250*time.Millisecond)
-	n.Send(a, b, "x", 1)
-	s.Run(0)
-	if handledAt != 250*time.Millisecond {
-		t.Fatalf("delivery at %v, want 250ms behind the occupied budget", handledAt)
-	}
-
-	// Without a processing model, Occupy is inert.
-	s2 := New(7)
-	n2 := NewNetwork(s2, UniformLinks{MinLatency: 0, MaxLatency: 0})
-	var at2 time.Duration
-	c := n2.AddNode(func(NodeID, any, int) {})
-	d := n2.AddNode(func(NodeID, any, int) { at2 = s2.Now() })
-	n2.Occupy(d, time.Hour)
-	n2.Send(c, d, "x", 1)
-	s2.Run(0)
-	if at2 != 0 {
-		t.Fatalf("Occupy without a model delayed delivery to %v", at2)
-	}
-}
-
 // A deferred handler run is never handed an EventID, but a forged id can
 // still name its slot. Canceling it must do nothing: releasing a held
 // chain's head would strand every run queued behind it.
@@ -535,22 +505,26 @@ func TestProcessingStateIsLazy(t *testing.T) {
 	}
 	a, b := n.AddNode(node("a")), n.AddNode(node("b"))
 	n.Send(a, b, 0, 1)
-	n.Occupy(b, time.Second)
 	s.Run(0)
 	if n.procs != nil {
 		t.Fatalf("%d processors made without a processing model", len(n.procs))
 	}
-	n.SetProcessing(func(NodeID, any, int) time.Duration { return 10 * time.Millisecond })
+	// A time.Duration payload costs itself; any other costs 10 ms.
+	n.SetProcessing(func(_ NodeID, p any, _ int) time.Duration {
+		if d, ok := p.(time.Duration); ok {
+			return d
+		}
+		return 10 * time.Millisecond
+	})
 	n.Send(a, b, 1, 1)
 	n.Send(a, b, 2, 1)
 	s.RunUntil(0)
 	c := n.AddNode(node("c"))
+	n.Send(a, c, 5*time.Millisecond, 1)
 	n.Send(a, c, 3, 1)
 	n.Send(a, c, 4, 1)
-	n.Occupy(c, 5*time.Millisecond)
-	n.Send(a, c, 5, 1)
 	s.Run(0)
-	want := "[b0@0s b1@0s c3@5ms b2@10ms c4@15ms c5@25ms]"
+	want := "[b0@0s b1@0s c5ms@0s c3@5ms b2@10ms c4@15ms]"
 	if got := fmt.Sprint(handled); got != want {
 		t.Fatalf("handled %s, want %s", got, want)
 	}
